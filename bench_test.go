@@ -9,6 +9,9 @@
 package proteus_test
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,11 +220,13 @@ func BenchmarkFig10MILPScalability(b *testing.B) {
 	}
 }
 
-// BenchmarkSimVsLive runs the same constant workload through the
-// discrete-event simulator and the wall-clock live cluster, reporting both
-// effective accuracies — the paper's §6.2 simulator-fidelity check (they
-// report 0.12% accuracy / 0.82% throughput deltas).
-func BenchmarkSimVsLive(b *testing.B) {
+// simVsLive sends one seeded arrival list (two families, ≈120 QPS for 3 s)
+// through the discrete-event simulator and through the wall-clock live
+// cluster — the same engine under its two drivers — and returns both
+// summaries: the paper's §6.2 simulator-fidelity check (they report 0.12%
+// accuracy / 0.82% throughput deltas).
+func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
+	tb.Helper()
 	var fams []models.Family
 	for _, f := range models.Zoo() {
 		if f.Name == "efficientnet" || f.Name == "mobilenet" {
@@ -229,75 +234,125 @@ func BenchmarkSimVsLive(b *testing.B) {
 		}
 	}
 	names := models.FamilyNames(fams)
-	const totalQPS = 120.0
-	for i := 0; i < b.N; i++ {
-		// Simulator leg.
-		simAlloc, _ := proteus.NewAllocator("ilp", &proteus.MILPOptions{TimeLimit: 300 * time.Millisecond, RelGap: 0.01})
-		sys, err := proteus.NewSystem(proteus.SystemConfig{
-			Cluster:         cluster.ScaledTestbed(8),
-			Families:        fams,
-			Allocator:       simAlloc,
-			MetricsInterval: time.Second, // align bins with the live collector
-			Seed:            9,
-		})
+	const seconds = 3
+	demand := []float64{60, 60}
+	arrivals := trace.NewFlat(names, demand, seconds).Arrivals(numeric.NewRNG(13))
+	newAllocator := func() proteus.Allocator {
+		a, err := proteus.NewAllocator("infaas_v2", nil)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		tr := trace.NewFlat(names, []float64{totalQPS / 2, totalQPS / 2}, 10)
-		simRes, err := sys.Run(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
+		return a
+	}
 
-		// Live leg: same rate for the same (wall-clock) duration.
-		liveAlloc, _ := proteus.NewAllocator("ilp", &proteus.MILPOptions{TimeLimit: 300 * time.Millisecond, RelGap: 0.01})
-		srv, err := proteus.NewLiveServer(proteus.LiveConfig{
-			Cluster:       cluster.ScaledTestbed(8),
-			Families:      fams,
-			Allocator:     liveAlloc,
-			ControlPeriod: 5 * time.Second,
-			InitialDemand: []float64{totalQPS / 2, totalQPS / 2},
-			Seed:          9,
-		})
-		if err != nil {
-			b.Fatal(err)
+	sys, err := proteus.NewSystem(proteus.SystemConfig{
+		Cluster:         cluster.ScaledTestbed(8),
+		Families:        fams,
+		Allocator:       newAllocator(),
+		MetricsInterval: time.Second, // align bins with the live collector
+		Seed:            9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// RunArrivals fails unless arrivals = served + late + dropped per family.
+	simRes, err := sys.RunArrivals(arrivals, seconds*time.Second, demand)
+	if err != nil {
+		tb.Fatal(err)
+	}
+
+	srv, err := proteus.NewLiveServer(proteus.LiveConfig{
+		Cluster:       cluster.ScaledTestbed(8),
+		Families:      fams,
+		Allocator:     newAllocator(),
+		ControlPeriod: time.Minute, // one plan for the whole run, as in the simulator
+		ExecNoiseFrac: -1,          // the simulator's executor has no noise either
+		InitialDemand: demand,
+		Seed:          9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer srv.Close()
+	// Absolute due times: sleep overshoot must not thin or bunch the offered
+	// load, or the comparison is between different workloads.
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, a := range arrivals {
+		if d := time.Until(start.Add(a.Time)); d > 0 {
+			time.Sleep(d)
 		}
-		rng := numeric.NewRNG(13)
-		done := make(chan struct{})
-		sem := make(chan struct{}, 256)
-		start := time.Now()
+		wg.Add(1)
 		go func() {
-			defer close(done)
-			// Absolute-time scheduling: sleep overshoot must not thin the
-			// offered rate, or the sim/live comparison compares different
-			// workloads.
-			next := 0.0
-			for {
-				next += rng.Exp(totalQPS)
-				target := start.Add(time.Duration(next * float64(time.Second)))
-				if next >= 10 {
-					return
-				}
-				if d := time.Until(target); d > 0 {
-					time.Sleep(d)
-				}
-				fam := names[rng.Intn(2)]
-				sem <- struct{}{}
-				go func() {
-					defer func() { <-sem }()
-					srv.Infer(fam)
-				}()
-			}
+			defer wg.Done()
+			srv.Infer(names[a.Family])
 		}()
-		<-done
-		time.Sleep(300 * time.Millisecond) // drain in-flight batches
-		liveSum := srv.Summary()
-		srv.Close()
+	}
+	wg.Wait()
+	if !srv.Drain(time.Second) {
+		tb.Fatal("live server did not drain")
+	}
+	return simRes.Summary, srv.Summary()
+}
 
-		b.ReportMetric(simRes.Summary.EffectiveAccuracy, "sim-accuracy%")
-		b.ReportMetric(liveSum.EffectiveAccuracy, "live-accuracy%")
-		b.ReportMetric(simRes.Summary.AvgThroughput, "sim-qps")
-		b.ReportMetric(liveSum.AvgThroughput, "live-qps")
+// TestSimVsLive is the differential test between the two drivers of the
+// shared serving engine. The tolerances are set from what may legitimately
+// differ. Routing draws come in a different order (the live generator's
+// goroutines reach the router in scheduler order), which moved effective
+// accuracy by at most 0.06 points over the ≈360 queries in forty runs; 1
+// point fails a run that served a different variant mix. On-time share
+// differs through wall-clock effects only — the 5 ms early wake-up, timer
+// and scheduler jitter — which cost isolated queries at the edge of their
+// deadline: live was 0.8–3.9 points below the simulator in those forty runs
+// (half of them beside the race-enabled test suite on a two-core host), and
+// 5 points fails a run where a batching or admission decision diverged. One
+// run in forty lost 10 points to a host stall of a few hundred milliseconds,
+// so a diverging attempt is repeated: a stall does not recur, a divergence
+// in the engine does.
+func TestSimVsLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock differential run (≈3 s)")
+	}
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		sim, live := simVsLive(t)
+		t.Logf("sim: %v", sim)
+		t.Logf("live: %v", live)
+		for _, s := range []struct {
+			name string
+			sum  proteus.Summary
+		}{{"sim", sim}, {"live", live}} {
+			if s.sum.Queries == 0 || s.sum.Queries != s.sum.Served+s.sum.Late+s.sum.Dropped {
+				t.Fatalf("%s: %d arrivals != %d served + %d late + %d dropped",
+					s.name, s.sum.Queries, s.sum.Served, s.sum.Late, s.sum.Dropped)
+			}
+		}
+		if sim.Queries != live.Queries {
+			t.Fatalf("sim saw %d arrivals, live %d: the two legs must replay one list", sim.Queries, live.Queries)
+		}
+		onTime := func(s proteus.Summary) float64 { return 100 * float64(s.Served) / float64(s.Queries) }
+		dOnTime := math.Abs(onTime(sim) - onTime(live))
+		dAccuracy := math.Abs(sim.EffectiveAccuracy - live.EffectiveAccuracy)
+		if dOnTime <= 5 && dAccuracy <= 1 {
+			return
+		}
+		msg := fmt.Sprintf("attempt %d: on-time share sim %.2f%% / live %.2f%% (|Δ| %.2f, limit 5 points), effective accuracy sim %.2f%% / live %.2f%% (|Δ| %.2f, limit 1 point)",
+			attempt, onTime(sim), onTime(live), dOnTime, sim.EffectiveAccuracy, live.EffectiveAccuracy, dAccuracy)
+		if attempt == attempts {
+			t.Fatal(msg)
+		}
+		t.Log(msg)
+	}
+}
+
+// BenchmarkSimVsLive reports the two legs' effective accuracy and throughput.
+func BenchmarkSimVsLive(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sim, live := simVsLive(b)
+		b.ReportMetric(sim.EffectiveAccuracy, "sim-accuracy%")
+		b.ReportMetric(live.EffectiveAccuracy, "live-accuracy%")
+		b.ReportMetric(sim.AvgThroughput, "sim-qps")
+		b.ReportMetric(live.AvgThroughput, "live-qps")
 	}
 }
 

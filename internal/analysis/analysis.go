@@ -244,10 +244,12 @@ func (r *Registry) Rules() []Rule {
 }
 
 // DeterministicPackages are the import-path suffixes (relative to the module)
-// whose computations must be reproducible from a seed: the simulated clock,
-// plan construction and the solvers. The determinism checker runs only here.
+// whose computations must be reproducible from a seed: the simulated clock
+// and the serving engine it drives, plan construction and the solvers. The
+// determinism checker runs only here.
 var DeterministicPackages = []string{
 	"internal/core",
+	"internal/dataplane",
 	"internal/allocator",
 	"internal/attrib",
 	"internal/lp",

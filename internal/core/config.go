@@ -1,9 +1,10 @@
-// Package core assembles the full Proteus system on the discrete-event
-// engine: per-application load balancers (request router + monitoring
-// daemon), per-device workers running a batching policy, and the controller
-// that re-allocates resources periodically and on bursts. It mirrors the
-// paper's simulator (§6.1.5), which tracks their 40-machine cluster testbed
-// within ~1%.
+// Package core is the Proteus simulator: it drives the shared serving engine
+// (internal/dataplane — routing with admission, per-device queues and
+// batching steps, accounting, fault and overload reactions) from the
+// discrete-event engine's virtual clock, and owns what only a simulation
+// has: the run loop and its events, the control-path apply delay, burst
+// detection, elastic provisioning. It is the paper's simulator (§6.1.5),
+// which tracks their 40-machine cluster testbed within ~1%.
 package core
 
 import (
@@ -122,12 +123,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Allocator == nil {
 		return c, fmt.Errorf("core: config needs an allocator")
 	}
-	if c.SLOMultiplier <= 0 {
-		c.SLOMultiplier = 2
-	}
-	if c.Batching == nil {
-		c.Batching = func() batching.Policy { return batching.NewAccScale() }
-	}
 	if c.ControlPeriod <= 0 {
 		c.ControlPeriod = 30 * time.Second
 	}
@@ -158,11 +153,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Elastic != nil {
 		c.Elastic = c.Elastic.withDefaults()
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 1
 	}
 	if err := c.Faults.Validate(c.Cluster.Size()); err != nil {
 		return c, err

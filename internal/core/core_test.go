@@ -409,3 +409,36 @@ func TestElasticRespectsMaxExtra(t *testing.T) {
 		t.Fatalf("provisioned %d devices, cap was 2", res.ExtraDevices)
 	}
 }
+
+func TestRunArrivalsRejectsBadInitialDemand(t *testing.T) {
+	cfg := smallConfig(t)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunArrivals(nil, time.Second, []float64{1}); err == nil {
+		t.Fatal("mismatched initial demand accepted")
+	}
+}
+
+func TestRunArrivalsExplicitSequence(t *testing.T) {
+	cfg := smallConfig(t)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arr []trace.Arrival
+	for i := 0; i < 200; i++ {
+		arr = append(arr, trace.Arrival{Time: time.Duration(i) * 50 * time.Millisecond, Family: i % 2})
+	}
+	res, err := sys.RunArrivals(arr, 10*time.Second, []float64{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Queries != 200 {
+		t.Fatalf("queries %d", res.Summary.Queries)
+	}
+	if res.Summary.Served == 0 {
+		t.Fatal("nothing served")
+	}
+}

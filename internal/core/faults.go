@@ -1,29 +1,28 @@
 package core
 
-import (
-	"time"
-
-	"proteus/internal/allocator"
-	"proteus/internal/telemetry"
-)
+import "proteus/internal/telemetry"
 
 // failDevice takes device d down at the current simulation time: its queued
-// and in-flight queries drain back to the router, the routing table stops
-// admitting it, and a failure-triggered re-allocation is requested (honoring
-// the control plane's cooldown).
+// and in-flight queries drain back to the router (the batch's completion
+// event is cancelled — the hardware died mid-execution), the routing table
+// stops admitting it, and a failure-triggered re-allocation is requested
+// (honoring the control plane's cooldown).
 func (s *System) failDevice(d int) {
-	if d < 0 || d >= len(s.workers) || s.down[d] {
+	now := s.engine.Now()
+	if !s.plane.SetHealth(now, d, false) {
 		return
 	}
-	now := s.engine.Now()
-	s.down[d] = true
-	s.controller.SetCluster(s.controller.Cluster().WithHealth(s.down))
-	s.collector.DeviceFailed(now)
-	s.tc.DevicesUp.Set(s.healthyCount())
-	stranded := s.workers[d].fail()
-	s.flight.Trigger(now, "device_failure", s.workers[d].dev.Name, -1, d)
+	s.syncClusterHealth()
+	w := s.workers[d]
+	queued, inflight := w.dev.Fail(now)
+	w.cancelWake()
+	if w.done != nil {
+		w.done.Cancel()
+		w.done = nil
+	}
+	s.plane.FailureIncident(now, d)
 	s.rebuildTable()
-	for _, q := range stranded {
+	for _, q := range append(queued, inflight...) {
 		s.requeue(now, q, telemetry.CauseDeviceFailure)
 	}
 	s.faultRealloc("failure")
@@ -34,67 +33,23 @@ func (s *System) failDevice(d int) {
 // hosts on it (usually nothing, since post-failure plans avoid it) and a
 // recovery-triggered re-allocation puts it back to work.
 func (s *System) recoverDevice(d int) {
-	if d < 0 || d >= len(s.workers) || !s.down[d] {
+	now := s.engine.Now()
+	if !s.plane.SetHealth(now, d, true) {
 		return
 	}
-	now := s.engine.Now()
-	s.down[d] = false
-	s.controller.SetCluster(s.controller.Cluster().WithHealth(s.down))
-	s.collector.DeviceRecovered(now)
-	s.tc.DevicesUp.Set(s.healthyCount())
+	s.syncClusterHealth()
 	w := s.workers[d]
-	var ref *allocator.VariantRef
-	if d < len(s.plan.Hosted) {
-		ref = s.plan.Hosted[d]
-	}
-	w.recover(ref, now)
-	if w.loadingUntil > now {
-		s.engine.Schedule(w.loadingUntil, func() {
-			s.rebuildTable()
-			w.evaluate()
-		})
-	}
+	w.dev.Recover(s.plane.Hosted(d), now+s.cfg.ModelLoadDelay)
+	s.step(w)
+	s.afterLoad(w, now)
 	s.rebuildTable()
 	s.faultRealloc("recovery")
 }
 
-// requeue returns a stranded query to the router: dropped if it already
-// burned its re-route budget (Config.MaxRetries) or cannot meet its
-// deadline, re-dispatched to a surviving replica otherwise. cause records
-// why the query was stranded (device failure, stale route) on the requeue
-// and retry trace events, so attribution can name the re-route penalty.
-func (s *System) requeue(now time.Duration, q query, cause telemetry.Cause) {
-	s.collector.Requeued(now, q.family)
-	s.tc.Requeued.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.id, q.family, -1, -1, s.traceCtx(q.family, cause))
-	}
-	if q.retries >= s.cfg.MaxRetries {
-		s.dropQuery(now, q, telemetry.CauseRetryBudget)
-		return
-	}
-	if q.deadline <= now {
-		s.dropQuery(now, q, telemetry.CauseExpired)
-		return
-	}
-	q.retries++
-	s.collector.Retried(now, q.family)
-	s.tc.Retried.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRetried, q.id, q.family, -1, -1, s.traceCtx(q.family, cause))
-	}
-	s.route(now, q)
-}
-
-// healthyCount returns how many devices are currently up.
-func (s *System) healthyCount() int64 {
-	n := int64(0)
-	for _, d := range s.down {
-		if !d {
-			n++
-		}
-	}
-	return n
+// syncClusterHealth tells the controller which devices it may plan over.
+func (s *System) syncClusterHealth() {
+	ctl := s.plane.Controller
+	ctl.SetCluster(ctl.Cluster().WithHealth(s.plane.Down()))
 }
 
 // faultRealloc requests a failure- or recovery-triggered re-allocation. If
@@ -102,7 +57,7 @@ func (s *System) healthyCount() int64 {
 // to the cooldown boundary instead of being dropped; coalesced requests keep
 // the most recent trigger.
 func (s *System) faultRealloc(trigger string) {
-	if !s.controller.Dynamic() {
+	if !s.plane.Controller.Dynamic() {
 		// Static baselines never re-plan; degradation is handled entirely by
 		// the routing-table mask and the recovery reload.
 		return
@@ -112,7 +67,7 @@ func (s *System) faultRealloc(trigger string) {
 	if s.pendingFaultRetry {
 		return
 	}
-	if rem := s.controller.CooldownRemaining(now); rem > 0 {
+	if rem := s.plane.Controller.CooldownRemaining(now); rem > 0 {
 		s.pendingFaultRetry = true
 		s.engine.Schedule(now+rem, func() {
 			s.pendingFaultRetry = false

@@ -5,63 +5,35 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/cluster"
 	"proteus/internal/controlplane"
-	"proteus/internal/flightrec"
+	"proteus/internal/dataplane"
 	"proteus/internal/metrics"
-	"proteus/internal/models"
-	"proteus/internal/numeric"
 	"proteus/internal/overload"
-	"proteus/internal/profiles"
-	"proteus/internal/router"
 	"proteus/internal/simulation"
 	"proteus/internal/telemetry"
 	"proteus/internal/trace"
 	"proteus/internal/tsdb"
 )
 
-// System is one assembled inference-serving system under simulation.
+// System is one assembled inference-serving system under simulation: the
+// shared serving engine (internal/dataplane) driven from the virtual clock.
+// Every time it returns — a batch's completion, a batching wake-up, the end
+// of a model load — becomes an event here.
 type System struct {
 	cfg     Config
 	engine  *simulation.Engine
-	rng     *numeric.RNG
+	plane   *dataplane.Plane
 	workers []*worker
-	slos    []time.Duration
 
-	table        *router.Table
-	guard        *overload.Guard
-	plan         *allocator.Allocation
-	stats        *controlplane.Stats
-	controller   *controlplane.Controller
-	collector    *metrics.Collector
-	profileStore *profiles.Store
+	reallocErr error
 
-	nextID      uint64
-	nextBatchID int
-	reallocErr  error
-	// planSeq is the audit-log sequence number of the plan currently in
-	// force (0 until the initial plan applies). Stamped onto trace events
-	// so latency attribution can join queries to control decisions.
-	planSeq int32
+	// rebuildTable's scratch: one rebuild per model load adds up over a run.
+	ready []bool
+	profs []overload.DeviceProfile
 
-	// Telemetry: tracer, counter bundles and the tsdb recorder are
-	// nil-safe, so an uninstrumented run pays only a nil check per event.
-	tracer   *telemetry.Tracer
-	tc       telemetry.SystemCounters
-	rc       telemetry.RouterCounters
-	recorder *tsdb.Recorder
-	flight   *flightrec.Recorder
-	// pendingBurns defers burn-start incident bundles until after the
-	// sampling tick that detected them has refreshed the flight recorder's
-	// rings, so a bundle always includes the burn's own second. Burn
-	// transitions only fire inside Recorder.Sample, which the event loop
-	// runs single-threaded, so no locking is needed.
-	pendingBurns []tsdb.BurnEvent
-
-	// Failure state: down[d] marks device d as failed; pendingFaultRetry
-	// tracks a fault-triggered re-allocation deferred by the cooldown, with
-	// pendingFaultTrigger holding the most recent coalesced trigger.
-	down                []bool
+	// pendingFaultRetry tracks a fault-triggered re-allocation deferred by the
+	// cooldown, with pendingFaultTrigger holding the most recent coalesced
+	// trigger.
 	pendingFaultRetry   bool
 	pendingFaultTrigger string
 
@@ -69,6 +41,22 @@ type System struct {
 	// flight.
 	extraProvisioned int
 	extraPending     int
+}
+
+// worker pairs one device's serving state with its pending events.
+type worker struct {
+	dev *dataplane.Device
+	// wake is the pending batching (or load-completion) wake-up; done the
+	// in-flight batch's completion, tracked so a failure can cancel it.
+	wake *simulation.Event
+	done *simulation.Event
+}
+
+func (w *worker) cancelWake() {
+	if w.wake != nil {
+		w.wake.Cancel()
+		w.wake = nil
+	}
 }
 
 // NewSystem builds a system from the config.
@@ -80,74 +68,39 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:    cfg,
 		engine: simulation.NewEngine(),
-		rng:    numeric.NewRNG(cfg.Seed),
-		slos:   cfg.SLOs(),
-		tracer: cfg.Tracer,
-		tc:     telemetry.NewSystemCounters(cfg.Telemetry),
-		rc:     telemetry.NewRouterCounters(cfg.Telemetry),
 	}
-	// Ring-wrap evictions surface as trace_dropped_total so truncated
-	// traces are visible to attribution (both arguments are nil-safe).
-	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
-	s.collector = metrics.NewCollector(cfg.MetricsInterval, cfg.FamilyNames())
-	// The controller's model profiler (§3): every (variant, device type,
-	// batch) latency is measured up front and stored in the O(1) key-value
-	// store the workers consult on their hot path.
-	s.profileStore = profiles.NewStore()
-	reg := models.MustRegistry(cfg.Families)
-	types := make(map[cluster.DeviceType]bool)
-	var typeList []cluster.DeviceType
-	for _, d := range cfg.Cluster.Devices() {
-		if !types[d.Spec.Type] {
-			types[d.Spec.Type] = true
-			typeList = append(typeList, d.Spec.Type)
+	pc := dataplane.Config{
+		Cluster:          cfg.Cluster,
+		Families:         cfg.Families,
+		SLOMultiplier:    cfg.SLOMultiplier,
+		Allocator:        cfg.Allocator,
+		Batching:         cfg.Batching,
+		ControlPeriod:    cfg.ControlPeriod,
+		Cooldown:         cfg.BurstCooldown,
+		DemandWindow:     cfg.DemandWindow,
+		BurstFactor:      cfg.BurstFactor,
+		MetricsInterval:  cfg.MetricsInterval,
+		DisableAdmission: cfg.DisableAdmission,
+		MaxRetries:       cfg.MaxRetries,
+		PlanHistory:      cfg.PlanHistory,
+		Seed:             cfg.Seed,
+		Tracer:           cfg.Tracer,
+		Telemetry:        cfg.Telemetry,
+		TSDB:             cfg.TSDB,
+		Flight:           cfg.Flight,
+		Overload:         cfg.Overload,
+	}
+	if cfg.SLOBurnRealloc {
+		pc.OnBurnStart = func(at time.Duration) {
+			if s.plane.Controller.Dynamic() && s.plane.Controller.AllowBurst(at) {
+				s.reallocate("slo_burn")
+			}
 		}
 	}
-	s.profileStore.ProfileAll(reg, typeList, maxProfiledBatch)
-	s.stats = controlplane.NewStats(len(cfg.Families), int(cfg.DemandWindow/time.Second), cfg.BurstFactor)
-	s.controller = controlplane.NewController(
-		cfg.Allocator, cfg.Cluster, cfg.Families, s.slos, cfg.ControlPeriod, cfg.BurstCooldown)
-	s.controller.Instrument(cfg.Telemetry)
-	s.controller.SetHistoryLimit(cfg.PlanHistory)
-	s.recorder = cfg.TSDB
-	s.recorder.Init(len(cfg.Families), s.onBurn)
-	s.flight = cfg.Flight
-	s.flight.Init(flightrec.Sources{
-		Tracer:   cfg.Tracer,
-		Registry: cfg.Telemetry,
-		TSDB:     cfg.TSDB,
-		Plans:    s.controller.History,
-	})
-	if s.flight != nil {
-		// Any plan the primary allocator did not produce is an anomaly worth
-		// a bundle: the fallback chain stepped in or the solve failed.
-		s.controller.SetRecordHook(func(rec controlplane.PlanRecord) {
-			if rec.Stage == "primary" {
-				return
-			}
-			detail := fmt.Sprintf("stage=%s solver=%s", rec.Stage, rec.Solver)
-			if rec.Err != "" {
-				detail += " err=" + rec.Err
-			}
-			s.flight.Trigger(rec.At, "alloc_fallback", detail, -1, -1)
-		})
+	s.plane = dataplane.New(pc)
+	for _, dev := range s.plane.Devices {
+		s.workers = append(s.workers, &worker{dev: dev})
 	}
-	if cfg.Overload != nil {
-		s.guard = overload.New(*cfg.Overload, len(cfg.Families), cfg.Cluster.Size())
-		s.guard.Instrument(cfg.Telemetry)
-	}
-	s.tc.DevicesUp.Set(int64(cfg.Cluster.Size()))
-	for _, dev := range cfg.Cluster.Devices() {
-		s.workers = append(s.workers, &worker{sys: s, dev: dev, policy: cfg.Batching()})
-	}
-	s.down = make([]bool, cfg.Cluster.Size())
-	s.plan = allocator.NewAllocation(&allocator.Input{
-		Cluster:  cfg.Cluster,
-		Families: cfg.Families,
-		SLOs:     s.slos,
-		Demand:   make([]float64, len(cfg.Families)),
-	})
-	s.table = router.BuildTable(s.plan, len(cfg.Families))
 	return s, nil
 }
 
@@ -193,29 +146,30 @@ func (s *System) Run(tr *trace.Trace) (*Result, error) {
 			initial[q] /= float64(warm)
 		}
 	}
-	arrivals := tr.Arrivals(s.rng.Split())
+	arrivals := tr.Arrivals(s.plane.RNG.Split())
 	return s.RunArrivals(arrivals, time.Duration(tr.Seconds())*time.Second, initial)
 }
 
 // RunArrivals replays an explicit arrival sequence (already sorted by time)
 // for the given duration, pre-loading an initial plan for initialDemand.
 // It is the entry point for the §6.4 batching experiments, whose arrival
-// processes are not Poisson.
+// processes are not Poisson. A run whose books do not balance — some family
+// with arrivals ≠ served + late + dropped — is an error.
 func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, initialDemand []float64) (*Result, error) {
 	start := time.Now() //lint:allow determinism wall-clock Result.Wall measurement; the simulated clock is engine.Now
 	if len(initialDemand) != len(s.cfg.Families) {
 		return nil, fmt.Errorf("core: initial demand has %d entries, want %d", len(initialDemand), len(s.cfg.Families))
 	}
+	ctl := s.plane.Controller
 	initial := make([]float64, len(initialDemand))
 	for q := range initial {
 		initial[q] = initialDemand[q] * s.cfg.Headroom
 	}
-	plan, err := s.controller.Reallocate(0, initial, "initial")
+	plan, err := ctl.Reallocate(0, initial, "initial")
 	if err != nil {
 		return nil, fmt.Errorf("core: initial allocation: %w", err)
 	}
-	s.planSeq = int32(s.controller.LastPlanSeq())
-	s.applyPlan(plan, true)
+	s.applyPlan(plan, ctl.LastPlanSeq(), true)
 
 	for _, a := range arrivals {
 		a := a
@@ -223,39 +177,33 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	}
 
 	// Periodic controller invocations for dynamic allocators.
-	if s.controller.Dynamic() {
+	if ctl.Dynamic() {
 		for at := s.cfg.ControlPeriod; at < duration; at += s.cfg.ControlPeriod {
 			at := at
 			s.engine.Schedule(at, func() { s.reallocate("periodic") })
 		}
 	}
 
-	// Device time-series sampling on the virtual clock (the live server
-	// runs the same recorder off a wall-clock ticker).
-	if si := s.recorder.SampleInterval(); si > 0 {
+	// The observability tick: device samples at the tsdb recorder's cadence,
+	// the flight recorder's ring refresh riding the same events; on its own
+	// the flight recorder still needs a 1s cadence for counter snapshots.
+	if si := s.cfg.TSDB.SampleInterval(); si > 0 {
 		for at := si; at <= duration; at += si {
-			at := at
-			s.engine.Schedule(at, func() { s.sampleTSDB() })
+			s.engine.Schedule(at, s.sample)
 		}
-	}
-
-	// Flight-recorder ring refreshes normally ride the sampling events
-	// (sampleTSDB ticks the recorder after each sample); without a tsdb
-	// recorder they need their own 1s cadence for counter snapshots.
-	if s.flight != nil && s.recorder.SampleInterval() <= 0 {
+	} else if s.cfg.Flight != nil {
 		for at := time.Second; at <= duration; at += time.Second {
 			at := at
-			s.engine.Schedule(at, func() { s.flight.Tick(at) })
+			s.engine.Schedule(at, func() { s.plane.Sample(at, nil) })
 		}
 	}
 
 	// Overload-guard ticks on the virtual clock: escalation, deferred
-	// degrades and restores advance at a fixed 1s cadence (the live server
-	// runs the same guard off a wall-clock ticker).
-	if s.guard != nil {
+	// degrades and restores advance at a fixed 1s cadence.
+	if s.plane.Guard != nil {
 		for at := time.Second; at <= duration; at += time.Second {
 			at := at
-			s.engine.Schedule(at, func() { s.applyOverloadChanges(s.guard.Tick(at)) })
+			s.engine.Schedule(at, func() { s.plane.GuardTick(at) })
 		}
 	}
 
@@ -274,183 +222,114 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	if s.reallocErr != nil {
 		return nil, s.reallocErr
 	}
+	if err := s.plane.CheckConservation(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 
 	res := &Result{
-		Collector: s.collector,
-		Summary:   s.collector.Summarize(-1),
-		Plans:     s.controller.History(),
+		Collector: s.plane.Collector,
+		Summary:   s.plane.Collector.Summarize(-1),
+		Plans:     ctl.History(),
 		Wall:      time.Since(start), //lint:allow determinism reporting-only wall-clock measurement
 	}
 	for q := range s.cfg.Families {
-		res.PerFamily = append(res.PerFamily, s.collector.Summarize(q))
+		res.PerFamily = append(res.PerFamily, s.plane.Collector.Summarize(q))
 	}
 	for _, w := range s.workers {
-		res.ModelLoads += w.loads
+		res.ModelLoads += w.dev.Loads()
 	}
 	res.ExtraDevices = s.extraProvisioned
 	return res, nil
 }
 
 // Collector exposes the metrics collector (for live inspection in tests).
-func (s *System) Collector() *metrics.Collector { return s.collector }
+func (s *System) Collector() *metrics.Collector { return s.plane.Collector }
 
-// sampleTSDB snapshots every device into the tsdb recorder.
-func (s *System) sampleTSDB() {
+// sample snapshots every device into the observability tick.
+func (s *System) sample() {
 	now := s.engine.Now()
 	states := make([]tsdb.DeviceState, len(s.workers))
 	for d, w := range s.workers {
-		sat, pressured := s.guard.DeviceSignal(d)
-		states[d] = tsdb.DeviceState{
-			Up:         !w.down,
-			QueueDepth: len(w.queue) + len(w.inflight),
-			LastBatch:  w.lastBatch,
-			Variant:    w.hostedID(),
-			BusyTime:   w.busyTime(now),
-			SatMilli:   sat,
-			Pressured:  pressured,
-		}
+		states[d] = w.dev.State(now)
 	}
-	s.recorder.Sample(now, states)
-	// Refresh the flight recorder's rings with this tick's state, then fire
-	// any burn-start bundles the sample just detected so they capture it.
-	if s.flight != nil {
-		s.flight.Tick(now)
-		for _, ev := range s.pendingBurns {
-			s.flight.Trigger(ev.At, "slo_burn",
-				fmt.Sprintf("family=%d short=%.2f long=%.2f", ev.Family, ev.ShortBurn, ev.LongBurn),
-				ev.Family, -1)
-		}
-		s.pendingBurns = s.pendingBurns[:0]
-	}
-}
-
-// onBurn receives SLO burn-state transitions from the tsdb recorder: they
-// enter the lifecycle trace and the controller's audit log, and — when
-// enabled — a burn start triggers an early re-allocation. Runs under the
-// recorder's lock, so it must not call back into the recorder.
-func (s *System) onBurn(ev tsdb.BurnEvent) {
-	kind := telemetry.EvSLOBurnStart
-	if !ev.Start {
-		kind = telemetry.EvSLOBurnEnd
-	}
-	s.tracer.Record(ev.At, kind, 0, ev.Family, -1, -1)
-	s.controller.NoteBurn(controlplane.SLOBurnRecord{
-		At:        ev.At,
-		Family:    ev.Family,
-		Start:     ev.Start,
-		ShortBurn: ev.ShortBurn,
-		LongBurn:  ev.LongBurn,
-	})
-	// Emergency accuracy degradation reacts to the burn edge immediately —
-	// never waiting for the next control period. The guard's lock is a leaf,
-	// so calling it under the recorder's lock is safe.
-	s.applyOverloadChanges(s.guard.OnBurn(ev.At, ev.Family, ev.Start))
-	// A burn's leading edge snapshots an incident bundle — deferred to just
-	// after the sampling tick completes (sampleTSDB flushes pendingBurns),
-	// both because Trigger must not run under the recorder's lock with a
-	// stale ring and so the bundle includes the burn's own second.
-	if ev.Start && s.flight != nil {
-		s.pendingBurns = append(s.pendingBurns, ev)
-	}
-	if ev.Start && s.cfg.SLOBurnRealloc && s.controller.Dynamic() && s.controller.AllowBurst(ev.At) {
-		s.reallocate("slo_burn")
-	}
+	s.plane.Sample(now, states)
 }
 
 func (s *System) onArrival(a trace.Arrival) {
 	now := s.engine.Now()
-	s.stats.Observe(now, a.Family)
-	s.collector.Arrival(now, a.Family)
-	s.recorder.Arrival(now, a.Family)
-	q := query{
-		id:       s.nextID,
-		family:   a.Family,
-		arrival:  now,
-		deadline: now + s.slos[a.Family],
-	}
-	s.nextID++
-	s.tc.Arrivals.Inc()
-	s.tracer.Record(now, telemetry.EvArrival, q.id, q.family, -1, -1)
-	s.route(now, q)
+	s.route(now, s.plane.Arrive(now, a.Family))
 
 	// Burst detection on the data path's monitoring daemon (§3).
-	if s.controller.Dynamic() && s.stats.AnyBurst(now) && s.controller.AllowBurst(now) {
+	if ctl := s.plane.Controller; ctl.Dynamic() && s.plane.Stats.AnyBurst(now) && ctl.AllowBurst(now) {
 		s.reallocate("burst")
 	}
 }
 
-func (s *System) route(now time.Duration, q query) {
-	var d int
-	if s.guard != nil {
-		d = s.table.PickExcluding(q.family, s.rng, func(dev int) bool {
-			return s.guard.Banned(q.family, dev)
-		})
-		if d >= 0 && !s.guard.Admit(now, d, q.deadline) {
-			// Shed-on-arrival: the query provably cannot meet its deadline
-			// behind d's backlog, so executing it would only waste capacity.
-			s.dropQuery(now, q, telemetry.CauseShedAdmission)
-			return
-		}
-	} else {
-		d = s.table.Pick(q.family, s.rng)
-	}
+// route sends q to the device the plane picks (or accounts its drop) and
+// lets that device take a batching step.
+func (s *System) route(now time.Duration, q dataplane.Query) {
+	d, cause := s.plane.Route(now, q)
 	if d < 0 {
-		s.dropQuery(now, q, telemetry.CauseNoRoute)
+		s.plane.Drop(now, q, cause)
 		return
 	}
-	s.tracer.Record(now, telemetry.EvRoute, q.id, q.family, d, -1)
-	s.workers[d].enqueue(q)
-}
-
-// traceCtx assembles the causal context stamped onto trace events: the plan
-// in force, the family's active degradation episode, and the event's cause.
-// Call only when the tracer is non-nil — the guard lookup is not free.
-func (s *System) traceCtx(family int, cause telemetry.Cause) telemetry.Ctx {
-	ctx := telemetry.Ctx{Plan: s.planSeq, Cause: cause}
-	if s.guard != nil {
-		ctx.Episode = int32(s.guard.EpisodeID(family))
+	w := s.workers[d]
+	if !w.dev.Enqueue(now, q) {
+		s.requeue(now, q, telemetry.CauseStaleRoute)
+		return
 	}
-	return ctx
+	s.step(w)
 }
 
-// applyOverloadChanges publishes the guard's degradation-ladder transitions:
-// tracer events (degrade_start carries the new level in the batch field) and
-// decision-audit records attached to the next PlanRecord.
-func (s *System) applyOverloadChanges(changes []overload.Change) {
-	for _, ch := range changes {
-		kind := telemetry.EvDegradeStart
-		if ch.Kind == overload.Restore {
-			kind = telemetry.EvDegradeEnd
-		}
-		s.tracer.RecordCtx(ch.At, kind, 0, ch.Family, -1, ch.Level,
-			telemetry.Ctx{Plan: s.planSeq, Episode: int32(ch.Episode)})
-		s.controller.NoteOverload(controlplane.OverloadRecord{
-			At:      ch.At,
-			Family:  ch.Family,
-			Kind:    string(ch.Kind),
-			Level:   ch.Level,
-			Episode: ch.Episode,
-			Reason:  ch.Reason,
+// requeue returns a stranded query to the router unless the plane drops it.
+func (s *System) requeue(now time.Duration, q dataplane.Query, cause telemetry.Cause) {
+	if _, retry := s.plane.Requeue(now, &q, cause); retry {
+		s.route(now, q)
+	}
+}
+
+// step lets w's device take one batching step — on arrival, batch
+// completion, load completion and wake-up — and schedules what it returns.
+func (s *System) step(w *worker) {
+	now := s.engine.Now()
+	st := w.dev.Step(now)
+	for _, dr := range st.Dropped {
+		s.plane.Drop(now, dr.Query, dr.Cause)
+	}
+	w.cancelWake()
+	switch {
+	case len(st.Batch.Queries) > 0:
+		s.plane.TraceBatch(st.Batch)
+		w.done = s.engine.Schedule(st.Batch.Done, func() { s.complete(w) })
+	case st.Wake:
+		w.wake = s.engine.Schedule(st.WakeAt, func() {
+			w.wake = nil
+			s.step(w)
 		})
-		// A degradation opening is the overload incident's leading edge;
-		// escalations and restores are just episode progress.
-		if ch.Kind == overload.Degrade {
-			s.flight.Trigger(ch.At, "overload",
-				fmt.Sprintf("family=%d level=%d reason=%s", ch.Family, ch.Level, ch.Reason),
-				ch.Family, -1)
-		}
 	}
+}
+
+// complete finishes w's in-flight batch at the current time.
+func (s *System) complete(w *worker) {
+	now := s.engine.Now()
+	w.done = nil
+	b, _ := w.dev.Finish(now)
+	for _, q := range b.Queries {
+		s.plane.Complete(now, q, b)
+	}
+	s.step(w)
 }
 
 func (s *System) reallocate(trigger string) {
 	now := s.engine.Now()
-	demand := s.stats.Estimates(now)
+	ctl := s.plane.Controller
+	demand := s.plane.Stats.Estimates(now)
 	for q := range demand {
 		if trigger == "burst" {
 			// A burst re-allocation reacts to the instantaneous rate; the
 			// periodic path sticks to the windowed estimate so Poisson
 			// noise does not churn the plan.
-			if inst := s.stats.Monitors[q].InstantRate(now); inst > demand[q] {
+			if inst := s.plane.Stats.Monitors[q].InstantRate(now); inst > demand[q] {
 				demand[q] = inst
 			}
 		}
@@ -459,10 +338,10 @@ func (s *System) reallocate(trigger string) {
 	// §4: re-allocate in response to macro-scale demand changes. When the
 	// demand estimate is close to the current plan's target, keep the plan
 	// — re-solving would only churn model loads.
-	if trigger == "periodic" && !s.controller.DemandChanged(demand, 0.1) {
+	if trigger == "periodic" && !ctl.DemandChanged(demand, 0.1) {
 		return
 	}
-	plan, err := s.controller.Reallocate(now, demand, trigger)
+	plan, err := ctl.Reallocate(now, demand, trigger)
 	if err != nil {
 		if s.reallocErr == nil {
 			s.reallocErr = fmt.Errorf("core: re-allocation at %v: %w", now, err)
@@ -472,15 +351,14 @@ func (s *System) reallocate(trigger string) {
 	// The new plan's audit sequence number becomes current only when the
 	// plan itself does, so queries enqueued during the apply delay still
 	// blame the plan they actually ran under.
-	seq := int32(s.controller.LastPlanSeq())
+	seq := ctl.LastPlanSeq()
 	// The plan takes effect after the control-path delay (§4: the solver is
 	// off the critical path, so serving continues meanwhile).
 	s.engine.After(s.cfg.PlanApplyDelay, func() {
-		s.planSeq = seq
-		s.applyPlan(plan, false)
+		s.applyPlan(plan, seq, false)
 		if trigger == "failure" {
 			// The surviving-device plan is live: failures are handled.
-			s.collector.FailureHandled(s.engine.Now())
+			s.plane.Collector.FailureHandled(s.engine.Now())
 		}
 	})
 
@@ -500,166 +378,73 @@ func (s *System) provisionDevice() {
 	e := s.cfg.Elastic
 	s.extraPending--
 	s.extraProvisioned++
-	grown := s.controller.Cluster().WithExtra(e.Type)
-	s.controller.SetCluster(grown)
-	dev := grown.Device(grown.Size() - 1)
-	s.workers = append(s.workers, &worker{sys: s, dev: dev, policy: s.cfg.Batching()})
-	s.down = append(s.down, false)
+	ctl := s.plane.Controller
+	grown := ctl.Cluster().WithExtra(e.Type)
+	ctl.SetCluster(grown)
+	dev := s.plane.AddDevice(grown.Device(grown.Size() - 1))
+	s.workers = append(s.workers, &worker{dev: dev})
 	s.reallocate("provision")
 }
 
-// applyPlan installs a new allocation: per-worker hosted variants (with
-// load delays and queue re-routing), planned capacities, and the routing
-// table — masked to exclude devices that are still loading their new model,
-// so sub-second-SLO queries never sit behind a multi-second model load.
-func (s *System) applyPlan(plan *allocator.Allocation, initial bool) {
+// applyPlan installs a new allocation: per-device hosted variants (with
+// load delays and queue re-routing) and the routing table.
+func (s *System) applyPlan(plan *allocator.Allocation, seq int, initial bool) {
 	now := s.engine.Now()
-	s.plan = plan
-	s.tc.DemandScaleMilli.Set(int64(plan.DemandScale * 1000))
-	if err := s.stats.SetPlanned(plan.ServedQPS); err != nil {
+	if err := s.plane.SetPlan(plan, seq); err != nil {
 		// Plans come from our own controller so the shapes always agree;
 		// surface any disagreement as a run error rather than panicking.
 		s.reallocErr = err
+		return
 	}
-	var rerouted []query
+	readyAt := now + s.cfg.ModelLoadDelay
+	if initial {
+		// Initial plan: models are loaded before the experiment starts.
+		readyAt = 0
+	}
+	down := s.plane.Down()
+	var rerouted []dataplane.Query
 	for d, w := range s.workers {
-		if d < len(s.down) && s.down[d] {
+		if down[d] {
 			// Failed devices keep hosting nothing; recovery reloads from the
 			// then-current plan.
 			continue
 		}
-		var hostedRef *allocator.VariantRef
-		newID := ""
-		if d < len(plan.Hosted) {
-			hostedRef = plan.Hosted[d]
-			newID = plan.HostedID(d)
-		}
-		if newID == w.hostedID() {
+		moved, changed := w.dev.Rehost(s.plane.Hosted(d), readyAt)
+		if !changed {
 			continue
 		}
-		rerouted = append(rerouted, w.takeQueue()...)
-		w.setHosted(hostedRef, now)
-		if initial {
-			// Initial plan: models are loaded before the experiment starts.
-			w.loadingUntil = 0
-		}
-		if w.loadingUntil > now {
-			// Re-admit the device into the routing table once ready.
-			s.engine.Schedule(w.loadingUntil, func() {
-				s.rebuildTable()
-				w.evaluate()
-			})
-		}
+		w.cancelWake()
+		rerouted = append(rerouted, moved...)
+		s.afterLoad(w, now)
 	}
 	s.rebuildTable()
 	for _, q := range rerouted {
 		s.route(now, q)
 	}
 	for _, w := range s.workers {
-		w.evaluate()
+		s.step(w)
 	}
 }
 
-// rebuildTable rebuilds the routing table from the current plan, excluding
-// devices whose model is still loading. Weights renormalize per family so
-// ready devices absorb the load meanwhile.
+// afterLoad schedules w's re-entry into the routing table for the moment
+// its model finishes loading, if it is not ready already.
+func (s *System) afterLoad(w *worker, now time.Duration) {
+	if until := w.dev.LoadingUntil(); until > now {
+		s.engine.Schedule(until, func() {
+			s.rebuildTable()
+			s.step(w)
+		})
+	}
+}
+
+// rebuildTable rebuilds the routing table from the plan in force and the
+// devices' current hosting.
 func (s *System) rebuildTable() {
 	now := s.engine.Now()
-	masked := allocator.Allocation{
-		Hosted:  s.plan.Hosted,
-		Routing: make([][]float64, len(s.plan.Routing)),
+	s.ready, s.profs = s.ready[:0], s.profs[:0]
+	for _, w := range s.workers {
+		ready, prof := w.dev.View(now)
+		s.ready, s.profs = append(s.ready, ready), append(s.profs, prof)
 	}
-	admit := make([]float64, len(s.plan.Routing))
-	for q, row := range s.plan.Routing {
-		masked.Routing[q] = make([]float64, len(row))
-		for d, y := range row {
-			if y <= 0 {
-				continue
-			}
-			admit[q] += y
-			if w := s.workers[d]; w.down || w.loadingUntil > now {
-				continue
-			}
-			masked.Routing[q][d] = y
-		}
-	}
-	s.table = router.BuildTable(&masked, len(s.cfg.Families))
-	s.table.SetCounters(s.rc)
-	if s.cfg.DisableAdmission {
-		for q := range admit {
-			if admit[q] > 0 {
-				admit[q] = 1
-			}
-		}
-	}
-	// Admission follows the full plan, not the load-masked subset: during a
-	// model load the remaining devices absorb the full admitted load.
-	s.table.SetAdmission(admit)
-	s.syncGuardPlan(now)
-}
-
-// syncGuardPlan refreshes the overload guard's per-device profiles from the
-// workers' current hosting (rebuildTable's call sites cover every hosting
-// change: plan application, load completion, failure, recovery).
-func (s *System) syncGuardPlan(now time.Duration) {
-	if s.guard == nil {
-		return
-	}
-	profs := make([]overload.DeviceProfile, len(s.workers))
-	for d, w := range s.workers {
-		profs[d] = overload.DeviceProfile{Family: -1}
-		if w.down || w.hosted == nil || w.maxBatch < 1 {
-			continue
-		}
-		f := w.hosted.Family
-		profs[d] = overload.DeviceProfile{
-			Family:   f,
-			Accuracy: w.hosted.Variant.Accuracy,
-			MaxBatch: w.maxBatch,
-			Lat1:     w.procTime(1),
-			LatMax:   w.procTime(w.maxBatch),
-			SLO:      s.slos[f],
-		}
-	}
-	s.guard.SetPlan(now, profs)
-}
-
-func (s *System) dropQuery(now time.Duration, q query, cause telemetry.Cause) {
-	s.collector.Dropped(now, q.family)
-	s.recorder.Violation(now, q.family)
-	s.tc.Dropped.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDropped, q.id, q.family, -1, -1, s.traceCtx(q.family, cause))
-	}
-}
-
-func (s *System) serveQuery(now time.Duration, q query, accuracy float64, device, batch int) {
-	s.collector.Served(now, q.family, accuracy, now-q.arrival)
-	s.tc.Served.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDone, q.id, q.family, device, batch, s.traceCtx(q.family, telemetry.CauseNone))
-	}
-	s.recordPhases(now, q, device)
-}
-
-func (s *System) lateQuery(now time.Duration, q query, device, batch int) {
-	s.collector.Late(now, q.family, now-q.arrival)
-	s.recorder.Violation(now, q.family)
-	s.tc.Late.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvLate, q.id, q.family, device, batch, s.traceCtx(q.family, telemetry.CauseNone))
-	}
-	s.recordPhases(now, q, device)
-}
-
-// recordPhases differences the query's lifecycle timestamps into per-phase
-// durations for the tsdb decomposition histograms. Response stays zero on
-// the virtual clock: completion and response delivery coincide.
-func (s *System) recordPhases(done time.Duration, q query, device int) {
-	s.recorder.RecordPhases(q.family, device, tsdb.PhaseDurations{
-		Admission: q.enqueueAt - q.arrival,
-		Queue:     q.formAt - q.enqueueAt,
-		BatchForm: q.execAt - q.formAt,
-		Exec:      done - q.execAt,
-	})
+	s.plane.Rebuild(now, s.ready, s.profs)
 }

@@ -4,12 +4,10 @@ import (
 	"sort"
 	"time"
 
-	"proteus/internal/allocator"
 	"proteus/internal/telemetry"
 )
 
-// faultLoop replays the failure schedule on wall-clock timers, mirroring the
-// simulation events the same schedule produces in internal/core.
+// faultLoop replays the failure schedule on wall-clock timers.
 func (s *Server) faultLoop() {
 	defer s.wg.Done()
 	type action struct {
@@ -43,34 +41,22 @@ func (s *Server) faultLoop() {
 	}
 }
 
-// failDevice kills device d: its worker stops executing, queued and
-// in-flight queries are re-dispatched to surviving replicas, and the control
-// loop is asked for a failure re-allocation.
+// failDevice kills device d: its worker stops executing, queued (and, once
+// its worker notices, in-flight) queries are re-dispatched to surviving
+// replicas, and the control loop is asked for a failure re-allocation.
 func (s *Server) failDevice(d int) {
-	if d < 0 || d >= len(s.workers) {
-		return
-	}
 	now := s.now()
 	s.mu.Lock()
-	if s.down[d] {
-		s.mu.Unlock()
+	ok := s.plane.SetHealth(now, d, false)
+	s.mu.Unlock()
+	if !ok {
 		return
 	}
-	s.down[d] = true
-	s.collector.DeviceFailed(now)
-	up := int64(0)
-	for _, dn := range s.down {
-		if !dn {
-			up++
-		}
-	}
-	s.mu.Unlock()
-	s.tc.DevicesUp.Set(up)
-	stranded := s.workers[d].fail()
-	s.flight.Trigger(now, "device_failure", s.cfg.Cluster.Device(d).Name, -1, d)
+	stranded := s.workers[d].fail(now)
+	s.plane.FailureIncident(now, d)
 	s.rebuildTable()
 	for _, q := range stranded {
-		s.redispatch(q, telemetry.CauseDeviceFailure)
+		s.requeue(now, q, telemetry.CauseDeviceFailure)
 	}
 	s.requestRealloc("failure")
 }
@@ -79,65 +65,19 @@ func (s *Server) failDevice(d int) {
 // whatever the current plan hosts on it (usually nothing) and the control
 // loop re-allocates to put it back to work.
 func (s *Server) recoverDevice(d int) {
-	if d < 0 || d >= len(s.workers) {
-		return
-	}
 	now := s.now()
 	s.mu.Lock()
-	if !s.down[d] {
-		s.mu.Unlock()
+	ok := s.plane.SetHealth(now, d, true)
+	ref := s.plane.Hosted(d)
+	s.mu.Unlock()
+	if !ok {
 		return
 	}
-	s.down[d] = false
-	s.collector.DeviceRecovered(now)
-	up := int64(0)
-	for _, dn := range s.down {
-		if !dn {
-			up++
-		}
-	}
-	var ref *allocator.VariantRef
-	if d < len(s.plan.Hosted) {
-		ref = s.plan.Hosted[d]
-	}
-	s.mu.Unlock()
-	s.tc.DevicesUp.Set(up)
-	s.workers[d].recover(ref, s.cfg.ModelLoadDelay)
+	w := s.workers[d]
+	w.mu.Lock()
+	w.dev.Recover(ref, now+s.cfg.ModelLoadDelay)
+	w.mu.Unlock()
+	w.wake()
 	s.rebuildTable()
 	s.requestRealloc("recovery")
-}
-
-// redispatch returns a stranded query to the router: dropped if it already
-// burned its re-route budget (Config.MaxRetries) or cannot meet its
-// deadline, re-routed to a surviving replica otherwise. cause records why
-// the query was stranded (device failure, stale route, mid-flight loss) on
-// the requeue and retry trace events, so attribution can name the penalty.
-func (s *Server) redispatch(q liveQuery, cause telemetry.Cause) {
-	now := s.now()
-	s.tc.Requeued.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.id, q.family, -1, -1,
-			s.traceCtx(q.family, cause))
-	}
-	s.mu.Lock()
-	s.collector.Requeued(now, q.family)
-	if q.retries >= s.cfg.MaxRetries {
-		s.mu.Unlock()
-		s.recordDrop(q, telemetry.CauseRetryBudget)
-		return
-	}
-	if q.deadline <= now {
-		s.mu.Unlock()
-		s.recordDrop(q, telemetry.CauseExpired)
-		return
-	}
-	q.retries++
-	s.collector.Retried(now, q.family)
-	s.mu.Unlock()
-	s.tc.Retried.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRetried, q.id, q.family, -1, -1,
-			s.traceCtx(q.family, cause))
-	}
-	s.dispatch(q)
 }

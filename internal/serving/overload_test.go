@@ -8,13 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/dataplane"
 	"proteus/internal/overload"
 	"proteus/internal/telemetry"
 	"proteus/internal/tsdb"
 )
 
 // TestMaxRetriesZeroDropsStranded pins the explicit-zero re-route budget:
-// a stranded query must be dropped on its first redispatch, never retried.
+// a stranded query must be dropped on its first requeue, never retried.
 func TestMaxRetriesZeroDropsStranded(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MaxRetries = -1 // the config's explicit-zero encoding
@@ -24,17 +25,15 @@ func TestMaxRetriesZeroDropsStranded(t *testing.T) {
 	}
 	defer s.Close()
 
-	lq := liveQuery{
-		id:       1,
-		family:   0,
-		arrival:  s.now(),
-		deadline: s.now() + time.Minute,
-		done:     make(chan Response, 1),
+	lq := dataplane.Query{
+		ID:       1,
+		Arrival:  s.now(),
+		Deadline: s.now() + time.Minute,
+		Reply:    make(chan dataplane.Reply, 1),
 	}
-	s.redispatch(lq, telemetry.CauseDeviceFailure)
-	resp := <-lq.done
-	if resp.Outcome != OutcomeDropped {
-		t.Fatalf("outcome %s, want dropped (budget 0)", resp.Outcome)
+	s.requeue(s.now(), lq, telemetry.CauseDeviceFailure)
+	if r := <-lq.Reply; r.Status != dataplane.Dropped {
+		t.Fatalf("status %s, want dropped (budget 0)", r.Status)
 	}
 	sum := s.Summary()
 	if sum.Requeued != 1 || sum.Retried != 0 {
@@ -56,29 +55,26 @@ func TestMaxRetriesTwoAllowsSecondRetry(t *testing.T) {
 
 	// A short deadline keeps the worker's non-work-conserving batch wait
 	// (which can stretch to the deadline) from stalling the test.
-	mk := func(id uint64, retries int) liveQuery {
-		return liveQuery{
-			id:       id,
-			family:   0,
-			retries:  retries,
-			arrival:  s.now(),
-			deadline: s.now() + 2*time.Second,
-			done:     make(chan Response, 1),
+	mk := func(id uint64, retries int) dataplane.Query {
+		return dataplane.Query{
+			ID:       id,
+			Retries:  retries,
+			Arrival:  s.now(),
+			Deadline: s.now() + 2*time.Second,
+			Reply:    make(chan dataplane.Reply, 1),
 		}
 	}
 	first := mk(1, 1)
-	s.redispatch(first, telemetry.CauseDeviceFailure)
-	if resp := <-first.done; resp.Outcome == "" {
-		t.Fatal("retried query got no response")
-	}
+	s.requeue(s.now(), first, telemetry.CauseDeviceFailure)
+	<-first.Reply
 	if sum := s.Summary(); sum.Retried != 1 {
 		t.Fatalf("retried=%d, want 1 (budget 2, one retry used)", sum.Retried)
 	}
 
 	spent := mk(2, 2)
-	s.redispatch(spent, telemetry.CauseDeviceFailure)
-	if resp := <-spent.done; resp.Outcome != OutcomeDropped {
-		t.Fatalf("outcome %s, want dropped (budget exhausted)", resp.Outcome)
+	s.requeue(s.now(), spent, telemetry.CauseDeviceFailure)
+	if r := <-spent.Reply; r.Status != dataplane.Dropped {
+		t.Fatalf("status %s, want dropped (budget exhausted)", r.Status)
 	}
 	if sum := s.Summary(); sum.Retried != 1 {
 		t.Fatalf("retried=%d after exhausted redispatch, want still 1", sum.Retried)
@@ -131,13 +127,13 @@ func TestHealthzReportsOverloadState(t *testing.T) {
 	// open a degradation episode without any device being down.
 	now := s.now()
 	ms := time.Millisecond
-	s.guard.SetPlan(now, []overload.DeviceProfile{
+	s.plane.Guard.SetPlan(now, []overload.DeviceProfile{
 		{Family: 0, Accuracy: 80, MaxBatch: 4, Lat1: 10 * ms, LatMax: 20 * ms, SLO: 100 * ms},
 		{Family: 0, Accuracy: 60, MaxBatch: 4, Lat1: 5 * ms, LatMax: 10 * ms, SLO: 100 * ms},
 		{Family: -1},
 		{Family: -1},
 	})
-	if changes := s.guard.OnBurn(now, 0, true); len(changes) == 0 {
+	if changes := s.plane.Guard.OnBurn(now, 0, true); len(changes) == 0 {
 		t.Fatal("burn start produced no degradation")
 	}
 
@@ -176,6 +172,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	if !s.Drain(5 * time.Second) {
 		t.Fatalf("drain timed out with %d in flight", s.Inflight())
 	}
+	checkBooks(t, s)
 	s.Close() // idempotent second close
 
 	deadline := time.Now().Add(5 * time.Second)

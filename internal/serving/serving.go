@@ -1,11 +1,12 @@
-// Package serving is the live cluster mode of Proteus: the same control
-// plane and data path as the simulator (internal/core), but running on
-// wall-clock time with real concurrency — an HTTP front end per §3's load
-// balancers, goroutine workers whose "hardware executor" sleeps for the
-// profiled batch latency (the model-execution substitution documented in
-// DESIGN.md), and a background controller goroutine re-allocating
-// periodically. The paper's §6.2 reports its simulator matching this kind
-// of deployment within ~1%; BenchmarkSimVsLive repeats that check here.
+// Package serving is the live cluster mode of Proteus: the shared serving
+// engine (internal/dataplane) driven from the wall clock with real
+// concurrency. An HTTP front end plays §3's load balancers, one goroutine
+// per device runs the engine's batching steps and "executes" batches by
+// sleeping for the profiled latency (the model-execution substitution
+// documented in DESIGN.md), and a controller goroutine re-allocates. This
+// package owns goroutines, locks, timers, draining and HTTP; every serving
+// decision is the engine's, hence the simulator's too (the paper's §6.2
+// reports the two within ~1%; TestSimVsLive repeats that check).
 package serving
 
 import (
@@ -28,13 +29,11 @@ import (
 	"proteus/internal/buildinfo"
 	"proteus/internal/cluster"
 	"proteus/internal/controlplane"
+	"proteus/internal/dataplane"
 	"proteus/internal/flightrec"
 	"proteus/internal/metrics"
 	"proteus/internal/models"
-	"proteus/internal/numeric"
 	"proteus/internal/overload"
-	"proteus/internal/profiles"
-	"proteus/internal/router"
 	"proteus/internal/telemetry"
 	"proteus/internal/tsdb"
 )
@@ -109,12 +108,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Allocator == nil {
 		return c, fmt.Errorf("serving: config needs an allocator")
 	}
-	if c.SLOMultiplier <= 0 {
-		c.SLOMultiplier = 2
-	}
-	if c.Batching == nil {
-		c.Batching = func() batching.Policy { return batching.NewAccScale() }
-	}
 	if c.ControlPeriod <= 0 {
 		c.ControlPeriod = 10 * time.Second
 	}
@@ -135,11 +128,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 1
-	}
 	if err := c.Faults.Validate(c.Cluster.Size()); err != nil {
 		return c, err
 	}
@@ -151,9 +139,9 @@ type Outcome string
 
 // Query outcomes.
 const (
-	OutcomeServed  Outcome = "served"
-	OutcomeLate    Outcome = "late"
-	OutcomeDropped Outcome = "dropped"
+	OutcomeServed  = Outcome(dataplane.Served)
+	OutcomeLate    = Outcome(dataplane.Late)
+	OutcomeDropped = Outcome(dataplane.Dropped)
 )
 
 // Response is the JSON reply of the inference endpoint.
@@ -167,50 +155,22 @@ type Response struct {
 
 // Server is the assembled live cluster.
 type Server struct {
-	cfg   Config
-	slos  []time.Duration
-	start time.Time
+	cfg    Config
+	start  time.Time
+	byName map[string]int
 
-	mu        sync.Mutex
-	rng       *numeric.RNG
-	table     *router.Table
-	guard     *overload.Guard
-	plan      *allocator.Allocation
-	stats     *controlplane.Stats
-	collector *metrics.Collector
-	byName    map[string]int
-	// down[d] marks device d as failed (guarded by mu).
-	down []bool
+	// mu guards the engine's routing state, demand statistics and metrics
+	// collector (the Plane transitions that ask for the server's mutex). It
+	// is never held while a worker's mutex is taken.
+	mu    sync.Mutex
+	plane *dataplane.Plane
 
-	// controller is only ever touched from the control loop goroutine (and
-	// NewServer before it starts); fault handlers reach it through reallocc.
-	controller *controlplane.Controller
-	workers    []*liveWorker
+	workers []*liveWorker
 
-	// reallocc carries failure/recovery re-allocation triggers into the
-	// control loop, keeping the controller single-goroutine.
+	// reallocc carries failure/recovery/burn re-allocation triggers into the
+	// control loop, the only goroutine that touches the controller's solver
+	// state after NewServer.
 	reallocc chan string
-
-	// Telemetry: the registry backs /metrics; the tracer (possibly nil) and
-	// counter bundles instrument the data path. nextID/nextBatch assign
-	// trace identities without taking mu.
-	registry *telemetry.Registry
-	tracer   *telemetry.Tracer
-	recorder *tsdb.Recorder
-	flight   *flightrec.Recorder
-	// pendingBurns defers burn-start incident bundles until the sampling
-	// tick that detected them refreshes the flight recorder. Only touched
-	// on the sampleLoop goroutine (burn transitions fire inside
-	// Recorder.Sample), so it needs no lock.
-	pendingBurns []tsdb.BurnEvent
-	tc           telemetry.SystemCounters
-	rc           telemetry.RouterCounters
-	nextID       atomic.Uint64
-	nextBatch    atomic.Int64
-	// planSeq is the audit-log sequence number of the plan currently in
-	// force, stamped onto trace events for latency attribution. Written on
-	// the control loop, read from data-path goroutines, hence atomic.
-	planSeq atomic.Int32
 
 	// draining refuses new queries while in-flight ones (counted by
 	// inflight) finish — the graceful-shutdown half of overload protection.
@@ -231,64 +191,43 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		start:    time.Now(),
-		rng:      numeric.NewRNG(cfg.Seed),
-		byName:   make(map[string]int),
-		down:     make([]bool, cfg.Cluster.Size()),
+		cfg:    cfg,
+		start:  time.Now(),
+		byName: make(map[string]int),
+		// Triggers coalesce: eight pending ones already cover every kind.
 		reallocc: make(chan string, 8),
-		registry: cfg.Telemetry,
-		tracer:   cfg.Tracer,
-		tc:       telemetry.NewSystemCounters(cfg.Telemetry),
-		rc:       telemetry.NewRouterCounters(cfg.Telemetry),
 		stop:     make(chan struct{}),
 	}
 	for q, f := range cfg.Families {
 		s.byName[f.Name] = q
-		s.slos = append(s.slos, profiles.FamilySLO(f, cfg.SLOMultiplier))
 	}
-	// Ring-wrap evictions surface as trace_dropped_total so truncated
-	// traces are visible to attribution (both arguments are nil-safe).
-	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
-	s.collector = metrics.NewCollector(cfg.MetricsInterval, models.FamilyNames(cfg.Families))
-	s.stats = controlplane.NewStats(len(cfg.Families), int(cfg.ControlPeriod/time.Second), 1.5)
-	s.controller = controlplane.NewController(
-		cfg.Allocator, cfg.Cluster, cfg.Families, s.slos, cfg.ControlPeriod, cfg.ControlPeriod/3)
-	s.controller.Instrument(cfg.Telemetry)
-	s.controller.SetHistoryLimit(cfg.PlanHistory)
-	s.recorder = cfg.TSDB
-	s.recorder.Init(len(cfg.Families), s.onBurn)
-	s.flight = cfg.Flight
-	s.flight.Init(flightrec.Sources{
-		Tracer:   cfg.Tracer,
-		Registry: cfg.Telemetry,
-		TSDB:     cfg.TSDB,
-		Plans:    s.controller.History,
-	})
-	if s.flight != nil {
-		// Any plan the primary allocator did not produce is an anomaly worth
-		// a bundle: the fallback chain stepped in or the solve failed. The
-		// hook runs on the control loop after the history lock is released.
-		s.controller.SetRecordHook(func(rec controlplane.PlanRecord) {
-			if rec.Stage == "primary" {
-				return
-			}
-			detail := fmt.Sprintf("stage=%s solver=%s", rec.Stage, rec.Solver)
-			if rec.Err != "" {
-				detail += " err=" + rec.Err
-			}
-			s.flight.Trigger(rec.At, "alloc_fallback", detail, -1, -1)
-		})
+	pc := dataplane.Config{
+		Cluster:         cfg.Cluster,
+		Families:        cfg.Families,
+		SLOMultiplier:   cfg.SLOMultiplier,
+		Allocator:       cfg.Allocator,
+		Batching:        cfg.Batching,
+		ControlPeriod:   cfg.ControlPeriod,
+		Cooldown:        cfg.ControlPeriod / 3,
+		DemandWindow:    cfg.ControlPeriod,
+		BurstFactor:     1.5,
+		MetricsInterval: cfg.MetricsInterval,
+		MaxRetries:      cfg.MaxRetries,
+		PlanHistory:     cfg.PlanHistory,
+		Seed:            cfg.Seed,
+		Tracer:          cfg.Tracer,
+		Telemetry:       cfg.Telemetry,
+		TSDB:            cfg.TSDB,
+		Flight:          cfg.Flight,
+		Overload:        cfg.Overload,
 	}
-	if cfg.Overload != nil {
-		s.guard = overload.New(*cfg.Overload, len(cfg.Families), cfg.Cluster.Size())
-		s.guard.Instrument(cfg.Telemetry)
+	if cfg.SLOBurnRealloc {
+		// Runs under the tsdb recorder's lock: a non-blocking channel send.
+		pc.OnBurnStart = func(time.Duration) { s.requestRealloc("slo_burn") }
 	}
-	s.tc.DevicesUp.Set(int64(cfg.Cluster.Size()))
-
-	for _, dev := range cfg.Cluster.Devices() {
-		w := newLiveWorker(s, dev, cfg.Batching())
-		s.workers = append(s.workers, w)
+	s.plane = dataplane.New(pc)
+	for d, dev := range s.plane.Devices {
+		s.workers = append(s.workers, newLiveWorker(s, d, dev))
 	}
 
 	initial := make([]float64, len(cfg.Families))
@@ -297,12 +236,13 @@ func NewServer(cfg Config) (*Server, error) {
 			initial[q] = cfg.InitialDemand[q] * cfg.Headroom
 		}
 	}
-	plan, err := s.controller.Reallocate(0, initial, "initial")
+	plan, err := s.plane.Controller.Reallocate(0, initial, "initial")
 	if err != nil {
 		return nil, fmt.Errorf("serving: initial allocation: %w", err)
 	}
-	s.planSeq.Store(int32(s.controller.LastPlanSeq()))
-	s.applyPlan(plan, true)
+	if err := s.applyPlan(plan, true); err != nil {
+		return nil, fmt.Errorf("serving: initial allocation: %w", err)
+	}
 
 	for _, w := range s.workers {
 		s.wg.Add(1)
@@ -310,13 +250,20 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.controlLoop()
-	if s.recorder != nil || s.flight != nil {
+	if cfg.TSDB != nil || cfg.Flight != nil {
+		// The tsdb recorder's cadence; 1s for a flight recorder alone.
+		interval := cfg.TSDB.SampleInterval()
+		if interval <= 0 {
+			interval = time.Second
+		}
 		s.wg.Add(1)
-		go s.sampleLoop()
+		go s.every(interval, s.sample)
 	}
-	if s.guard != nil {
+	if s.plane.Guard != nil {
+		// The overload guard's time-based edges (escalation, deferred
+		// degrades, restores) advance at a fixed 1s cadence.
 		s.wg.Add(1)
-		go s.overloadLoop()
+		go s.every(time.Second, func() { s.plane.GuardTick(s.now()) })
 	}
 	if !cfg.Faults.Empty() {
 		s.wg.Add(1)
@@ -378,18 +325,9 @@ func (s *Server) controlLoop() {
 	}
 }
 
-// sampleLoop drives the tsdb recorder off a wall-clock ticker: the same
-// per-device snapshot the simulator takes on its virtual clock. The flight
-// recorder's ring refresh rides the same tick, after the sample so it sees
-// the fresh point.
-func (s *Server) sampleLoop() {
+// every runs fn at the given cadence until the server stops.
+func (s *Server) every(interval time.Duration, fn func()) {
 	defer s.wg.Done()
-	interval := s.recorder.SampleInterval()
-	if interval <= 0 {
-		// Flight recorder without a tsdb recorder: tick at the default
-		// sampling cadence.
-		interval = time.Second
-	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -397,106 +335,24 @@ func (s *Server) sampleLoop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			now := s.now()
-			if s.recorder != nil {
-				states := make([]tsdb.DeviceState, len(s.workers))
-				for d, w := range s.workers {
-					states[d] = w.deviceState()
-					states[d].SatMilli, states[d].Pressured = s.guard.DeviceSignal(d)
-				}
-				s.recorder.Sample(now, states)
-			}
-			s.flight.Tick(now)
-			// Fire burn-start bundles the sample just detected, now that the
-			// tick has pulled the burn's own second into the rings.
-			for _, ev := range s.pendingBurns {
-				s.flight.Trigger(ev.At, "slo_burn",
-					fmt.Sprintf("family=%d short=%.2f long=%.2f", ev.Family, ev.ShortBurn, ev.LongBurn),
-					ev.Family, -1)
-			}
-			s.pendingBurns = s.pendingBurns[:0]
+			fn()
 		}
 	}
 }
 
-// onBurn receives SLO burn-state transitions from the tsdb recorder: they
-// enter the lifecycle trace and the controller's audit log, and — when
-// enabled — a burn start nudges the control loop. Runs under the recorder's
-// lock, so it must not call back into the recorder; requestRealloc is a
-// non-blocking channel send.
-func (s *Server) onBurn(ev tsdb.BurnEvent) {
-	kind := telemetry.EvSLOBurnStart
-	if !ev.Start {
-		kind = telemetry.EvSLOBurnEnd
-	}
-	s.tracer.Record(ev.At, kind, 0, ev.Family, -1, -1)
-	s.controller.NoteBurn(controlplane.SLOBurnRecord{
-		At:        ev.At,
-		Family:    ev.Family,
-		Start:     ev.Start,
-		ShortBurn: ev.ShortBurn,
-		LongBurn:  ev.LongBurn,
-	})
-	// Emergency accuracy degradation reacts to the burn edge immediately —
-	// never waiting for the next control period. The guard's lock is a leaf,
-	// so calling it under the recorder's lock is safe.
-	s.applyOverloadChanges(s.guard.OnBurn(ev.At, ev.Family, ev.Start))
-	// A burn's leading edge snapshots an incident bundle — deferred until
-	// the sampling tick that detected it has refreshed the flight
-	// recorder's rings (burn transitions only fire inside Recorder.Sample,
-	// so this always runs on the sampleLoop goroutine).
-	if ev.Start && s.flight != nil {
-		s.pendingBurns = append(s.pendingBurns, ev)
-	}
-	if ev.Start && s.cfg.SLOBurnRealloc {
-		s.requestRealloc("slo_burn")
-	}
-}
-
-// overloadLoop advances the overload guard's time-based edges (escalation,
-// deferred degrades, restores) at the same 1s cadence the simulator
-// schedules on its virtual clock.
-func (s *Server) overloadLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.applyOverloadChanges(s.guard.Tick(s.now()))
+// sample is the engine's observability tick on the wall clock.
+func (s *Server) sample() {
+	now := s.now()
+	var states []tsdb.DeviceState
+	if s.cfg.TSDB != nil {
+		states = make([]tsdb.DeviceState, len(s.workers))
+		for d, w := range s.workers {
+			w.mu.Lock()
+			states[d] = w.dev.State(now)
+			w.mu.Unlock()
 		}
 	}
-}
-
-// applyOverloadChanges publishes the guard's degradation-ladder transitions:
-// tracer events (degrade_start carries the new level in the batch field) and
-// decision-audit records attached to the next PlanRecord.
-func (s *Server) applyOverloadChanges(changes []overload.Change) {
-	for _, ch := range changes {
-		kind := telemetry.EvDegradeStart
-		if ch.Kind == overload.Restore {
-			kind = telemetry.EvDegradeEnd
-		}
-		s.tracer.RecordCtx(ch.At, kind, 0, ch.Family, -1, ch.Level,
-			telemetry.Ctx{Plan: s.planSeq.Load(), Episode: int32(ch.Episode)})
-		s.controller.NoteOverload(controlplane.OverloadRecord{
-			At:      ch.At,
-			Family:  ch.Family,
-			Kind:    string(ch.Kind),
-			Level:   ch.Level,
-			Episode: ch.Episode,
-			Reason:  ch.Reason,
-		})
-		// A degradation opening is the overload incident's leading edge;
-		// escalations and restores are just episode progress.
-		if ch.Kind == overload.Degrade {
-			s.flight.Trigger(ch.At, "overload",
-				fmt.Sprintf("family=%d level=%d reason=%s", ch.Family, ch.Level, ch.Reason),
-				ch.Family, -1)
-		}
-	}
+	s.plane.Sample(now, states)
 }
 
 // requestRealloc asks the control loop for a triggered re-allocation. A full
@@ -513,282 +369,165 @@ func (s *Server) requestRealloc(trigger string) {
 // failure/recovery triggers honor the cooldown by re-arming themselves at
 // its boundary rather than being dropped.
 func (s *Server) maybeReallocate(trigger string) {
-	if !s.controller.Dynamic() {
+	ctl := s.plane.Controller
+	if !ctl.Dynamic() {
 		return
 	}
 	now := s.now()
 	s.mu.Lock()
-	demand := s.stats.Estimates(now)
-	downCopy := append([]bool(nil), s.down...)
+	demand := s.plane.Stats.Estimates(now)
+	down := s.plane.Down()
 	s.mu.Unlock()
-	if trigger == "periodic" && !s.controller.DemandChanged(demand, 0.1) {
+	if trigger == "periodic" && !ctl.DemandChanged(demand, 0.1) {
 		return
 	}
 	if trigger != "periodic" {
-		if rem := s.controller.CooldownRemaining(now); rem > 0 {
-			trig := trigger
-			time.AfterFunc(rem, func() { s.requestRealloc(trig) })
+		if rem := ctl.CooldownRemaining(now); rem > 0 {
+			time.AfterFunc(rem, func() { s.requestRealloc(trigger) })
 			return
 		}
 	}
 	for q := range demand {
 		demand[q] *= s.cfg.Headroom
 	}
-	s.controller.SetCluster(s.cfg.Cluster.WithHealth(downCopy))
-	plan, err := s.controller.Reallocate(now, demand, trigger)
-	if err != nil {
+	ctl.SetCluster(s.cfg.Cluster.WithHealth(down))
+	plan, err := ctl.Reallocate(now, demand, trigger)
+	if err != nil || s.applyPlan(plan, false) != nil {
 		return // keep serving on the old plan
 	}
-	s.planSeq.Store(int32(s.controller.LastPlanSeq()))
-	s.applyPlan(plan, false)
 	if trigger == "failure" {
 		s.mu.Lock()
-		s.collector.FailureHandled(s.now())
+		s.plane.Collector.FailureHandled(s.now())
 		s.mu.Unlock()
 	}
 }
 
-// applyPlan installs a new allocation on the live workers.
-func (s *Server) applyPlan(plan *allocator.Allocation, initial bool) {
-	s.tc.DemandScaleMilli.Set(int64(plan.DemandScale * 1000))
+// applyPlan installs the controller's newest plan on the live workers.
+func (s *Server) applyPlan(plan *allocator.Allocation, initial bool) error {
+	now := s.now()
+	seq := s.plane.Controller.LastPlanSeq()
 	s.mu.Lock()
-	s.plan = plan
-	// Plans are produced for this server's own family set, so the shapes
-	// always agree; a mismatch would only indicate an internal bug and the
-	// plan is still applied.
-	_ = s.stats.SetPlanned(plan.ServedQPS) //lint:allow errcheck length mismatch impossible for self-produced plans; error would only flag an internal bug and the plan applies regardless
-	downCopy := append([]bool(nil), s.down...)
+	err := s.plane.SetPlan(plan, seq)
+	down := s.plane.Down()
 	s.mu.Unlock()
-	var rerouted []liveQuery
+	if err != nil {
+		return err
+	}
+	readyAt := now + s.cfg.ModelLoadDelay
+	if initial {
+		readyAt = 0
+	}
+	var rerouted []dataplane.Query
 	for d, w := range s.workers {
-		if d < len(downCopy) && downCopy[d] {
+		if down[d] {
 			// Failed devices host nothing; recovery reloads from the
 			// then-current plan.
 			continue
 		}
-		if plan.HostedID(d) == w.hostedID() {
-			continue
-		}
-		delay := s.cfg.ModelLoadDelay
-		if initial {
-			delay = 0
-		}
-		rerouted = append(rerouted, w.setHosted(plan.Hosted[d], delay)...)
+		rerouted = append(rerouted, w.rehost(plan.Hosted[d], readyAt)...)
 	}
 	s.rebuildTable()
 	for _, q := range rerouted {
-		s.dispatch(q)
+		s.dispatch(now, q)
 	}
+	return nil
 }
 
-// rebuildTable rebuilds the routing table from the current plan, excluding
-// workers that are still loading.
+// rebuildTable rebuilds the routing table from the plan in force and the
+// workers' hosting, read before s.mu is taken: it must not nest around w.mu.
 func (s *Server) rebuildTable() {
-	s.mu.Lock()
 	now := s.now()
-	masked := allocator.Allocation{
-		Hosted:  s.plan.Hosted,
-		Routing: make([][]float64, len(s.plan.Routing)),
-	}
-	admit := make([]float64, len(s.plan.Routing))
-	for q, row := range s.plan.Routing {
-		masked.Routing[q] = make([]float64, len(row))
-		for d, y := range row {
-			if y <= 0 {
-				continue
-			}
-			admit[q] += y
-			if (d < len(s.down) && s.down[d]) || s.workers[d].loadingPast(now) {
-				continue
-			}
-			masked.Routing[q][d] = y
-		}
-	}
-	s.table = router.BuildTable(&masked, len(s.cfg.Families))
-	s.table.SetCounters(s.rc)
-	s.table.SetAdmission(admit)
-	s.mu.Unlock()
-	// Guard profiles refresh outside s.mu: guardProfile takes each worker's
-	// lock, and s.mu must not nest around w.mu.
-	s.syncGuardPlan()
-}
-
-// syncGuardPlan refreshes the overload guard's per-device profiles from the
-// workers' current hosting (rebuildTable's call sites cover every hosting
-// change: plan application, load completion, failure, recovery).
-func (s *Server) syncGuardPlan() {
-	if s.guard == nil {
-		return
-	}
+	ready := make([]bool, len(s.workers))
 	profs := make([]overload.DeviceProfile, len(s.workers))
 	for d, w := range s.workers {
-		profs[d] = w.guardProfile()
+		w.mu.Lock()
+		ready[d], profs[d] = w.dev.View(now)
+		w.mu.Unlock()
 	}
-	s.guard.SetPlan(s.now(), profs)
-}
-
-// pickDevice routes one query under the server lock, consulting the
-// overload guard when enabled. Returns -1 when the query should be dropped
-// (the cause distinguishes no serving device / admission-fraction shed from
-// — with the guard on — a deadline admission rejection, where the query
-// provably cannot meet its SLO behind the picked device's backlog).
-func (s *Server) pickDevice(now time.Duration, q liveQuery) (int, telemetry.Cause) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.guard == nil {
-		d := s.table.Pick(q.family, s.rng)
-		if d < 0 {
-			return -1, telemetry.CauseNoRoute
-		}
-		return d, telemetry.CauseNone
-	}
-	d := s.table.PickExcluding(q.family, s.rng, func(dev int) bool {
-		return s.guard.Banned(q.family, dev)
-	})
-	//lint:allow lockorder established order Server.mu → Guard.mu (also liveWorker.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
-	if d >= 0 && !s.guard.Admit(now, d, q.deadline) {
-		return -1, telemetry.CauseShedAdmission
-	}
-	if d < 0 {
-		return -1, telemetry.CauseNoRoute
-	}
-	return d, telemetry.CauseNone
-}
-
-// traceCtx assembles the causal context stamped onto trace events: the plan
-// in force, the family's active degradation episode, and the event's cause.
-// Call only when the tracer is non-nil — the guard lookup is not free.
-func (s *Server) traceCtx(family int, cause telemetry.Cause) telemetry.Ctx {
-	ctx := telemetry.Ctx{Plan: s.planSeq.Load(), Cause: cause}
-	if s.guard != nil {
-		ctx.Episode = int32(s.guard.EpisodeID(family))
-	}
-	return ctx
+	s.plane.Rebuild(now, ready, profs)
+	s.mu.Unlock()
 }
 
 // Infer serves one query synchronously: routed, queued, batched, executed.
 func (s *Server) Infer(family string) Response {
-	q, ok := s.byName[family]
+	f, ok := s.byName[family]
 	if !ok {
 		return Response{Outcome: OutcomeDropped, Family: family}
 	}
 	now := s.now()
-	id := s.nextID.Add(1) - 1
 	s.inflight.Add(1)
-	s.tc.Arrivals.Inc()
-	s.tracer.Record(now, telemetry.EvArrival, id, q, -1, -1)
-	s.recorder.Arrival(now, q)
 	s.mu.Lock()
-	s.stats.Observe(now, q)
-	s.collector.Arrival(now, q)
+	q := s.plane.Arrive(now, f) //lint:allow lockorder established order Server.mu → Tracer.mu and Server.mu → tsdb.Recorder.mu for every accounting transition; both sinks' locks are leaves on the data path (the recorder only calls out from Sample, which never runs under Server.mu)
 	s.mu.Unlock()
-
-	lq := liveQuery{
-		id:       id,
-		family:   q,
-		arrival:  now,
-		deadline: now + s.slos[q],
-		done:     make(chan Response, 1),
-	}
+	q.Reply = make(chan dataplane.Reply, 1)
 	if s.draining.Load() {
-		// Graceful drain: refuse new work immediately; in-flight batches
-		// keep executing.
-		s.recordDrop(lq, telemetry.CauseDraining)
-		return <-lq.done
+		// Graceful drain: refuse new work; in-flight batches keep executing.
+		s.drop(now, q, telemetry.CauseDraining)
+	} else {
+		s.dispatch(now, q)
 	}
-	d, cause := s.pickDevice(now, lq)
-	if d < 0 {
-		s.recordDrop(lq, cause)
-		return <-lq.done
+	r := <-q.Reply
+	resp := Response{
+		Outcome:   Outcome(r.Status),
+		Family:    family,
+		LatencyMS: float64(r.Latency) / float64(time.Millisecond),
 	}
-	s.tracer.Record(now, telemetry.EvRoute, id, q, d, -1)
-	s.workers[d].enqueue(lq)
-	return <-lq.done
+	if r.Hosted != nil {
+		resp.Variant = r.Hosted.Variant.ID()
+		resp.Accuracy = r.Hosted.Variant.Accuracy
+	}
+	return resp
 }
 
-func (s *Server) dispatch(q liveQuery) {
-	d, cause := s.pickDevice(s.now(), q)
+// dispatch routes q and hands it to the picked worker, or drops it.
+func (s *Server) dispatch(now time.Duration, q dataplane.Query) {
+	s.mu.Lock()
+	d, cause := s.plane.Route(now, q) //lint:allow lockorder established order Server.mu → Guard.mu (also liveWorker.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
+	s.mu.Unlock()
 	if d < 0 {
-		s.recordDrop(q, cause)
+		s.drop(now, q, cause)
 		return
 	}
-	s.tracer.Record(s.now(), telemetry.EvRoute, q.id, q.family, d, -1)
 	s.workers[d].enqueue(q)
 }
 
-func (s *Server) recordDrop(q liveQuery, cause telemetry.Cause) {
-	now := s.now()
-	s.tc.Dropped.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDropped, q.id, q.family, -1, -1,
-			s.traceCtx(q.family, cause))
-	}
-	s.recorder.Violation(now, q.family)
+// requeue returns a stranded query to the router unless the engine drops it.
+func (s *Server) requeue(now time.Duration, q dataplane.Query, cause telemetry.Cause) {
 	s.mu.Lock()
-	s.collector.Dropped(now, q.family)
+	r, retry := s.plane.Requeue(now, &q, cause)
 	s.mu.Unlock()
-	s.inflight.Add(-1)
-	q.done <- Response{Outcome: OutcomeDropped, Family: s.cfg.Families[q.family].Name,
-		LatencyMS: float64(now-q.arrival) / float64(time.Millisecond)}
+	if !retry {
+		s.reply(q, r)
+		return
+	}
+	s.dispatch(now, q)
 }
 
-func (s *Server) recordCompletion(q liveQuery, variant string, accuracy float64, device, batch int) {
-	now := s.now()
-	latency := now - q.arrival
-	resp := Response{
-		Variant:   variant,
-		Accuracy:  accuracy,
-		Family:    s.cfg.Families[q.family].Name,
-		LatencyMS: float64(latency) / float64(time.Millisecond),
-	}
-	served := now <= q.deadline
-	if served {
-		s.tc.Served.Inc()
-		if s.tracer != nil {
-			s.tracer.RecordCtx(now, telemetry.EvDone, q.id, q.family, device, batch,
-				s.traceCtx(q.family, telemetry.CauseNone))
-		}
-	} else {
-		s.tc.Late.Inc()
-		if s.tracer != nil {
-			s.tracer.RecordCtx(now, telemetry.EvLate, q.id, q.family, device, batch,
-				s.traceCtx(q.family, telemetry.CauseNone))
-		}
-		s.recorder.Violation(now, q.family)
-	}
-	// Per-phase latency decomposition: difference the lifecycle timestamps
-	// stamped at enqueue and batch formation. Negative skews (the stamps
-	// come from different wall-clock reads) clamp to zero in the recorder.
-	s.recorder.RecordPhases(q.family, device, tsdb.PhaseDurations{
-		Admission: q.enqueueAt - q.arrival,
-		Queue:     q.formAt - q.enqueueAt,
-		BatchForm: q.execAt - q.formAt,
-		Exec:      now - q.execAt,
-	})
+func (s *Server) drop(now time.Duration, q dataplane.Query, cause telemetry.Cause) {
 	s.mu.Lock()
-	if served {
-		s.collector.Served(now, q.family, accuracy, latency)
-		resp.Outcome = OutcomeServed
-	} else {
-		s.collector.Late(now, q.family, latency)
-		resp.Outcome = OutcomeLate
-	}
+	r := s.plane.Drop(now, q, cause)
 	s.mu.Unlock()
+	s.reply(q, r)
+}
+
+// reply hands a finished query's fate to the Infer call waiting on it.
+func (s *Server) reply(q dataplane.Query, r dataplane.Reply) {
 	s.inflight.Add(-1)
-	q.done <- resp
+	q.Reply <- r
 }
 
 // Summary returns the run metrics so far.
 func (s *Server) Summary() metrics.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.collector.Summarize(-1)
+	return s.plane.Collector.Summarize(-1)
 }
 
 // Collector exposes the run's metrics collector for final-dump assembly
 // (report.Build). Read it only after the server stopped — the collector is
 // otherwise written under the server's lock.
-func (s *Server) Collector() *metrics.Collector { return s.collector }
+func (s *Server) Collector() *metrics.Collector { return s.plane.Collector }
 
 // Allocation returns the hosted variant per device of the current plan.
 func (s *Server) Allocation() map[string]string {
@@ -796,13 +535,17 @@ func (s *Server) Allocation() map[string]string {
 	defer s.mu.Unlock()
 	out := make(map[string]string)
 	for d := range s.workers {
-		out[s.cfg.Cluster.Device(d).Name] = s.plan.HostedID(d)
+		id := ""
+		if ref := s.plane.Hosted(d); ref != nil {
+			id = ref.Variant.ID()
+		}
+		out[s.cfg.Cluster.Device(d).Name] = id
 	}
 	return out
 }
 
 // History returns the controller's decision audit log.
-func (s *Server) History() []controlplane.PlanRecord { return s.controller.History() }
+func (s *Server) History() []controlplane.PlanRecord { return s.plane.Controller.History() }
 
 // DeviceHealth is one device's entry in the /healthz report.
 type DeviceHealth struct {
@@ -835,12 +578,12 @@ type Health struct {
 // Health returns the current device health mask.
 func (s *Server) Health() Health {
 	s.mu.Lock()
-	downCopy := append([]bool(nil), s.down...)
+	down := s.plane.Down()
 	s.mu.Unlock()
-	h := Health{Status: "ok", Total: len(downCopy), Build: buildinfo.Get()}
+	h := Health{Status: "ok", Total: len(down), Build: buildinfo.Get()}
 	h.Draining = s.draining.Load()
-	h.Overload = s.guard.State()
-	for d, dn := range downCopy {
+	h.Overload = s.plane.Guard.State()
+	for d, dn := range down {
 		h.Devices = append(h.Devices, DeviceHealth{
 			Device: d,
 			Name:   s.cfg.Cluster.Device(d).Name,
@@ -910,14 +653,14 @@ func (s *Server) Handler() http.Handler {
 			w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 			fmt.Fprintf(w, "# HELP uptime_seconds Seconds since server start.\n# TYPE uptime_seconds gauge\nuptime_seconds %d\n",
 				int64(s.now()/time.Second))
-			if err := s.registry.WritePrometheus(w); err != nil {
+			if err := s.cfg.Telemetry.WritePrometheus(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
 			// The collector's log-linear latency histograms export as one
 			// native Prometheus histogram family (cumulative le buckets).
 			s.mu.Lock()
-			err := s.collector.WritePrometheusLatency(w)
+			err := s.plane.Collector.WritePrometheusLatency(w)
 			s.mu.Unlock()
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -926,7 +669,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "uptime_seconds %d\n", int64(s.now()/time.Second))
-		if err := s.registry.WriteText(w); err != nil {
+		if err := s.cfg.Telemetry.WriteText(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -946,7 +689,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, controlplane.SanitizePlans(s.History()))
 	})
 	mux.HandleFunc("/debug/incidents", func(w http.ResponseWriter, r *http.Request) {
-		list := s.flight.Incidents()
+		list := s.cfg.Flight.Incidents()
 		if list == nil {
 			list = []*flightrec.Bundle{}
 		}
@@ -957,11 +700,11 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		if s.flight == nil {
+		if s.cfg.Flight == nil {
 			http.Error(w, "flight recorder disabled", http.StatusNotImplemented)
 			return
 		}
-		b := s.flight.Trigger(s.now(), "manual", r.URL.Query().Get("detail"), -1, -1)
+		b := s.cfg.Flight.Trigger(s.now(), "manual", r.URL.Query().Get("detail"), -1, -1)
 		if kinds := r.URL.Query().Get("profile"); kinds != "" {
 			if err := s.captureProfiles(b.ID, kinds); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -971,7 +714,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, b)
 	})
 	mux.HandleFunc("/debug/query", func(w http.ResponseWriter, r *http.Request) {
-		if s.tracer == nil {
+		if s.cfg.Tracer == nil {
 			http.Error(w, "lifecycle tracer disabled", http.StatusNotImplemented)
 			return
 		}
@@ -981,10 +724,10 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		rep := attrib.Analyze(attrib.Input{
-			Events:       s.tracer.Events(),
+			Events:       s.cfg.Tracer.Events(),
 			Plans:        s.History(),
 			FamilyNames:  models.FamilyNames(s.cfg.Families),
-			TraceDropped: s.tracer.Dropped(),
+			TraceDropped: s.cfg.Tracer.Dropped(),
 		})
 		for i := range rep.Queries {
 			if rep.Queries[i].Query == id {
@@ -1019,7 +762,7 @@ func wantsPrometheus(r *http.Request) bool {
 // serving layer, not flightrec: CPU profiling needs a wall-clock sampling
 // window, and the bundle core stays byte-deterministic without it.
 func (s *Server) captureProfiles(id, kinds string) error {
-	dir := s.flight.Dir()
+	dir := s.cfg.Flight.Dir()
 	if dir == "" {
 		return fmt.Errorf("profile capture needs an incident directory (-incident-dir)")
 	}

@@ -6,73 +6,34 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/batching"
-	"proteus/internal/cluster"
+	"proteus/internal/dataplane"
 	"proteus/internal/numeric"
-	"proteus/internal/overload"
-	"proteus/internal/profiles"
 	"proteus/internal/telemetry"
-	"proteus/internal/tsdb"
 )
 
-// liveQuery is one in-flight query inside the live cluster.
-type liveQuery struct {
-	id       uint64
-	family   int
-	arrival  time.Duration
-	deadline time.Duration
-	// retries counts failure re-dispatches; a query is retried at most
-	// Config.MaxRetries times before being dropped.
-	retries int
-	// Phase-decomposition timestamps: stamped at device enqueue and batch
-	// formation, differenced into per-phase durations at completion. A
-	// redispatch restamps enqueueAt, so admission absorbs the re-route wait.
-	enqueueAt time.Duration
-	formAt    time.Duration
-	execAt    time.Duration
-	done      chan Response
-}
-
-// liveWorker is the wall-clock counterpart of core's worker: a goroutine
-// owning one device, consulting its batching policy, and "executing"
-// batches by sleeping for the profiled latency. Arrivals and model swaps
-// wake it through a notification channel; non-work-conserving waits are a
-// single timer sleep, interruptible by new arrivals.
+// liveWorker is the goroutine that owns one device: it runs the engine's
+// batching steps under mu and "executes" the batches they start by sleeping
+// for the profiled latency. Arrivals and model swaps wake it through notify;
+// batching waits and model loads are one timer sleep, interruptible by both
+// and by shutdown.
 type liveWorker struct {
-	sys    *Server
-	dev    cluster.Device
-	policy batching.Policy
+	sys *Server
 
-	mu           sync.Mutex
-	queue        []liveQuery
-	hosted       *allocator.VariantRef
-	maxBatch     int
-	memBatch     int
-	loadingUntil time.Duration
-	down         bool
-	closed       bool
-	rng          *numeric.RNG
+	// mu guards dev (every Device transition runs under it), closed and rng.
+	mu     sync.Mutex
+	dev    *dataplane.Device
+	closed bool
+	rng    *numeric.RNG
 
 	notify chan struct{}
 	stopc  chan struct{}
-
-	rateEWMA   float64
-	rateBucket int64
-	rateCount  int
-
-	// Execution-time accounting for the tsdb utilization series (guarded by
-	// mu): busyAccum is the total executed batch latency, lastBatch the size
-	// of the most recent batch.
-	busyAccum time.Duration
-	lastBatch int
 }
 
-func newLiveWorker(s *Server, dev cluster.Device, policy batching.Policy) *liveWorker {
+func newLiveWorker(s *Server, id int, dev *dataplane.Device) *liveWorker {
 	return &liveWorker{
 		sys:    s,
 		dev:    dev,
-		policy: policy,
-		rng:    numeric.NewRNG(s.cfg.Seed ^ uint64(dev.ID+1)),
+		rng:    numeric.NewRNG(s.cfg.Seed ^ uint64(id+1)),
 		notify: make(chan struct{}, 1),
 		stopc:  make(chan struct{}),
 	}
@@ -85,131 +46,44 @@ func (w *liveWorker) wake() {
 	}
 }
 
-// syncDepthLocked reports the current mailbox depth to the overload guard
-// (a no-op when the guard is off). Caller holds w.mu; the guard's lock is a
-// leaf, so the nesting is safe.
-func (w *liveWorker) syncDepthLocked() {
-	w.sys.guard.NoteDepth(w.dev.ID, len(w.queue))
-}
-
-// guardProfile snapshots the worker's hosting for the overload guard's
-// admission bound and degradation ladder.
-func (w *liveWorker) guardProfile() overload.DeviceProfile {
+// rehost switches the worker to ref unless it already hosts it, returning
+// the queued queries that must be re-routed elsewhere.
+func (w *liveWorker) rehost(ref *allocator.VariantRef, readyAt time.Duration) []dataplane.Query {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.down || w.hosted == nil || w.maxBatch < 1 {
-		return overload.DeviceProfile{Family: -1}
-	}
-	f := w.hosted.Family
-	return overload.DeviceProfile{
-		Family:   f,
-		Accuracy: w.hosted.Variant.Accuracy,
-		MaxBatch: w.maxBatch,
-		Lat1:     profiles.Latency(w.dev.Spec, w.hosted.Variant, 1),
-		LatMax:   profiles.Latency(w.dev.Spec, w.hosted.Variant, w.maxBatch),
-		SLO:      w.sys.slos[f],
-	}
-}
-
-func (w *liveWorker) hostedID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.hosted == nil {
-		return ""
-	}
-	return w.hosted.Variant.ID()
-}
-
-func (w *liveWorker) loadingPast(now time.Duration) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return now < w.loadingUntil
-}
-
-// setHosted swaps the hosted variant, returning the queued queries that
-// must be re-routed elsewhere.
-func (w *liveWorker) setHosted(ref *allocator.VariantRef, loadDelay time.Duration) []liveQuery {
-	w.mu.Lock()
-	requeue := w.queue
-	w.queue = nil
-	w.syncDepthLocked()
-	w.hosted = ref
-	w.policy.Reset()
-	if ref == nil {
-		w.maxBatch, w.memBatch = 0, 0
-	} else {
-		slo := w.sys.slos[ref.Family]
-		w.maxBatch = profiles.MaxBatch(w.dev.Spec, ref.Variant, slo)
-		w.memBatch = profiles.MaxMemoryBatch(w.dev.Spec, ref.Variant)
-		w.loadingUntil = w.sys.now() + loadDelay
-		w.sys.tc.ModelLoads.Inc()
-	}
+	moved, changed := w.dev.Rehost(ref, readyAt)
 	w.mu.Unlock()
-	w.wake()
-	return requeue
+	if changed {
+		w.wake()
+	}
+	return moved
 }
 
-func (w *liveWorker) enqueue(q liveQuery) {
-	// Resolve the causal stamps (plan seq, overload episode) before taking
-	// w.mu: traceCtx reads the guard's episode id under Guard.mu, and that
-	// acquisition stays outside the worker lock.
-	var ctx telemetry.Ctx
-	if w.sys.tracer != nil {
-		ctx = w.sys.traceCtx(q.family, telemetry.CauseNone)
-	}
+// fail kills the device, returning the queued queries for re-dispatch; an
+// in-flight batch is re-dispatched by execute once its (wasted) sleep ends.
+func (w *liveWorker) fail(now time.Duration) []dataplane.Query {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		w.sys.recordDrop(q, telemetry.CauseDraining)
-		return
-	}
-	if w.down {
-		// Routed before the table caught up with the failure; bounce back.
-		w.mu.Unlock()
-		w.sys.redispatch(q, telemetry.CauseStaleRoute)
-		return
-	}
-	now := w.sys.now()
-	w.noteArrival(now)
-	if tr := w.sys.tracer; tr != nil {
-		// The enqueue event carries the plan and overload episode in force,
-		// anchoring the attribution engine's causal joins.
-		//lint:allow lockorder established order liveWorker.mu → Tracer.mu; the tracer's ring lock is a leaf that never calls out
-		tr.RecordCtx(now, telemetry.EvEnqueue, q.id, q.family, w.dev.ID, -1, ctx)
-	}
-	q.enqueueAt = now
-	w.queue = append(w.queue, q)
-	w.syncDepthLocked() //lint:allow lockorder established order liveWorker.mu → Guard.mu (same direction as Server.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
-	w.mu.Unlock()
-	w.wake()
-}
-
-// fail kills the device: the queue drains back to the caller for
-// re-dispatch and the hosted model is lost. An in-flight batch is handled by
-// executeBatch itself, which re-dispatches its queries when it observes the
-// failure after the (wasted) execution sleep.
-func (w *liveWorker) fail() []liveQuery {
-	w.mu.Lock()
-	w.down = true
-	stranded := w.queue
-	w.queue = nil
-	w.syncDepthLocked()
-	w.hosted = nil
-	w.maxBatch, w.memBatch = 0, 0
-	w.policy.Reset()
+	stranded, _ := w.dev.Fail(now)
 	w.mu.Unlock()
 	w.wake()
 	return stranded
 }
 
-// recover brings the device back with an empty memory, reloading ref (the
-// current plan's hosting for it, usually nil until the next re-allocation)
-// with the full model-load delay.
-func (w *liveWorker) recover(ref *allocator.VariantRef, loadDelay time.Duration) {
+func (w *liveWorker) enqueue(q dataplane.Query) {
 	w.mu.Lock()
-	w.down = false
+	now := w.sys.now()
+	if w.closed {
+		w.mu.Unlock()
+		w.sys.drop(now, q, telemetry.CauseDraining)
+		return
+	}
+	ok := w.dev.Enqueue(now, q) //lint:allow lockorder established order liveWorker.mu → Guard.mu and liveWorker.mu → Tracer.mu for every Device transition; both are leaf locks that never call back into serving
 	w.mu.Unlock()
-	w.setHosted(ref, loadDelay)
+	if !ok {
+		// Routed before the table caught up with the failure; bounce back.
+		w.sys.requeue(now, q, telemetry.CauseStaleRoute)
+		return
+	}
+	w.wake()
 }
 
 func (w *liveWorker) shutdown() {
@@ -219,45 +93,6 @@ func (w *liveWorker) shutdown() {
 		close(w.stopc)
 	}
 	w.mu.Unlock()
-	w.wake()
-}
-
-func (w *liveWorker) noteArrival(now time.Duration) {
-	sec := int64(now / time.Second)
-	if sec != w.rateBucket {
-		const alpha = 0.3
-		w.rateEWMA = alpha*float64(w.rateCount) + (1-alpha)*w.rateEWMA
-		for s := w.rateBucket + 1; s < sec && s-w.rateBucket < 30; s++ {
-			w.rateEWMA *= 1 - alpha
-		}
-		w.rateBucket = sec
-		w.rateCount = 0
-	}
-	w.rateCount++
-}
-
-func (w *liveWorker) arrivalRate() float64 {
-	if float64(w.rateCount) > w.rateEWMA {
-		return float64(w.rateCount)
-	}
-	return w.rateEWMA
-}
-
-// deviceState snapshots the worker for the tsdb sampler.
-func (w *liveWorker) deviceState() tsdb.DeviceState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	variant := ""
-	if w.hosted != nil {
-		variant = w.hosted.Variant.ID()
-	}
-	return tsdb.DeviceState{
-		Up:         !w.down,
-		QueueDepth: len(w.queue),
-		LastBatch:  w.lastBatch,
-		Variant:    variant,
-		BusyTime:   w.busyAccum,
-	}
 }
 
 // sleepInterruptible sleeps for d, returning early on a wake-up or stop.
@@ -274,135 +109,6 @@ func (w *liveWorker) sleepInterruptible(d time.Duration) {
 	}
 }
 
-// loop is the worker goroutine: wait for queries (or a policy wake-up),
-// apply the batching decision, execute batches by sleeping.
-func (w *liveWorker) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		w.mu.Lock()
-		if w.closed {
-			pending := w.queue
-			w.queue = nil
-			w.syncDepthLocked()
-			w.mu.Unlock()
-			for _, q := range pending {
-				w.sys.recordDrop(q, telemetry.CauseDraining)
-			}
-			return
-		}
-		now := w.sys.now()
-		if w.down {
-			pending := w.queue
-			w.queue = nil
-			w.syncDepthLocked()
-			w.mu.Unlock()
-			for _, q := range pending {
-				w.sys.redispatch(q, telemetry.CauseDeviceFailure)
-			}
-			w.idleWait()
-			continue
-		}
-		if w.hosted == nil || w.maxBatch < 1 {
-			pending := w.queue
-			w.queue = nil
-			w.syncDepthLocked()
-			w.mu.Unlock()
-			for _, q := range pending {
-				w.sys.recordDrop(q, telemetry.CauseNoRoute)
-			}
-			w.idleWait()
-			continue
-		}
-		if now < w.loadingUntil {
-			until := w.loadingUntil - now
-			w.mu.Unlock()
-			time.Sleep(until)
-			w.sys.rebuildTable()
-			continue
-		}
-		if len(w.queue) == 0 {
-			w.mu.Unlock()
-			w.idleWait()
-			continue
-		}
-
-		hosted := *w.hosted
-		pq := make([]batching.Query, len(w.queue))
-		for i, q := range w.queue {
-			pq[i] = batching.Query{ID: uint64(i), Arrival: q.arrival, Deadline: q.deadline}
-		}
-		ctx := batching.Context{
-			Now:      now,
-			Queue:    pq,
-			MaxBatch: w.maxBatch,
-			MemBatch: w.memBatch,
-			ProcTime: func(b int) time.Duration {
-				return profiles.Latency(w.dev.Spec, hosted.Variant, b)
-			},
-			ArrivalRate: w.arrivalRate(),
-		}
-		d := w.policy.Decide(&ctx)
-		switch d.Action {
-		case batching.Execute:
-			w.sys.tc.BatchExecutes.Inc()
-		case batching.Wait:
-			w.sys.tc.BatchWaits.Inc()
-		case batching.Idle:
-			w.sys.tc.BatchIdles.Inc()
-		}
-		w.sys.tc.BatchDrops.Add(int64(len(d.Drop)))
-		var dropped []liveQuery
-		if len(d.Drop) > 0 {
-			di := 0
-			keep := w.queue[:0]
-			for i, q := range w.queue {
-				if di < len(d.Drop) && d.Drop[di] == i {
-					dropped = append(dropped, q)
-					di++
-					continue
-				}
-				keep = append(keep, q)
-			}
-			w.queue = keep
-			w.syncDepthLocked()
-		}
-		var batch []liveQuery
-		var wait time.Duration
-		switch d.Action {
-		case batching.Execute:
-			b := d.BatchSize
-			if b > len(w.queue) {
-				b = len(w.queue)
-			}
-			batch = make([]liveQuery, b)
-			copy(batch, w.queue[:b])
-			w.queue = append(w.queue[:0], w.queue[b:]...)
-			w.syncDepthLocked()
-		case batching.Wait:
-			// The simulator can cut waits to the exact T_max_wait edge; on
-			// wall clocks, scheduler jitter would turn that into misses, so
-			// the live worker wakes a few milliseconds early.
-			const jitterMargin = 5 * time.Millisecond
-			wait = d.WakeAt - jitterMargin - now
-		}
-		w.mu.Unlock()
-
-		for _, q := range dropped {
-			w.sys.recordDrop(q, telemetry.CausePolicyDrop)
-		}
-		switch d.Action {
-		case batching.Execute:
-			if len(batch) > 0 {
-				w.executeBatch(hosted, batch)
-			}
-		case batching.Wait:
-			w.sleepInterruptible(wait)
-		case batching.Idle:
-			w.idleWait()
-		}
-	}
-}
-
 // idleWait blocks until an arrival, a model swap, or shutdown.
 func (w *liveWorker) idleWait() {
 	select {
@@ -411,53 +117,84 @@ func (w *liveWorker) idleWait() {
 	}
 }
 
-// executeBatch simulates hardware execution: sleep for the profiled batch
-// latency (with noise), then complete every query.
-func (w *liveWorker) executeBatch(hosted allocator.VariantRef, batch []liveQuery) {
-	batchID := int(w.sys.nextBatch.Add(1) - 1)
-	w.sys.tc.Batches.Inc()
-	w.sys.tc.BatchQueries.Add(int64(len(batch)))
-	formed := w.sys.now()
-	for i := range batch {
-		// Formation and execution start coincide here (the executor starts
-		// immediately), so batch_form is ~0 by design — matching the
-		// simulator's decomposition.
-		batch[i].formAt = formed
-		batch[i].execAt = formed
-	}
-	if w.sys.tracer != nil {
-		for _, q := range batch {
-			w.sys.tracer.Record(formed, telemetry.EvBatchFormed, q.id, q.family, w.dev.ID, batchID)
-			w.sys.tracer.Record(formed, telemetry.EvExecStart, q.id, q.family, w.dev.ID, batchID)
+// loop is the worker goroutine: take a batching step, publish its drops,
+// then execute the batch, sleep until the wake-up, or wait for work.
+func (w *liveWorker) loop(wg *sync.WaitGroup) {
+	defer wg.Done()
+	s := w.sys
+	loading := false
+	for {
+		w.mu.Lock()
+		now := s.now()
+		if w.closed {
+			pending := w.dev.TakeQueue()
+			w.mu.Unlock()
+			for _, q := range pending {
+				s.drop(now, q, telemetry.CauseDraining)
+			}
+			return
+		}
+		st := w.dev.Step(now)
+		w.mu.Unlock()
+
+		for _, dr := range st.Dropped {
+			s.drop(now, dr.Query, dr.Cause)
+		}
+		if st.Loading {
+			// Every wake-up re-checks the device: a failure or shutdown
+			// mid-load must not sleep the load out.
+			loading = true
+			w.sleepInterruptible(st.WakeAt - now)
+			continue
+		}
+		if loading {
+			// The load ended: re-admit the device into the routing table.
+			loading = false
+			s.rebuildTable()
+		}
+		switch {
+		case len(st.Batch.Queries) > 0:
+			w.execute(st.Batch)
+		case st.Wake:
+			// The simulator can cut waits to the exact T_max_wait edge; on
+			// wall clocks, scheduler jitter would turn that into misses, so
+			// the live worker wakes a few milliseconds early.
+			const jitterMargin = 5 * time.Millisecond
+			w.sleepInterruptible(st.WakeAt - jitterMargin - now)
+		default:
+			w.idleWait()
 		}
 	}
-	lat := profiles.Latency(w.dev.Spec, hosted.Variant, len(batch))
-	if w.sys.cfg.ExecNoiseFrac > 0 {
+}
+
+// execute simulates hardware execution: sleep for the batch's profiled
+// latency (with noise), then complete every query at one timestamp.
+func (w *liveWorker) execute(b dataplane.Batch) {
+	s := w.sys
+	s.plane.TraceBatch(b)
+	lat := b.Done - b.Start
+	if s.cfg.ExecNoiseFrac > 0 {
 		w.mu.Lock()
-		noise := 1 + w.sys.cfg.ExecNoiseFrac*w.rng.NormFloat64()
+		noise := 1 + s.cfg.ExecNoiseFrac*w.rng.NormFloat64()
 		w.mu.Unlock()
 		lat = time.Duration(math.Max(0, float64(lat)*noise))
 	}
 	time.Sleep(lat)
 	w.mu.Lock()
-	w.busyAccum += lat
-	w.lastBatch = len(batch)
-	died := w.down
+	now := s.now()
+	_, ok := w.dev.Finish(now)
 	w.mu.Unlock()
-	if died {
+	if !ok {
 		// The device failed mid-execution: results are lost, re-dispatch.
-		for _, q := range batch {
-			w.sys.redispatch(q, telemetry.CauseMidflight)
+		for _, q := range b.Queries {
+			s.requeue(now, q, telemetry.CauseMidflight)
 		}
 		return
 	}
-	violations := 0
-	now := w.sys.now()
-	for _, q := range batch {
-		if now > q.deadline {
-			violations++
-		}
-		w.sys.recordCompletion(q, hosted.Variant.ID(), hosted.Variant.Accuracy, w.dev.ID, batchID)
+	for _, q := range b.Queries {
+		s.mu.Lock()
+		r := s.plane.Complete(now, q, b)
+		s.mu.Unlock()
+		s.reply(q, r)
 	}
-	w.policy.Observe(len(batch), violations)
 }
