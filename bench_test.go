@@ -301,14 +301,16 @@ func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
 // goroutines reach the router in scheduler order), which moved effective
 // accuracy by at most 0.06 points over the ≈360 queries in forty runs; 1
 // point fails a run that served a different variant mix. On-time share
-// differs through wall-clock effects only — the 5 ms early wake-up, timer
-// and scheduler jitter — which cost isolated queries at the edge of their
-// deadline: live was 0.8–3.9 points below the simulator in those forty runs
-// (half of them beside the race-enabled test suite on a two-core host), and
-// 5 points fails a run where a batching or admission decision diverged. One
-// run in forty lost 10 points to a host stall of a few hundred milliseconds,
-// so a diverging attempt is repeated: a stall does not recur, a divergence
-// in the engine does.
+// differs through wall-clock effects only — the live policy decides 5 ms
+// ahead of its clock, so it gives up on (drops) a query the simulator still
+// serves with under 5 ms to spare, plus timer and scheduler jitter: live was
+// 2.0–4.5 points below the simulator (median 2.5) in twenty runs on an idle
+// two-core host — 1.1–4.2 (median 2.2) when the worker woke 5 ms early and
+// polled instead, with late answers where there are now drops — and 5 points
+// fails a run where a batching or admission decision diverged. One run in
+// forty lost 10 points to a host stall of a few hundred milliseconds, so a
+// diverging attempt is repeated: a stall does not recur, a divergence in the
+// engine does.
 func TestSimVsLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock differential run (≈3 s)")

@@ -80,7 +80,8 @@ type Decision struct {
 	// WakeAt is the absolute re-evaluation time for Wait.
 	WakeAt time.Duration
 	// Drop lists queue indices (into Context.Queue, pre-execution) to drop
-	// before acting. Indices are ascending.
+	// before acting. Indices are ascending. It may be the policy's scratch:
+	// valid until that policy's next Decide.
 	Drop []int
 }
 
@@ -123,7 +124,11 @@ func clampBatch(b, queueLen, maxBatch int) int {
 // query until T_max_wait(q+1) = T_exp(1) − T_process(q+1); if that point
 // passes, it executes the q queries it has, guaranteeing the head of the
 // queue never times out because of batching.
-type AccScale struct{}
+type AccScale struct {
+	// drop is Decide's scratch for Decision.Drop, reused so a decision does
+	// not allocate; policies are per-worker and single-threaded.
+	drop []int
+}
 
 // NewAccScale returns the Proteus adaptive batching policy.
 func NewAccScale() *AccScale { return &AccScale{} }
@@ -131,32 +136,39 @@ func NewAccScale() *AccScale { return &AccScale{} }
 // Name implements Policy.
 func (*AccScale) Name() string { return "accscale" }
 
-// Reset implements Policy. AccScale is stateless.
+// Reset implements Policy. AccScale keeps no adaptive state.
 func (*AccScale) Reset() {}
 
 // Observe implements Policy. AccScale is proactive, not reactive.
 func (*AccScale) Observe(completed, violations int) {}
 
 // Decide implements Policy.
-func (*AccScale) Decide(ctx *Context) Decision {
+func (p *AccScale) Decide(ctx *Context) Decision {
 	// Proactive guarantee, part one: queries that cannot meet their SLO
 	// even executed alone right now are dropped rather than run late — a
 	// doomed query only wastes a batch slot (its client has timed out).
-	var drop []int
-	alive := make([]Query, 0, len(ctx.Queue))
+	// Only the survivors' count and head deadline matter below.
+	drop := p.drop[:0]
+	q := 0
+	var texp1 time.Duration
 	horizon := ctx.Now + ctx.ProcTime(1)
 	for i, qq := range ctx.Queue {
 		if qq.Deadline < horizon {
 			drop = append(drop, i)
 			continue
 		}
-		alive = append(alive, qq)
+		if q == 0 {
+			texp1 = qq.Deadline
+		}
+		q++
 	}
-	q := len(alive)
+	p.drop = drop
+	if len(drop) == 0 {
+		drop = nil // no drops reads as a nil Drop, not as an empty scratch
+	}
 	if q == 0 {
 		return Decision{Action: Idle, Drop: drop}
 	}
-	texp1 := alive[0].Deadline
 	// Proactive guarantee, part two (the §5 invariant): every batch must
 	// finish before the head query expires. Under a backlog the batch size
 	// is therefore clamped so that now + T_process(b) <= T_exp(1); the

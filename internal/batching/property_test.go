@@ -1,6 +1,7 @@
 package batching
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,5 +151,27 @@ func TestPropertyNexusBatchCoversRate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyAccScaleReusedScratch: a long-lived AccScale, which reuses its
+// Drop scratch from call to call, decides every context exactly as a fresh
+// policy does — nothing of an earlier decision leaks into a later one — and
+// once the scratch has grown a decision allocates nothing.
+func TestPropertyAccScaleReusedScratch(t *testing.T) {
+	reused := NewAccScale()
+	f := func(seed uint64) bool {
+		ctx := randomCtx(seed)
+		return reflect.DeepEqual(reused.Decide(ctx), NewAccScale().Decide(ctx))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := randomCtx(1)
+	for seed := uint64(2); len(ctx.Queue) < 8; seed++ {
+		ctx = randomCtx(seed)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reused.Decide(ctx) }); allocs != 0 {
+		t.Fatalf("Decide on a %d-deep queue allocates %v times per call, want 0", len(ctx.Queue), allocs)
 	}
 }

@@ -352,3 +352,60 @@ func TestRebuildMasksUnreadyDevices(t *testing.T) {
 		t.Fatal("a recovery must register exactly once per failed device")
 	}
 }
+
+// TestStepDecisionLead pins what Config.DecisionLead moves and what it leaves
+// alone. One query waits for a second until T_max_wait(2) = deadline − T(2):
+// with lead L the wait's WakeAt is L earlier and the step taken there starts
+// the batch, stamped with the true time; with no lead the step waits out the
+// exact edge, as the simulator relies on.
+func TestStepDecisionLead(t *testing.T) {
+	const arrival = 10 * time.Millisecond
+	for _, lead := range []time.Duration{0, 5 * time.Millisecond} {
+		p, cpu := harness(t, batching.NewAccScale(), func(c *Config) { c.DecisionLead = lead })
+		d := p.Devices[2] // a GPU: the CPU's SLO-capped batch is 1, which never waits
+		d.setHosted(cpu.hosted, 0)
+		deadline := arrival + p.slos[0]
+		edge := deadline - d.procTime(2)
+		enqueue(t, p, d, arrival, deadline, 1)
+
+		st := d.Step(arrival)
+		if !st.Wake || st.Loading || len(st.Batch.Queries) != 0 {
+			t.Fatalf("lead %v: a lone query with slack must wait for a second: %+v", lead, st)
+		}
+		if st.WakeAt != edge-lead || st.WakeAt <= arrival {
+			t.Fatalf("lead %v: WakeAt %v, want T_max_wait(2) − lead = %v (after now %v)", lead, st.WakeAt, edge-lead, arrival)
+		}
+		// A wake-up that comes early (an arrival elsewhere, a stale token)
+		// waits again, for the same instant.
+		early := st.WakeAt - time.Millisecond
+		if again := d.Step(early); !again.Wake || again.WakeAt != st.WakeAt || again.WakeAt <= early {
+			t.Fatalf("lead %v: step 1ms before WakeAt: %+v, want another wait until %v", lead, again, st.WakeAt)
+		}
+
+		now := st.WakeAt
+		st = d.Step(now)
+		if len(st.Batch.Queries) != 1 || st.Wake {
+			t.Fatalf("lead %v: step at WakeAt %v must execute: %+v", lead, now, st)
+		}
+		b := st.Batch
+		if b.Start != now || b.Done != now+d.procTime(1) {
+			t.Fatalf("lead %v: batch runs %v–%v, want the true now %v plus T(1)", lead, b.Start, b.Done, now)
+		}
+		if q := b.Queries[0]; q.FormAt != now || q.ExecAt != now || q.EnqueueAt != arrival {
+			t.Fatalf("lead %v: stamps enqueue %v form %v exec %v, want %v, %v, %v", lead, q.EnqueueAt, q.FormAt, q.ExecAt, arrival, now, now)
+		}
+	}
+}
+
+// TestStepExpiryShedIgnoresLead: the lead makes the policy act early, it does
+// not make a query expire early — one that can still finish alone on the true
+// clock survives the shed.
+func TestStepExpiryShedIgnoresLead(t *testing.T) {
+	lead := 5 * time.Millisecond
+	p, d := harness(t, batching.NewStatic(1), func(c *Config) { c.DecisionLead = lead })
+	enqueue(t, p, d, 0, d.procTime(1)+lead/2, 1)
+	st := d.Step(0)
+	if len(st.Dropped) != 0 || len(st.Batch.Queries) != 1 {
+		t.Fatalf("a query with %v of true slack was not executed: %+v", lead/2, st)
+	}
+}

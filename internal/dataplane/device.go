@@ -90,7 +90,10 @@ type Device struct {
 	loadingUntil time.Duration
 	down         bool
 	queue        []Query
-	dropped      []Drop // Step's scratch, reused so steady-state drops do not allocate
+	// Step's scratch, reused so steady-state steps do not allocate: the drops
+	// it returns, and the policy's context with its view of the queue.
+	dropped []Drop
+	ctx     batching.Context
 
 	// The in-flight batch. busyAccum is the total completed execution time;
 	// with inflight.Start it yields the tsdb utilization series.
@@ -290,6 +293,9 @@ func (d *Device) State(now time.Duration) tsdb.DeviceState {
 // can no longer meet their deadline, consult the policy, and start a batch
 // or name the next wake-up. Drivers call it after every enqueue, batch
 // completion, hosting change and wake-up; it is a no-op while a batch runs.
+// The policy decides as of now+Config.DecisionLead and a batching wait's
+// WakeAt is that much before the policy's, so a Step at WakeAt executes; the
+// expiry shed, Batch.Start and the queries' stamps use now itself.
 func (d *Device) Step(now time.Duration) Step {
 	var st Step
 	if d.busy || d.down {
@@ -317,18 +323,17 @@ func (d *Device) Step(now time.Duration) Step {
 		return st
 	}
 
-	pq := make([]batching.Query, len(d.queue))
-	for i, q := range d.queue {
-		pq[i] = batching.Query{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline}
+	// The policy alone sees the clock run ahead by the driver's lead.
+	lead := d.p.cfg.DecisionLead
+	ctx := &d.ctx
+	ctx.Now = now + lead
+	ctx.Queue = ctx.Queue[:0]
+	for _, q := range d.queue {
+		ctx.Queue = append(ctx.Queue, batching.Query{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline})
 	}
-	dec := d.policy.Decide(&batching.Context{
-		Now:         now,
-		Queue:       pq,
-		MaxBatch:    d.maxBatch,
-		MemBatch:    d.memBatch,
-		ProcTime:    d.procTime,
-		ArrivalRate: d.arrivalRate(),
-	})
+	ctx.MaxBatch, ctx.MemBatch = d.maxBatch, d.memBatch
+	ctx.ArrivalRate = d.arrivalRate()
+	dec := d.policy.Decide(ctx)
 	if len(dec.Drop) > 0 {
 		d.p.tc.BatchDrops.Add(int64(len(dec.Drop)))
 		next := 0 // dec.Drop lists ascending queue indices
@@ -345,7 +350,7 @@ func (d *Device) Step(now time.Duration) Step {
 		d.p.tc.BatchIdles.Inc()
 	case batching.Wait:
 		d.p.tc.BatchWaits.Inc()
-		st.Wake, st.WakeAt = true, dec.WakeAt
+		st.Wake, st.WakeAt = true, dec.WakeAt-lead
 		if st.WakeAt < now {
 			st.WakeAt = now
 		}

@@ -57,6 +57,13 @@ type Config struct {
 	MaxRetries       int
 	PlanHistory      int
 	Seed             uint64
+	// DecisionLead runs the batching policy's clock that far ahead of the
+	// true one: Device.Step decides as of now+DecisionLead and names its
+	// wake-ups that much earlier, so a driver whose timers fire late (the
+	// live server's wall clock) starts a batch before T_max_wait rather than
+	// after it. Everything a Step stamps or accounts keeps the true now. The
+	// simulator leaves it zero.
+	DecisionLead time.Duration
 
 	Tracer    *telemetry.Tracer
 	Telemetry *telemetry.Registry
@@ -205,6 +212,7 @@ func New(cfg Config) *Plane {
 // AddDevice appends a healthy, idle device to the fleet.
 func (p *Plane) AddDevice(dev cluster.Device) *Device {
 	d := &Device{p: p, dev: dev, policy: p.cfg.Batching()}
+	d.ctx.ProcTime = d.procTime
 	p.Devices = append(p.Devices, d)
 	p.down = append(p.down, false)
 	return d

@@ -215,6 +215,7 @@ func NewServer(cfg Config) (*Server, error) {
 		MaxRetries:      cfg.MaxRetries,
 		PlanHistory:     cfg.PlanHistory,
 		Seed:            cfg.Seed,
+		DecisionLead:    decisionLead,
 		Tracer:          cfg.Tracer,
 		Telemetry:       cfg.Telemetry,
 		TSDB:            cfg.TSDB,
@@ -457,17 +458,22 @@ func (s *Server) Infer(family string) Response {
 	}
 	now := s.now()
 	s.inflight.Add(1)
+	reply := make(chan dataplane.Reply, 1)
+	d := -1
+	var dropped dataplane.Reply
+	// One hold books the arrival and routes it or, draining, drops it.
 	s.mu.Lock()
 	q := s.plane.Arrive(now, f) //lint:allow lockorder established order Server.mu → Tracer.mu and Server.mu → tsdb.Recorder.mu for every accounting transition; both sinks' locks are leaves on the data path (the recorder only calls out from Sample, which never runs under Server.mu)
-	s.mu.Unlock()
-	q.Reply = make(chan dataplane.Reply, 1)
+	q.Reply = reply
 	if s.draining.Load() {
 		// Graceful drain: refuse new work; in-flight batches keep executing.
-		s.drop(now, q, telemetry.CauseDraining)
+		dropped = s.plane.Drop(now, q, telemetry.CauseDraining) //lint:allow lockorder established order Server.mu → Guard.mu for every routing and accounting transition (also liveWorker.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
 	} else {
-		s.dispatch(now, q)
+		d, dropped = s.routeLocked(now, q)
 	}
-	r := <-q.Reply
+	s.mu.Unlock()
+	s.hand(d, q, dropped)
+	r := <-reply
 	resp := Response{
 		Outcome:   Outcome(r.Status),
 		Family:    family,
@@ -483,10 +489,27 @@ func (s *Server) Infer(family string) Response {
 // dispatch routes q and hands it to the picked worker, or drops it.
 func (s *Server) dispatch(now time.Duration, q dataplane.Query) {
 	s.mu.Lock()
-	d, cause := s.plane.Route(now, q) //lint:allow lockorder established order Server.mu → Guard.mu (also liveWorker.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
+	d, dropped := s.routeLocked(now, q)
 	s.mu.Unlock()
+	s.hand(d, q, dropped)
+}
+
+// routeLocked picks q's device under s.mu; when there is none (d < 0) it
+// accounts the drop in the same hold and returns its reply.
+func (s *Server) routeLocked(now time.Duration, q dataplane.Query) (d int, dropped dataplane.Reply) {
+	d, cause := s.plane.Route(now, q)
 	if d < 0 {
-		s.drop(now, q, cause)
+		dropped = s.plane.Drop(now, q, cause)
+	}
+	return d, dropped
+}
+
+// hand finishes what a routing hold decided, after s.mu is released — a
+// worker's mutex is never taken under it: q goes to worker d, or its caller
+// gets the drop.
+func (s *Server) hand(d int, q dataplane.Query, dropped dataplane.Reply) {
+	if d < 0 {
+		s.reply(q, dropped)
 		return
 	}
 	s.workers[d].enqueue(q)

@@ -11,11 +11,19 @@ import (
 	"proteus/internal/telemetry"
 )
 
+// decisionLead is how far ahead of the wall clock the workers' batching
+// policies decide (dataplane.Config.DecisionLead). The simulator cuts a
+// batching wait on the exact T_max_wait edge; a wall-clock timer fires late by
+// the scheduler's jitter, which on the edge turns into deadline misses, so
+// live waits end — and the batch starts — this much before it.
+const decisionLead = 5 * time.Millisecond
+
 // liveWorker is the goroutine that owns one device: it runs the engine's
 // batching steps under mu and "executes" the batches they start by sleeping
 // for the profiled latency. Arrivals and model swaps wake it through notify;
-// batching waits and model loads are one timer sleep, interruptible by both
-// and by shutdown.
+// batching waits and model loads are one timer wait, interruptible by both
+// and by shutdown. It takes one step per event: between two steps it always
+// blocks on an execution, the timer, notify or stopc.
 type liveWorker struct {
 	sys *Server
 
@@ -27,15 +35,23 @@ type liveWorker struct {
 
 	notify chan struct{}
 	stopc  chan struct{}
+
+	// Owned by the loop goroutine: the timer behind every wait, and the
+	// fates of the batch being completed.
+	timer   *time.Timer
+	replies []dataplane.Reply
 }
 
 func newLiveWorker(s *Server, id int, dev *dataplane.Device) *liveWorker {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop() // waitUntil arms it
 	return &liveWorker{
 		sys:    s,
 		dev:    dev,
 		rng:    numeric.NewRNG(s.cfg.Seed ^ uint64(id+1)),
 		notify: make(chan struct{}, 1),
 		stopc:  make(chan struct{}),
+		timer:  timer,
 	}
 }
 
@@ -95,17 +111,23 @@ func (w *liveWorker) shutdown() {
 	w.mu.Unlock()
 }
 
-// sleepInterruptible sleeps for d, returning early on a wake-up or stop.
-func (w *liveWorker) sleepInterruptible(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+// waitUntil blocks until the server clock reads at, a wake-up or stop. A
+// time already past still goes through the timer, so every return is an event.
+func (w *liveWorker) waitUntil(at time.Duration) {
+	w.timer.Reset(at - w.sys.now())
 	select {
-	case <-timer.C:
+	case <-w.timer.C:
+		return
 	case <-w.notify:
 	case <-w.stopc:
+	}
+	if !w.timer.Stop() {
+		// It fired meanwhile. A tick this misses ends the next wait early,
+		// which costs one more step and nothing else.
+		select {
+		case <-w.timer.C:
+		default:
+		}
 	}
 }
 
@@ -118,7 +140,7 @@ func (w *liveWorker) idleWait() {
 }
 
 // loop is the worker goroutine: take a batching step, publish its drops,
-// then execute the batch, sleep until the wake-up, or wait for work.
+// then execute the batch, wait until the wake-up, or wait for work.
 func (w *liveWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	s := w.sys
@@ -144,7 +166,7 @@ func (w *liveWorker) loop(wg *sync.WaitGroup) {
 			// Every wake-up re-checks the device: a failure or shutdown
 			// mid-load must not sleep the load out.
 			loading = true
-			w.sleepInterruptible(st.WakeAt - now)
+			w.waitUntil(st.WakeAt)
 			continue
 		}
 		if loading {
@@ -156,19 +178,18 @@ func (w *liveWorker) loop(wg *sync.WaitGroup) {
 		case len(st.Batch.Queries) > 0:
 			w.execute(st.Batch)
 		case st.Wake:
-			// The simulator can cut waits to the exact T_max_wait edge; on
-			// wall clocks, scheduler jitter would turn that into misses, so
-			// the live worker wakes a few milliseconds early.
-			const jitterMargin = 5 * time.Millisecond
-			w.sleepInterruptible(st.WakeAt - jitterMargin - now)
+			// WakeAt already leads T_max_wait by decisionLead: the step the
+			// timer brings on executes.
+			w.waitUntil(st.WakeAt)
 		default:
 			w.idleWait()
 		}
 	}
 }
 
-// execute simulates hardware execution: sleep for the batch's profiled
-// latency (with noise), then complete every query at one timestamp.
+// execute simulates hardware execution: sleep until the batch's profiled
+// latency (with noise) has passed since its start, then complete every query
+// at one timestamp.
 func (w *liveWorker) execute(b dataplane.Batch) {
 	s := w.sys
 	s.plane.TraceBatch(b)
@@ -179,7 +200,9 @@ func (w *liveWorker) execute(b dataplane.Batch) {
 		w.mu.Unlock()
 		lat = time.Duration(math.Max(0, float64(lat)*noise))
 	}
-	time.Sleep(lat)
+	// The device has been running since b.Start, not since this goroutine
+	// got here: sleep what is left on the server clock.
+	time.Sleep(b.Start + lat - s.now())
 	w.mu.Lock()
 	now := s.now()
 	_, ok := w.dev.Finish(now)
@@ -191,10 +214,15 @@ func (w *liveWorker) execute(b dataplane.Batch) {
 		}
 		return
 	}
+	// One hold of the server's mutex accounts the whole batch; the callers
+	// are answered after it is released.
+	w.replies = w.replies[:0]
+	s.mu.Lock()
 	for _, q := range b.Queries {
-		s.mu.Lock()
-		r := s.plane.Complete(now, q, b)
-		s.mu.Unlock()
-		s.reply(q, r)
+		w.replies = append(w.replies, s.plane.Complete(now, q, b))
+	}
+	s.mu.Unlock()
+	for i, q := range b.Queries {
+		s.reply(q, w.replies[i])
 	}
 }

@@ -333,7 +333,16 @@ type Arrival struct {
 // times are uniform in the bin — i.e. a piecewise-homogeneous Poisson
 // process, the paper's §6.1.3 construction. The result is sorted by time.
 func (tr *Trace) Arrivals(rng *numeric.RNG) []Arrival {
-	var out []Arrival
+	// Sized once for the expected count plus four standard deviations of the
+	// Poisson total: regrowing a list of ~10^6 arrivals by appends allocates
+	// and copies five times its final size.
+	expected := 0.0
+	for _, row := range tr.Demand {
+		for _, rate := range row {
+			expected += rate
+		}
+	}
+	out := make([]Arrival, 0, int(expected+4*math.Sqrt(expected))+1)
 	for t, row := range tr.Demand {
 		for f, rate := range row {
 			n := rng.Poisson(rate)
