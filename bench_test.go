@@ -11,6 +11,7 @@ package proteus_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,23 +221,32 @@ func BenchmarkFig10MILPScalability(b *testing.B) {
 	}
 }
 
-// simVsLive sends one seeded arrival list (two families, ≈120 QPS for 3 s)
-// through the discrete-event simulator and through the wall-clock live
-// cluster — the same engine under its two drivers — and returns both
-// summaries: the paper's §6.2 simulator-fidelity check (they report 0.12%
-// accuracy / 0.82% throughput deltas).
-func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
-	tb.Helper()
+// simLiveLegs is what one arrival list did to the two drivers of the shared
+// serving engine: their summaries and their controllers' audit logs.
+type simLiveLegs struct {
+	sim, live           proteus.Summary
+	simPlans, livePlans []proteus.PlanRecord
+}
+
+// zooFamilies returns the named families in the model zoo's order.
+func zooFamilies(names ...string) []models.Family {
 	var fams []models.Family
 	for _, f := range models.Zoo() {
-		if f.Name == "efficientnet" || f.Name == "mobilenet" {
-			fams = append(fams, f)
+		for _, name := range names {
+			if f.Name == name {
+				fams = append(fams, f)
+			}
 		}
 	}
+	return fams
+}
+
+// runSimAndLive sends one arrival list over fams through the discrete-event
+// simulator and through the wall-clock live cluster, both planned for demand
+// at the start and re-planning every controlPeriod.
+func runSimAndLive(tb testing.TB, fams []models.Family, demand []float64, arrivals []trace.Arrival, window, controlPeriod time.Duration) simLiveLegs {
+	tb.Helper()
 	names := models.FamilyNames(fams)
-	const seconds = 3
-	demand := []float64{60, 60}
-	arrivals := trace.NewFlat(names, demand, seconds).Arrivals(numeric.NewRNG(13))
 	newAllocator := func() proteus.Allocator {
 		a, err := proteus.NewAllocator("infaas_v2", nil)
 		if err != nil {
@@ -249,6 +259,7 @@ func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
 		Cluster:         cluster.ScaledTestbed(8),
 		Families:        fams,
 		Allocator:       newAllocator(),
+		ControlPeriod:   controlPeriod,
 		MetricsInterval: time.Second, // align bins with the live collector
 		Seed:            9,
 	})
@@ -256,7 +267,7 @@ func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
 		tb.Fatal(err)
 	}
 	// RunArrivals fails unless arrivals = served + late + dropped per family.
-	simRes, err := sys.RunArrivals(arrivals, seconds*time.Second, demand)
+	simRes, err := sys.RunArrivals(arrivals, window, demand)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -265,8 +276,8 @@ func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
 		Cluster:       cluster.ScaledTestbed(8),
 		Families:      fams,
 		Allocator:     newAllocator(),
-		ControlPeriod: time.Minute, // one plan for the whole run, as in the simulator
-		ExecNoiseFrac: -1,          // the simulator's executor has no noise either
+		ControlPeriod: controlPeriod,
+		ExecNoiseFrac: -1, // the simulator's executor has no noise either
 		InitialDemand: demand,
 		Seed:          9,
 	})
@@ -292,7 +303,21 @@ func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
 	if !srv.Drain(time.Second) {
 		tb.Fatal("live server did not drain")
 	}
-	return simRes.Summary, srv.Summary()
+	return simLiveLegs{sim: simRes.Summary, live: srv.Summary(), simPlans: simRes.Plans, livePlans: srv.History()}
+}
+
+// simVsLive sends one seeded arrival list (two families, ≈120 QPS for 3 s)
+// through both drivers under one plan for the whole run and returns both
+// summaries: the paper's §6.2 simulator-fidelity check (they report 0.12%
+// accuracy / 0.82% throughput deltas).
+func simVsLive(tb testing.TB) (sim, live proteus.Summary) {
+	tb.Helper()
+	fams := zooFamilies("efficientnet", "mobilenet")
+	const seconds = 3
+	demand := []float64{60, 60}
+	arrivals := trace.NewFlat(models.FamilyNames(fams), demand, seconds).Arrivals(numeric.NewRNG(13))
+	legs := runSimAndLive(tb, fams, demand, arrivals, seconds*time.Second, time.Minute)
+	return legs.sim, legs.live
 }
 
 // TestSimVsLive is the differential test between the two drivers of the
@@ -340,6 +365,56 @@ func TestSimVsLive(t *testing.T) {
 		}
 		msg := fmt.Sprintf("attempt %d: on-time share sim %.2f%% / live %.2f%% (|Δ| %.2f, limit 5 points), effective accuracy sim %.2f%% / live %.2f%% (|Δ| %.2f, limit 1 point)",
 			attempt, onTime(sim), onTime(live), dOnTime, sim.EffectiveAccuracy, live.EffectiveAccuracy, dAccuracy)
+		if attempt == attempts {
+			t.Fatal(msg)
+		}
+		t.Log(msg)
+	}
+}
+
+// TestSimVsLiveReplanDecisions pins the two drivers to one re-planning
+// rule: the demand estimate is headroomed before it is compared with the
+// last plan's (headroomed) demand, 10 % + 1 QPS apart meaning "changed".
+// One family planned for 200 QPS gets evenly spaced arrivals at 229 QPS —
+// 14.5 % up — for 2.6 s with a 2 s control period, so each driver's one
+// periodic tick sees 229 QPS over two complete seconds: 240.5 against 210,
+// past the 22 QPS threshold, and both must re-plan. When the live driver
+// compared the bare 229 with 210 it kept its plan up to 232 QPS, where the
+// simulator had been re-planning since 221. The live count may lose up to
+// eight arrivals a second (3.5 %) to a late start or a stall before it
+// drops under 221; a run that loses more is repeated.
+func TestSimVsLiveReplanDecisions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock differential run (≈3 s)")
+	}
+	fams := zooFamilies("efficientnet")
+	const rate, window = 229, 2600 * time.Millisecond
+	var arrivals []trace.Arrival
+	for i := 0; ; i++ {
+		at := time.Duration(i) * time.Second / rate
+		if at >= window {
+			break
+		}
+		arrivals = append(arrivals, trace.Arrival{Time: at})
+	}
+	triggers := func(plans []proteus.PlanRecord) string {
+		var out []string
+		for _, p := range plans {
+			out = append(out, p.Trigger)
+		}
+		return strings.Join(out, ",")
+	}
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		legs := runSimAndLive(t, fams, []float64{200}, arrivals, window, 2*time.Second)
+		sim, live := triggers(legs.simPlans), triggers(legs.livePlans)
+		if sim != "initial,periodic" {
+			t.Fatalf("simulator planned on %q, want initial,periodic", sim)
+		}
+		if live == sim {
+			return
+		}
+		msg := fmt.Sprintf("attempt %d: live planned on %q, the simulator on %q", attempt, live, sim)
 		if attempt == attempts {
 			t.Fatal(msg)
 		}

@@ -3,6 +3,11 @@ package allocator
 import (
 	"testing"
 	"time"
+
+	"proteus/internal/cluster"
+	"proteus/internal/models"
+	"proteus/internal/profiles"
+	"proteus/internal/trace"
 )
 
 // TestMILPWarmStartMatchesColdStart re-runs the same allocator instance
@@ -24,28 +29,7 @@ func TestMILPWarmStartMatchesColdStart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d cold: %v", i, err)
 		}
-		if len(aw.Hosted) != len(ac.Hosted) {
-			t.Fatalf("step %d: hosted count %d vs %d", i, len(aw.Hosted), len(ac.Hosted))
-		}
-		for dev, vw := range aw.Hosted {
-			vc := ac.Hosted[dev]
-			switch {
-			case vw == nil != (vc == nil):
-				t.Fatalf("step %d device %d: warm hosts %v, cold hosts %v", i, dev, vw, vc)
-			case vw != nil && (vw.Family != vc.Family || vw.Variant != vc.Variant):
-				t.Fatalf("step %d device %d: warm hosts %v, cold hosts %v", i, dev, vw, vc)
-			}
-		}
-		for q := range aw.Routing {
-			for dev := range aw.Routing[q] {
-				if aw.Routing[q][dev] != ac.Routing[q][dev] {
-					t.Fatalf("step %d routing[%d][%d]: warm=%v cold=%v", i, q, dev, aw.Routing[q][dev], ac.Routing[q][dev])
-				}
-			}
-		}
-		if aw.PredictedAccuracy != ac.PredictedAccuracy {
-			t.Fatalf("step %d: accuracy warm=%v cold=%v", i, aw.PredictedAccuracy, ac.PredictedAccuracy)
-		}
+		requireSamePlan(t, i, aw, ac)
 	}
 	if warm.prevBasis == nil {
 		t.Fatal("warm allocator never captured a basis to carry forward")
@@ -57,6 +41,92 @@ func TestMILPWarmStartMatchesColdStart(t *testing.T) {
 	}
 	if cold.warmBasis(nil) != nil {
 		t.Fatal("ColdStart allocator must never hand out a warm basis")
+	}
+}
+
+// requireSamePlan fails unless the warm-started and the cold-started plan
+// of one step agree exactly: hosting, routing fractions and accuracy.
+func requireSamePlan(t *testing.T, i int, aw, ac *Allocation) {
+	t.Helper()
+	if len(aw.Hosted) != len(ac.Hosted) {
+		t.Fatalf("step %d: hosted count %d vs %d", i, len(aw.Hosted), len(ac.Hosted))
+	}
+	for dev, vw := range aw.Hosted {
+		vc := ac.Hosted[dev]
+		switch {
+		case vw == nil != (vc == nil):
+			t.Fatalf("step %d device %d: warm hosts %v, cold hosts %v", i, dev, vw, vc)
+		case vw != nil && (vw.Family != vc.Family || vw.Variant != vc.Variant):
+			t.Fatalf("step %d device %d: warm hosts %v, cold hosts %v", i, dev, vw, vc)
+		}
+	}
+	for q := range aw.Routing {
+		for dev := range aw.Routing[q] {
+			if aw.Routing[q][dev] != ac.Routing[q][dev] {
+				t.Fatalf("step %d routing[%d][%d]: warm=%v cold=%v", i, q, dev, aw.Routing[q][dev], ac.Routing[q][dev])
+			}
+		}
+	}
+	if aw.PredictedAccuracy != ac.PredictedAccuracy {
+		t.Fatalf("step %d: accuracy warm=%v cold=%v", i, aw.PredictedAccuracy, ac.PredictedAccuracy)
+	}
+}
+
+// TestDefaultClusterReplayKeepsRootBasis replays eight control periods of
+// the diurnal trace on the default cluster (20 devices, the whole zoo) — the
+// shape of the benchmark's alloc_replay — through a warm-starting and a
+// cold-starting allocator. Every period must publish a fresh root basis:
+// the LP has no presolve in front of it and a nil basis would mean the
+// revised simplex gave the root relaxation up to the dense tableau. And the
+// two allocators' plans must be identical, period by period.
+func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
+	fams := models.Zoo()
+	slos := make([]time.Duration, len(fams))
+	for q, f := range fams {
+		slos[q] = profiles.FamilySLO(f, 2)
+	}
+	const periods, periodSeconds = 8, 30
+	tr := trace.NewDiurnal(trace.DiurnalConfig{
+		Seconds:           periods * periodSeconds,
+		BaseQPS:           180,
+		DiurnalAmplitude:  380,
+		PeriodSeconds:     3 * periods * periodSeconds,
+		Spikes:            3,
+		SpikeMagnitude:    70,
+		SpikeWidthSeconds: periods * periodSeconds / 20,
+		NoiseFrac:         0.03,
+		ZipfAlpha:         1.001,
+		FamilyPhaseSpread: 0.4,
+		Families:          models.FamilyNames(fams),
+		Seed:              7,
+	})
+	// A short stall limit: the root relaxation is what is under test, not
+	// how far the search behind it gets.
+	warm := NewMILP(&MILPOptions{StallNodes: 40})
+	cold := NewMILP(&MILPOptions{StallNodes: 40, ColdStart: true})
+	for p := 0; p < periods; p++ {
+		demand := make([]float64, len(fams))
+		for s := p * periodSeconds; s < (p+1)*periodSeconds; s++ {
+			for q := range demand {
+				demand[q] += tr.Demand[s][q] * 1.05 / periodSeconds
+			}
+		}
+		input := func() *Input {
+			return &Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand}
+		}
+		var plans [2]*Allocation
+		for k, m := range []*MILP{warm, cold} {
+			before := m.prevBasis
+			plan, err := m.Allocate(input())
+			if err != nil {
+				t.Fatalf("period %d: %v", p, err)
+			}
+			if m.prevBasis == nil || m.prevBasis == before {
+				t.Fatalf("period %d (cold=%v): no root basis — the relaxation fell back to the dense tableau", p, k == 1)
+			}
+			plans[k] = plan
+		}
+		requireSamePlan(t, p, plans[0], plans[1])
 	}
 }
 

@@ -131,12 +131,15 @@ type Plane struct {
 	// per event.
 	tc telemetry.SystemCounters
 	rc telemetry.RouterCounters
-	// pendingBurns defers burn-start incident bundles until after the
-	// sampling tick that detected them has refreshed the flight recorder's
-	// rings, so a bundle always includes the burn's own second. Burn
-	// transitions only fire inside Recorder.Sample, so only the goroutine
-	// (or event) that calls Sample touches it.
-	pendingBurns []tsdb.BurnEvent
+	// burnCursor is Sample's position in the tsdb recorder's burn log: the
+	// burn starts logged since the previous tick get their incident bundles
+	// once this tick has refreshed the flight recorder's rings, so a bundle
+	// always includes the burn's own second. Burn transitions fire on the
+	// data path (Recorder.Arrival and Violation) as well as inside
+	// Recorder.Sample, on whichever goroutine got there, so Sample reads
+	// them out of the recorder under its lock; only the goroutine (or event)
+	// that calls Sample touches the cursor.
+	burnCursor int
 }
 
 // New assembles the engine for cfg with every device idle and an empty
@@ -448,26 +451,36 @@ func (p *Plane) FailureIncident(now time.Duration, d int) {
 
 // Sample is the periodic observability tick: it records states (one
 // Device.State per device; nil without a tsdb recorder) with the overload
-// guard's signal, refreshes the flight recorder's rings, then fires the
-// burn-start bundles the sample just detected so they capture it.
+// guard's signal, refreshes the flight recorder's rings, then snapshots an
+// incident bundle for every burn that started since the previous tick, so
+// each captures its own second.
 func (p *Plane) Sample(now time.Duration, states []tsdb.DeviceState) {
 	for d := range states {
 		states[d].SatMilli, states[d].Pressured = p.Guard.DeviceSignal(d)
 	}
 	p.cfg.TSDB.Sample(now, states)
+	if p.cfg.Flight == nil {
+		return
+	}
 	p.cfg.Flight.Tick(now)
-	for _, ev := range p.pendingBurns {
+	var burns []tsdb.BurnEvent
+	burns, p.burnCursor = p.cfg.TSDB.BurnsSince(p.burnCursor)
+	for _, ev := range burns {
+		if !ev.Start {
+			continue
+		}
 		p.cfg.Flight.Trigger(ev.At, "slo_burn",
 			fmt.Sprintf("family=%d short=%.2f long=%.2f", ev.Family, ev.ShortBurn, ev.LongBurn),
 			ev.Family, -1)
 	}
-	p.pendingBurns = p.pendingBurns[:0]
 }
 
 // onBurn receives SLO burn-state transitions from the tsdb recorder: they
 // enter the lifecycle trace and the controller's audit log, and the driver's
-// OnBurnStart hook may re-allocate early. Runs under the recorder's lock, so
-// it must not call back into the recorder.
+// OnBurnStart hook may re-allocate early. Runs under the recorder's lock —
+// inside Recorder.Sample, or on the data path inside Arrival or Violation,
+// where the live server also holds its mutex — so it must not call back
+// into the recorder and touches no Plane state of its own.
 func (p *Plane) onBurn(ev tsdb.BurnEvent) {
 	kind := telemetry.EvSLOBurnStart
 	if !ev.Start {
@@ -485,17 +498,10 @@ func (p *Plane) onBurn(ev tsdb.BurnEvent) {
 	// never waiting for the next control period. The guard's lock is a leaf,
 	// so calling it under the recorder's lock is safe.
 	p.publishOverload(p.Guard.OnBurn(ev.At, ev.Family, ev.Start))
-	if !ev.Start {
-		return
-	}
-	// A burn's leading edge snapshots an incident bundle — deferred to just
-	// after the sampling tick completes (Sample flushes pendingBurns), both
-	// because Trigger must not run under the recorder's lock with a stale
-	// ring and so the bundle includes the burn's own second.
-	if p.cfg.Flight != nil {
-		p.pendingBurns = append(p.pendingBurns, ev)
-	}
-	if p.cfg.OnBurnStart != nil {
+	// A burn's leading edge also snapshots an incident bundle, but not from
+	// here: Trigger must not run under the recorder's lock with a stale ring,
+	// so the next Sample picks the event up from the recorder's burn log.
+	if ev.Start && p.cfg.OnBurnStart != nil {
 		p.cfg.OnBurnStart(ev.At)
 	}
 }

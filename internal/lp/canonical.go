@@ -1,6 +1,6 @@
 // Solution canonicalization for the revised simplex: makes the reported
-// optimum of a block a function of the problem alone, independent of the
-// warm-start basis and the pivot path that reached optimality. Three steps:
+// optimum a function of the problem alone, independent of the warm-start
+// basis and the pivot path that reached optimality. Three steps:
 //
 //  1. Nonbasic columns with decisively nonzero reduced cost are frozen at
 //     their bounds; a secondary objective with strictly positive, pairwise
@@ -188,9 +188,8 @@ func (r *revised) crossoverSet(val []float64) []int32 {
 	return chosen
 }
 
-// extract maps the solver state to a Solution in the block's variable
-// space, clamping residual drift onto finite bounds and accumulating the
-// objective in ascending variable order.
+// extract maps the solver state to a Solution, clamping residual drift onto
+// finite bounds and accumulating the objective in ascending variable order.
 func (r *revised) extract(st Status) Solution {
 	x := make([]float64, r.n)
 	for j := 0; j < r.n; j++ {
@@ -209,11 +208,10 @@ func (r *revised) extract(st Status) Solution {
 	return Solution{Status: st, Objective: obj, X: x, Iters: r.iters}
 }
 
-// basisOut snapshots the current basis in the block's coordinates. The
-// solver's inverse is handed over by reference (the solver is discarded
-// after extraction, and setBasis copies before mutating) together with the
-// matrix fingerprint it is valid for, enabling factorization-free warm
-// starts on same-matrix re-solves.
+// basisOut snapshots the current basis. The solver's inverse is handed over
+// by reference (the solver is discarded after extraction, and setBasis
+// copies before mutating) together with the matrix fingerprint it is valid
+// for, enabling factorization-free warm starts on same-matrix re-solves.
 func (r *revised) basisOut() *Basis {
 	b := &Basis{rowVar: make([]int32, r.m), stat: make([]uint8, r.N)}
 	copy(b.rowVar, r.basis)
@@ -226,12 +224,12 @@ func (r *revised) basisOut() *Basis {
 	return b
 }
 
-// solveBlock runs the revised simplex on one (sub)problem. The second
-// return is false when the solver hit numerical trouble and the caller
-// should fall back to the dense tableau for this block.
-func solveBlock(p *Problem, o Options, warm *Basis) (Solution, bool) {
+// solveRevised runs the revised simplex on p, started from o.WarmBasis. The
+// second return is false when the solver hit numerical trouble and the
+// caller should fall back to the dense tableau.
+func solveRevised(p *Problem, o Options) (Solution, bool) {
 	r := newRevised(p, o)
-	if !r.setBasis(warm) {
+	if !r.setBasis(o.WarmBasis) {
 		return Solution{}, false
 	}
 	if r.stretchSetup() {

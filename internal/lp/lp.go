@@ -9,13 +9,12 @@
 // internal/milp, standing in for the commercial solver (Gurobi) used by the
 // Proteus paper.
 //
-// The default pipeline (presolve.go, revised.go) presolves the problem —
-// variable fixing, dominated-column elimination, redundant-row removal,
-// singleton-column substitution, independent-block decomposition — and
-// solves each reduced block with a sparse revised simplex (CSC constraint
-// matrix, explicit basis inverse with deterministic refactorization,
-// bound-stretch composite phase 1) that accepts a warm-start Basis; a
-// postsolve pass maps the reduced solution back deterministically. The
+// The default solver (revised.go) is a sparse revised simplex on the whole
+// problem — CSC constraint matrix, explicit basis inverse with deterministic
+// refactorization, bound-stretch composite phase 1 — that accepts a
+// warm-start Basis and can canonicalize its optimum (canonical.go) so warm
+// and cold solves agree bitwise. There is no presolve: the allocator's
+// problems gave it nothing to reduce (DESIGN.md "Solver traffic"). The
 // original dense two-phase tableau (tableau.go) is retained both as the
 // fallback when the revised path hits numerical trouble and as an
 // independent cross-check oracle (Options.Dense). Both solvers support
@@ -209,21 +208,12 @@ func (p *Problem) AddConstraint(terms []Term, rel Relation, rhs float64) int {
 	return len(p.rows) - 1
 }
 
-// Constraint returns row i's terms, relation and right-hand side. The
-// returned slice is the problem's own storage; callers must not modify it.
-// It exists so layers above (e.g. the MILP solver's component decomposition)
-// can inspect the constraint graph without rebuilding it.
-func (p *Problem) Constraint(i int) (terms []Term, rel Relation, rhs float64) {
-	r := p.rows[i]
-	return r.terms, r.rel, r.rhs
-}
-
-// Basis is a simplex basis in the coordinates of the full problem it was
-// extracted from: n structural columns followed by one logical (slack)
-// column per constraint row. It records which column is basic in each row
-// and the resting bound of every nonbasic column. A Basis is immutable once
-// published by a solve, so it can be shared freely across goroutines;
-// warm-starting a solve never mutates the Basis it was given.
+// Basis is a simplex basis of the problem it was extracted from: n
+// structural columns followed by one logical (slack) column per constraint
+// row. It records which column is basic in each row and the resting bound
+// of every nonbasic column. A Basis is immutable once published by a solve,
+// so it can be shared freely across goroutines; warm-starting a solve never
+// mutates the Basis it was given.
 type Basis struct {
 	rowVar []int32 // column basic in row i (structural j, or logical n+i′)
 	stat   []uint8 // varStatus per column, length n+m
@@ -246,92 +236,16 @@ func (b *Basis) Shape() (n, m int) {
 	return len(b.stat) - len(b.rowVar), len(b.rowVar)
 }
 
-// NewLogicalBasis returns the all-logical starting basis for an n-variable,
-// m-row problem: every row's slack is basic and every structural variable
-// rests at its lower bound. It is the deterministic cold-start basis.
-func NewLogicalBasis(n, m int) *Basis {
-	b := &Basis{rowVar: make([]int32, m), stat: make([]uint8, n+m)}
-	for i := 0; i < m; i++ {
-		b.rowVar[i] = int32(n + i)
-		b.stat[n+i] = uint8(basic)
-	}
-	return b
-}
-
-// Project maps the basis into a subproblem whose variable k is original
-// variable vars[k] and whose row r is original row rows[r]. A basic column
-// that does not survive into the subproblem is replaced by the row's own
-// logical, which phase 1 then repairs; projection is a performance hint, not
-// a feasibility promise.
-func (b *Basis) Project(vars, rows []int) *Basis {
-	if b == nil {
-		return nil
-	}
-	nOrig, _ := b.Shape()
-	inv := make(map[int]int, len(vars))
-	for k, v := range vars {
-		inv[v] = k
-	}
-	n, m := len(vars), len(rows)
-	out := &Basis{rowVar: make([]int32, m), stat: make([]uint8, n+m)}
-	for k, v := range vars {
-		out.stat[k] = b.stat[v]
-	}
-	for r, orig := range rows {
-		out.stat[n+r] = b.stat[nOrig+orig]
-		bv := int(b.rowVar[orig])
-		switch {
-		case bv < nOrig:
-			if k, ok := inv[bv]; ok {
-				out.rowVar[r] = int32(k)
-				out.stat[k] = uint8(basic)
-				continue
-			}
-		case bv == nOrig+orig:
-			out.rowVar[r] = int32(n + r)
-			out.stat[n+r] = uint8(basic)
-			continue
-		}
-		out.rowVar[r] = int32(n + r)
-		out.stat[n+r] = uint8(basic)
-	}
-	return out
-}
-
-// Absorb writes a subproblem basis back into b using the same index maps
-// Project takes. It is the inverse plumbing used while assembling a full
-// basis from independently solved blocks; callers must not Absorb into a
-// basis that has already been published to a solve.
-func (b *Basis) Absorb(sub *Basis, vars, rows []int) {
-	if b == nil || sub == nil {
-		return
-	}
-	nSub := len(vars)
-	nOrig, _ := b.Shape()
-	for k, v := range vars {
-		b.stat[v] = sub.stat[k]
-	}
-	for r, orig := range rows {
-		b.stat[nOrig+orig] = sub.stat[nSub+r]
-		bv := int(sub.rowVar[r])
-		if bv < nSub {
-			b.rowVar[orig] = int32(vars[bv])
-		} else {
-			b.rowVar[orig] = int32(nOrig + rows[bv-nSub])
-		}
-	}
-}
-
 // Solution is the result of a solve.
 type Solution struct {
 	Status    Status
 	Objective float64
 	X         []float64 // value per variable, valid when Status == Optimal
 	Iters     int
-	// Basis is the optimal basis in full-problem coordinates, usable to
-	// warm-start a later solve of a same-shaped problem. It is nil when the
-	// solve fell back to the dense tableau (Options.Dense or numerical
-	// trouble) or did not reach optimality.
+	// Basis is the optimal basis, usable to warm-start a later solve of a
+	// same-shaped problem. It is nil when the solve fell back to the dense
+	// tableau (Options.Dense or numerical trouble) or did not reach
+	// optimality.
 	Basis *Basis
 }
 
@@ -345,9 +259,8 @@ type Options struct {
 	// WarmBasis, if non-nil, seeds the revised simplex with a starting basis
 	// (typically the optimal basis of a previous, similar solve). The basis
 	// must match the problem shape; a mismatched or singular warm basis is
-	// ignored. Warm starts change only the pivot path, never the returned
-	// solution: the revised solver canonicalizes its optimum so warm and
-	// cold solves of the same problem are byte-identical.
+	// ignored. With Canonical set a warm start changes only the pivot path,
+	// never the returned solution.
 	WarmBasis *Basis
 	// Canonical asks the revised solver to canonicalize its optimum (see
 	// canonical.go): the returned solution and basis then depend only on
@@ -356,9 +269,9 @@ type Options struct {
 	// where solves seeded with different warm bases must agree bitwise —
 	// e.g. the MILP root relaxation.
 	Canonical bool
-	// Dense forces the legacy dense two-phase tableau solver (no presolve,
-	// no warm start, nil Solution.Basis). Used by tests as an independent
-	// oracle for the revised path.
+	// Dense forces the legacy dense two-phase tableau solver (no warm start,
+	// nil Solution.Basis). Used by tests as an independent oracle for the
+	// revised path.
 	Dense bool
 }
 
@@ -385,30 +298,19 @@ var ErrNoVariables = errors.New("lp: problem has no variables")
 // is not modified. Status Infeasible and Unbounded are reported in the
 // Solution, not as errors; the error return covers malformed inputs only.
 //
-// The default path presolves the problem and runs the sparse revised
-// simplex per independent block (see presolve.go); Options.Dense selects
-// the legacy dense tableau instead.
+// The default path is the sparse revised simplex on the whole problem,
+// started from Options.WarmBasis when it fits the problem's shape and from
+// the all-logical basis otherwise; numerical trouble there falls back to the
+// dense tableau, which Options.Dense selects outright.
 func Solve(p *Problem, opts *Options) (Solution, error) {
 	o := opts.withDefaults()
 	if len(p.names) == 0 {
 		return Solution{}, ErrNoVariables
 	}
-	if o.Dense {
-		t := newTableau(p, o)
-		return t.solve(), nil
-	}
-	if w := o.WarmBasis; w != nil && !o.Canonical {
-		if wn, wm := w.Shape(); wn == len(p.names) && wm == len(p.rows) {
-			// Fast warm path: re-solving the full problem from a full-shape
-			// basis (the branch-and-bound per-node case) skips presolve
-			// entirely — the warm basis is a better starting point than any
-			// reduction, and when it carries a cached inverse for this exact
-			// matrix the solve starts without factorizing at all. Numerical
-			// trouble falls through to the presolved path.
-			if sol, ok := solveBlock(p, o, w); ok {
-				return sol, nil
-			}
+	if !o.Dense {
+		if sol, ok := solveRevised(p, o); ok {
+			return sol, nil
 		}
 	}
-	return solveReduced(p, o), nil
+	return newTableau(p, o).solve(), nil
 }

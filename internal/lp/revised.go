@@ -113,7 +113,7 @@ func buildCSC(p *Problem) csc {
 	return mat
 }
 
-// revised is the mutable solver state for one block. Columns 0..n-1 are the
+// revised is the mutable solver state for one solve. Columns 0..n-1 are the
 // structural variables; column n+i is row i's logical: [0,+inf) for ≤,
 // (-inf,0] for ≥, [0,0] for =.
 type revised struct {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // sparse-vs-dense property tests. Four shapes cover the regimes the two
 // solvers disagree on first when one of them is wrong: square dense rows,
 // wide (many columns, few rows), tall (many rows, few columns), and blocky
-// (independent variable groups the presolve splits into sub-LPs).
+// (independent variable groups, solved as one LP like every other shape).
 type lpShape struct {
 	name string
 	n, m int
@@ -92,9 +93,10 @@ func buildSeededLP(seed uint64, sh lpShape) *Problem {
 func checkFeasible(t *testing.T, p *Problem, x []float64, tol float64) {
 	t.Helper()
 	for i := 0; i < p.NumConstraints(); i++ {
-		terms, rel, rhs := p.Constraint(i)
+		r := p.rows[i]
+		rel, rhs := r.rel, r.rhs
 		lhs := 0.0
-		for _, tm := range terms {
+		for _, tm := range r.terms {
 			lhs += tm.Coef * x[tm.Var]
 		}
 		switch rel {
@@ -120,35 +122,172 @@ func checkFeasible(t *testing.T, p *Problem, x []float64, tol float64) {
 	}
 }
 
+// agreeWithDense solves p with the default (sparse revised) path and with the
+// dense tableau and requires the same status and, when Optimal, the same
+// objective and a sparse solution that is feasible in p. It returns the
+// sparse solution.
+func agreeWithDense(t *testing.T, p *Problem) Solution {
+	t.Helper()
+	sparse, err := Solve(p, nil)
+	if err != nil {
+		t.Fatalf("sparse: %v", err)
+	}
+	dense, err := Solve(p, &Options{Dense: true})
+	if err != nil {
+		t.Fatalf("dense: %v", err)
+	}
+	if sparse.Status != dense.Status {
+		t.Fatalf("status sparse=%v dense=%v", sparse.Status, dense.Status)
+	}
+	if sparse.Status != Optimal {
+		return sparse
+	}
+	if !approx(sparse.Objective, dense.Objective, 1e-5*(1+math.Abs(dense.Objective))) {
+		t.Fatalf("objective sparse=%v dense=%v", sparse.Objective, dense.Objective)
+	}
+	checkFeasible(t, p, sparse.X, 1e-5)
+	return sparse
+}
+
+// agreeWithDenseRevised is agreeWithDense for handcrafted instances the
+// revised simplex must solve itself: an Optimal solution without a basis
+// means it gave up and the tableau was compared with itself.
+func agreeWithDenseRevised(t *testing.T, p *Problem) Solution {
+	t.Helper()
+	sol := agreeWithDense(t, p)
+	if sol.Status == Optimal && sol.Basis == nil {
+		t.Fatal("revised simplex fell back to the dense tableau")
+	}
+	return sol
+}
+
 // TestSparseMatchesDense is the cross-solver oracle: on every seeded shape
-// the presolved sparse revised simplex and the dense two-phase tableau must
-// agree on status and, when Optimal, on the objective — and the sparse
-// solution must be feasible in the *original* (un-presolved) problem, which
-// exercises the postsolve round trip on every instance.
+// the sparse revised simplex and the dense two-phase tableau must agree on
+// status and, when Optimal, on the objective — and the sparse solution must
+// be feasible in the problem.
 func TestSparseMatchesDense(t *testing.T) {
 	seeds := []uint64{1, 7, 42, 1234, 99991, 31337}
 	for _, sh := range lpShapes {
 		for _, seed := range seeds {
-			p := buildSeededLP(seed, sh)
-			sparse, err := Solve(p, nil)
-			if err != nil {
-				t.Fatalf("%s/seed%d: sparse: %v", sh.name, seed, err)
-			}
-			dense, err := Solve(p, &Options{Dense: true})
-			if err != nil {
-				t.Fatalf("%s/seed%d: dense: %v", sh.name, seed, err)
-			}
-			if sparse.Status != dense.Status {
-				t.Fatalf("%s/seed%d: status sparse=%v dense=%v", sh.name, seed, sparse.Status, dense.Status)
-			}
-			if sparse.Status != Optimal {
-				continue
-			}
-			if !approx(sparse.Objective, dense.Objective, 1e-5*(1+math.Abs(dense.Objective))) {
-				t.Fatalf("%s/seed%d: objective sparse=%v dense=%v", sh.name, seed, sparse.Objective, dense.Objective)
-			}
-			checkFeasible(t, p, sparse.X, 1e-5)
+			t.Run(fmt.Sprintf("%s/seed%d", sh.name, seed), func(t *testing.T) {
+				agreeWithDense(t, buildSeededLP(seed, sh))
+			})
 		}
+	}
+}
+
+// TestDegenerateInputsMatchDense feeds the revised simplex the inputs the
+// deleted presolve used to intercept before any pivot — rows with no terms,
+// rows over bound-fixed variables only, columns in no row, repeated terms —
+// and checks each against the dense tableau and the known answer.
+func TestDegenerateInputsMatchDense(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name  string
+		build func() *Problem
+		want  Status
+		obj   float64 // checked when want == Optimal
+	}{
+		{"empty_rows_consistent", func() *Problem {
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 4)
+			p.SetObjective(x, 1)
+			p.AddConstraint(nil, LE, 1)
+			p.AddConstraint(nil, GE, -1)
+			p.AddConstraint(nil, EQ, 0)
+			p.AddConstraint([]Term{{x, 1}}, LE, 3)
+			return p
+		}, Optimal, 3},
+		{"empty_row_inconsistent_le", func() *Problem {
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 4)
+			p.SetObjective(x, 1)
+			p.AddConstraint(nil, LE, -1)
+			return p
+		}, Infeasible, 0},
+		{"empty_row_inconsistent_eq", func() *Problem {
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 4)
+			p.SetObjective(x, 1)
+			p.AddConstraint([]Term{{x, 1}}, LE, 3)
+			p.AddConstraint(nil, EQ, 2)
+			return p
+		}, Infeasible, 0},
+		{"rows_over_fixed_variables", func() *Problem {
+			// Both rows touch only lo == hi columns: one holds with slack, one
+			// holds with equality; x is then free to reach its own bound.
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 5)
+			y := p.AddVariable("y", 2, 2)
+			z := p.AddVariable("z", -1, -1)
+			p.SetObjective(x, 1)
+			p.SetObjective(y, 3)
+			p.AddConstraint([]Term{{y, 1}, {z, 1}}, LE, 4)
+			p.AddConstraint([]Term{{y, 2}, {z, 3}}, EQ, 1)
+			return p
+		}, Optimal, 11},
+		{"rows_over_fixed_variables_violated", func() *Problem {
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 5)
+			y := p.AddVariable("y", 2, 2)
+			z := p.AddVariable("z", -1, -1)
+			p.SetObjective(x, 1)
+			p.AddConstraint([]Term{{y, 1}, {z, 1}}, GE, 2)
+			return p
+		}, Infeasible, 0},
+		{"columns_in_no_row_bounded", func() *Problem {
+			// u and d meet no row: u rises to its upper bound, d stays at its
+			// lower bound, and neither disturbs the row x sits in.
+			p := NewProblem()
+			x := p.AddVariable("x", 0, inf)
+			u := p.AddVariable("u", 1, 7)
+			d := p.AddVariable("d", -2, 9)
+			p.SetObjective(x, 1)
+			p.SetObjective(u, 2)
+			p.SetObjective(d, -1)
+			p.AddConstraint([]Term{{x, 2}}, LE, 6)
+			return p
+		}, Optimal, 3 + 14 + 2},
+		{"column_in_no_row_unbounded_ray", func() *Problem {
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 4)
+			u := p.AddVariable("u", 0, inf)
+			p.SetObjective(x, 1)
+			p.SetObjective(u, 1)
+			p.AddConstraint([]Term{{x, 1}}, LE, 3)
+			return p
+		}, Unbounded, 0},
+		{"unbounded_ray_beside_infeasible_row", func() *Problem {
+			// Feasibility is proven first: the ray never gets to matter.
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 4)
+			u := p.AddVariable("u", 0, inf)
+			p.SetObjective(u, 1)
+			p.AddConstraint([]Term{{x, 1}}, GE, 5)
+			return p
+		}, Infeasible, 0},
+		{"duplicate_terms_summed", func() *Problem {
+			// x + 2x ≤ 6 is 3x ≤ 6; y − y = 0 holds for every y.
+			p := NewProblem()
+			x := p.AddVariable("x", 0, 10)
+			y := p.AddVariable("y", 0, 3)
+			p.SetObjective(x, 1)
+			p.SetObjective(y, 1)
+			p.AddConstraint([]Term{{x, 1}, {x, 2}}, LE, 6)
+			p.AddConstraint([]Term{{y, 1}, {y, -1}}, EQ, 0)
+			return p
+		}, Optimal, 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sol := agreeWithDenseRevised(t, tc.build())
+			if sol.Status != tc.want {
+				t.Fatalf("status %v, want %v", sol.Status, tc.want)
+			}
+			if tc.want == Optimal && !approx(sol.Objective, tc.obj, 1e-9) {
+				t.Fatalf("objective %v, want %v", sol.Objective, tc.obj)
+			}
+		})
 	}
 }
 
@@ -187,13 +326,14 @@ func TestWarmStartEqualsColdStart(t *testing.T) {
 	}
 }
 
-// TestPresolveReductions pins each presolve pass with a handcrafted instance
-// solved against the dense oracle: empty and redundant rows, bound-fixed
-// variables, singleton-column substitution, and block decomposition.
+// TestPresolveReductions keeps the handcrafted instances that pinned the
+// deleted presolve's passes (and their test names, which the tier-1 floor
+// lists): each was a shape presolve decided without the simplex, so each is
+// now a revised-vs-dense agreement case for the simplex itself.
 func TestPresolveReductions(t *testing.T) {
 	t.Run("fixed_and_empty", func(t *testing.T) {
-		// y is fixed by its bounds; the first row becomes constant and must
-		// be dropped as satisfied, not reported infeasible.
+		// y is fixed by its bounds, so the first row is a constant that holds;
+		// it must not be reported infeasible.
 		p := NewProblem()
 		x := p.AddVariable("x", 0, 10)
 		y := p.AddVariable("y", 3, 3)
@@ -201,9 +341,9 @@ func TestPresolveReductions(t *testing.T) {
 		p.SetObjective(y, 1)
 		p.AddConstraint([]Term{{y, 2}}, LE, 7)
 		p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 8)
-		sol := solveOK(t, p)
-		if !approx(sol.X[x], 5, 1e-9) || !approx(sol.X[y], 3, 1e-9) {
-			t.Fatalf("got x=%v y=%v, want 5, 3", sol.X[x], sol.X[y])
+		sol := agreeWithDenseRevised(t, p)
+		if sol.Status != Optimal || !approx(sol.X[x], 5, 1e-9) || !approx(sol.X[y], 3, 1e-9) {
+			t.Fatalf("status %v x=%v, want optimal x=5 y=3", sol.Status, sol.X)
 		}
 	})
 	t.Run("fixed_infeasible_row", func(t *testing.T) {
@@ -211,30 +351,25 @@ func TestPresolveReductions(t *testing.T) {
 		y := p.AddVariable("y", 4, 4)
 		p.SetObjective(y, 1)
 		p.AddConstraint([]Term{{y, 1}}, LE, 3)
-		sol, err := Solve(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Infeasible {
+		if sol := agreeWithDenseRevised(t, p); sol.Status != Infeasible {
 			t.Fatalf("status %v, want infeasible", sol.Status)
 		}
 	})
 	t.Run("singleton_substitution", func(t *testing.T) {
-		// s appears in exactly one equality row: presolve substitutes it out
-		// and postsolve must reconstruct its value from the row residual.
+		// s appears in exactly one equality row and nowhere else: it is the
+		// row's slack in all but name.
 		p := NewProblem()
 		x := p.AddVariable("x", 0, 4)
 		s := p.AddVariable("s", 0, math.Inf(1))
 		p.SetObjective(x, 2)
 		p.AddConstraint([]Term{{x, 1}, {s, 1}}, EQ, 6)
-		sol := solveOK(t, p)
-		if !approx(sol.X[x], 4, 1e-9) || !approx(sol.X[s], 2, 1e-9) {
-			t.Fatalf("got x=%v s=%v, want 4, 2", sol.X[x], sol.X[s])
+		sol := agreeWithDenseRevised(t, p)
+		if sol.Status != Optimal || !approx(sol.X[x], 4, 1e-9) || !approx(sol.X[s], 2, 1e-9) {
+			t.Fatalf("status %v x=%v, want optimal x=4 s=2", sol.Status, sol.X)
 		}
 	})
 	t.Run("blocks_match_dense", func(t *testing.T) {
-		// Two independent blocks; presolve solves them as separate sub-LPs
-		// and the merged answer must match the dense whole-problem solve.
+		// Two groups of variables no row links, solved as one LP.
 		p := NewProblem()
 		a := p.AddVariable("a", 0, 5)
 		b := p.AddVariable("b", 0, 5)
@@ -245,15 +380,9 @@ func TestPresolveReductions(t *testing.T) {
 		}
 		p.AddConstraint([]Term{{a, 1}, {b, 2}}, LE, 6)
 		p.AddConstraint([]Term{{c, 2}, {d, 1}}, LE, 6)
-		sparse := solveOK(t, p)
-		dense, err := Solve(p, &Options{Dense: true})
-		if err != nil {
-			t.Fatal(err)
+		if sol := agreeWithDenseRevised(t, p); sol.Status != Optimal || !approx(sol.Objective, 11, 1e-9) {
+			t.Fatalf("status %v objective %v, want optimal 11", sol.Status, sol.Objective)
 		}
-		if !approx(sparse.Objective, dense.Objective, 1e-9) {
-			t.Fatalf("objective sparse=%v dense=%v", sparse.Objective, dense.Objective)
-		}
-		checkFeasible(t, p, sparse.X, 1e-9)
 	})
 }
 

@@ -8,12 +8,10 @@ import (
 
 // BenchmarkSolveFig10 measures solver wall-time on the paper's Fig. 10
 // shape — allocation MILPs growing in devices d and variants q — at
-// parallelism 1, 2, 4 and the machine width, plus the fleet-scale d200q30
-// shape (200 devices across 30 routing-decoupled families) that exercises
-// the component decomposition. The solve result is identical at every
-// parallelism level (see TestParallelismByteIdentical and
-// TestFleetByteIdentical); only wall-clock time may differ. CI archives
-// these numbers as BENCH_milp.json via proteus-benchjson.
+// parallelism 1, 2, 4 and the machine width. The solve result is identical
+// at every parallelism level (see TestParallelismByteIdentical); only
+// wall-clock time may differ. CI archives these numbers as BENCH_milp.json
+// via proteus-benchjson.
 func BenchmarkSolveFig10(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -22,7 +20,6 @@ func BenchmarkSolveFig10(b *testing.B) {
 		{"d2q6", func() *Problem { return buildAllocInstance(42, 2, 6) }},
 		{"d3q10", func() *Problem { return buildAllocInstance(42, 3, 10) }},
 		{"d4q14", func() *Problem { return buildAllocInstance(42, 4, 14) }},
-		{"d200q30", func() *Problem { return buildFleetInstance(42, 200, 30, 5) }},
 	}
 	levels := []int{1, 2, 4}
 	if w := runtime.GOMAXPROCS(0); w != 1 && w != 2 && w != 4 {

@@ -2,11 +2,10 @@ package milp
 
 import "time"
 
-// wallNow is the package's single wall-clock read, shared by the TimeLimit
-// anchor/enforcement sites in the flat solver and the component-decomposed
-// solver. Solves are byte-deterministic unless a configured time limit
-// fires; reading the clock is the caller's explicit latency/optimality
-// trade.
+// wallNow is the package's single wall-clock read, shared by the solver's
+// TimeLimit anchor and enforcement sites. Solves are byte-deterministic
+// unless a configured time limit fires; reading the clock is the caller's
+// explicit latency/optimality trade.
 func wallNow() time.Time {
 	return time.Now() //lint:allow determinism wall-clock TimeLimit anchor and enforcement; solves are deterministic unless a time limit fires
 }

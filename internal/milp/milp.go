@@ -3,10 +3,17 @@
 // two packages replace the commercial MILP solver (Gurobi) that the Proteus
 // paper uses for its resource-allocation optimization.
 //
-// The solver maximizes, searches best-bound-first, branches on the most
-// fractional integer variable, and supports warm-start incumbents, relative
-// gap tolerances, and node/time limits — the knobs the Proteus resource
-// manager needs to keep solves inside its control period.
+// The solver maximizes, searches best-bound-first with periodic depth-first
+// dives, branches on the most fractional integer variable, and supports
+// warm-start incumbents and root bases, relative gap tolerances, and
+// node/stall/time limits — the knobs the Proteus resource manager needs to
+// keep solves inside its control period. One tree searches the whole
+// problem: every node's relaxation is the full LP, warm-started from its
+// parent's basis, with the root canonicalized so a warm root basis changes
+// solve time only. Options.Parallelism adds workers that solve relaxations
+// speculatively ahead of the serial order (parallel.go) without changing
+// any result. There is no decomposition into connected components: the
+// allocation MILPs are connected (DESIGN.md "Solver traffic").
 package milp
 
 import (
@@ -125,7 +132,8 @@ type Solution struct {
 	// Basis is the canonicalized optimal basis of the root LP relaxation,
 	// usable to warm-start a future solve of a same-shaped problem (the
 	// allocator carries it across control periods). Nil when the root
-	// relaxation fell back to the dense simplex.
+	// relaxation was not solved to optimality or fell back to the dense
+	// simplex.
 	Basis *lp.Basis
 }
 
@@ -164,9 +172,10 @@ type Options struct {
 	// integrality; callers construct it from a heuristic.
 	WarmStart []float64
 	// WarmBasis, if non-nil, seeds the root LP relaxation with a starting
-	// basis (typically Solution.Basis from a previous, same-shaped solve).
-	// The root relaxation is canonicalized, so a warm basis changes only
-	// solve time, never the returned Solution.
+	// basis (typically Solution.Basis from a previous, same-shaped solve; a
+	// basis of another shape is ignored). The root relaxation is
+	// canonicalized, so a warm basis changes only solve time, never the
+	// returned Solution.
 	WarmBasis *lp.Basis
 	// Parallelism is the number of concurrent LP-relaxation solvers used by
 	// the search. The returned Solution (Status, Objective, X, Bound, Nodes)
@@ -251,12 +260,6 @@ func (h *nodeHeap) Pop() interface{} {
 // during the search but restored before returning.
 func Solve(p *Problem, opts *Options) Solution {
 	o := opts.withDefaults()
-	if comps := p.components(); len(comps) > 1 {
-		// The constraint graph is disconnected (routing decoupled the
-		// allocation): solve each component independently and merge. Each
-		// recursive sub-solve is connected, so this recurses at most once.
-		return solveDecomposed(p, o, comps)
-	}
 	s := &solver{p: p, o: o, start: wallNow()}
 	if o.TimeLimit > 0 {
 		s.deadline = s.start.Add(o.TimeLimit)

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"proteus/internal/flightrec"
 	"proteus/internal/telemetry"
@@ -212,5 +214,63 @@ func TestLivePhaseDecomposition(t *testing.T) {
 	}
 	if !famExec {
 		t.Fatalf("no populated family exec histogram: %+v", stats)
+	}
+}
+
+// TestBurnOnDataPathDuringSampling overloads the server from many concurrent
+// Infer callers while the sampling loop ticks, with the tsdb and the flight
+// recorder both on and an SLO budget so small that the first violated second
+// starts a burn. Ticks come every 300 ms, so the one before a second
+// boundary is 100 ms (or 200 ms) old when the traffic opens the second: the
+// burn is detected inside Recorder.Arrival or Violation — under Server.mu, on
+// a caller's or a worker's goroutine — and the next tick turns it into an
+// incident bundle. Under -race this fails if the data path hands the event
+// to the sampler through unsynchronised state.
+func TestBurnOnDataPathDuringSampling(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.TSDB = tsdb.NewRecorder(tsdb.Config{
+		SampleInterval: 300 * time.Millisecond,
+		SLO:            tsdb.SLOConfig{Target: 1e-6, BurnRate: 1, ShortWindow: time.Second, LongWindow: 2 * time.Second},
+	})
+	cfg.Flight = flightrec.New(flightrec.Config{Dir: t.TempDir()})
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 48; c++ {
+		family := []string{"mobilenet", "efficientnet"}[c%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.Infer(family)
+				}
+			}
+		}()
+	}
+	burnBundle := func() bool {
+		for _, b := range cfg.Flight.Incidents() {
+			if b.Reason == "slo_burn" {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !burnBundle() && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if !burnBundle() {
+		t.Fatalf("no slo_burn bundle after 10s of overload; burns=%+v summary=%+v", cfg.TSDB.Burns(), s.Summary())
 	}
 }

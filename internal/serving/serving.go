@@ -379,6 +379,11 @@ func (s *Server) maybeReallocate(trigger string) {
 	demand := s.plane.Stats.Estimates(now)
 	down := s.plane.Down()
 	s.mu.Unlock()
+	// Headroom first: DemandChanged compares against the last plan's demand,
+	// which was headroomed too (core.reallocate does the same).
+	for q := range demand {
+		demand[q] *= s.cfg.Headroom
+	}
 	if trigger == "periodic" && !ctl.DemandChanged(demand, 0.1) {
 		return
 	}
@@ -387,9 +392,6 @@ func (s *Server) maybeReallocate(trigger string) {
 			time.AfterFunc(rem, func() { s.requestRealloc(trigger) })
 			return
 		}
-	}
-	for q := range demand {
-		demand[q] *= s.cfg.Headroom
 	}
 	ctl.SetCluster(s.cfg.Cluster.WithHealth(down))
 	plan, err := ctl.Reallocate(now, demand, trigger)
@@ -463,7 +465,7 @@ func (s *Server) Infer(family string) Response {
 	var dropped dataplane.Reply
 	// One hold books the arrival and routes it or, draining, drops it.
 	s.mu.Lock()
-	q := s.plane.Arrive(now, f) //lint:allow lockorder established order Server.mu → Tracer.mu and Server.mu → tsdb.Recorder.mu for every accounting transition; both sinks' locks are leaves on the data path (the recorder only calls out from Sample, which never runs under Server.mu)
+	q := s.plane.Arrive(now, f) //lint:allow lockorder established order Server.mu → Tracer.mu and Server.mu → tsdb.Recorder.mu for every accounting transition; both sinks' locks are leaves on the data path (the recorder's burn callback, Plane.onBurn, takes only leaf locks — the tracer's, the controller's audit log's, the guard's, the flight recorder's — and sends on a channel without blocking)
 	q.Reply = reply
 	if s.draining.Load() {
 		// Graceful drain: refuse new work; in-flight batches keep executing.

@@ -140,6 +140,97 @@ func TestRecorderDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestBurnLogUnchangedByPerSecondEvaluation replays one recorded sequence of
+// arrivals, violations and sample ticks through the recorder as it is — the
+// burn state derived once per family per second — and through a reference
+// that forgets the last evaluated second before every call, i.e. re-sums
+// both windows on every observation as the recorder used to. The burn logs,
+// BurnEvent.At included, must be identical, whichever of Arrival and
+// Violation is the call that opens a second.
+func TestBurnLogUnchangedByPerSecondEvaluation(t *testing.T) {
+	type obs struct {
+		at       time.Duration
+		family   int
+		violated bool
+	}
+	// 34 s of traffic, two families, 30 queries a second each; family 0
+	// violates heavily in seconds 5–11 and 24–27, family 1 in 8–9 and from
+	// 30 on; then the data path goes quiet and ticks end the last episode.
+	var seq []obs
+	rng := uint64(12345)
+	next := func(n uint64) uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return (rng >> 33) % n
+	}
+	bad := func(f, sec int) bool {
+		if f == 0 {
+			return sec >= 5 && sec <= 11 || sec >= 24 && sec <= 27
+		}
+		return sec >= 8 && sec <= 9 || sec >= 30
+	}
+	for sec := 0; sec < 34; sec++ {
+		for i := 0; i < 60; i++ {
+			f := i % 2
+			at := time.Duration(sec)*time.Second + time.Duration(i)*16*time.Millisecond + time.Duration(next(1000))*time.Microsecond
+			seq = append(seq, obs{at: at, family: f, violated: bad(f, sec) && next(4) == 0})
+		}
+	}
+	replay := func(violationFirst, everyCall bool) []BurnEvent {
+		r := NewRecorder(Config{SLO: SLOConfig{ShortWindow: 2 * time.Second, LongWindow: 4 * time.Second}})
+		r.Init(2, nil)
+		forget := func() {
+			if everyCall {
+				for f := range r.slo.fams {
+					r.slo.fams[f].evalSec = -1
+				}
+			}
+		}
+		arrive := func(o obs) { forget(); r.Arrival(o.at, o.family) }
+		violate := func(o obs) {
+			if o.violated {
+				forget()
+				r.Violation(o.at, o.family)
+			}
+		}
+		// Ticks land mid-second, so while there is traffic it is the data
+		// path that opens each second and detects the transitions.
+		tick := 500 * time.Millisecond
+		for _, o := range seq {
+			for ; tick <= o.at; tick += time.Second {
+				forget()
+				r.Sample(tick, nil)
+			}
+			if violationFirst {
+				violate(o)
+				arrive(o)
+			} else {
+				arrive(o)
+				violate(o)
+			}
+		}
+		for ; tick <= 45*time.Second; tick += time.Second {
+			forget()
+			r.Sample(tick, nil)
+		}
+		return r.Burns()
+	}
+	for _, violationFirst := range []bool{false, true} {
+		got, want := replay(violationFirst, false), replay(violationFirst, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("violationFirst=%v: per-second evaluation changed the burn log\n got %+v\nwant %+v", violationFirst, got, want)
+		}
+		starts := 0
+		for _, ev := range got {
+			if ev.Start {
+				starts++
+			}
+		}
+		if starts < 3 || len(got) != 2*starts {
+			t.Fatalf("violationFirst=%v: want at least three complete episodes, got %+v", violationFirst, got)
+		}
+	}
+}
+
 func i2b(s int) int {
 	if s == 0 {
 		return 0

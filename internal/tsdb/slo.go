@@ -55,6 +55,9 @@ type sloFamily struct {
 	violations []int
 	at         []int64
 	burning    bool
+	// evalSec is the second evaluate last derived the burn state in (-1
+	// before the first call).
+	evalSec int64
 }
 
 // sloMonitor tracks violation ratios per family over two sliding windows
@@ -82,6 +85,7 @@ func newSLOMonitor(cfg SLOConfig, families int) *sloMonitor {
 			arrivals:   make([]int, n),
 			violations: make([]int, n),
 			at:         make([]int64, n),
+			evalSec:    -1,
 		}
 		for i := range m.fams[f].at {
 			m.fams[f].at[i] = -1
@@ -142,15 +146,21 @@ func (m *sloMonitor) ratio(f int, now time.Duration, window int64) float64 {
 	return float64(vio) / float64(arr)
 }
 
-// evaluate re-derives family f's burn state at time now and returns the
-// transition event, if any. The windows only cover complete seconds, so
-// state can change only when the second rolls over or the window slides —
-// evaluating on every observation is cheap and deterministic.
+// evaluate derives family f's burn state at time now and returns the
+// transition event, if any. The windows only cover complete seconds, so the
+// verdict cannot change within a second: the first call in a second sums the
+// windows, the rest return at once. (A live-mode observation stamped with an
+// already completed second is seen one second late.)
 func (m *sloMonitor) evaluate(f int, now time.Duration) (BurnEvent, bool) {
+	fam := &m.fams[f]
+	sec := int64(now / time.Second)
+	if sec == fam.evalSec {
+		return BurnEvent{}, false
+	}
+	fam.evalSec = sec
 	shortBurn := m.ratio(f, now, m.shortSecs) / m.cfg.Target
 	longBurn := m.ratio(f, now, m.longSecs) / m.cfg.Target
 	burning := shortBurn >= m.cfg.BurnRate && longBurn >= m.cfg.BurnRate
-	fam := &m.fams[f]
 	if burning == fam.burning {
 		return BurnEvent{}, false
 	}
