@@ -1,5 +1,4 @@
-// Command proteus-report renders run dumps and compares benchmark
-// baselines.
+// Command proteus-report renders run dumps and incident bundles.
 //
 // Report mode turns a run dump (written by proteus-sim -tsdb or the report
 // package) into a self-contained HTML page — inline SVG charts, no
@@ -12,20 +11,13 @@
 //
 //	proteus-report -incident incident-000001-slo_burn.json -o incident.html
 //
-// Compare mode diffs two proteus-benchjson baselines and fails (exit 1)
-// when any benchmark's ns/op regressed beyond the threshold:
-//
-//	proteus-report -compare old.json new.json -threshold 0.25 -filter 'Disabled'
-//
-// Baselines from different goos/goarch are refused unless -force is given.
-// Exit codes: 0 ok, 1 regression or runtime error, 2 usage error.
+// Exit codes: 0 ok, 1 runtime error, 2 usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 
 	"proteus/internal/flightrec"
 	"proteus/internal/report"
@@ -33,32 +25,13 @@ import (
 
 func main() {
 	var (
-		dumpPath  = flag.String("dump", "", "run dump JSON to render as HTML")
-		incPath   = flag.String("incident", "", "incident bundle JSON to render as HTML")
-		outPath   = flag.String("o", "report.html", "output path for the HTML report")
-		compare   = flag.Bool("compare", false, "compare two benchjson baselines: proteus-report -compare old.json new.json")
-		threshold = flag.Float64("threshold", 0.25, "relative ns/op growth that counts as a regression (0.25 = +25%)")
-		filterRe  = flag.String("filter", "", "regexp restricting -compare to matching benchmark names")
-		force     = flag.Bool("force", false, "compare baselines even when goos/goarch differ")
+		dumpPath = flag.String("dump", "", "run dump JSON to render as HTML")
+		incPath  = flag.String("incident", "", "incident bundle JSON to render as HTML")
+		outPath  = flag.String("o", "report.html", "output path for the HTML report")
 	)
 	flag.Parse()
-	args := flag.Args()
-	// Allow `-compare old.json new.json -threshold 0.25 ...`: stdlib flag
-	// parsing stops at the first positional argument, so re-parse anything
-	// after the two baseline paths as flags.
-	if *compare && len(args) > 2 {
-		flag.CommandLine.Parse(args[2:])
-		args = args[:2]
-	}
 
 	switch {
-	case *compare:
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "proteus-report: -compare needs exactly two baseline files")
-			flag.Usage()
-			os.Exit(2)
-		}
-		os.Exit(runCompare(args[0], args[1], *threshold, *filterRe, *force))
 	case *dumpPath != "":
 		if err := runReport(*dumpPath, *outPath); err != nil {
 			fmt.Fprintf(os.Stderr, "proteus-report: %v\n", err)
@@ -70,7 +43,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "proteus-report: need -dump run.json, -incident bundle.json, or -compare old.json new.json")
+		fmt.Fprintln(os.Stderr, "proteus-report: need -dump run.json or -incident bundle.json")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -98,36 +71,4 @@ func runIncident(incPath, outPath string) error {
 	}
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
-}
-
-func runCompare(oldPath, newPath string, threshold float64, filter string, force bool) int {
-	var re *regexp.Regexp
-	if filter != "" {
-		var err error
-		re, err = regexp.Compile(filter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proteus-report: bad -filter: %v\n", err)
-			return 2
-		}
-	}
-	old, err := report.ReadBaselineFile(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "proteus-report: %v\n", err)
-		return 1
-	}
-	new, err := report.ReadBaselineFile(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "proteus-report: %v\n", err)
-		return 1
-	}
-	c, err := report.Compare(old, new, threshold, re, force)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "proteus-report: %v\n", err)
-		return 1
-	}
-	c.Format(os.Stdout, threshold)
-	if c.Regressions > 0 {
-		return 1
-	}
-	return 0
 }

@@ -222,7 +222,6 @@ func buildFaults(fc *faultConfig, cl *proteus.Cluster, traceSeconds int) (*prote
 func main() {
 	var (
 		configPath = flag.String("config", "", "path to the JSON experiment config (required)")
-		seriesOut  = flag.String("series", "", "deprecated alias for -timeseries")
 		tsOut      = flag.String("timeseries", "", "optional CSV path for the run's per-bin time series")
 		traceOut   = flag.String("trace", "", "optional path for the telemetry trace (.jsonl = JSON lines, anything else = Chrome trace_event JSON)")
 		metricsOut = flag.String("metrics", "", "optional path for the final counter snapshot (text key-value)")
@@ -369,9 +368,6 @@ func main() {
 			tr.Families[q], s.AvgThroughput, s.EffectiveAccuracy, s.ViolationRatio)
 	}
 
-	if *tsOut == "" {
-		*tsOut = *seriesOut
-	}
 	if *tsOut != "" {
 		f, err := os.Create(*tsOut)
 		if err != nil {

@@ -242,7 +242,8 @@ type Input struct {
 	Plans []controlplane.PlanRecord
 	// FamilyNames labels family summaries. Optional.
 	FamilyNames []string
-	// Window is the summary bucket width (default 10s).
+	// Window is the summary bucket width (default 10s); a trace too long
+	// for 65 536 buckets of it gets a whole multiple.
 	Window time.Duration
 	// TraceDropped is the tracer's ring-wrap eviction count.
 	TraceDropped uint64
@@ -530,8 +531,22 @@ func planTrigger(plans []controlplane.PlanRecord, seq int32) string {
 	return ""
 }
 
-// summarize fills the violated index and the family/window tables.
+// maxWindows bounds the window table. It is dense from time zero to the last
+// lifecycle start, so without a bound one far-future stamp in a trace file
+// sizes it instead of the trace.
+const maxWindows = 1 << 16
+
+// summarize fills the violated index and the family/window tables. A trace
+// that would need more than maxWindows rows at the requested width gets the
+// smallest multiple of it that fits (each row carries its Start).
 func (r *Report) summarize(maxFamily int32, window time.Duration, names []string) {
+	var lastStart time.Duration
+	for i := range r.Queries {
+		lastStart = max(lastStart, r.Queries[i].Start)
+	}
+	if n := lastStart / window; n >= maxWindows {
+		window *= n/maxWindows + 1
+	}
 	fams := make([]FamilySummary, maxFamily+1)
 	for f := range fams {
 		fams[f].Family = int32(f)

@@ -9,7 +9,10 @@ import (
 
 // BenchmarkFlightTickDisabled measures the sampling-loop probe when the
 // flight recorder is off (nil recorder) — the path every run without
-// -incidents takes. The ISSUE budget is ≤5ns; a nil-receiver check is ~1ns.
+// -incidents takes; a nil-receiver check is ~1ns. The benchmarks in this
+// file are ungated developer probes: TestNilRecorderAllocatesNothing holds
+// "off is free" as a property, and BENCHMARK.json's flightrec.tick_us /
+// tsdb.record_phases_ns price the live path.
 func BenchmarkFlightTickDisabled(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()

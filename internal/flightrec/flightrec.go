@@ -160,10 +160,11 @@ func (r *Recorder) Live() bool {
 	return r.cfg.Live
 }
 
-// appendBounded appends v to buf keeping at most max elements, dropping the
-// oldest first.
-func appendBounded[T any](buf []T, v T, max int) []T {
-	buf = append(buf, v)
+// appendBounded appends vs to buf keeping at most max elements, dropping the
+// oldest first. A tick's whole batch goes in one call, so a full ring shifts
+// once per tick and not once per element.
+func appendBounded[T any](buf []T, max int, vs ...T) []T {
+	buf = append(buf, vs...)
 	if over := len(buf) - max; over > 0 {
 		buf = append(buf[:0], buf[over:]...)
 	}
@@ -208,20 +209,16 @@ func (r *Recorder) Tick(now time.Duration) {
 	if burnCur > r.burnCur {
 		r.burnCur = burnCur
 	}
-	for _, s := range samples {
-		r.samples = appendBounded(r.samples, s, r.cfg.Samples)
-	}
-	for _, b := range burns {
-		r.burns = appendBounded(r.burns, b, r.cfg.Burns)
-	}
+	r.samples = appendBounded(r.samples, r.cfg.Samples, samples...)
+	r.burns = appendBounded(r.burns, r.cfg.Burns, burns...)
 	if phases != nil {
 		r.phases = phases
 	}
 	if metrics != nil {
-		r.counters = appendBounded(r.counters, CounterSnap{AtNS: int64(now), Metrics: metrics}, r.cfg.CounterSnaps)
+		r.counters = appendBounded(r.counters, r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
 	}
 	if rt != nil {
-		r.runtime = appendBounded(r.runtime, *rt, r.cfg.RuntimeSnaps)
+		r.runtime = appendBounded(r.runtime, r.cfg.RuntimeSnaps, *rt)
 	}
 }
 
@@ -284,7 +281,7 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	// surface shares this helper).
 	b.Plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
 	b.Runtime = append([]RuntimeSnap(nil), r.runtime...)
-	r.incidents = appendBounded(r.incidents, b, r.cfg.MaxIncidents)
+	r.incidents = appendBounded(r.incidents, r.cfg.MaxIncidents, b)
 	dir := r.cfg.Dir
 	r.mu.Unlock()
 

@@ -50,6 +50,28 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 }
 
+// TestNilRecorderAllocatesNothing holds "nil is off, and off is free" as a
+// property of the code rather than of the host: the sampling-loop probe and
+// a trigger site return from a nil recorder without allocating.
+func TestNilRecorderAllocatesNothing(t *testing.T) {
+	var r *Recorder
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Tick", func() { r.Tick(time.Second) }},
+		{"Trigger", func() {
+			if r.Trigger(time.Second, "slo_burn", "", 0, -1) != nil {
+				t.Error("nil recorder returned a bundle")
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, tc.call); n != 0 {
+			t.Errorf("%s on a nil recorder allocates %v per call, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestTriggerCapturesState(t *testing.T) {
 	r, src := fixture(Config{})
 	src.Tracer.Record(0, telemetry.EvArrival, 1, 0, -1, -1)
@@ -122,6 +144,31 @@ func TestRingWrap(t *testing.T) {
 	got := r.Incidents()
 	if len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 3 {
 		t.Fatalf("incident log after wrap: %d bundles, seqs %d/%d", len(got), got[0].Seq, got[1].Seq)
+	}
+}
+
+// TestTickBatchOverflowsRing pins the one-trim-per-tick append: a tick that
+// brings more samples than the ring holds (five devices, ring of three), on
+// an empty and then on a full ring, keeps exactly the newest in order.
+func TestTickBatchOverflowsRing(t *testing.T) {
+	r, src := fixture(Config{Samples: 3})
+	for tick := 0; tick < 2; tick++ {
+		devs := make([]tsdb.DeviceState, 5)
+		for d := range devs {
+			devs[d] = tsdb.DeviceState{Up: true, QueueDepth: 10*tick + d}
+		}
+		now := time.Duration(tick) * time.Second
+		src.TSDB.Sample(now, devs)
+		r.Tick(now)
+		b := r.Trigger(now, "manual", "", -1, -1)
+		if len(b.Samples) != 3 {
+			t.Fatalf("tick %d: sample ring %d, want 3", tick, len(b.Samples))
+		}
+		for i, s := range b.Samples {
+			if want := 10*tick + 2 + i; s.QueueDepth != want || s.Device != 2+i {
+				t.Fatalf("tick %d: ring[%d] = device %d depth %d, want device %d depth %d", tick, i, s.Device, s.QueueDepth, 2+i, want)
+			}
+		}
 	}
 }
 

@@ -19,8 +19,9 @@ func benchGuard() *Guard {
 }
 
 // BenchmarkAdmissionDisabled measures the admission check through a nil
-// guard — the path every run with overload protection off takes. The guard
-// must be ~free when disabled, so this is the CI-gated number.
+// guard — the path every run with overload protection off takes. An
+// ungated developer probe: TestNilGuardAllocatesNothing holds "off is free"
+// as a property, and BENCHMARK.json's overload.admit_ns prices the live path.
 func BenchmarkAdmissionDisabled(b *testing.B) {
 	var g *Guard
 	b.ReportAllocs()

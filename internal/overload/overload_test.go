@@ -72,6 +72,35 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	}
 }
 
+// TestNilGuardAllocatesNothing holds "nil is off, and off is free" as a
+// property of the code rather than of the host: the admission check, the
+// router's exclusion predicate, the depth note and the saturation signal
+// return from a nil guard without allocating.
+func TestNilGuardAllocatesNothing(t *testing.T) {
+	var g *Guard
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Admit", func() {
+			if !g.Admit(0, 0, 50*ms) {
+				t.Error("nil guard must admit everything")
+			}
+		}},
+		{"Banned", func() {
+			if g.Banned(0, 0) {
+				t.Error("nil guard must ban nothing")
+			}
+		}},
+		{"NoteDepth", func() { g.NoteDepth(0, 100) }},
+		{"DeviceSignal", func() { _, _ = g.DeviceSignal(0) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.call); n != 0 {
+			t.Errorf("%s on a nil guard allocates %v per call, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	g := New(Config{Enabled: true}, 1, 1)
 	cfg := g.Config()

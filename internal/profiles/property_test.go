@@ -42,10 +42,17 @@ func TestPropertyMaxBatchIsMaximal(t *testing.T) {
 			// Infeasible: either batch 1 exceeds slo/2 or weights don't fit.
 			return Latency(spec, v, 1) > slo/2 || !Fits(spec, v, 1)
 		}
-		if Latency(spec, v, b) > slo/2+time.Microsecond || !Fits(spec, v, b) {
+		// MaxSLOBatch rounds up by 1e-4 of a batch item (its boundary
+		// epsilon), so the bound may pass slo/2 by that share of one item's
+		// time on top of the microsecond of truncation: 1.4 µs for
+		// bert-small on a GTX 1080 Ti at 1.9x, the one of the 4 590
+		// (variant, device, multiplier) inputs a bare microsecond refuses —
+		// about one run in ten drew it.
+		tol := time.Microsecond + (Latency(spec, v, 2)-Latency(spec, v, 1))/10000
+		if Latency(spec, v, b) > slo/2+tol || !Fits(spec, v, b) {
 			return false
 		}
-		return Latency(spec, v, b+1) > slo/2-time.Microsecond || !Fits(spec, v, b+1)
+		return Latency(spec, v, b+1) > slo/2-tol || !Fits(spec, v, b+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

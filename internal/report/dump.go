@@ -1,9 +1,9 @@
 // Package report assembles a run's observability outputs — the metrics
 // collector's windowed series, the tsdb device time-series and SLO burn
-// log, and the controller's decision audit — into one serializable Dump,
-// renders it as a self-contained HTML report (inline SVG, no scripts), and
-// diffs proteus-benchjson baselines for regressions. Everything is
-// byte-deterministic: same-seed runs produce identical JSON and HTML.
+// log, and the controller's decision audit — into one serializable Dump
+// and renders it as a self-contained HTML report (inline SVG, no scripts).
+// Everything is byte-deterministic: same-seed runs produce identical JSON
+// and HTML.
 package report
 
 import (

@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"encoding/json"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -250,85 +249,5 @@ func TestRenderHTMLEmptyDump(t *testing.T) {
 	html := string(RenderHTML(&Dump{}))
 	if !strings.Contains(html, "<!DOCTYPE html>") || !strings.Contains(html, "Run summary") {
 		t.Error("empty dump did not render a minimal report")
-	}
-}
-
-func benchFixture(ns map[string]float64) *Baseline {
-	b := &Baseline{GoOS: "linux", GoArch: "amd64"}
-	// Deterministic order: fixtures are tiny, sort by insertion via slice.
-	for _, name := range []string{"BenchmarkTracerDisabled", "BenchmarkTracerEnabled", "BenchmarkCounterAdd"} {
-		if v, ok := ns[name]; ok {
-			b.Results = append(b.Results, BenchResult{Name: name, Iterations: 1000, NsPerOp: v})
-		}
-	}
-	return b
-}
-
-func TestCompareFlagsInjectedRegression(t *testing.T) {
-	old := benchFixture(map[string]float64{"BenchmarkTracerDisabled": 0.9, "BenchmarkTracerEnabled": 50})
-	// Injected 2x regression on the disabled path.
-	new := benchFixture(map[string]float64{"BenchmarkTracerDisabled": 1.8, "BenchmarkTracerEnabled": 51})
-	c, err := Compare(old, new, 0.25, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Regressions != 1 {
-		t.Fatalf("regressions = %d, want 1: %+v", c.Regressions, c.Deltas)
-	}
-	if !c.Deltas[0].Regressed || c.Deltas[0].Name != "BenchmarkTracerDisabled" {
-		t.Fatalf("wrong benchmark flagged: %+v", c.Deltas)
-	}
-	var out bytes.Buffer
-	c.Format(&out, 0.25)
-	if !strings.Contains(out.String(), "REGRESSED") || !strings.Contains(out.String(), "FAIL") {
-		t.Errorf("format missing verdict:\n%s", out.String())
-	}
-}
-
-func TestCompareSelfIsClean(t *testing.T) {
-	b := benchFixture(map[string]float64{"BenchmarkTracerDisabled": 0.9, "BenchmarkTracerEnabled": 50})
-	c, err := Compare(b, b, 0.25, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Regressions != 0 || len(c.Deltas) != 2 {
-		t.Fatalf("self-compare not clean: %+v", c)
-	}
-}
-
-func TestCompareRefusesCrossPlatform(t *testing.T) {
-	old := benchFixture(map[string]float64{"BenchmarkTracerEnabled": 50})
-	new := benchFixture(map[string]float64{"BenchmarkTracerEnabled": 50})
-	new.GoArch = "arm64"
-	if _, err := Compare(old, new, 0.25, nil, false); err == nil {
-		t.Fatal("cross-arch compare accepted without force")
-	}
-	if _, err := Compare(old, new, 0.25, nil, true); err != nil {
-		t.Fatalf("forced cross-arch compare refused: %v", err)
-	}
-}
-
-func TestCompareFilterAndMissing(t *testing.T) {
-	old := benchFixture(map[string]float64{"BenchmarkTracerDisabled": 0.9, "BenchmarkCounterAdd": 10})
-	new := benchFixture(map[string]float64{"BenchmarkTracerDisabled": 5.0, "BenchmarkTracerEnabled": 50})
-	// Filter excludes the regressed Disabled benchmark entirely.
-	c, err := Compare(old, new, 0.25, regexp.MustCompile("Enabled|Counter"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Regressions != 0 {
-		t.Fatalf("filtered compare flagged regressions: %+v", c.Deltas)
-	}
-	if len(c.OnlyOld) != 1 || c.OnlyOld[0] != "BenchmarkCounterAdd" {
-		t.Errorf("OnlyOld = %v", c.OnlyOld)
-	}
-	if len(c.OnlyNew) != 1 || c.OnlyNew[0] != "BenchmarkTracerEnabled" {
-		t.Errorf("OnlyNew = %v", c.OnlyNew)
-	}
-}
-
-func TestReadBaselineRejectsGarbage(t *testing.T) {
-	if _, err := ReadBaseline(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -65,13 +65,35 @@ func TestUnknownFamilyDropped(t *testing.T) {
 	}
 }
 
+// TestConcurrentLoadMostlyServed sends 200 queries 2 ms apart. The
+// accounting — the collector saw every query and agrees with the responses
+// on how many were served — must hold on every attempt. The served share is
+// a wall-clock number: with the whole suite on two cores it dipped under 70 %
+// in 5 of 30 runs of an otherwise healthy server, so only that threshold is
+// repeated, as TestSimVsLive does: a host stall does not recur, a server
+// that drops a third of a light load does.
 func TestConcurrentLoadMostlyServed(t *testing.T) {
+	const n, attempts = 200, 3
+	for attempt := 1; ; attempt++ {
+		served := concurrentLoad(t, n)
+		if served >= n*7/10 {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("attempt %d: only %d/%d served", attempt, served, n)
+		}
+		t.Logf("attempt %d: only %d/%d served", attempt, served, n)
+	}
+}
+
+// concurrentLoad runs n spread-out queries through a fresh server, fails the
+// test on any accounting mismatch and returns how many were served.
+func concurrentLoad(t *testing.T, n int) int {
 	s, err := NewServer(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const n = 200
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, n)
 	for i := 0; i < n; i++ {
@@ -84,8 +106,8 @@ func TestConcurrentLoadMostlyServed(t *testing.T) {
 				fam = "efficientnet"
 			}
 			outcomes[i] = s.Infer(fam).Outcome
-			// Spread arrivals a little.
 		}()
+		// Spread arrivals a little.
 		time.Sleep(2 * time.Millisecond)
 	}
 	wg.Wait()
@@ -95,9 +117,6 @@ func TestConcurrentLoadMostlyServed(t *testing.T) {
 			served++
 		}
 	}
-	if served < n*7/10 {
-		t.Fatalf("only %d/%d served", served, n)
-	}
 	sum := s.Summary()
 	if sum.Queries != n {
 		t.Fatalf("collector saw %d queries, want %d", sum.Queries, n)
@@ -105,6 +124,7 @@ func TestConcurrentLoadMostlyServed(t *testing.T) {
 	if sum.Served != served {
 		t.Fatalf("collector served %d, responses said %d", sum.Served, served)
 	}
+	return served
 }
 
 func TestBatchingUnderBurst(t *testing.T) {

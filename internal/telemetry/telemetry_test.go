@@ -44,6 +44,34 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestNilReceiversAllocateNothing holds "nil is off, and off is free" as a
+// property of the code rather than of the host: every data-path method on a
+// nil tracer, counter or gauge returns without allocating.
+func TestNilReceiversAllocateNothing(t *testing.T) {
+	var (
+		tr *Tracer
+		c  *Counter
+		g  *Gauge
+	)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Tracer.Record", func() { tr.Record(time.Second, EvDone, 1, 0, 1, 2) }},
+		{"Tracer.RecordCtx", func() { tr.RecordCtx(time.Second, EvDone, 1, 0, 1, 2, Ctx{Plan: 3}) }},
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Counter.Add", func() { c.Add(5) }},
+		{"Counter.Value", func() { _ = c.Value() }},
+		{"Gauge.Set", func() { g.Set(7) }},
+		{"Gauge.Add", func() { g.Add(-2) }},
+		{"Gauge.Value", func() { _ = g.Value() }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.call); n != 0 {
+			t.Errorf("%s on a nil receiver allocates %v per call, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestTracerOrderAndFields(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Record(10*time.Millisecond, EvArrival, 42, 1, -1, -1)
@@ -238,6 +266,18 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader(`{"kind":"done","cause":"nonsense"}`)); err == nil {
 		t.Fatal("unknown cause should fail the parse")
+	}
+	// Values no tracer writes are refused with the line they stand on.
+	first := `{"at_ns":0,"kind":"arrival","query":1}` + "\n"
+	for _, bad := range []string{
+		`{"at_ns":-1,"kind":"done","query":1}`,
+		`{"at_ns":1,"kind":"done","query":1,"family":-1}`,
+		`{"at_ns":1,"kind":"done","query":1,"family":2000000000}`,
+	} {
+		_, err := ReadJSONL(strings.NewReader(first + bad))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("%s: err = %v, want a refusal naming line 2", bad, err)
+		}
 	}
 	if evs, err := ReadJSONL(strings.NewReader("\n\n")); err != nil || len(evs) != 0 {
 		t.Fatalf("blank trace: %v %v", evs, err)

@@ -325,8 +325,15 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
+// maxTraceFamily bounds the family index ReadJSONL accepts. Readers of a
+// trace keep one table row per family up to the largest seen
+// (attrib.Report.Families), so the file must not be able to name that size.
+const maxTraceFamily = 1 << 12
+
 // ReadJSONL parses a trace written by WriteJSONL back into events. Unknown
-// kinds or causes fail the parse rather than silently mis-attributing.
+// kinds or causes fail the parse rather than silently mis-attributing, and
+// so do the values no tracer writes: a negative timestamp, or a family that
+// is negative or beyond maxTraceFamily. Every error names the line.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -360,6 +367,12 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		cause, ok := CauseByName(wire.Cause)
 		if !ok {
 			return nil, fmt.Errorf("telemetry: trace line %d: unknown cause %q", line, wire.Cause)
+		}
+		if wire.AtNS < 0 {
+			return nil, fmt.Errorf("telemetry: trace line %d: negative at_ns %d", line, wire.AtNS)
+		}
+		if wire.Family < 0 || wire.Family > maxTraceFamily {
+			return nil, fmt.Errorf("telemetry: trace line %d: family %d outside [0, %d]", line, wire.Family, maxTraceFamily)
 		}
 		out = append(out, Event{
 			At:      time.Duration(wire.AtNS),

@@ -136,8 +136,6 @@ type (
 	RunDump = report.Dump
 	// RunDumpInput names the sources a RunDump is assembled from.
 	RunDumpInput = report.BuildInput
-	// BenchBaseline is a parsed proteus-benchjson output.
-	BenchBaseline = report.Baseline
 	// OverloadConfig enables the fast-path overload guard — deadline
 	// admission control, mailbox backpressure, and burn-triggered emergency
 	// accuracy degradation (SystemConfig.Overload / LiveConfig.Overload).
