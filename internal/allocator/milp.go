@@ -677,6 +677,8 @@ func solverStats(sol *milp.Solution, parallelism int, budgeted bool) SolverStats
 	st := SolverStats{
 		Objective:   sol.Objective,
 		Nodes:       sol.Nodes,
+		LPIters:     sol.LPIters,
+		DualNodes:   sol.DualNodes,
 		SolverTime:  sol.Elapsed,
 		RelGap:      -1,
 		Parallelism: milp.EffectiveParallelism(parallelism),

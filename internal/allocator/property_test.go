@@ -1,6 +1,7 @@
 package allocator
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +11,11 @@ import (
 	"proteus/internal/numeric"
 	"proteus/internal/profiles"
 )
+
+// pinnedRand seeds quick.Check, whose default generator is clock-seeded, so
+// that every run draws the same inputs and a CI failure can be replayed.
+// Exploring new inputs is the job of lp's FuzzRevisedAgainstTableau.
+func pinnedRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 // randomInput builds an allocation problem with a random cluster size and
 // random demands over a random subset of the zoo.
@@ -57,7 +63,7 @@ func TestPropertyMILPPlansAreValid(t *testing.T) {
 		}
 		return alloc.DemandScale > 0 && alloc.DemandScale <= 1+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: pinnedRand()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +83,7 @@ func TestPropertyHeuristicPlansAreValid(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: pinnedRand()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -149,7 +155,7 @@ func TestPropertyLocalSearchNeverWorsens(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: pinnedRand()}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -103,6 +103,11 @@ type SolverStats struct {
 	RelGap float64 `json:"rel_gap"`
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int `json:"nodes"`
+	// LPIters and DualNodes are milp.Solution's pivot counters for the final
+	// solve: simplex pivots over its Nodes relaxations, and how many of those
+	// were re-optimised by dual pivots alone. Not serialized.
+	LPIters   int `json:"-"`
+	DualNodes int `json:"-"`
 	// Backoffs is how many β demand-reduction iterations ran before the
 	// final (feasible) solve.
 	Backoffs int `json:"backoffs"`

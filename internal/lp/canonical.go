@@ -205,7 +205,14 @@ func (r *revised) extract(st Status) Solution {
 	for j := 0; j < r.n; j++ {
 		obj += r.cost[j] * x[j]
 	}
-	return Solution{Status: st, Objective: obj, X: x, Iters: r.iters}
+	sol := r.report(st)
+	sol.Objective, sol.X = obj, x
+	return sol
+}
+
+// report is the Solution of an outcome that carries no point.
+func (r *revised) report(st Status) Solution {
+	return Solution{Status: st, Iters: r.iters, DualIters: r.dualIters}
 }
 
 // basisOut snapshots the current basis. The solver's inverse is handed over
@@ -232,15 +239,30 @@ func solveRevised(p *Problem, o Options) (Solution, bool) {
 	if !r.setBasis(o.WarmBasis) {
 		return Solution{}, false
 	}
+	// A primal-infeasible start that prices dual feasible is re-optimised by
+	// dual pivots; what they leave undone (nothing, as a rule) falls to the
+	// primal path below, whose first pricing pass is then the optimality
+	// check.
+	if row, _ := r.chooseLeaving(o.Tol); row >= 0 {
+		r.price(r.cost)
+		if r.dualFeasible() {
+			switch r.dualIterate() {
+			case solvedInfeasible:
+				return r.report(Infeasible), true
+			case solvedIterLimit:
+				return r.report(IterLimit), true
+			}
+		}
+	}
 	if r.stretchSetup() {
 		switch r.iterate(r.p1cost, true) {
 		case numTrouble, solvedUnbounded:
 			return Solution{}, false
 		case solvedIterLimit:
-			return Solution{Status: IterLimit, Iters: r.iters}, true
+			return r.report(IterLimit), true
 		}
 		if r.stretchResidual() > feasTol {
-			return Solution{Status: Infeasible, Iters: r.iters}, true
+			return r.report(Infeasible), true
 		}
 		r.finishStretch()
 	}
@@ -248,7 +270,7 @@ func solveRevised(p *Problem, o Options) (Solution, bool) {
 	case numTrouble:
 		return Solution{}, false
 	case solvedUnbounded:
-		return Solution{Status: Unbounded, Iters: r.iters}, true
+		return r.report(Unbounded), true
 	case solvedIterLimit:
 		return r.extract(IterLimit), true
 	}

@@ -11,7 +11,8 @@
 //
 // The default solver (revised.go) is a sparse revised simplex on the whole
 // problem — CSC constraint matrix, explicit basis inverse with deterministic
-// refactorization, bound-stretch composite phase 1 — that accepts a
+// refactorization, bound-stretch composite phase 1, and a dual simplex
+// (dual.go) for starts whose basis prices dual feasible — that accepts a
 // warm-start Basis and can canonicalize its optimum (canonical.go) so warm
 // and cold solves agree bitwise. There is no presolve: the allocator's
 // problems gave it nothing to reduce (DESIGN.md "Solver traffic"). The
@@ -242,6 +243,10 @@ type Solution struct {
 	Objective float64
 	X         []float64 // value per variable, valid when Status == Optimal
 	Iters     int
+	// DualIters is how many of Iters were dual simplex pivots: the
+	// re-optimisation a start takes whose basis prices dual feasible (every
+	// branch-and-bound child). Zero on the dense tableau.
+	DualIters int
 	// Basis is the optimal basis, usable to warm-start a later solve of a
 	// same-shaped problem. It is nil when the solve fell back to the dense
 	// tableau (Options.Dense or numerical trouble) or did not reach
@@ -300,8 +305,10 @@ var ErrNoVariables = errors.New("lp: problem has no variables")
 //
 // The default path is the sparse revised simplex on the whole problem,
 // started from Options.WarmBasis when it fits the problem's shape and from
-// the all-logical basis otherwise; numerical trouble there falls back to the
-// dense tableau, which Options.Dense selects outright.
+// the all-logical basis otherwise — by dual pivots when that basis prices
+// dual feasible, by primal phase 1 + 2 when it does not; numerical trouble
+// there falls back to the dense tableau, which Options.Dense selects
+// outright.
 func Solve(p *Problem, opts *Options) (Solution, error) {
 	o := opts.withDefaults()
 	if len(p.names) == 0 {

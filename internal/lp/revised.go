@@ -7,18 +7,25 @@
 // refactorEvery pivots and once more at the end, so the reported solution
 // never depends on the pivot path's accumulated floating-point history.
 //
-// Feasibility is restored by a bound-stretch composite phase 1: the bounds
-// of out-of-range basic variables are temporarily stretched to their
-// current values and a ±1 objective pulls them back; a variable whose value
-// re-enters its true range has its bounds restored immediately (pricing is
-// recomputed every iteration, so mid-phase cost edits are free).
+// The state of the start basis picks the algorithm (solveRevised): one that
+// prices dual feasible and is primal infeasible — every branch-and-bound
+// child — is re-optimised by the dual simplex of dual.go; any other start
+// takes the primal path in this file.
+//
+// On the primal path feasibility is restored by a bound-stretch composite
+// phase 1: the bounds of out-of-range basic variables are temporarily
+// stretched to their current values and a ±1 objective pulls them back; a
+// variable whose value re-enters its true range has its bounds restored
+// immediately (pricing is recomputed every iteration, so mid-phase cost
+// edits are free).
 //
 // Determinism: every choice — entering column (Dantzig with lowest-index
 // tie-break, Bland's rule after a degenerate stall), leaving row (lowest
-// basic column index among near-ties), factorization pivots — is index-
-// deterministic, and the final answer is canonicalized (see canonicalize)
-// so that warm and cold solves of the same problem return byte-identical
-// solutions. No maps, no wall clock, no randomness.
+// basic column index among near-ties), the dual path's row and column,
+// factorization pivots — is index-deterministic, and where asked the final
+// answer is canonicalized (see canonicalize) so that warm and cold solves of
+// the same problem return byte-identical solutions. No maps, no wall clock,
+// no randomness.
 package lp
 
 import "math"
@@ -133,8 +140,15 @@ type revised struct {
 	xB    []float64   // value of basis[i]
 
 	y, z, w []float64 // scratch: duals, reduced costs, FTRAN column
+	alpha   []float64 // scratch: dual pivot row ρ_r·A per column
+	cand    []int32   // scratch: the dual ratio test's candidate columns
+	res     []float64 // scratch: computeXB's right-hand side
+	// fact is factorize's m×m elimination matrix, allocated by the first
+	// factorization of a solve (a warm re-solve usually needs none).
+	fact [][]float64
 
-	iters       int
+	iters       int // pivots and bound flips, primal and dual
+	dualIters   int // of which dual pivots
 	sinceFactor int
 
 	// Phase-1 bound-stretch bookkeeping.
@@ -148,14 +162,14 @@ func newRevised(p *Problem, o Options) *revised {
 	n, m := len(p.names), len(p.rows)
 	mc := p.matrix()
 	r := &revised{opts: o, n: n, m: m, N: n + m, mat: mc.mat, hash: mc.hash}
-	// One backing array for the float state (7 N-sized + 4 m-sized vectors)
+	// One backing array for the float state (8 N-sized + 5 m-sized vectors)
 	// and one for binv: the solver is created per solve, so allocation count
 	// dominates small warm re-solves.
-	buf := make([]float64, 7*r.N+4*m)
+	buf := make([]float64, 8*r.N+5*m)
 	cut := func(k int) (s []float64) { s, buf = buf[:k:k], buf[k:]; return }
 	r.lo, r.hi, r.cost = cut(r.N), cut(r.N), cut(r.N)
-	r.trueLo, r.trueHi, r.p1cost, r.z = cut(r.N), cut(r.N), cut(r.N), cut(r.N)
-	r.rhs, r.xB, r.y, r.w = cut(m), cut(m), cut(m), cut(m)
+	r.trueLo, r.trueHi, r.p1cost, r.z, r.alpha = cut(r.N), cut(r.N), cut(r.N), cut(r.N), cut(r.N)
+	r.rhs, r.xB, r.y, r.w, r.res = cut(m), cut(m), cut(m), cut(m), cut(m)
 	for j := 0; j < n; j++ {
 		r.lo[j], r.hi[j] = p.lo[j], p.hi[j]
 		r.cost[j] = p.obj[j]
@@ -171,8 +185,8 @@ func newRevised(p *Problem, o Options) *revised {
 			r.lo[n+i], r.hi[n+i] = 0, 0
 		}
 	}
-	r.basis = make([]int32, m)
-	r.inRow = make([]int32, r.N)
+	ibuf := make([]int32, m+2*r.N)
+	r.basis, r.inRow, r.cand = ibuf[:m:m], ibuf[m:m+r.N:m+r.N], ibuf[m+r.N:]
 	r.stat = make([]varStatus, r.N)
 	bbuf := make([]float64, m*m)
 	r.binv = make([][]float64, m)
@@ -207,19 +221,21 @@ func (r *revised) setBasis(warm *Basis) bool {
 	if warm != nil {
 		if wn, wm := warm.Shape(); wn == r.n && wm == r.m {
 			ok = true
-			seen := make([]bool, r.N)
+			for j := range r.inRow {
+				r.inRow[j] = -1
+			}
 			for i := 0; i < r.m; i++ {
 				v := int(warm.rowVar[i])
-				if v < 0 || v >= r.N || seen[v] {
+				if v < 0 || v >= r.N || r.inRow[v] >= 0 {
 					ok = false
 					break
 				}
-				seen[v] = true
+				r.inRow[v] = int32(i)
 				r.basis[i] = int32(v)
 			}
 			if ok {
 				for j := 0; j < r.N; j++ {
-					if seen[j] {
+					if r.inRow[j] >= 0 {
 						r.stat[j] = basic
 					} else {
 						r.stat[j] = r.restingStatus(j, varStatus(warm.stat[j]))
@@ -232,12 +248,6 @@ func (r *revised) setBasis(warm *Basis) bool {
 					// drift control spans solves.
 					for i := 0; i < r.m; i++ {
 						copy(r.binv[i], warm.binv[i])
-					}
-					for j := range r.inRow {
-						r.inRow[j] = -1
-					}
-					for i := 0; i < r.m; i++ {
-						r.inRow[r.basis[i]] = int32(i)
 					}
 					r.sinceFactor = warm.updates
 				} else {
@@ -270,10 +280,20 @@ func (r *revised) setBasis(warm *Basis) bool {
 // refreshes inRow. Returns false when the basis matrix is singular.
 func (r *revised) factorize() bool {
 	m := r.m
-	bm := make([][]float64, m) // basis matrix, column i = A_{basis[i]}
-	for i := range bm {
-		bm[i] = make([]float64, m)
+	if r.fact == nil {
+		flat := make([]float64, m*m)
+		r.fact = make([][]float64, m)
+		for i := range r.fact {
+			r.fact[i] = flat[i*m : (i+1)*m : (i+1)*m]
+		}
+	} else {
+		for _, row := range r.fact {
+			for k := range row {
+				row[k] = 0
+			}
+		}
 	}
+	bm := r.fact // basis matrix, column i = A_{basis[i]}
 	for k := 0; k < m; k++ {
 		j := int(r.basis[k])
 		if j < r.n {
@@ -353,7 +373,7 @@ func (r *revised) value(j int) float64 {
 // computeXB recomputes the basic values from scratch: xB = binv·(rhs − N·x_N)
 // with nonbasic contributions accumulated in ascending column order.
 func (r *revised) computeXB() {
-	res := make([]float64, r.m)
+	res := r.res
 	copy(res, r.rhs)
 	for j := 0; j < r.n; j++ {
 		if r.stat[j] == basic {
@@ -558,13 +578,15 @@ func (r *revised) pivot(leaveRow, j int, enterVal float64, leaveAtUpper bool) {
 	r.sinceFactor++
 }
 
-// solveStatus is iterate's outcome; numTrouble asks the caller to fall back
-// to the dense tableau.
+// solveStatus is the outcome of iterate and dualIterate; numTrouble asks the
+// caller to fall back — iterate's to the dense tableau, dualIterate's to the
+// primal path.
 type solveStatus int
 
 const (
 	solvedOptimal solveStatus = iota
 	solvedUnbounded
+	solvedInfeasible
 	solvedIterLimit
 	numTrouble
 )
@@ -609,7 +631,9 @@ func (r *revised) iterate(c []float64, phase1 bool) solveStatus {
 					r.hi[j] = r.trueHi[j]
 					r.stat[j] = atUpper
 				}
-				r.unstretchIfHome(j)
+				// Every stretched column, not only j: a basic one the step
+				// brought home must drop its ±1 cost before the next pricing.
+				r.restoreScan()
 				if capStep < tol {
 					stall++
 				} else {

@@ -121,6 +121,13 @@ type Solution struct {
 	X         []float64 // incumbent point, integral entries exactly integral
 	Bound     float64   // best proven upper bound on the optimum
 	Nodes     int       // branch-and-bound nodes processed
+	// LPIters is the simplex pivots of the Nodes relaxations the search
+	// consumed (speculative solves it discarded do not count), DualNodes how
+	// many of those relaxations were re-optimised by dual pivots alone —
+	// what a child warm-started from its parent's basis should need. Both
+	// are as deterministic as Nodes.
+	LPIters   int
+	DualNodes int
 	Elapsed   time.Duration
 	// TimeLimited reports that the wall-clock TimeLimit fired during the
 	// search. Bound/Nodes (and the gap derived from them) then depend on
@@ -226,8 +233,8 @@ func EffectiveParallelism(n int) int {
 // node is one branch-and-bound subproblem: bound overrides relative to the
 // root, plus the parent's LP bound used as the search priority and the
 // parent's optimal relaxation basis used to warm-start this node's LP
-// (branching changes one bound, so the parent basis is usually one or two
-// phase-1 pivots from feasible). basis is immutable and shared — workers
+// (branching changes one bound, so the parent basis stays dual feasible and
+// lp re-optimises it by dual simplex). basis is immutable and shared — workers
 // and the driver only read it.
 type node struct {
 	bounds []boundChange
@@ -301,6 +308,8 @@ type solver struct {
 	incumbent    []float64
 	incumbentObj float64
 	nodes        int
+	lpIters      int // see Solution.LPIters
+	dualNodes    int // see Solution.DualNodes
 	bestBound    float64
 	// limited records that some subtree was abandoned because of a node,
 	// time or LP-iteration limit; exhausting the heap then proves nothing.
@@ -359,11 +368,17 @@ func (s *solver) solveNode(nd *node) (lp.Solution, error) {
 // speculatively solved result when one exists (solving inline otherwise)
 // and enqueues likely future nodes — the hints plus the best open nodes —
 // for the workers. Without a pool it is exactly the serial solveNode.
-func (s *solver) relax(nd *node, hints ...*node) (lp.Solution, error) {
+func (s *solver) relax(nd *node, hints ...*node) (rel lp.Solution, err error) {
 	if s.pool == nil {
-		return s.solveNode(nd)
+		rel, err = s.solveNode(nd)
+	} else {
+		rel, err = s.pool.solve(nd, hints)
 	}
-	return s.pool.solve(nd, hints)
+	s.lpIters += rel.Iters
+	if rel.DualIters == rel.Iters {
+		s.dualNodes++
+	}
+	return rel, err
 }
 
 // nodeBounds returns the effective bound interval of variable v at node nd:
@@ -433,6 +448,8 @@ func (s *solver) finish(st Status) Solution {
 		Status:      st,
 		Bound:       s.bestBound,
 		Nodes:       s.nodes,
+		LPIters:     s.lpIters,
+		DualNodes:   s.dualNodes,
 		Elapsed:     sinceStart(s.start),
 		TimeLimited: s.timeLimited,
 		Basis:       s.rootBasis,

@@ -219,3 +219,28 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatalf("clone and original solved identically (%v); copy is shallow?", a.Objective)
 	}
 }
+
+// TestPivotCountersCountConsumedRelaxations checks Solution.LPIters and
+// DualNodes: they cover the relaxations the search consumed and nothing a
+// worker solved ahead of it in vain, so they are the same for every
+// Parallelism; and on an instance that branches, every relaxation but three
+// is re-optimised from its parent's basis by dual pivots alone. The three
+// are the root and its two children: the root's basis is the canonical one
+// of its vertex (lp/canonical.go), which on a degenerate vertex need not
+// price dual feasible, so those two start on the primal path.
+func TestPivotCountersCountConsumedRelaxations(t *testing.T) {
+	want := Solve(buildAllocInstance(17, 4, 10), &Options{MaxNodes: 3000, Parallelism: 1})
+	if want.Nodes < 10 || want.LPIters < want.Nodes {
+		t.Fatalf("serial: %d nodes, %d pivots — the instance no longer branches", want.Nodes, want.LPIters)
+	}
+	if want.DualNodes < want.Nodes-3 {
+		t.Errorf("serial: %d of %d relaxations were solved by dual pivots alone, want all but 3", want.DualNodes, want.Nodes)
+	}
+	for _, par := range []int{2, 4} {
+		got := Solve(buildAllocInstance(17, 4, 10), &Options{MaxNodes: 3000, Parallelism: par})
+		if got.LPIters != want.LPIters || got.DualNodes != want.DualNodes {
+			t.Errorf("Parallelism %d: %d pivots, %d dual-only relaxations; serial had %d and %d",
+				par, got.LPIters, got.DualNodes, want.LPIters, want.DualNodes)
+		}
+	}
+}
