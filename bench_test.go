@@ -38,7 +38,7 @@ func benchOptions() proteus.ExperimentOptions {
 		BaseQPS:      180,
 		PeakQPS:      480,
 		Seed:         20240427,
-		SolverBudget: 400 * time.Millisecond,
+		SolverBudget: 640,
 	}
 }
 
@@ -447,7 +447,7 @@ func BenchmarkRouterLookup(b *testing.B) {
 		demand[q] = 40
 	}
 	in := &allocator.Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand}
-	plan, err := allocator.NewMILP(&allocator.MILPOptions{TimeLimit: time.Second, RelGap: 0.01}).Allocate(in)
+	plan, err := allocator.NewMILP(&allocator.MILPOptions{MaxNodes: 800, RelGap: 0.01}).Allocate(in)
 	if err != nil {
 		b.Fatal(err)
 	}

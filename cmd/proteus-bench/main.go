@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"proteus"
 )
@@ -27,7 +26,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "random seed (0 = default)")
 		outDir     = flag.String("out", "", "directory for CSV time series (omit to skip)")
 		traceDir   = flag.String("trace-dir", "", "directory for per-system lifecycle traces (Chrome trace_event .json + .jsonl; omit to skip)")
-		budget     = flag.Duration("solver", 500*time.Millisecond, "MILP solve budget per re-allocation")
+		budget     = flag.Int("solver", 800, "MILP solve budget per re-allocation, in branch-and-bound nodes")
 	)
 	flag.Parse()
 

@@ -45,10 +45,14 @@
 //
 // and "max_retries" sets the per-query re-route budget after a device
 // failure (default 1; an explicit 0 drops stranded queries immediately).
+// "solver_budget_nodes" bounds each MILP solve in branch-and-bound nodes
+// (default 800). Unknown keys are rejected.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -65,18 +69,12 @@ type config struct {
 	ClusterSize     int     `json:"cluster_size"`
 	SLOMultiplier   float64 `json:"slo_multiplier"`
 	Seed            uint64  `json:"seed"`
-	SolverBudgetMS  int     `json:"solver_budget_ms"`
-	// SolverParallelism is the number of concurrent LP-relaxation solvers
-	// per allocation MILP solve. Plans are byte-identical for every value
-	// ≥ 1 (extra workers only shorten solve wall-clock time); 1 is fully
-	// serial, 0 (the default) uses all cores.
-	SolverParallelism int `json:"solver_parallelism"`
-	// SolverColdStart disables carrying the previous control period's
-	// optimal simplex basis into the next MILP solve. Warm starts change
-	// only solve wall-clock time, never the plan; the knob exists for A/B
-	// measurement of the warm-start path.
-	SolverColdStart bool        `json:"solver_cold_start"`
-	Trace           traceConfig `json:"trace"`
+	// SolverBudgetNodes bounds each allocation MILP solve in branch-and-bound
+	// nodes (default 800): work, not wall time, so the plans — and the
+	// solver's bound, node count and gap in the run dump — are the same on
+	// every host.
+	SolverBudgetNodes int         `json:"solver_budget_nodes"`
+	Trace             traceConfig `json:"trace"`
 	// Devices overrides cluster_size with an explicit fleet, e.g.
 	// [{"type": "cpu", "count": 4}, {"type": "v100", "count": 2}].
 	// Unknown device types are a config error, not a crash.
@@ -239,11 +237,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	cfg, err := loadConfig(raw)
+	if err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *configPath, err))
 	}
-	applyDefaults(&cfg)
 
 	tr, err := buildTrace(cfg.Trace)
 	if err != nil {
@@ -258,10 +255,8 @@ func main() {
 		fatal(err)
 	}
 	alloc, err := proteus.NewAllocator(cfg.ModelAllocation, &proteus.MILPOptions{
-		TimeLimit:   time.Duration(cfg.SolverBudgetMS) * time.Millisecond,
-		RelGap:      0.005,
-		Parallelism: cfg.SolverParallelism,
-		ColdStart:   cfg.SolverColdStart,
+		MaxNodes: cfg.SolverBudgetNodes,
+		RelGap:   0.005,
 	})
 	if err != nil {
 		fatal(err)
@@ -450,6 +445,23 @@ func writeTrace(path string, tr *proteus.Tracer) error {
 	return tr.WriteChromeTrace(f)
 }
 
+// loadConfig decodes a config file strictly — an unknown key (a typo, or a
+// key an older version accepted) is an error naming it, never a silent
+// default — and fills in the defaults.
+func loadConfig(raw []byte) (config, error) {
+	var cfg config
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, err
+	}
+	if dec.More() {
+		return cfg, errors.New("trailing data after the config object")
+	}
+	applyDefaults(&cfg)
+	return cfg, nil
+}
+
 func applyDefaults(cfg *config) {
 	if cfg.ModelAllocation == "" {
 		cfg.ModelAllocation = "ilp"
@@ -463,8 +475,8 @@ func applyDefaults(cfg *config) {
 	if cfg.SLOMultiplier <= 0 {
 		cfg.SLOMultiplier = 2
 	}
-	if cfg.SolverBudgetMS <= 0 {
-		cfg.SolverBudgetMS = 500
+	if cfg.SolverBudgetNodes <= 0 {
+		cfg.SolverBudgetNodes = 800
 	}
 	if cfg.Trace.Kind == "" {
 		cfg.Trace.Kind = "twitter"

@@ -80,7 +80,12 @@ func main() {
 			fatal(err)
 		}
 	}
-	alloc, err := proteus.NewAllocator(*allocName, &proteus.MILPOptions{Parallelism: *solverPar})
+	alloc, err := proteus.NewAllocator(*allocName, &proteus.MILPOptions{
+		Parallelism: *solverPar,
+		// Safety net for a live control loop: a solve it cuts short is marked
+		// time_limited in the audit log.
+		TimeLimit: 20 * time.Second,
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -25,7 +25,7 @@ func main() {
 	var results []proteus.SystemResult
 	for _, name := range []string{"clipper-ha", "infaas_v2", "ilp"} {
 		alloc, err := proteus.NewAllocator(name, &proteus.MILPOptions{
-			TimeLimit: 500 * time.Millisecond, RelGap: 0.005,
+			MaxNodes: 800, RelGap: 0.005,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -31,7 +31,7 @@ func main() {
 
 	run := func(elastic *proteus.ElasticConfig) *proteus.Result {
 		alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-			TimeLimit: 400 * time.Millisecond, RelGap: 0.01,
+			MaxNodes: 640, RelGap: 0.01,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	faults := proteus.KillFraction(cl, 0.25, 80*time.Second, 160*time.Second)
 
 	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		TimeLimit: 400 * time.Millisecond, RelGap: 0.01,
+		MaxNodes: 640, RelGap: 0.01,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,7 @@ func main() {
 	})
 
 	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		TimeLimit: 400 * time.Millisecond, RelGap: 0.01,
+		MaxNodes: 640, RelGap: 0.01,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -15,8 +15,8 @@ import (
 func main() {
 	// The Proteus resource manager: exact MILP with a 500ms solve budget.
 	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		TimeLimit: 500 * time.Millisecond,
-		RelGap:    0.005,
+		MaxNodes: 800,
+		RelGap:   0.005,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,7 @@ func main() {
 		PeriodSeconds: 60,
 	})
 	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		TimeLimit: 500 * time.Millisecond, RelGap: 0.005,
+		MaxNodes: 800, RelGap: 0.005,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,9 +19,13 @@ type MILPOptions struct {
 	// aggregates identical devices into integer counts, which is exact for
 	// homogeneous device groups and much faster (see DESIGN.md).
 	PerDevice bool
-	// TimeLimit bounds each MILP solve (default 20s).
+	// TimeLimit bounds each MILP solve on the wall clock (default: none).
+	// A solve it cuts short is marked SolverStats.TimeLimited and is not
+	// reproducible; callers that must not depend on the host budget the
+	// solve with MaxNodes instead.
 	TimeLimit time.Duration
-	// MaxNodes bounds branch-and-bound nodes per solve.
+	// MaxNodes bounds branch-and-bound nodes per solve (default 200 000):
+	// the deterministic budget, the same work on every host.
 	MaxNodes int
 	// RelGap is the accepted relative optimality gap (default 1e-6, i.e.
 	// effectively exact; negative demands an exact proof, gap 0). The
@@ -68,9 +72,10 @@ type MILPOptions struct {
 }
 
 func (o *MILPOptions) withDefaults() MILPOptions {
-	out := MILPOptions{TimeLimit: 20 * time.Second, MaxNodes: 200_000, MaxBackoffs: 600, DemandFloor: 0.01, StallNodes: 3000, SwitchCost: 0.05, RelGap: 1e-6}
+	out := MILPOptions{MaxNodes: 200_000, MaxBackoffs: 600, DemandFloor: 0.01, StallNodes: 3000, SwitchCost: 0.05, RelGap: 1e-6}
 	if o != nil {
 		out.PerDevice = o.PerDevice
+		out.TimeLimit = o.TimeLimit
 		out.ColdStart = o.ColdStart
 		out.Filter = o.Filter
 		if o.RelGap > 0 {
@@ -93,9 +98,6 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 			out.StallNodes = o.StallNodes
 		} else if o.StallNodes < 0 {
 			out.StallNodes = 0
-		}
-		if o.TimeLimit > 0 {
-			out.TimeLimit = o.TimeLimit
 		}
 		if o.MaxNodes > 0 {
 			out.MaxNodes = o.MaxNodes
@@ -413,9 +415,9 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 	// the fairness term active they could override a fairer incumbent, so
 	// they only run in the standard configuration.
 	if m.opts.FairnessWeight == 0 {
-		// Polish the incumbent: under a time limit the branch-and-bound may
-		// stop with an improvable plan; a local-search pass is cheap and
-		// only ever helps.
+		// Polish the incumbent: under a node or stall limit the branch-and-
+		// bound may stop with an improvable plan; a local-search pass is
+		// cheap and only ever helps.
 		polished := space.improve(append([]int(nil), counts...), 50)
 		if obj, feasible := space.objective(polished); feasible && obj > objFinal+1e-9 {
 			if pv := space.vector(polished, p.NumVariables()); pv != nil {
@@ -433,7 +435,6 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 			if obj, feasible := space.objective(prevCounts); feasible && obj >= objFinal*0.998 {
 				if pv := space.vector(prevCounts, p.NumVariables()); pv != nil {
 					xFinal = pv
-					objFinal = obj
 				}
 			}
 		}
@@ -441,7 +442,7 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 
 	alloc := NewAllocation(in)
 	alloc.Optimal = sol.Status == milp.Optimal
-	alloc.Stats = solverStats(&sol, m.opts.Parallelism, m.opts.TimeLimit > 0)
+	alloc.Stats = solverStats(&sol)
 	// Expand group counts to concrete devices, preferring devices that
 	// already host the same variant (minimizes loading churn).
 	used := make(map[int]bool)
@@ -475,7 +476,6 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 	if accDen > 0 {
 		alloc.PredictedAccuracy = accNum / accDen
 	}
-	_ = objFinal
 	return alloc, nil, nil
 }
 
@@ -605,7 +605,7 @@ func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool,
 
 	alloc := NewAllocation(in)
 	alloc.Optimal = sol.Status == milp.Optimal
-	alloc.Stats = solverStats(&sol, m.opts.Parallelism, m.opts.TimeLimit > 0)
+	alloc.Stats = solverStats(&sol)
 	for _, pr := range pairs {
 		if sol.X[pr.x] < 0.5 {
 			continue
@@ -622,22 +622,6 @@ func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool,
 
 func (m *MILP) excluded(ref VariantRef, in *Input) bool {
 	return m.opts.Filter != nil && !m.opts.Filter(ref, in)
-}
-
-// prevHosts counts how many of the group's devices hosted ref's variant in
-// the previous allocation.
-func (m *MILP) prevHosts(group []int, ref VariantRef) int {
-	if m.prev == nil {
-		return 0
-	}
-	n := 0
-	for _, d := range group {
-		if d < len(m.prev.Hosted) && m.prev.Hosted[d] != nil &&
-			m.prev.Hosted[d].Variant.ID() == ref.Variant.ID() {
-			n++
-		}
-	}
-	return n
 }
 
 // pickDevices chooses count device IDs from the group, preferring devices
@@ -670,10 +654,8 @@ func (m *MILP) pickDevices(group []int, ref VariantRef, count int, used map[int]
 
 // solverStats converts a branch-and-bound solution into the audit-log
 // form, sanitizing infinities (a Limit-terminated solve may carry an
-// unproven +Inf bound, which JSON cannot encode). budgeted records whether
-// a wall-clock budget was configured for the solve — a property of the
-// configuration, not of how the solve went.
-func solverStats(sol *milp.Solution, parallelism int, budgeted bool) SolverStats {
+// unproven +Inf bound, which JSON cannot encode).
+func solverStats(sol *milp.Solution) SolverStats {
 	st := SolverStats{
 		Objective:   sol.Objective,
 		Nodes:       sol.Nodes,
@@ -681,8 +663,6 @@ func solverStats(sol *milp.Solution, parallelism int, budgeted bool) SolverStats
 		DualNodes:   sol.DualNodes,
 		SolverTime:  sol.Elapsed,
 		RelGap:      -1,
-		Parallelism: milp.EffectiveParallelism(parallelism),
-		Budgeted:    budgeted,
 		TimeLimited: sol.TimeLimited,
 	}
 	if gap := sol.Gap(); !math.IsInf(gap, 0) && !math.IsNaN(gap) {

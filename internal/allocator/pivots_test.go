@@ -18,23 +18,9 @@ import (
 // of rising demand go through one allocator, as the controller drives it;
 // the counts are deterministic, so the thresholds cannot flake.
 func TestChildRelaxationsTakeDualPath(t *testing.T) {
-	fams := models.Zoo()
-	slos := make([]time.Duration, len(fams))
-	for q, f := range fams {
-		slos[q] = profiles.FamilySLO(f, 2)
-	}
-	// Zipf-like family mix: family q gets a share ∝ 1/(q+1).
-	norm := 0.0
-	for q := range fams {
-		norm += 1 / float64(q+1)
-	}
 	m := NewMILP(&MILPOptions{StallNodes: 400})
 	for _, totalQPS := range []float64{250, 400, 550} {
-		demand := make([]float64, len(fams))
-		for q := range demand {
-			demand[q] = totalQPS / float64(q+1) / norm
-		}
-		plan, err := m.Allocate(&Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand})
+		plan, err := m.Allocate(defaultClusterInput(totalQPS))
 		if err != nil {
 			t.Fatalf("%v QPS: %v", totalQPS, err)
 		}
@@ -51,4 +37,22 @@ func TestChildRelaxationsTakeDualPath(t *testing.T) {
 		}
 		t.Logf("%v QPS: %d nodes, %d pivots (%.1f per node), %d dual-only relaxations", totalQPS, st.Nodes, st.LPIters, float64(st.LPIters)/float64(st.Nodes), st.DualNodes)
 	}
+}
+
+// defaultClusterInput is the default model — 20 devices, the whole zoo, 2×
+// SLOs — under a Zipf-like family mix: family q gets a share ∝ 1/(q+1) of
+// totalQPS.
+func defaultClusterInput(totalQPS float64) *Input {
+	fams := models.Zoo()
+	slos := make([]time.Duration, len(fams))
+	demand := make([]float64, len(fams))
+	norm := 0.0
+	for q := range fams {
+		norm += 1 / float64(q+1)
+	}
+	for q, f := range fams {
+		slos[q] = profiles.FamilySLO(f, 2)
+		demand[q] = totalQPS / float64(q+1) / norm
+	}
+	return &Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand}
 }

@@ -115,19 +115,10 @@ type SolverStats struct {
 	// Allocation.SolveTime additionally covers warm-start heuristics,
 	// polishing and every back-off iteration.
 	SolverTime time.Duration `json:"solver_time_ns"`
-	// Parallelism is the resolved number of concurrent LP-relaxation
-	// solvers the solve ran with (0 for allocators that never solved).
-	Parallelism int `json:"parallelism,omitempty"`
-	// Budgeted reports that the solve ran under a configured wall-clock
-	// budget (MILPOptions.TimeLimit > 0). It depends only on configuration,
-	// never on runtime timing, so it is safe for deterministic surfaces to
-	// branch on: when set, Bound, Nodes, RelGap and TimeLimited reflect how
-	// far the optimality proof happened to get before the clock and must be
-	// dropped from byte-deterministic serializations (see
-	// controlplane.SanitizePlanRecord).
-	Budgeted bool `json:"budgeted,omitempty"`
-	// TimeLimited reports that the wall-clock budget actually fired during
-	// the final solve (diagnostics only; not byte-deterministic).
+	// TimeLimited reports that MILPOptions.TimeLimit fired during the final
+	// solve: Bound, Nodes and RelGap — and possibly the plan — then depend
+	// on the speed of the host, so a record carrying it is not
+	// reproducible. Never set when no TimeLimit is configured.
 	TimeLimited bool `json:"time_limited,omitempty"`
 }
 

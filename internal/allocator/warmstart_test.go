@@ -130,20 +130,38 @@ func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 	}
 }
 
-// TestSolverStatsBudgeted pins the Budgeted/TimeLimited mapping: Budgeted
-// reflects only whether a TimeLimit was configured, independent of whether
-// the clock fired.
-func TestSolverStatsBudgeted(t *testing.T) {
-	in := testInput(t, []float64{40, 40})
-	a := NewMILP(&MILPOptions{TimeLimit: time.Minute})
-	alloc, err := a.Allocate(in)
+// TestSolveBudgetIsWorkNotTime pins what the simulator relies on: an
+// allocator built with no options reads no clock (TimeLimited false, the same
+// node count on every run), and MaxNodes stops a solve of the default model
+// after that many nodes — plus at most the one dive step in flight — with
+// the incumbent it has as the plan.
+func TestSolveBudgetIsWorkNotTime(t *testing.T) {
+	var nodes [2]int
+	for i := range nodes {
+		plan, err := NewMILP(nil).Allocate(testInput(t, []float64{40, 40}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Stats.TimeLimited {
+			t.Fatal("no TimeLimit configured, yet the solve reports TimeLimited")
+		}
+		nodes[i] = plan.Stats.Nodes
+	}
+	if nodes[0] <= 0 || nodes[0] != nodes[1] {
+		t.Fatalf("default solve explored %d then %d nodes, want equal and positive", nodes[0], nodes[1])
+	}
+
+	const budget = 50
+	plan, err := NewMILP(&MILPOptions{MaxNodes: budget}).Allocate(defaultClusterInput(400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !alloc.Stats.Budgeted {
-		t.Fatal("TimeLimit configured but Stats.Budgeted is false")
+	st := plan.Stats
+	if st.Nodes < budget || st.Nodes > budget+1 {
+		t.Errorf("MaxNodes %d: stopped after %d nodes", budget, st.Nodes)
 	}
-	if alloc.Stats.TimeLimited {
-		t.Fatal("a one-minute budget cannot plausibly fire on the fixture; TimeLimited must be false")
+	if st.TimeLimited || plan.Optimal || st.Objective <= 0 || st.RelGap <= 0 || plan.PredictedAccuracy <= 0 {
+		t.Errorf("MaxNodes %d: want an unproven incumbent with a positive gap, got optimal=%v acc=%.2f stats=%+v",
+			budget, plan.Optimal, plan.PredictedAccuracy, st)
 	}
 }

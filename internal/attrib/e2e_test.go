@@ -29,7 +29,7 @@ func simTrace(t *testing.T, seed uint64, qps float64, faults *cluster.FailureSch
 		Cluster:  cluster.ScaledTestbed(4),
 		Families: fams,
 		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			TimeLimit: 200 * time.Millisecond, RelGap: 0.01,
+			MaxNodes: 320, RelGap: 0.01,
 		}),
 		Seed:      seed,
 		Tracer:    telemetry.NewTracer(1 << 18),

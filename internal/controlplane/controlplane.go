@@ -157,32 +157,19 @@ type PlanRecord struct {
 	Overloads []OverloadRecord `json:"overloads,omitempty"`
 }
 
-// SanitizePlanRecord zeroes, in place, every field of a plan record that
-// can differ between two same-seed runs, so that serialization surfaces
-// (metrics dumps, incident bundles, debug endpoints, reports) stay
-// byte-identical. Two classes of fields are affected:
-//
-//   - Wall-clock measurements (SolveTime, Stats.SolverTime) are always
-//     zeroed — elapsed time is never deterministic.
-//   - Solver proof-progress fields (Stats.Bound, Nodes, RelGap,
-//     TimeLimited) are cleared only when the solve ran under a configured
-//     wall-clock budget (Stats.Budgeted): a budget that fires truncates the
-//     optimality proof at a timing-dependent point, so how far the proof
-//     got is machine- and load-dependent. Budgeted is a property of the
-//     configuration, not of whether the budget happened to fire, so the
-//     decision to clear is itself deterministic.
+// SanitizePlanRecord zeroes, in place, the wall-clock measurements of a
+// plan record (SolveTime, Stats.SolverTime) — the only fields that differ
+// between two same-seed runs — so that serialization surfaces (metrics
+// dumps, incident bundles, debug endpoints, reports) stay byte-identical.
+// The solver's work (Bound, Nodes, RelGap) is deterministic and stays; a
+// record with Stats.TimeLimited set came from a solve the wall clock cut
+// short and is by definition not reproducible.
 //
 // Every surface that serializes plan records must route them through this
 // helper (or SanitizePlans) instead of zeroing fields ad hoc.
 func SanitizePlanRecord(r *PlanRecord) {
 	r.SolveTime = 0
 	r.Stats.SolverTime = 0
-	if r.Stats.Budgeted {
-		r.Stats.Bound = 0
-		r.Stats.Nodes = 0
-		r.Stats.RelGap = -1
-		r.Stats.TimeLimited = false
-	}
 }
 
 // SanitizePlans applies SanitizePlanRecord to every record in place and

@@ -22,7 +22,7 @@ func fixture(t *testing.T) (*Controller, []models.Family) {
 	for q, f := range fams {
 		slos[q] = profiles.FamilySLO(f, 2)
 	}
-	a := allocator.NewMILP(&allocator.MILPOptions{TimeLimit: 300 * time.Millisecond, RelGap: 0.01})
+	a := allocator.NewMILP(&allocator.MILPOptions{MaxNodes: 480, RelGap: 0.01})
 	c := NewController(a, cluster.ScaledTestbed(8), fams, slos, 30*time.Second, 10*time.Second)
 	return c, fams
 }

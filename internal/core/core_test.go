@@ -32,7 +32,7 @@ func smallConfig(t *testing.T) Config {
 		Cluster:  cluster.ScaledTestbed(8),
 		Families: smallFamilies(t),
 		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			TimeLimit: 500 * time.Millisecond, RelGap: 0.01,
+			MaxNodes: 800, RelGap: 0.01,
 		}),
 		Seed: 42,
 	}
@@ -159,7 +159,7 @@ func TestConservationOfQueries(t *testing.T) {
 
 func TestStaticAllocatorNeverReallocates(t *testing.T) {
 	cfg := smallConfig(t)
-	cfg.Allocator = allocator.NewClipperHT(&allocator.MILPOptions{TimeLimit: 500 * time.Millisecond, RelGap: 0.01})
+	cfg.Allocator = allocator.NewClipperHT(&allocator.MILPOptions{MaxNodes: 800, RelGap: 0.01})
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestProteusBeatsStaticOnBursts(t *testing.T) {
 		}
 		return res
 	}
-	opts := &allocator.MILPOptions{TimeLimit: 500 * time.Millisecond, RelGap: 0.01}
+	opts := &allocator.MILPOptions{MaxNodes: 800, RelGap: 0.01}
 	proteus := run(allocator.NewMILP(opts))
 	clipperHA := run(allocator.NewClipperHA(opts))
 	if proteus.Summary.ViolationRatio >= clipperHA.Summary.ViolationRatio {
@@ -352,7 +352,7 @@ func TestElasticProvisioningAbsorbsOverload(t *testing.T) {
 			Cluster:  cluster.ScaledTestbed(4),
 			Families: fams,
 			Allocator: allocator.NewMILP(&allocator.MILPOptions{
-				TimeLimit: 300 * time.Millisecond, RelGap: 0.01,
+				MaxNodes: 480, RelGap: 0.01,
 			}),
 			Elastic: elastic,
 			Seed:    5,
@@ -392,7 +392,7 @@ func TestElasticRespectsMaxExtra(t *testing.T) {
 		Cluster:  cluster.ScaledTestbed(4),
 		Families: fams,
 		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			TimeLimit: 300 * time.Millisecond, RelGap: 0.01,
+			MaxNodes: 480, RelGap: 0.01,
 		}),
 		Elastic: &ElasticConfig{MaxExtra: 2, ProvisionDelay: 20 * time.Second},
 		Seed:    5,

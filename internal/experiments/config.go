@@ -40,9 +40,10 @@ type Options struct {
 	SLOMultiplier float64
 	// Seed drives all randomness.
 	Seed uint64
-	// SolverBudget bounds each MILP solve inside the control loop.
-	// Default 500ms.
-	SolverBudget time.Duration
+	// SolverBudget bounds each MILP solve inside the control loop, in
+	// branch-and-bound nodes — work, not wall time, so a figure is the same
+	// on every host. Default 800.
+	SolverBudget int
 	// Trace attaches a lifecycle tracer to each end-to-end system run; the
 	// recorded events come back in SystemResult.Trace for the caller to
 	// export. Off by default (tracing a 5-system figure holds five buffers).
@@ -69,14 +70,14 @@ func (o Options) withDefaults() Options {
 		o.Seed = 20240427 // ASPLOS'24 opening day
 	}
 	if o.SolverBudget <= 0 {
-		o.SolverBudget = 500 * time.Millisecond
+		o.SolverBudget = 800
 	}
 	return o
 }
 
 func (o Options) milpOptions() *allocator.MILPOptions {
 	return &allocator.MILPOptions{
-		TimeLimit:  o.SolverBudget,
+		MaxNodes:   o.SolverBudget,
 		RelGap:     0.005,
 		StallNodes: 600,
 	}

@@ -22,7 +22,7 @@ func quick() Options {
 		BaseQPS:      150,
 		PeakQPS:      420,
 		Seed:         7,
-		SolverBudget: 300 * time.Millisecond,
+		SolverBudget: 440,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"proteus/internal/telemetry"
 )
@@ -101,7 +100,7 @@ func TestOverloadRunDeterminism(t *testing.T) {
 		BaseQPS:      150,
 		PeakQPS:      420,
 		Seed:         7,
-		SolverBudget: 300 * time.Millisecond,
+		SolverBudget: 440,
 	}.withDefaults()
 	tr := o.adversarialTrace()
 	marshal := func() []byte {

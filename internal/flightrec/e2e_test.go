@@ -46,7 +46,7 @@ func burnRun(t *testing.T, dir string) *flightrec.Recorder {
 		Cluster:  cluster.ScaledTestbed(4),
 		Families: fams,
 		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			TimeLimit: 200 * time.Millisecond, RelGap: 0.01,
+			MaxNodes: 320, RelGap: 0.01,
 		}),
 		Seed:      7,
 		TSDB:      rec,

@@ -131,9 +131,8 @@ type Solution struct {
 	Elapsed   time.Duration
 	// TimeLimited reports that the wall-clock TimeLimit fired during the
 	// search. Bound/Nodes (and the gap derived from them) then depend on
-	// how far the optimality proof got before the clock ran out, so
-	// deterministic serialization surfaces must drop them (see
-	// controlplane.SanitizePlanRecord). Node- and stall-limit truncation is
+	// how far the optimality proof got before the clock ran out, so the
+	// solve is not reproducible. Node- and stall-limit truncation is
 	// deterministic and does not set this.
 	TimeLimited bool
 	// Basis is the canonicalized optimal basis of the root LP relaxation,
@@ -218,16 +217,6 @@ func (o *Options) withDefaults() Options {
 		}
 	}
 	return out
-}
-
-// EffectiveParallelism resolves a Parallelism setting the way Solve does:
-// values ≤ 0 mean runtime.GOMAXPROCS(0). Callers use it to report the
-// worker count a solve actually ran with.
-func EffectiveParallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // node is one branch-and-bound subproblem: bound overrides relative to the

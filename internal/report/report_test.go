@@ -2,14 +2,12 @@ package report
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"proteus/internal/allocator"
 	"proteus/internal/cluster"
-	"proteus/internal/controlplane"
 	"proteus/internal/core"
 	"proteus/internal/models"
 	"proteus/internal/telemetry"
@@ -20,6 +18,11 @@ import (
 // burnRun drives a deliberately overloaded small cluster so the SLO monitor
 // enters a burn episode, then assembles the run's Dump.
 func burnRun(t *testing.T) (*Dump, *telemetry.Tracer, *core.Result) {
+	t.Helper()
+	return burnRunWith(t, &allocator.MILPOptions{MaxNodes: 320, RelGap: 0.01})
+}
+
+func burnRunWith(t *testing.T, opts *allocator.MILPOptions) (*Dump, *telemetry.Tracer, *core.Result) {
 	t.Helper()
 	var fams []models.Family
 	for _, f := range models.Zoo() {
@@ -42,14 +45,12 @@ func burnRun(t *testing.T) (*Dump, *telemetry.Tracer, *core.Result) {
 	})
 	tracer := telemetry.NewTracer(0) // default capacity: burns must not be evicted by later events
 	sys, err := core.NewSystem(core.Config{
-		Cluster:  cl,
-		Families: fams,
-		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			TimeLimit: 200 * time.Millisecond, RelGap: 0.01,
-		}),
-		Seed:   7,
-		TSDB:   rec,
-		Tracer: tracer,
+		Cluster:   cl,
+		Families:  fams,
+		Allocator: allocator.NewMILP(opts),
+		Seed:      7,
+		TSDB:      rec,
+		Tracer:    tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,48 +106,34 @@ func TestEndToEndDumpAndHTMLByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBudgetedDumpInsensitiveToSolverTiming is the regression test for the
-// solver-stats determinism leak: under a configured solver budget, how far
-// the optimality proof gets (nodes, bound, gap, whether the clock fired) is
-// a race against wall time, so two same-seed runs can legitimately differ in
-// those fields. The dump must serialize byte-identically regardless. We
-// simulate the worst-case divergence directly: perturb every timing-tainted
-// field of one run's plan records as if the clock had behaved differently,
-// and require the built dumps to still match byte for byte.
-func TestBudgetedDumpInsensitiveToSolverTiming(t *testing.T) {
-	d1, _, res := burnRun(t)
-
-	perturbed := append([]controlplane.PlanRecord(nil), res.Plans...)
-	for i := range perturbed {
-		if !perturbed[i].Stats.Budgeted {
-			t.Fatalf("plan %d: TimeLimit configured but Stats.Budgeted unset", i)
+// TestDumpIndependentOfSolverParallelism runs the same seeded system with a
+// serial and a two-worker solver under a node budget tight enough to cut
+// solves short. A node budget is work, not time, so the dumps must match
+// byte for byte with the solver's progress (nodes, gap) in them.
+func TestDumpIndependentOfSolverParallelism(t *testing.T) {
+	const budget = 3
+	var dumps [2]bytes.Buffer
+	for i, par := range []int{1, 2} {
+		d, _, _ := burnRunWith(t, &allocator.MILPOptions{MaxNodes: budget, RelGap: -1, Parallelism: par})
+		if err := d.WriteJSON(&dumps[i]); err != nil {
+			t.Fatal(err)
 		}
-		perturbed[i].SolveTime += time.Duration(i+1) * time.Millisecond
-		perturbed[i].Stats.SolverTime += time.Duration(i+1) * time.Millisecond
-		perturbed[i].Stats.Nodes += 1000 + i
-		perturbed[i].Stats.Bound += 0.125
-		perturbed[i].Stats.RelGap = 0.5
-		perturbed[i].Stats.TimeLimited = !perturbed[i].Stats.TimeLimited
+		fired := false
+		for _, p := range d.Plans {
+			if p.Solver != "ilp" {
+				continue
+			}
+			if p.Stats.Nodes <= 0 || p.Stats.RelGap < 0 || p.Stats.TimeLimited {
+				t.Errorf("parallelism %d, plan %d: solver progress missing from the dump: %+v", par, p.Seq, p.Stats)
+			}
+			fired = fired || p.Stats.Nodes >= budget
+		}
+		if !fired {
+			t.Errorf("parallelism %d: no solve reached the %d-node budget; the test exercises nothing", par, budget)
+		}
 	}
-	d2 := Build(BuildInput{
-		Label:       d1.Meta.Label,
-		Seed:        d1.Meta.Seed,
-		Collector:   res.Collector,
-		Plans:       perturbed,
-		DeviceNames: d1.Meta.Devices,
-	})
-	// Compare only the audit section: the two Builds share the collector,
-	// so the rest is identical by construction; Plans is where the leak was.
-	j1, err := json.Marshal(d1.Plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(d2.Plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("budgeted plan records leaked timing-dependent fields:\n%s\nvs\n%s", j1, j2)
+	if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
+		t.Errorf("dumps differ between solver parallelism 1 and 2 (%d vs %d bytes)", dumps[0].Len(), dumps[1].Len())
 	}
 }
 

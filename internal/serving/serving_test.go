@@ -34,7 +34,28 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
+// TestServeSingleQuery sends one query against its wall-clock SLO. With the
+// suite sharing two cores a host stall turned it into a drop at 143 ms, so
+// "served" alone is repeated, as in TestConcurrentLoadMostlyServed; what
+// singleQuery asserts holds on every attempt.
 func TestServeSingleQuery(t *testing.T) {
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		resp := singleQuery(t)
+		if resp.Outcome == OutcomeServed {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("attempt %d: outcome %s, want served (latency %.1fms)", attempt, resp.Outcome, resp.LatencyMS)
+		}
+		t.Logf("attempt %d: outcome %s, want served (latency %.1fms)", attempt, resp.Outcome, resp.LatencyMS)
+	}
+}
+
+// singleQuery runs one query through a fresh server and fails the test
+// unless it ended as exactly one accounted outcome, with variant and
+// accuracy set when served.
+func singleQuery(t *testing.T) Response {
 	s, err := NewServer(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
@@ -43,15 +64,23 @@ func TestServeSingleQuery(t *testing.T) {
 	// efficientnet's SLO (~176ms) leaves room for wall-clock jitter when
 	// the test machine is loaded; mobilenet's 52ms SLO does not.
 	resp := s.Infer("efficientnet")
-	if resp.Outcome != OutcomeServed {
-		t.Fatalf("outcome %s, want served (latency %.1fms, variant %s)", resp.Outcome, resp.LatencyMS, resp.Variant)
+	switch resp.Outcome {
+	case OutcomeServed:
+		if resp.Variant == "" || resp.Accuracy < 80 || resp.Accuracy > 100 {
+			t.Fatalf("served by variant %q at accuracy %v", resp.Variant, resp.Accuracy)
+		}
+	case OutcomeLate, OutcomeDropped:
+	default:
+		t.Fatalf("unknown outcome %q", resp.Outcome)
 	}
-	if resp.Accuracy < 80 || resp.Accuracy > 100 {
-		t.Fatalf("accuracy %v", resp.Accuracy)
+	sum := s.Summary()
+	if sum.Queries != 1 {
+		t.Fatalf("collector saw %d queries, want 1", sum.Queries)
 	}
-	if resp.Variant == "" {
-		t.Fatal("variant missing")
+	if (sum.Served == 1) != (resp.Outcome == OutcomeServed) {
+		t.Fatalf("collector served %d, response said %s", sum.Served, resp.Outcome)
 	}
+	return resp
 }
 
 func TestUnknownFamilyDropped(t *testing.T) {

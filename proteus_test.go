@@ -2,11 +2,10 @@ package proteus
 
 import (
 	"testing"
-	"time"
 )
 
 func TestPublicAPISimulation(t *testing.T) {
-	alloc, err := NewAllocator("ilp", &MILPOptions{TimeLimit: 300 * time.Millisecond, RelGap: 0.01})
+	alloc, err := NewAllocator("ilp", &MILPOptions{MaxNodes: 480, RelGap: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
