@@ -22,11 +22,18 @@ import (
 // Stats is the statistics collector: one monitoring daemon per family.
 type Stats struct {
 	Monitors []*router.Monitor
+
+	// AnyBurst's answer for the second starting at burstFrom (-1: none
+	// held). Burst reads only the last completed second's bucket and the
+	// planned capacities, so within one second the answer changes only
+	// through SetPlanned or an observation for an earlier second.
+	burstFrom time.Duration
+	burst     bool
 }
 
 // NewStats builds a collector with one monitor per family.
 func NewStats(families, windowSeconds int, burstFactor float64) *Stats {
-	s := &Stats{Monitors: make([]*router.Monitor, families)}
+	s := &Stats{Monitors: make([]*router.Monitor, families), burstFrom: -1}
 	for q := range s.Monitors {
 		s.Monitors[q] = router.NewMonitor(windowSeconds, burstFactor)
 	}
@@ -34,7 +41,12 @@ func NewStats(families, windowSeconds int, burstFactor float64) *Stats {
 }
 
 // Observe records an arrival of family q at time t.
-func (s *Stats) Observe(t time.Duration, q int) { s.Monitors[q].Observe(t) }
+func (s *Stats) Observe(t time.Duration, q int) {
+	if t < s.burstFrom {
+		s.burstFrom = -1
+	}
+	s.Monitors[q].Observe(t)
+}
 
 // Estimates returns the current per-family demand estimates in QPS.
 func (s *Stats) Estimates(t time.Duration) []float64 {
@@ -48,12 +60,16 @@ func (s *Stats) Estimates(t time.Duration) []float64 {
 // AnyBurst reports whether any family's instantaneous demand exceeds its
 // planned capacity by the burst factor.
 func (s *Stats) AnyBurst(t time.Duration) bool {
-	for _, m := range s.Monitors {
-		if m.Burst(t) {
-			return true
+	if from := t.Truncate(time.Second); from != s.burstFrom {
+		s.burstFrom, s.burst = from, false
+		for _, m := range s.Monitors {
+			if m.Burst(t) {
+				s.burst = true
+				break
+			}
 		}
 	}
-	return false
+	return s.burst
 }
 
 // SetPlanned records each family's planned serving capacity from a new
@@ -68,6 +84,7 @@ func (s *Stats) SetPlanned(served []float64) error {
 	for q, m := range s.Monitors {
 		m.SetPlanned(served[q])
 	}
+	s.burstFrom = -1
 	return nil
 }
 

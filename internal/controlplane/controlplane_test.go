@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -58,6 +59,45 @@ func TestStatsBurstDetection(t *testing.T) {
 	s2.Observe(0, 0)
 	if s2.AnyBurst(time.Second) {
 		t.Fatal("1 QPS vs planned 1000 must not be a burst")
+	}
+}
+
+// AnyBurst holds its answer for one second; the held answer must be what the
+// monitors would say at every call, across new plans, second boundaries and
+// observations that arrive for a second already past.
+func TestAnyBurstMemoMatchesMonitors(t *testing.T) {
+	s := NewStats(2, 30, 1.5)
+	rng := rand.New(rand.NewSource(1))
+	now := time.Duration(0)
+	flips := 0
+	last := false
+	for i := 0; i < 20000; i++ {
+		switch r := rng.Intn(100); {
+		case r < 90:
+			now += time.Duration(rng.Intn(20)) * time.Millisecond
+			s.Observe(now, rng.Intn(2))
+		case r < 93:
+			// A late batch, heavy enough to turn the last second into a burst.
+			late, q := now-time.Duration(rng.Intn(1500))*time.Millisecond, rng.Intn(2)
+			for n := 0; n < 40 && late >= 0; n++ {
+				s.Observe(late, q)
+			}
+		case r < 96:
+			if err := s.SetPlanned([]float64{float64(rng.Intn(120)), float64(rng.Intn(120))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := s.Monitors[0].Burst(now) || s.Monitors[1].Burst(now)
+		if got := s.AnyBurst(now); got != want {
+			t.Fatalf("step %d at %v: AnyBurst = %v, monitors say %v", i, now, got, want)
+		}
+		if want != last {
+			flips++
+			last = want
+		}
+	}
+	if flips < 10 {
+		t.Fatalf("the answer changed only %d times: the sequence does not exercise the memo", flips)
 	}
 }
 

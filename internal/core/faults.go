@@ -1,6 +1,9 @@
 package core
 
-import "proteus/internal/telemetry"
+import (
+	"proteus/internal/simulation"
+	"proteus/internal/telemetry"
+)
 
 // failDevice takes device d down at the current simulation time: its queued
 // and in-flight queries drain back to the router (the batch's completion
@@ -15,11 +18,9 @@ func (s *System) failDevice(d int) {
 	s.syncClusterHealth()
 	w := s.workers[d]
 	queued, inflight := w.dev.Fail(now)
-	w.cancelWake()
-	if w.done != nil {
-		w.done.Cancel()
-		w.done = nil
-	}
+	s.cancelWake(w)
+	s.engine.Cancel(w.done)
+	w.done = simulation.Handle{}
 	s.plane.FailureIncident(now, d)
 	s.rebuildTable()
 	for _, q := range append(queued, inflight...) {

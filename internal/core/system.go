@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"proteus/internal/allocator"
@@ -47,16 +48,29 @@ type System struct {
 type worker struct {
 	dev *dataplane.Device
 	// wake is the pending batching (or load-completion) wake-up; done the
-	// in-flight batch's completion, tracked so a failure can cancel it.
-	wake *simulation.Event
-	done *simulation.Event
+	// in-flight batch's completion, tracked so a failure can cancel it. The
+	// zero handle means none is pending.
+	wake simulation.Handle
+	done simulation.Handle
+	// onWake and onDone are the two events' callbacks, built once per worker
+	// so that scheduling a batch allocates nothing.
+	onWake func()
+	onDone func()
 }
 
-func (w *worker) cancelWake() {
-	if w.wake != nil {
-		w.wake.Cancel()
-		w.wake = nil
+func (s *System) addWorker(dev *dataplane.Device) {
+	w := &worker{dev: dev}
+	w.onWake = func() {
+		w.wake = simulation.Handle{}
+		s.step(w)
 	}
+	w.onDone = func() { s.complete(w) }
+	s.workers = append(s.workers, w)
+}
+
+func (s *System) cancelWake(w *worker) {
+	s.engine.Cancel(w.wake)
+	w.wake = simulation.Handle{}
 }
 
 // NewSystem builds a system from the config.
@@ -99,7 +113,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.plane = dataplane.New(pc)
 	for _, dev := range s.plane.Devices {
-		s.workers = append(s.workers, &worker{dev: dev})
+		s.addWorker(dev)
 	}
 	return s, nil
 }
@@ -150,15 +164,24 @@ func (s *System) Run(tr *trace.Trace) (*Result, error) {
 	return s.RunArrivals(arrivals, time.Duration(tr.Seconds())*time.Second, initial)
 }
 
-// RunArrivals replays an explicit arrival sequence (already sorted by time)
-// for the given duration, pre-loading an initial plan for initialDemand.
-// It is the entry point for the §6.4 batching experiments, whose arrival
-// processes are not Poisson. A run whose books do not balance — some family
-// with arrivals ≠ served + late + dropped — is an error.
+// RunArrivals replays an explicit arrival sequence for the given duration,
+// pre-loading an initial plan for initialDemand. It is the entry point for
+// the §6.4 batching experiments, whose arrival processes are not Poisson.
+// Arrivals are handled in time order, equal times in slice order; a slice
+// that is not sorted by time is replayed from a stable-sorted copy. A run
+// whose books do not balance — some family with arrivals ≠ served + late +
+// dropped — is an error.
 func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, initialDemand []float64) (*Result, error) {
 	start := time.Now() //lint:allow determinism wall-clock Result.Wall measurement; the simulated clock is engine.Now
 	if len(initialDemand) != len(s.cfg.Families) {
 		return nil, fmt.Errorf("core: initial demand has %d entries, want %d", len(initialDemand), len(s.cfg.Families))
+	}
+	if !slices.IsSortedFunc(arrivals, trace.ByTime) {
+		arrivals = slices.Clone(arrivals)
+		slices.SortStableFunc(arrivals, trace.ByTime)
+	}
+	if len(arrivals) > 0 && arrivals[0].Time < 0 {
+		return nil, fmt.Errorf("core: arrival at %v, before the run starts", arrivals[0].Time)
 	}
 	ctl := s.plane.Controller
 	initial := make([]float64, len(initialDemand))
@@ -171,10 +194,9 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	}
 	s.applyPlan(plan, ctl.LastPlanSeq(), true)
 
-	for _, a := range arrivals {
-		a := a
-		s.engine.Schedule(a.Time, func() { s.onArrival(a) })
-	}
+	// Everything known before the clock starts is scheduled here, ahead of
+	// anything the run produces. The order of these loops is the firing order
+	// of equal-time ticks and so part of every output.
 
 	// Periodic controller invocations for dynamic allocators.
 	if ctl.Dynamic() {
@@ -218,6 +240,13 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 		}
 	}
 
+	// Arrivals are a cursor merged with the event queue, not events: each is
+	// handled after every queued event strictly before its time and ahead of
+	// every event at its time.
+	for _, a := range arrivals {
+		s.engine.AdvanceTo(a.Time)
+		s.onArrival(a)
+	}
 	s.engine.Run()
 	if s.reallocErr != nil {
 		return nil, s.reallocErr
@@ -296,23 +325,20 @@ func (s *System) step(w *worker) {
 	for _, dr := range st.Dropped {
 		s.plane.Drop(now, dr.Query, dr.Cause)
 	}
-	w.cancelWake()
+	s.cancelWake(w)
 	switch {
 	case len(st.Batch.Queries) > 0:
 		s.plane.TraceBatch(st.Batch)
-		w.done = s.engine.Schedule(st.Batch.Done, func() { s.complete(w) })
+		w.done = s.engine.Schedule(st.Batch.Done, w.onDone)
 	case st.Wake:
-		w.wake = s.engine.Schedule(st.WakeAt, func() {
-			w.wake = nil
-			s.step(w)
-		})
+		w.wake = s.engine.Schedule(st.WakeAt, w.onWake)
 	}
 }
 
 // complete finishes w's in-flight batch at the current time.
 func (s *System) complete(w *worker) {
 	now := s.engine.Now()
-	w.done = nil
+	w.done = simulation.Handle{}
 	b, _ := w.dev.Finish(now)
 	for _, q := range b.Queries {
 		s.plane.Complete(now, q, b)
@@ -382,7 +408,7 @@ func (s *System) provisionDevice() {
 	grown := ctl.Cluster().WithExtra(e.Type)
 	ctl.SetCluster(grown)
 	dev := s.plane.AddDevice(grown.Device(grown.Size() - 1))
-	s.workers = append(s.workers, &worker{dev: dev})
+	s.addWorker(dev)
 	s.reallocate("provision")
 }
 
@@ -413,7 +439,7 @@ func (s *System) applyPlan(plan *allocator.Allocation, seq int, initial bool) {
 		if !changed {
 			continue
 		}
-		w.cancelWake()
+		s.cancelWake(w)
 		rerouted = append(rerouted, moved...)
 		s.afterLoad(w, now)
 	}

@@ -6,67 +6,57 @@
 package simulation
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
-// Event is a scheduled callback. Obtain events via Engine.Schedule; cancel
-// them with Cancel.
-type Event struct {
-	time      time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // heap index, -1 once popped
+// Handle names one scheduled event so that it can be cancelled. It is a
+// value: a slot in the engine's table plus the generation the slot had when
+// the event was scheduled. A slot's generation moves on when its event
+// leaves the queue, so a handle kept past that point names nothing, even
+// after the slot is reused. The zero Handle names no event.
+type Handle struct {
+	slot uint32
+	gen  uint32
 }
 
-// Time returns the virtual time the event fires at.
-func (e *Event) Time() time.Duration { return e.time }
+// entry is one queued event. It holds no pointer, so sifting moves plain
+// words and the collector never scans the queue; the callback waits in the
+// slot table.
+type entry struct {
+	at   time.Duration
+	seq  uint64
+	slot uint32
+}
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// slot is one row of the handle table. gen is 0 only in the zero Handle: it
+// starts at 1 and skips 0 when it wraps, so a stale handle could match again
+// only after 2³²−1 reuses of its slot.
+type slot struct {
+	fn  func() // nil once cancelled
+	gen uint32
 }
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
+
+// arity is the heap's fan-out: a 4-ary heap is half as deep as a binary one
+// and the four children of a node share one or two cache lines.
+const arity = 4
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all model code runs inside event callbacks.
 type Engine struct {
-	now    time.Duration
-	queue  eventHeap
-	seq    uint64
-	fired  uint64
-	inStep bool
+	now   time.Duration
+	queue []entry  // arity-ary min-heap on (at, seq)
+	slots []slot   // indexed by entry.slot and Handle.slot
+	free  []uint32 // slots whose event has left the queue
+	seq   uint64
+	fired uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -78,73 +68,123 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued (including cancelled
-// ones not yet reaped).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule registers fn to run at absolute virtual time at. Scheduling in
 // the past panics — it indicates a model bug. Events at equal times fire in
-// scheduling order.
-func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
+// scheduling order. Once the queue and the slot table have reached their
+// working size, Schedule allocates nothing.
+func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("simulation: scheduling at %v before now %v", at, e.now))
 	}
-	ev := &Event{time: at, seq: e.seq, fn: fn}
+	var s uint32
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		s = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{gen: 1})
+	}
+	e.slots[s].fn = fn
+	ev := entry{at: at, seq: e.seq, slot: s}
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+
+	// Sift up: move parents down into the hole until ev fits.
+	e.queue = append(e.queue, ev)
+	i := len(e.queue) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !ev.before(e.queue[p]) {
+			break
+		}
+		e.queue[i] = e.queue[p]
+		i = p
+	}
+	e.queue[i] = ev
+	return Handle{slot: s, gen: e.slots[s].gen}
 }
 
 // After registers fn to run d after the current time.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
+func (e *Engine) After(d time.Duration, fn func()) Handle {
 	if d < 0 {
 		d = 0
 	}
 	return e.Schedule(e.now+d, fn)
 }
 
-// Step fires the next event. It returns false when the queue is empty.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.time
-		e.fired++
-		ev.fn()
-		return true
+// Cancel prevents h's event from firing. Cancelling the zero Handle, or an
+// event that already fired or was already cancelled, is a no-op. The entry
+// stays queued until its time comes and is then discarded.
+func (e *Engine) Cancel(h Handle) {
+	if int(h.slot) < len(e.slots) && e.slots[h.slot].gen == h.gen {
+		e.slots[h.slot].fn = nil
 	}
-	return false
+}
+
+// pop removes the earliest entry, releases its slot and, unless the event
+// was cancelled, advances the clock to it and runs it.
+func (e *Engine) pop() {
+	top := e.queue[0]
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue = e.queue[:n]
+	if n > 0 {
+		// Sift down: move the smallest child up into the hole until last fits.
+		i := 0
+		for {
+			c := i*arity + 1
+			if c >= n {
+				break
+			}
+			end := c + arity
+			if end > n {
+				end = n
+			}
+			m := c
+			for j := c + 1; j < end; j++ {
+				if e.queue[j].before(e.queue[m]) {
+					m = j
+				}
+			}
+			if !e.queue[m].before(last) {
+				break
+			}
+			e.queue[i] = e.queue[m]
+			i = m
+		}
+		e.queue[i] = last
+	}
+
+	s := &e.slots[top.slot]
+	fn := s.fn
+	s.fn = nil
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	e.free = append(e.free, top.slot)
+	if fn == nil {
+		return
+	}
+	e.now = top.at
+	e.fired++
+	fn()
 }
 
 // Run fires events until the queue is exhausted.
 func (e *Engine) Run() {
-	for e.Step() {
+	for len(e.queue) > 0 {
+		e.pop()
 	}
 }
 
-// RunUntil fires events with time <= t, then advances the clock to t.
-func (e *Engine) RunUntil(t time.Duration) {
-	for {
-		next, ok := e.peek()
-		if !ok || next > t {
-			break
-		}
-		e.Step()
+// AdvanceTo fires every event scheduled strictly before t, then moves the
+// clock to t. Events at exactly t stay queued: a caller that merges an
+// already-ordered stream with the queue (core's arrival cursor) handles its
+// own item at t first.
+func (e *Engine) AdvanceTo(t time.Duration) {
+	for len(e.queue) > 0 && e.queue[0].at < t {
+		e.pop()
 	}
 	if t > e.now {
 		e.now = t
 	}
-}
-
-func (e *Engine) peek() (time.Duration, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].cancelled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		return e.queue[0].time, true
-	}
-	return 0, false
 }

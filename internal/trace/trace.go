@@ -10,9 +10,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"proteus/internal/numeric"
@@ -352,9 +353,13 @@ func (tr *Trace) Arrivals(rng *numeric.RNG) []Arrival {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	slices.SortFunc(out, ByTime)
 	return out
 }
+
+// ByTime compares two arrivals by time alone — the order Arrivals sorts
+// into and the simulator replays in.
+func ByTime(a, b Arrival) int { return cmp.Compare(a.Time, b.Time) }
 
 // ArrivalProcess selects the micro-scale inter-arrival distribution of §6.4.
 type ArrivalProcess int
