@@ -62,7 +62,6 @@ func main() {
 		drive      = flag.Duration("drive", 0, "self-drive duration (0 = serve forever)")
 		driveQPS   = flag.Float64("drive-qps", 100, "total QPS during self-drive")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		solverPar  = flag.Int("solver-parallelism", 0, "concurrent LP solvers per allocation MILP solve; plans are identical for any value ≥ 1 (1 = serial, 0 = all cores)")
 		drainTO    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long SIGINT/SIGTERM waits for in-flight queries")
 		maxRetries = flag.Int("max-retries", 1, "per-query re-route budget after a device failure (0 drops stranded queries immediately)")
 		overloadOn = flag.Bool("overload", false, "enable the overload guard: deadline admission control, backpressure, emergency accuracy degradation")
@@ -81,7 +80,6 @@ func main() {
 		}
 	}
 	alloc, err := proteus.NewAllocator(*allocName, &proteus.MILPOptions{
-		Parallelism: *solverPar,
 		// Safety net for a live control loop: a solve it cuts short is marked
 		// time_limited in the audit log.
 		TimeLimit: 20 * time.Second,

@@ -33,17 +33,6 @@ type MILPOptions struct {
 	// instances, as the paper does by falling back to heuristics past its
 	// 60-second horizon (§6.8).
 	RelGap float64
-	// Parallelism is the number of concurrent LP-relaxation solvers per
-	// MILP solve. Results are byte-identical for every value ≥ 1; extra
-	// workers only shorten wall-clock time. 1 is fully serial; 0 (the
-	// default) uses runtime.GOMAXPROCS(0).
-	Parallelism int
-	// ColdStart disables carrying the previous solve's optimal simplex
-	// basis into the next solve of a same-shaped instance. Warm starts
-	// change only solve time, never the plan (the solver canonicalizes the
-	// root relaxation), so this knob exists for A/B measurement and as an
-	// escape hatch.
-	ColdStart bool
 	// StallNodes stops a solve early (keeping the incumbent) after that
 	// many branch-and-bound nodes without improvement. Default 3000;
 	// negative disables.
@@ -76,15 +65,11 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 	if o != nil {
 		out.PerDevice = o.PerDevice
 		out.TimeLimit = o.TimeLimit
-		out.ColdStart = o.ColdStart
 		out.Filter = o.Filter
 		if o.RelGap > 0 {
 			out.RelGap = o.RelGap
 		} else if o.RelGap < 0 {
 			out.RelGap = 0
-		}
-		if o.Parallelism > 0 {
-			out.Parallelism = o.Parallelism
 		}
 		if o.SwitchCost > 0 {
 			out.SwitchCost = o.SwitchCost
@@ -121,30 +106,6 @@ type MILP struct {
 	// prev biases device expansion toward the previous hosting to minimize
 	// model-loading churn.
 	prev *Allocation
-	// prevBasis is the canonical root-relaxation basis of the previous
-	// solve, carried forward (unless ColdStart) to warm-start the next
-	// solve when the instance shape is unchanged — the common steady-state
-	// case across control periods. Warm starts never change the plan.
-	prevBasis *lp.Basis
-}
-
-// warmBasis returns the carried basis when warm starts are enabled and the
-// previous basis matches the instance shape, else nil.
-func (m *MILP) warmBasis(p *milp.Problem) *lp.Basis {
-	if m.opts.ColdStart || m.prevBasis == nil {
-		return nil
-	}
-	if n, rows := m.prevBasis.Shape(); n != p.NumVariables() || rows != p.NumConstraints() {
-		return nil
-	}
-	return m.prevBasis
-}
-
-// noteBasis stores a solve's root basis for the next control period.
-func (m *MILP) noteBasis(sol *milp.Solution) {
-	if sol.Basis != nil {
-		m.prevBasis = sol.Basis
-	}
 }
 
 // NewMILP returns the Proteus allocator ("ilp" in the artifact configs).
@@ -390,16 +351,13 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 	}
 
 	sol := milp.Solve(p, &milp.Options{
-		TimeLimit:   m.opts.TimeLimit,
-		MaxNodes:    m.opts.MaxNodes,
-		RelGap:      m.opts.RelGap,
-		IntTol:      -1, // solver default
-		StallNodes:  m.opts.StallNodes,
-		Parallelism: m.opts.Parallelism,
-		WarmStart:   warm,
-		WarmBasis:   m.warmBasis(p),
+		TimeLimit:  m.opts.TimeLimit,
+		MaxNodes:   m.opts.MaxNodes,
+		RelGap:     m.opts.RelGap,
+		IntTol:     -1, // solver default
+		StallNodes: m.opts.StallNodes,
+		WarmStart:  warm,
 	})
-	m.noteBasis(&sol)
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
 	case milp.Infeasible, milp.Limit:
@@ -430,10 +388,10 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 		// equal-accuracy optima abound in this MILP, and gratuitous
 		// re-placement costs a model load (device downtime) per switched
 		// device.
-		if prevCounts := m.prevCounts(in, groups, refs, pairs); prevCounts != nil {
-			prevCounts = space.improve(prevCounts, 50)
-			if obj, feasible := space.objective(prevCounts); feasible && obj >= objFinal*0.998 {
-				if pv := space.vector(prevCounts, p.NumVariables()); pv != nil {
+		if prevCounts != nil {
+			kept := space.improve(append([]int(nil), prevCounts...), 50)
+			if obj, feasible := space.objective(kept); feasible && obj >= objFinal*0.998 {
+				if pv := space.vector(kept, p.NumVariables()); pv != nil {
 					xFinal = pv
 				}
 			}
@@ -586,15 +544,12 @@ func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool,
 	}
 
 	sol := milp.Solve(p, &milp.Options{
-		TimeLimit:   m.opts.TimeLimit,
-		MaxNodes:    m.opts.MaxNodes,
-		RelGap:      m.opts.RelGap,
-		IntTol:      -1, // solver default
-		StallNodes:  m.opts.StallNodes,
-		Parallelism: m.opts.Parallelism,
-		WarmBasis:   m.warmBasis(p),
+		TimeLimit:  m.opts.TimeLimit,
+		MaxNodes:   m.opts.MaxNodes,
+		RelGap:     m.opts.RelGap,
+		IntTol:     -1, // solver default
+		StallNodes: m.opts.StallNodes,
 	})
-	m.noteBasis(&sol)
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
 	case milp.Infeasible, milp.Limit:

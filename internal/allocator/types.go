@@ -80,15 +80,6 @@ func (in *Input) Peak(d cluster.Device, ref VariantRef) float64 {
 	return profiles.EffectiveCapacity(d.Spec, ref.Variant, in.SLOs[ref.Family])
 }
 
-// TotalDemand returns Σ_q s_q.
-func (in *Input) TotalDemand() float64 {
-	t := 0.0
-	for _, s := range in.Demand {
-		t += s
-	}
-	return t
-}
-
 // SolverStats reports how an optimizing allocator computed its plan, for
 // the control plane's decision audit log. Heuristic and static allocators
 // leave it zero. All fields are JSON-safe: infinities from the solver

@@ -10,75 +10,44 @@ import (
 	"proteus/internal/trace"
 )
 
-// TestMILPWarmStartMatchesColdStart re-runs the same allocator instance
-// across control periods (which arms the basis carry) and checks the plans
-// are identical to a fresh cold-start allocator's: warm starts may only
-// change solve time, never the plan.
-func TestMILPWarmStartMatchesColdStart(t *testing.T) {
-	demands := [][]float64{{40, 40}, {60, 80}, {120, 50}, {60, 80}}
-	warm := NewMILP(nil)
-	cold := NewMILP(&MILPOptions{ColdStart: true})
-	for i, d := range demands {
-		inW := testInput(t, d)
-		inC := testInput(t, d)
-		aw, err := warm.Allocate(inW)
-		if err != nil {
-			t.Fatalf("step %d warm: %v", i, err)
-		}
-		ac, err := cold.Allocate(inC)
-		if err != nil {
-			t.Fatalf("step %d cold: %v", i, err)
-		}
-		requireSamePlan(t, i, aw, ac)
-	}
-	if warm.prevBasis == nil {
-		t.Fatal("warm allocator never captured a basis to carry forward")
-	}
-	if cold.prevBasis == nil {
-		// noteBasis still records it; ColdStart gates the *use*, so a later
-		// config flip can start warm immediately.
-		t.Fatal("cold allocator should still record the basis")
-	}
-	if cold.warmBasis(nil) != nil {
-		t.Fatal("ColdStart allocator must never hand out a warm basis")
-	}
-}
-
-// requireSamePlan fails unless the warm-started and the cold-started plan
-// of one step agree exactly: hosting, routing fractions and accuracy.
-func requireSamePlan(t *testing.T, i int, aw, ac *Allocation) {
+// requireSamePlan fails unless the plans two allocators returned for one
+// step agree exactly: hosting, routing fractions and accuracy.
+func requireSamePlan(t *testing.T, i int, a, b *Allocation) {
 	t.Helper()
-	if len(aw.Hosted) != len(ac.Hosted) {
-		t.Fatalf("step %d: hosted count %d vs %d", i, len(aw.Hosted), len(ac.Hosted))
+	if len(a.Hosted) != len(b.Hosted) {
+		t.Fatalf("step %d: hosted count %d vs %d", i, len(a.Hosted), len(b.Hosted))
 	}
-	for dev, vw := range aw.Hosted {
-		vc := ac.Hosted[dev]
+	for dev, va := range a.Hosted {
+		vb := b.Hosted[dev]
 		switch {
-		case vw == nil != (vc == nil):
-			t.Fatalf("step %d device %d: warm hosts %v, cold hosts %v", i, dev, vw, vc)
-		case vw != nil && (vw.Family != vc.Family || vw.Variant != vc.Variant):
-			t.Fatalf("step %d device %d: warm hosts %v, cold hosts %v", i, dev, vw, vc)
+		case va == nil != (vb == nil):
+			t.Fatalf("step %d device %d: one hosts %v, the other %v", i, dev, va, vb)
+		case va != nil && (va.Family != vb.Family || va.Variant != vb.Variant):
+			t.Fatalf("step %d device %d: one hosts %v, the other %v", i, dev, va, vb)
 		}
 	}
-	for q := range aw.Routing {
-		for dev := range aw.Routing[q] {
-			if aw.Routing[q][dev] != ac.Routing[q][dev] {
-				t.Fatalf("step %d routing[%d][%d]: warm=%v cold=%v", i, q, dev, aw.Routing[q][dev], ac.Routing[q][dev])
+	for q := range a.Routing {
+		for dev := range a.Routing[q] {
+			if a.Routing[q][dev] != b.Routing[q][dev] {
+				t.Fatalf("step %d routing[%d][%d]: %v vs %v", i, q, dev, a.Routing[q][dev], b.Routing[q][dev])
 			}
 		}
 	}
-	if aw.PredictedAccuracy != ac.PredictedAccuracy {
-		t.Fatalf("step %d: accuracy warm=%v cold=%v", i, aw.PredictedAccuracy, ac.PredictedAccuracy)
+	if a.PredictedAccuracy != b.PredictedAccuracy {
+		t.Fatalf("step %d: accuracy %v vs %v", i, a.PredictedAccuracy, b.PredictedAccuracy)
 	}
 }
 
 // TestDefaultClusterReplayKeepsRootBasis replays eight control periods of
 // the diurnal trace on the default cluster (20 devices, the whole zoo) — the
-// shape of the benchmark's alloc_replay — through a warm-starting and a
-// cold-starting allocator. Every period must publish a fresh root basis:
-// the LP has no presolve in front of it and a nil basis would mean the
-// revised simplex gave the root relaxation up to the dense tableau. And the
-// two allocators' plans must be identical, period by period.
+// shape of the benchmark's alloc_replay — through two fresh allocators fed
+// the same inputs. A solve is a function of its inputs and the allocator's
+// previous plan, so the two must agree period by period on the plan and on
+// the work done for it (nodes, simplex pivots). And every period must
+// re-optimise at least 95 % of its non-root relaxations by dual pivots
+// alone: the LP has no presolve in front of it, and a root relaxation the
+// revised simplex gave up to the dense tableau hands its children no basis
+// to start from.
 func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 	fams := models.Zoo()
 	slos := make([]time.Duration, len(fams))
@@ -100,10 +69,9 @@ func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 		Families:          models.FamilyNames(fams),
 		Seed:              7,
 	})
-	// A short stall limit: the root relaxation is what is under test, not
-	// how far the search behind it gets.
-	warm := NewMILP(&MILPOptions{StallNodes: 40})
-	cold := NewMILP(&MILPOptions{StallNodes: 40, ColdStart: true})
+	// A short stall limit: the root relaxation and the basis it hands down
+	// are under test, not how far the search behind it gets.
+	allocs := [2]*MILP{NewMILP(&MILPOptions{StallNodes: 40}), NewMILP(&MILPOptions{StallNodes: 40})}
 	for p := 0; p < periods; p++ {
 		demand := make([]float64, len(fams))
 		for s := p * periodSeconds; s < (p+1)*periodSeconds; s++ {
@@ -111,22 +79,22 @@ func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 				demand[q] += tr.Demand[s][q] * 1.05 / periodSeconds
 			}
 		}
-		input := func() *Input {
-			return &Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand}
-		}
 		var plans [2]*Allocation
-		for k, m := range []*MILP{warm, cold} {
-			before := m.prevBasis
-			plan, err := m.Allocate(input())
+		for k, m := range allocs {
+			plan, err := m.Allocate(&Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand})
 			if err != nil {
 				t.Fatalf("period %d: %v", p, err)
 			}
-			if m.prevBasis == nil || m.prevBasis == before {
-				t.Fatalf("period %d (cold=%v): no root basis — the relaxation fell back to the dense tableau", p, k == 1)
+			st := plan.Stats
+			if children := st.Nodes - 1; st.DualNodes*100 < children*95 {
+				t.Errorf("period %d: %d of %d non-root relaxations were solved by dual pivots alone, want ≥ 95 %% — did the root fall back to the dense tableau?", p, st.DualNodes, children)
 			}
 			plans[k] = plan
 		}
 		requireSamePlan(t, p, plans[0], plans[1])
+		if a, b := plans[0].Stats, plans[1].Stats; a.Nodes != b.Nodes || a.LPIters != b.LPIters {
+			t.Errorf("period %d: %d nodes / %d pivots vs %d / %d for the same inputs", p, a.Nodes, a.LPIters, b.Nodes, b.LPIters)
+		}
 	}
 }
 

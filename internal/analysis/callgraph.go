@@ -72,10 +72,6 @@ type CGEdge struct {
 // Nodes lists every function in the graph sorted by name.
 func (g *CallGraph) Nodes() []*CGNode { return g.nodes }
 
-// NodeFor returns the node of a declared in-module function (nil when fn has
-// no body in the loaded packages).
-func (g *CallGraph) NodeFor(fn *types.Func) *CGNode { return g.byFn[fn] }
-
 // shortName trims the module path off a node name for human-readable call
 // chains: "(*proteus/internal/core.System).Run" → "(*internal/core.System).Run".
 func (g *CallGraph) shortName(name string) string {

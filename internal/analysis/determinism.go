@@ -31,9 +31,8 @@ import (
 //   - unaccounted goroutines: a `go` statement must be fork-join structured —
 //     a sync.WaitGroup.Add call before it in the same function, and a
 //     function literal that defers the matching Done — so concurrency stays
-//     a bounded, joined implementation detail (like the MILP solver's
-//     speculative LP workers) rather than free-running state that can leak
-//     scheduling order into results;
+//     a bounded, joined implementation detail rather than free-running
+//     state that can leak scheduling order into results;
 //   - select statements with two or more communication clauses: the runtime
 //     picks among simultaneously ready cases uniformly at random, so a
 //     multi-way select is a nondeterministic merge. Restructure around one

@@ -120,14 +120,6 @@ func (idx *directiveIndex) allows(file string, line int, check string) bool {
 	return checks != nil && (checks[check] || checks["all"])
 }
 
-// Directives lists the package's parsed //lint:allow comments sorted by
-// position.
-func (p *Package) Directives() []AllowDirective {
-	out := append([]AllowDirective(nil), p.directives.list...)
-	sortDirectives(out)
-	return out
-}
-
 func sortDirectives(ds []AllowDirective) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i].Position, ds[j].Position

@@ -249,11 +249,6 @@ type Input struct {
 	TraceDropped uint64
 }
 
-// terminal reports whether kind ends a query's lifecycle.
-func terminal(kind telemetry.EventKind) bool {
-	return kind == telemetry.EvDone || kind == telemetry.EvLate || kind == telemetry.EvDropped
-}
-
 // perQuery reports whether kind belongs to a single query's lifecycle (burn
 // and degrade events are per family and carry query id 0).
 func perQuery(kind telemetry.EventKind) bool {

@@ -9,14 +9,11 @@
 package experiments
 
 import (
-	"time"
-
 	"proteus/internal/allocator"
 	"proteus/internal/batching"
 	"proteus/internal/cluster"
 	"proteus/internal/core"
 	"proteus/internal/models"
-	"proteus/internal/profiles"
 	"proteus/internal/telemetry"
 	"proteus/internal/trace"
 )
@@ -157,14 +154,4 @@ func (o Options) newSystem(allocName string, batch batching.Factory, seed uint64
 // allocByName builds an allocator with the experiment's solver options.
 func allocByName(name string, o Options) (allocator.Allocator, error) {
 	return allocator.ByName(name, o.milpOptions())
-}
-
-// slosFor exposes the per-family SLOs of the experiment configuration.
-func (o Options) slosFor() []time.Duration {
-	fams := models.Zoo()
-	out := make([]time.Duration, len(fams))
-	for q, f := range fams {
-		out[q] = profiles.FamilySLO(f, o.SLOMultiplier)
-	}
-	return out
 }

@@ -13,10 +13,9 @@
 // problem — CSC constraint matrix, explicit basis inverse with deterministic
 // refactorization, bound-stretch composite phase 1, and a dual simplex
 // (dual.go) for starts whose basis prices dual feasible — that accepts a
-// warm-start Basis and can canonicalize its optimum (canonical.go) so warm
-// and cold solves agree bitwise. There is no presolve: the allocator's
-// problems gave it nothing to reduce (DESIGN.md "Solver traffic"). The
-// original dense two-phase tableau (tableau.go) is retained both as the
+// warm-start Basis. There is no presolve: the allocator's problems gave it
+// nothing to reduce (DESIGN.md "Solver traffic"). The original dense
+// two-phase tableau (tableau.go) is retained both as the
 // fallback when the revised path hits numerical trouble and as an
 // independent cross-check oracle (Options.Dense). Both solvers support
 // finite lower bounds, finite or infinite upper bounds natively
@@ -28,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Relation is the sense of a linear constraint.
@@ -96,9 +94,8 @@ type Problem struct {
 
 	// mat memoizes the CSC form of the constraint matrix plus its
 	// fingerprint. Bounds and objective edits keep it valid; AddVariable and
-	// AddConstraint invalidate it. Atomic so concurrent solves of one
-	// problem stay race-free; a matCache is immutable once published.
-	mat atomic.Pointer[matCache]
+	// AddConstraint invalidate it.
+	mat *matCache
 }
 
 // matCache bundles the CSC matrix with its content fingerprint.
@@ -109,13 +106,11 @@ type matCache struct {
 
 // matrix returns the memoized CSC form, building it on first use.
 func (p *Problem) matrix() *matCache {
-	if c := p.mat.Load(); c != nil {
-		return c
+	if p.mat == nil {
+		p.mat = &matCache{mat: buildCSC(p)}
+		p.mat.hash = p.mat.mat.fingerprint()
 	}
-	c := &matCache{mat: buildCSC(p)}
-	c.hash = c.mat.fingerprint()
-	p.mat.Store(c)
-	return c
+	return p.mat
 }
 
 type row struct {
@@ -126,27 +121,6 @@ type row struct {
 
 // NewProblem returns an empty maximization problem.
 func NewProblem() *Problem { return &Problem{} }
-
-// Clone returns a deep copy of the problem: bounds, objective and
-// constraint rows share no memory with the original, so the copy can be
-// solved (and have its bounds mutated) concurrently with the original. The
-// MILP solver clones the root problem once per worker so each branch-and-
-// bound worker owns a private simplex instance. Cost is O(variables +
-// nonzeros), paid once per worker per Solve, not per node.
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		names: append([]string(nil), p.names...),
-		lo:    append([]float64(nil), p.lo...),
-		hi:    append([]float64(nil), p.hi...),
-		obj:   append([]float64(nil), p.obj...),
-		rows:  make([]row, len(p.rows)),
-	}
-	for i, r := range p.rows {
-		q.rows[i] = row{terms: append([]Term(nil), r.terms...), rel: r.rel, rhs: r.rhs}
-	}
-	q.mat.Store(p.mat.Load()) // the memoized matrix is immutable, share it
-	return q
-}
 
 // AddVariable adds a variable with bounds [lo, hi] and returns its column
 // index. lo must be finite; hi may be math.Inf(1). It panics on invalid
@@ -162,7 +136,7 @@ func (p *Problem) AddVariable(name string, lo, hi float64) int {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.obj = append(p.obj, 0)
-	p.mat.Store(nil)
+	p.mat = nil
 	return len(p.names) - 1
 }
 
@@ -171,9 +145,6 @@ func (p *Problem) NumVariables() int { return len(p.names) }
 
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.rows) }
-
-// VarName returns the name given to variable v.
-func (p *Problem) VarName(v int) string { return p.names[v] }
 
 // Bounds returns the bound interval of variable v.
 func (p *Problem) Bounds(v int) (lo, hi float64) { return p.lo[v], p.hi[v] }
@@ -205,16 +176,16 @@ func (p *Problem) AddConstraint(terms []Term, rel Relation, rhs float64) int {
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
 	p.rows = append(p.rows, row{terms: cp, rel: rel, rhs: rhs})
-	p.mat.Store(nil)
+	p.mat = nil
 	return len(p.rows) - 1
 }
 
 // Basis is a simplex basis of the problem it was extracted from: n
 // structural columns followed by one logical (slack) column per constraint
 // row. It records which column is basic in each row and the resting bound
-// of every nonbasic column. A Basis is immutable once published by a solve,
-// so it can be shared freely across goroutines; warm-starting a solve never
-// mutates the Basis it was given.
+// of every nonbasic column. A Basis is immutable once published by a solve:
+// warm-starting a solve never mutates the Basis it was given, so the two
+// children of a branch-and-bound node share their parent's.
 type Basis struct {
 	rowVar []int32 // column basic in row i (structural j, or logical n+i′)
 	stat   []uint8 // varStatus per column, length n+m
@@ -226,15 +197,6 @@ type Basis struct {
 	binv    [][]float64
 	updates int
 	matHash uint64
-}
-
-// Shape returns the (variables, constraints) dimensions the basis was
-// extracted from, so callers can check compatibility before reuse.
-func (b *Basis) Shape() (n, m int) {
-	if b == nil {
-		return 0, 0
-	}
-	return len(b.stat) - len(b.rowVar), len(b.rowVar)
 }
 
 // Solution is the result of a solve.
@@ -264,16 +226,9 @@ type Options struct {
 	// WarmBasis, if non-nil, seeds the revised simplex with a starting basis
 	// (typically the optimal basis of a previous, similar solve). The basis
 	// must match the problem shape; a mismatched or singular warm basis is
-	// ignored. With Canonical set a warm start changes only the pivot path,
-	// never the returned solution.
+	// ignored. On a degenerate or non-unique optimum the start basis can
+	// decide which optimal vertex is returned.
 	WarmBasis *Basis
-	// Canonical asks the revised solver to canonicalize its optimum (see
-	// canonical.go): the returned solution and basis then depend only on
-	// the problem, not on WarmBasis or the pivot path. Costs a secondary
-	// optimization and one extra refactorization, so callers enable it only
-	// where solves seeded with different warm bases must agree bitwise —
-	// e.g. the MILP root relaxation.
-	Canonical bool
 	// Dense forces the legacy dense two-phase tableau solver (no warm start,
 	// nil Solution.Basis). Used by tests as an independent oracle for the
 	// revised path.
@@ -290,7 +245,6 @@ func (o *Options) withDefaults() Options {
 			out.Tol = o.Tol
 		}
 		out.WarmBasis = o.WarmBasis
-		out.Canonical = o.Canonical
 		out.Dense = o.Dense
 	}
 	return out

@@ -4,8 +4,8 @@
 // and represents the basis by an explicit dense inverse that is updated
 // product-form on each pivot and rebuilt from scratch (deterministic
 // Gauss-Jordan with partial pivoting, ties broken by lowest row) every
-// refactorEvery pivots and once more at the end, so the reported solution
-// never depends on the pivot path's accumulated floating-point history.
+// refactorEvery pivots — counted across a chain of warm re-solves, so the
+// floating-point drift of the carried inverse stays bounded.
 //
 // The state of the start basis picks the algorithm (solveRevised): one that
 // prices dual feasible and is primal infeasible — every branch-and-bound
@@ -22,10 +22,8 @@
 // Determinism: every choice — entering column (Dantzig with lowest-index
 // tie-break, Bland's rule after a degenerate stall), leaving row (lowest
 // basic column index among near-ties), the dual path's row and column,
-// factorization pivots — is index-deterministic, and where asked the final
-// answer is canonicalized (see canonicalize) so that warm and cold solves of
-// the same problem return byte-identical solutions. No maps, no wall clock,
-// no randomness.
+// factorization pivots — is index-deterministic, so a solve is a function of
+// the problem and the start basis. No maps, no wall clock, no randomness.
 package lp
 
 import "math"
@@ -34,7 +32,6 @@ const (
 	refactorEvery = 128   // pivots between basis refactorizations
 	stallLimit    = 200   // degenerate steps before switching to Bland's rule
 	feasTol       = 1e-7  // residual infeasibility accepted after phase 1
-	dualTol       = 1e-7  // reduced-cost magnitude treated as nonzero
 	pivotTol      = 1e-10 // factorization pivot magnitude treated as nonsingular
 )
 
@@ -219,7 +216,7 @@ func (r *revised) restingStatus(j int, want varStatus) varStatus {
 func (r *revised) setBasis(warm *Basis) bool {
 	ok := false
 	if warm != nil {
-		if wn, wm := warm.Shape(); wn == r.n && wm == r.m {
+		if len(warm.rowVar) == r.m && len(warm.stat) == r.N {
 			ok = true
 			for j := range r.inRow {
 				r.inRow[j] = -1
@@ -778,4 +775,95 @@ func (r *revised) finishStretch() {
 		}
 	}
 	r.nStretched = 0
+}
+
+// extract maps the solver state to a Solution, clamping residual drift onto
+// finite bounds and accumulating the objective in ascending variable order.
+func (r *revised) extract(st Status) Solution {
+	x := make([]float64, r.n)
+	for j := 0; j < r.n; j++ {
+		v := r.value(j)
+		if v < r.lo[j] && v > r.lo[j]-feasTol {
+			v = r.lo[j]
+		} else if !math.IsInf(r.hi[j], 1) && v > r.hi[j] && v < r.hi[j]+feasTol {
+			v = r.hi[j]
+		}
+		x[j] = v
+	}
+	obj := 0.0
+	for j := 0; j < r.n; j++ {
+		obj += r.cost[j] * x[j]
+	}
+	sol := r.report(st)
+	sol.Objective, sol.X = obj, x
+	return sol
+}
+
+// report is the Solution of an outcome that carries no point.
+func (r *revised) report(st Status) Solution {
+	return Solution{Status: st, Iters: r.iters, DualIters: r.dualIters}
+}
+
+// basisOut snapshots the current basis. The solver's inverse is handed over
+// by reference (the solver is discarded after extraction, and setBasis
+// copies before mutating) together with the matrix fingerprint it is valid
+// for, enabling factorization-free warm starts on same-matrix re-solves.
+func (r *revised) basisOut() *Basis {
+	b := &Basis{rowVar: make([]int32, r.m), stat: make([]uint8, r.N)}
+	copy(b.rowVar, r.basis)
+	for j := 0; j < r.N; j++ {
+		b.stat[j] = uint8(r.stat[j])
+	}
+	b.binv = r.binv
+	b.updates = r.sinceFactor
+	b.matHash = r.hash
+	return b
+}
+
+// solveRevised runs the revised simplex on p, started from o.WarmBasis. The
+// second return is false when the solver hit numerical trouble and the
+// caller should fall back to the dense tableau.
+func solveRevised(p *Problem, o Options) (Solution, bool) {
+	r := newRevised(p, o)
+	if !r.setBasis(o.WarmBasis) {
+		return Solution{}, false
+	}
+	// A primal-infeasible start that prices dual feasible is re-optimised by
+	// dual pivots; what they leave undone (nothing, as a rule) falls to the
+	// primal path below, whose first pricing pass is then the optimality
+	// check.
+	if row, _ := r.chooseLeaving(o.Tol); row >= 0 {
+		r.price(r.cost)
+		if r.dualFeasible() {
+			switch r.dualIterate() {
+			case solvedInfeasible:
+				return r.report(Infeasible), true
+			case solvedIterLimit:
+				return r.report(IterLimit), true
+			}
+		}
+	}
+	if r.stretchSetup() {
+		switch r.iterate(r.p1cost, true) {
+		case numTrouble, solvedUnbounded:
+			return Solution{}, false
+		case solvedIterLimit:
+			return r.report(IterLimit), true
+		}
+		if r.stretchResidual() > feasTol {
+			return r.report(Infeasible), true
+		}
+		r.finishStretch()
+	}
+	switch r.iterate(r.cost, false) {
+	case numTrouble:
+		return Solution{}, false
+	case solvedUnbounded:
+		return r.report(Unbounded), true
+	case solvedIterLimit:
+		return r.extract(IterLimit), true
+	}
+	sol := r.extract(Optimal)
+	sol.Basis = r.basisOut()
+	return sol, true
 }

@@ -291,41 +291,6 @@ func TestDegenerateInputsMatchDense(t *testing.T) {
 	}
 }
 
-// TestWarmStartEqualsColdStart checks the canonical-basis guarantee the MILP
-// and allocator layers build on: re-solving the same problem seeded with the
-// previous optimal basis yields a byte-identical solution (bit-equal X,
-// objective and basis), not merely an equivalent one.
-func TestWarmStartEqualsColdStart(t *testing.T) {
-	opts := func(w *Basis) *Options { return &Options{Canonical: true, WarmBasis: w} }
-	for _, sh := range lpShapes {
-		for _, seed := range []uint64{3, 17, 404, 9001, 123457} {
-			p := buildSeededLP(seed, sh)
-			cold, err := Solve(p, opts(nil))
-			if err != nil || cold.Status != Optimal {
-				continue // unbounded/infeasible shapes carry no basis contract
-			}
-			if cold.Basis == nil {
-				t.Fatalf("%s/seed%d: optimal canonical solve returned nil basis", sh.name, seed)
-			}
-			warm, err := Solve(p, opts(cold.Basis))
-			if err != nil {
-				t.Fatalf("%s/seed%d: warm: %v", sh.name, seed, err)
-			}
-			if warm.Status != Optimal {
-				t.Fatalf("%s/seed%d: warm status %v", sh.name, seed, warm.Status)
-			}
-			if math.Float64bits(warm.Objective) != math.Float64bits(cold.Objective) {
-				t.Fatalf("%s/seed%d: objective warm=%v cold=%v", sh.name, seed, warm.Objective, cold.Objective)
-			}
-			for v := range warm.X {
-				if math.Float64bits(warm.X[v]) != math.Float64bits(cold.X[v]) {
-					t.Fatalf("%s/seed%d: X[%d] warm=%v cold=%v", sh.name, seed, v, warm.X[v], cold.X[v])
-				}
-			}
-		}
-	}
-}
-
 // TestPresolveReductions keeps the handcrafted instances that pinned the
 // deleted presolve's passes (and their test names, which the tier-1 floor
 // lists): each was a shape presolve decided without the simplex, so each is

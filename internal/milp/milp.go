@@ -5,21 +5,18 @@
 //
 // The solver maximizes, searches best-bound-first with periodic depth-first
 // dives, branches on the most fractional integer variable, and supports
-// warm-start incumbents and root bases, relative gap tolerances, and
-// node/stall/time limits — the knobs the Proteus resource manager needs to
-// keep solves inside its control period. One tree searches the whole
-// problem: every node's relaxation is the full LP, warm-started from its
-// parent's basis, with the root canonicalized so a warm root basis changes
-// solve time only. Options.Parallelism adds workers that solve relaxations
-// speculatively ahead of the serial order (parallel.go) without changing
-// any result. There is no decomposition into connected components: the
-// allocation MILPs are connected (DESIGN.md "Solver traffic").
+// warm-start incumbents, relative gap tolerances, and node/stall/time
+// limits — the knobs the Proteus resource manager needs to keep solves
+// inside its control period. One tree searches the whole problem on the
+// caller's goroutine: the root relaxation is solved cold, every other
+// node's is the full LP warm-started from its parent's basis. There is no
+// decomposition into connected components: the allocation MILPs are
+// connected (DESIGN.md "Solver traffic").
 package milp
 
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"time"
 
 	"proteus/internal/lp"
@@ -121,8 +118,7 @@ type Solution struct {
 	X         []float64 // incumbent point, integral entries exactly integral
 	Bound     float64   // best proven upper bound on the optimum
 	Nodes     int       // branch-and-bound nodes processed
-	// LPIters is the simplex pivots of the Nodes relaxations the search
-	// consumed (speculative solves it discarded do not count), DualNodes how
+	// LPIters is the simplex pivots of the Nodes relaxations, DualNodes how
 	// many of those relaxations were re-optimised by dual pivots alone —
 	// what a child warm-started from its parent's basis should need. Both
 	// are as deterministic as Nodes.
@@ -135,12 +131,6 @@ type Solution struct {
 	// solve is not reproducible. Node- and stall-limit truncation is
 	// deterministic and does not set this.
 	TimeLimited bool
-	// Basis is the canonicalized optimal basis of the root LP relaxation,
-	// usable to warm-start a future solve of a same-shaped problem (the
-	// allocator carries it across control periods). Nil when the root
-	// relaxation was not solved to optimality or fell back to the dense
-	// simplex.
-	Basis *lp.Basis
 }
 
 // Gap returns the relative optimality gap of the incumbent, or +Inf if no
@@ -177,30 +167,19 @@ type Options struct {
 	// incumbent. It is trusted after a cheap feasibility spot check of
 	// integrality; callers construct it from a heuristic.
 	WarmStart []float64
-	// WarmBasis, if non-nil, seeds the root LP relaxation with a starting
-	// basis (typically Solution.Basis from a previous, same-shaped solve; a
-	// basis of another shape is ignored). The root relaxation is
-	// canonicalized, so a warm basis changes only solve time, never the
-	// returned Solution.
-	WarmBasis *lp.Basis
-	// Parallelism is the number of concurrent LP-relaxation solvers used by
-	// the search. The returned Solution (Status, Objective, X, Bound, Nodes)
-	// is byte-identical for every value ≥ 1: extra workers only solve
-	// relaxations speculatively ahead of the deterministic search order, and
-	// results the serial order would not have requested are discarded. 1
-	// reproduces the fully serial solver; 0 (the default) uses
-	// runtime.GOMAXPROCS(0). See DESIGN.md "Parallel branch and bound".
+	// Parallelism is ignored: the search is single-threaded. The field is
+	// kept only because bench/probes.go still sets it for its
+	// milp.solve_ms_parN row; ROADMAP item 8(a) removes both.
 	Parallelism int
 	// LP configures the inner simplex solves.
 	LP *lp.Options
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{MaxNodes: 200_000, RelGap: 1e-6, IntTol: 1e-6, Parallelism: runtime.GOMAXPROCS(0)}
+	out := Options{MaxNodes: 200_000, RelGap: 1e-6, IntTol: 1e-6}
 	if o != nil {
 		out.TimeLimit = o.TimeLimit
 		out.WarmStart = o.WarmStart
-		out.WarmBasis = o.WarmBasis
 		out.LP = o.LP
 		out.StallNodes = o.StallNodes
 		if o.MaxNodes > 0 {
@@ -212,9 +191,6 @@ func (o *Options) withDefaults() Options {
 		if o.IntTol >= 0 {
 			out.IntTol = o.IntTol
 		}
-		if o.Parallelism > 0 {
-			out.Parallelism = o.Parallelism
-		}
 	}
 	return out
 }
@@ -223,8 +199,9 @@ func (o *Options) withDefaults() Options {
 // root, plus the parent's LP bound used as the search priority and the
 // parent's optimal relaxation basis used to warm-start this node's LP
 // (branching changes one bound, so the parent basis stays dual feasible and
-// lp re-optimises it by dual simplex). basis is immutable and shared — workers
-// and the driver only read it.
+// lp re-optimises it by dual simplex). basis is immutable and shared by the
+// two children; it is nil at the root and below a relaxation that fell back
+// to the dense tableau.
 type node struct {
 	bounds []boundChange
 	bound  float64
@@ -276,11 +253,7 @@ func Solve(p *Problem, opts *Options) Solution {
 
 	s.open = &nodeHeap{}
 	heap.Init(s.open)
-	heap.Push(s.open, &node{bound: math.Inf(1), basis: o.WarmBasis})
-	if o.Parallelism > 1 && p.NumIntegers() > 0 {
-		s.pool = newSpecPool(s, o.Parallelism)
-		defer s.pool.stop()
-	}
+	heap.Push(s.open, &node{bound: math.Inf(1)})
 	return s.run()
 }
 
@@ -305,18 +278,12 @@ type solver struct {
 	limited bool
 	// timeLimited records that the wall-clock deadline specifically fired.
 	timeLimited bool
-	// rootBasis is the canonicalized basis of the root relaxation.
-	rootBasis *lp.Basis
 	// lastImprove is the node count at the last incumbent improvement.
 	lastImprove int
 	// applied tracks the bound overrides currently written into the shared
 	// problem, so solveNode undoes only those instead of rewriting every
 	// variable's bounds per node.
 	applied []boundChange
-	// pool, when non-nil, solves LP relaxations speculatively on worker-
-	// private problem clones (Options.Parallelism > 1). The search order and
-	// every decision stay those of the serial solver; see parallel.go.
-	pool *specPool
 }
 
 func (s *solver) restore() {
@@ -325,24 +292,10 @@ func (s *solver) restore() {
 	}
 }
 
-// lpOpts builds the LP options for one node's relaxation: the caller's LP
-// options plus the node's warm-start basis. The root relaxation is
-// canonicalized so that an externally supplied Options.WarmBasis can change
-// only solve time, never the search (every descendant then inherits
-// byte-identical bases either way).
-func (s *solver) lpOpts(nd *node) *lp.Options {
-	var o lp.Options
-	if s.o.LP != nil {
-		o = *s.o.LP
-	}
-	o.WarmBasis = nd.basis
-	o.Canonical = len(nd.bounds) == 0 && nd.depth == 0
-	return &o
-}
-
-// solveNode solves the LP relaxation of nd inline on the shared problem,
-// undoing the previous node's overrides rather than rewriting all bounds.
-func (s *solver) solveNode(nd *node) (lp.Solution, error) {
+// relax solves the LP relaxation of nd on the shared problem, warm-started
+// from the basis nd's parent handed down, undoing the previous node's
+// overrides rather than rewriting all bounds.
+func (s *solver) relax(nd *node) (lp.Solution, error) {
 	for _, bc := range s.applied {
 		s.p.lp.SetBounds(bc.v, s.rootLo[bc.v], s.rootHi[bc.v])
 	}
@@ -350,19 +303,12 @@ func (s *solver) solveNode(nd *node) (lp.Solution, error) {
 	for _, bc := range nd.bounds {
 		s.p.lp.SetBounds(bc.v, bc.lo, bc.hi)
 	}
-	return lp.Solve(s.p.lp, s.lpOpts(nd))
-}
-
-// relax returns nd's LP relaxation. With a worker pool it consumes a
-// speculatively solved result when one exists (solving inline otherwise)
-// and enqueues likely future nodes — the hints plus the best open nodes —
-// for the workers. Without a pool it is exactly the serial solveNode.
-func (s *solver) relax(nd *node, hints ...*node) (rel lp.Solution, err error) {
-	if s.pool == nil {
-		rel, err = s.solveNode(nd)
-	} else {
-		rel, err = s.pool.solve(nd, hints)
+	var o lp.Options
+	if s.o.LP != nil {
+		o = *s.o.LP
 	}
+	o.WarmBasis = nd.basis
+	rel, err := lp.Solve(s.p.lp, &o)
 	s.lpIters += rel.Iters
 	if rel.DualIters == rel.Iters {
 		s.dualNodes++
@@ -372,10 +318,7 @@ func (s *solver) relax(nd *node, hints ...*node) (rel lp.Solution, err error) {
 
 // nodeBounds returns the effective bound interval of variable v at node nd:
 // the root interval overridden by the node's branching decisions (later
-// entries win, mirroring the order SetBounds applies them in solveNode).
-// Reading bounds through the node rather than the shared lp.Problem keeps
-// branching correct when a pooled (cached) relaxation skipped the shared-
-// problem bound mutation.
+// entries win, mirroring the order relax applies them in).
 func (s *solver) nodeBounds(nd *node, v int) (lo, hi float64) {
 	lo, hi = s.rootLo[v], s.rootHi[v]
 	for _, bc := range nd.bounds {
@@ -441,7 +384,6 @@ func (s *solver) finish(st Status) Solution {
 		DualNodes:   s.dualNodes,
 		Elapsed:     sinceStart(s.start),
 		TimeLimited: s.timeLimited,
-		Basis:       s.rootBasis,
 	}
 	if s.incumbent != nil {
 		sol.Objective = s.incumbentObj
@@ -484,9 +426,6 @@ func (s *solver) run() Solution {
 		rel, err := s.relax(nd)
 		if err != nil {
 			return s.finish(Limit)
-		}
-		if len(nd.bounds) == 0 && nd.depth == 0 && rel.Status == lp.Optimal {
-			s.rootBasis = rel.Basis
 		}
 		switch rel.Status {
 		case lp.Infeasible:
@@ -615,15 +554,7 @@ func (s *solver) diveStep(first, second *node) (*node, lp.Solution, bool) {
 		}
 	}
 	s.nodes++
-	var rel lp.Solution
-	var err error
-	if second != nil {
-		// The sibling is the likeliest next solve (taken on infeasibility,
-		// queued otherwise), so it makes a good speculation hint.
-		rel, err = s.relax(first, second)
-	} else {
-		rel, err = s.relax(first)
-	}
+	rel, err := s.relax(first)
 	if err != nil || rel.Status == lp.IterLimit {
 		s.limited = true
 		if second != nil {

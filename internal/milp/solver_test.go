@@ -187,3 +187,57 @@ func TestPropertyWarmStartNeverHurts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// buildAllocInstance generates an allocation-shaped MILP (the Fig. 10
+// structure: d devices × q variants, integer replica counts coupled to
+// continuous served-rate variables through capacity and demand rows) whose
+// coefficients are derived deterministically from seed.
+func buildAllocInstance(seed uint64, devices, variants int) *Problem {
+	rng := numeric.NewRNG(seed)
+	p := NewProblem()
+	type pair struct{ n, w int }
+	pairs := make([]pair, 0, devices*variants)
+	caps := make([]float64, devices)
+	for d := 0; d < devices; d++ {
+		caps[d] = float64(3 + rng.Intn(6))
+	}
+	for d := 0; d < devices; d++ {
+		for v := 0; v < variants; v++ {
+			n := p.AddInteger("n", 0, caps[d])
+			w := p.AddVariable("w", 0, 200)
+			p.SetObjective(w, float64(40+rng.Intn(60)))
+			rate := float64(8 + rng.Intn(12))
+			p.AddConstraint([]lp.Term{{Var: w, Coef: 1}, {Var: n, Coef: -rate}}, lp.LE, 0)
+			pairs = append(pairs, pair{n, w})
+		}
+	}
+	for d := 0; d < devices; d++ {
+		terms := make([]lp.Term, 0, variants)
+		for v := 0; v < variants; v++ {
+			terms = append(terms, lp.Term{Var: pairs[d*variants+v].n, Coef: 1})
+		}
+		p.AddConstraint(terms, lp.LE, caps[d])
+	}
+	for v := 0; v < variants; v += 2 {
+		terms := make([]lp.Term, 0, devices)
+		for d := 0; d < devices; d++ {
+			terms = append(terms, lp.Term{Var: pairs[d*variants+v].w, Coef: 1})
+		}
+		p.AddConstraint(terms, lp.LE, float64(10+rng.Intn(25)))
+	}
+	return p
+}
+
+// TestPivotCountersCountConsumedRelaxations checks Solution.LPIters and
+// DualNodes on an instance that branches: every relaxation but the root is
+// re-optimised from its parent's basis by dual pivots alone. The root has no
+// parent, starts from the all-logical basis and takes the primal path.
+func TestPivotCountersCountConsumedRelaxations(t *testing.T) {
+	sol := Solve(buildAllocInstance(17, 4, 10), &Options{MaxNodes: 3000})
+	if sol.Nodes < 10 || sol.LPIters < sol.Nodes {
+		t.Fatalf("%d nodes, %d pivots — the instance no longer branches", sol.Nodes, sol.LPIters)
+	}
+	if sol.DualNodes != sol.Nodes-1 {
+		t.Errorf("%d of %d relaxations were solved by dual pivots alone, want all but the root", sol.DualNodes, sol.Nodes)
+	}
+}

@@ -106,34 +106,25 @@ func TestEndToEndDumpAndHTMLByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDumpIndependentOfSolverParallelism runs the same seeded system with a
-// serial and a two-worker solver under a node budget tight enough to cut
-// solves short. A node budget is work, not time, so the dumps must match
-// byte for byte with the solver's progress (nodes, gap) in them.
-func TestDumpIndependentOfSolverParallelism(t *testing.T) {
+// TestDumpCarriesSolverProgress runs the seeded system under a node budget
+// tight enough to cut solves short: every MILP plan in the dump must carry
+// the solver's progress (nodes, bound, gap) and none may be marked
+// time-limited, a node budget being work, not time.
+func TestDumpCarriesSolverProgress(t *testing.T) {
 	const budget = 3
-	var dumps [2]bytes.Buffer
-	for i, par := range []int{1, 2} {
-		d, _, _ := burnRunWith(t, &allocator.MILPOptions{MaxNodes: budget, RelGap: -1, Parallelism: par})
-		if err := d.WriteJSON(&dumps[i]); err != nil {
-			t.Fatal(err)
+	d, _, _ := burnRunWith(t, &allocator.MILPOptions{MaxNodes: budget, RelGap: -1})
+	fired := false
+	for _, p := range d.Plans {
+		if p.Solver != "ilp" {
+			continue
 		}
-		fired := false
-		for _, p := range d.Plans {
-			if p.Solver != "ilp" {
-				continue
-			}
-			if p.Stats.Nodes <= 0 || p.Stats.RelGap < 0 || p.Stats.TimeLimited {
-				t.Errorf("parallelism %d, plan %d: solver progress missing from the dump: %+v", par, p.Seq, p.Stats)
-			}
-			fired = fired || p.Stats.Nodes >= budget
+		if p.Stats.Nodes <= 0 || p.Stats.Bound <= 0 || p.Stats.RelGap < 0 || p.Stats.TimeLimited {
+			t.Errorf("plan %d: solver progress missing from the dump: %+v", p.Seq, p.Stats)
 		}
-		if !fired {
-			t.Errorf("parallelism %d: no solve reached the %d-node budget; the test exercises nothing", par, budget)
-		}
+		fired = fired || p.Stats.Nodes >= budget
 	}
-	if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-		t.Errorf("dumps differ between solver parallelism 1 and 2 (%d vs %d bytes)", dumps[0].Len(), dumps[1].Len())
+	if !fired {
+		t.Errorf("no solve reached the %d-node budget; the test exercises nothing", budget)
 	}
 }
 
