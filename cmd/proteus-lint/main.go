@@ -5,15 +5,8 @@
 //
 //	go run ./cmd/proteus-lint ./...
 //
-// Beyond the default text report it speaks machine-readable formats and
-// carries the audit tooling for suppressions:
-//
-//	-json             emit findings as JSON
-//	-sarif            emit findings as SARIF 2.1.0 (code-scanning ingestion)
-//	-baseline FILE    suppress findings recorded in FILE; exit 1 only on new ones
-//	-write-baseline FILE  record current findings as the accepted baseline
-//	-allows           list every //lint:allow directive with file:line and reason
-//	-checks           list registered checks
+//	-checks  list the registered checks
+//	-allows  list every //lint:allow directive with file:line and reason
 //
 // Findings are suppressed per line with a `//lint:allow <check> <reason>`
 // comment on the offending line or the line directly above it; the reason is
@@ -31,39 +24,22 @@ import (
 
 func main() {
 	checks := flag.Bool("checks", false, "list registered checks and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	allows := flag.Bool("allows", false, "list every //lint:allow suppression with file:line and reason, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: proteus-lint [-checks] [-json|-sarif] [-baseline file] [-write-baseline file] [-allows] [packages]\n\npackages are ./..., ./dir/... or ./dir patterns (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: proteus-lint [-checks] [-allows] [packages]\n\npackages are ./..., ./dir/... or ./dir patterns (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "proteus-lint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	root, err := findModuleRoot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-		os.Exit(2)
-	}
+	check(err)
 	mod, err := analysis.NewModule(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-		os.Exit(2)
-	}
+	check(err)
 	registry := analysis.DefaultRegistry(mod.Path)
 
 	if *checks {
 		for _, c := range registry.Checkers() {
 			fmt.Printf("%-16s %s\n", c.Name(), c.Doc())
-		}
-		for _, c := range registry.ModuleCheckers() {
-			fmt.Printf("%-16s %s (whole-module)\n", c.Name(), c.Doc())
 		}
 		return
 	}
@@ -75,74 +51,29 @@ func main() {
 
 	if *allows {
 		_, pkgs, err := analysis.LoadModule(root, patterns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-			os.Exit(2)
-		}
+		check(err)
 		rel := func(fn string) string { return relPath(root, fn) }
-		if err := analysis.WriteAllows(os.Stdout, analysis.CollectDirectives(pkgs), rel); err != nil {
-			fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-			os.Exit(2)
-		}
+		check(analysis.WriteAllows(os.Stdout, analysis.CollectDirectives(pkgs), rel))
 		return
 	}
 
 	findings, err := registry.Run(root, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-		os.Exit(2)
-	}
+	check(err)
 	for i := range findings {
 		findings[i].Pos.Filename = relPath(root, findings[i].Pos.Filename)
 	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-			os.Exit(2)
-		}
-		if err := analysis.NewBaseline(findings).WriteBaseline(f); err != nil {
-			fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "proteus-lint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
+	check(analysis.WriteText(os.Stdout, findings))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "proteus-lint: %d finding(s)\n", len(findings))
+		os.Exit(1)
 	}
+}
 
-	suppressed := 0
-	if *baselinePath != "" {
-		baseline, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "proteus-lint:", err)
-			os.Exit(2)
-		}
-		findings, suppressed = baseline.Filter(findings)
-	}
-
-	switch {
-	case *jsonOut:
-		err = analysis.WriteJSON(os.Stdout, findings)
-	case *sarifOut:
-		err = analysis.WriteSARIF(os.Stdout, findings, registry.Rules())
-	default:
-		err = analysis.WriteText(os.Stdout, findings)
-	}
+// check exits 2 on a load, usage or write error.
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proteus-lint:", err)
 		os.Exit(2)
-	}
-	if len(findings) > 0 {
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "proteus-lint: %d new finding(s) (%d baselined)\n", len(findings), suppressed)
-		} else {
-			fmt.Fprintf(os.Stderr, "proteus-lint: %d finding(s)\n", len(findings))
-		}
-		os.Exit(1)
 	}
 }
 

@@ -12,38 +12,37 @@ import (
 // corpusRoot is the synthetic module holding one golden package per checker.
 const corpusRoot = "testdata/src"
 
-// loadCorpusPackage loads one package of the golden module with a fresh
-// module instance (so tests are independent and order-insensitive).
-func loadCorpusPackage(t *testing.T, dir string) *Package {
+// loadCorpus loads corpus packages together, with a fresh module instance
+// (so tests are independent and order-insensitive).
+func loadCorpus(t *testing.T, dirs ...string) (*Module, []*Package) {
 	t.Helper()
-	_, pkgs, err := LoadModule(corpusRoot, []string{"./" + dir})
+	patterns := make([]string, len(dirs))
+	for i, d := range dirs {
+		patterns[i] = "./" + d
+	}
+	mod, pkgs, err := LoadModule(corpusRoot, patterns)
 	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
+		t.Fatalf("loading %v: %v", dirs, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loading %s: got %d packages, want 1", dir, len(pkgs))
+	if len(pkgs) != len(dirs) {
+		t.Fatalf("loading %v: got %d packages, want %d", dirs, len(pkgs), len(dirs))
 	}
-	return pkgs[0]
+	return mod, pkgs
+}
+
+// runChecker runs one checker over already-loaded packages.
+func runChecker(checker ModuleChecker, mod *Module, pkgs []*Package) []Finding {
+	reg := &Registry{}
+	reg.Register(checker)
+	return reg.RunModule(mod, pkgs)
 }
 
 // wantMarker is the expectation comment in corpus files: a line carrying
 // `// want <check>` must produce exactly one finding of that check.
 const wantMarker = "// want "
 
-// expectedLines parses the `// want <check>` markers of every file in the
-// package and returns the set of lines the checker must flag.
-func expectedLines(t *testing.T, pkg *Package, check string) map[string]bool {
-	t.Helper()
-	want := markerLines(t, pkg.Filenames, check)
-	if len(want) == 0 {
-		t.Fatalf("corpus %s has no `// want %s` markers", pkg.Path, check)
-	}
-	return want
-}
-
-// markerLines scans files for `// want <check>` markers without requiring any
-// to exist — module-checker corpora include source-side helper packages whose
-// files legitimately carry none.
+// markerLines scans files for `// want <check>` markers and returns the set
+// of base-name:line keys the checker must flag.
 func markerLines(t *testing.T, filenames []string, check string) map[string]bool {
 	t.Helper()
 	want := make(map[string]bool)
@@ -71,68 +70,13 @@ func markerLines(t *testing.T, filenames []string, check string) map[string]bool
 	return want
 }
 
-// runGolden runs one checker over its corpus package and compares the
-// flagged lines against the `// want` markers, in both directions.
-func runGolden(t *testing.T, checker Checker, dir string) []Finding {
-	t.Helper()
-	pkg := loadCorpusPackage(t, dir)
-	reg := &Registry{}
-	reg.Register(checker)
-	findings := reg.RunPackage(pkg)
-
-	got := make(map[string]bool)
-	for _, f := range findings {
-		got[fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)] = true
-	}
-	want := expectedLines(t, pkg, checker.Name())
-	for key := range want {
-		if !got[key] {
-			t.Errorf("%s: expected a %s finding at %s, got none", dir, checker.Name(), key)
-		}
-	}
-	for _, f := range findings {
-		key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
-		if !want[key] {
-			t.Errorf("%s: unexpected finding: %v", dir, f)
-		}
-	}
-	return findings
-}
-
-func TestDeterminismGolden(t *testing.T) { runGolden(t, Determinism{}, "determinism") }
-
-func TestLockDisciplineGolden(t *testing.T) { runGolden(t, LockDiscipline{}, "lockdiscipline") }
-
-func TestFloatEqGolden(t *testing.T) { runGolden(t, FloatEq{}, "floateq") }
-
-func TestErrCheckGolden(t *testing.T) { runGolden(t, ErrCheck{}, "errcheck") }
-
-// loadCorpus loads several corpus packages together for module-checker tests.
-func loadCorpus(t *testing.T, dirs ...string) (*Module, []*Package) {
-	t.Helper()
-	patterns := make([]string, len(dirs))
-	for i, d := range dirs {
-		patterns[i] = "./" + d
-	}
-	mod, pkgs, err := LoadModule(corpusRoot, patterns)
-	if err != nil {
-		t.Fatalf("loading %v: %v", dirs, err)
-	}
-	if len(pkgs) != len(dirs) {
-		t.Fatalf("loading %v: got %d packages, want %d", dirs, len(pkgs), len(dirs))
-	}
-	return mod, pkgs
-}
-
-// runModuleGolden runs one whole-module checker over a set of corpus packages
-// and compares the flagged lines against the `// want` markers of all of
-// them, in both directions.
-func runModuleGolden(t *testing.T, checker ModuleChecker, dirs ...string) []Finding {
+// runGolden runs one checker over a set of corpus packages and compares the
+// flagged lines against the `// want` markers of all of them (helper
+// packages may carry none), in both directions.
+func runGolden(t *testing.T, checker ModuleChecker, dirs ...string) []Finding {
 	t.Helper()
 	mod, pkgs := loadCorpus(t, dirs...)
-	reg := &Registry{}
-	reg.RegisterModule(checker)
-	findings := reg.RunModule(mod, pkgs)
+	findings := runChecker(checker, mod, pkgs)
 
 	var files []string
 	for _, pkg := range pkgs {
@@ -160,12 +104,27 @@ func runModuleGolden(t *testing.T, checker ModuleChecker, dirs ...string) []Find
 	return findings
 }
 
-// corpusSink is the import path the nondet corpus treats as its
-// seed-reproducible set.
-const corpusSink = "example.com/lintcheck/nondetsink"
+// corpusModule is the corpus's module path.
+const corpusModule = "example.com/lintcheck"
 
+// corpusDeterminism treats the determinism corpus package as a sink.
+var corpusDeterminism = Determinism{Sinks: []string{corpusModule + "/determinism"}}
+
+func TestDeterminismGolden(t *testing.T) { runGolden(t, corpusDeterminism, "determinism") }
+
+func TestLockDisciplineGolden(t *testing.T) { runGolden(t, LockDiscipline{}, "lockdiscipline") }
+
+func TestErrCheckGolden(t *testing.T) { runGolden(t, ErrCheck{}, "errcheck") }
+
+// corpusSink is the import path the call-chain corpus treats as its
+// seed-reproducible set.
+const corpusSink = corpusModule + "/nondetsink"
+
+// TestNondetGolden runs the determinism checker over the call-chain corpus:
+// sources hidden in an unrestricted helper package must be reported where
+// they enter the sink package.
 func TestNondetGolden(t *testing.T) {
-	findings := runModuleGolden(t, Nondet{Sinks: []string{corpusSink}},
+	findings := runGolden(t, Determinism{Sinks: []string{corpusSink}},
 		"nondetsink", "nondethelper")
 
 	// The acceptance shape: a wall-clock read two calls deep must surface
@@ -182,7 +141,7 @@ func TestNondetGolden(t *testing.T) {
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	findings := runModuleGolden(t, LockOrder{}, "lockorder", "lockorderx", "lockhelper")
+	findings := runGolden(t, LockOrder{}, "lockorder", "lockorderx", "lockhelper")
 
 	var cycle, cross string
 	for _, f := range findings {
@@ -228,7 +187,8 @@ func TestLockOrderGolden(t *testing.T) {
 // itself: a reasonless directive cannot carry a `// want` marker, because the
 // marker text would become its reason.
 func TestAllowReasonGolden(t *testing.T) {
-	pkg := loadCorpusPackage(t, "allowreason")
+	mod, pkgs := loadCorpus(t, "allowreason")
+	pkg := pkgs[0]
 	want := make(map[int]bool)
 	for _, fn := range pkg.Filenames {
 		data, err := os.ReadFile(fn)
@@ -248,11 +208,8 @@ func TestAllowReasonGolden(t *testing.T) {
 	if len(want) < 3 {
 		t.Fatalf("allowreason corpus has only %d reasonless directives, want at least 3 (trailing, standalone, self-naming)", len(want))
 	}
-	reg := &Registry{}
-	reg.Register(AllowReason{})
-	findings := reg.RunPackage(pkg)
 	got := make(map[int]bool)
-	for _, f := range findings {
+	for _, f := range runChecker(AllowReason{}, mod, pkgs) {
 		if f.Check != "allowreason" {
 			t.Fatalf("unexpected check %s", f.Check)
 		}
@@ -277,16 +234,15 @@ func TestAllowReasonGolden(t *testing.T) {
 func TestSuppressionDirectives(t *testing.T) {
 	for _, tc := range []struct {
 		dir     string
-		checker Checker
+		checker ModuleChecker
 	}{
-		{"determinism", Determinism{}},
+		{"determinism", corpusDeterminism},
 		{"lockdiscipline", LockDiscipline{}},
-		{"floateq", FloatEq{}},
 		{"errcheck", ErrCheck{}},
 	} {
-		pkg := loadCorpusPackage(t, tc.dir)
+		mod, pkgs := loadCorpus(t, tc.dir)
 		allowed := make(map[int]bool)
-		for _, fn := range pkg.Filenames {
+		for _, fn := range pkgs[0].Filenames {
 			data, err := os.ReadFile(fn)
 			if err != nil {
 				t.Fatal(err)
@@ -304,9 +260,7 @@ func TestSuppressionDirectives(t *testing.T) {
 		if len(allowed) == 0 {
 			t.Fatalf("corpus %s has no //lint:allow directives", tc.dir)
 		}
-		reg := &Registry{}
-		reg.Register(tc.checker)
-		for _, f := range reg.RunPackage(pkg) {
+		for _, f := range runChecker(tc.checker, mod, pkgs) {
 			if allowed[f.Pos.Line] {
 				t.Errorf("%s: finding on a suppressed line: %v", tc.dir, f)
 			}
@@ -314,17 +268,15 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 }
 
-// corpusRegistry mirrors DefaultRegistry's shape over the corpus module:
-// every per-package and whole-module checker, with corpus-appropriate scopes.
+// corpusRegistry mirrors DefaultRegistry over the corpus module, with both
+// determinism corpus packages as sinks.
 func corpusRegistry() *Registry {
 	reg := &Registry{}
-	reg.Register(Determinism{}, "example.com/lintcheck/determinism")
+	reg.Register(Determinism{Sinks: []string{corpusModule + "/determinism", corpusSink}})
 	reg.Register(LockDiscipline{})
-	reg.Register(FloatEq{}, "example.com/lintcheck/floateq")
 	reg.Register(ErrCheck{})
 	reg.Register(AllowReason{})
-	reg.RegisterModule(Nondet{Sinks: []string{corpusSink}})
-	reg.RegisterModule(LockOrder{})
+	reg.Register(LockOrder{})
 	return reg
 }
 
@@ -375,59 +327,17 @@ func TestOutputDeterminism(t *testing.T) {
 	}
 }
 
-// TestScoping pins the package-prefix scoping DefaultRegistry relies on.
-func TestScoping(t *testing.T) {
-	s := scopedChecker{checker: FloatEq{}, prefixes: []string{"proteus/internal/lp", "proteus/internal/milp"}}
-	for path, want := range map[string]bool{
-		"proteus/internal/lp":        true,
-		"proteus/internal/milp":      true,
-		"proteus/internal/lp/sub":    true,
-		"proteus/internal/lpx":       false,
-		"proteus/internal/allocator": false,
-	} {
-		if got := s.applies(path); got != want {
-			t.Errorf("applies(%q) = %v, want %v", path, got, want)
-		}
-	}
-	if len((scopedChecker{checker: ErrCheck{}}).prefixes) != 0 {
-		t.Fatal("unscoped checker should have no prefixes")
-	}
-	if !(scopedChecker{checker: ErrCheck{}}).applies("anything") {
-		t.Fatal("unscoped checker must apply everywhere")
-	}
-}
-
 // TestDefaultRegistryChecks guards the advertised checker set.
 func TestDefaultRegistryChecks(t *testing.T) {
-	reg := DefaultRegistry("proteus")
 	var names []string
-	for _, c := range reg.Checkers() {
+	for _, c := range DefaultRegistry("proteus").Checkers() {
 		names = append(names, c.Name())
 		if c.Doc() == "" {
 			t.Errorf("checker %s has no doc line", c.Name())
 		}
 	}
-	want := []string{"determinism", "lockdiscipline", "floateq", "errcheck", "allowreason"}
+	want := []string{"determinism", "lockdiscipline", "errcheck", "allowreason", "lockorder"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("registry checks = %v, want %v", names, want)
-	}
-	var modNames []string
-	for _, c := range reg.ModuleCheckers() {
-		modNames = append(modNames, c.Name())
-		if c.Doc() == "" {
-			t.Errorf("module checker %s has no doc line", c.Name())
-		}
-	}
-	wantMod := []string{"nondet", "lockorder"}
-	if strings.Join(modNames, ",") != strings.Join(wantMod, ",") {
-		t.Fatalf("registry module checks = %v, want %v", modNames, wantMod)
-	}
-	var ids []string
-	for _, r := range reg.Rules() {
-		ids = append(ids, r.ID)
-	}
-	wantIDs := []string{"allowreason", "determinism", "errcheck", "floateq", "lockdiscipline", "lockorder", "nondet"}
-	if strings.Join(ids, ",") != strings.Join(wantIDs, ",") {
-		t.Fatalf("registry rules = %v, want %v", ids, wantIDs)
 	}
 }

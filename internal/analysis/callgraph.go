@@ -10,7 +10,7 @@ import (
 
 // CallGraph is a module-wide, over-approximate static call graph built from
 // the type-checked packages. It is the substrate the interprocedural
-// checkers (nondet, lockorder) walk: a nondeterminism source or a lock
+// checkers (determinism, lockorder) walk: a nondeterminism source or a lock
 // acquisition three helpers deep is only visible by composing per-function
 // facts along these edges.
 //

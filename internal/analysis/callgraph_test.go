@@ -20,7 +20,7 @@ func dumpGraph(g *CallGraph) string {
 	return b.String()
 }
 
-// TestCallGraphEdges pins the three resolution strategies on the nondet
+// TestCallGraphEdges pins the three resolution strategies on the call-chain
 // corpus: static calls (direct and cross-package), interface dispatch
 // over-approximated to every in-module implementation, and function values
 // tracked one assignment deep.

@@ -1,51 +1,227 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"sort"
+	"strings"
 )
 
-// Determinism enforces that the simulated-clock and plan-construction
-// packages stay reproducible from a seed: the simulator's fidelity claim
-// (tracking the testbed within ~1%, §6.1.5) and every regression test that
-// compares two runs depend on it.
+// Determinism enforces that the seed-reproducible packages (Sinks; wired to
+// DeterministicPackages by DefaultRegistry) stay reproducible from a seed:
+// the simulator's fidelity claim (tracking the testbed within ~1%, §6.1.5)
+// and every regression test that compares two runs depend on it.
 //
-// It reports:
-//   - wall-clock reads: time.Now, time.Since, time.Until, and timer
+// A nondeterminism source is
+//   - a wall-clock read: time.Now, time.Since, time.Until, and the timer
 //     constructors (time.After, time.Tick, time.NewTimer, time.NewTicker,
 //     time.AfterFunc, time.Sleep) — simulated time must come from the event
 //     engine's clock;
 //   - global math/rand state: package-level functions of math/rand and
-//     math/rand/v2 (rand.Intn, rand.Float64, rand.Shuffle, ...), whose shared
-//     seed makes runs irreproducible — randomness must flow through an
-//     injected seeded generator (numeric.RNG or a *rand.Rand built from a
-//     rand.NewSource the caller seeds);
-//   - rand.New calls whose source argument is not a direct rand.NewSource /
-//     NewPCG / NewChaCha8 construction, since the provenance of the seed
-//     cannot be seen at the call site;
-//   - range over a map, whose iteration order is randomized by the runtime.
-//     The canonical fix — collect the keys, sort, iterate the slice — is
-//     recognized and not reported; genuinely order-insensitive loops (pure
-//     reductions) should carry a //lint:allow determinism comment saying so;
-//   - unaccounted goroutines: a `go` statement must be fork-join structured —
-//     a sync.WaitGroup.Add call before it in the same function, and a
-//     function literal that defers the matching Done — so concurrency stays
-//     a bounded, joined implementation detail rather than free-running
-//     state that can leak scheduling order into results;
-//   - select statements with two or more communication clauses: the runtime
-//     picks among simultaneously ready cases uniformly at random, so a
-//     multi-way select is a nondeterministic merge. Restructure around one
-//     communication clause (plus an optional default); order-insensitive
-//     merges should carry a //lint:allow determinism comment saying why.
-type Determinism struct{}
+//     math/rand/v2 (rand.Intn, rand.Shuffle, ...) — randomness must flow
+//     through an injected seeded generator (numeric.RNG or a *rand.Rand built
+//     from a rand.NewSource the caller seeds);
+//   - rand.New whose source argument is not a direct rand.NewSource / NewPCG /
+//     NewChaCha8 construction, since the seed cannot be seen at the call site;
+//   - a process-environment read (os.Environ, os.Getenv, os.LookupEnv);
+//   - a range over a map without the sorted-keys idiom (collect the keys,
+//     sort, iterate the slice), since the runtime randomizes map order.
+//
+// The check reports every source written inside a sink package — in a
+// function body or a package-level var initializer — and every call edge
+// through which a source elsewhere in the module enters the sink set: sources
+// mark their functions "tainted", taint propagates to callers over the module
+// call graph, and the finding at the entry edge carries the full sink→source
+// call chain. Chains wholly inside the sink set are not re-reported edge by
+// edge: the source itself is already a finding.
+//
+// A source suppressed in place (//lint:allow determinism, e.g. the
+// allocators' reporting-only SolveTime measurements) neither reports nor
+// taints: the directive is an audited statement that the value never feeds
+// seed-reproducible results. Genuinely order-insensitive map loops (pure
+// reductions) carry one saying so.
+type Determinism struct {
+	// Sinks are the import-path prefixes of the seed-reproducible set.
+	Sinks []string
+}
 
-// Name implements Checker.
+// Name implements ModuleChecker.
 func (Determinism) Name() string { return "determinism" }
 
-// Doc implements Checker.
+// Doc implements ModuleChecker.
 func (Determinism) Doc() string {
-	return "forbid wall-clock reads, global math/rand and unsorted map iteration in seed-reproducible packages"
+	return "forbid wall-clock reads, global rand, environment reads and unsorted map iteration in seed-reproducible packages, directly or through any call chain"
+}
+
+// ndSource is one direct nondeterminism source.
+type ndSource struct {
+	desc string    // e.g. "time.Now", "os.Environ", "map range"
+	pos  token.Pos // the source expression's position
+}
+
+// ndTaint records how a function reaches a source: the next callee on the
+// shortest path and the ultimate source.
+type ndTaint struct {
+	src  ndSource
+	next *CGNode // nil when src is in this very function
+}
+
+// RunModule implements ModuleChecker.
+func (d Determinism) RunModule(mp *ModulePass) {
+	cg := mp.CallGraph()
+	taint := make(map[*CGNode]*ndTaint)
+
+	// Direct sources, in deterministic node order. A function's earliest
+	// source is the one its callers' chains name.
+	var queue []*CGNode
+	for _, node := range cg.Nodes() {
+		srcs := sources(node.Pkg, node.Body)
+		if len(srcs) == 0 {
+			continue
+		}
+		if underPrefix(node.Pkg.Path, d.Sinks) {
+			for _, src := range srcs {
+				mp.Reportf(src.pos, "%s", directMessage(src.desc))
+			}
+		}
+		taint[node] = &ndTaint{src: srcs[0]}
+		queue = append(queue, node)
+	}
+	// Package-level var initializers run outside every call-graph node.
+	for _, pkg := range mp.Pkgs {
+		if !underPrefix(pkg.Path, d.Sinks) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, src := range sources(pkg, gd) {
+						mp.Reportf(src.pos, "%s", directMessage(src.desc))
+					}
+				}
+			}
+		}
+	}
+
+	// Reverse adjacency for the BFS. Callers come out in deterministic order
+	// because nodes and their edges are sorted.
+	callers := make(map[*CGNode][]*CGNode)
+	for _, node := range cg.Nodes() {
+		for _, e := range node.Edges {
+			callers[e.Callee] = append(callers[e.Callee], node)
+		}
+	}
+
+	// Multi-source BFS: the first (shortest, deterministically tie-broken)
+	// path to a source wins.
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, c := range callers[u] {
+			if taint[c] != nil {
+				continue
+			}
+			taint[c] = &ndTaint{src: taint[u].src, next: u}
+			queue = append(queue, c)
+		}
+	}
+
+	// Report taint entering the sink set, once per call site.
+	for _, node := range cg.Nodes() {
+		if !underPrefix(node.Pkg.Path, d.Sinks) {
+			continue
+		}
+		reported := make(map[token.Pos]bool)
+		for _, e := range node.Edges {
+			if underPrefix(e.Callee.Pkg.Path, d.Sinks) || taint[e.Callee] == nil || reported[e.Site] {
+				continue
+			}
+			reported[e.Site] = true
+			mp.Reportf(e.Site,
+				"call chain reaches %s: %s; seed-reproducible packages must take time, randomness and iteration order from injected sources — fix the helper or annotate an audited exception with //lint:allow determinism",
+				taint[e.Callee].src.desc, chain(mp, cg, taint, node, e.Callee))
+		}
+	}
+}
+
+// directMessage is the finding text for a source written in a sink package.
+func directMessage(desc string) string {
+	switch {
+	case strings.HasPrefix(desc, "time."):
+		return desc + " reads the wall clock in a seed-reproducible package; use the simulation engine clock or an injected time source"
+	case strings.HasPrefix(desc, "os."):
+		return desc + " reads the process environment in a seed-reproducible package; pass configuration in explicitly so runs are reproducible from their inputs"
+	case desc == "unseeded rand.New":
+		return "rand.New with an opaque source; construct the source with rand.NewSource(seed) at the call site so the seed is auditable"
+	case desc == "map range":
+		return "range over map iterates in randomized order; collect and sort the keys first, or annotate an order-insensitive reduction with //lint:allow determinism"
+	default:
+		return "global " + desc + " uses shared, unseeded process-wide state; inject a seeded generator (numeric.RNG or rand.New(rand.NewSource(seed)))"
+	}
+}
+
+// chain renders the full sink→source call chain, ending with the source
+// expression's file:line (base name only, so reports are machine-independent
+// and byte-deterministic).
+func chain(mp *ModulePass, cg *CallGraph, taint map[*CGNode]*ndTaint, sink, entry *CGNode) string {
+	var b strings.Builder
+	b.WriteString(cg.shortName(sink.Name))
+	for node := entry; node != nil; {
+		b.WriteString(" → ")
+		b.WriteString(cg.shortName(node.Name))
+		t := taint[node]
+		if t == nil {
+			break
+		}
+		if t.next == nil {
+			pos := mp.Fset.Position(t.src.pos)
+			fmt.Fprintf(&b, " → %s (%s:%d)", t.src.desc, filepath.Base(pos.Filename), pos.Line)
+			break
+		}
+		node = t.next
+	}
+	return b.String()
+}
+
+// sources lists the unsuppressed nondeterminism sources inside n (a function
+// body or a package-level var declaration) in position order.
+func sources(pkg *Package, n ast.Node) []ndSource {
+	var out []ndSource
+	var scan func(n ast.Node, body *ast.BlockStmt)
+	scan = func(n ast.Node, body *ast.BlockStmt) {
+		ast.Inspect(n, func(nd ast.Node) bool {
+			desc := ""
+			switch nd := nd.(type) {
+			case *ast.FuncLit:
+				// The sorted-keys idiom is matched against the innermost
+				// enclosing function body.
+				scan(nd.Body, nd.Body)
+				return false
+			case *ast.CallExpr:
+				desc = sourceCall(pkg.Info, nd)
+			case *ast.RangeStmt:
+				if t := pkg.Info.TypeOf(nd.X); t != nil {
+					if _, ok := t.Underlying().(*types.Map); ok && !sortedKeysIdiom(pkg.Info, body, nd) {
+						desc = "map range"
+					}
+				}
+			}
+			if desc != "" {
+				p := pkg.mod.Fset.Position(nd.Pos())
+				if !pkg.directives.allows(p.Filename, p.Line, "determinism") {
+					out = append(out, ndSource{desc: desc, pos: nd.Pos()})
+				}
+			}
+			return true
+		})
+	}
+	body, _ := n.(*ast.BlockStmt)
+	scan(n, body)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	return out
 }
 
 // wallClockFuncs are the package-level time functions that read or depend on
@@ -64,180 +240,52 @@ var seededSourceCtors = map[string]bool{
 
 func isRandPkg(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
 
-// Run implements Checker.
-func (d Determinism) Run(pass *Pass) {
-	for _, f := range pass.Files {
-		// Forbidden calls can appear anywhere, including package-level
-		// initializers.
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				d.checkCall(pass, call)
-			}
-			return true
-		})
-		// Map-range loops are checked per function body so the sorted-keys
-		// idiom can consult the rest of the enclosing body.
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				d.checkRanges(pass, body)
-				d.checkConcurrency(pass, body)
-			}
-			return true
-		})
-	}
-}
-
-// checkConcurrency reports unaccounted goroutines and multi-way selects
-// directly inside body. Nested function literals are skipped — the walk in
-// Run visits them with their own enclosing body.
-func (d Determinism) checkConcurrency(pass *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			// The spawned function literal is skipped by the FuncLit case on
-			// the way down; Run walks it with its own enclosing body.
-			d.checkGo(pass, body, n)
-		case *ast.SelectStmt:
-			if commClauseCount(n) > 1 {
-				pass.Reportf(n.Pos(),
-					"select with %d communication clauses chooses among ready cases at random; restructure around one communication (plus optional default), or annotate an order-insensitive merge with //lint:allow determinism", commClauseCount(n))
-			}
-		}
-		return true
-	})
-}
-
-// checkGo enforces fork-join structure on one go statement: a
-// sync.WaitGroup.Add call earlier in the same function, and a spawned
-// function literal that defers the matching Done.
-func (d Determinism) checkGo(pass *Pass, body *ast.BlockStmt, g *ast.GoStmt) {
-	if !d.hasWaitGroupAddBefore(pass, body, g.Pos()) {
-		pass.Reportf(g.Pos(),
-			"goroutine without a preceding sync.WaitGroup.Add in this function; fork-join account it (wg.Add before go, defer wg.Done inside) so the computation joins all workers before returning")
-		return
-	}
-	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-	if !ok || !d.hasDeferredDone(pass, lit) {
-		pass.Reportf(g.Pos(),
-			"goroutine does not visibly defer sync.WaitGroup.Done; spawn a function literal whose first statement is defer wg.Done() so the join is auditable at the fork site")
-	}
-}
-
-// hasWaitGroupAddBefore reports whether a sync.WaitGroup.Add call occurs
-// before pos inside body.
-func (d Determinism) hasWaitGroupAddBefore(pass *Pass, body *ast.BlockStmt, pos token.Pos) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && call.Pos() < pos && d.isWaitGroupMethod(pass, call, "Add") {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// hasDeferredDone reports whether lit's body (not counting nested function
-// literals) defers a sync.WaitGroup.Done call.
-func (d Determinism) hasDeferredDone(pass *Pass, lit *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if ds, ok := n.(*ast.DeferStmt); ok && d.isWaitGroupMethod(pass, ds.Call, "Done") {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func (d Determinism) isWaitGroupMethod(pass *Pass, call *ast.CallExpr, name string) bool {
-	fn := pass.CalleeFunc(call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" &&
-		fn.Name() == name && recvTypeName(fn) == "WaitGroup"
-}
-
-// commClauseCount counts a select's communication clauses (default excluded).
-func commClauseCount(s *ast.SelectStmt) int {
-	n := 0
-	for _, clause := range s.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// checkRanges reports nondeterministic map ranges directly inside body.
-// Nested function literals are skipped — the walk in Run visits them with
-// their own (narrower) enclosing body.
-func (d Determinism) checkRanges(pass *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if rng, ok := n.(*ast.RangeStmt); ok {
-			d.checkRange(pass, body, rng)
-		}
-		return true
-	})
-}
-
-func (d Determinism) checkCall(pass *Pass, call *ast.CallExpr) {
-	fn := pass.CalleeFunc(call)
+// sourceCall classifies a call expression as a direct nondeterminism source,
+// returning its description ("" when it is not one).
+func sourceCall(info *types.Info, call *ast.CallExpr) string {
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
-		return
+		return ""
 	}
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil || sig.Recv() != nil {
-		// Methods (e.g. (*rand.Rand).Intn on an injected generator, or
-		// (time.Time).Sub) are fine: determinism is the instance's problem,
-		// and instances are constructed from seeds.
-		return
+		// Methods (injected *rand.Rand, time.Time.Sub, ...) are the
+		// instance's problem; instances are constructed from seeds.
+		return ""
 	}
 	path := fn.Pkg().Path()
 	switch {
 	case path == "time" && wallClockFuncs[fn.Name()]:
-		pass.Reportf(call.Pos(),
-			"time.%s reads the wall clock in a seed-reproducible package; use the simulation engine clock or an injected time source", fn.Name())
+		return "time." + fn.Name()
+	case path == "os" && (fn.Name() == "Environ" || fn.Name() == "Getenv" || fn.Name() == "LookupEnv"):
+		return "os." + fn.Name()
 	case isRandPkg(path):
 		switch {
 		case seededSourceCtors[fn.Name()]:
 			// Explicit source construction: the seed expression is visible
 			// here and separately subject to the wall-clock rule.
+			return ""
 		case fn.Name() == "New":
-			if !isSeededSourceCall(pass, call) {
-				pass.Reportf(call.Pos(),
-					"rand.New with an opaque source; construct the source with rand.NewSource(seed) at the call site so the seed is auditable")
+			if !isSeededSourceCall(info, call) {
+				return "unseeded rand.New"
 			}
+			return ""
 		default:
-			pass.Reportf(call.Pos(),
-				"global %s.%s uses shared, unseeded process-wide state; inject a seeded generator (numeric.RNG or rand.New(rand.NewSource(seed)))", pathBase(path), fn.Name())
+			return pathBase(path) + "." + fn.Name()
 		}
 	}
+	return ""
 }
 
 // isSeededSourceCall reports whether every argument of a rand.New call is a
 // direct rand.NewSource/NewPCG/NewChaCha8 construction.
-func isSeededSourceCall(pass *Pass, call *ast.CallExpr) bool {
+func isSeededSourceCall(info *types.Info, call *ast.CallExpr) bool {
 	for _, arg := range call.Args {
 		inner, ok := ast.Unparen(arg).(*ast.CallExpr)
 		if !ok {
 			return false
 		}
-		fn := pass.CalleeFunc(inner)
+		fn := calleeFunc(info, inner)
 		if fn == nil || fn.Pkg() == nil || !isRandPkg(fn.Pkg().Path()) || !seededSourceCtors[fn.Name()] {
 			return false
 		}
@@ -254,21 +302,6 @@ func pathBase(path string) string {
 	return path
 }
 
-func (d Determinism) checkRange(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) {
-	t := pass.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
-		return
-	}
-	if sortedKeysIdiom(pass, enclosing, rng) {
-		return
-	}
-	pass.Reportf(rng.Pos(),
-		"range over map iterates in randomized order; collect and sort the keys first, or annotate an order-insensitive reduction with //lint:allow determinism")
-}
-
 // sortedKeysIdiom recognizes the canonical deterministic map iteration:
 //
 //	for k := range m { keys = append(keys, k) }
@@ -276,7 +309,7 @@ func (d Determinism) checkRange(pass *Pass, enclosing *ast.BlockStmt, rng *ast.R
 //
 // i.e. a key-only range whose body is a single append into a slice that a
 // sort/slices call later in the same function consumes.
-func sortedKeysIdiom(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) bool {
+func sortedKeysIdiom(info *types.Info, enclosing *ast.BlockStmt, rng *ast.RangeStmt) bool {
 	if rng.Value != nil || rng.Key == nil || rng.Body == nil || len(rng.Body.List) != 1 {
 		return false
 	}
@@ -296,10 +329,10 @@ func sortedKeysIdiom(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) b
 	if !ok || fun.Name != "append" {
 		return false
 	}
-	if b, ok := pass.ObjectOf(fun).(*types.Builtin); !ok || b == nil {
+	if b, ok := info.ObjectOf(fun).(*types.Builtin); !ok || b == nil {
 		return false
 	}
-	keysObj := pass.ObjectOf(lhs)
+	keysObj := info.ObjectOf(lhs)
 	if keysObj == nil {
 		return false
 	}
@@ -314,7 +347,7 @@ func sortedKeysIdiom(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) b
 		if !ok || call.Pos() <= rng.End() {
 			return true
 		}
-		fn := pass.CalleeFunc(call)
+		fn := calleeFunc(info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -322,7 +355,7 @@ func sortedKeysIdiom(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) b
 			return true
 		}
 		for _, arg := range call.Args {
-			if mentionsObject(pass, arg, keysObj) {
+			if mentionsObject(info, arg, keysObj) {
 				sorted = true
 				return false
 			}
@@ -333,10 +366,10 @@ func sortedKeysIdiom(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) b
 }
 
 // mentionsObject reports whether expr references obj anywhere.
-func mentionsObject(pass *Pass, expr ast.Expr, obj types.Object) bool {
+func mentionsObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.ObjectOf(id) == obj {
+		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
 			found = true
 		}
 		return !found

@@ -150,19 +150,19 @@ func CollectDirectives(pkgs []*Package) []AllowDirective {
 // is indistinguishable from a silenced bug.
 type AllowReason struct{}
 
-// Name implements Checker.
+// Name implements ModuleChecker.
 func (AllowReason) Name() string { return "allowreason" }
 
-// Doc implements Checker.
+// Doc implements ModuleChecker.
 func (AllowReason) Doc() string {
 	return "require every //lint:allow directive to carry a free-text reason"
 }
 
-// Run implements Checker.
-func (AllowReason) Run(pass *Pass) {
-	for _, d := range pass.directives.list {
+// RunModule implements ModuleChecker.
+func (AllowReason) RunModule(mp *ModulePass) {
+	for _, d := range CollectDirectives(mp.Pkgs) {
 		if d.Reason == "" {
-			pass.Reportf(d.pos,
+			mp.Reportf(d.pos,
 				"//lint:allow %s has no reason; append free text explaining why the suppression is sound",
 				strings.Join(d.Checks, ","))
 		}

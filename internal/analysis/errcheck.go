@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ErrCheck flags in-module calls whose error result is dropped — either a
@@ -18,28 +17,30 @@ import (
 // print-style calls whose errors are conventionally ignored stay quiet.
 type ErrCheck struct{}
 
-// Name implements Checker.
+// Name implements ModuleChecker.
 func (ErrCheck) Name() string { return "errcheck" }
 
-// Doc implements Checker.
+// Doc implements ModuleChecker.
 func (ErrCheck) Doc() string {
 	return "flag discarded error results (dropped or blank-assigned) from functions defined in this module"
 }
 
-// Run implements Checker.
-func (e ErrCheck) Run(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-					e.checkCall(pass, call, -1)
+// RunModule implements ModuleChecker.
+func (e ErrCheck) RunModule(mp *ModulePass) {
+	for _, pkg := range mp.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+						e.checkCall(mp, pkg, call, -1)
+					}
+				case *ast.AssignStmt:
+					e.checkAssign(mp, pkg, n)
 				}
-			case *ast.AssignStmt:
-				e.checkAssign(pass, n)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 
@@ -47,17 +48,17 @@ func (e ErrCheck) Run(pass *Pass) {
 // shapes: a multi-value call (`x, _ := g()`) where the error position is
 // blank, and pairwise assignment (`_ = f()`) where the sole result is an
 // error.
-func (e ErrCheck) checkAssign(pass *Pass, assign *ast.AssignStmt) {
+func (e ErrCheck) checkAssign(mp *ModulePass, pkg *Package, assign *ast.AssignStmt) {
 	if len(assign.Rhs) == 1 && len(assign.Lhs) > 1 {
 		call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		errAt := e.moduleErrResult(pass, call)
+		errAt := moduleErrResult(mp.Module, pkg.Info, call)
 		if errAt < 0 || errAt >= len(assign.Lhs) || !isBlank(assign.Lhs[errAt]) {
 			return
 		}
-		e.checkCall(pass, call, errAt)
+		e.checkCall(mp, pkg, call, errAt)
 		return
 	}
 	if len(assign.Rhs) == len(assign.Lhs) {
@@ -66,20 +67,20 @@ func (e ErrCheck) checkAssign(pass *Pass, assign *ast.AssignStmt) {
 			if !ok || !isBlank(assign.Lhs[i]) {
 				continue
 			}
-			e.checkCall(pass, call, 0)
+			e.checkCall(mp, pkg, call, 0)
 		}
 	}
 }
 
 // moduleErrResult returns the index of call's error result when the callee
 // is an in-module function that has one, else -1.
-func (e ErrCheck) moduleErrResult(pass *Pass, call *ast.CallExpr) int {
-	fn := pass.CalleeFunc(call)
+func moduleErrResult(module string, info *types.Info, call *ast.CallExpr) int {
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return -1
 	}
 	path := fn.Pkg().Path()
-	if path != pass.Module && !strings.HasPrefix(path, pass.Module+"/") {
+	if !underPrefix(path, []string{module}) {
 		return -1
 	}
 	sig, _ := fn.Type().(*types.Signature)
@@ -99,17 +100,17 @@ func (e ErrCheck) moduleErrResult(pass *Pass, call *ast.CallExpr) int {
 // checkCall reports the discarded error of one in-module call. blankAt < 0
 // means the whole statement drops every result; otherwise the error result
 // went to the blank identifier.
-func (e ErrCheck) checkCall(pass *Pass, call *ast.CallExpr, blankAt int) {
-	errAt := e.moduleErrResult(pass, call)
+func (e ErrCheck) checkCall(mp *ModulePass, pkg *Package, call *ast.CallExpr, blankAt int) {
+	errAt := moduleErrResult(mp.Module, pkg.Info, call)
 	if errAt < 0 {
 		return
 	}
-	fn := pass.CalleeFunc(call)
+	fn := calleeFunc(pkg.Info, call)
 	how := "discarded"
 	if blankAt >= 0 {
 		how = "discarded via the blank identifier"
 	}
-	pass.Reportf(call.Pos(),
+	mp.Reportf(call.Pos(),
 		"result %d (error) of %s.%s is %s; handle it or annotate the deliberate discard with //lint:allow errcheck",
 		errAt, pathBase(fn.Pkg().Path()), fn.Name(), how)
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // LockDiscipline flags blocking operations performed while a sync.Mutex or
@@ -15,352 +14,44 @@ import (
 // repo's convention (see internal/serving/worker.go) is to copy state out,
 // unlock, then block.
 //
-// The analysis is intraprocedural and syntactic: it tracks Lock/RLock and
-// Unlock/RUnlock calls on the same receiver expression in statement order,
-// treats defer Unlock as holding the lock to the end of the function, and
-// propagates unlocks out of non-terminating branches. Calls into other
-// functions that might block are out of scope.
+// The analysis is intraprocedural: it follows the held set of the shared
+// lockWalker, which tells instances apart by receiver expression. Calls into
+// other functions that might block are out of scope.
 type LockDiscipline struct{}
 
-// Name implements Checker.
+// Name implements ModuleChecker.
 func (LockDiscipline) Name() string { return "lockdiscipline" }
 
-// Doc implements Checker.
+// Doc implements ModuleChecker.
 func (LockDiscipline) Doc() string {
 	return "flag channel operations and blocking calls made while a sync (RW)Mutex is held"
 }
 
-// Run implements Checker.
-func (l LockDiscipline) Run(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				w := &lockWalker{pass: pass, held: map[string]token.Pos{}}
-				w.walkStmts(body.List)
-			}
-			return true
-		})
+// RunModule implements ModuleChecker.
+func (LockDiscipline) RunModule(mp *ModulePass) {
+	for _, node := range mp.CallGraph().Nodes() {
+		walkLocks(node, ldEvents{mp})
 	}
 }
 
-// lockWalker tracks the set of held mutexes (keyed by the receiver
-// expression's source form) through one function body.
-type lockWalker struct {
-	pass *Pass
-	held map[string]token.Pos
-}
+// ldEvents reports block events under a non-empty held set.
+type ldEvents struct{ mp *ModulePass }
 
-func (w *lockWalker) clone() *lockWalker {
-	c := &lockWalker{pass: w.pass, held: make(map[string]token.Pos, len(w.held))}
-	for k, v := range w.held {
-		c.held[k] = v
-	}
-	return c
-}
+func (ldEvents) acquire(*lockWalker, string, token.Pos) {}
+func (ldEvents) call(*lockWalker, *ast.CallExpr, bool)  {}
 
-// walkStmts processes statements in order, updating the held set.
-func (w *lockWalker) walkStmts(stmts []ast.Stmt) {
-	for _, s := range stmts {
-		w.walkStmt(s)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if key, locked, ok := w.lockOp(s.X); ok {
-			if locked {
-				w.held[key] = s.Pos()
-			} else {
-				delete(w.held, key)
-			}
-			return
-		}
-		w.checkExpr(s.X)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held for the rest of the body —
-		// exactly what the held set already models, so nothing to update.
-		// Other deferred calls only run at return; skip their bodies.
-	case *ast.SendStmt:
-		w.flagIfHeld(s.Pos(), "channel send")
-		w.checkExpr(s.Chan)
-		w.checkExpr(s.Value)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.checkExpr(e)
-		}
-		for _, e := range s.Lhs {
-			w.checkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.checkExpr(e)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.checkExpr(e)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.checkExpr(s.Cond)
-		w.walkBranch(s.Body)
-		if s.Else != nil {
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				w.walkBranch(e)
-			case *ast.IfStmt:
-				w.walkStmt(e)
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.checkExpr(s.Cond)
-		}
-		w.walkBranch(s.Body)
-	case *ast.RangeStmt:
-		if t := w.pass.TypeOf(s.X); t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				w.flagIfHeld(s.Pos(), "range over channel")
-			}
-		}
-		w.checkExpr(s.X)
-		w.walkBranch(s.Body)
-	case *ast.BlockStmt:
-		w.walkStmts(s.List)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
-	case *ast.SelectStmt:
-		if !selectHasDefault(s) {
-			w.flagIfHeld(s.Pos(), "select without default case")
-		}
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				sub := w.clone()
-				sub.walkStmts(cc.Body)
-			}
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.checkExpr(s.Tag)
-		}
-		w.walkCaseBodies(s.Body)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkCaseBodies(s.Body)
-	case *ast.GoStmt:
-		// Launching a goroutine does not block; its body runs with its own
-		// (empty) held set via the FuncLit walk in Run.
-		for _, e := range s.Call.Args {
-			w.checkExpr(e)
-		}
-	}
-}
-
-func (w *lockWalker) walkCaseBodies(body *ast.BlockStmt) {
-	for _, clause := range body.List {
-		if cc, ok := clause.(*ast.CaseClause); ok {
-			sub := w.clone()
-			sub.walkStmts(cc.Body)
-		}
-	}
-}
-
-// walkBranch walks a conditional block with a copy of the held set. Locks
-// taken inside the branch stay branch-local, but unlocks performed by a
-// branch that falls through (does not end in return/break/continue/goto)
-// propagate to the outer state — so the common
-//
-//	mu.Lock(); if cond { mu.Unlock(); return }  // stays held after
-//	mu.Lock(); if cond { ...; mu.Unlock() } else { mu.Unlock() }  // released
-//
-// shapes are both modeled without false positives.
-func (w *lockWalker) walkBranch(body *ast.BlockStmt) {
-	sub := w.clone()
-	sub.walkStmts(body.List)
-	if terminates(body) {
-		return
-	}
-	for key := range w.held {
-		if _, still := sub.held[key]; !still {
-			delete(w.held, key)
-		}
-	}
-}
-
-// terminates reports whether the block's last statement transfers control
-// away (so its lock-state changes never reach the code after the branch).
-func terminates(body *ast.BlockStmt) bool {
-	if len(body.List) == 0 {
-		return false
-	}
-	switch last := body.List[len(body.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// checkExpr flags blocking operations inside an expression evaluated while
-// locks are held. Function literals are skipped: they do not run here.
-func (w *lockWalker) checkExpr(e ast.Expr) {
-	if e == nil || len(w.held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.flagIfHeld(n.Pos(), "channel receive")
-			}
-		case *ast.CallExpr:
-			if name, blocking := w.blockingCall(n); blocking {
-				w.flagIfHeld(n.Pos(), name)
-			}
-		}
-		return true
-	})
-}
-
-// blockingCall reports calls that block by construction: time.Sleep,
-// sync.WaitGroup.Wait, sync.Cond.Wait, and acquiring another sync lock.
-func (w *lockWalker) blockingCall(call *ast.CallExpr) (string, bool) {
-	fn := w.pass.CalleeFunc(call)
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if fn.Name() == "Sleep" {
-			return "time.Sleep", true
-		}
-	case "sync":
-		recv := recvTypeName(fn)
-		if fn.Name() == "Wait" && (recv == "WaitGroup" || recv == "Cond") {
-			return "sync." + recv + ".Wait", true
-		}
-		// Once.Do blocks every caller until the first call's fn returns, so
-		// it is an arbitrary-latency wait from the second caller's view.
-		if fn.Name() == "Do" && recv == "Once" {
-			return "sync.Once.Do", true
-		}
-	}
-	return "", false
-}
-
-// lockOp classifies expr as a Lock/RLock (locked=true) or Unlock/RUnlock
-// (locked=false) call on a sync.Mutex or sync.RWMutex, keyed by the receiver
-// expression's source text.
-func (w *lockWalker) lockOp(expr ast.Expr) (key string, locked, ok bool) {
-	sel, locked, ok := mutexLockOp(w.pass, expr)
-	if !ok {
-		return "", false, false
-	}
-	return types.ExprString(sel.X), locked, true
-}
-
-// mutexLockOp classifies expr as a Lock/RLock (locked=true) or
-// Unlock/RUnlock (locked=false) call on a sync.Mutex or sync.RWMutex and
-// returns the selector so callers can key the receiver as they see fit
-// (source text for the intraprocedural checker, canonical identity for the
-// lock-order checker).
-func mutexLockOp(pass *Pass, expr ast.Expr) (sel *ast.SelectorExpr, locked, ok bool) {
-	call, isCall := ast.Unparen(expr).(*ast.CallExpr)
-	if !isCall {
-		return nil, false, false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, false, false
-	}
-	fn, _ := pass.ObjectOf(sel.Sel).(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, false, false
-	}
-	recv := recvTypeName(fn)
-	if recv != "Mutex" && recv != "RWMutex" {
-		return nil, false, false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return sel, true, true
-	case "Unlock", "RUnlock":
-		return sel, false, true
-	}
-	return nil, false, false
-}
-
-// recvTypeName returns the name of a method's receiver type ("" for plain
-// functions).
-func recvTypeName(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
-func selectHasDefault(s *ast.SelectStmt) bool {
-	for _, clause := range s.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalker) flagIfHeld(pos token.Pos, what string) {
+func (e ldEvents) block(w *lockWalker, pos token.Pos, what string) {
 	if len(w.held) == 0 {
 		return
 	}
 	// Report against the earliest held lock for a stable message.
 	var key string
 	var at token.Pos
-	for k, p := range w.held {
-		if key == "" || p < at || (p == at && k < key) {
-			key, at = k, p
+	for k, h := range w.held {
+		if key == "" || h.pos < at || (h.pos == at && k < key) {
+			key, at = k, h.pos
 		}
 	}
-	w.pass.Reportf(pos, "%s while %s is locked (held since line %d); copy state out and release the lock before blocking",
-		what, key, w.pass.Fset.Position(at).Line)
+	e.mp.Reportf(pos, "%s while %s is locked (held since line %d); copy state out and release the lock before blocking",
+		what, key, e.mp.Fset.Position(at).Line)
 }

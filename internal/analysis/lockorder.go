@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,8 +14,8 @@ import (
 // it cannot see the classic two-function deadlock: f locks A then calls into
 // a function that locks B, while g locks B then (possibly packages away)
 // locks A. LockOrder extracts per-function held-lock/acquire facts with the
-// same mutex tracking lockdiscipline uses, composes them over the module
-// call graph into a global lock-ordering graph, and reports
+// lockWalker lockdiscipline also uses, composes them over the module call
+// graph into a global lock-ordering graph, and reports
 //
 //   - cycles in that graph as potential deadlocks, with every edge's
 //     acquisition site and call chain in the message, and
@@ -36,7 +35,7 @@ import (
 //
 // Function literals run with a fresh (empty) held set — closures execute as
 // goroutines or callbacks, not inline under the caller's locks — and
-// deferred calls contribute their transitive acquisitions but no
+// deferred and spawned calls contribute their transitive acquisitions but no
 // held-at-call pairs, since the held set at return time is not statically
 // meaningful. Both choices under-approximate; they are documented here so a
 // quiet report can be audited against them.
@@ -73,11 +72,10 @@ type loSummary struct {
 }
 
 // loWitness explains how a function (transitively) acquires a lock: either a
-// direct site or a call into via at callPos.
+// direct site or a call into via at pos.
 type loWitness struct {
-	pos     token.Pos // direct acquire site, or the call site toward via
-	via     *CGNode   // nil for direct acquisitions
-	callPos token.Pos
+	pos token.Pos // direct acquire site, or the call site toward via
+	via *CGNode   // nil for direct acquisitions
 }
 
 // loEdge is one edge of the global lock-ordering graph: from held while
@@ -97,7 +95,7 @@ func (l LockOrder) RunModule(mp *ModulePass) {
 	cg := mp.CallGraph()
 	summaries := make(map[*CGNode]*loSummary)
 	for _, node := range cg.Nodes() {
-		summaries[node] = l.summarize(mp, node)
+		summaries[node] = l.summarize(node)
 	}
 	acquired := l.transitiveAcquires(cg, summaries)
 	edges, order := l.lockGraph(cg, summaries, acquired)
@@ -105,26 +103,51 @@ func (l LockOrder) RunModule(mp *ModulePass) {
 	l.reportCrossPackage(mp, cg, edges, order, inCycle)
 }
 
-// summarize walks one function body tracking the held set (Lock/RLock add,
-// Unlock/RUnlock remove, defer Unlock holds to the end, branch-local unlocks
-// propagate out of falling-through branches — the same model lockdiscipline
-// uses) and records every acquire and every in-module call with its held
-// snapshot.
-func (l LockOrder) summarize(mp *ModulePass, node *CGNode) *loSummary {
-	sum := &loSummary{}
-	edgesAt := make(map[token.Pos][]CGEdge)
+// summarize walks one function body with the shared lockWalker and records
+// every acquire and every in-module call with the identities held there.
+func (l LockOrder) summarize(node *CGNode) *loSummary {
+	ev := &loEvents{sum: &loSummary{}, edgesAt: make(map[token.Pos][]CGEdge)}
 	for _, e := range node.Edges {
-		edgesAt[e.Site] = append(edgesAt[e.Site], e)
+		ev.edgesAt[e.Site] = append(ev.edgesAt[e.Site], e)
 	}
-	w := &loWalker{
-		pass:    mp.pass(node.Pkg),
-		node:    node,
-		sum:     sum,
-		edgesAt: edgesAt,
-		held:    map[string]token.Pos{},
+	walkLocks(node, ev)
+	return ev.sum
+}
+
+// loEvents records a lockWalker's acquire and call events into a summary.
+type loEvents struct {
+	sum     *loSummary
+	edgesAt map[token.Pos][]CGEdge
+}
+
+func (e *loEvents) acquire(w *lockWalker, id string, pos token.Pos) {
+	e.sum.acquires = append(e.sum.acquires, loAcquire{lock: id, pos: pos, held: heldIDs(w)})
+}
+
+func (*loEvents) block(*lockWalker, token.Pos, string) {}
+
+func (e *loEvents) call(w *lockWalker, call *ast.CallExpr, detached bool) {
+	edges := e.edgesAt[call.Pos()]
+	if len(edges) == 0 {
+		return
 	}
-	w.walkStmts(node.Body.List)
-	return sum
+	held := map[string]token.Pos{}
+	if !detached {
+		held = heldIDs(w)
+	}
+	e.sum.calls = append(e.sum.calls, loCall{edges: edges, pos: call.Pos(), held: held})
+}
+
+// heldIDs snapshots the walker's held set by lock identity, keeping the
+// earliest acquisition when several instances of one identity are held.
+func heldIDs(w *lockWalker) map[string]token.Pos {
+	s := make(map[string]token.Pos, len(w.held))
+	for _, h := range w.held {
+		if at, ok := s[h.id]; !ok || h.pos < at {
+			s[h.id] = h.pos
+		}
+	}
+	return s
 }
 
 // transitiveAcquires computes, per function, every lock it may acquire
@@ -147,11 +170,9 @@ func (LockOrder) transitiveAcquires(cg *CallGraph, summaries map[*CGNode]*loSumm
 		for _, node := range cg.Nodes() {
 			m := acquired[node]
 			for _, e := range node.Edges {
-				callee := acquired[e.Callee]
-				keys := sortedKeys(callee)
-				for _, lock := range keys {
+				for _, lock := range sortedKeys(acquired[e.Callee]) {
 					if _, ok := m[lock]; !ok {
-						m[lock] = loWitness{pos: e.Site, via: e.Callee, callPos: e.Site}
+						m[lock] = loWitness{pos: e.Site, via: e.Callee}
 						changed = true
 					}
 				}
@@ -176,7 +197,7 @@ func (LockOrder) lockGraph(cg *CallGraph, summaries map[*CGNode]*loSummary, acqu
 	for _, node := range cg.Nodes() {
 		sum := summaries[node]
 		for _, a := range sum.acquires {
-			for _, h := range sortedKeys2(a.held) {
+			for _, h := range sortedKeys(a.held) {
 				if h == a.lock {
 					continue
 				}
@@ -202,7 +223,7 @@ func (LockOrder) lockGraph(cg *CallGraph, summaries map[*CGNode]*loSummary, acqu
 						chain = append(chain, w.via)
 						w = acquired[w.via][lock]
 					}
-					for _, h := range sortedKeys2(c.held) {
+					for _, h := range sortedKeys(c.held) {
 						if h == lock {
 							continue
 						}
@@ -323,16 +344,7 @@ func shortPos(fset *token.FileSet, pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
-func sortedKeys(m map[string]loWitness) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]token.Pos) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -425,266 +437,4 @@ func walkCycle(start string, adj map[string][]string, inSCC map[string]bool) []s
 		visited[nextHop] = true
 		cur = nextHop
 	}
-}
-
-// loWalker tracks held locks through one function body, mirroring
-// lockdiscipline's branch model, and records acquire/call events into the
-// node summary.
-type loWalker struct {
-	pass    *Pass
-	node    *CGNode
-	sum     *loSummary
-	edgesAt map[token.Pos][]CGEdge
-	held    map[string]token.Pos
-}
-
-func (w *loWalker) clone() *loWalker {
-	c := &loWalker{pass: w.pass, node: w.node, sum: w.sum, edgesAt: w.edgesAt,
-		held: make(map[string]token.Pos, len(w.held))}
-	for k, v := range w.held {
-		c.held[k] = v
-	}
-	return c
-}
-
-func (w *loWalker) snapshot() map[string]token.Pos {
-	s := make(map[string]token.Pos, len(w.held))
-	for k, v := range w.held {
-		s[k] = v
-	}
-	return s
-}
-
-func (w *loWalker) walkStmts(stmts []ast.Stmt) {
-	for _, s := range stmts {
-		w.walkStmt(s)
-	}
-}
-
-func (w *loWalker) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if sel, locked, ok := mutexLockOp(w.pass, s.X); ok {
-			key := lockKey(w.pass, w.node, sel.X)
-			if locked {
-				w.sum.acquires = append(w.sum.acquires, loAcquire{lock: key, pos: s.Pos(), held: w.snapshot()})
-				w.held[key] = s.Pos()
-			} else {
-				delete(w.held, key)
-			}
-			return
-		}
-		w.scanExpr(s.X)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held to the end of the body —
-		// already what the held set models. Other deferred calls run at
-		// return with an unknowable held set: record their transitive
-		// acquisitions (empty held) but no held-at-call pairs.
-		if _, _, ok := mutexLockOp(w.pass, s.Call); ok {
-			return
-		}
-		if edges := w.edgesAt[s.Call.Pos()]; len(edges) > 0 {
-			w.sum.calls = append(w.sum.calls, loCall{edges: edges, pos: s.Call.Pos(), held: map[string]token.Pos{}})
-		}
-		for _, a := range s.Call.Args {
-			w.scanExpr(a)
-		}
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan)
-		w.scanExpr(s.Value)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanExpr(e)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.scanExpr(s.Cond)
-		w.walkBranch(s.Body)
-		if s.Else != nil {
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				w.walkBranch(e)
-			case *ast.IfStmt:
-				w.walkStmt(e)
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond)
-		}
-		w.walkBranch(s.Body)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X)
-		w.walkBranch(s.Body)
-	case *ast.BlockStmt:
-		w.walkStmts(s.List)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
-	case *ast.SelectStmt:
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				sub := w.clone()
-				sub.walkStmts(cc.Body)
-			}
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag)
-		}
-		w.walkCaseBodies(s.Body)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkCaseBodies(s.Body)
-	case *ast.GoStmt:
-		// The spawned call runs without the caller's locks; its transitive
-		// acquisitions still propagate (empty held).
-		if edges := w.edgesAt[s.Call.Pos()]; len(edges) > 0 {
-			w.sum.calls = append(w.sum.calls, loCall{edges: edges, pos: s.Call.Pos(), held: map[string]token.Pos{}})
-		}
-		for _, e := range s.Call.Args {
-			w.scanExpr(e)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.walkFuncLit(lit)
-		}
-	}
-}
-
-func (w *loWalker) walkCaseBodies(body *ast.BlockStmt) {
-	for _, clause := range body.List {
-		if cc, ok := clause.(*ast.CaseClause); ok {
-			sub := w.clone()
-			sub.walkStmts(cc.Body)
-		}
-	}
-}
-
-// walkBranch mirrors lockdiscipline: a conditional block walks a copy of the
-// held set; unlocks performed by a falling-through branch propagate out.
-func (w *loWalker) walkBranch(body *ast.BlockStmt) {
-	sub := w.clone()
-	sub.walkStmts(body.List)
-	if terminates(body) {
-		return
-	}
-	for key := range w.held {
-		if _, still := sub.held[key]; !still {
-			delete(w.held, key)
-		}
-	}
-}
-
-// scanExpr records in-module calls inside an expression with the current
-// held set, and walks function literals with a fresh one.
-func (w *loWalker) scanExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.walkFuncLit(n)
-			return false
-		case *ast.CallExpr:
-			if edges := w.edgesAt[n.Pos()]; len(edges) > 0 {
-				w.sum.calls = append(w.sum.calls, loCall{edges: edges, pos: n.Pos(), held: w.snapshot()})
-			}
-		}
-		return true
-	})
-}
-
-// walkFuncLit walks a literal's body with an empty held set; its events are
-// recorded under the enclosing declared function (matching the call graph's
-// attribution).
-func (w *loWalker) walkFuncLit(lit *ast.FuncLit) {
-	sub := &loWalker{pass: w.pass, node: w.node, sum: w.sum, edgesAt: w.edgesAt, held: map[string]token.Pos{}}
-	sub.walkStmts(lit.Body.List)
-}
-
-// lockKey canonicalizes a mutex receiver expression to a module-wide lock
-// identity:
-//
-//   - struct fields key by declaring named type — "(pkg.Type).mu" — merging
-//     all instances;
-//   - an identifier whose type is a named struct embedding the mutex keys as
-//     "(pkg.Type).Mutex";
-//   - package-level variables key as "pkg.var";
-//   - function locals and unrecognized shapes key per function, which keeps
-//     them out of cross-function ordering claims.
-func lockKey(pass *Pass, node *CGNode, e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if named := derefNamed(pass.TypeOf(e.X)); named != nil {
-			return "(" + qualifiedTypeName(named) + ")." + e.Sel.Name
-		}
-		return lockKey(pass, node, e.X) + "." + e.Sel.Name
-	case *ast.Ident:
-		if v, ok := pass.ObjectOf(e).(*types.Var); ok {
-			if named := derefNamed(v.Type()); named != nil && !isSyncLockType(named) {
-				return "(" + qualifiedTypeName(named) + ").Mutex"
-			}
-			if pass.Pkg != nil && v.Parent() == pass.Pkg.Scope() {
-				return pass.Path + "." + e.Name
-			}
-		}
-		return node.Name + "$" + e.Name
-	case *ast.UnaryExpr:
-		return lockKey(pass, node, e.X)
-	default:
-		return node.Name + "$" + types.ExprString(e)
-	}
-}
-
-// derefNamed unwraps pointers and returns the named type, or nil.
-func derefNamed(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-func qualifiedTypeName(named *types.Named) string {
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-func isSyncLockType(named *types.Named) bool {
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }

@@ -1,45 +1,12 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// This file holds proteus-lint's machine-readable surfaces: the JSON and
-// SARIF emitters and the baseline mechanism. All three are byte-
-// deterministic for a given finding set — structs with fixed field order,
-// findings pre-sorted by SortFindings, rules sorted by ID — so CI can diff
-// outputs across runs and archive them as artifacts.
-
-// FindingJSON is the stable wire form of one finding.
-type FindingJSON struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-func toJSONFindings(findings []Finding) []FindingJSON {
-	out := make([]FindingJSON, len(findings))
-	for i, f := range findings {
-		out[i] = FindingJSON{
-			File:    filepath.ToSlash(f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Check:   f.Check,
-			Message: f.Message,
-		}
-	}
-	return out
-}
-
-// WriteText writes the default path:line:col report, one finding per line.
+// WriteText writes the path:line:col report, one finding per line.
 func WriteText(w io.Writer, findings []Finding) error {
 	for _, f := range findings {
 		if _, err := fmt.Fprintln(w, f); err != nil {
@@ -47,222 +14,6 @@ func WriteText(w io.Writer, findings []Finding) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the findings as an indented JSON document.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	doc := struct {
-		Findings []FindingJSON `json:"findings"`
-		Count    int           `json:"count"`
-	}{Findings: toJSONFindings(findings), Count: len(findings)}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// sarif* mirror the minimal subset of SARIF 2.1.0 that code-scanning
-// ingesters require.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF writes the findings as a SARIF 2.1.0 log. rules is the
-// registry's full check table (Registry.Rules), so consumers see every
-// check, not only the ones that fired.
-func WriteSARIF(w io.Writer, findings []Finding, rules []Rule) error {
-	srules := make([]sarifRule, len(rules))
-	for i, r := range rules {
-		srules[i] = sarifRule{ID: r.ID, ShortDescription: sarifText{Text: r.Doc}}
-	}
-	results := make([]sarifResult, len(findings))
-	for i, f := range findings {
-		results[i] = sarifResult{
-			RuleID:  f.Check,
-			Level:   "error",
-			Message: sarifText{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(f.Pos.Filename)},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		}
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool: sarifTool{Driver: sarifDriver{
-				Name:           "proteus-lint",
-				InformationURI: "https://github.com/proteus/proteus",
-				Rules:          srules,
-			}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
-
-// Baseline is a checked-in set of accepted findings. It exists so a new,
-// stricter checker can land with the gate already on: known findings go into
-// the baseline instead of a flood of //lint:allow comments, and the file
-// shrinks monotonically as they are fixed. Matching deliberately ignores
-// line and column — refactors move findings around — and is multiset-
-// semantic: two identical findings need two baseline entries.
-type Baseline struct {
-	counts map[baselineKey]int
-}
-
-type baselineKey struct {
-	File    string
-	Check   string
-	Message string
-}
-
-// baselineEntry is the stable file form of one accepted finding.
-type baselineEntry struct {
-	File    string `json:"file"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-type baselineFile struct {
-	Version  int             `json:"version"`
-	Findings []baselineEntry `json:"findings"`
-}
-
-// NewBaseline builds a baseline from findings (used by -write-baseline).
-func NewBaseline(findings []Finding) *Baseline {
-	b := &Baseline{counts: make(map[baselineKey]int)}
-	for _, f := range findings {
-		b.counts[baselineKey{File: filepath.ToSlash(f.Pos.Filename), Check: f.Check, Message: f.Message}]++
-	}
-	return b
-}
-
-// ReadBaseline loads a baseline file.
-func ReadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var file baselineFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("analysis: baseline %s: %w", path, err)
-	}
-	if file.Version != 1 {
-		return nil, fmt.Errorf("analysis: baseline %s: unsupported version %d", path, file.Version)
-	}
-	b := &Baseline{counts: make(map[baselineKey]int)}
-	for _, e := range file.Findings {
-		b.counts[baselineKey{File: e.File, Check: e.Check, Message: e.Message}]++
-	}
-	return b, nil
-}
-
-// WriteBaseline serializes the baseline deterministically (sorted entries).
-func (b *Baseline) WriteBaseline(w io.Writer) error {
-	entries := []baselineEntry{}
-	for k, n := range b.counts {
-		for i := 0; i < n; i++ {
-			entries = append(entries, baselineEntry{File: k.File, Check: k.Check, Message: k.Message})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, c := entries[i], entries[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Check != c.Check {
-			return a.Check < c.Check
-		}
-		return a.Message < c.Message
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(baselineFile{Version: 1, Findings: entries})
-}
-
-// Len reports the number of accepted findings in the baseline.
-func (b *Baseline) Len() int {
-	n := 0
-	for _, c := range b.counts {
-		n += c
-	}
-	return n
-}
-
-// Filter splits findings into the new ones (not covered by the baseline) and
-// the count of suppressed matches. Each baseline entry absorbs at most one
-// finding.
-func (b *Baseline) Filter(findings []Finding) (fresh []Finding, suppressed int) {
-	remaining := make(map[baselineKey]int, len(b.counts))
-	for k, n := range b.counts {
-		remaining[k] = n
-	}
-	for _, f := range findings {
-		k := baselineKey{File: filepath.ToSlash(f.Pos.Filename), Check: f.Check, Message: f.Message}
-		if remaining[k] > 0 {
-			remaining[k]--
-			suppressed++
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, suppressed
 }
 
 // WriteAllows writes the audit listing of every //lint:allow directive:

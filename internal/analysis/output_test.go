@@ -2,15 +2,14 @@ package analysis
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// corpusFindings runs the full corpus registry over packages in the given
-// order (nil = as loaded) and returns the findings.
-func corpusFindings(t *testing.T, reorder func([]*Package) []*Package) []Finding {
+// corpusReport runs the full corpus registry over packages in the given
+// order (nil = as loaded) and returns the text report.
+func corpusReport(t *testing.T, reorder func([]*Package) []*Package) string {
 	t.Helper()
 	mod, pkgs, err := LoadModule(corpusRoot, []string{"./..."})
 	if err != nil {
@@ -19,33 +18,20 @@ func corpusFindings(t *testing.T, reorder func([]*Package) []*Package) []Finding
 	if reorder != nil {
 		pkgs = reorder(pkgs)
 	}
-	return corpusRegistry().RunPackages(mod, pkgs)
+	var b bytes.Buffer
+	if err := WriteText(&b, corpusRegistry().RunModule(mod, pkgs)); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
-// render exercises all three emitters over one finding set.
-func render(t *testing.T, findings []Finding) (text, jsonOut, sarif string) {
-	t.Helper()
-	var b1, b2, b3 bytes.Buffer
-	if err := WriteText(&b1, findings); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(&b2, findings); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSARIF(&b3, findings, corpusRegistry().Rules()); err != nil {
-		t.Fatal(err)
-	}
-	return b1.String(), b2.String(), b3.String()
-}
-
-// TestEmitterDeterminism requires every output format to be byte-identical
-// across repeated runs AND across shuffled package-load orders: module
-// checkers re-sort their input and per-package findings are globally sorted,
-// so load order must never leak into a report CI diffs.
+// TestEmitterDeterminism requires the text report to be byte-identical
+// across repeated runs AND across shuffled package-load orders: checkers see
+// packages sorted by import path and findings are globally sorted, so load
+// order must never leak into a report CI diffs.
 func TestEmitterDeterminism(t *testing.T) {
-	base := corpusFindings(t, nil)
-	text0, json0, sarif0 := render(t, base)
-	if len(base) == 0 {
+	text0 := corpusReport(t, nil)
+	if text0 == "" {
 		t.Fatal("corpus produced no findings")
 	}
 
@@ -66,97 +52,9 @@ func TestEmitterDeterminism(t *testing.T) {
 		},
 	}
 	for name, reorder := range reorders {
-		text, jsonOut, sarif := render(t, corpusFindings(t, reorder))
-		if text != text0 {
+		if text := corpusReport(t, reorder); text != text0 {
 			t.Errorf("%s: text report diverged", name)
 		}
-		if jsonOut != json0 {
-			t.Errorf("%s: JSON report diverged", name)
-		}
-		if sarif != sarif0 {
-			t.Errorf("%s: SARIF report diverged", name)
-		}
-	}
-
-	// Spot-check the wire shapes without re-parsing: stable field order and
-	// the rules table covering every check.
-	if !strings.Contains(json0, "\"count\": ") || !strings.Contains(json0, "\"check\": ") {
-		t.Errorf("JSON output missing expected fields:\n%s", json0)
-	}
-	for _, id := range []string{"nondet", "lockorder", "allowreason"} {
-		if !strings.Contains(sarif0, "\"id\": \""+id+"\"") {
-			t.Errorf("SARIF rules table missing %s", id)
-		}
-	}
-	if !strings.Contains(sarif0, "\"version\": \"2.1.0\"") {
-		t.Error("SARIF output missing version 2.1.0")
-	}
-}
-
-// TestBaselineRoundTrip pins the baseline mechanism: write → read → filter
-// suppresses exactly the recorded findings, matching by (file, check,
-// message) with multiset semantics, and rejects unknown versions.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := corpusFindings(t, nil)
-	if len(findings) < 2 {
-		t.Fatal("corpus produced too few findings for the baseline test")
-	}
-
-	var buf bytes.Buffer
-	if err := NewBaseline(findings).WriteBaseline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := NewBaseline(findings).WriteBaseline(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("baseline serialization is not deterministic")
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseline.Len() != len(findings) {
-		t.Fatalf("baseline.Len() = %d, want %d", baseline.Len(), len(findings))
-	}
-	fresh, suppressed := baseline.Filter(findings)
-	if len(fresh) != 0 || suppressed != len(findings) {
-		t.Fatalf("full baseline: %d fresh, %d suppressed; want 0, %d", len(fresh), suppressed, len(findings))
-	}
-
-	// An empty baseline passes everything through.
-	fresh, suppressed = NewBaseline(nil).Filter(findings)
-	if len(fresh) != len(findings) || suppressed != 0 {
-		t.Fatalf("empty baseline: %d fresh, %d suppressed", len(fresh), suppressed)
-	}
-
-	// Multiset semantics: one recorded entry absorbs at most one duplicate.
-	dup := []Finding{findings[0], findings[0]}
-	fresh, suppressed = NewBaseline(findings[:1]).Filter(dup)
-	if len(fresh) != 1 || suppressed != 1 {
-		t.Fatalf("multiset: %d fresh, %d suppressed; want 1, 1", len(fresh), suppressed)
-	}
-
-	// Matching ignores line/column — a moved finding stays baselined.
-	moved := findings[0]
-	moved.Pos.Line += 100
-	fresh, _ = NewBaseline(findings[:1]).Filter([]Finding{moved})
-	if len(fresh) != 0 {
-		t.Fatal("baseline match must ignore line and column")
-	}
-
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"version":2,"findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(bad); err == nil || !strings.Contains(err.Error(), "unsupported version") {
-		t.Fatalf("ReadBaseline(version 2) err = %v, want unsupported version", err)
 	}
 }
 

@@ -6,9 +6,11 @@ package determinism
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 )
+
+// A package-level initializer runs outside every function body.
+var epoch = time.Now() // want determinism
 
 func wallClock() time.Duration {
 	start := time.Now() // want determinism
@@ -18,7 +20,7 @@ func wallClock() time.Duration {
 
 func timers(ch chan int) {
 	time.Sleep(time.Millisecond) // want determinism
-	select {                     // want determinism
+	select {                     // ok: a multi-way select is not a source
 	case <-time.After(time.Second): // want determinism
 	case <-ch:
 	}
@@ -79,62 +81,6 @@ func unsortedKeys(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	return keys
-}
-
-func forkJoinAccounted(jobs []int) {
-	var wg sync.WaitGroup
-	for range jobs {
-		wg.Add(1)
-		go func() { // ok: Add before go, deferred Done inside
-			defer wg.Done()
-			doWork()
-		}()
-	}
-	wg.Wait()
-}
-
-func unaccountedGoroutine() {
-	go doWork() // want determinism
-}
-
-func goWithoutDeferredDone() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // want determinism
-		doWork()
-		wg.Done()
-	}()
-	wg.Wait()
-}
-
-func goNamedFuncAfterAdd(wg *sync.WaitGroup) {
-	wg.Add(1)
-	go doWork() // want determinism
-}
-
-func singleCommSelect(ch chan int) int {
-	select { // ok: one communication clause plus default
-	case v := <-ch:
-		return v
-	default:
-		return 0
-	}
-}
-
-func multiWaySelect(a, b chan int) int {
-	select { // want determinism
-	case v := <-a:
-		return v
-	case v := <-b:
-		return v
-	}
-}
-
-func multiWaySelectAllowed(a, b chan int) {
-	select { //lint:allow determinism both arms are idempotent shutdown signals
-	case <-a:
-	case <-b:
-	}
 }
 
 func doWork() {}

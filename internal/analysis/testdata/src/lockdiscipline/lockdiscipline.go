@@ -85,6 +85,16 @@ func (b *box) allowAnnotated() {
 	b.mu.Unlock()
 }
 
+// twoInstances holds two locks of one type: releasing a.mu must leave b.mu
+// held, so the held set cannot be keyed by type.
+func twoInstances(a, b *box, v int) {
+	a.mu.Lock()
+	b.mu.Lock()
+	a.mu.Unlock()
+	b.ch <- v // want lockdiscipline
+	b.mu.Unlock()
+}
+
 func (b *box) onceUnderLock(once *sync.Once) {
 	b.mu.Lock()
 	once.Do(func() {}) // want lockdiscipline

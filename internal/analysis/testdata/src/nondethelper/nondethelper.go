@@ -1,8 +1,8 @@
-// Package nondethelper is the source side of the nondet golden corpus: an
-// unrestricted helper package whose functions hide nondeterminism sources
-// from their callers. None of these are flagged here — the findings land in
-// the seed-reproducible caller package (nondetsink), with the call chain back
-// to these lines in the message.
+// Package nondethelper is the source side of the determinism checker's
+// call-chain corpus: an unrestricted helper package whose functions hide
+// nondeterminism sources from their callers. None of these are flagged
+// here — the findings land in the seed-reproducible caller package
+// (nondetsink), with the call chain back to these lines in the message.
 package nondethelper
 
 import (

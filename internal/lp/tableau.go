@@ -221,7 +221,7 @@ func (t *tableau) resetReducedCosts(c []float64) {
 	copy(t.z, c)
 	for i, bj := range t.basis {
 		cb := c[bj]
-		if cb == 0 { //lint:allow floateq exact-zero skip of a no-op row update; a tolerance would change which rows are eliminated
+		if cb == 0 { // exact-zero skip of a no-op row update; a tolerance would change which rows are eliminated
 			continue
 		}
 		row := t.a[i]
@@ -349,7 +349,7 @@ func better(t *tableau, cur, cand int, _ bool) bool {
 
 // applyStep moves the entering variable by tMax*dir, updating basic values.
 func (t *tableau) applyStep(j int, dir, tMax float64) {
-	if tMax == 0 { //lint:allow floateq exact-zero fast path for degenerate steps; nonzero tiny steps must still update xB
+	if tMax == 0 { // exact-zero fast path for degenerate steps; nonzero tiny steps must still update xB
 		return
 	}
 	step := tMax * dir
@@ -376,7 +376,7 @@ func (t *tableau) pivot(r, j int) {
 			continue
 		}
 		f := t.a[i][j]
-		if f == 0 { //lint:allow floateq exact-zero skip of a no-op elimination row; correctness does not depend on the branch
+		if f == 0 { // exact-zero skip of a no-op elimination row; correctness does not depend on the branch
 			continue
 		}
 		row := t.a[i]
@@ -386,7 +386,7 @@ func (t *tableau) pivot(r, j int) {
 		row[j] = 0
 	}
 	f := t.z[j]
-	if f != 0 { //lint:allow floateq exact-zero skip of a no-op reduced-cost update
+	if f != 0 { // exact-zero skip of a no-op reduced-cost update
 		for k := range t.z {
 			t.z[k] -= f * prow[k]
 		}

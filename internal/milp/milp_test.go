@@ -287,10 +287,10 @@ func TestRelGapZeroProvesExactOptimality(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status %v, want optimal", sol.Status)
 	}
-	if sol.Bound != sol.Objective { //lint:allow floateq exactness is the property under test
+	if sol.Bound != sol.Objective {
 		t.Fatalf("Bound %v != Objective %v: gap not closed exactly", sol.Bound, sol.Objective)
 	}
-	if g := sol.Gap(); g != 0 { //lint:allow floateq exactness is the property under test
+	if g := sol.Gap(); g != 0 {
 		t.Fatalf("Gap() = %v, want exactly 0", g)
 	}
 }
