@@ -288,12 +288,7 @@ func Analyze(in Input) *Report {
 			events = append(events, ev)
 		}
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Query != events[j].Query {
-			return events[i].Query < events[j].Query
-		}
-		return events[i].Seq < events[j].Seq
-	})
+	sort.Sort(byQuerySeq(events))
 
 	rep := &Report{TraceDropped: in.TraceDropped, Incomplete: in.TraceDropped > 0}
 	maxFamily := int32(-1)
@@ -328,6 +323,20 @@ func Analyze(in Input) *Report {
 
 	rep.summarize(maxFamily, window, in.FamilyNames)
 	return rep
+}
+
+// byQuerySeq orders events by (query, seq). A typed sort.Interface: the
+// events are 56 B, so sort.Slice's reflective swapper and slices.SortFunc's
+// by-value comparisons both cost more than indexing in place.
+type byQuerySeq []telemetry.Event
+
+func (s byQuerySeq) Len() int      { return len(s) }
+func (s byQuerySeq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byQuerySeq) Less(i, j int) bool {
+	if s[i].Query != s[j].Query {
+		return s[i].Query < s[j].Query
+	}
+	return s[i].Seq < s[j].Seq
 }
 
 // explainQuery decomposes one query's event run (sorted by seq). finished is

@@ -1,9 +1,11 @@
 package flightrec
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"os"
+	"strconv"
 
 	"proteus/internal/buildinfo"
 	"proteus/internal/controlplane"
@@ -106,23 +108,187 @@ type Bundle struct {
 	Build buildinfo.Info `json:"build"`
 }
 
-// WriteJSON writes the bundle as indented JSON. Byte-deterministic: struct
-// fields serialize in declaration order and map keys sorted.
+// WriteJSON writes the bundle as indented JSON: byte for byte what
+// json.Encoder with SetIndent("", "  ") writes, so struct fields serialize
+// in declaration order and map keys sorted.
 func (b *Bundle) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
+	var e sections
+	err := e.encodeAll(b)
+	if err == nil {
+		_, err = w.Write(b.appendJSON(nil, &e))
+	}
+	return err
 }
 
-// WriteFile writes the bundle to path via a unique temp file renamed into
-// place, so concurrent triggers and readers never see a torn bundle.
-func (b *Bundle) WriteFile(path string) error {
+// sections holds the encodings of a bundle's array sections, one per
+// element, in bundle order. Each encoding is the element's indented JSON at
+// array depth (json.MarshalIndent with prefix elemPrefix), without the
+// leading indent, so the recorder can keep it beside its ring element and
+// splice it into every bundle that element appears in.
+type sections struct {
+	trace, counters, samples, burns, phases, plans, runtime [][]byte
+}
+
+// elemPrefix is the indent of an array element: bundle object, then array.
+const elemPrefix = "    "
+
+// encodeAll encodes every element of b afresh.
+func (e *sections) encodeAll(b *Bundle) error {
+	*e = sections{
+		trace:    make([][]byte, len(b.TraceEvents)),
+		counters: make([][]byte, len(b.Counters)),
+		samples:  make([][]byte, len(b.Samples)),
+		burns:    make([][]byte, len(b.Burns)),
+		phases:   make([][]byte, len(b.Phases)),
+		plans:    make([][]byte, len(b.Plans)),
+		runtime:  make([][]byte, len(b.Runtime)),
+	}
+	return cmp.Or(
+		encodeMissing(e.trace, b.TraceEvents, encodeTraceEvent),
+		encodeMissing(e.counters, b.Counters, marshalElem[CounterSnap]),
+		encodeMissing(e.samples, b.Samples, encodeSample),
+		encodeMissing(e.burns, b.Burns, marshalElem[tsdb.BurnEvent]),
+		encodeMissing(e.phases, b.Phases, marshalElem[tsdb.PhaseStat]),
+		encodeMissing(e.plans, b.Plans, marshalElem[controlplane.PlanRecord]),
+		encodeMissing(e.runtime, b.Runtime, marshalElem[RuntimeSnap]),
+	)
+}
+
+// encodeMissing encodes vs[i] into every nil enc[i].
+func encodeMissing[T any](enc [][]byte, vs []T, encode func(*T) ([]byte, error)) error {
+	for i := range enc {
+		if enc[i] != nil {
+			continue
+		}
+		b, err := encode(&vs[i])
+		if err != nil {
+			return err
+		}
+		enc[i] = b
+	}
+	return nil
+}
+
+// marshalElem is the reflective element encoder, for the nested types.
+func marshalElem[T any](v *T) ([]byte, error) {
+	return json.MarshalIndent(v, elemPrefix, "  ")
+}
+
+// appendJSON appends the bundle's JSON to dst, taking the array elements
+// from e, which must encode b's sections.
+func (b *Bundle) appendJSON(dst []byte, e *sections) []byte {
+	dst = appendString(append(dst, "{\n  \"id\": "...), b.ID)
+	dst = strconv.AppendInt(topKey(dst, "seq"), int64(b.Seq), 10)
+	dst = strconv.AppendInt(topKey(dst, "at_ns"), b.AtNS, 10)
+	dst = appendString(topKey(dst, "reason"), b.Reason)
+	if b.Detail != "" {
+		dst = appendString(topKey(dst, "detail"), b.Detail)
+	}
+	dst = strconv.AppendInt(topKey(dst, "family"), int64(b.Family), 10)
+	dst = strconv.AppendInt(topKey(dst, "device"), int64(b.Device), 10)
+	dst = appendArray(dst, "trace_events", e.trace)
+	dst = appendArray(dst, "counters", e.counters)
+	dst = appendArray(dst, "samples", e.samples)
+	dst = appendArray(dst, "burns", e.burns)
+	dst = appendArray(dst, "phases", e.phases)
+	dst = appendArray(dst, "plans", e.plans)
+	dst = appendArray(dst, "runtime", e.runtime)
+	build, _ := json.MarshalIndent(b.Build, "  ", "  ") // flat strings and a bool: cannot fail
+	return append(append(topKey(dst, "build"), build...), "\n}\n"...)
+}
+
+// topKey starts a bundle field after the first.
+func topKey(dst []byte, key string) []byte {
+	return append(append(append(dst, ",\n  \""...), key...), "\": "...)
+}
+
+// elemKey starts an array element's field after the first.
+func elemKey(dst []byte, key string) []byte {
+	return append(append(append(dst, ",\n      \""...), key...), "\": "...)
+}
+
+// appendArray appends a non-empty section; an empty one is omitted, as
+// omitempty does.
+func appendArray(dst []byte, key string, elems [][]byte) []byte {
+	if len(elems) == 0 {
+		return dst
+	}
+	dst = append(topKey(dst, key), '[')
+	for i, el := range elems {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, "\n"+elemPrefix...), el...)
+	}
+	return append(dst, "\n  ]"...)
+}
+
+// appendString appends s as a JSON string. Strings that need no escaping —
+// every name the engines write — are copied; any other goes through
+// encoding/json, which escapes HTML characters, U+2028/U+2029 and control
+// bytes and replaces invalid UTF-8.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// encodeTraceEvent and encodeSample are marshalElem for the two flat types
+// that fill most of a bundle.
+func encodeTraceEvent(te *TraceEvent) ([]byte, error) {
+	dst := make([]byte, 0, 256)
+	dst = strconv.AppendInt(append(dst, "{\n      \"at_us\": "...), te.AtUS, 10)
+	dst = strconv.AppendUint(elemKey(dst, "seq"), te.Seq, 10)
+	dst = appendString(elemKey(dst, "kind"), te.Kind)
+	dst = strconv.AppendUint(elemKey(dst, "query"), te.Query, 10)
+	dst = strconv.AppendInt(elemKey(dst, "family"), int64(te.Family), 10)
+	dst = strconv.AppendInt(elemKey(dst, "device"), int64(te.Device), 10)
+	dst = strconv.AppendInt(elemKey(dst, "batch"), int64(te.Batch), 10)
+	if te.Plan != 0 {
+		dst = strconv.AppendInt(elemKey(dst, "plan"), int64(te.Plan), 10)
+	}
+	if te.Episode != 0 {
+		dst = strconv.AppendInt(elemKey(dst, "episode"), int64(te.Episode), 10)
+	}
+	if te.Cause != "" {
+		dst = appendString(elemKey(dst, "cause"), te.Cause)
+	}
+	return append(dst, "\n"+elemPrefix+"}"...), nil
+}
+
+func encodeSample(s *tsdb.Sample) ([]byte, error) {
+	dst := make([]byte, 0, 256)
+	dst = strconv.AppendInt(append(dst, "{\n      \"at_ns\": "...), int64(s.At), 10)
+	dst = strconv.AppendInt(elemKey(dst, "device"), int64(s.Device), 10)
+	dst = strconv.AppendBool(elemKey(dst, "up"), s.Up)
+	dst = strconv.AppendInt(elemKey(dst, "queue_depth"), int64(s.QueueDepth), 10)
+	dst = strconv.AppendInt(elemKey(dst, "batch_size"), int64(s.BatchSize), 10)
+	dst = strconv.AppendInt(elemKey(dst, "util_milli"), int64(s.UtilMilli), 10)
+	if s.Variant != "" {
+		dst = appendString(elemKey(dst, "variant"), s.Variant)
+	}
+	if s.SatMilli != 0 {
+		dst = strconv.AppendInt(elemKey(dst, "sat_milli"), int64(s.SatMilli), 10)
+	}
+	if s.Pressured {
+		dst = strconv.AppendBool(elemKey(dst, "pressured"), s.Pressured)
+	}
+	return append(dst, "\n"+elemPrefix+"}"...), nil
+}
+
+// writeFileAtomic writes data to path via a temp file renamed into place, so
+// concurrent triggers and readers never see a torn bundle.
+func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := b.WriteJSON(f); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

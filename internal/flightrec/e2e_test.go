@@ -2,6 +2,7 @@ package flightrec_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"proteus/internal/core"
 	"proteus/internal/flightrec"
 	"proteus/internal/models"
+	"proteus/internal/overload"
 	"proteus/internal/telemetry"
 	"proteus/internal/trace"
 	"proteus/internal/tsdb"
@@ -21,7 +23,8 @@ import (
 // burnRun drives a deliberately overloaded small cluster (the recipe the
 // report package's end-to-end tests use) with the flight recorder attached,
 // so the SLO monitor enters a burn episode and triggers incident bundles.
-func burnRun(t *testing.T, dir string) *flightrec.Recorder {
+// The recorder gets fcfg; edit, when set, amends the system's config.
+func burnRun(t *testing.T, fcfg flightrec.Config, edit func(*core.Config)) *flightrec.Recorder {
 	t.Helper()
 	var fams []models.Family
 	for _, f := range models.Zoo() {
@@ -41,8 +44,8 @@ func burnRun(t *testing.T, dir string) *flightrec.Recorder {
 			LongWindow:  30 * time.Second,
 		},
 	})
-	flight := flightrec.New(flightrec.Config{Dir: dir})
-	sys, err := core.NewSystem(core.Config{
+	flight := flightrec.New(fcfg)
+	cfg := core.Config{
 		Cluster:  cluster.ScaledTestbed(4),
 		Families: fams,
 		Allocator: allocator.NewMILP(&allocator.MILPOptions{
@@ -53,7 +56,11 @@ func burnRun(t *testing.T, dir string) *flightrec.Recorder {
 		Tracer:    telemetry.NewTracer(0),
 		Telemetry: telemetry.NewRegistry(),
 		Flight:    flight,
-	})
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +80,7 @@ func burnRun(t *testing.T, dir string) *flightrec.Recorder {
 // controller plan records.
 func TestSLOBurnProducesBundle(t *testing.T) {
 	dir := t.TempDir()
-	flight := burnRun(t, dir)
+	flight := burnRun(t, flightrec.Config{Dir: dir}, nil)
 
 	bundles := flight.Incidents()
 	if len(bundles) == 0 {
@@ -148,12 +155,67 @@ func TestSLOBurnProducesBundle(t *testing.T) {
 	}
 }
 
+// TestBundleBytesMatchEncodingJSON holds the recorder's bundle writer, with
+// its per-element encodings reused across bundles, to encoding/json: every
+// bundle file of a seeded run with device faults, the overload guard and SLO
+// burns equals the in-memory bundle through json.Encoder with SetIndent,
+// and so does Bundle.WriteJSON.
+func TestBundleBytesMatchEncodingJSON(t *testing.T) {
+	dir := t.TempDir()
+	flight := burnRun(t, flightrec.Config{Dir: dir, MaxIncidents: 1 << 10, TraceEvents: 512}, func(cfg *core.Config) {
+		faults, err := cluster.RandomSchedule(cfg.Cluster, cluster.RandomScheduleConfig{
+			MTBF: 60 * time.Second, MTTR: 10 * time.Second, Horizon: 90 * time.Second, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = faults
+		cfg.Overload = &overload.Config{
+			Enabled:           true,
+			HighWater:         64,
+			LowWater:          32,
+			RestoreHold:       5 * time.Second,
+			EscalateAfter:     10 * time.Second,
+			RedegradeCooldown: 10 * time.Second,
+		}
+	})
+	reasons := map[string]int{}
+	for _, b := range flight.Incidents() {
+		reasons[b.Reason]++
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(b); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("bundle file %s differs from encoding/json (%d vs %d bytes)", b.ID, len(got), want.Len())
+		}
+		var written bytes.Buffer
+		if err := b.WriteJSON(&written); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSON of %s differs from encoding/json", b.ID)
+		}
+	}
+	for _, r := range []string{"slo_burn", "overload", "device_failure"} {
+		if reasons[r] == 0 {
+			t.Errorf("no %s bundle among %v", r, reasons)
+		}
+	}
+}
+
 // TestSameSeedBundlesByteIdentical runs the same overloaded scenario twice
 // and diffs every bundle file byte for byte.
 func TestSameSeedBundlesByteIdentical(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	f1 := burnRun(t, dir1)
-	f2 := burnRun(t, dir2)
+	f1 := burnRun(t, flightrec.Config{Dir: dir1}, nil)
+	f2 := burnRun(t, flightrec.Config{Dir: dir2}, nil)
 
 	b1, b2 := f1.Incidents(), f2.Incidents()
 	if len(b1) == 0 || len(b1) != len(b2) {

@@ -1,0 +1,311 @@
+package flightrec
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"proteus/internal/allocator"
+	"proteus/internal/buildinfo"
+	"proteus/internal/controlplane"
+	"proteus/internal/telemetry"
+	"proteus/internal/tsdb"
+)
+
+// oracle is what the bundle writer must reproduce byte for byte: the bundle
+// through encoding/json's indenting encoder.
+func oracle(b *Bundle) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(b)
+	return buf.Bytes(), err
+}
+
+// checkWriteJSON fails t unless WriteJSON writes the oracle's bytes, or
+// fails where the oracle fails.
+func checkWriteJSON(t *testing.T, name string, b *Bundle) {
+	t.Helper()
+	want, wantErr := oracle(b)
+	var got bytes.Buffer
+	err := b.WriteJSON(&got)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: WriteJSON error %v, encoding/json error %v", name, err, wantErr)
+	}
+	if err == nil && !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("%s: WriteJSON differs from encoding/json\n got: %s\nwant: %s", name, got.Bytes(), want)
+	}
+}
+
+// nasty needs every kind of JSON string escaping: quote and backslash, the
+// HTML characters, control bytes, U+2028/U+2029, invalid UTF-8 — and keeps
+// one non-ASCII rune that needs none.
+const nasty = "<a href=\"x\">&amp;</a> \\ \t\n\x00\x1f\x7f \u2028\u2029 \xff\xfe\xc3 é"
+
+func TestWriteJSONEdgeCases(t *testing.T) {
+	plan := controlplane.PlanRecord{
+		Seq: 4, At: 30 * time.Second, Demand: []float64{12.5, 0, 1e-9},
+		PredictedAccuracy: 0.9271, DemandScale: 1, Trigger: "periodic", Solver: "milp (fallback)",
+		Stage: "fallback", Err: nasty,
+		Stats:          allocator.SolverStats{Objective: 44134.9, Bound: 45000, RelGap: -1, Nodes: 800, Backoffs: 2},
+		HostedVariants: map[string]int{"resnet50": 2, "b": 1, nasty: 3},
+		Changes:        []controlplane.DeviceChange{{Device: 3, From: "", To: "resnet50"}},
+		Loads:          1, RoutingDelta: 0.25,
+		SLOBurns:  []controlplane.SLOBurnRecord{{At: time.Second, Family: 1, Start: true, ShortBurn: 3, LongBurn: 2.5}},
+		Overloads: []controlplane.OverloadRecord{{At: 2 * time.Second, Family: 0, Kind: "degrade", Level: 1, Episode: 7, Reason: nasty}},
+	}
+	for _, tc := range []struct {
+		name string
+		b    Bundle
+	}{
+		{"zero", Bundle{}},
+		{"empty sections", Bundle{
+			ID: "incident-000001-manual", TraceEvents: []TraceEvent{}, Counters: []CounterSnap{},
+			Samples: []tsdb.Sample{}, Burns: []tsdb.BurnEvent{}, Phases: []tsdb.PhaseStat{},
+			Plans: []controlplane.PlanRecord{}, Runtime: []RuntimeSnap{},
+		}},
+		{"escaping", Bundle{
+			ID: nasty, Reason: nasty, Detail: nasty, Family: -1, Device: -7,
+			TraceEvents: []TraceEvent{{Kind: nasty, Cause: nasty, Family: -1, Device: -1, Batch: -1}},
+			Counters:    []CounterSnap{{Metrics: []telemetry.Metric{{Name: nasty, Value: -3, Kind: nasty}}}},
+			Samples:     []tsdb.Sample{{At: -5, Device: -2, Variant: nasty}},
+			Phases:      []tsdb.PhaseStat{{Scope: nasty, Index: -1, Phase: nasty}},
+			Build:       buildinfo.Info{GoVersion: nasty, Path: "proteus", Revision: "abc", Modified: true},
+		}},
+		{"causal stamps", Bundle{Family: 2, Device: 0, TraceEvents: []TraceEvent{
+			{},
+			{Kind: "dropped", Plan: 3},
+			{Kind: "requeued", Episode: -2},
+			{Kind: "dropped", Cause: "stale_route"},
+			{AtUS: math.MaxInt64, Seq: math.MaxUint64, Kind: "done", Query: math.MaxUint64,
+				Family: math.MinInt32, Device: math.MaxInt32, Batch: 32, Plan: math.MaxInt32, Episode: 1, Cause: "expired"},
+		}}},
+		{"samples", Bundle{Samples: []tsdb.Sample{
+			{},
+			{At: time.Second, Device: 3, Up: true, QueueDepth: 7, BatchSize: 8, UtilMilli: 1000, Variant: "resnet50"},
+			{At: math.MinInt64, SatMilli: -1, Pressured: true},
+			{At: math.MaxInt64, Device: math.MaxInt64, QueueDepth: math.MinInt64, SatMilli: 1500},
+		}}},
+		{"counters", Bundle{Counters: []CounterSnap{
+			{AtNS: 1},
+			{AtNS: 2, Metrics: []telemetry.Metric{}},
+			{AtNS: 3, Metrics: []telemetry.Metric{{Name: "a_total", Value: math.MaxInt64, Kind: "counter"}, {Name: "up", Kind: "gauge"}}},
+		}}},
+		{"burns, phases and plans", Bundle{
+			Burns:  []tsdb.BurnEvent{{At: time.Second, Family: 1, Start: true, ShortBurn: 3.25, LongBurn: 1e21}, {LongBurn: -0.5}},
+			Phases: []tsdb.PhaseStat{{Scope: "device", Index: 3, Phase: "exec", Count: math.MaxUint64, MeanUS: 12, P50US: 10, P95US: 30, P99US: 40, MaxUS: 99}},
+			Plans:  []controlplane.PlanRecord{{}, plan},
+		}},
+		{"live runtime", Bundle{Reason: "manual", Runtime: []RuntimeSnap{
+			{AtNS: 5, HeapAllocBytes: 1 << 40, HeapSysBytes: math.MaxUint64, GCPauseTotalNS: 7, NumGC: math.MaxUint32, Goroutines: 12},
+			{},
+		}}},
+		{"unencodable float", Bundle{Burns: []tsdb.BurnEvent{{ShortBurn: math.NaN()}}}},
+	} {
+		checkWriteJSON(t, tc.name, &tc.b)
+	}
+}
+
+// FuzzBundleEncoding checks the bundle writer against encoding/json on
+// bundles built from the fuzzed values: s fills every string, i/u/x the
+// numbers, and the bits of mask pick which sections are nil, empty or
+// present and which omitempty fields are set. testdata/fuzz holds the seeds
+// that reach escaping, extremes and unencodable floats.
+func FuzzBundleEncoding(f *testing.F) {
+	f.Add("incident-000001-slo_burn", int64(-1), uint64(7), 2.5, uint16(0xffff))
+	f.Fuzz(func(t *testing.T, s string, i int64, u uint64, x float64, mask uint16) {
+		bit := func(k uint) bool { return mask&(1<<k) != 0 }
+		sect := func(k uint) int { // nil, empty, one or two elements
+			return int(mask>>k) & 3
+		}
+		b := Bundle{ID: s, Seq: int(i), AtNS: i, Reason: s, Family: int(i), Device: int(int32(u))}
+		if bit(0) {
+			b.Detail = s
+		}
+		if bit(1) {
+			b.Build = buildinfo.Info{GoVersion: s, Revision: s, Modified: bit(2)}
+		}
+		str := func(on bool) string {
+			if on {
+				return s
+			}
+			return ""
+		}
+		fill := func(k uint, add func(j int)) {
+			for j := range sect(k) - 1 {
+				add(j)
+			}
+		}
+		if sect(3) > 0 {
+			b.TraceEvents = []TraceEvent{}
+			fill(3, func(j int) {
+				b.TraceEvents = append(b.TraceEvents, TraceEvent{AtUS: i, Seq: u, Kind: s, Query: u + uint64(j),
+					Family: int32(i), Device: int32(u), Batch: int32(i >> 32), Plan: int32(i) * int32(j),
+					Episode: int32(u>>32) * int32(j), Cause: str(bit(0) && j > 0)})
+			})
+		}
+		if sect(5) > 0 {
+			b.Samples = []tsdb.Sample{}
+			fill(5, func(j int) {
+				b.Samples = append(b.Samples, tsdb.Sample{At: time.Duration(i), Device: j, Up: bit(2), QueueDepth: int(u),
+					BatchSize: int(i), UtilMilli: int(u >> 1), Variant: str(bit(1)), SatMilli: int(i) * j, Pressured: bit(2) && j > 0})
+			})
+		}
+		if sect(7) > 0 {
+			b.Counters = []CounterSnap{}
+			fill(7, func(j int) {
+				var m []telemetry.Metric
+				if bit(9) {
+					m = []telemetry.Metric{}
+				}
+				for range j + 1 {
+					m = append(m, telemetry.Metric{Name: s, Value: i, Kind: s})
+				}
+				b.Counters = append(b.Counters, CounterSnap{AtNS: i, Metrics: m})
+			})
+		}
+		if sect(10) > 0 {
+			b.Burns = []tsdb.BurnEvent{}
+			b.Phases = []tsdb.PhaseStat{}
+			fill(10, func(j int) {
+				b.Burns = append(b.Burns, tsdb.BurnEvent{At: time.Duration(u), Family: j, Start: bit(2), ShortBurn: x, LongBurn: -x})
+				b.Phases = append(b.Phases, tsdb.PhaseStat{Scope: s, Index: int(i), Phase: s, Count: u, MeanUS: i})
+			})
+		}
+		if sect(12) > 0 {
+			b.Plans = []controlplane.PlanRecord{}
+			fill(12, func(j int) {
+				b.Plans = append(b.Plans, controlplane.PlanRecord{Seq: j, Demand: []float64{x}, Trigger: s, Err: str(bit(0)),
+					HostedVariants: map[string]int{s: int(i), "b": j}, Stats: allocator.SolverStats{RelGap: x, Nodes: int(i)}})
+			})
+		}
+		if sect(14) > 0 {
+			b.Runtime = []RuntimeSnap{}
+			fill(14, func(j int) {
+				b.Runtime = append(b.Runtime, RuntimeSnap{AtNS: i, HeapAllocBytes: u, NumGC: uint32(u), Goroutines: j})
+			})
+		}
+		checkWriteJSON(t, "fuzzed bundle", &b)
+	})
+}
+
+// TestAppendStringEveryByte holds the string fast path to encoding/json
+// around every byte value and the runes that need care.
+func TestAppendStringEveryByte(t *testing.T) {
+	strs := []string{"", "é", "\u2028", "\u2029", "\ufffd", "日本"}
+	for c := 0; c < 256; c++ {
+		strs = append(strs, "a"+string([]byte{byte(c)})+"z")
+	}
+	for _, s := range strs {
+		want, _ := json.Marshal(s)
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendString(%q) = %s, want %s", s, got, want)
+		}
+	}
+}
+
+// TestEncodeTraceWindows hands the trace cache the tails that concurrent
+// triggers can bring in any order — newer, older, shorter, disjoint — and
+// checks each encoding against a fresh one.
+func TestEncodeTraceWindows(t *testing.T) {
+	var r Recorder
+	tes := make([]TraceEvent, 20)
+	for i := range tes {
+		tes[i] = TraceEvent{Seq: uint64(i), Kind: "arrival", Query: uint64(1000 + i)}
+	}
+	for _, w := range [][2]int{{5, 10}, {7, 12}, {3, 9}, {8, 10}, {15, 20}, {0, 20}, {19, 20}, {12, 14}, {12, 12}} {
+		got, err := r.encodeTrace(tes[w[0]:w[1]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != w[1]-w[0] {
+			t.Fatalf("window %v: %d encodings", w, len(got))
+		}
+		for i, enc := range got {
+			if want, _ := encodeTraceEvent(&tes[w[0]+i]); !bytes.Equal(enc, want) {
+				t.Fatalf("window %v, event %d: cached %s, want %s", w, i, enc, want)
+			}
+		}
+	}
+}
+
+// TestBundleFilesMatchOracle drives the recorder's encoding caches through
+// everything that could leave a stale encoding behind — ticks that shift
+// full rings between triggers, two triggers at one instant, a trace ring
+// that has wrapped, plans that come and go, and a second Init whose new
+// tracer and plans reuse the old Seqs with other content — and holds every
+// bundle file to the oracle.
+func TestBundleFilesMatchOracle(t *testing.T) {
+	dir := t.TempDir()
+	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 2})
+	check := func(b *Bundle) {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("bundle %s differs from encoding/json\n got: %s\nwant: %s", b.ID, got, want)
+		}
+	}
+	for run, kind := range []telemetry.EventKind{telemetry.EvArrival, telemetry.EvDropped} {
+		tracer := telemetry.NewTracer(16)
+		registry := telemetry.NewRegistry()
+		rec := tsdb.NewRecorder(tsdb.Config{SampleInterval: time.Second})
+		rec.Init(2, nil)
+		var plans []controlplane.PlanRecord
+		r.Init(Sources{
+			Tracer: tracer, Registry: registry, TSDB: rec,
+			Plans: func() []controlplane.PlanRecord { return plans },
+		})
+		// The second run's first bundle holds the trace and plan Seqs the
+		// first run's last bundle held, with other content.
+		for q := 0; q < 36*run; q++ {
+			tracer.Record(0, kind, uint64(q), 1, -1, -1)
+		}
+		for len(plans) < 4*run {
+			plans = append(plans, controlplane.PlanRecord{Seq: len(plans) + 1, Trigger: "primed"})
+		}
+		check(r.Trigger(0, "manual", "first", -1, -1))
+		for sec := 0; sec < 12; sec++ {
+			now := time.Duration(sec) * time.Second
+			for q := 0; q < 3; q++ {
+				tracer.RecordCtx(now, kind, uint64(100*run+q), q%2, sec%4, -1,
+					telemetry.Ctx{Plan: int32(sec / 3), Episode: int32(run), Cause: telemetry.Cause(q)})
+			}
+			registry.Counter("queries_arrived_total").Add(int64(sec + run))
+			rec.Arrival(now, 0)
+			if sec < 6 {
+				rec.Violation(now, 0) // a burn on family 0 that ends in the second half
+			}
+			rec.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: sec + run}, {Up: sec%2 == 0, Variant: "resnet50"}})
+			rec.RecordPhases(sec%2, sec%2, tsdb.PhaseDurations{Queue: now, Exec: time.Millisecond})
+			if sec%3 == 0 {
+				plans = append(plans, controlplane.PlanRecord{Seq: len(plans) + 1, At: now, Trigger: kind.String(), SolveTime: time.Second})
+			}
+			r.Tick(now)
+			check(r.Trigger(now, "manual", "", -1, -1))
+			if sec%4 == 1 {
+				check(r.Trigger(now, "slo_burn", "same instant", 0, -1))
+			}
+		}
+		if tracer.Dropped() == 0 {
+			t.Fatal("trace ring never wrapped")
+		}
+		if len(rec.Burns()) < 2 {
+			t.Fatalf("%d burn transitions, want a start and an end", len(rec.Burns()))
+		}
+		check(r.Trigger(time.Minute, "manual", "after the last tick", -1, -1))
+	}
+	if err := r.WriteError(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -23,12 +23,14 @@
 package flightrec
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -107,18 +109,50 @@ type Sources struct {
 type Recorder struct {
 	cfg Config
 
-	mu        sync.Mutex
-	src       Sources
+	mu  sync.Mutex
+	src Sources
+	runState
+}
+
+// runState is what a recorder accumulates over one run; Init zeroes it.
+type runState struct {
 	seq       int
 	sampleCur int
 	burnCur   int
-	counters  []CounterSnap
-	samples   []tsdb.Sample
-	burns     []tsdb.BurnEvent
-	phases    []tsdb.PhaseStat
-	runtime   []RuntimeSnap
+	counters  ring[CounterSnap]
+	samples   ring[tsdb.Sample]
+	burns     ring[tsdb.BurnEvent]
+	phases    ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
+	runtime   ring[RuntimeSnap]
+	// traceEnc[i] encodes the trace event with Seq traceSeq0+i, and
+	// planEnc[i] the plan record with Seq planSeqs[i]: the tracer and the
+	// controller never change a record they have handed out. A bundle file
+	// then costs the encoding of what is new since the last one.
+	traceEnc  [][]byte
+	traceSeq0 uint64
+	planSeqs  []int
+	planEnc   [][]byte
+	lastSize  int // length of the last bundle written, to size the next
 	incidents []*Bundle
 	writeErr  error
+}
+
+// ring is one of the recorder's bounded rings, oldest first, with each
+// value's bundle encoding kept beside it once a bundle file has needed it.
+type ring[T any] struct {
+	vals []T
+	enc  [][]byte // enc[i] encodes vals[i]; nil until first needed
+}
+
+func (r *ring[T]) push(max int, vs ...T) {
+	r.vals = appendBounded(r.vals, max, vs...)
+	r.enc = appendBounded(append(r.enc, make([][]byte, len(vs))...), max)
+}
+
+// encoded returns the encodings of every value, encoding those new since
+// the last call.
+func (r *ring[T]) encoded(encode func(*T) ([]byte, error)) ([][]byte, error) {
+	return r.enc, encodeMissing(r.enc, r.vals, encode)
 }
 
 // New returns a flight recorder with defaults applied. The hosting engine
@@ -136,11 +170,7 @@ func (r *Recorder) Init(src Sources) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.src = src
-	r.seq = 0
-	r.sampleCur, r.burnCur = 0, 0
-	r.counters, r.samples, r.burns, r.phases, r.runtime = nil, nil, nil, nil, nil
-	r.incidents = nil
-	r.writeErr = nil
+	r.runState = runState{}
 }
 
 // Dir returns the configured bundle output directory ("" when bundles are
@@ -209,16 +239,16 @@ func (r *Recorder) Tick(now time.Duration) {
 	if burnCur > r.burnCur {
 		r.burnCur = burnCur
 	}
-	r.samples = appendBounded(r.samples, r.cfg.Samples, samples...)
-	r.burns = appendBounded(r.burns, r.cfg.Burns, burns...)
+	r.samples.push(r.cfg.Samples, samples...)
+	r.burns.push(r.cfg.Burns, burns...)
 	if phases != nil {
-		r.phases = phases
+		r.phases = ring[tsdb.PhaseStat]{vals: phases, enc: make([][]byte, len(phases))}
 	}
 	if metrics != nil {
-		r.counters = appendBounded(r.counters, r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
+		r.counters.push(r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
 	}
 	if rt != nil {
-		r.runtime = appendBounded(r.runtime, r.cfg.RuntimeSnaps, *rt)
+		r.runtime.push(r.cfg.RuntimeSnaps, *rt)
 	}
 }
 
@@ -240,16 +270,10 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	src := r.src
 	r.mu.Unlock()
 
-	var events []telemetry.Event
-	if src.Tracer != nil {
-		events = src.Tracer.Events()
-	}
+	events := src.Tracer.Tail(r.cfg.TraceEvents)
 	var plans []controlplane.PlanRecord
 	if src.Plans != nil {
 		plans = src.Plans()
-	}
-	if n := r.cfg.TraceEvents; len(events) > n {
-		events = events[len(events)-n:]
 	}
 	if n := r.cfg.Plans; len(plans) > n {
 		plans = plans[len(plans)-n:]
@@ -271,28 +295,99 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	for i, ev := range events {
 		b.TraceEvents[i] = toTraceEvent(ev)
 	}
-	b.Counters = append([]CounterSnap(nil), r.counters...)
-	b.Samples = append([]tsdb.Sample(nil), r.samples...)
-	b.Burns = append([]tsdb.BurnEvent(nil), r.burns...)
-	b.Phases = append([]tsdb.PhaseStat(nil), r.phases...)
+	b.Counters = append([]CounterSnap(nil), r.counters.vals...)
+	b.Samples = append([]tsdb.Sample(nil), r.samples.vals...)
+	b.Burns = append([]tsdb.BurnEvent(nil), r.burns.vals...)
+	b.Phases = append([]tsdb.PhaseStat(nil), r.phases.vals...)
 	// Solver wall times are real elapsed time even in the simulator, and a
 	// budgeted solve's proof progress is timing-dependent; sanitize the
 	// copy so same-seed bundles stay byte-identical (every serialization
 	// surface shares this helper).
 	b.Plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
-	b.Runtime = append([]RuntimeSnap(nil), r.runtime...)
+	b.Runtime = append([]RuntimeSnap(nil), r.runtime.vals...)
 	r.incidents = appendBounded(r.incidents, r.cfg.MaxIncidents, b)
 	dir := r.cfg.Dir
+	var data []byte
+	var err error
+	if dir != "" {
+		data, err = r.encode(b)
+	}
 	r.mu.Unlock()
 
 	if dir != "" {
-		if err := b.WriteFile(filepath.Join(dir, b.ID+".json")); err != nil {
+		if err == nil {
+			err = writeFileAtomic(filepath.Join(dir, b.ID+".json"), data)
+		}
+		if err != nil {
 			r.mu.Lock()
 			r.writeErr = err
 			r.mu.Unlock()
 		}
 	}
 	return b
+}
+
+// encode returns bundle b's file contents, which Trigger has just built
+// from the rings. Every ring element, trace event and plan record is encoded
+// once, the first time a bundle holds it, and spliced into every later
+// bundle that holds it too. Called under r.mu.
+func (r *Recorder) encode(b *Bundle) ([]byte, error) {
+	var e sections
+	var errs [7]error
+	e.trace, errs[0] = r.encodeTrace(b.TraceEvents)
+	e.counters, errs[1] = r.counters.encoded(marshalElem[CounterSnap])
+	e.samples, errs[2] = r.samples.encoded(encodeSample)
+	e.burns, errs[3] = r.burns.encoded(marshalElem[tsdb.BurnEvent])
+	e.phases, errs[4] = r.phases.encoded(marshalElem[tsdb.PhaseStat])
+	e.plans, errs[5] = r.encodePlans(b.Plans)
+	e.runtime, errs[6] = r.runtime.encoded(marshalElem[RuntimeSnap])
+	if err := cmp.Or(errs[:]...); err != nil {
+		return nil, err
+	}
+	data := b.appendJSON(make([]byte, 0, r.lastSize+r.lastSize/8), &e)
+	r.lastSize = len(data)
+	return data, nil
+}
+
+// encodeTrace returns the encodings of tes, the tracer's newest events with
+// consecutive Seqs, reusing those of the last bundle's tail. A tail older
+// than the cached one (a concurrent trigger that read the tracer first)
+// restarts the cache.
+func (r *Recorder) encodeTrace(tes []TraceEvent) ([][]byte, error) {
+	if len(tes) == 0 {
+		return nil, nil
+	}
+	first := tes[0].Seq
+	if first < r.traceSeq0 || first-r.traceSeq0 > uint64(len(r.traceEnc)) {
+		r.traceEnc = r.traceEnc[:0]
+	} else {
+		r.traceEnc = append(r.traceEnc[:0], r.traceEnc[first-r.traceSeq0:]...)
+	}
+	r.traceSeq0 = first
+	kept := min(len(r.traceEnc), len(tes))
+	r.traceEnc = append(r.traceEnc[:kept], make([][]byte, len(tes)-kept)...)
+	return r.traceEnc, encodeMissing(r.traceEnc, tes, encodeTraceEvent)
+}
+
+// encodePlans returns the encodings of plans, reusing those of the last
+// bundle's plans with equal Seq. Seq 0 marks a record no controller
+// numbered, so it is never reused.
+func (r *Recorder) encodePlans(plans []controlplane.PlanRecord) ([][]byte, error) {
+	enc := make([][]byte, len(plans))
+	for i := range plans {
+		if j := slices.Index(r.planSeqs, plans[i].Seq); j >= 0 && plans[i].Seq > 0 {
+			enc[i] = r.planEnc[j]
+		}
+	}
+	if err := encodeMissing(enc, plans, marshalElem[controlplane.PlanRecord]); err != nil {
+		return nil, err
+	}
+	r.planSeqs = r.planSeqs[:0]
+	for i := range plans {
+		r.planSeqs = append(r.planSeqs, plans[i].Seq)
+	}
+	r.planEnc = enc
+	return enc, nil
 }
 
 // Incidents returns the in-memory incident log, oldest first.

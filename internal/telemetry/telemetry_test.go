@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +113,52 @@ func TestTracerRingWrap(t *testing.T) {
 		if ev.Query != want || ev.Seq != want {
 			t.Fatalf("event %d: want query/seq %d, got %+v", i, want, ev)
 		}
+	}
+}
+
+// TestTracerTail pins Tail(n) to the newest n of Events() before the ring
+// fills, across the fill, after it wraps, and for n outside [0, Len].
+func TestTracerTail(t *testing.T) {
+	tr := NewTracer(5)
+	for i := 0; i < 13; i++ {
+		all := tr.Events()
+		for _, n := range []int{-1, 0, 1, 3, len(all), len(all) + 1, 100} {
+			want := all[len(all)-max(0, min(n, len(all))):]
+			if got := tr.Tail(n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %d records: Tail(%d) = %+v, want %+v", i, n, got, want)
+			}
+		}
+		tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
+	}
+	if tr.Len() != 5 || tr.Dropped() != 8 || cap(tr.buf) != 5 {
+		t.Fatalf("Len %d Dropped %d ring cap %d, want 5, 8 and 5", tr.Len(), tr.Dropped(), cap(tr.buf))
+	}
+	var nilTracer *Tracer
+	if nilTracer.Tail(3) != nil {
+		t.Fatal("nil tracer Tail not nil")
+	}
+}
+
+// TestNewTracerAllocatesOnDemand holds the ring to what it holds: a tracer
+// bounded at a million events costs nothing up front.
+func TestNewTracerAllocatesOnDemand(t *testing.T) {
+	const n = 16
+	var before, after runtime.MemStats
+	tracers := make([]*Tracer, n)
+	runtime.ReadMemStats(&before)
+	for i := range tracers {
+		tracers[i] = NewTracer(1 << 20)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("NewTracer(1<<20) allocates %d B, want < 1 KB", per)
+	}
+	tr := tracers[0]
+	for i := 0; i < 1000; i++ {
+		tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
+	}
+	if c := cap(tr.buf); c < 1000 || c > 2048 {
+		t.Fatalf("ring capacity %d after 1000 events, want within 2x", c)
 	}
 }
 

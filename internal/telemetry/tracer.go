@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -191,12 +192,14 @@ type Event struct {
 
 // Tracer records lifecycle events into a bounded ring buffer: when more
 // than its capacity arrive, the oldest are overwritten (Dropped counts
-// them). A nil *Tracer discards all events, so call sites never need a
-// guard. Record is safe for concurrent use.
+// them). The ring grows on demand up to its capacity, so a tracer costs
+// what it holds. A nil *Tracer discards all events, so call sites never
+// need a guard. Record is safe for concurrent use.
 type Tracer struct {
-	mu   sync.Mutex
-	buf  []Event
-	next uint64 // total events ever recorded; buf index = (next-1) % cap
+	mu       sync.Mutex
+	buf      []Event
+	capacity int
+	next     uint64 // total events ever recorded; event seq s sits at buf[s % capacity]
 	// dropCounter, when set, is incremented once per ring-wrap eviction so
 	// overflow is visible on /metrics (trace_dropped_total). Counter.Inc is
 	// nil-safe, so an unset counter costs nothing extra.
@@ -204,7 +207,7 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity bounds tracer memory when callers don't choose:
-// 1M events ≈ 48 MB.
+// 1M events × 56 B = 56 MiB at most, reached only once that many are held.
 const DefaultTraceCapacity = 1 << 20
 
 // NewTracer returns a tracer holding the most recent capacity events
@@ -213,7 +216,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Record appends a lifecycle event with no causal context. No-op on a nil
@@ -246,10 +249,17 @@ func (t *Tracer) recordCtx(at time.Duration, kind EventKind, query uint64, famil
 		Episode: ctx.Episode,
 		Cause:   ctx.Cause,
 	}
-	if len(t.buf) < cap(t.buf) {
+	if n := len(t.buf); n < t.capacity {
+		if n == cap(t.buf) {
+			// Grow by doubling, but never past the capacity: append's own
+			// growth would overshoot the bound by up to a quarter.
+			buf := make([]Event, n, min(max(2*n, 256), t.capacity))
+			copy(buf, t.buf)
+			t.buf = buf
+		}
 		t.buf = append(t.buf, ev)
 	} else {
-		t.buf[t.next%uint64(cap(t.buf))] = ev
+		t.buf[t.next%uint64(t.capacity)] = ev
 		t.dropCounter.Inc()
 	}
 	t.next++
@@ -291,20 +301,26 @@ func (t *Tracer) Dropped() uint64 {
 
 // Events returns the buffered events in record order (oldest first).
 func (t *Tracer) Events() []Event {
+	return t.Tail(math.MaxInt)
+}
+
+// Tail returns the newest n buffered events (all of them when n exceeds
+// Len) in record order, copying only those.
+func (t *Tracer) Tail(n int) []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.buf))
-	if len(t.buf) < cap(t.buf) || len(t.buf) == 0 {
-		copy(out, t.buf)
+	out := make([]Event, max(0, min(n, len(t.buf))))
+	if len(out) == 0 {
 		return out
 	}
-	// Ring has wrapped: the oldest event sits at next % cap.
-	head := int(t.next % uint64(cap(t.buf)))
-	n := copy(out, t.buf[head:])
-	copy(out[n:], t.buf[:head])
+	// Until the ring fills, len(buf) == next, so this is next-n; after, the
+	// ring may wrap between start and the newest event.
+	start := int((t.next - uint64(len(out))) % uint64(len(t.buf)))
+	k := copy(out, t.buf[start:])
+	copy(out[k:], t.buf)
 	return out
 }
 
