@@ -41,9 +41,6 @@ type MILPOptions struct {
 	// enough to shrink any family from extreme overload down to the drop
 	// threshold).
 	MaxBackoffs int
-	// DemandFloor is the minimum demand assumed per family so that an idle
-	// system still hosts (accurate) models (default 0.01 QPS).
-	DemandFloor float64
 	// SwitchCost is the objective penalty for loading a variant onto a
 	// device that was not hosting it, expressed as the fraction of the
 	// device-variant pair's capacity lost to the load (load delay over the
@@ -60,8 +57,12 @@ type MILPOptions struct {
 	Filter func(ref VariantRef, in *Input) bool
 }
 
+// demandFloor is the minimum demand (QPS) assumed per family so that an
+// idle system still hosts (accurate) models.
+const demandFloor = 0.01
+
 func (o *MILPOptions) withDefaults() MILPOptions {
-	out := MILPOptions{MaxNodes: 200_000, MaxBackoffs: 600, DemandFloor: 0.01, StallNodes: 3000, SwitchCost: 0.05, RelGap: 1e-6}
+	out := MILPOptions{MaxNodes: 200_000, MaxBackoffs: 600, StallNodes: 3000, SwitchCost: 0.05, RelGap: 1e-6}
 	if o != nil {
 		out.PerDevice = o.PerDevice
 		out.TimeLimit = o.TimeLimit
@@ -89,9 +90,6 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 		}
 		if o.MaxBackoffs > 0 {
 			out.MaxBackoffs = o.MaxBackoffs
-		}
-		if o.DemandFloor > 0 {
-			out.DemandFloor = o.DemandFloor
 		}
 	}
 	return out
@@ -132,7 +130,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
 	demand := make([]float64, len(in.Demand))
 	for q, s := range in.Demand {
-		demand[q] = math.Max(s, m.opts.DemandFloor)
+		demand[q] = math.Max(s, demandFloor)
 	}
 	// β back-off (§4): when the MILP is infeasible, shrink demand by β and
 	// re-solve. The back-off is per-family: only the families the
@@ -174,7 +172,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 					continue
 				}
 				// Routing fractions are relative to the original demand.
-				ratio := scaled[q] / math.Max(in.Demand[q], m.opts.DemandFloor)
+				ratio := scaled[q] / math.Max(in.Demand[q], demandFloor)
 				for d := range alloc.Routing[q] {
 					alloc.Routing[q][d] *= ratio
 				}
@@ -354,7 +352,6 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 		TimeLimit:  m.opts.TimeLimit,
 		MaxNodes:   m.opts.MaxNodes,
 		RelGap:     m.opts.RelGap,
-		IntTol:     -1, // solver default
 		StallNodes: m.opts.StallNodes,
 		WarmStart:  warm,
 	})
@@ -547,7 +544,6 @@ func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool,
 		TimeLimit:  m.opts.TimeLimit,
 		MaxNodes:   m.opts.MaxNodes,
 		RelGap:     m.opts.RelGap,
-		IntTol:     -1, // solver default
 		StallNodes: m.opts.StallNodes,
 	})
 	switch sol.Status {

@@ -17,7 +17,7 @@ const dualPivotTol = 1e-7
 // dualFeasible reports whether r.z (priced under r.cost) offers the primal
 // no improving column, i.e. the basis is dual feasible.
 func (r *revised) dualFeasible() bool {
-	j, _ := r.chooseEntering(r.opts.Tol, false)
+	j, _ := r.chooseEntering(false)
 	return j < 0
 }
 
@@ -26,7 +26,7 @@ func (r *revised) dualFeasible() bool {
 // or -1 when the basis is primal feasible. The weight is read off the
 // explicit inverse for the infeasible rows only. below reports that the
 // row's basic variable sits under its lower bound.
-func (r *revised) chooseLeaving(tol float64) (row int, below bool) {
+func (r *revised) chooseLeaving() (row int, below bool) {
 	row = -1
 	best := 0.0
 	for i := 0; i < r.m; i++ {
@@ -55,7 +55,7 @@ func (r *revised) chooseLeaving(tol float64) (row int, below bool) {
 // ties broken toward the largest |α_j| and then the lowest index; -1 when
 // there is no such column. Like the primal ratio test it reads |α_j| ≤ tol
 // as zero.
-func (r *revised) dualRatioTest(row int, below bool, tol float64) int {
+func (r *revised) dualRatioTest(row int, below bool) int {
 	rho := r.binv[row]
 	cand := r.cand[:0]
 	minRatio := math.Inf(1)
@@ -102,9 +102,8 @@ func (r *revised) dualRatioTest(row int, below bool, tol float64) int {
 // infeasible. numTrouble hands the current basis — still a valid basis —
 // to the primal path.
 func (r *revised) dualIterate() solveStatus {
-	tol := r.opts.Tol
 	stall := 0
-	for ; r.iters < r.opts.MaxIters; r.iters++ {
+	for ; r.iters < maxIters; r.iters++ {
 		if r.sinceFactor >= refactorEvery {
 			if !r.factorize() {
 				return numTrouble
@@ -115,7 +114,7 @@ func (r *revised) dualIterate() solveStatus {
 				return numTrouble
 			}
 		}
-		row, below := r.chooseLeaving(tol)
+		row, below := r.chooseLeaving()
 		if row < 0 {
 			return solvedOptimal
 		}
@@ -125,7 +124,7 @@ func (r *revised) dualIterate() solveStatus {
 			target = r.lo[leaving]
 		}
 		gap := r.xB[row] - target
-		j := r.dualRatioTest(row, below, tol)
+		j := r.dualRatioTest(row, below)
 		if j < 0 {
 			// No nonbasic column can move the leaving variable toward its
 			// bound: the row proves the problem infeasible — unless the gap

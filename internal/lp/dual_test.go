@@ -21,7 +21,7 @@ func TestBranchedChildTakesDualPath(t *testing.T) {
 					t.Skip("no optimum to branch on")
 				}
 				if parent.Basis == nil {
-					t.Fatal("revised simplex fell back to the dense tableau")
+					t.Fatal("optimal parent without a basis")
 				}
 				for v, x := range parent.X {
 					lo, hi := p.Bounds(v)

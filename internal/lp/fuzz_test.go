@@ -58,9 +58,12 @@ func FuzzRevisedAgainstTableau(f *testing.F) {
 		if cold.Status == IterLimit {
 			return
 		}
-		agreeOnStatusAndObjective(t, "cold revised vs tableau", cold, solve(&Options{Dense: true}))
+		agreeOnStatusAndObjective(t, "cold revised vs tableau", cold, solveDense(p))
+		if cold.Status != Optimal {
+			return
+		}
 		if cold.Basis == nil {
-			return // not optimal, or the tableau answered
+			t.Fatal("cold: optimal solution without a basis")
 		}
 
 		// A variable strictly inside its bounds is basic; moving the bound it
@@ -89,7 +92,7 @@ func FuzzRevisedAgainstTableau(f *testing.F) {
 		if warm.Status == IterLimit {
 			return
 		}
-		agreeOnStatusAndObjective(t, "warm revised vs tableau", warm, solve(&Options{Dense: true}))
+		agreeOnStatusAndObjective(t, "warm revised vs tableau", warm, solveDense(p))
 		agreeOnStatusAndObjective(t, "warm vs cold revised", warm, solve(nil))
 	})
 }

@@ -1,4 +1,4 @@
-// Package lp implements simplex solvers for linear programs with bounded
+// Package lp implements a simplex solver for linear programs with bounded
 // variables:
 //
 //	maximize    cᵀx
@@ -9,18 +9,17 @@
 // internal/milp, standing in for the commercial solver (Gurobi) used by the
 // Proteus paper.
 //
-// The default solver (revised.go) is a sparse revised simplex on the whole
-// problem — CSC constraint matrix, explicit basis inverse with deterministic
+// The solver (revised.go) is a sparse revised simplex on the whole problem —
+// CSC constraint matrix, explicit basis inverse with deterministic
 // refactorization, bound-stretch composite phase 1, and a dual simplex
 // (dual.go) for starts whose basis prices dual feasible — that accepts a
-// warm-start Basis. There is no presolve: the allocator's problems gave it
-// nothing to reduce (DESIGN.md "Solver traffic"). The original dense
-// two-phase tableau (tableau.go) is retained both as the
-// fallback when the revised path hits numerical trouble and as an
-// independent cross-check oracle (Options.Dense). Both solvers support
-// finite lower bounds, finite or infinite upper bounds natively
-// (bounded-variable simplex, so x ≤ u never costs a row), and fall back
-// from Dantzig to Bland's rule to escape degenerate cycling.
+// warm-start Basis. It supports finite lower bounds and finite or infinite
+// upper bounds natively (bounded-variable simplex, so x ≤ u never costs a
+// row), and falls back from Dantzig to Bland's rule to escape degenerate
+// cycling. There is no presolve: the allocator's problems gave it nothing
+// to reduce (DESIGN.md "Solver traffic"). A dense two-phase tableau lives
+// in the tests only, as the independent oracle the revised path is
+// checked and fuzzed against.
 package lp
 
 import (
@@ -207,48 +206,27 @@ type Solution struct {
 	Iters     int
 	// DualIters is how many of Iters were dual simplex pivots: the
 	// re-optimisation a start takes whose basis prices dual feasible (every
-	// branch-and-bound child). Zero on the dense tableau.
+	// branch-and-bound child).
 	DualIters int
 	// Basis is the optimal basis, usable to warm-start a later solve of a
-	// same-shaped problem. It is nil when the solve fell back to the dense
-	// tableau (Options.Dense or numerical trouble) or did not reach
-	// optimality.
+	// same-shaped problem. It is set exactly when Status == Optimal.
 	Basis *Basis
 }
 
-// Options tune the solver. The zero value selects defaults.
+// Options configure a solve. A nil *Options is a cold start.
 type Options struct {
-	// MaxIters bounds total simplex pivots across both phases.
-	// Default 50_000.
-	MaxIters int
-	// Tol is the numerical tolerance. Default 1e-9.
-	Tol float64
-	// WarmBasis, if non-nil, seeds the revised simplex with a starting basis
+	// WarmBasis, if non-nil, seeds the solve with a starting basis
 	// (typically the optimal basis of a previous, similar solve). The basis
 	// must match the problem shape; a mismatched or singular warm basis is
 	// ignored. On a degenerate or non-unique optimum the start basis can
 	// decide which optimal vertex is returned.
 	WarmBasis *Basis
-	// Dense forces the legacy dense two-phase tableau solver (no warm start,
-	// nil Solution.Basis). Used by tests as an independent oracle for the
-	// revised path.
-	Dense bool
 }
 
-func (o *Options) withDefaults() Options {
-	out := Options{MaxIters: 50_000, Tol: 1e-9}
-	if o != nil {
-		if o.MaxIters > 0 {
-			out.MaxIters = o.MaxIters
-		}
-		if o.Tol > 0 {
-			out.Tol = o.Tol
-		}
-		out.WarmBasis = o.WarmBasis
-		out.Dense = o.Dense
-	}
-	return out
-}
+const (
+	maxIters = 50_000 // pivots and bound flips per solve, across all phases
+	tol      = 1e-9   // reduced costs, ratio-test coefficients and bound slack below it read as zero
+)
 
 // ErrNoVariables is returned when solving a problem with no variables.
 var ErrNoVariables = errors.New("lp: problem has no variables")
@@ -257,21 +235,18 @@ var ErrNoVariables = errors.New("lp: problem has no variables")
 // is not modified. Status Infeasible and Unbounded are reported in the
 // Solution, not as errors; the error return covers malformed inputs only.
 //
-// The default path is the sparse revised simplex on the whole problem,
-// started from Options.WarmBasis when it fits the problem's shape and from
-// the all-logical basis otherwise — by dual pivots when that basis prices
-// dual feasible, by primal phase 1 + 2 when it does not; numerical trouble
-// there falls back to the dense tableau, which Options.Dense selects
-// outright.
+// The solve starts from Options.WarmBasis when it fits the problem's shape
+// and from the all-logical basis otherwise — by dual pivots when that basis
+// prices dual feasible, by primal phase 1 + 2 when it does not. IterLimit
+// reports a solve that ran out of pivots or met a singular basis matrix;
+// either way it carries no basis.
 func Solve(p *Problem, opts *Options) (Solution, error) {
-	o := opts.withDefaults()
 	if len(p.names) == 0 {
 		return Solution{}, ErrNoVariables
 	}
-	if !o.Dense {
-		if sol, ok := solveRevised(p, o); ok {
-			return sol, nil
-		}
+	var warm *Basis
+	if opts != nil {
+		warm = opts.WarmBasis
 	}
-	return newTableau(p, o).solve(), nil
+	return solveRevised(p, warm), nil
 }

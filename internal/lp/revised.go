@@ -19,6 +19,12 @@
 // immediately (pricing is recomputed every iteration, so mid-phase cost
 // edits are free).
 //
+// When phase 1's ratio test finds no blocking row, the entering column
+// would move forever without leaving the stretched range of any basic
+// variable it pulls home; the step then stops where the first of those
+// reaches its true bound, and that variable leaves the basis there
+// (phase1Ray).
+//
 // Determinism: every choice — entering column (Dantzig with lowest-index
 // tie-break, Bland's rule after a degenerate stall), leaving row (lowest
 // basic column index among near-ties), the dual path's row and column,
@@ -27,6 +33,15 @@
 package lp
 
 import "math"
+
+// varStatus is the location of a nonbasic variable, or basic.
+type varStatus uint8
+
+const (
+	atLower varStatus = iota
+	atUpper
+	basic
+)
 
 const (
 	refactorEvery = 128   // pivots between basis refactorizations
@@ -121,8 +136,6 @@ func buildCSC(p *Problem) csc {
 // structural variables; column n+i is row i's logical: [0,+inf) for ≤,
 // (-inf,0] for ≥, [0,0] for =.
 type revised struct {
-	opts Options
-
 	n, m, N int
 	mat     csc
 	hash    uint64 // mat.fingerprint(), for warm-start inverse reuse
@@ -155,10 +168,10 @@ type revised struct {
 	nStretched     int
 }
 
-func newRevised(p *Problem, o Options) *revised {
+func newRevised(p *Problem) *revised {
 	n, m := len(p.names), len(p.rows)
 	mc := p.matrix()
-	r := &revised{opts: o, n: n, m: m, N: n + m, mat: mc.mat, hash: mc.hash}
+	r := &revised{n: n, m: m, N: n + m, mat: mc.mat, hash: mc.hash}
 	// One backing array for the float state (8 N-sized + 5 m-sized vectors)
 	// and one for binv: the solver is created per solve, so allocation count
 	// dominates small warm re-solves.
@@ -210,10 +223,8 @@ func (r *revised) restingStatus(j int, want varStatus) varStatus {
 }
 
 // setBasis installs a starting basis: the warm basis when it is shape-
-// compatible and factorizes, the all-logical basis otherwise. Returns false
-// only when even the logical basis fails to factorize (cannot happen: it is
-// the identity; kept for symmetry with refactorize).
-func (r *revised) setBasis(warm *Basis) bool {
+// compatible and factorizes, the all-logical basis otherwise.
+func (r *revised) setBasis(warm *Basis) {
 	ok := false
 	if warm != nil {
 		if len(warm.rowVar) == r.m && len(warm.stat) == r.N {
@@ -264,12 +275,9 @@ func (r *revised) setBasis(warm *Basis) bool {
 				r.stat[j] = basic
 			}
 		}
-		if !r.factorize() {
-			return false
-		}
+		r.factorize() // the identity: never singular
 	}
 	r.computeXB()
-	return true
 }
 
 // factorize rebuilds binv from the current basis by Gauss-Jordan with
@@ -431,7 +439,7 @@ func (r *revised) price(c []float64) {
 // chooseEntering picks an improving nonbasic column and direction (+1 from
 // lower, -1 from upper), or (-1, 0) at optimality. Dantzig prefers the
 // lowest index among equal scores; Bland takes the first improving index.
-func (r *revised) chooseEntering(tol float64, bland bool) (int, float64) {
+func (r *revised) chooseEntering(bland bool) (int, float64) {
 	bestJ, bestScore, bestDir := -1, tol, 0.0
 	for j := 0; j < r.N; j++ {
 		if r.stat[j] == basic || r.hi[j]-r.lo[j] < tol {
@@ -481,7 +489,7 @@ func (r *revised) ftran(j int) {
 // variable departs at its upper bound. Ties within tol are broken toward
 // the lowest basic column index, so the pivot choice is index-deterministic
 // regardless of float noise.
-func (r *revised) ratioTest(j int, dir, tol float64) (tMax float64, leaveRow int, leaveAtUpper bool) {
+func (r *revised) ratioTest(j int, dir float64) (tMax float64, leaveRow int, leaveAtUpper bool) {
 	tMax = r.hi[j] - r.lo[j] // entering variable's own span
 	leaveRow = -1
 	for i := 0; i < r.m; i++ {
@@ -510,6 +518,43 @@ func (r *revised) ratioTest(j int, dir, tol float64) (tMax float64, leaveRow int
 	}
 	if tMax < 0 {
 		tMax = 0
+	}
+	return tMax, leaveRow, leaveAtUpper
+}
+
+// phase1Ray is the phase-1 ratio test for an entering column that no row
+// blocks: among the stretched basic variables the move pulls toward their
+// true range, the row whose variable reaches its true bound first (ties as
+// in ratioTest), with its working bound reset to that true bound so it
+// leaves the basis exactly there. It returns row -1 when there is none.
+func (r *revised) phase1Ray(dir float64) (tMax float64, leaveRow int, leaveAtUpper bool) {
+	tMax, leaveRow = math.Inf(1), -1
+	for i := 0; i < r.m; i++ {
+		bi := r.basis[i]
+		if !r.stretched[bi] {
+			continue
+		}
+		coef := r.w[i] * dir
+		var lim float64
+		switch {
+		case coef < -tol && r.xB[i] < r.trueLo[bi]:
+			lim = (r.trueLo[bi] - r.xB[i]) / -coef
+		case coef > tol && r.xB[i] > r.trueHi[bi]:
+			lim = (r.xB[i] - r.trueHi[bi]) / coef
+		default:
+			continue
+		}
+		if lim < tMax-tol || (lim < tMax+tol && r.betterLeave(leaveRow, i)) {
+			tMax, leaveRow, leaveAtUpper = lim, i, coef > 0
+		}
+	}
+	if leaveRow >= 0 {
+		bi := r.basis[leaveRow]
+		if leaveAtUpper {
+			r.hi[bi] = r.trueHi[bi]
+		} else {
+			r.lo[bi] = r.trueLo[bi]
+		}
 	}
 	return tMax, leaveRow, leaveAtUpper
 }
@@ -575,9 +620,10 @@ func (r *revised) pivot(leaveRow, j int, enterVal float64, leaveAtUpper bool) {
 	r.sinceFactor++
 }
 
-// solveStatus is the outcome of iterate and dualIterate; numTrouble asks the
-// caller to fall back — iterate's to the dense tableau, dualIterate's to the
-// primal path.
+// solveStatus is the outcome of iterate and dualIterate. numTrouble from
+// dualIterate hands its basis to the primal path; from iterate it means a
+// singular refactorization or a phase-1 ray that no stretched variable
+// limits, and the solve reports IterLimit.
 type solveStatus int
 
 const (
@@ -593,9 +639,8 @@ const (
 // variable's true bound and restores bounds of variables whose values
 // re-enter their true range after every step.
 func (r *revised) iterate(c []float64, phase1 bool) solveStatus {
-	tol := r.opts.Tol
 	stall := 0
-	for ; r.iters < r.opts.MaxIters; r.iters++ {
+	for ; r.iters < maxIters; r.iters++ {
 		if r.sinceFactor >= refactorEvery {
 			if !r.factorize() {
 				return numTrouble
@@ -603,12 +648,12 @@ func (r *revised) iterate(c []float64, phase1 bool) solveStatus {
 			r.computeXB()
 		}
 		r.price(c)
-		j, dir := r.chooseEntering(tol, stall > stallLimit)
+		j, dir := r.chooseEntering(stall > stallLimit)
 		if j < 0 {
 			return solvedOptimal
 		}
 		r.ftran(j)
-		tMax, leaveRow, leaveAtUpper := r.ratioTest(j, dir, tol)
+		tMax, leaveRow, leaveAtUpper := r.ratioTest(j, dir)
 		if phase1 && r.stretched[j] {
 			// The entering variable is itself stretched: cap the step at its
 			// true bound so a violation-repairing move can never run away
@@ -640,10 +685,16 @@ func (r *revised) iterate(c []float64, phase1 bool) solveStatus {
 			}
 		}
 		if math.IsInf(tMax, 1) {
-			if phase1 {
+			if !phase1 {
+				return solvedUnbounded
+			}
+			// The phase-1 objective is bounded, so an improving ray must
+			// pull some stretched basic variable home across its true
+			// bound: it leaves the basis there.
+			tMax, leaveRow, leaveAtUpper = r.phase1Ray(dir)
+			if leaveRow < 0 {
 				return numTrouble
 			}
-			return solvedUnbounded
 		}
 		if tMax < tol {
 			stall++
@@ -680,7 +731,6 @@ func (r *revised) stretchSetup() bool {
 		r.stretched[j] = false
 	}
 	r.nStretched = 0
-	tol := r.opts.Tol
 	for i := 0; i < r.m; i++ {
 		j := r.basis[i]
 		v := r.xB[i]
@@ -705,7 +755,6 @@ func (r *revised) unstretchIfHome(j int) {
 	if !r.stretched[j] {
 		return
 	}
-	tol := r.opts.Tol
 	v := r.value(j)
 	if v >= r.trueLo[j]-tol && v <= r.trueHi[j]+tol {
 		r.lo[j] = r.trueLo[j]
@@ -820,50 +869,43 @@ func (r *revised) basisOut() *Basis {
 	return b
 }
 
-// solveRevised runs the revised simplex on p, started from o.WarmBasis. The
-// second return is false when the solver hit numerical trouble and the
-// caller should fall back to the dense tableau.
-func solveRevised(p *Problem, o Options) (Solution, bool) {
-	r := newRevised(p, o)
-	if !r.setBasis(o.WarmBasis) {
-		return Solution{}, false
-	}
+// solveRevised runs the revised simplex on p, started from warm.
+func solveRevised(p *Problem, warm *Basis) Solution {
+	r := newRevised(p)
+	r.setBasis(warm)
 	// A primal-infeasible start that prices dual feasible is re-optimised by
 	// dual pivots; what they leave undone (nothing, as a rule) falls to the
 	// primal path below, whose first pricing pass is then the optimality
 	// check.
-	if row, _ := r.chooseLeaving(o.Tol); row >= 0 {
+	if row, _ := r.chooseLeaving(); row >= 0 {
 		r.price(r.cost)
 		if r.dualFeasible() {
 			switch r.dualIterate() {
 			case solvedInfeasible:
-				return r.report(Infeasible), true
+				return r.report(Infeasible)
 			case solvedIterLimit:
-				return r.report(IterLimit), true
+				return r.report(IterLimit)
 			}
 		}
 	}
 	if r.stretchSetup() {
-		switch r.iterate(r.p1cost, true) {
-		case numTrouble, solvedUnbounded:
-			return Solution{}, false
-		case solvedIterLimit:
-			return r.report(IterLimit), true
+		if r.iterate(r.p1cost, true) != solvedOptimal {
+			return r.report(IterLimit)
 		}
 		if r.stretchResidual() > feasTol {
-			return r.report(Infeasible), true
+			return r.report(Infeasible)
 		}
 		r.finishStretch()
 	}
 	switch r.iterate(r.cost, false) {
 	case numTrouble:
-		return Solution{}, false
+		return r.report(IterLimit)
 	case solvedUnbounded:
-		return r.report(Unbounded), true
+		return r.report(Unbounded)
 	case solvedIterLimit:
-		return r.extract(IterLimit), true
+		return r.extract(IterLimit)
 	}
 	sol := r.extract(Optimal)
 	sol.Basis = r.basisOut()
-	return sol, true
+	return sol
 }

@@ -122,8 +122,8 @@ func checkFeasible(t *testing.T, p *Problem, x []float64, tol float64) {
 	}
 }
 
-// agreeWithDense solves p with the default (sparse revised) path and with the
-// dense tableau and requires the same status and, when Optimal, the same
+// agreeWithDense solves p with the revised simplex and with the dense
+// tableau oracle and requires the same status and, when Optimal, the same
 // objective and a sparse solution that is feasible in p. It returns the
 // sparse solution.
 func agreeWithDense(t *testing.T, p *Problem) Solution {
@@ -132,10 +132,7 @@ func agreeWithDense(t *testing.T, p *Problem) Solution {
 	if err != nil {
 		t.Fatalf("sparse: %v", err)
 	}
-	dense, err := Solve(p, &Options{Dense: true})
-	if err != nil {
-		t.Fatalf("dense: %v", err)
-	}
+	dense := solveDense(p)
 	if sparse.Status != dense.Status {
 		t.Fatalf("status sparse=%v dense=%v", sparse.Status, dense.Status)
 	}
@@ -149,14 +146,14 @@ func agreeWithDense(t *testing.T, p *Problem) Solution {
 	return sparse
 }
 
-// agreeWithDenseRevised is agreeWithDense for handcrafted instances the
-// revised simplex must solve itself: an Optimal solution without a basis
-// means it gave up and the tableau was compared with itself.
+// agreeWithDenseRevised is agreeWithDense that also requires an Optimal
+// solution to carry its basis: before the revised simplex answered its own
+// phase-1 rays it handed such instances to the tableau, which returns none.
 func agreeWithDenseRevised(t *testing.T, p *Problem) Solution {
 	t.Helper()
 	sol := agreeWithDense(t, p)
 	if sol.Status == Optimal && sol.Basis == nil {
-		t.Fatal("revised simplex fell back to the dense tableau")
+		t.Fatal("optimal solution without a basis")
 	}
 	return sol
 }
@@ -277,6 +274,32 @@ func TestDegenerateInputsMatchDense(t *testing.T) {
 			p.AddConstraint([]Term{{y, 1}, {y, -1}}, EQ, 0)
 			return p
 		}, Optimal, 5},
+		{"phase1_ray_le_row_negative_rhs", func() *Problem {
+			// A TestPropertySolutionsFeasible input, minimised: −x ≤ −3 starts
+			// violated, and x, the column that repairs it, has no upper bound
+			// and meets no other row, so phase 1's ratio test finds no
+			// blocking row; the logical leaves at its true bound 0. y, held
+			// at 0 by its own row, keeps the start off the dual path.
+			p := NewProblem()
+			x := p.AddVariable("x", 0, inf)
+			y := p.AddVariable("y", 0, inf)
+			p.SetObjective(y, 5)
+			p.AddConstraint([]Term{{y, -1}}, EQ, 0)
+			p.AddConstraint([]Term{{x, -1}}, LE, -3)
+			return p
+		}, Optimal, 0},
+		{"phase1_ray_ge_row_beside_free_block", func() *Problem {
+			// blocky/seed99991 of TestSparseMatchesDense, minimised: u ≥ 15
+			// starts violated from above its logical's range, u is unbounded,
+			// and the block y, which no row touches, keeps the start off the
+			// dual path.
+			p := NewProblem()
+			u := p.AddVariable("u", 0, inf)
+			y := p.AddVariable("y", 0, 9)
+			p.SetObjective(y, 4)
+			p.AddConstraint([]Term{{u, 1}}, GE, 15)
+			return p
+		}, Optimal, 36},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -352,8 +375,8 @@ func TestPresolveReductions(t *testing.T) {
 }
 
 // TestBealeCyclingDense runs Beale's cycling LP through the dense tableau
-// explicitly, so the Bland's-rule fallback is covered in both solvers (the
-// default route covers the revised simplex in TestBealeCyclingExample).
+// oracle, so the Bland's-rule fallback is covered in both solvers
+// (TestBealeCyclingExample covers the revised simplex).
 func TestBealeCyclingDense(t *testing.T) {
 	p := NewProblem()
 	x4 := p.AddVariable("x4", 0, math.Inf(1))
@@ -367,11 +390,7 @@ func TestBealeCyclingDense(t *testing.T) {
 	p.AddConstraint([]Term{{x4, 0.25}, {x5, -60}, {x6, -0.04}, {x7, 9}}, LE, 0)
 	p.AddConstraint([]Term{{x4, 0.5}, {x5, -90}, {x6, -0.02}, {x7, 3}}, LE, 0)
 	p.AddConstraint([]Term{{x6, 1}}, LE, 1)
-	sol, err := Solve(p, &Options{Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || !approx(sol.Objective, 0.05, 1e-6) {
+	if sol := solveDense(p); sol.Status != Optimal || !approx(sol.Objective, 0.05, 1e-6) {
 		t.Fatalf("dense: status %v objective %v, want optimal 0.05", sol.Status, sol.Objective)
 	}
 }
@@ -397,10 +416,7 @@ func TestDegenerateCube(t *testing.T) {
 		return p
 	}
 	sparse := solveOK(t, build())
-	dense, err := Solve(build(), &Options{Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := solveDense(build())
 	if dense.Status != Optimal {
 		t.Fatalf("dense status %v", dense.Status)
 	}

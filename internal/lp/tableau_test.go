@@ -2,21 +2,16 @@ package lp
 
 import "math"
 
-// varStatus is the location of a nonbasic variable, or Basic.
-type varStatus uint8
-
-const (
-	atLower varStatus = iota
-	atUpper
-	basic
-)
+// solveDense solves p with the dense two-phase tableau below: the
+// independent oracle the revised simplex is tested and fuzzed against. It
+// shares only the Problem, varStatus and the package's tolerance, pivot and
+// stall limits with revised.go, and returns no Basis.
+func solveDense(p *Problem) Solution { return newTableau(p).solve() }
 
 // tableau is the mutable solver state. Internally every variable is shifted
 // so its lower bound is 0; upper bounds are handled by the bounded-variable
 // ratio test rather than explicit rows.
 type tableau struct {
-	opts Options
-
 	n     int // structural variables
 	nCols int // structural + slack + artificial
 	nArt  int
@@ -36,11 +31,11 @@ type tableau struct {
 	artStart int
 }
 
-func newTableau(p *Problem, o Options) *tableau {
+func newTableau(p *Problem) *tableau {
 	n := len(p.names)
 	m := len(p.rows)
 
-	t := &tableau{opts: o, n: n}
+	t := &tableau{n: n}
 	t.shift = make([]float64, n)
 	copy(t.shift, p.lo)
 
@@ -233,10 +228,8 @@ func (t *tableau) resetReducedCosts(c []float64) {
 
 // iterate runs primal simplex pivots until optimality for objective c.
 func (t *tableau) iterate(c []float64) Status {
-	tol := t.opts.Tol
 	stall := 0
-	const stallLimit = 200
-	for ; t.iters < t.opts.MaxIters; t.iters++ {
+	for ; t.iters < maxIters; t.iters++ {
 		bland := stall > stallLimit
 		j, dir := t.chooseEntering(tol, bland)
 		if j < 0 {

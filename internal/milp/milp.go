@@ -143,10 +143,10 @@ func (s *Solution) Gap() float64 {
 }
 
 // Options tune the branch-and-bound search. A nil *Options selects all
-// defaults. In a non-nil Options, RelGap and IntTol use negative-means-
-// default semantics so that an explicit zero — an exact optimality proof,
-// exact integrality — stays expressible; every other field treats its zero
-// value as "use the default".
+// defaults. In a non-nil Options, RelGap uses negative-means-default
+// semantics so that an explicit zero — an exact optimality proof — stays
+// expressible; every other field treats its zero value as "use the
+// default".
 type Options struct {
 	// TimeLimit bounds wall-clock solve time. Default: none.
 	TimeLimit time.Duration
@@ -160,9 +160,6 @@ type Options struct {
 	// Feasible) after that many nodes without incumbent improvement — a
 	// production knob for callers that value latency over proof.
 	StallNodes int
-	// IntTol is the integrality tolerance. Zero demands exact integrality;
-	// a negative value selects the default 1e-6.
-	IntTol float64
 	// WarmStart, if non-nil, is a feasible point used as the initial
 	// incumbent. It is trusted after a cheap feasibility spot check of
 	// integrality; callers construct it from a heuristic.
@@ -171,25 +168,23 @@ type Options struct {
 	// kept only because bench/probes.go still sets it for its
 	// milp.solve_ms_parN row; ROADMAP item 8(a) removes both.
 	Parallelism int
-	// LP configures the inner simplex solves.
-	LP *lp.Options
 }
 
+// intTol is how far from an integer an integral variable's relaxation value
+// may sit and still count as integral.
+const intTol = 1e-6
+
 func (o *Options) withDefaults() Options {
-	out := Options{MaxNodes: 200_000, RelGap: 1e-6, IntTol: 1e-6}
+	out := Options{MaxNodes: 200_000, RelGap: 1e-6}
 	if o != nil {
 		out.TimeLimit = o.TimeLimit
 		out.WarmStart = o.WarmStart
-		out.LP = o.LP
 		out.StallNodes = o.StallNodes
 		if o.MaxNodes > 0 {
 			out.MaxNodes = o.MaxNodes
 		}
 		if o.RelGap >= 0 {
 			out.RelGap = o.RelGap
-		}
-		if o.IntTol >= 0 {
-			out.IntTol = o.IntTol
 		}
 	}
 	return out
@@ -200,8 +195,8 @@ func (o *Options) withDefaults() Options {
 // parent's optimal relaxation basis used to warm-start this node's LP
 // (branching changes one bound, so the parent basis stays dual feasible and
 // lp re-optimises it by dual simplex). basis is immutable and shared by the
-// two children; it is nil at the root and below a relaxation that fell back
-// to the dense tableau.
+// two children; it is nil at the root only, since every relaxation that
+// branches is Optimal and lp returns a basis with every Optimal solution.
 type node struct {
 	bounds []boundChange
 	bound  float64
@@ -246,7 +241,7 @@ func Solve(p *Problem, opts *Options) Solution {
 	}
 	defer s.restore()
 
-	if o.WarmStart != nil && len(o.WarmStart) == n && p.integralOK(o.WarmStart, o.IntTol) {
+	if o.WarmStart != nil && len(o.WarmStart) == n && p.integralOK(o.WarmStart) {
 		s.incumbent = append([]float64(nil), o.WarmStart...)
 		s.incumbentObj = p.objectiveOf(s.incumbent)
 	}
@@ -303,12 +298,7 @@ func (s *solver) relax(nd *node) (lp.Solution, error) {
 	for _, bc := range nd.bounds {
 		s.p.lp.SetBounds(bc.v, bc.lo, bc.hi)
 	}
-	var o lp.Options
-	if s.o.LP != nil {
-		o = *s.o.LP
-	}
-	o.WarmBasis = nd.basis
-	rel, err := lp.Solve(s.p.lp, &o)
+	rel, err := lp.Solve(s.p.lp, &lp.Options{WarmBasis: nd.basis})
 	s.lpIters += rel.Iters
 	if rel.DualIters == rel.Iters {
 		s.dualNodes++
@@ -454,7 +444,7 @@ func (s *solver) run() Solution {
 			rel.Objective <= s.incumbentObj+s.o.RelGap*math.Max(1, math.Abs(s.incumbentObj)) {
 			continue // pruned by bound
 		}
-		v, _ := s.p.mostFractional(rel.X, s.o.IntTol)
+		v, _ := s.p.mostFractional(rel.X)
 		if v < 0 {
 			s.accept(rel.X)
 			continue
@@ -488,12 +478,12 @@ func (s *solver) run() Solution {
 // interval would be empty is nil.
 func (s *solver) branch(nd *node, v int, val, bound float64, basis *lp.Basis) (down, up *node) {
 	lo, hi := s.nodeBounds(nd, v)
-	floor := math.Floor(val + s.o.IntTol)
-	if floor >= lo-s.o.IntTol {
+	floor := math.Floor(val + intTol)
+	if floor >= lo-intTol {
 		f := math.Min(floor, hi)
 		down = &node{bounds: appendBound(nd.bounds, boundChange{v, lo, f}), bound: bound, depth: nd.depth + 1, basis: basis}
 	}
-	if floor+1 <= hi+s.o.IntTol {
+	if floor+1 <= hi+intTol {
 		l := math.Max(floor+1, lo)
 		up = &node{bounds: appendBound(nd.bounds, boundChange{v, l, hi}), bound: bound, depth: nd.depth + 1, basis: basis}
 	}
@@ -521,13 +511,13 @@ func (s *solver) dive(nd *node, rel lp.Solution) {
 			curRel.Objective <= s.incumbentObj+s.o.RelGap*math.Max(1, math.Abs(s.incumbentObj)) {
 			return // this subtree cannot beat the incumbent
 		}
-		v, _ := s.p.mostFractional(curRel.X, s.o.IntTol)
+		v, _ := s.p.mostFractional(curRel.X)
 		if v < 0 {
 			s.accept(curRel.X)
 			return
 		}
 		down, up := s.branch(cur, v, curRel.X[v], curRel.Objective, curRel.Basis)
-		frac := curRel.X[v] - math.Floor(curRel.X[v]+s.o.IntTol)
+		frac := curRel.X[v] - math.Floor(curRel.X[v]+intTol)
 		first, second := down, up
 		if frac >= 0.5 {
 			first, second = up, down
@@ -593,10 +583,10 @@ func appendBound(bs []boundChange, bc boundChange) []boundChange {
 }
 
 // mostFractional returns the integral variable whose relaxation value is
-// farthest from an integer, or -1 if all are integral within tol.
-func (p *Problem) mostFractional(x []float64, tol float64) (int, float64) {
+// farthest from an integer, or -1 if all are integral within intTol.
+func (p *Problem) mostFractional(x []float64) (int, float64) {
 	best := -1
-	bestFrac := tol
+	bestFrac := intTol
 	for v, isInt := range p.integral {
 		if !isInt {
 			continue
@@ -614,17 +604,17 @@ func (p *Problem) mostFractional(x []float64, tol float64) (int, float64) {
 }
 
 // integralOK reports whether every integral variable in x is integer within
-// tol and within its root bounds.
-func (p *Problem) integralOK(x []float64, tol float64) bool {
+// intTol and within its root bounds.
+func (p *Problem) integralOK(x []float64) bool {
 	if len(x) != len(p.integral) {
 		return false
 	}
 	for v, isInt := range p.integral {
 		lo, hi := p.lp.Bounds(v)
-		if x[v] < lo-tol || x[v] > hi+tol {
+		if x[v] < lo-intTol || x[v] > hi+intTol {
 			return false
 		}
-		if isInt && math.Abs(x[v]-math.Round(x[v])) > tol {
+		if isInt && math.Abs(x[v]-math.Round(x[v])) > intTol {
 			return false
 		}
 	}

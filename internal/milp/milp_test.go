@@ -266,11 +266,11 @@ func TestFiniteBoundUnderNodeLimit(t *testing.T) {
 // 1e-6, making an exact optimality proof unexpressible. Explicit zeros now
 // pass through (negative selects the default).
 func TestRelGapZeroProvesExactOptimality(t *testing.T) {
-	if got := (&Options{RelGap: 0, IntTol: 0}).withDefaults(); got.RelGap != 0 || got.IntTol != 0 {
-		t.Fatalf("explicit zeros rewritten to RelGap=%v IntTol=%v", got.RelGap, got.IntTol)
+	if got := (&Options{RelGap: 0}).withDefaults(); got.RelGap != 0 {
+		t.Fatalf("explicit zero rewritten to RelGap=%v", got.RelGap)
 	}
-	if got := (&Options{RelGap: -1, IntTol: -1}).withDefaults(); got.RelGap != 1e-6 || got.IntTol != 1e-6 {
-		t.Fatalf("negative-means-default broken: RelGap=%v IntTol=%v", got.RelGap, got.IntTol)
+	if got := (&Options{RelGap: -1}).withDefaults(); got.RelGap != 1e-6 {
+		t.Fatalf("negative-means-default broken: RelGap=%v", got.RelGap)
 	}
 
 	p := NewProblem()

@@ -104,6 +104,38 @@ func TestLiveRecoveryRestoresDevice(t *testing.T) {
 	}
 }
 
+// TestFailuresInOneCooldownReplanOnce fails two devices inside the cooldown
+// of the initial plan. Both triggers ride one deferred retry, so the
+// cooldown's end brings exactly one failure-triggered plan before the first
+// periodic tick, as in the simulator (core.faultRealloc); a retry per
+// trigger re-planned a second time one cooldown later.
+func TestFailuresInOneCooldownReplanOnce(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ControlPeriod = 3 * time.Second // cooldown 1 s
+	cfg.Faults = &cluster.FailureSchedule{Events: []cluster.FailureEvent{
+		{Device: 0, FailAt: 300 * time.Millisecond},
+		{Device: 1, FailAt: 400 * time.Millisecond},
+	}}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	time.Sleep(cfg.ControlPeriod + 500*time.Millisecond)
+	var at []time.Duration
+	for _, r := range s.History() {
+		if r.Trigger == "failure" && r.At < cfg.ControlPeriod {
+			at = append(at, r.At)
+		}
+	}
+	if len(at) != 1 {
+		t.Fatalf("failure-triggered plans before the first periodic tick at %v, want exactly one", at)
+	}
+	if cooldown := cfg.ControlPeriod / 3; at[0] < cooldown {
+		t.Fatalf("failure re-plan at %v, inside the initial plan's cooldown (%v)", at[0], cooldown)
+	}
+}
+
 // TestLiveFaultConfigValidation pins the config-path validation.
 func TestLiveFaultConfigValidation(t *testing.T) {
 	cfg := testConfig(t)

@@ -310,18 +310,51 @@ func (s *Server) Inflight() int64 { return s.inflight.Load() }
 // since server start, matching the simulator's time base).
 func (s *Server) now() time.Duration { return time.Since(s.start) }
 
+// controlLoop owns every re-plan after NewServer. A failure or recovery
+// inside the cooldown arms the one pending retry, which fires at the
+// cooldown boundary and re-plans under the newest such trigger without
+// consulting the cooldown again; an slo_burn inside it is dropped. These
+// are the simulator's rules (core.faultRealloc and its AllowBurst gate).
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.ControlPeriod)
 	defer ticker.Stop()
+	var retry *time.Timer // the pending deferred re-plan, or nil
+	var retryTrigger string
+	defer func() {
+		if retry != nil {
+			retry.Stop()
+		}
+	}()
+	ctl := s.plane.Controller
 	for {
+		var retryC <-chan time.Time
+		if retry != nil {
+			retryC = retry.C
+		}
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.maybeReallocate("periodic")
+			s.reallocate("periodic")
+		case <-retryC:
+			retry = nil
+			s.reallocate(retryTrigger)
 		case trig := <-s.reallocc:
-			s.maybeReallocate(trig)
+			rem := ctl.CooldownRemaining(s.now())
+			switch {
+			case !ctl.Dynamic(): // static allocators never re-plan
+			case trig == "slo_burn":
+				if rem == 0 {
+					s.reallocate(trig)
+				}
+			case retry != nil:
+				retryTrigger = trig
+			case rem > 0:
+				retry, retryTrigger = time.NewTimer(rem), trig
+			default:
+				s.reallocate(trig)
+			}
 		}
 	}
 }
@@ -365,11 +398,10 @@ func (s *Server) requestRealloc(trigger string) {
 	}
 }
 
-// maybeReallocate runs one controller invocation on the control loop
-// goroutine. Periodic ticks are suppressed when demand has not moved;
-// failure/recovery triggers honor the cooldown by re-arming themselves at
-// its boundary rather than being dropped.
-func (s *Server) maybeReallocate(trigger string) {
+// reallocate runs one controller invocation on the control loop goroutine
+// and installs its plan. Periodic ticks are suppressed when demand has not
+// moved.
+func (s *Server) reallocate(trigger string) {
 	ctl := s.plane.Controller
 	if !ctl.Dynamic() {
 		return
@@ -386,12 +418,6 @@ func (s *Server) maybeReallocate(trigger string) {
 	}
 	if trigger == "periodic" && !ctl.DemandChanged(demand, 0.1) {
 		return
-	}
-	if trigger != "periodic" {
-		if rem := ctl.CooldownRemaining(now); rem > 0 {
-			time.AfterFunc(rem, func() { s.requestRealloc(trigger) })
-			return
-		}
 	}
 	ctl.SetCluster(s.cfg.Cluster.WithHealth(down))
 	plan, err := ctl.Reallocate(now, demand, trigger)
