@@ -1,8 +1,12 @@
 package allocator
 
 import (
+	"slices"
 	"sort"
 	"time"
+
+	"proteus/internal/cluster"
+	"proteus/internal/profiles"
 )
 
 // InfaasAccuracy is the INFaaS-Accuracy baseline (§6.1.1): INFaaS's greedy
@@ -42,6 +46,12 @@ func (g *InfaasAccuracy) Allocate(in *Input) (*Allocation, error) {
 	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
 	alloc := NewAllocation(in)
 	refs := in.Variants()
+	peaks := newPeakTable(in, refs)
+	// hosted[d] indexes refs for the variant placed on device d, -1 for none.
+	hosted := make([]int, in.Cluster.Size())
+	for d := range hosted {
+		hosted[d] = -1
+	}
 
 	free := make(map[int]bool, in.Cluster.Size())
 	for _, d := range in.Cluster.HealthyDevices() {
@@ -61,14 +71,15 @@ func (g *InfaasAccuracy) Allocate(in *Input) (*Allocation, error) {
 	for _, q := range order {
 		remaining := in.Demand[q]
 		for remaining > 1e-9 {
-			d, r := g.bestPair(in, refs, free, q, remaining)
+			d, r := g.bestPair(in, refs, peaks, free, q, remaining)
 			if d < 0 {
 				break // no devices or no feasible variant left
 			}
 			ref := refs[r]
 			alloc.Hosted[d] = &VariantRef{Family: ref.Family, Variant: ref.Variant}
+			hosted[d] = r
 			free[d] = false
-			p := in.Peak(in.Cluster.Device(d), ref)
+			p := peaks.of(d, r)
 			capacity[q] += p
 			remaining -= p
 		}
@@ -88,15 +99,16 @@ func (g *InfaasAccuracy) Allocate(in *Input) (*Allocation, error) {
 		if d < 0 {
 			break
 		}
-		q := g.neediestFamily(in, alloc, capacity)
-		r := g.mostAccurateFeasible(in, refs, d, q)
+		q := g.neediestFamily(in, refs, peaks, hosted, capacity)
+		r := g.mostAccurateFeasible(refs, peaks, d, q)
 		if r < 0 {
 			free[d] = false // nothing fits this device at all
 			continue
 		}
 		ref := refs[r]
 		alloc.Hosted[d] = &VariantRef{Family: ref.Family, Variant: ref.Variant}
-		capacity[q] += in.Peak(in.Cluster.Device(d), ref)
+		hosted[d] = r
+		capacity[q] += peaks.of(d, r)
 		free[d] = false
 	}
 
@@ -106,8 +118,44 @@ func (g *InfaasAccuracy) Allocate(in *Input) (*Allocation, error) {
 	return alloc, nil
 }
 
+// peakTable memoises Input.Peak for one Allocate call: a healthy device's
+// peak depends only on its spec and the variant, so each (spec, variant) pair
+// is computed once, while health is still asked per device.
+type peakTable struct {
+	in   *Input
+	spec []int       // spec index of each device
+	peak [][]float64 // [spec index][index into the call's refs]
+}
+
+func newPeakTable(in *Input, refs []VariantRef) *peakTable {
+	t := &peakTable{in: in, spec: make([]int, in.Cluster.Size())}
+	var specs []cluster.TypeSpec
+	for _, dev := range in.Cluster.Devices() {
+		k := slices.Index(specs, dev.Spec)
+		if k < 0 {
+			k = len(specs)
+			specs = append(specs, dev.Spec)
+			row := make([]float64, len(refs))
+			for r, ref := range refs {
+				row[r] = profiles.EffectiveCapacity(dev.Spec, ref.Variant, in.SLOs[ref.Family])
+			}
+			t.peak = append(t.peak, row)
+		}
+		t.spec[dev.ID] = k
+	}
+	return t
+}
+
+// of is Input.Peak of refs[r] on device d.
+func (t *peakTable) of(d, r int) float64 {
+	if !t.in.Cluster.Healthy(d) {
+		return 0
+	}
+	return t.peak[t.spec[d]][r]
+}
+
 // bestPair picks the greedy (device, variantRef) choice for family q.
-func (g *InfaasAccuracy) bestPair(in *Input, refs []VariantRef, free map[int]bool, q int, remaining float64) (int, int) {
+func (g *InfaasAccuracy) bestPair(in *Input, refs []VariantRef, peaks *peakTable, free map[int]bool, q int, remaining float64) (int, int) {
 	bestD, bestR := -1, -1
 	bestCovers := false
 	var bestAcc, bestPeak float64
@@ -119,7 +167,7 @@ func (g *InfaasAccuracy) bestPair(in *Input, refs []VariantRef, free map[int]boo
 			if ref.Family != q {
 				continue
 			}
-			p := in.Peak(dev, ref)
+			p := peaks.of(dev.ID, r)
 			if p <= 0 {
 				continue
 			}
@@ -149,18 +197,18 @@ func (g *InfaasAccuracy) bestPair(in *Input, refs []VariantRef, free map[int]boo
 
 // neediestFamily returns the family with the largest demand-weighted
 // accuracy deficit in the current plan.
-func (g *InfaasAccuracy) neediestFamily(in *Input, alloc *Allocation, capacity []float64) int {
+func (g *InfaasAccuracy) neediestFamily(in *Input, refs []VariantRef, peaks *peakTable, hosted []int, capacity []float64) int {
 	best, bestScore := 0, -1.0
 	for q := range in.Families {
 		top := in.Families[q].MostAccurate().Accuracy
 		// Current capacity-weighted accuracy for the family.
 		num, den := 0.0, 0.0
-		for d, ref := range alloc.Hosted {
-			if ref == nil || ref.Family != q {
+		for d, r := range hosted {
+			if r < 0 || refs[r].Family != q {
 				continue
 			}
-			p := in.Peak(in.Cluster.Device(d), *ref)
-			num += p * ref.Variant.Accuracy
+			p := peaks.of(d, r)
+			num += p * refs[r].Variant.Accuracy
 			den += p
 		}
 		deficit := top
@@ -179,14 +227,13 @@ func (g *InfaasAccuracy) neediestFamily(in *Input, alloc *Allocation, capacity [
 	return best
 }
 
-func (g *InfaasAccuracy) mostAccurateFeasible(in *Input, refs []VariantRef, d, q int) int {
-	dev := in.Cluster.Device(d)
+func (g *InfaasAccuracy) mostAccurateFeasible(refs []VariantRef, peaks *peakTable, d, q int) int {
 	best, bestAcc := -1, -1.0
 	for r, ref := range refs {
 		if ref.Family != q {
 			continue
 		}
-		if in.Peak(dev, ref) <= 0 {
+		if peaks.of(d, r) <= 0 {
 			continue
 		}
 		if ref.Variant.Accuracy > bestAcc {

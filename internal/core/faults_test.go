@@ -1,10 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"proteus/internal/allocator"
 	"proteus/internal/cluster"
+	"proteus/internal/dataplane"
 )
 
 // TestFaultToleranceKillQuarter is the graceful-degradation scenario: a
@@ -167,6 +170,46 @@ func TestPermanentFailureDegradesButServes(t *testing.T) {
 			t.Fatalf("no throughput at %v after permanent failure", p.Start)
 		}
 	}
+}
+
+// TestConservationPerDevice: a seeded fault run balances every device's books
+// — each query a device accepted was completed, dropped by a step or handed
+// back, none is left behind — and a device holding one query more than its
+// exits account for fails the end-of-run check, which names it.
+func TestConservationPerDevice(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.Allocator = allocator.NewInfaasAccuracy()
+	faults, err := cluster.RandomSchedule(cfg.Cluster, cluster.RandomScheduleConfig{
+		MTBF: 40 * time.Second, MTTR: 10 * time.Second, Horizon: 80 * time.Second, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = faults
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(flatTrace(t, cfg.Families, 120, 90)) // checks conservation at its end
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Failures == 0 || res.Summary.Requeued == 0 {
+		t.Fatalf("%d failures stranded %d queries: the run hands nothing back", res.Summary.Failures, res.Summary.Requeued)
+	}
+
+	now := sys.engine.Now()
+	for d, dev := range sys.plane.Devices {
+		if dev.Enqueue(now, dataplane.Query{Deadline: now + time.Second}) {
+			err := sys.plane.CheckConservation()
+			name := cfg.Cluster.Device(d).Name
+			if err == nil || !strings.Contains(err.Error(), "device "+name+":") {
+				t.Fatalf("device %s kept a query it accepted; CheckConservation said %v", name, err)
+			}
+			return
+		}
+	}
+	t.Fatal("no device is up at the end of the run")
 }
 
 // TestFaultScheduleValidatedByConfig pins the config-path validation.

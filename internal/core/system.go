@@ -318,20 +318,24 @@ func (s *System) requeue(now time.Duration, q dataplane.Query, cause telemetry.C
 }
 
 // step lets w's device take one batching step — on arrival, batch
-// completion, load completion and wake-up — and schedules what it returns.
+// completion, load completion and wake-up — and schedules what it returns. A
+// wake-up replaces the pending one: rescheduling re-keys its queue entry, the
+// order a cancel and a fresh schedule would give.
 func (s *System) step(w *worker) {
 	now := s.engine.Now()
 	st := w.dev.Step(now)
 	for _, dr := range st.Dropped {
 		s.plane.Drop(now, dr.Query, dr.Cause)
 	}
-	s.cancelWake(w)
 	switch {
 	case len(st.Batch.Queries) > 0:
+		s.cancelWake(w)
 		s.plane.TraceBatch(st.Batch)
 		w.done = s.engine.Schedule(st.Batch.Done, w.onDone)
 	case st.Wake:
-		w.wake = s.engine.Schedule(st.WakeAt, w.onWake)
+		w.wake = s.engine.Reschedule(w.wake, st.WakeAt, w.onWake)
+	default:
+		s.cancelWake(w)
 	}
 }
 

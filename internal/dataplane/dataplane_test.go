@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -260,6 +261,33 @@ func TestFailStrandsQueueAndBatch(t *testing.T) {
 	d.Recover(nil, at)
 	if ready, _ := d.View(at); !ready {
 		t.Fatal("recovered device not ready")
+	}
+}
+
+// TestCheckConservationPerDevice: a device's books balance once a batch
+// completed and a failure handed back the rest, and a corrupted counter fails
+// the check with the device named.
+func TestCheckConservationPerDevice(t *testing.T) {
+	p, d := harness(t, batching.NewStatic(2), nil)
+	enqueue(t, p, d, 0, time.Minute, 3)
+	st := d.Step(0)
+	b, ok := d.Finish(st.Batch.Done)
+	if !ok {
+		t.Fatal("batch lost")
+	}
+	for _, q := range b.Queries {
+		p.Complete(b.Done, q, b)
+	}
+	queued, _ := d.Fail(b.Done)
+	for _, q := range queued {
+		p.Drop(b.Done, q, telemetry.CauseDeviceFailure)
+	}
+	if err := p.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	d.books.completed++
+	if err := p.CheckConservation(); err == nil || !strings.Contains(err.Error(), "device "+d.dev.Name+":") {
+		t.Fatalf("a corrupted completion count on %s: CheckConservation said %v", d.dev.Name, err)
 	}
 }
 

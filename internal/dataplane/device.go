@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"time"
 
 	"proteus/internal/allocator"
@@ -40,7 +41,9 @@ type Drop struct {
 }
 
 // Batch is one execution: the queries, what runs them, and when it started
-// and (by the profiled latency) completes.
+// and (by the profiled latency) completes. Queries is the device's scratch:
+// the batch Finish returns (or Fail hands back) is valid until that device's
+// next Step, which reuses the slice for the next batch.
 type Batch struct {
 	ID      int
 	Device  int
@@ -57,7 +60,8 @@ type Step struct {
 	// is the device's scratch: valid until that device's next Step.
 	Dropped []Drop
 	// Batch, when it has queries, is now in flight: publish it with
-	// Plane.TraceBatch and call Finish when it completes.
+	// Plane.TraceBatch and call Finish when it completes. Its Queries are the
+	// device's scratch too (see Batch).
 	Batch Batch
 	// Wake asks for another Step at WakeAt; Loading marks WakeAt as the end
 	// of the hosted model's load rather than a batching wait.
@@ -91,9 +95,12 @@ type Device struct {
 	down         bool
 	queue        []Query
 	// Step's scratch, reused so steady-state steps do not allocate: the drops
-	// it returns, and the policy's context with its view of the queue.
+	// it returns, the policy's context and the in-flight batch's queries.
+	// ctx.Queue is the policy's view of queue, kept in step with it by every
+	// transition that adds or removes queued queries.
 	dropped []Drop
 	ctx     batching.Context
+	batch   []Query
 
 	// The in-flight batch. busyAccum is the total completed execution time;
 	// with inflight.Start it yields the tsdb utilization series.
@@ -108,6 +115,26 @@ type Device struct {
 	rateEWMA   float64
 	rateBucket int64 // second index of the open bucket
 	rateCount  int
+
+	books books
+}
+
+// books is one device's account for Plane.CheckConservation: every query
+// Enqueue accepted leaves exactly once — completed in a batch Finish
+// completed, dropped by a Step, or handed back by TakeQueue or Fail.
+type books struct {
+	accepted, completed, dropped, handedBack int
+}
+
+// checkBooks reports an error naming the device when its queries do not
+// balance or some are still queued or in flight.
+func (d *Device) checkBooks() error {
+	b := d.books
+	if b.accepted != b.completed+b.dropped+b.handedBack || len(d.queue) > 0 || d.busy {
+		return fmt.Errorf("conservation violated on device %s: %d accepted, %d completed + %d dropped + %d handed back, %d queued, %d in flight",
+			d.dev.Name, b.accepted, b.completed, b.dropped, b.handedBack, len(d.queue), len(d.inflight.Queries))
+	}
+	return nil
 }
 
 // hostedID returns the hosted variant's ID ("" when idle).
@@ -206,6 +233,8 @@ func (d *Device) Rehost(ref *allocator.VariantRef, readyAt time.Duration) ([]Que
 func (d *Device) TakeQueue() []Query {
 	qs := d.queue
 	d.queue = nil
+	d.ctx.Queue = d.ctx.Queue[:0]
+	d.books.handedBack += len(qs)
 	d.syncDepth()
 	return qs
 }
@@ -223,6 +252,8 @@ func (d *Device) Enqueue(now time.Duration, q Query) bool {
 	d.p.trace(now, telemetry.EvEnqueue, &q, d.dev.ID, -1, telemetry.CauseNone)
 	q.EnqueueAt = now
 	d.queue = append(d.queue, q)
+	d.ctx.Queue = append(d.ctx.Queue, batching.Query{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline})
+	d.books.accepted++
 	d.syncDepth()
 	return true
 }
@@ -238,6 +269,7 @@ func (d *Device) Fail(now time.Duration) (queued, inflight []Query) {
 		d.busyAccum += now - d.inflight.Start
 	}
 	inflight = d.inflight.Queries
+	d.books.handedBack += len(inflight)
 	d.inflight = Batch{}
 	d.busy = false
 	d.hosted = nil
@@ -327,10 +359,6 @@ func (d *Device) Step(now time.Duration) Step {
 	lead := d.p.cfg.DecisionLead
 	ctx := &d.ctx
 	ctx.Now = now + lead
-	ctx.Queue = ctx.Queue[:0]
-	for _, q := range d.queue {
-		ctx.Queue = append(ctx.Queue, batching.Query{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline})
-	}
 	ctx.MaxBatch, ctx.MemBatch = d.maxBatch, d.memBatch
 	ctx.ArrivalRate = d.arrivalRate()
 	dec := d.policy.Decide(ctx)
@@ -362,22 +390,33 @@ func (d *Device) Step(now time.Duration) Step {
 }
 
 // shed moves the queued queries doomed selects to the step's drops, with the
-// given cause, and returns all drops so far.
+// given cause, and returns all drops so far. doomed sees every queued query
+// once, in queue order; queries move only from the first doomed one on, so a
+// shed that drops nothing only reads.
 func (d *Device) shed(cause telemetry.Cause, doomed func(i int, q *Query) bool) []Drop {
-	keep := d.queue[:0]
+	keep := 0
 	for i := range d.queue {
 		if doomed(i, &d.queue[i]) {
 			d.dropped = append(d.dropped, Drop{d.queue[i], cause})
 			continue
 		}
-		keep = append(keep, d.queue[i])
+		if keep < i {
+			d.queue[keep] = d.queue[i]
+			d.ctx.Queue[keep] = d.ctx.Queue[i]
+		}
+		keep++
 	}
-	d.queue = keep
+	if dropped := len(d.queue) - keep; dropped > 0 {
+		d.books.dropped += dropped
+		d.queue = d.queue[:keep]
+		d.ctx.Queue = d.ctx.Queue[:keep]
+	}
 	d.syncDepth()
 	return d.dropped
 }
 
-// start pops the first b queued queries into the in-flight batch.
+// start pops the first b queued queries into the in-flight batch, which
+// reuses the previous batch's slice.
 func (d *Device) start(now time.Duration, b int) Batch {
 	if b > len(d.queue) {
 		b = len(d.queue)
@@ -385,15 +424,16 @@ func (d *Device) start(now time.Duration, b int) Batch {
 	if b < 1 {
 		return Batch{}
 	}
-	qs := make([]Query, b)
-	copy(qs, d.queue[:b])
+	qs := append(d.batch[:0], d.queue[:b]...)
 	for i := range qs {
 		// Formation and execution start coincide (the executor starts
 		// immediately), so batch_form is ~0 by design.
 		qs[i].FormAt = now
 		qs[i].ExecAt = now
 	}
+	d.batch = qs
 	d.queue = append(d.queue[:0], d.queue[b:]...)
+	d.ctx.Queue = append(d.ctx.Queue[:0], d.ctx.Queue[b:]...)
 	d.syncDepth()
 
 	d.p.tc.Batches.Inc()
@@ -423,6 +463,7 @@ func (d *Device) Finish(now time.Duration) (Batch, bool) {
 	d.busy = false
 	d.busyAccum += now - b.Start
 	d.inflight = Batch{}
+	d.books.completed += len(b.Queries)
 	violations := 0
 	for _, q := range b.Queries {
 		if now > q.Deadline {

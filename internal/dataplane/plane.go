@@ -542,14 +542,22 @@ func (p *Plane) publishOverload(changes []overload.Change) {
 }
 
 // CheckConservation verifies the books: every arrival of every family ended
-// as exactly one of served, late or dropped. Drivers call it once nothing is
-// in flight any more — at the end of a simulation run, after a clean drain.
+// as exactly one of served, late or dropped, and every query a device
+// accepted left it exactly once — completed, dropped by a step, or handed
+// back — with nothing still queued or in flight. Drivers call it once
+// nothing is in flight any more — at the end of a simulation run, after a
+// clean drain — with no Device transition running: it reads every device.
 func (p *Plane) CheckConservation() error {
 	for f, name := range p.Collector.Families() {
 		s := p.Collector.Summarize(f)
 		if s.Queries != s.Served+s.Late+s.Dropped {
 			return fmt.Errorf("conservation violated for %s: %d arrivals, %d served + %d late + %d dropped",
 				name, s.Queries, s.Served, s.Late, s.Dropped)
+		}
+	}
+	for _, d := range p.Devices {
+		if err := d.checkBooks(); err != nil {
+			return err
 		}
 	}
 	return nil

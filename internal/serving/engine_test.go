@@ -15,9 +15,15 @@ import (
 )
 
 // checkBooks asserts the conservation invariant on a drained server: per
-// family, every arrival ended as exactly one of served, late or dropped.
+// family, every arrival ended as exactly one of served, late or dropped, and
+// per device every accepted query left. The check reads every device, so it
+// holds every worker's lock too.
 func checkBooks(t *testing.T, s *Server) {
 	t.Helper()
+	for _, w := range s.workers {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.plane.CheckConservation(); err != nil {

@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// Handle names one scheduled event so that it can be cancelled. It is a
-// value: a slot in the engine's table plus the generation the slot had when
-// the event was scheduled. A slot's generation moves on when its event
-// leaves the queue, so a handle kept past that point names nothing, even
-// after the slot is reused. The zero Handle names no event.
+// Handle names one scheduled event so that it can be cancelled or
+// rescheduled. It is a value: a slot in the engine's table plus the
+// generation the slot had when the event was scheduled. A slot's generation
+// moves on when its event leaves the queue or is rescheduled, so a handle
+// kept past that point names nothing, even after the slot is reused. The zero
+// Handle names no event.
 type Handle struct {
 	slot uint32
 	gen  uint32
@@ -38,10 +39,12 @@ func (a entry) before(b entry) bool {
 
 // slot is one row of the handle table. gen is 0 only in the zero Handle: it
 // starts at 1 and skips 0 when it wraps, so a stale handle could match again
-// only after 2³²−1 reuses of its slot.
+// only after 2³²−1 reuses of its slot. pos is where the slot's entry sits in
+// the heap while it is queued.
 type slot struct {
 	fn  func() // nil once cancelled
 	gen uint32
+	pos uint32
 }
 
 // arity is the heap's fan-out: a 4-ary heap is half as deep as a binary one
@@ -73,9 +76,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // scheduling order. Once the queue and the slot table have reached their
 // working size, Schedule allocates nothing.
 func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("simulation: scheduling at %v before now %v", at, e.now))
-	}
+	e.checkTime(at)
 	var s uint32
 	if n := len(e.free); n > 0 {
 		s = e.free[n-1]
@@ -85,21 +86,8 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
 		e.slots = append(e.slots, slot{gen: 1})
 	}
 	e.slots[s].fn = fn
-	ev := entry{at: at, seq: e.seq, slot: s}
-	e.seq++
-
-	// Sift up: move parents down into the hole until ev fits.
-	e.queue = append(e.queue, ev)
-	i := len(e.queue) - 1
-	for i > 0 {
-		p := (i - 1) / arity
-		if !ev.before(e.queue[p]) {
-			break
-		}
-		e.queue[i] = e.queue[p]
-		i = p
-	}
-	e.queue[i] = ev
+	e.queue = append(e.queue, entry{})
+	e.siftUp(len(e.queue)-1, entry{at: at, seq: e.next(), slot: s})
 	return Handle{slot: s, gen: e.slots[s].gen}
 }
 
@@ -112,12 +100,104 @@ func (e *Engine) After(d time.Duration, fn func()) Handle {
 }
 
 // Cancel prevents h's event from firing. Cancelling the zero Handle, or an
-// event that already fired or was already cancelled, is a no-op. The entry
-// stays queued until its time comes and is then discarded.
+// event that already fired, was already cancelled or was rescheduled, is a
+// no-op. The entry stays queued until its time and is then discarded;
+// Reschedule instead moves a pending entry to its new time.
 func (e *Engine) Cancel(h Handle) {
-	if int(h.slot) < len(e.slots) && e.slots[h.slot].gen == h.gen {
+	if e.pending(h) {
 		e.slots[h.slot].fn = nil
 	}
+}
+
+// Reschedule moves h's pending event to run fn at at and returns the handle
+// that now names it; h itself names nothing afterwards. The event takes a
+// fresh sequence number, so it fires exactly where Cancel(h) followed by
+// Schedule(at, fn) would put it, but its entry is re-keyed in place instead
+// of leaving a cancelled one behind. When h names no pending event — the
+// zero Handle, or one that fired or was cancelled — it is Schedule(at, fn).
+func (e *Engine) Reschedule(h Handle, at time.Duration, fn func()) Handle {
+	if !e.pending(h) {
+		return e.Schedule(at, fn)
+	}
+	e.checkTime(at)
+	s := &e.slots[h.slot]
+	s.fn = fn
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	i := int(s.pos)
+	ev := entry{at: at, seq: e.next(), slot: h.slot}
+	if ev.before(e.queue[i]) {
+		e.siftUp(i, ev)
+	} else {
+		e.siftDown(i, ev)
+	}
+	return Handle{slot: h.slot, gen: e.slots[h.slot].gen}
+}
+
+// pending reports whether h names an event that is queued and not cancelled.
+func (e *Engine) pending(h Handle) bool {
+	return int(h.slot) < len(e.slots) && e.slots[h.slot].gen == h.gen && e.slots[h.slot].fn != nil
+}
+
+func (e *Engine) checkTime(at time.Duration) {
+	if at < e.now {
+		panic(fmt.Sprintf("simulation: scheduling at %v before now %v", at, e.now))
+	}
+}
+
+// next hands out the next sequence number.
+func (e *Engine) next() uint64 {
+	e.seq++
+	return e.seq - 1
+}
+
+// place puts ev at heap position i and records the position in its slot.
+func (e *Engine) place(i int, ev entry) {
+	e.queue[i] = ev
+	e.slots[ev.slot].pos = uint32(i)
+}
+
+// siftUp places ev, which belongs at or above the hole i, moving parents
+// down into the hole until ev fits.
+func (e *Engine) siftUp(i int, ev entry) {
+	for i > 0 {
+		p := (i - 1) / arity
+		if !ev.before(e.queue[p]) {
+			break
+		}
+		e.place(i, e.queue[p])
+		i = p
+	}
+	e.place(i, ev)
+}
+
+// siftDown places ev, which belongs at or below the hole i, moving the
+// smallest child up into the hole until ev fits.
+func (e *Engine) siftDown(i int, ev entry) {
+	n := len(e.queue)
+	for {
+		c := i*arity + 1
+		if c >= n {
+			break
+		}
+		end := c + arity
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if e.queue[j].before(e.queue[m]) {
+				m = j
+			}
+		}
+		if !e.queue[m].before(ev) {
+			break
+		}
+		e.place(i, e.queue[m])
+		i = m
+	}
+	e.place(i, ev)
 }
 
 // pop removes the earliest entry, releases its slot and, unless the event
@@ -128,30 +208,7 @@ func (e *Engine) pop() {
 	last := e.queue[n]
 	e.queue = e.queue[:n]
 	if n > 0 {
-		// Sift down: move the smallest child up into the hole until last fits.
-		i := 0
-		for {
-			c := i*arity + 1
-			if c >= n {
-				break
-			}
-			end := c + arity
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if e.queue[j].before(e.queue[m]) {
-					m = j
-				}
-			}
-			if !e.queue[m].before(last) {
-				break
-			}
-			e.queue[i] = e.queue[m]
-			i = m
-		}
-		e.queue[i] = last
+		e.siftDown(0, last)
 	}
 
 	s := &e.slots[top.slot]

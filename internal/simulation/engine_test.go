@@ -11,11 +11,13 @@ import (
 
 // queue is what a generated program drives: the engine or the reference.
 // Schedule returns a ticket, the count of events scheduled before this one,
-// so that a program names events the same way on both.
+// so that a program names events the same way on both. Reschedule moves a
+// ticket's event, which then fires under the same ticket.
 type queue interface {
 	Now() time.Duration
 	Schedule(at time.Duration, fn func()) int
 	Cancel(ticket int)
+	Reschedule(ticket int, at time.Duration, fn func())
 	AdvanceTo(t time.Duration)
 	Run()
 }
@@ -33,10 +35,14 @@ func (q *engineQueue) Schedule(at time.Duration, fn func()) int {
 	q.handles = append(q.handles, q.e.Schedule(at, fn))
 	return len(q.handles) - 1
 }
+func (q *engineQueue) Reschedule(ticket int, at time.Duration, fn func()) {
+	q.handles[ticket] = q.e.Reschedule(q.handles[ticket], at, fn)
+}
 
 // refQueue is the naive reference: a slice kept stable-sorted by time. A new
 // event goes behind every queued event at or before its time, so the slice
-// is in (time, scheduling order) and its head is the next event to fire.
+// is in (time, scheduling order) and its head is the next event to fire. A
+// reschedule is a cancel and a schedule whose event takes over the ticket.
 type refQueue struct {
 	now     time.Duration
 	pending []*refEvent
@@ -52,14 +58,22 @@ type refEvent struct {
 func (r *refQueue) Now() time.Duration { return r.now }
 func (r *refQueue) Cancel(ticket int)  { r.events[ticket].cancelled = true }
 func (r *refQueue) Schedule(at time.Duration, fn func()) int {
+	r.events = append(r.events, r.insert(at, fn))
+	return len(r.events) - 1
+}
+func (r *refQueue) Reschedule(ticket int, at time.Duration, fn func()) {
+	r.Cancel(ticket)
+	r.events[ticket] = r.insert(at, fn)
+}
+
+func (r *refQueue) insert(at time.Duration, fn func()) *refEvent {
 	if at < r.now {
 		panic("reference: scheduling in the past")
 	}
 	ev := &refEvent{at: at, fn: fn}
 	i := sort.Search(len(r.pending), func(i int) bool { return r.pending[i].at > at })
 	r.pending = slices.Insert(r.pending, i, ev)
-	r.events = append(r.events, ev)
-	return len(r.events) - 1
+	return ev
 }
 
 // fireBefore fires the queued events with time < t in order.
@@ -94,8 +108,11 @@ type firing struct {
 // stream is spent and callbacks do nothing more), so two queues that fire in
 // the same order run the same program and two that do not diverge from there
 // on. Delays are 0–5 ms: equal times are
-// the common case. A cancel picks any ticket issued so far — pending, fired,
-// cancelled, or fired with its slot since reused.
+// the common case. A cancel or a reschedule picks any ticket issued so far —
+// pending, fired, cancelled, rescheduled, or fired with its slot since reused.
+// Operation bytes below 8 keep the meaning they have modulo 8, so corpus
+// entries written for schedules, cancels and bursts alone still run the
+// programs their names describe.
 func runProgram(q queue, prog []byte) []firing {
 	var log []firing
 	pos, tickets := 0, 0
@@ -107,15 +124,18 @@ func runProgram(q queue, prog []byte) []firing {
 		return int(prog[pos-1])
 	}
 	var act func()
-	schedule := func(at time.Duration) {
-		ticket := tickets
-		tickets++
-		if got := q.Schedule(at, func() {
+	fire := func(ticket int) func() {
+		return func() {
 			log = append(log, firing{ticket, q.Now()})
 			for n := next() % 3; n > 0; n-- {
 				act()
 			}
-		}); got != ticket {
+		}
+	}
+	schedule := func(at time.Duration) {
+		ticket := tickets
+		tickets++
+		if got := q.Schedule(at, fire(ticket)); got != ticket {
 			panic("ticket out of step")
 		}
 	}
@@ -123,17 +143,22 @@ func runProgram(q queue, prog []byte) []firing {
 		if pos >= len(prog) {
 			return
 		}
-		switch op := next() % 8; {
+		switch op := next() % 10; {
 		case op < 4:
 			schedule(q.Now() + time.Duration(next()%6)*time.Millisecond)
 		case op < 6:
 			if tickets > 0 {
 				q.Cancel((next()<<8 | next()) % tickets)
 			}
-		default: // an equal-time burst
+		case op < 8: // an equal-time burst
 			at := q.Now() + time.Duration(next()%6)*time.Millisecond
 			for n := 2 + next()%4; n > 0; n-- {
 				schedule(at)
+			}
+		default:
+			if tickets > 0 {
+				ticket := (next()<<8 | next()) % tickets
+				q.Reschedule(ticket, q.Now()+time.Duration(next()%6)*time.Millisecond, fire(ticket))
 			}
 		}
 	}
@@ -357,8 +382,31 @@ func TestManyEventsStress(t *testing.T) {
 	}
 }
 
+// Rescheduling re-keys the pending entry in place: the heap keeps one entry
+// per event, the old handle names nothing, and the moved event fires behind
+// the events already queued at its new time, as after a cancel and a schedule.
+func TestRescheduleMovesPendingEntry(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	h := e.Schedule(3*time.Second, func() { order = append(order, 0) })
+	e.Schedule(time.Second, func() { order = append(order, 1) })
+	e.Schedule(time.Second, func() { order = append(order, 2) })
+	moved := e.Reschedule(h, time.Second, func() { order = append(order, 3) })
+	if len(e.queue) != 3 {
+		t.Fatalf("%d entries queued for 3 events", len(e.queue))
+	}
+	e.Cancel(h) // stale: must not cancel the moved event
+	if again := e.Reschedule(h, 2*time.Second, func() { order = append(order, 4) }); again == moved {
+		t.Fatal("a stale handle rescheduled the moved event instead of scheduling a new one")
+	}
+	e.Run()
+	if !slices.Equal(order, []int{1, 2, 3, 4}) {
+		t.Fatalf("fired %v, want [1 2 3 4]", order)
+	}
+}
+
 // Once the queue, the slot table and the free list have reached their
-// working size, scheduling and firing allocate nothing.
+// working size, scheduling, rescheduling and firing allocate nothing.
 func TestScheduleAndFireDoNotAllocate(t *testing.T) {
 	e := NewEngine()
 	noop := func() {}
@@ -366,8 +414,11 @@ func TestScheduleAndFireDoNotAllocate(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		e.Schedule(time.Duration(i)*time.Microsecond, noop)
 	}
+	// far is pushed out on every step, so it never fires.
+	far := e.Schedule(2*depth*time.Microsecond, noop)
 	step := func() {
 		e.Schedule(e.Now()+depth*time.Microsecond, noop)
+		far = e.Reschedule(far, e.Now()+2*depth*time.Microsecond, noop)
 		e.AdvanceTo(e.Now() + time.Microsecond)
 	}
 	step()
