@@ -29,7 +29,9 @@
 package attrib
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -235,7 +237,8 @@ type Report struct {
 
 // Input configures one attribution pass.
 type Input struct {
-	// Events is the lifecycle trace (any order; the engine sorts a copy).
+	// Events is the lifecycle trace, in any order; in Seq order, as the
+	// tracer and a written trace give it, it is grouped without a sort.
 	Events []telemetry.Event
 	// Plans is the controller's decision audit history, used to name the
 	// trigger behind a stale_plan blame. Optional.
@@ -274,23 +277,70 @@ func rerouteComponent(cause telemetry.Cause) Component {
 
 // Analyze runs the attribution pass: group the trace per query, decompose
 // each finished query's latency, blame the violated ones, and aggregate.
+// Grouping is one counting pass and one scatter over the trace; it sorts a
+// copy by Seq first only when the trace is out of Seq order, which the
+// tracer's Events and ReadJSONL of a written trace never are.
 func Analyze(in Input) *Report {
+	events, queries := groupByQuery(in.Events)
+	return explainRuns(events, queries, in)
+}
+
+// groupByQuery returns the per-query events of evs with each query's events
+// contiguous and in Seq order, queries in order of first appearance, and the
+// number of queries. Burn/degrade events (query 0, per family) are dropped
+// so they can't interleave with a real query 0. Each query gets a group the
+// first time it appears; a counting pass sizes the groups and a scatter
+// fills them in trace order, so each keeps the trace's Seq order.
+func groupByQuery(evs []telemetry.Event) ([]telemetry.Event, int) {
+	bySeq := func(a, b telemetry.Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(evs, bySeq) {
+		evs = slices.Clone(evs)
+		slices.SortFunc(evs, bySeq)
+	}
+	group := make(map[uint64]int32)
+	gid := make([]int32, len(evs))
+	var next []int32 // per group: its size, then where its next event goes
+	for i := range evs {
+		if !perQuery(evs[i].Kind) {
+			gid[i] = -1
+			continue
+		}
+		g, ok := group[evs[i].Query]
+		if !ok {
+			g = int32(len(next))
+			group[evs[i].Query] = g
+			next = append(next, 0)
+		}
+		next[g]++
+		gid[i] = g
+	}
+	var n int32
+	for g, size := range next {
+		next[g] = n
+		n += size
+	}
+	out := make([]telemetry.Event, n)
+	for i, g := range gid {
+		if g >= 0 {
+			out[next[g]] = evs[i]
+			next[g]++
+		}
+	}
+	return out, len(next)
+}
+
+// explainRuns explains the queries of events, which holds each of them as
+// one contiguous run in Seq order.
+func explainRuns(events []telemetry.Event, queries int, in Input) *Report {
 	window := in.Window
 	if window <= 0 {
 		window = 10 * time.Second
 	}
-	// Sort a copy by (query, seq): queries group into contiguous runs and
-	// each run is in causal order. Burn/degrade events (query 0, per family)
-	// are filtered out first so they can't interleave with a real query 0.
-	events := make([]telemetry.Event, 0, len(in.Events))
-	for _, ev := range in.Events {
-		if perQuery(ev.Kind) {
-			events = append(events, ev)
-		}
+	rep := &Report{
+		Queries:      make([]Explanation, 0, queries),
+		TraceDropped: in.TraceDropped,
+		Incomplete:   in.TraceDropped > 0,
 	}
-	sort.Sort(byQuerySeq(events))
-
-	rep := &Report{TraceDropped: in.TraceDropped, Incomplete: in.TraceDropped > 0}
 	maxFamily := int32(-1)
 	for start := 0; start < len(events); {
 		end := start + 1
@@ -312,31 +362,15 @@ func Analyze(in Input) *Report {
 		rep.Queries = append(rep.Queries, exp)
 	}
 
-	// Re-order by lifecycle start (ties by query id): trace order groups
-	// retries late, but readers think in arrival order.
-	sort.Slice(rep.Queries, func(i, j int) bool {
-		if rep.Queries[i].Start != rep.Queries[j].Start {
-			return rep.Queries[i].Start < rep.Queries[j].Start
-		}
-		return rep.Queries[i].Query < rep.Queries[j].Query
+	// Re-order by lifecycle start (ties by query id, and query ids are
+	// unique): trace order groups retries late, but readers think in arrival
+	// order.
+	slices.SortFunc(rep.Queries, func(a, b Explanation) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Query, b.Query))
 	})
 
 	rep.summarize(maxFamily, window, in.FamilyNames)
 	return rep
-}
-
-// byQuerySeq orders events by (query, seq). A typed sort.Interface: the
-// events are 56 B, so sort.Slice's reflective swapper and slices.SortFunc's
-// by-value comparisons both cost more than indexing in place.
-type byQuerySeq []telemetry.Event
-
-func (s byQuerySeq) Len() int      { return len(s) }
-func (s byQuerySeq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s byQuerySeq) Less(i, j int) bool {
-	if s[i].Query != s[j].Query {
-		return s[i].Query < s[j].Query
-	}
-	return s[i].Seq < s[j].Seq
 }
 
 // explainQuery decomposes one query's event run (sorted by seq). finished is

@@ -1,11 +1,11 @@
-package attrib_test
+package attrib
 
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"testing"
 
-	"proteus/internal/attrib"
 	"proteus/internal/telemetry"
 )
 
@@ -13,7 +13,9 @@ import (
 // proteus-explain takes on a file it did not write: telemetry.ReadJSONL,
 // then Analyze. Whatever the reader accepts must be analysed without a
 // panic and in memory bounded by the input, and every explained query's
-// components must still sum to its end-to-end latency.
+// components must still sum to its end-to-end latency. Whenever the parsed
+// Seqs are unique, the report must equal the one grouping by the (query,
+// seq) sort gives (oracleAnalyze).
 //
 // The seeds are replayed by plain `go test`: an excerpt of the trace of
 // configs/incident_smoke.json (six served queries, three no_route and two
@@ -21,6 +23,7 @@ import (
 // because they crash Analyze — a negative at_ns (index out of range in the
 // window table) and a family of 2e9 (a 272 GB family table) — and a
 // far-future at_ns, which the window table absorbs by widening.
+// testdata/fuzz adds an excerpt out of Seq order.
 func FuzzReadJSONLAnalyze(f *testing.F) {
 	excerpt, err := os.ReadFile("testdata/incident_smoke_excerpt.jsonl")
 	if err != nil {
@@ -41,19 +44,25 @@ func FuzzReadJSONLAnalyze(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rep := attrib.Analyze(attrib.Input{Events: events})
+		in := Input{Events: events}
+		rep := Analyze(in)
 		for i := range rep.Queries {
 			q := &rep.Queries[i]
 			var sum int64
-			for c := attrib.Component(0); c < attrib.NumComponents; c++ {
+			for c := Component(0); c < NumComponents; c++ {
 				sum += q.Components[c]
 			}
 			if sum != q.E2E.Nanoseconds() {
 				t.Fatalf("query %d: components sum to %d ns, e2e is %d ns", q.Query, sum, q.E2E.Nanoseconds())
 			}
 		}
-		if len(rep.Windows) > 1<<16 { // attrib's maxWindows
+		if len(rep.Windows) > maxWindows {
 			t.Fatalf("%d summary windows for %d events", len(rep.Windows), len(events))
+		}
+		if uniqueSeqs(events) {
+			if want := oracleAnalyze(in); !reflect.DeepEqual(rep, want) {
+				t.Fatalf("Analyze differs from the (query, seq) sort\n got: %+v\nwant: %+v", rep, want)
+			}
 		}
 	})
 }

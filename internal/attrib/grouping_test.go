@@ -1,0 +1,149 @@
+package attrib
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"proteus/internal/telemetry"
+)
+
+// byQuerySeq orders events by (query, seq): the comparison sort Analyze
+// grouped the trace with before it grouped in one pass, kept as the oracle
+// of groupByQuery.
+type byQuerySeq []telemetry.Event
+
+func (s byQuerySeq) Len() int      { return len(s) }
+func (s byQuerySeq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byQuerySeq) Less(i, j int) bool {
+	if s[i].Query != s[j].Query {
+		return s[i].Query < s[j].Query
+	}
+	return s[i].Seq < s[j].Seq
+}
+
+// oracleAnalyze is Analyze grouping by sorting a copy by (query, seq).
+func oracleAnalyze(in Input) *Report {
+	events := make([]telemetry.Event, 0, len(in.Events))
+	for _, ev := range in.Events {
+		if perQuery(ev.Kind) {
+			events = append(events, ev)
+		}
+	}
+	sort.Sort(byQuerySeq(events))
+	queries := 0
+	for i := range events {
+		if i == 0 || events[i].Query != events[i-1].Query {
+			queries++
+		}
+	}
+	return explainRuns(events, queries, in)
+}
+
+// uniqueSeqs reports whether no two events share a Seq: the grouping then
+// has one answer, which both the oracle and Analyze must find.
+func uniqueSeqs(events []telemetry.Event) bool {
+	seen := make(map[uint64]bool, len(events))
+	for _, ev := range events {
+		if seen[ev.Seq] {
+			return false
+		}
+		seen[ev.Seq] = true
+	}
+	return true
+}
+
+// randomTrace records interleaved lifecycles of n queries through a tracer
+// the way an engine does: one event at a time in time order, so Seqs are
+// record order. Query ids come from ids; lifecycles are served, late,
+// dropped on every cause, requeued and retried (possibly more than once) or
+// unfinished, with burn and degrade events (query 0) between them.
+func randomTrace(rng *rand.Rand, ids []uint64) []telemetry.Event {
+	type pending struct {
+		at    time.Duration
+		kind  telemetry.EventKind
+		query uint64
+		fam   int
+		dev   int
+		ctx   telemetry.Ctx
+	}
+	var evs []pending
+	for _, id := range ids {
+		at := time.Duration(rng.Intn(1e9))
+		fam, dev := rng.Intn(3), rng.Intn(4)
+		ctx := telemetry.Ctx{Plan: int32(rng.Intn(3)), Episode: int32(rng.Intn(2))}
+		add := func(kind telemetry.EventKind, cause telemetry.Cause) {
+			c := ctx
+			c.Cause = cause
+			evs = append(evs, pending{at, kind, id, fam, dev, c})
+			at += time.Duration(rng.Intn(5e6))
+		}
+		add(telemetry.EvArrival, telemetry.CauseNone)
+		add(telemetry.EvRoute, telemetry.CauseNone)
+		for retries := rng.Intn(3); retries > 0; retries-- {
+			add(telemetry.EvEnqueue, telemetry.CauseNone)
+			add(telemetry.EvRequeued, telemetry.Cause(1+rng.Intn(3)))
+			add(telemetry.EvRetried, telemetry.CauseDeviceFailure)
+		}
+		add(telemetry.EvEnqueue, telemetry.CauseNone)
+		switch rng.Intn(5) {
+		case 0: // unfinished
+		case 1:
+			add(telemetry.EvDropped, telemetry.Cause(1+rng.Intn(9)))
+		default:
+			add(telemetry.EvBatchFormed, telemetry.CauseNone)
+			add(telemetry.EvExecStart, telemetry.CauseNone)
+			add([]telemetry.EventKind{telemetry.EvDone, telemetry.EvLate}[rng.Intn(2)], telemetry.CauseNone)
+		}
+	}
+	for range len(ids) / 4 {
+		kind := []telemetry.EventKind{telemetry.EvSLOBurnStart, telemetry.EvSLOBurnEnd,
+			telemetry.EvDegradeStart, telemetry.EvDegradeEnd}[rng.Intn(4)]
+		evs = append(evs, pending{time.Duration(rng.Intn(1e9)), kind, 0, rng.Intn(3), -1, telemetry.Ctx{}})
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	tr := telemetry.NewTracer(len(evs) + 1)
+	for _, p := range evs {
+		tr.RecordCtx(p.at, p.kind, p.query, p.fam, p.dev, -1, p.ctx)
+	}
+	return tr.Events()
+}
+
+// TestGroupingMatchesSortOracle holds the one-pass grouping to the sort it
+// replaced: on seeded traces in and out of Seq order, with query 0, query
+// ids sparse and far apart, heads the ring has evicted, and requeues,
+// Analyze's report equals the oracle's.
+func TestGroupingMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		ids := make([]uint64, n)
+		for i := range ids {
+			switch trial % 4 {
+			case 0: // dense, as engines number queries
+				ids[i] = uint64(i + 1)
+			case 1: // sparse and far apart
+				ids[i] = rng.Uint64()
+			case 2: // the extremes, query 0 among them
+				ids[i] = []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1, 1 << 63}[i%5] + uint64(i/5)*(1<<40)
+			default: // query 0 and dense ids
+				ids[i] = uint64(i)
+			}
+		}
+		events := randomTrace(rng, ids)
+		if rng.Intn(3) == 0 { // the ring evicted the head
+			events = events[rng.Intn(len(events)):]
+		}
+		if trial%2 == 1 {
+			rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+		}
+		in := Input{Events: events, TraceDropped: uint64(rng.Intn(2)), Window: time.Duration(1+rng.Intn(3)) * 100 * time.Millisecond}
+		want := oracleAnalyze(in)
+		if got := Analyze(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d events): Analyze differs from the (query, seq) sort\n got: %+v\nwant: %+v", trial, len(events), got, want)
+		}
+	}
+}

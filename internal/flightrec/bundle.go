@@ -67,8 +67,11 @@ type RuntimeSnap struct {
 }
 
 // Bundle is one incident's atomic snapshot of the flight recorder's rings.
-// Field order is the JSON order; every section is a copy, so a bundle never
-// shares state with the recorder that produced it.
+// Field order is the JSON order. Every section but Plans is a window of one
+// of the recorder's append-only rings, shared with the recorder and with
+// other bundles rather than copied: the recorder never writes an element
+// again once pushed, so a bundle never changes after Trigger returns it.
+// Sections are read-only; a caller must not write to them.
 type Bundle struct {
 	// ID names the bundle (and its file): "incident-<seq>-<reason>".
 	ID string `json:"id"`
@@ -148,7 +151,7 @@ func (e *sections) encodeAll(b *Bundle) error {
 		encodeMissing(e.counters, b.Counters, marshalElem[CounterSnap]),
 		encodeMissing(e.samples, b.Samples, encodeSample),
 		encodeMissing(e.burns, b.Burns, marshalElem[tsdb.BurnEvent]),
-		encodeMissing(e.phases, b.Phases, marshalElem[tsdb.PhaseStat]),
+		encodeMissing(e.phases, b.Phases, encodePhaseStat),
 		encodeMissing(e.plans, b.Plans, marshalElem[controlplane.PlanRecord]),
 		encodeMissing(e.runtime, b.Runtime, marshalElem[RuntimeSnap]),
 	)
@@ -237,8 +240,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
-// encodeTraceEvent and encodeSample are marshalElem for the two flat types
-// that fill most of a bundle.
+// encodeTraceEvent, encodeSample and encodePhaseStat are marshalElem for the
+// flat types that fill most of a bundle. The phase table is replaced on
+// every tick, so every bundle encodes it afresh.
 func encodeTraceEvent(te *TraceEvent) ([]byte, error) {
 	dst := make([]byte, 0, 256)
 	dst = strconv.AppendInt(append(dst, "{\n      \"at_us\": "...), te.AtUS, 10)
@@ -277,6 +281,20 @@ func encodeSample(s *tsdb.Sample) ([]byte, error) {
 	if s.Pressured {
 		dst = strconv.AppendBool(elemKey(dst, "pressured"), s.Pressured)
 	}
+	return append(dst, "\n"+elemPrefix+"}"...), nil
+}
+
+func encodePhaseStat(p *tsdb.PhaseStat) ([]byte, error) {
+	dst := make([]byte, 0, 256)
+	dst = appendString(append(dst, "{\n      \"scope\": "...), p.Scope)
+	dst = strconv.AppendInt(elemKey(dst, "index"), int64(p.Index), 10)
+	dst = appendString(elemKey(dst, "phase"), p.Phase)
+	dst = strconv.AppendUint(elemKey(dst, "count"), p.Count, 10)
+	dst = strconv.AppendInt(elemKey(dst, "mean_us"), p.MeanUS, 10)
+	dst = strconv.AppendInt(elemKey(dst, "p50_us"), p.P50US, 10)
+	dst = strconv.AppendInt(elemKey(dst, "p95_us"), p.P95US, 10)
+	dst = strconv.AppendInt(elemKey(dst, "p99_us"), p.P99US, 10)
+	dst = strconv.AppendInt(elemKey(dst, "max_us"), p.MaxUS, 10)
 	return append(dst, "\n"+elemPrefix+"}"...), nil
 }
 

@@ -3,9 +3,11 @@ package flightrec
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -208,28 +210,119 @@ func TestAppendStringEveryByte(t *testing.T) {
 	}
 }
 
-// TestEncodeTraceWindows hands the trace cache the tails that concurrent
-// triggers can bring in any order — newer, older, shorter, disjoint — and
-// checks each encoding against a fresh one.
+// TestEncodeTraceWindows drives the trace cache through the windows that
+// concurrent triggers can bring in any order — newer, shorter, older,
+// disjoint, empty, and reads whose skipped head a trigger that joined first
+// has trimmed — and holds every bundle file to the oracle. A read issued
+// with the cache's end at the time joins later; a join refused (the trigger
+// then reads again) must leave the cache as it was.
 func TestEncodeTraceWindows(t *testing.T) {
-	var r Recorder
-	tes := make([]TraceEvent, 20)
-	for i := range tes {
-		tes[i] = TraceEvent{Seq: uint64(i), Kind: "arrival", Query: uint64(1000 + i)}
+	dir := t.TempDir()
+	tracer := telemetry.NewTracer(64)
+	for q := 0; q < 40; q++ {
+		tracer.RecordCtx(time.Duration(q)*time.Microsecond, telemetry.EvArrival, uint64(1000+q), q%3, -1, -1,
+			telemetry.Ctx{Plan: int32(q / 10), Cause: telemetry.Cause(q % 3)})
 	}
-	for _, w := range [][2]int{{5, 10}, {7, 12}, {3, 9}, {8, 10}, {15, 20}, {0, 20}, {19, 20}, {12, 14}, {12, 12}} {
-		got, err := r.encodeTrace(tes[w[0]:w[1]])
+	all := tracer.Events()
+	r := New(Config{Dir: dir, TraceEvents: 20})
+	r.Init(Sources{Tracer: tracer})
+
+	// read is one trigger's read of the tracer: the window [first, end) of
+	// the tracer's newest events, asked for from the cache's end at the
+	// time, from.
+	type read struct{ first, end, from uint64 }
+	issue := func(first, end uint64) read {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.traceEnd > end {
+			t.Fatalf("window [%d, %d) issued after the cache reached %d", first, end, r.traceEnd)
+		}
+		return read{first, end, r.traceEnd}
+	}
+	type joined struct {
+		b    *Bundle
+		want []TraceEvent
+	}
+	var bundles []joined
+	join := func(rd read, wantOK bool) {
+		t.Helper()
+		r.mu.Lock()
+		before := r.runState
+		ok := r.joinTrace(tracer, rd.first, rd.from, all[max(rd.first, rd.from):rd.end])
+		if ok != wantOK {
+			r.mu.Unlock()
+			t.Fatalf("window [%d, %d) from %d: joined %v, want %v", rd.first, rd.end, rd.from, ok, wantOK)
+		}
+		if !ok {
+			same := r.traceEnd == before.traceEnd && r.trace.start == before.trace.start &&
+				len(r.trace.all) == len(before.trace.all) && cap(r.trace.all) == cap(before.trace.all)
+			r.mu.Unlock()
+			if !same {
+				t.Fatalf("window [%d, %d) from %d: a refused join changed the cache", rd.first, rd.end, rd.from)
+			}
+			return
+		}
+		b := &Bundle{ID: fmt.Sprintf("window-%02d-%02d-%02d", len(bundles), rd.first, rd.end), TraceEvents: r.trace.window()}
+		e, err := r.encode(nil)
+		r.mu.Unlock()
+		if err == nil {
+			err = r.write(filepath.Join(dir, b.ID+".json"), b, &e)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != w[1]-w[0] {
-			t.Fatalf("window %v: %d encodings", w, len(got))
+		want := make([]TraceEvent, 0, rd.end-rd.first)
+		for _, ev := range all[rd.first:rd.end] {
+			want = append(want, toTraceEvent(ev))
 		}
-		for i, enc := range got {
-			if want, _ := encodeTraceEvent(&tes[w[0]+i]); !bytes.Equal(enc, want) {
-				t.Fatalf("window %v, event %d: cached %s, want %s", w, i, enc, want)
-			}
+		if len(b.TraceEvents) != len(want) || (len(want) > 0 && !reflect.DeepEqual(b.TraceEvents, want)) {
+			t.Fatalf("window [%d, %d): trace events %+v, want %+v", rd.first, rd.end, b.TraceEvents, want)
 		}
+		checkBundleFile(t, dir, b)
+		bundles = append(bundles, joined{b, want})
+	}
+
+	join(issue(0, 0), true)   // empty
+	join(issue(5, 10), true)  // into the empty cache
+	join(issue(7, 12), true)  // newer, overlapping
+	join(issue(8, 12), true)  // shorter, nothing new
+	join(issue(6, 12), false) // older: its head is trimmed
+	older, newer := issue(9, 13), issue(10, 14)
+	join(newer, true)
+	join(older, false) // its head is cached, but the cache has moved past it
+	older, newer = issue(11, 15), issue(12, 16)
+	join(newer, true)
+	join(older, false) // a concurrent trigger trimmed what this read skipped
+	join(issue(12, 16), true)
+	stale := issue(0, 20)
+	join(issue(25, 30), true) // disjoint: the cache starts afresh
+	join(stale, false)        // older than the whole cache
+	join(issue(25, 40), true)
+	wide, narrow := issue(30, 40), issue(35, 40)
+	join(narrow, true)
+	join(wide, false) // nothing new to read, but its head is trimmed
+	join(issue(39, 40), true)
+
+	for _, jb := range bundles {
+		if len(jb.b.TraceEvents) != len(jb.want) || (len(jb.want) > 0 && !reflect.DeepEqual(jb.b.TraceEvents, jb.want)) {
+			t.Fatalf("bundle %s changed after later joins", jb.b.ID)
+		}
+	}
+}
+
+// checkBundleFile fails t unless b's file in dir is the oracle's encoding of b.
+func checkBundleFile(t *testing.T, dir string, b *Bundle) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("bundle %s differs from encoding/json\n got: %s\nwant: %s", b.ID, got, want)
 	}
 }
 
@@ -244,17 +337,7 @@ func TestBundleFilesMatchOracle(t *testing.T) {
 	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 2})
 	check := func(b *Bundle) {
 		t.Helper()
-		got, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := oracle(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("bundle %s differs from encoding/json\n got: %s\nwant: %s", b.ID, got, want)
-		}
+		checkBundleFile(t, dir, b)
 	}
 	for run, kind := range []telemetry.EventKind{telemetry.EvArrival, telemetry.EvDropped} {
 		tracer := telemetry.NewTracer(16)

@@ -16,10 +16,17 @@
 // collected only when Config.Live is set. pprof captures (which need a real
 // clock) live in the serving layer, outside this package.
 //
+// Sharing: the rings are append-only. An element is never rewritten once
+// pushed — trimming advances a start index, and a full ring moves its newest
+// elements to a fresh array — so a bundle's sections are windows of the ring
+// arrays, not copies, and no bundle changes after Trigger returns it.
+//
 // Locking: the recorder's mutex is a leaf. Tick and Trigger read the
 // sources (tracer, registry, tsdb recorder, controller) *before* taking it,
 // which keeps Trigger safe to call from the tsdb burn callback (which runs
-// under the tsdb recorder's lock) without ordering cycles.
+// under the tsdb recorder's lock) without ordering cycles. Bundle files are
+// encoded and written outside it, serialised on the recorder's one output
+// buffer instead.
 package flightrec
 
 import (
@@ -42,8 +49,8 @@ import (
 
 // Config bounds the recorder's rings and selects live-mode extras.
 type Config struct {
-	// TraceEvents is the maximum number of tracer events copied into a
-	// bundle (the newest are kept). Default 4096.
+	// TraceEvents is the maximum number of tracer events a bundle holds
+	// (the newest are kept). Default 4096.
 	TraceEvents int
 	// CounterSnaps / RuntimeSnaps / Samples / Burns bound the respective
 	// rings. Defaults 64, 64, 2048, 256.
@@ -112,6 +119,11 @@ type Recorder struct {
 	mu  sync.Mutex
 	src Sources
 	runState
+
+	// out is the bundle file buffer every trigger reuses; outMu serialises
+	// the writers on it, so files are encoded and written outside mu.
+	outMu sync.Mutex
+	out   []byte
 }
 
 // runState is what a recorder accumulates over one run; Init zeroes it.
@@ -124,35 +136,74 @@ type runState struct {
 	burns     ring[tsdb.BurnEvent]
 	phases    ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
 	runtime   ring[RuntimeSnap]
-	// traceEnc[i] encodes the trace event with Seq traceSeq0+i, and
-	// planEnc[i] the plan record with Seq planSeqs[i]: the tracer and the
-	// controller never change a record they have handed out. A bundle file
-	// then costs the encoding of what is new since the last one.
-	traceEnc  [][]byte
-	traceSeq0 uint64
+	// trace caches the tracer's newest events, converted, and traceEnd is
+	// the Seq after the newest of them: the tracer never changes an event
+	// once recorded, so a trigger reads and converts only those past it.
+	trace    ring[TraceEvent]
+	traceEnd uint64
+	// planEnc[i] encodes the plan record with Seq planSeqs[i]: the
+	// controller never changes a record it has handed out either. A bundle
+	// file then costs the encoding of what is new since the last one.
 	planSeqs  []int
 	planEnc   [][]byte
-	lastSize  int // length of the last bundle written, to size the next
 	incidents []*Bundle
 	writeErr  error
 }
 
-// ring is one of the recorder's bounded rings, oldest first, with each
-// value's bundle encoding kept beside it once a bundle file has needed it.
+// ring is one of the recorder's bounded rings, oldest first: all[start:]
+// of an append-only array, with each value's bundle encoding kept beside it
+// once a bundle file has needed it. A value is never rewritten once pushed,
+// so bundles hold windows of all rather than copies.
 type ring[T any] struct {
-	vals []T
-	enc  [][]byte // enc[i] encodes vals[i]; nil until first needed
+	all   []T
+	enc   [][]byte // enc[i] encodes all[i]; nil until first needed
+	start int
 }
 
-func (r *ring[T]) push(max int, vs ...T) {
-	r.vals = appendBounded(r.vals, max, vs...)
-	r.enc = appendBounded(append(r.enc, make([][]byte, len(vs))...), max)
+// extend makes room for k (at most bound) more values and returns them to be
+// filled in, keeping the newest bound. It writes only past the end of all:
+// when the array is full, the values kept move to a fresh one twice the
+// bound, so each value is moved at most once per bound values pushed.
+func (r *ring[T]) extend(bound, k int) []T {
+	n := len(r.all)
+	if n+k > cap(r.all) {
+		keep := min(n-r.start, bound-k)
+		all := make([]T, keep, 2*bound)
+		copy(all, r.all[n-keep:])
+		enc := make([][]byte, keep, 2*bound)
+		copy(enc, r.enc[n-keep:])
+		r.all, r.enc, r.start, n = all, enc, 0, keep
+	}
+	r.all, r.enc = r.all[:n+k], r.enc[:n+k]
+	r.start = max(r.start, n+k-bound)
+	return r.all[n:]
 }
 
-// encoded returns the encodings of every value, encoding those new since
-// the last call.
+// push appends vs, keeping the newest bound.
+func (r *ring[T]) push(bound int, vs ...T) {
+	if len(vs) > bound {
+		vs = vs[len(vs)-bound:]
+	}
+	if len(vs) > 0 {
+		copy(r.extend(bound, len(vs)), vs)
+	}
+}
+
+// window returns the ring's values as a bundle section: capped at their
+// end, so appending to it cannot reach the ring, and nil when empty, as a
+// section with nothing in it always was.
+func (r *ring[T]) window() []T {
+	if r.start == len(r.all) {
+		return nil
+	}
+	return r.all[r.start:len(r.all):len(r.all)]
+}
+
+// encoded returns the encodings of the ring's values, encoding those not
+// yet encoded.
 func (r *ring[T]) encoded(encode func(*T) ([]byte, error)) ([][]byte, error) {
-	return r.enc, encodeMissing(r.enc, r.vals, encode)
+	enc := r.enc[r.start:len(r.enc):len(r.enc)]
+	return enc, encodeMissing(enc, r.all[r.start:], encode)
 }
 
 // New returns a flight recorder with defaults applied. The hosting engine
@@ -188,17 +239,6 @@ func (r *Recorder) Live() bool {
 		return false
 	}
 	return r.cfg.Live
-}
-
-// appendBounded appends vs to buf keeping at most max elements, dropping the
-// oldest first. A tick's whole batch goes in one call, so a full ring shifts
-// once per tick and not once per element.
-func appendBounded[T any](buf []T, max int, vs ...T) []T {
-	buf = append(buf, vs...)
-	if over := len(buf) - max; over > 0 {
-		buf = append(buf[:0], buf[over:]...)
-	}
-	return buf
 }
 
 // Tick refreshes the rings from the sources: new tsdb samples and burn
@@ -242,7 +282,7 @@ func (r *Recorder) Tick(now time.Duration) {
 	r.samples.push(r.cfg.Samples, samples...)
 	r.burns.push(r.cfg.Burns, burns...)
 	if phases != nil {
-		r.phases = ring[tsdb.PhaseStat]{vals: phases, enc: make([][]byte, len(phases))}
+		r.phases = ring[tsdb.PhaseStat]{all: phases, enc: make([][]byte, len(phases))}
 	}
 	if metrics != nil {
 		r.counters.push(r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
@@ -267,10 +307,9 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 		return nil
 	}
 	r.mu.Lock()
-	src := r.src
+	src, from := r.src, r.traceEnd
 	r.mu.Unlock()
 
-	events := src.Tracer.Tail(r.cfg.TraceEvents)
 	var plans []controlplane.PlanRecord
 	if src.Plans != nil {
 		plans = src.Plans()
@@ -278,45 +317,58 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	if n := r.cfg.Plans; len(plans) > n {
 		plans = plans[len(plans)-n:]
 	}
-
-	r.mu.Lock()
-	r.seq++
-	b := &Bundle{
-		ID:     fmt.Sprintf("incident-%06d-%s", r.seq, reason),
-		Seq:    r.seq,
-		AtNS:   int64(now),
-		Reason: reason,
-		Detail: detail,
-		Family: family,
-		Device: device,
-		Build:  buildinfo.Get(),
-	}
-	b.TraceEvents = make([]TraceEvent, len(events))
-	for i, ev := range events {
-		b.TraceEvents[i] = toTraceEvent(ev)
-	}
-	b.Counters = append([]CounterSnap(nil), r.counters.vals...)
-	b.Samples = append([]tsdb.Sample(nil), r.samples.vals...)
-	b.Burns = append([]tsdb.BurnEvent(nil), r.burns.vals...)
-	b.Phases = append([]tsdb.PhaseStat(nil), r.phases.vals...)
 	// Solver wall times are real elapsed time even in the simulator, and a
 	// budgeted solve's proof progress is timing-dependent; sanitize the
 	// copy so same-seed bundles stay byte-identical (every serialization
 	// surface shares this helper).
-	b.Plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
-	b.Runtime = append([]RuntimeSnap(nil), r.runtime.vals...)
-	r.incidents = appendBounded(r.incidents, r.cfg.MaxIncidents, b)
+	plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
+
+	// The tracer is read outside r.mu, for only the events past the cache,
+	// and joined to the cache under it. A concurrent trigger may have moved
+	// the cache in between; when the join cannot make the cache this read's
+	// window, read again from where the cache ends now.
+	for {
+		first, events := src.Tracer.TailFrom(r.cfg.TraceEvents, from)
+		r.mu.Lock()
+		if r.joinTrace(src.Tracer, first, from, events) {
+			break
+		}
+		src, from = r.src, r.traceEnd
+		r.mu.Unlock()
+	}
+	r.seq++
+	b := &Bundle{
+		ID:          fmt.Sprintf("incident-%06d-%s", r.seq, reason),
+		Seq:         r.seq,
+		AtNS:        int64(now),
+		Reason:      reason,
+		Detail:      detail,
+		Family:      family,
+		Device:      device,
+		TraceEvents: r.trace.window(),
+		Counters:    r.counters.window(),
+		Samples:     r.samples.window(),
+		Burns:       r.burns.window(),
+		Phases:      r.phases.window(),
+		Plans:       plans,
+		Runtime:     r.runtime.window(),
+		Build:       buildinfo.Get(),
+	}
+	r.incidents = append(r.incidents, b)
+	if over := len(r.incidents) - r.cfg.MaxIncidents; over > 0 {
+		r.incidents = append(r.incidents[:0], r.incidents[over:]...)
+	}
 	dir := r.cfg.Dir
-	var data []byte
+	var e sections
 	var err error
 	if dir != "" {
-		data, err = r.encode(b)
+		e, err = r.encode(plans)
 	}
 	r.mu.Unlock()
 
 	if dir != "" {
 		if err == nil {
-			err = writeFileAtomic(filepath.Join(dir, b.ID+".json"), data)
+			err = r.write(filepath.Join(dir, b.ID+".json"), b, &e)
 		}
 		if err != nil {
 			r.mu.Lock()
@@ -327,46 +379,64 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	return b
 }
 
-// encode returns bundle b's file contents, which Trigger has just built
-// from the rings. Every ring element, trace event and plan record is encoded
-// once, the first time a bundle holds it, and spliced into every later
-// bundle that holds it too. Called under r.mu.
-func (r *Recorder) encode(b *Bundle) ([]byte, error) {
+// joinTrace makes the trace cache the window of a read of the tracer from
+// Seq from: the events from Seq first to the newest, of which the read
+// returned those from max(first, from) on. It converts only what the cache
+// lacks and trims the cache to the window. It reports false, leaving the
+// cache as it is, when a concurrent trigger has moved the cache past the
+// read or trimmed what the read skipped, or Init has replaced the tracer.
+// Called under r.mu.
+func (r *Recorder) joinTrace(tracer *telemetry.Tracer, first, from uint64, events []telemetry.Event) bool {
+	c := &r.trace
+	oldest := r.traceEnd - uint64(len(c.all)-c.start)
+	got := max(first, from)
+	end := got + uint64(len(events))
+	if r.src.Tracer != tracer || r.traceEnd > end || oldest > first || (got > first && r.traceEnd < got) {
+		return false
+	}
+	if r.traceEnd < first {
+		// Everything cached is older than the window; the read has it all.
+		*c = ring[TraceEvent]{}
+		r.traceEnd = first
+	}
+	fresh := events[r.traceEnd-got:]
+	if len(fresh) > 0 {
+		dst := c.extend(r.cfg.TraceEvents, len(fresh))
+		for k := range fresh {
+			dst[k] = toTraceEvent(fresh[k])
+		}
+		r.traceEnd = end
+	}
+	c.start = len(c.all) - int(end-first)
+	return true
+}
+
+// encode returns the encodings of the sections of the bundle Trigger has
+// just built from the rings and plans. Every ring element, trace event and
+// plan record is encoded once, the first time a bundle holds it, and
+// spliced into every later bundle that holds it too. An encoding is never
+// changed once set, so the sections stay valid after r.mu is released.
+// Called under r.mu.
+func (r *Recorder) encode(plans []controlplane.PlanRecord) (sections, error) {
 	var e sections
 	var errs [7]error
-	e.trace, errs[0] = r.encodeTrace(b.TraceEvents)
+	e.trace, errs[0] = r.trace.encoded(encodeTraceEvent)
 	e.counters, errs[1] = r.counters.encoded(marshalElem[CounterSnap])
 	e.samples, errs[2] = r.samples.encoded(encodeSample)
 	e.burns, errs[3] = r.burns.encoded(marshalElem[tsdb.BurnEvent])
-	e.phases, errs[4] = r.phases.encoded(marshalElem[tsdb.PhaseStat])
-	e.plans, errs[5] = r.encodePlans(b.Plans)
+	e.phases, errs[4] = r.phases.encoded(encodePhaseStat)
+	e.plans, errs[5] = r.encodePlans(plans)
 	e.runtime, errs[6] = r.runtime.encoded(marshalElem[RuntimeSnap])
-	if err := cmp.Or(errs[:]...); err != nil {
-		return nil, err
-	}
-	data := b.appendJSON(make([]byte, 0, r.lastSize+r.lastSize/8), &e)
-	r.lastSize = len(data)
-	return data, nil
+	return e, cmp.Or(errs[:]...)
 }
 
-// encodeTrace returns the encodings of tes, the tracer's newest events with
-// consecutive Seqs, reusing those of the last bundle's tail. A tail older
-// than the cached one (a concurrent trigger that read the tracer first)
-// restarts the cache.
-func (r *Recorder) encodeTrace(tes []TraceEvent) ([][]byte, error) {
-	if len(tes) == 0 {
-		return nil, nil
-	}
-	first := tes[0].Seq
-	if first < r.traceSeq0 || first-r.traceSeq0 > uint64(len(r.traceEnc)) {
-		r.traceEnc = r.traceEnc[:0]
-	} else {
-		r.traceEnc = append(r.traceEnc[:0], r.traceEnc[first-r.traceSeq0:]...)
-	}
-	r.traceSeq0 = first
-	kept := min(len(r.traceEnc), len(tes))
-	r.traceEnc = append(r.traceEnc[:kept], make([][]byte, len(tes)-kept)...)
-	return r.traceEnc, encodeMissing(r.traceEnc, tes, encodeTraceEvent)
+// write writes bundle b, whose sections e encodes, to path through the
+// recorder's output buffer.
+func (r *Recorder) write(path string, b *Bundle, e *sections) error {
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	r.out = b.appendJSON(r.out[:0], e)
+	return writeFileAtomic(path, r.out)
 }
 
 // encodePlans returns the encodings of plans, reusing those of the last

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -278,5 +279,170 @@ func TestLiveModeRuntimeSnaps(t *testing.T) {
 	}
 	if b.Runtime[0].HeapAllocBytes == 0 || b.Runtime[0].Goroutines == 0 {
 		t.Fatalf("empty runtime snap: %+v", b.Runtime[0])
+	}
+}
+
+// TestBundlesNeverChange holds the sharing contract: a bundle's sections are
+// windows of the recorder's rings, so nothing the recorder does later — more
+// ticks and triggers, rings compacting into fresh arrays, the trace cache
+// trimming and starting afresh, a second Init — may change a bundle it has
+// returned. Every bundle's encoding at trigger time must still be its
+// encoding at the end.
+func TestBundlesNeverChange(t *testing.T) {
+	dir := t.TempDir()
+	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 1, MaxIncidents: 1 << 10})
+	snaps := map[*Bundle][]byte{}
+	snap := func(b *Bundle) {
+		t.Helper()
+		data, err := oracle(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[b] = data
+	}
+	sampleArrays := map[*tsdb.Sample]bool{}
+	for run := 0; run < 2; run++ {
+		tracer := telemetry.NewTracer(16)
+		registry := telemetry.NewRegistry()
+		rec := tsdb.NewRecorder(tsdb.Config{SampleInterval: time.Second})
+		rec.Init(2, nil)
+		var plans []controlplane.PlanRecord
+		r.Init(Sources{
+			Tracer: tracer, Registry: registry, TSDB: rec,
+			Plans: func() []controlplane.PlanRecord { return plans },
+		})
+		for sec := 0; sec < 20; sec++ {
+			now := time.Duration(sec) * time.Second
+			for q := 0; q < 3; q++ {
+				tracer.RecordCtx(now, telemetry.EvEnqueue, uint64(100*run+3*sec+q), q%2, sec%4, -1, telemetry.Ctx{Plan: int32(sec / 3)})
+			}
+			registry.Counter("queries_arrived_total").Add(int64(sec + run))
+			rec.Arrival(now, 0)
+			if sec < 8 {
+				rec.Violation(now, 0)
+			}
+			rec.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: sec + run}, {Up: sec%2 == 0, Variant: "resnet50"}})
+			rec.RecordPhases(sec%2, sec%2, tsdb.PhaseDurations{Queue: now, Exec: time.Millisecond})
+			plans = append(plans, controlplane.PlanRecord{Seq: len(plans) + 1, At: now, Trigger: "periodic"})
+			r.Tick(now)
+			r.mu.Lock()
+			sampleArrays[&r.samples.all[:1][0]] = true
+			r.mu.Unlock()
+			snap(r.Trigger(now, "manual", "", -1, -1))
+			if sec%3 == 0 {
+				snap(r.Trigger(now, "slo_burn", "same instant", 0, -1))
+			}
+		}
+	}
+	if len(sampleArrays) < 4 {
+		t.Fatalf("sample ring used %d arrays, want several compactions", len(sampleArrays))
+	}
+	// Init empties the incident log; the first run's bundles are still held
+	// here, and still share the arrays of the rings they were cut from.
+	got := r.Incidents()
+	if want := len(snaps) / 2; len(got) != want {
+		t.Fatalf("%d incidents in the second run, want %d", len(got), want)
+	}
+	for b := range snaps {
+		data, err := oracle(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, snaps[b]) {
+			t.Fatalf("bundle %s changed after it was returned\n now: %s\nthen: %s", b.ID, data, snaps[b])
+		}
+	}
+	for _, b := range got { // the second run's files replaced the first's
+		checkBundleFile(t, dir, b)
+	}
+	if err := r.WriteError(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBundlesNeverChangeConcurrent races triggers against ticks and the
+// tracer, as TestTriggerStorm does, and holds every bundle to its encoding
+// at trigger time and its trace events to one run of consecutive Seqs. Run
+// with -race: a recorder write into an array a bundle shares shows there.
+func TestBundlesNeverChangeConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	r, src := fixture(Config{Dir: dir, TraceEvents: 8, CounterSnaps: 2, Samples: 3, MaxIncidents: 1 << 10})
+	const n = 32
+	var wg sync.WaitGroup
+	bundles := make([]*Bundle, n)
+	snaps := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			now := time.Duration(i) * time.Second
+			for q := 0; q < 5; q++ {
+				src.Tracer.Record(now, telemetry.EvArrival, uint64(5*i+q), 0, -1, -1)
+			}
+			if i%3 == 0 {
+				src.TSDB.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: i}, {Up: true}})
+				r.Tick(now)
+			}
+			b := r.Trigger(now, "manual", fmt.Sprintf("storm %d", i), -1, -1)
+			data, err := oracle(b)
+			if err != nil {
+				t.Error(err)
+			}
+			bundles[i], snaps[i] = b, data
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range bundles {
+		data, err := oracle(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, snaps[i]) {
+			t.Fatalf("bundle %s changed after it was returned", b.ID)
+		}
+		for k := 1; k < len(b.TraceEvents); k++ {
+			if b.TraceEvents[k].Seq != b.TraceEvents[k-1].Seq+1 {
+				t.Fatalf("bundle %s: trace Seqs %d then %d", b.ID, b.TraceEvents[k-1].Seq, b.TraceEvents[k].Seq)
+			}
+		}
+		checkBundleFile(t, dir, b)
+	}
+	if err := r.WriteError(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTriggerCopiesNothingHeld pins the copy-free trigger: with the trace
+// cache and every ring full and nothing new since the last trigger, a
+// trigger allocates its bundle's header, plans and file write, not copies of
+// its 1 024 trace events and 2 048 samples or a fresh buffer for its file.
+func TestTriggerCopiesNothingHeld(t *testing.T) {
+	r, src := fixture(Config{Dir: t.TempDir()})
+	for i := 0; i < 8000; i++ {
+		src.Tracer.Record(time.Duration(i)*time.Microsecond, telemetry.EvArrival, uint64(i), i%2, -1, -1)
+	}
+	for tick := 0; tick < 1100; tick++ {
+		now := time.Duration(tick) * time.Second
+		src.TSDB.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: tick}, {Up: true, Variant: "resnet50"}})
+		src.TSDB.RecordPhases(tick%2, tick%2, tsdb.PhaseDurations{Queue: time.Millisecond, Exec: time.Duration(tick) * time.Microsecond})
+		r.Tick(now)
+	}
+	r.Trigger(time.Hour, "manual", "", -1, -1)
+	b := r.Trigger(time.Hour, "manual", "", -1, -1)
+	if len(b.TraceEvents) != 1<<10 || len(b.Samples) != 2048 {
+		t.Fatalf("bundle holds %d trace events and %d samples, want 1024 and 2048", len(b.TraceEvents), len(b.Samples))
+	}
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		r.Trigger(time.Hour, "manual", "", -1, -1)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 16<<10 {
+		t.Fatalf("a trigger with nothing new allocates %d B, want < 16 KiB", per)
+	}
+	if err := r.WriteError(); err != nil {
+		t.Fatal(err)
 	}
 }

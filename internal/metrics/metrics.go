@@ -320,10 +320,10 @@ func (c *Collector) Summarize(family int) Summary {
 	}
 	if hist.Count() > 0 {
 		s.MeanLatency = time.Duration(hist.Mean())
-		s.P50Latency = hist.QuantileDuration(0.50)
-		s.P95Latency = hist.QuantileDuration(0.95)
-		s.P99Latency = hist.QuantileDuration(0.99)
-		s.P999Latency = hist.QuantileDuration(0.999)
+		var buf [4]int64
+		q := hist.Quantiles(latencyQuantiles, buf[:0])
+		s.P50Latency, s.P95Latency = time.Duration(q[0]), time.Duration(q[1])
+		s.P99Latency, s.P999Latency = time.Duration(q[2]), time.Duration(q[3])
 	}
 	if family < 0 {
 		s.Failures = c.failures
@@ -355,6 +355,10 @@ func (c *Collector) LatencyHistogram(family int) *tsdb.Histogram {
 	return merged
 }
 
+// latencyQuantiles are the p50, p95, p99 and p999 of a Summary or a
+// LatencyPoint, ascending so that one bucket walk finds them all.
+var latencyQuantiles = []float64{0.50, 0.95, 0.99, 0.999}
+
 // LatencyPoint is one bin of the windowed latency-percentile series.
 type LatencyPoint struct {
 	Start time.Duration
@@ -375,6 +379,7 @@ func (c *Collector) WindowPercentiles(family int) []LatencyPoint {
 		c.checkFamily(family)
 	}
 	out := make([]LatencyPoint, len(c.bins))
+	var buf [4]int64
 	for i, b := range c.bins {
 		h := &tsdb.Histogram{}
 		for f := range c.families {
@@ -385,10 +390,9 @@ func (c *Collector) WindowPercentiles(family int) []LatencyPoint {
 		}
 		p := LatencyPoint{Start: time.Duration(i) * c.interval, Count: h.Count()}
 		if h.Count() > 0 {
-			p.P50 = h.QuantileDuration(0.50)
-			p.P95 = h.QuantileDuration(0.95)
-			p.P99 = h.QuantileDuration(0.99)
-			p.P999 = h.QuantileDuration(0.999)
+			q := h.Quantiles(latencyQuantiles, buf[:0])
+			p.P50, p.P95 = time.Duration(q[0]), time.Duration(q[1])
+			p.P99, p.P999 = time.Duration(q[2]), time.Duration(q[3])
 		}
 		out[i] = p
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -116,16 +117,31 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
-// TestTracerTail pins Tail(n) to the newest n of Events() before the ring
-// fills, across the fill, after it wraps, and for n outside [0, Len].
+// TestTracerTail pins TailFrom(n, from) to Events(): the first Seq is that
+// of the newest n events (the next Seq when there are none), and the events
+// are those of them at or after from. It runs before the ring fills, across
+// the fill and after it wraps, for n outside [0, Len], and for from before,
+// inside and after the window and past the newest event.
 func TestTracerTail(t *testing.T) {
 	tr := NewTracer(5)
 	for i := 0; i < 13; i++ {
 		all := tr.Events()
+		next := uint64(i)
 		for _, n := range []int{-1, 0, 1, 3, len(all), len(all) + 1, 100} {
-			want := all[len(all)-max(0, min(n, len(all))):]
-			if got := tr.Tail(n); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after %d records: Tail(%d) = %+v, want %+v", i, n, got, want)
+			window := all[len(all)-max(0, min(n, len(all))):]
+			wantFirst := next
+			if len(window) > 0 {
+				wantFirst = window[0].Seq
+			}
+			for _, from := range []uint64{0, wantFirst - min(wantFirst, 1), wantFirst, wantFirst + 1, next - min(next, 1), next, next + 1, math.MaxUint64} {
+				want := window
+				for len(want) > 0 && want[0].Seq < from {
+					want = want[1:]
+				}
+				first, got := tr.TailFrom(n, from)
+				if first != wantFirst || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("after %d records: TailFrom(%d, %d) = %d, %+v; want %d, %+v", i, n, from, first, got, wantFirst, want)
+				}
 			}
 		}
 		tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
@@ -134,8 +150,8 @@ func TestTracerTail(t *testing.T) {
 		t.Fatalf("Len %d Dropped %d ring cap %d, want 5, 8 and 5", tr.Len(), tr.Dropped(), cap(tr.buf))
 	}
 	var nilTracer *Tracer
-	if nilTracer.Tail(3) != nil {
-		t.Fatal("nil tracer Tail not nil")
+	if first, events := nilTracer.TailFrom(3, 0); first != 0 || events != nil {
+		t.Fatalf("nil tracer TailFrom = %d, %v; want 0, nil", first, events)
 	}
 }
 

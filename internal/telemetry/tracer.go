@@ -193,8 +193,11 @@ type Event struct {
 // Tracer records lifecycle events into a bounded ring buffer: when more
 // than its capacity arrive, the oldest are overwritten (Dropped counts
 // them). The ring grows on demand up to its capacity, so a tracer costs
-// what it holds. A nil *Tracer discards all events, so call sites never
-// need a guard. Record is safe for concurrent use.
+// what it holds. Every event's Seq is its record index, so a reader that
+// keeps the events it has read (the flight recorder's trace cache) asks
+// TailFrom for only those past its newest. A nil *Tracer discards all
+// events, so call sites never need a guard. Record is safe for concurrent
+// use.
 type Tracer struct {
 	mu       sync.Mutex
 	buf      []Event
@@ -301,27 +304,34 @@ func (t *Tracer) Dropped() uint64 {
 
 // Events returns the buffered events in record order (oldest first).
 func (t *Tracer) Events() []Event {
-	return t.Tail(math.MaxInt)
+	_, events := t.TailFrom(math.MaxInt, 0)
+	return events
 }
 
-// Tail returns the newest n buffered events (all of them when n exceeds
-// Len) in record order, copying only those.
-func (t *Tracer) Tail(n int) []Event {
+// TailFrom returns the Seq of the first of the newest n buffered events (all
+// of them when n exceeds Len; the next Seq to be recorded when the window is
+// empty), and a copy of those of them whose Seq is at least from, in record
+// order. A reader that keeps what it read before asks only for what is new:
+// the events from first on that it lacks start at max(first, from), and
+// they are the ones returned. Nil tracer: 0 and nil.
+func (t *Tracer) TailFrom(n int, from uint64) (first uint64, events []Event) {
 	if t == nil {
-		return nil
+		return 0, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, max(0, min(n, len(t.buf))))
+	first = t.next - uint64(max(0, min(n, len(t.buf))))
+	start := max(first, min(from, t.next))
+	out := make([]Event, t.next-start)
 	if len(out) == 0 {
-		return out
+		return first, out
 	}
-	// Until the ring fills, len(buf) == next, so this is next-n; after, the
-	// ring may wrap between start and the newest event.
-	start := int((t.next - uint64(len(out))) % uint64(len(t.buf)))
-	k := copy(out, t.buf[start:])
+	// Event seq s sits at buf[s % len(buf)]: until the ring fills, len(buf)
+	// == next; after, the ring may wrap between start and the newest event.
+	i := int(start % uint64(len(t.buf)))
+	k := copy(out, t.buf[i:])
 	copy(out[k:], t.buf)
-	return out
+	return first, out
 }
 
 // WriteJSONL writes one JSON object per line per event, in record order.

@@ -136,31 +136,34 @@ func (h *Histogram) Mean() int64 {
 // error is bounded by one bucket width (relative error <= 2^-subBucketBits).
 // Returns 0 on an empty histogram.
 func (h *Histogram) Quantile(p float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			v := bucketHigh(i)
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
+	var q [1]int64
+	return h.Quantiles([]float64{p}, q[:0])[0]
+}
+
+// Quantiles appends the Quantile of each p in ps to dst and returns it. For
+// ascending ps (p50, p95, p99, ...) it walks the buckets once; a p below
+// the one before it walks them again.
+func (h *Histogram) Quantiles(ps []float64, dst []int64) []int64 {
+	// j is the bucket of the last answer and cum the samples up to and
+	// including it: a higher rank resumes the walk there.
+	j, cum := -1, uint64(0)
+	for _, p := range ps {
+		if h.count == 0 {
+			dst = append(dst, 0)
+			continue
 		}
+		rank := uint64(math.Ceil(p * float64(h.count)))
+		rank = min(max(rank, 1), h.count)
+		if j >= 0 && rank <= cum-h.counts[j] {
+			j, cum = -1, 0
+		}
+		for cum < rank && j+1 < len(h.counts) {
+			j++
+			cum += h.counts[j]
+		}
+		dst = append(dst, max(min(bucketHigh(j), h.max), h.min))
 	}
-	return h.max
+	return dst
 }
 
 // QuantileDuration returns Quantile as a time.Duration.

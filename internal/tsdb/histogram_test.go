@@ -59,7 +59,22 @@ func checkQuantiles(t *testing.T, name string, values []int64) {
 	if h.Max() != sorted[len(sorted)-1] {
 		t.Fatalf("%s: max = %d, want %d", name, h.Max(), sorted[len(sorted)-1])
 	}
-	for _, p := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+	ps := []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	// One walk for ascending ps, and again for the same ps out of order,
+	// must find what Quantile finds for each p alone.
+	mixed := []float64{0.99, 0.5, 0.5, 1, 0, 0.999, 0.25}
+	for _, order := range [][]float64{ps, mixed} {
+		got := h.Quantiles(order, []int64{-1})
+		if len(got) != len(order)+1 || got[0] != -1 {
+			t.Fatalf("%s: Quantiles(%v) = %v, want dst's -1 then one value per p", name, order, got)
+		}
+		for i, p := range order {
+			if want := h.Quantile(p); got[i+1] != want {
+				t.Errorf("%s: Quantiles(%v)[%d] = %d, Quantile(%g) = %d", name, order, i, got[i+1], p, want)
+			}
+		}
+	}
+	for _, p := range ps {
 		got := h.Quantile(p)
 		want := exactQuantile(sorted, p)
 		bound := maxQuantileError(want)
@@ -199,6 +214,9 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
+	}
+	if q := h.Quantiles([]float64{0.5, 0.99}, nil); len(q) != 2 || q[0] != 0 || q[1] != 0 {
+		t.Fatalf("empty histogram quantiles %v, want [0 0]", q)
 	}
 	if h.Buckets() != nil {
 		t.Fatal("empty histogram must have no buckets")

@@ -115,6 +115,9 @@ type PhaseStat struct {
 	MaxUS  int64  `json:"max_us"`
 }
 
+// phaseQuantiles are the quantiles of a PhaseStat, ascending.
+var phaseQuantiles = []float64{0.50, 0.95, 0.99}
+
 // PhaseStats summarizes every non-empty phase histogram, family scopes
 // first, ordered by index then phase — a deterministic order independent of
 // arrival interleaving.
@@ -125,6 +128,7 @@ func (r *Recorder) PhaseStats() []PhaseStat {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []PhaseStat
+	var buf [3]int64
 	appendScope := func(scope string, sets []phaseSet) {
 		for i := range sets {
 			for p := 0; p < NumPhases; p++ {
@@ -132,15 +136,16 @@ func (r *Recorder) PhaseStats() []PhaseStat {
 				if h.Count() == 0 {
 					continue
 				}
+				q := h.Quantiles(phaseQuantiles, buf[:0])
 				out = append(out, PhaseStat{
 					Scope:  scope,
 					Index:  i,
 					Phase:  Phase(p).String(),
 					Count:  h.Count(),
 					MeanUS: h.Mean() / 1e3,
-					P50US:  h.Quantile(0.50) / 1e3,
-					P95US:  h.Quantile(0.95) / 1e3,
-					P99US:  h.Quantile(0.99) / 1e3,
+					P50US:  q[0] / 1e3,
+					P95US:  q[1] / 1e3,
+					P99US:  q[2] / 1e3,
 					MaxUS:  h.Max() / 1e3,
 				})
 			}
