@@ -136,12 +136,13 @@ func (r *Registry) Checkers() []ModuleChecker {
 
 // DeterministicPackages are the import-path suffixes (relative to the module)
 // whose computations must be reproducible from a seed: the simulated clock
-// and the serving engine it drives, plan construction and the solvers. The
-// determinism checker reports sources written in these packages and call
-// chains that carry a source into them.
+// and the serving engine it drives, the controller's re-plan policy, plan
+// construction and the solvers. The determinism checker reports sources
+// written in these packages and call chains that carry a source into them.
 var DeterministicPackages = []string{
 	"internal/core",
 	"internal/dataplane",
+	"internal/controlplane",
 	"internal/allocator",
 	"internal/attrib",
 	"internal/lp",

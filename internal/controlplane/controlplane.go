@@ -2,9 +2,9 @@
 // statistics collector that aggregates per-application demand from the load
 // balancers' monitoring daemons, and the re-allocation policy — periodic
 // MILP invocations (30 s in the paper) plus burst-triggered early
-// re-allocations with a cooldown. The control path never blocks the data
-// path; the hosting engine (simulator or live cluster) invokes it
-// asynchronously.
+// re-allocations with a cooldown. The policy is clock-free: the hosting
+// engine (simulator or live cluster) passes the time in and schedules what
+// Controller.Decide asks for, off the data path.
 package controlplane
 
 import (
@@ -222,6 +222,12 @@ type Controller struct {
 
 	last    time.Duration
 	started bool
+	// retry marks the one pending retry Decide armed; retryTrigger is the
+	// newest trigger that armed or joined it, retryFailure whether any of
+	// them was a failure.
+	retry        bool
+	retryTrigger string
+	retryFailure bool
 
 	// mu guards history and pendingBurns: the control loop appends while
 	// introspection endpoints (/debug/allocations) and the SLO monitor's
@@ -294,6 +300,67 @@ func (c *Controller) Cluster() *cluster.Cluster { return c.cluster }
 // Dynamic reports whether re-allocation over time is enabled.
 func (c *Controller) Dynamic() bool { return c.alloc.Dynamic() }
 
+// Action is Decide's answer to a trigger: Hold (nothing to do), ReplanNow
+// (under the trigger, at once) or ArmRetry (arm the one pending retry for
+// the returned time; when it fires, Retry names the trigger).
+type Action int
+
+// Decide's answers.
+const (
+	Hold Action = iota
+	ReplanNow
+	ArmRetry
+)
+
+// Decide is the re-plan policy (§3) both engines schedule: what a trigger
+// at now leads to. Static allocators never re-plan. "periodic" (see
+// DemandChanged) and "provision" re-plan now. "burst" and "slo_burn"
+// re-plan outside the cooldown — BurstCooldown from the last solve attempt,
+// its end outside — and are dropped inside it. "failure" and "recovery"
+// inside it arm the one pending retry at its end, and while that is pending
+// only relabel it. Decide and Retry belong to Reallocate's goroutine.
+func (c *Controller) Decide(now time.Duration, trigger string) (Action, time.Duration) {
+	if !c.Dynamic() {
+		return Hold, 0
+	}
+	var wait time.Duration
+	if c.started {
+		wait = c.last + c.BurstCooldown - now
+	}
+	switch trigger {
+	case "burst", "slo_burn":
+		if wait > 0 {
+			return Hold, 0
+		}
+	case "failure", "recovery":
+		if c.retry {
+			c.retryTrigger, c.retryFailure = trigger, c.retryFailure || trigger == "failure"
+			return Hold, 0
+		}
+		if wait > 0 {
+			c.retry, c.retryTrigger, c.retryFailure = true, trigger, trigger == "failure"
+			return ArmRetry, now + wait
+		}
+	}
+	return ReplanNow, 0
+}
+
+// Retry hands over the pending retry when it fires: the newest trigger that
+// armed or joined it, which labels the plan, and whether a failure rode it,
+// so that installing the plan closes the pending failures. The retry
+// re-plans without asking the cooldown again.
+func (c *Controller) Retry() (trigger string, failure bool) {
+	c.retry = false
+	return c.retryTrigger, c.retryFailure
+}
+
+// Plan is what Reallocate produced: the allocation and the sequence number
+// of its audit record, which trace events stamp once the plan is in force.
+type Plan struct {
+	*allocator.Allocation
+	Seq int
+}
+
 // Reallocate invokes the allocator with the demand estimate and records the
 // plan. Trigger labels the cause for the history. On a primary-allocator
 // error the fallback chain engages: first the greedy fallback restricted to
@@ -301,9 +368,9 @@ func (c *Controller) Dynamic() bool { return c.alloc.Dynamic() }
 // projected onto the survivors. Only when all three stages fail does
 // Reallocate return an error, and even then the attempt time is recorded so
 // the cooldown throttles erroring allocators like successful ones.
-func (c *Controller) Reallocate(now time.Duration, demand []float64, trigger string) (*allocator.Allocation, error) {
+func (c *Controller) Reallocate(now time.Duration, demand []float64, trigger string) (Plan, error) {
 	if len(demand) != len(c.families) {
-		return nil, fmt.Errorf("controlplane: demand has %d entries, want %d", len(demand), len(c.families))
+		return Plan{}, fmt.Errorf("controlplane: demand has %d entries, want %d", len(demand), len(c.families))
 	}
 	in := &allocator.Input{
 		Cluster:  c.cluster,
@@ -348,7 +415,7 @@ func (c *Controller) Reallocate(now time.Duration, demand []float64, trigger str
 				Stage:   "error",
 				Err:     stageErr,
 			})
-			return nil, solveErr
+			return Plan{}, solveErr
 		}
 	}
 	c.last = now
@@ -374,8 +441,7 @@ func (c *Controller) Reallocate(now time.Duration, demand []float64, trigger str
 	diffPlans(&rec, c.lastPlan, plan)
 	c.lastPlan = plan
 	c.counters.Reallocations.Inc()
-	c.append(rec)
-	return plan, nil
+	return Plan{plan, c.append(rec)}, nil
 }
 
 // diffPlans fills rec's allocation-diff fields (per-device hosting
@@ -454,9 +520,9 @@ func (c *Controller) SetRecordHook(fn func(PlanRecord)) {
 }
 
 // append adds a record to the audit log under the history lock, stamping
-// its sequence number and attaching (and clearing) the burn transitions
-// buffered since the last record.
-func (c *Controller) append(rec PlanRecord) {
+// its sequence number, which it returns, and attaching (and clearing) the
+// burn transitions buffered since the last record.
+func (c *Controller) append(rec PlanRecord) int {
 	c.mu.Lock()
 	c.seq++
 	rec.Seq = c.seq
@@ -477,6 +543,7 @@ func (c *Controller) append(rec PlanRecord) {
 	if hook != nil {
 		hook(rec)
 	}
+	return rec.Seq
 }
 
 // NoteBurn records an SLO burn-state transition for the next audit record.
@@ -528,49 +595,10 @@ func (c *Controller) DemandChanged(demand []float64, threshold float64) bool {
 	return false
 }
 
-// AllowBurst reports whether a burst-triggered re-allocation is permitted
-// at time now (outside the cooldown window of the last re-allocation).
-func (c *Controller) AllowBurst(now time.Duration) bool {
-	if !c.started {
-		return true
-	}
-	return now-c.last >= c.BurstCooldown
-}
-
-// CooldownRemaining returns how long until a triggered re-allocation is
-// permitted at time now (0 when one is allowed immediately). Callers that
-// must not lose a trigger — a failure re-allocation arriving inside the
-// cooldown window — use this to schedule a retry instead of dropping it.
-func (c *Controller) CooldownRemaining(now time.Duration) time.Duration {
-	if !c.started {
-		return 0
-	}
-	rem := c.last + c.BurstCooldown - now
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
 // History returns a copy of the re-allocation audit log so far. Safe to
 // call concurrently with Reallocate.
 func (c *Controller) History() []PlanRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]PlanRecord(nil), c.history...)
-}
-
-// LastPlanSeq returns the sequence number of the most recent audit record
-// that produced a plan (error records don't count; 0 before the first
-// plan). Engines read it right after Reallocate returns and stamp it onto
-// enqueue trace events.
-func (c *Controller) LastPlanSeq() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.history) - 1; i >= 0; i-- {
-		if c.history[i].Stage != "error" {
-			return c.history[i].Seq
-		}
-	}
-	return 0
 }

@@ -110,12 +110,15 @@ func TestControllerReallocateRecordsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || len(plan.Hosted) == 0 {
+	if plan.Allocation == nil || len(plan.Hosted) == 0 {
 		t.Fatal("no plan")
 	}
 	h := c.History()
 	if len(h) != 1 || h[0].Trigger != "initial" || h[0].At != 0 {
 		t.Fatalf("history %+v", h)
+	}
+	if plan.Seq != h[0].Seq {
+		t.Fatalf("plan seq %d, its record's %d", plan.Seq, h[0].Seq)
 	}
 	if len(h[0].HostedVariants) == 0 {
 		t.Fatal("hosted variants not recorded")
@@ -135,16 +138,16 @@ func TestControllerRejectsWrongDemandShape(t *testing.T) {
 
 func TestAllowBurstCooldown(t *testing.T) {
 	c, _ := fixture(t)
-	if !c.AllowBurst(0) {
+	if act, _ := c.Decide(0, "burst"); act != ReplanNow {
 		t.Fatal("first burst must be allowed")
 	}
 	if _, err := c.Reallocate(100*time.Second, []float64{20, 10}, "periodic"); err != nil {
 		t.Fatal(err)
 	}
-	if c.AllowBurst(105 * time.Second) {
+	if act, _ := c.Decide(105*time.Second, "burst"); act != Hold {
 		t.Fatal("burst inside cooldown allowed")
 	}
-	if !c.AllowBurst(111 * time.Second) {
+	if act, _ := c.Decide(111*time.Second, "burst"); act != ReplanNow {
 		t.Fatal("burst after cooldown denied")
 	}
 }

@@ -123,23 +123,38 @@ func TestReallocateErrorRecordsAttemptTime(t *testing.T) {
 	}
 	// The failed attempt must arm the cooldown so erroring allocators are
 	// not re-invoked at every tick.
-	if c.AllowBurst(105 * time.Second) {
+	if act, _ := c.Decide(105*time.Second, "burst"); act != Hold {
 		t.Fatal("cooldown must apply to failed solves")
-	}
-	if rem := c.CooldownRemaining(105 * time.Second); rem != 5*time.Second {
-		t.Fatalf("CooldownRemaining = %v, want 5s", rem)
-	}
-	if !c.AllowBurst(110 * time.Second) {
-		t.Fatal("cooldown over, burst must be allowed")
 	}
 	// A demand-shape error is a caller bug, not a solve attempt: it must not
 	// touch the cooldown state.
-	before := c.CooldownRemaining(105 * time.Second)
 	if _, err := c.Reallocate(109*time.Second, []float64{1}, "periodic"); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if got := c.CooldownRemaining(105 * time.Second); got != before {
-		t.Fatal("shape error must not record an attempt")
+	if act, _ := c.Decide(110*time.Second, "burst"); act != ReplanNow {
+		t.Fatal("cooldown over, burst must be allowed (a shape error is no attempt)")
+	}
+	if act, at := c.Decide(105*time.Second, "failure"); act != ArmRetry || at != 110*time.Second {
+		t.Fatalf("failure inside the cooldown: %v at %v, want a retry at 110s", act, at)
+	}
+}
+
+// TestReallocateReturnsRecordSeq: the plan carries its audit record's
+// sequence number, and a failed attempt's record still takes one.
+func TestReallocateReturnsRecordSeq(t *testing.T) {
+	good, fams := fixture(t)
+	c := NewController(failingAlloc{}, cluster.ScaledTestbed(8), fams, good.slos, 30*time.Second, 10*time.Second)
+	c.SetFallback(nil)
+	if _, err := c.Reallocate(0, []float64{20, 10}, "initial"); err == nil {
+		t.Fatal("the failing allocator produced a plan")
+	}
+	c.alloc = good.alloc
+	plan, err := c.Reallocate(time.Second, []float64{20, 10}, "periodic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := c.History(); plan.Seq != 2 || h[1].Seq != 2 || h[0].Stage != "error" {
+		t.Fatalf("plan seq %d after an error record, history %+v", plan.Seq, h)
 	}
 }
 
@@ -150,7 +165,7 @@ func TestAllocatorErrorMidRunFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, err := c.Reallocate(40*time.Second, []float64{25, 12}, "periodic")
-	if err != nil || plan == nil {
+	if err != nil || plan.Allocation == nil {
 		t.Fatalf("mid-run solver error must fall back, got %v", err)
 	}
 	h := c.History()
@@ -202,13 +217,13 @@ func TestAllowBurstExactCooldownBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// now - last == cooldown: exactly at the boundary is allowed.
-	if !c.AllowBurst(110 * time.Second) {
+	if act, _ := c.Decide(110*time.Second, "burst"); act != ReplanNow {
 		t.Fatal("burst exactly at the cooldown boundary must be allowed")
 	}
-	if c.AllowBurst(110*time.Second - time.Nanosecond) {
+	if act, _ := c.Decide(110*time.Second-time.Nanosecond, "burst"); act != Hold {
 		t.Fatal("burst one tick inside the cooldown must be denied")
 	}
-	if rem := c.CooldownRemaining(110 * time.Second); rem != 0 {
-		t.Fatalf("CooldownRemaining at the boundary = %v, want 0", rem)
+	if act, _ := c.Decide(110*time.Second, "failure"); act != ReplanNow {
+		t.Fatal("failure at the boundary must re-plan now, not arm a retry")
 	}
 }

@@ -2,9 +2,10 @@
 // (internal/dataplane — routing with admission, per-device queues and
 // batching steps, accounting, fault and overload reactions) from the
 // discrete-event engine's virtual clock, and owns what only a simulation
-// has: the run loop and its events, the control-path apply delay, burst
-// detection, elastic provisioning. It is the paper's simulator (§6.1.5),
-// which tracks their 40-machine cluster testbed within ~1%.
+// has: the run loop and its events — among them the ones the controller's
+// re-plan policy asks for — the control-path apply delay, asking about a
+// burst on every arrival, elastic provisioning. It is the paper's simulator
+// (§6.1.5), which tracks their 40-machine cluster testbed within ~1%.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +211,38 @@ func TestConservationPerDevice(t *testing.T) {
 		}
 	}
 	t.Fatal("no device is up at the end of the run")
+}
+
+// TestFailureRelabelledRecoveryIsHandled: device 0 fails at 2 s, inside the
+// initial plan's 10 s cooldown, and recovers at 5 s. The one retry fires at
+// 10 s labelled "recovery", the newest trigger, and still answers the
+// failure: its plan, live at 11 s after the 1 s apply delay, closes it, so
+// the time to recover is 9 s rather than a failure left pending for the rest
+// of the run (0 s).
+func TestFailureRelabelledRecoveryIsHandled(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.Allocator = allocator.NewInfaasAccuracy()
+	cfg.Faults = &cluster.FailureSchedule{Events: []cluster.FailureEvent{
+		{Device: 0, FailAt: 2 * time.Second, RecoverAt: 5 * time.Second},
+	}}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(flatTrace(t, cfg.Families, 40, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var triggers []string
+	for _, p := range res.Plans {
+		triggers = append(triggers, fmt.Sprintf("%s@%v", p.Trigger, p.At))
+	}
+	if got := strings.Join(triggers, ","); got != "initial@0s,recovery@10s" {
+		t.Fatalf("plans %s, want initial@0s,recovery@10s", got)
+	}
+	if s := res.Summary; s.Failures != 1 || s.MeanTimeToRecover != 9*time.Second {
+		t.Fatalf("failures=%d ttr=%v, want 1 and 9s", s.Failures, s.MeanTimeToRecover)
+	}
 }
 
 // TestFaultScheduleValidatedByConfig pins the config-path validation.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"proteus/internal/allocator"
 	"proteus/internal/controlplane"
 	"proteus/internal/dataplane"
 	"proteus/internal/metrics"
@@ -31,12 +30,6 @@ type System struct {
 	// rebuildTable's scratch: one rebuild per model load adds up over a run.
 	ready []bool
 	profs []overload.DeviceProfile
-
-	// pendingFaultRetry tracks a fault-triggered re-allocation deferred by the
-	// cooldown, with pendingFaultTrigger holding the most recent coalesced
-	// trigger.
-	pendingFaultRetry   bool
-	pendingFaultTrigger string
 
 	// Hardware scaling in tandem (§7): extra devices provisioned and in
 	// flight.
@@ -93,6 +86,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Cooldown:         cfg.BurstCooldown,
 		DemandWindow:     cfg.DemandWindow,
 		BurstFactor:      cfg.BurstFactor,
+		Headroom:         cfg.Headroom,
 		MetricsInterval:  cfg.MetricsInterval,
 		DisableAdmission: cfg.DisableAdmission,
 		MaxRetries:       cfg.MaxRetries,
@@ -105,11 +99,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Overload:         cfg.Overload,
 	}
 	if cfg.SLOBurnRealloc {
-		pc.OnBurnStart = func(at time.Duration) {
-			if s.plane.Controller.Dynamic() && s.plane.Controller.AllowBurst(at) {
-				s.reallocate("slo_burn")
-			}
-		}
+		pc.OnBurnStart = func(time.Duration) { s.trigger("slo_burn") }
 	}
 	s.plane = dataplane.New(pc)
 	for _, dev := range s.plane.Devices {
@@ -184,15 +174,11 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 		return nil, fmt.Errorf("core: arrival at %v, before the run starts", arrivals[0].Time)
 	}
 	ctl := s.plane.Controller
-	initial := make([]float64, len(initialDemand))
-	for q := range initial {
-		initial[q] = initialDemand[q] * s.cfg.Headroom
-	}
-	plan, err := ctl.Reallocate(0, initial, "initial")
+	initial, err := s.plane.InitialPlan(initialDemand)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial allocation: %w", err)
 	}
-	s.applyPlan(plan, ctl.LastPlanSeq(), true)
+	s.applyPlan(initial, true)
 
 	// Everything known before the clock starts is scheduled here, ahead of
 	// anything the run produces. The order of these loops is the firing order
@@ -200,9 +186,9 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 
 	// Periodic controller invocations for dynamic allocators.
 	if ctl.Dynamic() {
+		periodic := func() { s.trigger("periodic") }
 		for at := s.cfg.ControlPeriod; at < duration; at += s.cfg.ControlPeriod {
-			at := at
-			s.engine.Schedule(at, func() { s.reallocate("periodic") })
+			s.engine.Schedule(at, periodic)
 		}
 	}
 
@@ -289,8 +275,8 @@ func (s *System) onArrival(a trace.Arrival) {
 	s.route(now, s.plane.Arrive(now, a.Family))
 
 	// Burst detection on the data path's monitoring daemon (§3).
-	if ctl := s.plane.Controller; ctl.Dynamic() && s.plane.Stats.AnyBurst(now) && ctl.AllowBurst(now) {
-		s.reallocate("burst")
+	if s.plane.Stats.AnyBurst(now) {
+		s.trigger("burst")
 	}
 }
 
@@ -350,52 +336,41 @@ func (s *System) complete(w *worker) {
 	s.step(w)
 }
 
-func (s *System) reallocate(trigger string) {
-	now := s.engine.Now()
+// trigger schedules what the controller's re-plan policy makes of trigger
+// now: a re-plan, or its one pending retry as an event.
+func (s *System) trigger(trigger string) {
 	ctl := s.plane.Controller
-	demand := s.plane.Stats.Estimates(now)
-	for q := range demand {
-		if trigger == "burst" {
-			// A burst re-allocation reacts to the instantaneous rate; the
-			// periodic path sticks to the windowed estimate so Poisson
-			// noise does not churn the plan.
-			if inst := s.plane.Stats.Monitors[q].InstantRate(now); inst > demand[q] {
-				demand[q] = inst
-			}
-		}
-		demand[q] *= s.cfg.Headroom
+	switch act, at := ctl.Decide(s.engine.Now(), trigger); act {
+	case controlplane.ReplanNow:
+		s.replan(trigger, trigger == "failure")
+	case controlplane.ArmRetry:
+		s.engine.Schedule(at, func() { s.replan(ctl.Retry()) })
 	}
-	// §4: re-allocate in response to macro-scale demand changes. When the
-	// demand estimate is close to the current plan's target, keep the plan
-	// — re-solving would only churn model loads.
-	if trigger == "periodic" && !ctl.DemandChanged(demand, 0.1) {
-		return
-	}
-	plan, err := ctl.Reallocate(now, demand, trigger)
-	if err != nil {
+}
+
+// replan solves a re-plan and schedules its plan's apply; a failed solve is
+// a run error.
+func (s *System) replan(trigger string, failure bool) {
+	now := s.engine.Now()
+	r := s.plane.Replan(now, trigger, failure)
+	if err := s.plane.Solve(&r); err != nil {
 		if s.reallocErr == nil {
 			s.reallocErr = fmt.Errorf("core: re-allocation at %v: %w", now, err)
 		}
 		return
 	}
-	// The new plan's audit sequence number becomes current only when the
-	// plan itself does, so queries enqueued during the apply delay still
-	// blame the plan they actually ran under.
-	seq := ctl.LastPlanSeq()
-	// The plan takes effect after the control-path delay (§4: the solver is
-	// off the critical path, so serving continues meanwhile).
-	s.engine.After(s.cfg.PlanApplyDelay, func() {
-		s.applyPlan(plan, seq, false)
-		if trigger == "failure" {
-			// The surviving-device plan is live: failures are handled.
-			s.plane.Collector.FailureHandled(s.engine.Now())
-		}
-	})
+	if r.Plan.Allocation == nil {
+		return
+	}
+	// The plan and its audit sequence number (queries enqueued meanwhile
+	// blame the plan they ran under) take effect after the control-path
+	// delay (§4: the solver is off the critical path).
+	s.engine.After(s.cfg.PlanApplyDelay, func() { s.applyPlan(r, false) })
 
 	// Hardware scaling in tandem (§7): a plan that sheds demand means even
 	// the lowest-accuracy hosting cannot cover the load — start a server;
 	// accuracy scaling carries the burst until it arrives.
-	if e := s.cfg.Elastic; e != nil && plan.DemandScale < 0.999 &&
+	if e := s.cfg.Elastic; e != nil && r.Plan.DemandScale < 0.999 &&
 		s.extraProvisioned+s.extraPending < e.MaxExtra {
 		s.extraPending++
 		s.engine.After(e.ProvisionDelay, s.provisionDevice)
@@ -413,14 +388,14 @@ func (s *System) provisionDevice() {
 	ctl.SetCluster(grown)
 	dev := s.plane.AddDevice(grown.Device(grown.Size() - 1))
 	s.addWorker(dev)
-	s.reallocate("provision")
+	s.trigger("provision")
 }
 
-// applyPlan installs a new allocation: per-device hosted variants (with
-// load delays and queue re-routing) and the routing table.
-func (s *System) applyPlan(plan *allocator.Allocation, seq int, initial bool) {
+// applyPlan installs a solved plan: per-device hosted variants (with load
+// delays and queue re-routing) and the routing table.
+func (s *System) applyPlan(r dataplane.Replan, initial bool) {
 	now := s.engine.Now()
-	if err := s.plane.SetPlan(plan, seq); err != nil {
+	if err := s.plane.SetPlan(now, r); err != nil {
 		// Plans come from our own controller so the shapes always agree;
 		// surface any disagreement as a run error rather than panicking.
 		s.reallocErr = err

@@ -45,6 +45,7 @@ func harness(t *testing.T, policy batching.Policy, mut func(*Config)) (*Plane, *
 		Cooldown:        10 * time.Second,
 		DemandWindow:    30 * time.Second,
 		BurstFactor:     1.5,
+		Headroom:        1,
 		MetricsInterval: time.Second,
 		MaxRetries:      1,
 		Seed:            42,
@@ -336,11 +337,11 @@ func TestRequeueBudget(t *testing.T) {
 // no ready device is dropped as no_route.
 func TestRebuildMasksUnreadyDevices(t *testing.T) {
 	p, _ := harness(t, batching.NewAccScale(), nil)
-	plan, err := p.Controller.Reallocate(0, []float64{20, 20}, "initial")
+	plan, err := p.InitialPlan([]float64{20, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetPlan(plan, p.Controller.LastPlanSeq()); err != nil {
+	if err := p.SetPlan(0, plan); err != nil {
 		t.Fatal(err)
 	}
 	ready := make([]bool, len(p.Devices))

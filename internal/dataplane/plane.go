@@ -1,6 +1,7 @@
 // Package dataplane is the serving state machine of Proteus, written once
 // for both engines: per-device queues and batching steps (Device), and the
-// fleet-wide routing, admission, accounting and overload reactions (Plane).
+// fleet-wide routing, admission, accounting, overload reactions and
+// re-plans (Plane).
 // It owns no clock and schedules nothing: every transition takes the current
 // time and returns its effects — queries to re-route, a batch to run and
 // when it completes, a wake-up time — which internal/core turns into events
@@ -46,11 +47,13 @@ type Config struct {
 	Allocator     allocator.Allocator
 	Batching      batching.Factory
 	// ControlPeriod and Cooldown parameterize the controller; DemandWindow
-	// and BurstFactor the per-family demand monitors.
+	// and BurstFactor the per-family demand monitors; Headroom multiplies
+	// every demand a plan is solved for.
 	ControlPeriod time.Duration
 	Cooldown      time.Duration
 	DemandWindow  time.Duration
 	BurstFactor   float64
+	Headroom      float64
 
 	MetricsInterval  time.Duration
 	DisableAdmission bool
@@ -235,19 +238,83 @@ func (p *Plane) trace(now time.Duration, kind telemetry.EventKind, q *Query, dev
 	p.cfg.Tracer.RecordCtx(now, kind, q.ID, q.Family, device, batch, ctx)
 }
 
+// Replan carries one re-plan through its three steps, which the live server
+// runs under different locks: Plane.Replan reads the routing state under its
+// mutex, Plane.Solve runs the allocator outside it on the control goroutine,
+// and Plane.SetPlan installs the plan under the mutex again.
+type Replan struct {
+	Trigger string
+	// Failure marks a re-plan that answers a device failure: installing its
+	// plan closes the failures the collector holds pending.
+	Failure bool
+	// Plan is what Solve produced; its Allocation stays nil when a periodic
+	// tick keeps the plan in force.
+	Plan controlplane.Plan
+
+	at     time.Duration
+	demand []float64
+	down   []bool
+}
+
+// Replan starts the re-plan Controller.Decide or Controller.Retry asked
+// for: the demand estimate — for a burst, each family raised to its last
+// second's rate — times Config.Headroom, and the down mask.
+func (p *Plane) Replan(now time.Duration, trigger string, failure bool) Replan {
+	demand := p.Stats.Estimates(now)
+	for q := range demand {
+		if trigger == "burst" {
+			// A burst reacts to the instantaneous rate; the others keep to the
+			// windowed estimate, so Poisson noise does not churn the plan.
+			if inst := p.Stats.Monitors[q].InstantRate(now); inst > demand[q] {
+				demand[q] = inst
+			}
+		}
+		demand[q] *= p.cfg.Headroom
+	}
+	return Replan{Trigger: trigger, Failure: failure, at: now, demand: demand, down: p.Down()}
+}
+
+// InitialPlan solves the plan a run starts with, for demand (families past
+// its end at zero) times Config.Headroom.
+func (p *Plane) InitialPlan(demand []float64) (Replan, error) {
+	r := Replan{Trigger: "initial", demand: make([]float64, len(p.cfg.Families)), down: p.Down()}
+	copy(r.demand, demand)
+	for q := range r.demand {
+		r.demand[q] *= p.cfg.Headroom
+	}
+	return r, p.Solve(&r)
+}
+
+// Solve runs r's allocator call over the healthy devices. A periodic tick
+// keeps the plan in force when demand is within 10 % + 1 QPS of the last
+// plan's (§4: re-solving would only churn model loads).
+func (p *Plane) Solve(r *Replan) error {
+	ctl := p.Controller
+	if r.Trigger == "periodic" && !ctl.DemandChanged(r.demand, 0.1) {
+		return nil
+	}
+	ctl.SetCluster(ctl.Cluster().WithHealth(r.down))
+	var err error
+	r.Plan, err = ctl.Reallocate(r.at, r.demand, r.Trigger)
+	return err
+}
+
 // ---------------------------------------------------------------------------
 // Routing state (live: under the server's mutex)
 
-// SetPlan makes plan, with audit sequence number seq, the plan in force; the
-// driver then rehosts the devices and calls Rebuild. On error — plan and
-// monitors disagree about the family space — nothing changed.
-func (p *Plane) SetPlan(plan *allocator.Allocation, seq int) error {
-	if err := p.Stats.SetPlanned(plan.ServedQPS); err != nil {
+// SetPlan makes r's plan the plan in force at now; the driver then rehosts
+// the devices and calls Rebuild. On error — plan and monitors disagree about
+// the family space — nothing changed.
+func (p *Plane) SetPlan(now time.Duration, r Replan) error {
+	if err := p.Stats.SetPlanned(r.Plan.ServedQPS); err != nil {
 		return err
 	}
-	p.plan = plan
-	p.planSeq.Store(int32(seq))
-	p.tc.DemandScaleMilli.Set(int64(plan.DemandScale * 1000))
+	p.plan = r.Plan.Allocation
+	p.planSeq.Store(int32(r.Plan.Seq))
+	p.tc.DemandScaleMilli.Set(int64(r.Plan.DemandScale * 1000))
+	if r.Failure {
+		p.Collector.FailureHandled(now)
+	}
 	return nil
 }
 

@@ -271,7 +271,7 @@ type Summary struct {
 	Requeued int
 	Retried  int
 	// MeanTimeToRecover is the mean delay from a device failure to the
-	// failure-triggered re-allocation taking effect (0 when no failure was
+	// re-allocation that answers it taking effect (0 when no failure was
 	// handled).
 	MeanTimeToRecover time.Duration
 }

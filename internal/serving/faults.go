@@ -43,7 +43,7 @@ func (s *Server) faultLoop() {
 
 // failDevice kills device d: its worker stops executing, queued (and, once
 // its worker notices, in-flight) queries are re-dispatched to surviving
-// replicas, and the control loop is asked for a failure re-allocation.
+// replicas, and the control loop gets a failure trigger.
 func (s *Server) failDevice(d int) {
 	now := s.now()
 	s.mu.Lock()
@@ -63,7 +63,7 @@ func (s *Server) failDevice(d int) {
 
 // recoverDevice brings device d back with an empty memory: it reloads
 // whatever the current plan hosts on it (usually nothing) and the control
-// loop re-allocates to put it back to work.
+// loop gets a recovery trigger, whose re-plan puts it back to work.
 func (s *Server) recoverDevice(d int) {
 	now := s.now()
 	s.mu.Lock()

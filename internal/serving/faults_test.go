@@ -105,9 +105,9 @@ func TestLiveRecoveryRestoresDevice(t *testing.T) {
 }
 
 // TestFailuresInOneCooldownReplanOnce fails two devices inside the cooldown
-// of the initial plan. Both triggers ride one deferred retry, so the
-// cooldown's end brings exactly one failure-triggered plan before the first
-// periodic tick, as in the simulator (core.faultRealloc); a retry per
+// of the initial plan. Both triggers ride the policy's one pending retry,
+// so the control loop's retry timer brings exactly one failure-triggered
+// plan at the cooldown's end, before the first periodic tick; a retry per
 // trigger re-planned a second time one cooldown later.
 func TestFailuresInOneCooldownReplanOnce(t *testing.T) {
 	cfg := testConfig(t)

@@ -167,9 +167,9 @@ type Server struct {
 
 	workers []*liveWorker
 
-	// reallocc carries failure/recovery/burn re-allocation triggers into the
+	// reallocc carries failure/recovery/burn re-plan triggers into the
 	// control loop, the only goroutine that touches the controller's solver
-	// state after NewServer.
+	// and re-plan policy state after NewServer.
 	reallocc chan string
 
 	// draining refuses new queries while in-flight ones (counted by
@@ -211,6 +211,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Cooldown:        cfg.ControlPeriod / 3,
 		DemandWindow:    cfg.ControlPeriod,
 		BurstFactor:     1.5,
+		Headroom:        cfg.Headroom,
 		MetricsInterval: cfg.MetricsInterval,
 		MaxRetries:      cfg.MaxRetries,
 		PlanHistory:     cfg.PlanHistory,
@@ -231,17 +232,11 @@ func NewServer(cfg Config) (*Server, error) {
 		s.workers = append(s.workers, newLiveWorker(s, d, dev))
 	}
 
-	initial := make([]float64, len(cfg.Families))
-	for q := range initial {
-		if q < len(cfg.InitialDemand) {
-			initial[q] = cfg.InitialDemand[q] * cfg.Headroom
-		}
-	}
-	plan, err := s.plane.Controller.Reallocate(0, initial, "initial")
+	initial, err := s.plane.InitialPlan(cfg.InitialDemand)
 	if err != nil {
 		return nil, fmt.Errorf("serving: initial allocation: %w", err)
 	}
-	if err := s.applyPlan(plan, true); err != nil {
+	if err := s.applyPlan(initial, true); err != nil {
 		return nil, fmt.Errorf("serving: initial allocation: %w", err)
 	}
 
@@ -310,51 +305,36 @@ func (s *Server) Inflight() int64 { return s.inflight.Load() }
 // since server start, matching the simulator's time base).
 func (s *Server) now() time.Duration { return time.Since(s.start) }
 
-// controlLoop owns every re-plan after NewServer. A failure or recovery
-// inside the cooldown arms the one pending retry, which fires at the
-// cooldown boundary and re-plans under the newest such trigger without
-// consulting the cooldown again; an slo_burn inside it is dropped. These
-// are the simulator's rules (core.faultRealloc and its AllowBurst gate).
+// controlLoop owns every re-plan after NewServer and schedules what the
+// controller's re-plan policy (controlplane.Controller.Decide, the
+// simulator's too) makes of each trigger: the control period's ticker, the
+// trigger channel, and a timer for the policy's one pending retry.
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.ControlPeriod)
 	defer ticker.Stop()
-	var retry *time.Timer // the pending deferred re-plan, or nil
-	var retryTrigger string
-	defer func() {
-		if retry != nil {
-			retry.Stop()
-		}
-	}()
+	// The pending retry's timer, or nil. One pending at Close needs no Stop:
+	// it fires, unread, within a cooldown.
+	var retry <-chan time.Time
 	ctl := s.plane.Controller
 	for {
-		var retryC <-chan time.Time
-		if retry != nil {
-			retryC = retry.C
-		}
+		trigger := "periodic"
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.reallocate("periodic")
-		case <-retryC:
+		case <-retry:
 			retry = nil
-			s.reallocate(retryTrigger)
-		case trig := <-s.reallocc:
-			rem := ctl.CooldownRemaining(s.now())
-			switch {
-			case !ctl.Dynamic(): // static allocators never re-plan
-			case trig == "slo_burn":
-				if rem == 0 {
-					s.reallocate(trig)
-				}
-			case retry != nil:
-				retryTrigger = trig
-			case rem > 0:
-				retry, retryTrigger = time.NewTimer(rem), trig
-			default:
-				s.reallocate(trig)
-			}
+			s.replan(ctl.Retry())
+			continue
+		case trigger = <-s.reallocc:
+		}
+		now := s.now()
+		switch act, at := ctl.Decide(now, trigger); act {
+		case controlplane.ReplanNow:
+			s.replan(trigger, trigger == "failure")
+		case controlplane.ArmRetry:
+			retry = time.After(at - now)
 		}
 	}
 }
@@ -398,45 +378,22 @@ func (s *Server) requestRealloc(trigger string) {
 	}
 }
 
-// reallocate runs one controller invocation on the control loop goroutine
-// and installs its plan. Periodic ticks are suppressed when demand has not
-// moved.
-func (s *Server) reallocate(trigger string) {
-	ctl := s.plane.Controller
-	if !ctl.Dynamic() {
-		return
-	}
-	now := s.now()
+// replan runs one re-plan on the control loop goroutine — the solve outside
+// s.mu — and installs its plan.
+func (s *Server) replan(trigger string, failure bool) {
 	s.mu.Lock()
-	demand := s.plane.Stats.Estimates(now)
-	down := s.plane.Down()
+	r := s.plane.Replan(s.now(), trigger, failure)
 	s.mu.Unlock()
-	// Headroom first: DemandChanged compares against the last plan's demand,
-	// which was headroomed too (core.reallocate does the same).
-	for q := range demand {
-		demand[q] *= s.cfg.Headroom
-	}
-	if trigger == "periodic" && !ctl.DemandChanged(demand, 0.1) {
-		return
-	}
-	ctl.SetCluster(s.cfg.Cluster.WithHealth(down))
-	plan, err := ctl.Reallocate(now, demand, trigger)
-	if err != nil || s.applyPlan(plan, false) != nil {
+	if err := s.plane.Solve(&r); err != nil || r.Plan.Allocation == nil || s.applyPlan(r, false) != nil {
 		return // keep serving on the old plan
-	}
-	if trigger == "failure" {
-		s.mu.Lock()
-		s.plane.Collector.FailureHandled(s.now())
-		s.mu.Unlock()
 	}
 }
 
-// applyPlan installs the controller's newest plan on the live workers.
-func (s *Server) applyPlan(plan *allocator.Allocation, initial bool) error {
+// applyPlan installs a solved plan on the live workers.
+func (s *Server) applyPlan(r dataplane.Replan, initial bool) error {
 	now := s.now()
-	seq := s.plane.Controller.LastPlanSeq()
 	s.mu.Lock()
-	err := s.plane.SetPlan(plan, seq)
+	err := s.plane.SetPlan(now, r)
 	down := s.plane.Down()
 	s.mu.Unlock()
 	if err != nil {
@@ -453,7 +410,7 @@ func (s *Server) applyPlan(plan *allocator.Allocation, initial bool) error {
 			// then-current plan.
 			continue
 		}
-		rerouted = append(rerouted, w.rehost(plan.Hosted[d], readyAt)...)
+		rerouted = append(rerouted, w.rehost(r.Plan.Hosted[d], readyAt)...)
 	}
 	s.rebuildTable()
 	for _, q := range rerouted {
