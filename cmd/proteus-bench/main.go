@@ -26,7 +26,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "random seed (0 = default)")
 		outDir     = flag.String("out", "", "directory for CSV time series (omit to skip)")
 		traceDir   = flag.String("trace-dir", "", "directory for per-system lifecycle traces (Chrome trace_event .json + .jsonl; omit to skip)")
-		budget     = flag.Int("solver", 800, "MILP solve budget per re-allocation, in branch-and-bound nodes")
+		budget     = flag.Int("solver", 800, "branch-and-bound budget per re-allocation, in nodes (fairness extension, per-device formulation and clusters past the DP's work limit; ilp is otherwise solved exactly)")
 	)
 	flag.Parse()
 

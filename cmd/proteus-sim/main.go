@@ -45,8 +45,11 @@
 //
 // and "max_retries" sets the per-query re-route budget after a device
 // failure (default 1; an explicit 0 drops stranded queries immediately).
-// "solver_budget_nodes" bounds each MILP solve in branch-and-bound nodes
-// (default 800). Unknown keys are rejected.
+// "solver_budget_nodes" bounds each branch-and-bound solve in nodes
+// (default 800); only the fairness extension, the per-device formulation and
+// clusters past the DP's work limit search a tree, "ilp" and the baselines
+// built on it are otherwise solved exactly by a DP. Unknown keys are
+// rejected.
 package main
 
 import (
@@ -69,10 +72,10 @@ type config struct {
 	ClusterSize     int     `json:"cluster_size"`
 	SLOMultiplier   float64 `json:"slo_multiplier"`
 	Seed            uint64  `json:"seed"`
-	// SolverBudgetNodes bounds each allocation MILP solve in branch-and-bound
-	// nodes (default 800): work, not wall time, so the plans — and the
-	// solver's bound, node count and gap in the run dump — are the same on
-	// every host.
+	// SolverBudgetNodes bounds each branch-and-bound solve (the fairness
+	// extension, the per-device formulation) in nodes (default 800): work,
+	// not wall time, so the plans — and the solver's bound, node count and
+	// gap in the run dump — are the same on every host.
 	SolverBudgetNodes int         `json:"solver_budget_nodes"`
 	Trace             traceConfig `json:"trace"`
 	// Devices overrides cluster_size with an explicit fleet, e.g.

@@ -1,0 +1,367 @@
+package allocator
+
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
+// Exact solution of the aggregated model (DESIGN.md "Exact allocation by
+// dynamic programming"). Given the device count n_i of every (group,
+// variant) pair, the paper's objective splits by family: each family fills
+// its demand accuracy-first and pays its own switch costs
+// (searchSpace.objective). Only the group rows Σ_i n_i ≤ |g| couple the
+// families. So the optimum is a max-plus combination, over group-usage
+// vectors u ≤ (|g|), of one table per family:
+//
+//   - familyTable computes W_q(u), the best value family q reaches with
+//     exactly u_g devices of every group g, by a layered frontier over the
+//     family's pairs in fill order;
+//   - exact combines the tables family by family over the Π(|g|+1) usage
+//     vectors and walks the choices back to per-pair counts.
+//
+// Tie rule, everywhere: of two plans whose objectives agree to tieTol, the
+// one that provisions more capacity (Σ peak·n over all pairs) wins; of two
+// that also agree on capacity, the one the DP meets first. Ties are the
+// common case — every feasible plan of a static baseline scores the same —
+// so the rule decides most plans' spare devices.
+
+// tieTol is the tolerance under which two objectives (or capacities) tie,
+// relative to the largest the step can reach: 100 % accuracy on all demand
+// (every device at its largest peak).
+const tieTol = 1e-9
+
+// value is a plan's (or a partial plan's) objective and provisioned
+// capacity, compared under the tie rule.
+type value struct{ obj, cap float64 }
+
+func (a value) plus(b value) value { return value{a.obj + b.obj, a.cap + b.cap} }
+
+// tieRule holds one step's absolute tie tolerances.
+type tieRule value
+
+func (s *searchSpace) tieRule() tieRule {
+	var t tieRule
+	for _, d := range s.demand {
+		t.obj += 100 * d
+	}
+	for _, pr := range s.pairs {
+		t.cap += pr.peak * float64(s.groupSize[pr.g])
+	}
+	return tieRule{tieTol * math.Max(1, t.obj), tieTol * math.Max(1, t.cap)}
+}
+
+// beats reports whether a is strictly better than b under the tie rule.
+func (t tieRule) beats(a, b value) bool {
+	if d := a.obj - b.obj; d > t.obj {
+		return true
+	} else if d < -t.obj {
+		return false
+	}
+	return a.cap > b.cap+t.cap
+}
+
+// usageSpace indexes the group-usage vectors u ≤ (|g|) in mixed radix:
+// index(u) = Σ_g u_g·stride_g, so adding two vectors that fit adds their
+// indices.
+type usageSpace struct {
+	size   []int // |g|
+	stride []int
+	n      int   // number of vectors, Π(|g|+1)
+	usage  []int // usage[s*len(size)+g] is u_g of vector s
+}
+
+func newUsageSpace(size []int) *usageSpace {
+	us := &usageSpace{size: size, stride: make([]int, len(size)), n: 1}
+	for g, sz := range size {
+		us.stride[g] = us.n
+		us.n *= sz + 1
+	}
+	us.usage = make([]int, us.n*len(size))
+	for s := 0; s < us.n; s++ {
+		for g := range size {
+			us.usage[s*len(size)+g] = s / us.stride[g] % (size[g] + 1)
+		}
+	}
+	return us
+}
+
+func (us *usageSpace) of(s, g int) int { return us.usage[s*len(us.size)+g] }
+
+// frontierEntry is one partial assignment of a family's pairs: the devices
+// given to the pairs so far (state is their usage vector), the demand left
+// unfilled and the value collected. parent and n rebuild the counts.
+type frontierEntry struct {
+	rem           float64
+	val           value
+	state, parent int32
+	n             int32 // devices given to this layer's pair
+}
+
+// familyTable is W_q: best[u] is the arena index of the best complete
+// assignment using exactly usage vector u, or -1 when none serves the demand.
+type familyTable struct {
+	pairs []int // the family's pair indices in fill order
+	arena []frontierEntry
+	best  []int32
+	val   []value // val[u] is the value of best[u]
+}
+
+// familyTable computes W_q for the family whose pairs, in fill order, are
+// pairs. Layer j assigns 0…free devices to pairs[j], where free is what the
+// entry's usage leaves of the pair's group, and keeps per usage vector only
+// the entries no other entry dominates. With a' the accuracy of the next
+// pair — the most any later pair earns per QPS of the demand left — entry A
+// dominates B of the same usage when rem_A ≤ rem_B and
+// val_A + a'·rem_A beats val_B + a'·rem_B under the tie rule: every
+// completion of B is a completion of A (the same later counts, the same
+// devices free), serves B's extra demand at no more than a' per QPS, and
+// adds the same capacity to both.
+func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, demand float64) *familyTable {
+	ft := &familyTable{pairs: pairs}
+	root := frontierEntry{rem: demand, parent: -1}
+	if root.rem <= 1e-9 {
+		root.rem = 0
+	}
+	ft.arena = append(ft.arena, root)
+	lo, hi := 0, 1
+	var children []frontierEntry
+	var buf frontierBuf
+	for j, i := range pairs {
+		pr := s.pairs[i]
+		acc := s.refs[pr.r].Variant.Accuracy
+		next, last := 0.0, j == len(pairs)-1
+		if !last {
+			next = s.refs[s.pairs[pairs[j+1]].r].Variant.Accuracy
+		}
+		var sc float64
+		prev := 0
+		if s.prev != nil && s.switchCost != nil {
+			sc, prev = s.switchCost[i], s.prev[i]
+		}
+		children = children[:0]
+		for e := lo; e < hi; e++ {
+			ent := ft.arena[e]
+			free := us.size[pr.g] - us.of(int(ent.state), pr.g)
+			for n := 0; n <= free; n++ {
+				take := math.Min(ent.rem, pr.peak*float64(n))
+				c := frontierEntry{
+					rem:    ent.rem - take,
+					val:    value{ent.val.obj + acc*take, ent.val.cap + pr.peak*float64(n)},
+					state:  ent.state + int32(n*us.stride[pr.g]),
+					parent: int32(e),
+					n:      int32(n),
+				}
+				if c.rem <= 1e-9 {
+					c.rem = 0
+				}
+				if n > prev {
+					c.val.obj -= float64(n-prev) * sc
+				}
+				if last && c.rem > 0 {
+					continue // the family's demand is left unserved
+				}
+				children = append(children, c)
+			}
+		}
+		lo = len(ft.arena)
+		ft.arena = buf.appendFrontier(ft.arena, children, us.n, tie, next)
+		hi = len(ft.arena)
+	}
+	ft.best = make([]int32, us.n)
+	ft.val = make([]value, us.n)
+	for u := range ft.best {
+		ft.best[u] = -1
+	}
+	for e := lo; e < hi; e++ {
+		ent := ft.arena[e]
+		if ent.rem > 0 {
+			continue // only reachable with no pairs at all
+		}
+		if b := ft.best[ent.state]; b < 0 || tie.beats(ent.val, ft.val[ent.state]) {
+			ft.best[ent.state], ft.val[ent.state] = int32(e), ent.val
+		}
+	}
+	return ft
+}
+
+// appendFrontier appends to arena the children that no other child of the
+// same usage vector dominates, with next the accuracy of the following pair.
+// A counting sort groups the children by usage vector; each group is sorted
+// by rem ascending, score descending, capacity descending and generation
+// order (parent, n), so the result depends only on the children. One
+// comparison sort of all children in that order, usage vector first, gives
+// the same frontier; it halved alloc_replay's solves per second (three
+// alternating pairs on 2 vCPUs: 276–305 with the groups, 145–169 without).
+func (fb *frontierBuf) appendFrontier(arena, children []frontierEntry, states int, tie tieRule, next float64) []frontierEntry {
+	score := func(e *frontierEntry) value { return value{e.val.obj + next*e.rem, e.val.cap} }
+	fb.offset = append(fb.offset[:0], make([]int, states+1)...)
+	for k := range children {
+		fb.offset[children[k].state+1]++
+	}
+	for st := 0; st < states; st++ {
+		fb.offset[st+1] += fb.offset[st]
+	}
+	fb.sorted = append(fb.sorted[:0], children...)
+	fill := append(fb.fill[:0], fb.offset[:states]...)
+	for k := range children {
+		st := children[k].state
+		fb.sorted[fill[st]] = children[k]
+		fill[st]++
+	}
+	fb.fill = fill
+	for st := 0; st < states; st++ {
+		bucket := fb.sorted[fb.offset[st]:fb.offset[st+1]]
+		if len(bucket) == 0 {
+			continue
+		}
+		slices.SortFunc(bucket, func(a, b frontierEntry) int {
+			if a.rem != b.rem {
+				return cmp.Compare(a.rem, b.rem)
+			}
+			sa, sb := score(&a), score(&b)
+			if sa.obj != sb.obj {
+				return cmp.Compare(sb.obj, sa.obj)
+			}
+			if sa.cap != sb.cap {
+				return cmp.Compare(sb.cap, sa.cap)
+			}
+			if a.parent != b.parent {
+				return cmp.Compare(a.parent, b.parent)
+			}
+			return cmp.Compare(a.n, b.n)
+		})
+		start := len(arena)
+		for k := range bucket {
+			c := &bucket[k]
+			sc := score(c)
+			dominated := false
+			for a := len(arena) - 1; a >= start; a-- {
+				// Every kept entry has rem ≤ c.rem; it dominates c unless c's
+				// score beats it.
+				if !tie.beats(sc, score(&arena[a])) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				arena = append(arena, *c)
+			}
+		}
+	}
+	return arena
+}
+
+// frontierBuf holds appendFrontier's scratch slices across layers.
+type frontierBuf struct {
+	offset, fill []int
+	sorted       []frontierEntry
+}
+
+// exactWorkLimit bounds the DP's combination work (exactFits): past it the
+// aggregated model is searched by branch-and-bound, under the solver's
+// budgets (TimeLimit among them). On a 2-vCPU host the nine-family zoo
+// needs 0.26 M on the 20-device testbed (groups 10/5/5, 5–9 ms), 9.1 M at
+// 40 devices (0.09–0.12 s), 24 M at 50 (0.21–0.29 s, where the tree takes
+// 0.9–2.4 s) and 83 M at 60 (0.63–0.71 s, the tree 0.49–0.66 s).
+const exactWorkLimit = 40_000_000
+
+// exactFits reports whether the DP's work, families × Π_g (|g|+1)(|g|+2)/2
+// — every usage vector paired with every family usage that fits beside
+// it — stays within exactWorkLimit. It depends on the input's shape only,
+// so the choice of solver is as deterministic as the plan.
+func (s *searchSpace) exactFits() bool {
+	work := len(s.demand)
+	for _, sz := range s.groupSize {
+		work *= (sz + 1) * (sz + 2) / 2
+		if work > exactWorkLimit {
+			return false
+		}
+	}
+	return true
+}
+
+// exact returns the per-pair device counts of an optimal plan for the
+// space's demand under the tie rule, or false when no plan serves it: the
+// proof of infeasibility the β back-off waits for.
+func (s *searchSpace) exact() ([]int, bool) {
+	us := newUsageSpace(s.groupSize)
+	famPairs := make([][]int, len(s.demand))
+	for _, i := range s.order {
+		q := s.refs[s.pairs[i].r].Family
+		famPairs[q] = append(famPairs[q], i)
+	}
+	tie := s.tieRule()
+	cur := make([]value, us.n)
+	curOK := make([]bool, us.n)
+	curOK[0] = true
+	nxt := make([]value, us.n)
+	nxtOK := make([]bool, us.n)
+	tables := make([]*familyTable, len(famPairs))
+	choice := make([][]int32, len(famPairs))
+	free := make([]int, len(us.size))
+	digit := make([]int, len(us.size))
+	for q, pairs := range famPairs {
+		ft := s.familyTable(us, tie, pairs, s.demand[q])
+		tables[q] = ft
+		choice[q] = make([]int32, us.n)
+		clear(nxtOK)
+		reached := false
+		for st := 0; st < us.n; st++ {
+			if !curOK[st] {
+				continue
+			}
+			// Every usage vector t with st + t ≤ (|g|): an odometer over the
+			// outer groups, and the first group's run of vectors t0…t0+free_0,
+			// which are consecutive indices, as the inner loop.
+			for g := range free {
+				free[g], digit[g] = us.size[g]-us.of(st, g), 0
+			}
+			for t0 := 0; ; {
+				for t := t0; t <= t0+free[0]; t++ {
+					if ft.best[t] < 0 {
+						continue
+					}
+					cand := cur[st].plus(ft.val[t])
+					if to := st + t; !nxtOK[to] || tie.beats(cand, nxt[to]) {
+						nxt[to], nxtOK[to], choice[q][to] = cand, true, int32(t)
+						reached = true
+					}
+				}
+				g := 1
+				for ; g < len(digit) && digit[g] == free[g]; g++ {
+					t0 -= digit[g] * us.stride[g]
+					digit[g] = 0
+				}
+				if g >= len(digit) {
+					break
+				}
+				digit[g]++
+				t0 += us.stride[g]
+			}
+		}
+		if !reached {
+			return nil, false
+		}
+		cur, nxt = nxt, cur
+		curOK, nxtOK = nxtOK, curOK
+	}
+	best := -1
+	for st := 0; st < us.n; st++ {
+		if curOK[st] && (best < 0 || tie.beats(cur[st], cur[best])) {
+			best = st
+		}
+	}
+	counts := make([]int, len(s.pairs))
+	for q := len(tables) - 1; q >= 0; q-- {
+		t := int(choice[q][best])
+		ft := tables[q]
+		e := ft.best[t]
+		for j := len(ft.pairs) - 1; j >= 0; j-- {
+			counts[ft.pairs[j]] = int(ft.arena[e].n)
+			e = ft.arena[e].parent
+		}
+		best -= t
+	}
+	return counts, true
+}

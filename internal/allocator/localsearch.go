@@ -5,10 +5,11 @@ import (
 	"sort"
 )
 
-// searchSpace is the aggregated neighbourhood the local search explores:
-// device counts per (group, variant) pair with accuracy-first demand
-// filling. It is used to produce high-quality warm starts for the MILP and
-// to polish incumbents the branch-and-bound returns under a time limit.
+// searchSpace is the aggregated model over device counts per (group,
+// variant) pair with accuracy-first demand filling. The DP (exact.go)
+// solves it; the local search explores it for the churn-control plan, the
+// back-off's short families and the tree's warm starts (the fairness path,
+// and shapes past the DP's work limit).
 type searchSpace struct {
 	pairs  []aggPair
 	refs   []VariantRef
@@ -149,28 +150,41 @@ func (s *searchSpace) improve(counts []int, maxRounds int) []int {
 	return counts
 }
 
+// fill returns the QPS each pair serves under the accuracy-first fill of
+// counts, and whether the counts serve all demand.
+func (s *searchSpace) fill(counts []int) ([]float64, bool) {
+	served := make([]float64, len(s.pairs))
+	remaining := append([]float64(nil), s.demand...)
+	for _, i := range s.order {
+		pr := s.pairs[i]
+		q := s.refs[pr.r].Family
+		served[i] = math.Min(remaining[q], pr.peak*float64(counts[i]))
+		remaining[q] -= served[i]
+	}
+	for _, r := range remaining {
+		if r > 1e-9 {
+			return served, false
+		}
+	}
+	return served, true
+}
+
 // vector expands counts into a full MILP variable assignment (n, w and
 // load-count entries) matching the accuracy-first fill. It returns nil when
 // the counts cannot serve the demand.
 func (s *searchSpace) vector(counts []int, nVars int) []float64 {
+	served, feasible := s.fill(counts)
+	if !feasible {
+		return nil
+	}
 	x := make([]float64, nVars)
-	remaining := append([]float64(nil), s.demand...)
-	for _, i := range s.order {
-		pr := s.pairs[i]
+	for i, pr := range s.pairs {
 		x[pr.n] = float64(counts[i])
+		x[pr.w] = served[i]
 		if pr.l >= 0 && s.prev != nil {
 			if loads := counts[i] - s.prev[i]; loads > 0 {
 				x[pr.l] = float64(loads)
 			}
-		}
-		q := s.refs[pr.r].Family
-		take := math.Min(remaining[q], pr.peak*float64(counts[i]))
-		x[pr.w] = take
-		remaining[q] -= take
-	}
-	for _, r := range remaining {
-		if r > 1e-9 {
-			return nil
 		}
 	}
 	return x

@@ -19,6 +19,11 @@ type MILPOptions struct {
 	// aggregates identical devices into integer counts, which is exact for
 	// homogeneous device groups and much faster (see DESIGN.md).
 	PerDevice bool
+	// TimeLimit, MaxNodes, RelGap and StallNodes bound the branch-and-bound
+	// search of the fairness extension, of PerDevice and of aggregated
+	// clusters past the DP's work limit (exactWorkLimit); the DP, which
+	// solves the aggregated model otherwise, does not read them.
+	//
 	// TimeLimit bounds each MILP solve on the wall clock (default: none).
 	// A solve it cuts short is marked SolverStats.TimeLimited and is not
 	// reproducible; callers that must not depend on the host budget the
@@ -97,8 +102,9 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 
 // MILP is the Proteus resource manager: it maximizes effective accuracy
 // subject to serving the full target demand, jointly choosing model
-// selection, placement and query assignment (§4, Eq. 7). On infeasibility
-// it divides demand by β = 1.05 and re-solves.
+// selection, placement and query assignment (§4, Eq. 7). When the demand is
+// proven infeasible it divides the short families' demand by β = 1.05 and
+// re-solves.
 type MILP struct {
 	opts MILPOptions
 	// prev biases device expansion toward the previous hosting to minimize
@@ -128,14 +134,11 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 		return nil, err
 	}
 	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
-	demand := make([]float64, len(in.Demand))
-	for q, s := range in.Demand {
-		demand[q] = math.Max(s, demandFloor)
-	}
-	// β back-off (§4): when the MILP is infeasible, shrink demand by β and
-	// re-solve. The back-off is per-family: only the families the
-	// feasibility probe reports as short get scaled, so one expensive
-	// bottleneck application does not force shedding on every other one.
+	demand := flooredDemand(in)
+	// β back-off (§4): when no plan serves the demand, shrink it by β and
+	// re-solve. The back-off is per-family: only the families the local
+	// search reports as short get scaled, so one expensive bottleneck
+	// application does not force shedding on every other one.
 	scale := make([]float64, len(demand))
 	for q := range scale {
 		scale[q] = 1
@@ -159,7 +162,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 		if m.opts.PerDevice {
 			alloc, short, err = m.solvePerDevice(in, scaled)
 		} else {
-			alloc, short, err = m.solveAggregated(in, scaled)
+			alloc, short, err = m.solveAggregated(in, scaled, start)
 		}
 		if err != nil {
 			return nil, err
@@ -184,7 +187,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 			if total > 0 {
 				alloc.DemandScale = served / total
 			}
-			alloc.SolveTime = time.Since(start) //lint:allow determinism reporting-only wall-clock measurement
+			alloc.SolveTime = stopwatch(start)
 			m.prev = alloc
 			return alloc, nil
 		}
@@ -206,41 +209,157 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 	return nil, fmt.Errorf("allocator: MILP infeasible even after %d demand back-offs", m.opts.MaxBackoffs)
 }
 
-// solveAggregated solves the exact type-aggregated formulation: integer
-// counts n_{g,m} of devices in group g hosting variant m, and served rates
-// w_{g,m} for the variant's family.
-func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool, error) {
-	groups := in.Cluster.GroupByType()
-	refs := in.Variants()
+// flooredDemand is the step's demand with every family raised to
+// demandFloor.
+func flooredDemand(in *Input) []float64 {
+	demand := make([]float64, len(in.Demand))
+	for q, s := range in.Demand {
+		demand[q] = math.Max(s, demandFloor)
+	}
+	return demand
+}
 
-	p := milp.NewProblem()
-	var pairs []aggPair
-	for gi, g := range groups {
-		spec := g.Spec
-		for ri, ref := range refs {
+// stopwatch returns the wall time since t0, for Allocation.SolveTime and
+// SolverStats.SolverTime; nothing it returns feeds a plan.
+func stopwatch(t0 time.Time) time.Duration {
+	return time.Since(t0) //lint:allow determinism reporting-only wall-clock measurement
+}
+
+// solveAggregated solves the type-aggregated formulation: integer counts
+// n_{g,m} of devices in group g hosting variant m, and served rates w_{g,m}
+// for the variant's family. The paper's objective is solved exactly by the
+// DP over group-usage vectors (exact.go). Branch-and-bound on the MILP
+// (solveByTree) takes the fairness extension, whose t row couples the
+// families, and shapes past the DP's work limit, where the solver's budgets
+// bound the solve.
+func (m *MILP) solveAggregated(in *Input, demand []float64, start time.Time) (*Allocation, []bool, error) {
+	a, short := m.aggregate(in, demand)
+	if a == nil {
+		return nil, short, nil
+	}
+	space := a.space
+	if m.opts.FairnessWeight > 0 || !space.exactFits() {
+		return m.solveByTree(in, a)
+	}
+	t0 := stopwatch(start)
+	best, feasible := space.exact()
+	dpTime := stopwatch(start) - t0
+	if !feasible {
+		// Proven infeasible: back off. The local search's shortfall marks the
+		// bottleneck families, so only they are scaled.
+		return nil, space.shortfall(space.improve(make([]int, len(a.pairs)), 50)), nil
+	}
+	obj, _ := space.objective(best)
+	counts := best
+	// Churn control: if evolving the *previous* plan under the new demand
+	// gets within 0.2% of the optimum, prefer it — equal-accuracy optima
+	// abound in this model, and gratuitous re-placement costs a model load
+	// (device downtime) per switched device.
+	if space.prev != nil {
+		kept := space.improve(append([]int(nil), space.prev...), 50)
+		if o, ok := space.objective(kept); ok && o >= obj*0.998 {
+			counts = kept
+		}
+	}
+	served, _ := space.fill(counts)
+	alloc := m.expand(in, a, counts, served)
+	// The DP's certificate: the optimum is proven, so the bound is the
+	// objective and no tree was searched.
+	alloc.Optimal = true
+	alloc.Stats = SolverStats{Objective: obj, Bound: obj, SolverTime: dpTime}
+	return alloc, nil, nil
+}
+
+// aggModel is one step's type-aggregated model: the (group, variant) pairs
+// that can serve under the step's SLOs and filter, and the search space over
+// their device counts. problem builds the MILP over the same pairs.
+type aggModel struct {
+	groups []cluster.TypeGroup
+	refs   []VariantRef
+	pairs  []aggPair // shared with space: problem sets the variable ids
+	space  *searchSpace
+	demand []float64
+	// devices is the cluster size, the load-count variables' bound.
+	devices int
+}
+
+// aggregate builds the step's model. It returns nil and the families to
+// back off when the demand cannot be served at any count: nil when no pair
+// can serve anything, one family when a family with demand has no pair.
+func (m *MILP) aggregate(in *Input, demand []float64) (*aggModel, []bool) {
+	a := &aggModel{
+		groups:  in.Cluster.GroupByType(),
+		refs:    in.Variants(),
+		demand:  demand,
+		devices: in.Cluster.Size(),
+	}
+	for gi, g := range a.groups {
+		for ri, ref := range a.refs {
 			if m.excluded(ref, in) {
 				continue
 			}
-			peak := peakFor(spec, ref, in)
-			if peak <= 0 {
-				continue
+			if peak := peakFor(g.Spec, ref, in); peak > 0 {
+				a.pairs = append(a.pairs, aggPair{g: gi, r: ri, n: -1, w: -1, l: -1, peak: peak})
 			}
-			limit := float64(len(g.Devices))
-			n := p.AddInteger(fmt.Sprintf("n[%d,%s]", gi, ref.Variant.ID()), 0, limit)
-			w := p.AddVariable(fmt.Sprintf("w[%d,%s]", gi, ref.Variant.ID()), 0, peak*limit)
-			p.SetObjective(w, ref.Variant.Accuracy)
-			// w <= peak * n
-			p.AddConstraint([]lp.Term{{Var: w, Coef: 1}, {Var: n, Coef: -peak}}, lp.LE, 0)
-			pairs = append(pairs, aggPair{g: gi, r: ri, n: n, w: w, l: -1, peak: peak})
 		}
 	}
-	if len(pairs) == 0 {
-		return nil, nil, nil
+	if len(a.pairs) == 0 {
+		return nil, nil
+	}
+	for q := range in.Families {
+		if demand[q] <= 0 {
+			continue
+		}
+		served := false
+		for _, pr := range a.pairs {
+			served = served || a.refs[pr.r].Family == q
+		}
+		if !served {
+			short := make([]bool, len(in.Families))
+			short[q] = true
+			return nil, short // family unservable at any scale
+		}
+	}
+	ginfos := make([]groupInfo, len(a.groups))
+	for gi := range a.groups {
+		ginfos[gi] = groupInfo{size: len(a.groups[gi].Devices)}
+	}
+	a.space = newSearchSpace(ginfos, a.pairs, a.refs, demand)
+	// Switch costs: hosting more devices of a variant than the previous plan
+	// requires model loads, each costing roughly SwitchCost of the device's
+	// capacity during the control period; the objective pays for them, so the
+	// optimizer trades accuracy gains against re-placement downtime
+	// explicitly.
+	if prev := m.prevCounts(in, a.groups, a.refs, a.pairs); prev != nil {
+		a.space.prev = prev
+		if m.opts.SwitchCost > 0 {
+			a.space.switchCost = make([]float64, len(a.pairs))
+			for i, pr := range a.pairs {
+				a.space.switchCost[i] = m.opts.SwitchCost * pr.peak * 100
+			}
+		}
+	}
+	return a, nil
+}
+
+// problem builds the model's MILP, with the §7 fairness term when fairness
+// (its objective weight) is positive, and records each pair's variable ids.
+func (a *aggModel) problem(fairness float64) *milp.Problem {
+	p := milp.NewProblem()
+	for i := range a.pairs {
+		pr := &a.pairs[i]
+		ref := a.refs[pr.r]
+		limit := float64(len(a.groups[pr.g].Devices))
+		pr.n = p.AddInteger(fmt.Sprintf("n[%d,%s]", pr.g, ref.Variant.ID()), 0, limit)
+		pr.w = p.AddVariable(fmt.Sprintf("w[%d,%s]", pr.g, ref.Variant.ID()), 0, pr.peak*limit)
+		p.SetObjective(pr.w, ref.Variant.Accuracy)
+		// w <= peak * n
+		p.AddConstraint([]lp.Term{{Var: pr.w, Coef: 1}, {Var: pr.n, Coef: -pr.peak}}, lp.LE, 0)
 	}
 	// Σ_m n_{g,m} <= |g| per group.
-	for gi, g := range groups {
+	for gi, g := range a.groups {
 		var terms []lp.Term
-		for _, pr := range pairs {
+		for _, pr := range a.pairs {
 			if pr.g == gi {
 				terms = append(terms, lp.Term{Var: pr.n, Coef: 1})
 			}
@@ -250,77 +369,60 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 		}
 	}
 	// Σ w = s_q per family.
-	for q := range in.Families {
+	for q := range a.demand {
 		var terms []lp.Term
-		for _, pr := range pairs {
-			if refs[pr.r].Family == q {
+		for _, pr := range a.pairs {
+			if a.refs[pr.r].Family == q {
 				terms = append(terms, lp.Term{Var: pr.w, Coef: 1})
 			}
 		}
-		if len(terms) == 0 {
-			if demand[q] > 0 {
-				short := make([]bool, len(in.Families))
-				short[q] = true
-				return nil, short, nil // family unservable at any scale
-			}
-			continue
+		if len(terms) > 0 {
+			p.AddConstraint(terms, lp.EQ, a.demand[q])
 		}
-		p.AddConstraint(terms, lp.EQ, demand[q])
 	}
 
 	// Fairness extension (§7): t lower-bounds each family's mean served
 	// accuracy; its objective weight trades total accuracy for max-min
 	// fairness. Families with zero demand are unconstrained.
-	tVar := -1
-	if m.opts.FairnessWeight > 0 {
-		tVar = p.AddVariable("t-fair", 0, 100)
+	if fairness > 0 {
+		tVar := p.AddVariable("t-fair", 0, 100)
 		totalDemand := 0.0
-		for q := range in.Families {
-			if demand[q] <= 0 {
+		for q, s := range a.demand {
+			if s <= 0 {
 				continue
 			}
-			totalDemand += demand[q]
+			totalDemand += s
 			// Σ A_m w_{g,m,q} >= t * s_q
-			terms := []lp.Term{{Var: tVar, Coef: -demand[q]}}
-			for _, pr := range pairs {
-				if refs[pr.r].Family == q {
-					terms = append(terms, lp.Term{Var: pr.w, Coef: refs[pr.r].Variant.Accuracy})
+			terms := []lp.Term{{Var: tVar, Coef: -s}}
+			for _, pr := range a.pairs {
+				if a.refs[pr.r].Family == q {
+					terms = append(terms, lp.Term{Var: pr.w, Coef: a.refs[pr.r].Variant.Accuracy})
 				}
 			}
 			p.AddConstraint(terms, lp.GE, 0)
 		}
-		p.SetObjective(tVar, m.opts.FairnessWeight*totalDemand)
+		p.SetObjective(tVar, fairness*totalDemand)
 	}
 
-	// Switch costs: hosting more devices of a variant than the previous
-	// plan requires model loads, each costing roughly SwitchCost of the
-	// device's capacity during the control period. The load-count variables
-	// l >= n - prev carry the penalty in the objective, so the optimizer
-	// trades accuracy gains against re-placement downtime explicitly.
-	prevCounts := m.prevCounts(in, groups, refs, pairs)
-	var switchCosts []float64
-	if prevCounts != nil && m.opts.SwitchCost > 0 {
-		switchCosts = make([]float64, len(pairs))
-		for i := range pairs {
-			pr := &pairs[i]
-			switchCosts[i] = m.opts.SwitchCost * pr.peak * 100
-			pr.l = p.AddVariable(fmt.Sprintf("l[%d]", i), 0, float64(in.Cluster.Size()))
-			p.SetObjective(pr.l, -switchCosts[i])
-			// l >= n - prev  ⟺  n - l <= prev
-			p.AddConstraint([]lp.Term{{Var: pr.n, Coef: 1}, {Var: pr.l, Coef: -1}},
-				lp.LE, float64(prevCounts[i]))
-		}
+	// The load-count variables l >= n - prev carry the switch costs.
+	for i := range a.space.switchCost {
+		pr := &a.pairs[i]
+		pr.l = p.AddVariable(fmt.Sprintf("l[%d]", i), 0, float64(a.devices))
+		p.SetObjective(pr.l, -a.space.switchCost[i])
+		// l >= n - prev  ⟺  n - l <= prev
+		p.AddConstraint([]lp.Term{{Var: pr.n, Coef: 1}, {Var: pr.l, Coef: -1}},
+			lp.LE, float64(a.space.prev[i]))
 	}
+	return p
+}
 
-	// Warm starts: the previous plan adapted to the new demand, and a local
-	// search from scratch. The better feasible one seeds branch-and-bound.
-	ginfos := make([]groupInfo, len(groups))
-	for gi := range groups {
-		ginfos[gi] = groupInfo{size: len(groups[gi].Devices)}
-	}
-	space := newSearchSpace(ginfos, pairs, refs, demand)
-	space.prev = prevCounts
-	space.switchCost = switchCosts
+// warmStart returns the better of the previous plan adapted to the new
+// demand and a local search from scratch, as a solution vector of p. When
+// neither packs the demand it returns the local search's short families
+// instead: proving integer infeasibility near the capacity boundary would
+// burn the node budget.
+func (a *aggModel) warmStart(p *milp.Problem) ([]float64, []bool) {
+	space := a.space
 	var warm []float64
 	warmObj := math.Inf(-1)
 	consider := func(x []float64) {
@@ -331,75 +433,76 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 			warm, warmObj = x, obj
 		}
 	}
-	if prevCounts != nil {
-		consider(space.vector(append([]int(nil), prevCounts...), p.NumVariables()))
+	if space.prev != nil {
+		consider(space.vector(append([]int(nil), space.prev...), p.NumVariables()))
 	}
-	heurCounts := space.improve(make([]int, len(pairs)), 50)
+	heurCounts := space.improve(make([]int, len(a.pairs)), 50)
 	consider(space.vector(heurCounts, p.NumVariables()))
-
 	if warm == nil {
-		// Feasibility probe: if neither the previous plan nor the local
-		// search can pack this demand, treat the step as infeasible and let
-		// the β back-off shrink demand instead of burning the branch-and-
-		// bound budget proving integer infeasibility near the capacity
-		// boundary. (Slightly conservative: a packing the heuristics miss
-		// costs at most one extra β step of shed demand.) The local search's
-		// shortfall marks the bottleneck families for per-family back-off.
-		return nil, space.shortfall(heurCounts), nil
+		return nil, space.shortfall(heurCounts)
 	}
+	return warm, nil
+}
 
-	sol := milp.Solve(p, &milp.Options{
+// search runs branch-and-bound on p from warm under the solver's budgets.
+func (m *MILP) search(p *milp.Problem, warm []float64) milp.Solution {
+	return milp.Solve(p, &milp.Options{
 		TimeLimit:  m.opts.TimeLimit,
 		MaxNodes:   m.opts.MaxNodes,
 		RelGap:     m.opts.RelGap,
 		StallNodes: m.opts.StallNodes,
 		WarmStart:  warm,
 	})
+}
+
+// solveByTree plans by branch-and-bound on the model's MILP, from the warm
+// start of warmStart: the fairness extension, and the plain model on shapes
+// past the DP's work limit. Without a warm start it returns the short
+// families to back off.
+func (m *MILP) solveByTree(in *Input, a *aggModel) (*Allocation, []bool, error) {
+	p := a.problem(m.opts.FairnessWeight)
+	warm, short := a.warmStart(p)
+	if warm == nil {
+		return nil, short, nil
+	}
+	sol := m.search(p, warm)
+	alloc, err := m.treePlan(in, a, &sol)
+	return alloc, nil, err
+}
+
+// treePlan turns a branch-and-bound solution into a plan, or nil when the
+// search ended without an incumbent.
+func (m *MILP) treePlan(in *Input, a *aggModel, sol *milp.Solution) (*Allocation, error) {
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
 	case milp.Infeasible, milp.Limit:
-		return nil, nil, nil
+		return nil, nil
 	default:
-		return nil, nil, fmt.Errorf("allocator: MILP solve ended with status %v", sol.Status)
+		return nil, fmt.Errorf("allocator: MILP solve ended with status %v", sol.Status)
 	}
-
-	xFinal := sol.X
-	counts := space.countsFromVector(sol.X)
-	objFinal, _ := space.objective(counts)
-	// The local-search passes optimize the plain accuracy objective; with
-	// the fairness term active they could override a fairer incumbent, so
-	// they only run in the standard configuration.
-	if m.opts.FairnessWeight == 0 {
-		// Polish the incumbent: under a node or stall limit the branch-and-
-		// bound may stop with an improvable plan; a local-search pass is
-		// cheap and only ever helps.
-		polished := space.improve(append([]int(nil), counts...), 50)
-		if obj, feasible := space.objective(polished); feasible && obj > objFinal+1e-9 {
-			if pv := space.vector(polished, p.NumVariables()); pv != nil {
-				xFinal = pv
-				objFinal = obj
-			}
-		}
-		// Churn control: if evolving the *previous* plan under the new
-		// demand gets within 0.2% of the best objective, prefer it —
-		// equal-accuracy optima abound in this MILP, and gratuitous
-		// re-placement costs a model load (device downtime) per switched
-		// device.
-		if prevCounts != nil {
-			kept := space.improve(append([]int(nil), prevCounts...), 50)
-			if obj, feasible := space.objective(kept); feasible && obj >= objFinal*0.998 {
-				if pv := space.vector(kept, p.NumVariables()); pv != nil {
-					xFinal = pv
-				}
-			}
-		}
-	}
-
-	alloc := NewAllocation(in)
+	counts, served := a.fromVector(sol.X)
+	alloc := m.expand(in, a, counts, served)
 	alloc.Optimal = sol.Status == milp.Optimal
-	alloc.Stats = solverStats(&sol)
-	// Expand group counts to concrete devices, preferring devices that
-	// already host the same variant (minimizes loading churn).
+	alloc.Stats = solverStats(sol)
+	return alloc, nil
+}
+
+// fromVector reads per-pair device counts and served rates off a MILP
+// solution.
+func (a *aggModel) fromVector(x []float64) (counts []int, served []float64) {
+	served = make([]float64, len(a.pairs))
+	for i, pr := range a.pairs {
+		served[i] = x[pr.w]
+	}
+	return a.space.countsFromVector(x), served
+}
+
+// expand turns per-pair device counts and served rates into a plan: counts
+// become concrete devices, preferring devices that already host the same
+// variant (minimizes loading churn), and each pair's rate is split evenly
+// over its devices.
+func (m *MILP) expand(in *Input, a *aggModel, counts []int, served []float64) *Allocation {
+	alloc := NewAllocation(in)
 	used := make(map[int]bool)
 	type placed struct {
 		device int
@@ -407,14 +510,14 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 		share  float64 // per-device served QPS
 	}
 	var placements []placed
-	for _, pr := range pairs {
-		count := int(math.Round(xFinal[pr.n]))
+	for i, pr := range a.pairs {
+		count := counts[i]
 		if count <= 0 {
 			continue
 		}
-		ref := refs[pr.r]
-		devices := m.pickDevices(groups[pr.g].Devices, ref, count, used)
-		share := xFinal[pr.w] / float64(count)
+		ref := a.refs[pr.r]
+		devices := m.pickDevices(a.groups[pr.g].Devices, ref, count, used)
+		share := served[i] / float64(count)
 		for _, d := range devices {
 			alloc.Hosted[d] = &VariantRef{Family: ref.Family, Variant: ref.Variant}
 			placements = append(placements, placed{device: d, ref: ref, share: share})
@@ -422,8 +525,8 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 	}
 	accNum, accDen := 0.0, 0.0
 	for _, pl := range placements {
-		if demand[pl.ref.Family] > 0 {
-			alloc.Routing[pl.ref.Family][pl.device] = pl.share / demand[pl.ref.Family]
+		if s := a.demand[pl.ref.Family]; s > 0 {
+			alloc.Routing[pl.ref.Family][pl.device] = pl.share / s
 		}
 		accNum += pl.share * pl.ref.Variant.Accuracy
 		accDen += pl.share
@@ -431,7 +534,7 @@ func (m *MILP) solveAggregated(in *Input, demand []float64) (*Allocation, []bool
 	if accDen > 0 {
 		alloc.PredictedAccuracy = accNum / accDen
 	}
-	return alloc, nil, nil
+	return alloc
 }
 
 // aggPair links one (group, variant) choice to its MILP variables in the

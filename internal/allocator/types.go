@@ -2,8 +2,11 @@
 // (§4): given a heterogeneous cluster, registered model families with SLOs,
 // and a target per-family demand, produce a joint model-selection /
 // model-placement / query-assignment plan. The Proteus allocator solves the
-// paper's MILP exactly (via internal/milp); the package also implements the
-// baselines of §6.1.1 — INFaaS-Accuracy's greedy heuristic, Sommelier's
+// paper's MILP exactly: aggregated over identical devices, by a dynamic
+// program over per-type device counts (exact.go) on clusters within its
+// work limit; the fairness extension, larger clusters and the literal
+// per-device formulation by branch-and-bound (internal/milp).
+// The package also implements the baselines of §6.1.1 — INFaaS-Accuracy's greedy heuristic, Sommelier's
 // static-placement variant switching, Clipper-HT/HA static plans — and the
 // §6.5 ablations (w/o model selection, w/o model placement, w/o query
 // assignment).

@@ -38,17 +38,41 @@ func requireSamePlan(t *testing.T, i int, a, b *Allocation) {
 	}
 }
 
-// TestDefaultClusterReplayKeepsRootBasis replays eight control periods of
-// the diurnal trace on the default cluster (20 devices, the whole zoo) — the
-// shape of the benchmark's alloc_replay — through two fresh allocators fed
-// the same inputs. A solve is a function of its inputs and the allocator's
-// previous plan, so the two must agree period by period on the plan and on
-// the work done for it (nodes, simplex pivots). And every period must
-// re-optimise at least 95 % of its non-root relaxations by dual pivots
-// alone: the LP has no presolve in front of it, and a child whose dual
-// pivots stop short (a tiny pivot, a stall, lost dual feasibility) finishes
-// by primal ones.
-func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
+// treeSolve plans in's step by branch-and-bound on the aggregated MILP —
+// the path the fairness extension and shapes past the DP's work limit take
+// — under m's options and previous plan, without recording the plan as m's
+// previous one. With FairnessWeight 0 that is the plain model Allocate
+// solves by the DP instead. Where neither heuristic warm start packs the
+// demand, the tree starts from the DP's optimum and fromDP is true: the
+// search then has the optimum from the root and branches to prove it. plan
+// is nil when the DP proves the demand infeasible.
+func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool) {
+	t.Helper()
+	a, _ := m.aggregate(in, flooredDemand(in))
+	if a == nil {
+		t.Fatal("no (group, variant) pair can serve the input")
+	}
+	p := a.problem(m.opts.FairnessWeight)
+	warm, _ := a.warmStart(p)
+	if warm == nil {
+		counts, ok := a.space.exact()
+		if !ok {
+			return nil, true
+		}
+		warm, fromDP = a.space.vector(counts, p.NumVariables()), true
+	}
+	sol := m.search(p, warm)
+	plan, err := m.treePlan(in, a, &sol)
+	if err != nil || plan == nil {
+		t.Fatalf("tree ended with status %v: %v", sol.Status, err)
+	}
+	return plan, fromDP
+}
+
+// replayInputs is the benchmark's alloc_replay shape: eight 30 s control
+// periods of the diurnal trace drawn from seed on the default cluster
+// (20 devices, the whole zoo, 2× SLOs), with the controller's 5 % headroom.
+func replayInputs(seed uint64) []*Input {
 	fams := models.Zoo()
 	slos := make([]time.Duration, len(fams))
 	for q, f := range fams {
@@ -67,48 +91,76 @@ func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 		ZipfAlpha:         1.001,
 		FamilyPhaseSpread: 0.4,
 		Families:          models.FamilyNames(fams),
-		Seed:              7,
+		Seed:              seed,
 	})
-	// A short stall limit: the root relaxation and the basis it hands down
-	// are under test, not how far the search behind it gets.
-	allocs := [2]*MILP{NewMILP(&MILPOptions{StallNodes: 40}), NewMILP(&MILPOptions{StallNodes: 40})}
-	for p := 0; p < periods; p++ {
+	inputs := make([]*Input, periods)
+	for p := range inputs {
 		demand := make([]float64, len(fams))
 		for s := p * periodSeconds; s < (p+1)*periodSeconds; s++ {
 			for q := range demand {
 				demand[q] += tr.Demand[s][q] * 1.05 / periodSeconds
 			}
 		}
+		inputs[p] = &Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand}
+	}
+	return inputs
+}
+
+// TestDefaultClusterReplayKeepsRootBasis replays eight control periods of
+// the diurnal trace on the default cluster — the shape of the benchmark's
+// alloc_replay — through two fresh allocators fed the same inputs, and
+// searches each period's aggregated MILP by branch-and-bound from the
+// allocator's previous plan (treeSolve). A solve is a function of its
+// inputs and that plan, so the two must agree period by period on the plan
+// and on the work the tree did (nodes, simplex pivots). And every tree must
+// branch and re-optimise at least 95 % of its non-root relaxations by dual
+// pivots alone: the LP has no presolve in front of it, and a child whose
+// dual pivots stop short (a tiny pivot, a stall, lost dual feasibility)
+// finishes by primal ones.
+func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
+	// A short stall limit: the root relaxation and the basis it hands down
+	// are under test, not how far the search behind it gets.
+	allocs := [2]*MILP{NewMILP(&MILPOptions{StallNodes: 40}), NewMILP(&MILPOptions{StallNodes: 40})}
+	for p, in := range replayInputs(7) {
 		var plans [2]*Allocation
+		var stats [2]SolverStats
 		for k, m := range allocs {
-			plan, err := m.Allocate(&Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand})
-			if err != nil {
-				t.Fatalf("period %d: %v", p, err)
+			tree, _ := treeSolve(t, m, in)
+			if tree == nil {
+				t.Fatalf("period %d: no plan serves the demand", p)
 			}
-			st := plan.Stats
+			st := tree.Stats
+			if st.Nodes <= 1 {
+				t.Errorf("period %d: the tree explored %d nodes; nothing branched", p, st.Nodes)
+			}
 			if children := st.Nodes - 1; st.DualNodes*100 < children*95 {
 				t.Errorf("period %d: %d of %d non-root relaxations were solved by dual pivots alone, want ≥ 95 %%", p, st.DualNodes, children)
+			}
+			stats[k] = st
+			plan, err := m.Allocate(in)
+			if err != nil {
+				t.Fatalf("period %d: %v", p, err)
 			}
 			plans[k] = plan
 		}
 		requireSamePlan(t, p, plans[0], plans[1])
-		if a, b := plans[0].Stats, plans[1].Stats; a.Nodes != b.Nodes || a.LPIters != b.LPIters {
+		if a, b := stats[0], stats[1]; a.Nodes != b.Nodes || a.LPIters != b.LPIters {
 			t.Errorf("period %d: %d nodes / %d pivots vs %d / %d for the same inputs", p, a.Nodes, a.LPIters, b.Nodes, b.LPIters)
 		}
 	}
 }
 
-// TestSolveBudgetIsWorkNotTime pins what the simulator relies on: an
-// allocator built with no options reads no clock (TimeLimited false, the same
-// node count on every run), and MaxNodes stops a solve of the default model
-// after that many nodes — plus at most the one dive step in flight — with
-// the incumbent it has as the plan.
+// TestSolveBudgetIsWorkNotTime pins what the simulator relies on in
+// branch-and-bound (treeSolve): an allocator built with no options reads no
+// clock (TimeLimited false, the same node count on every run), and MaxNodes
+// stops a solve of the default model after that many nodes — plus at most
+// the one dive step in flight — with the incumbent it has as the plan.
 func TestSolveBudgetIsWorkNotTime(t *testing.T) {
 	var nodes [2]int
 	for i := range nodes {
-		plan, err := NewMILP(nil).Allocate(testInput(t, []float64{40, 40}))
-		if err != nil {
-			t.Fatal(err)
+		plan, _ := treeSolve(t, NewMILP(nil), testInput(t, []float64{40, 40}))
+		if plan == nil {
+			t.Fatal("no plan serves 40 + 40 QPS")
 		}
 		if plan.Stats.TimeLimited {
 			t.Fatal("no TimeLimit configured, yet the solve reports TimeLimited")
@@ -120,9 +172,9 @@ func TestSolveBudgetIsWorkNotTime(t *testing.T) {
 	}
 
 	const budget = 50
-	plan, err := NewMILP(&MILPOptions{MaxNodes: budget}).Allocate(defaultClusterInput(400))
-	if err != nil {
-		t.Fatal(err)
+	plan, _ := treeSolve(t, NewMILP(&MILPOptions{MaxNodes: budget}), defaultClusterInput(400))
+	if plan == nil {
+		t.Fatal("no plan serves 400 QPS")
 	}
 	st := plan.Stats
 	if st.Nodes < budget || st.Nodes > budget+1 {

@@ -39,12 +39,12 @@ func RenderFig1b(w io.Writer, points []ConfigPoint) error {
 // RenderSystems writes the end-to-end summary table (Figures 4, 5, 7).
 func RenderSystems(w io.Writer, results []SystemResult) error {
 	t := tw(w)
-	fmt.Fprintln(t, "system\ttput(QPS)\tdemand(QPS)\teff.acc%\tmax.drop%\tviolations\tserved\tlate\tdropped\tloads\tplans\tsolve(s)")
+	fmt.Fprintln(t, "system\ttput(QPS)\tdemand(QPS)\teff.acc%\tmax.drop%\tviolations\tserved\tlate\tdropped\tloads\tplans\tsolve(ms)")
 	for _, r := range results {
 		s := r.Summary
 		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.2f\t%.2f\t%.4f\t%d\t%d\t%d\t%d\t%d\t%.2f\n",
 			r.Name, s.AvgThroughput, s.AvgDemand, s.EffectiveAccuracy, s.MaxAccuracyDrop,
-			s.ViolationRatio, s.Served, s.Late, s.Dropped, r.ModelLoads, r.Plans, r.AvgSolveTime)
+			s.ViolationRatio, s.Served, s.Late, s.Dropped, r.ModelLoads, r.Plans, r.AvgSolveTime*1e3)
 	}
 	return t.Flush()
 }

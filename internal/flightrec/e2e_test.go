@@ -21,10 +21,11 @@ import (
 )
 
 // burnRun drives a deliberately overloaded small cluster (the recipe the
-// report package's end-to-end tests use) with the flight recorder attached,
-// so the SLO monitor enters a burn episode and triggers incident bundles.
-// The recorder gets fcfg; edit, when set, amends the system's config.
-func burnRun(t *testing.T, fcfg flightrec.Config, edit func(*core.Config)) *flightrec.Recorder {
+// report package's end-to-end tests use) at qps per family with the flight
+// recorder attached, so the SLO monitor enters a burn episode and triggers
+// incident bundles; 300 is ~5x what the 4 devices can absorb. The recorder
+// gets fcfg; edit, when set, amends the system's config.
+func burnRun(t *testing.T, fcfg flightrec.Config, qps float64, edit func(*core.Config)) *flightrec.Recorder {
 	t.Helper()
 	var fams []models.Family
 	for _, f := range models.Zoo() {
@@ -64,7 +65,7 @@ func burnRun(t *testing.T, fcfg flightrec.Config, edit func(*core.Config)) *flig
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := []float64{300, 300} // ~5x what 4 devices can absorb
+	per := []float64{qps, qps}
 	if _, err := sys.Run(trace.NewFlat(models.FamilyNames(fams), per, 90)); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func burnRun(t *testing.T, fcfg flightrec.Config, edit func(*core.Config)) *flig
 // controller plan records.
 func TestSLOBurnProducesBundle(t *testing.T) {
 	dir := t.TempDir()
-	flight := burnRun(t, flightrec.Config{Dir: dir}, nil)
+	flight := burnRun(t, flightrec.Config{Dir: dir}, 300, nil)
 
 	bundles := flight.Incidents()
 	if len(bundles) == 0 {
@@ -159,10 +160,13 @@ func TestSLOBurnProducesBundle(t *testing.T) {
 // its per-element encodings reused across bundles, to encoding/json: every
 // bundle file of a seeded run with device faults, the overload guard and SLO
 // burns equals the in-memory bundle through json.Encoder with SetIndent,
-// and so does Bundle.WriteJSON.
+// and so does Bundle.WriteJSON. The load is 200 QPS per family: from 250 up
+// no degradation opens in this run, so no overload bundle is written (the
+// optimal plans there host fewer variants per family, and the guard only
+// degrades a family that has a lower tier hosted).
 func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 	dir := t.TempDir()
-	flight := burnRun(t, flightrec.Config{Dir: dir, MaxIncidents: 1 << 10, TraceEvents: 512}, func(cfg *core.Config) {
+	flight := burnRun(t, flightrec.Config{Dir: dir, MaxIncidents: 1 << 10, TraceEvents: 512}, 200, func(cfg *core.Config) {
 		faults, err := cluster.RandomSchedule(cfg.Cluster, cluster.RandomScheduleConfig{
 			MTBF: 60 * time.Second, MTTR: 10 * time.Second, Horizon: 90 * time.Second, Seed: 3,
 		})
@@ -214,8 +218,8 @@ func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 // and diffs every bundle file byte for byte.
 func TestSameSeedBundlesByteIdentical(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	f1 := burnRun(t, flightrec.Config{Dir: dir1}, nil)
-	f2 := burnRun(t, flightrec.Config{Dir: dir2}, nil)
+	f1 := burnRun(t, flightrec.Config{Dir: dir1}, 300, nil)
+	f2 := burnRun(t, flightrec.Config{Dir: dir2}, 300, nil)
 
 	b1, b2 := f1.Incidents(), f2.Incidents()
 	if len(b1) == 0 || len(b1) != len(b2) {
