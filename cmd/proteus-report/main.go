@@ -6,10 +6,13 @@
 //
 //	proteus-report -dump run.json -o report.html
 //
-// Incident mode renders a flight-recorder incident bundle (written by
-// proteus-sim -incidents or proteusd -incident-dir) the same way:
+// Incident mode reads the incident log a flight recorder writes into its
+// directory (proteus-sim -incidents DIR or proteusd -incident-dir DIR).
+// Given the directory it lists the log's bundle IDs, one per line, in
+// trigger order; given DIR/ID it renders that bundle the same way:
 //
-//	proteus-report -incident incident-000001-slo_burn.json -o incident.html
+//	proteus-report -incident out/
+//	proteus-report -incident out/incident-000001-slo_burn -o incident.html
 //
 // Exit codes: 0 ok, 1 runtime error, 2 usage error.
 package main
@@ -26,7 +29,7 @@ import (
 func main() {
 	var (
 		dumpPath = flag.String("dump", "", "run dump JSON to render as HTML")
-		incPath  = flag.String("incident", "", "incident bundle JSON to render as HTML")
+		incPath  = flag.String("incident", "", "incident directory to list bundle IDs from, or DIR/ID of a bundle to render as HTML")
 		outPath  = flag.String("o", "report.html", "output path for the HTML report")
 	)
 	flag.Parse()
@@ -43,7 +46,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "proteus-report: need -dump run.json or -incident bundle.json")
+		fmt.Fprintln(os.Stderr, "proteus-report: need -dump run.json or -incident DIR[/ID]")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -62,6 +65,16 @@ func runReport(dumpPath, outPath string) error {
 }
 
 func runIncident(incPath, outPath string) error {
+	if fi, err := os.Stat(incPath); err == nil && fi.IsDir() {
+		l, err := flightrec.ReadLog(incPath)
+		if err != nil {
+			return err
+		}
+		for _, id := range l.IDs() {
+			fmt.Println(id)
+		}
+		return nil
+	}
 	b, err := flightrec.ReadBundleFile(incPath)
 	if err != nil {
 		return err

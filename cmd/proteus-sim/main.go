@@ -28,8 +28,9 @@
 // identical across same-seed runs. -incidents DIR enables the black-box
 // flight recorder: every SLO burn start, overload degradation, allocator
 // fallback, and device failure snapshots the recent trace / counter /
-// time-series / plan state into DIR as an incident bundle JSON, also byte
-// identical across same-seed runs. The optional "slo" config block tunes
+// time-series / plan state as an incident bundle into the incident log
+// DIR/incidents.log, also byte identical across same-seed runs;
+// proteus-report -incident DIR lists its bundles and renders one. The optional "slo" config block tunes
 // the burn monitor, e.g.
 //
 //	"slo": {"target": 0.01, "burn_rate": 2, "short_window_s": 5,
@@ -228,7 +229,7 @@ func main() {
 		metricsOut = flag.String("metrics", "", "optional path for the final counter snapshot (text key-value)")
 		tsdbOut    = flag.String("tsdb", "", "optional path for the run dump JSON (windowed metrics, device time-series, SLO burn log, decision audit)")
 		reportOut  = flag.String("report", "", "optional path for the self-contained HTML run report")
-		incDir     = flag.String("incidents", "", "optional directory for flight-recorder incident bundles (enables the flight recorder)")
+		incDir     = flag.String("incidents", "", "optional directory for the flight recorder's incident log, DIR/incidents.log (enables the flight recorder)")
 	)
 	flag.Parse()
 	if *configPath == "" {

@@ -19,7 +19,8 @@
 // openmetrics, or ?format=prometheus, selects it. -incident-dir enables
 // the black-box flight recorder: SLO burn starts, overload degradations,
 // allocator fallbacks, device failures, and manual POSTs snapshot recent
-// observability state into incident bundle JSON files there.
+// observability state into incident bundles, appended to the incident log
+// incidents.log there (proteus-report -incident DIR lists and renders them).
 //
 // With -drive it also generates client load against itself for the given
 // duration and prints the resulting summary, exercising the full data path
@@ -67,7 +68,7 @@ func main() {
 		overloadOn = flag.Bool("overload", false, "enable the overload guard: deadline admission control, backpressure, emergency accuracy degradation")
 		metricsOut = flag.String("metrics-out", "", "write the final counter snapshot here on shutdown")
 		tsdbOut    = flag.String("tsdb-out", "", "write the final run dump JSON here on shutdown")
-		incDir     = flag.String("incident-dir", "", "enable the flight recorder and write incident bundles to this directory")
+		incDir     = flag.String("incident-dir", "", "enable the flight recorder and write its incident log, DIR/incidents.log")
 	)
 	flag.Parse()
 

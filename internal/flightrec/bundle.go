@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"io"
-	"os"
 	"strconv"
 
 	"proteus/internal/buildinfo"
@@ -71,9 +70,12 @@ type RuntimeSnap struct {
 // of the recorder's append-only rings, shared with the recorder and with
 // other bundles rather than copied: the recorder never writes an element
 // again once pushed, so a bundle never changes after Trigger returns it.
-// Sections are read-only; a caller must not write to them.
+// Sections are read-only; a caller must not write to them. In the incident
+// log a bundle is an index into the records its sections share with other
+// bundles; Log.BundleJSON rebuilds its JSON from them.
 type Bundle struct {
-	// ID names the bundle (and its file): "incident-<seq>-<reason>".
+	// ID names the bundle in the recorder and its incident log:
+	// "incident-<seq>-<reason>".
 	ID string `json:"id"`
 	// Seq is the 1-based trigger sequence number within the run.
 	Seq int `json:"seq"`
@@ -124,52 +126,40 @@ func (b *Bundle) WriteJSON(w io.Writer) error {
 }
 
 // sections holds the encodings of a bundle's array sections, one per
-// element, in bundle order. Each encoding is the element's indented JSON at
-// array depth (json.MarshalIndent with prefix elemPrefix), without the
-// leading indent, so the recorder can keep it beside its ring element and
-// splice it into every bundle that element appears in.
-type sections struct {
-	trace, counters, samples, burns, phases, plans, runtime [][]byte
-}
+// element, indexed by section tag. Each encoding is the element's indented
+// JSON at array depth (json.MarshalIndent with prefix elemPrefix), without
+// the leading indent.
+type sections [nSections][][]byte
+
+// sectionKeys are the sections' JSON keys.
+var sectionKeys = [nSections]string{"trace_events", "counters", "samples", "burns", "phases", "plans", "runtime"}
 
 // elemPrefix is the indent of an array element: bundle object, then array.
 const elemPrefix = "    "
 
-// encodeAll encodes every element of b afresh.
+// encodeAll encodes every element of b.
 func (e *sections) encodeAll(b *Bundle) error {
-	*e = sections{
-		trace:    make([][]byte, len(b.TraceEvents)),
-		counters: make([][]byte, len(b.Counters)),
-		samples:  make([][]byte, len(b.Samples)),
-		burns:    make([][]byte, len(b.Burns)),
-		phases:   make([][]byte, len(b.Phases)),
-		plans:    make([][]byte, len(b.Plans)),
-		runtime:  make([][]byte, len(b.Runtime)),
-	}
-	return cmp.Or(
-		encodeMissing(e.trace, b.TraceEvents, encodeTraceEvent),
-		encodeMissing(e.counters, b.Counters, marshalElem[CounterSnap]),
-		encodeMissing(e.samples, b.Samples, encodeSample),
-		encodeMissing(e.burns, b.Burns, marshalElem[tsdb.BurnEvent]),
-		encodeMissing(e.phases, b.Phases, encodePhaseStat),
-		encodeMissing(e.plans, b.Plans, marshalElem[controlplane.PlanRecord]),
-		encodeMissing(e.runtime, b.Runtime, marshalElem[RuntimeSnap]),
-	)
+	var errs [nSections]error
+	e[secTrace], errs[secTrace] = encodeEach(b.TraceEvents, encodeTraceEvent)
+	e[secCounters], errs[secCounters] = encodeEach(b.Counters, marshalElem[CounterSnap])
+	e[secSamples], errs[secSamples] = encodeEach(b.Samples, encodeSample)
+	e[secBurns], errs[secBurns] = encodeEach(b.Burns, marshalElem[tsdb.BurnEvent])
+	e[secPhases], errs[secPhases] = encodeEach(b.Phases, encodePhaseStat)
+	e[secPlans], errs[secPlans] = encodeEach(b.Plans, marshalElem[controlplane.PlanRecord])
+	e[secRuntime], errs[secRuntime] = encodeEach(b.Runtime, marshalElem[RuntimeSnap])
+	return cmp.Or(errs[:]...)
 }
 
-// encodeMissing encodes vs[i] into every nil enc[i].
-func encodeMissing[T any](enc [][]byte, vs []T, encode func(*T) ([]byte, error)) error {
-	for i := range enc {
-		if enc[i] != nil {
-			continue
+// encodeEach encodes every element of vs.
+func encodeEach[T any](vs []T, encode func(*T) ([]byte, error)) ([][]byte, error) {
+	enc := make([][]byte, len(vs))
+	for i := range vs {
+		var err error
+		if enc[i], err = encode(&vs[i]); err != nil {
+			return nil, err
 		}
-		b, err := encode(&vs[i])
-		if err != nil {
-			return err
-		}
-		enc[i] = b
 	}
-	return nil
+	return enc, nil
 }
 
 // marshalElem is the reflective element encoder, for the nested types.
@@ -178,7 +168,8 @@ func marshalElem[T any](v *T) ([]byte, error) {
 }
 
 // appendJSON appends the bundle's JSON to dst, taking the array elements
-// from e, which must encode b's sections.
+// from e, which must encode b's sections. The incident log's reader
+// assembles a bundle with it too, from the elements' records.
 func (b *Bundle) appendJSON(dst []byte, e *sections) []byte {
 	dst = appendString(append(dst, "{\n  \"id\": "...), b.ID)
 	dst = strconv.AppendInt(topKey(dst, "seq"), int64(b.Seq), 10)
@@ -189,13 +180,9 @@ func (b *Bundle) appendJSON(dst []byte, e *sections) []byte {
 	}
 	dst = strconv.AppendInt(topKey(dst, "family"), int64(b.Family), 10)
 	dst = strconv.AppendInt(topKey(dst, "device"), int64(b.Device), 10)
-	dst = appendArray(dst, "trace_events", e.trace)
-	dst = appendArray(dst, "counters", e.counters)
-	dst = appendArray(dst, "samples", e.samples)
-	dst = appendArray(dst, "burns", e.burns)
-	dst = appendArray(dst, "phases", e.phases)
-	dst = appendArray(dst, "plans", e.plans)
-	dst = appendArray(dst, "runtime", e.runtime)
+	for s, key := range sectionKeys {
+		dst = appendArray(dst, key, e[s])
+	}
 	build, _ := json.MarshalIndent(b.Build, "  ", "  ") // flat strings and a bool: cannot fail
 	return append(append(topKey(dst, "build"), build...), "\n}\n"...)
 }
@@ -241,8 +228,7 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // encodeTraceEvent, encodeSample and encodePhaseStat are marshalElem for the
-// flat types that fill most of a bundle. The phase table is replaced on
-// every tick, so every bundle encodes it afresh.
+// flat types that fill most of a bundle.
 func encodeTraceEvent(te *TraceEvent) ([]byte, error) {
 	dst := make([]byte, 0, 256)
 	dst = strconv.AppendInt(append(dst, "{\n      \"at_us\": "...), te.AtUS, 10)
@@ -296,24 +282,4 @@ func encodePhaseStat(p *tsdb.PhaseStat) ([]byte, error) {
 	dst = strconv.AppendInt(elemKey(dst, "p99_us"), p.P99US, 10)
 	dst = strconv.AppendInt(elemKey(dst, "max_us"), p.MaxUS, 10)
 	return append(dst, "\n"+elemPrefix+"}"...), nil
-}
-
-// writeFileAtomic writes data to path via a temp file renamed into place, so
-// concurrent triggers and readers never see a torn bundle.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

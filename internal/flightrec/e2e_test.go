@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"proteus/internal/flightrec"
 	"proteus/internal/models"
 	"proteus/internal/overload"
+	"proteus/internal/report"
 	"proteus/internal/telemetry"
 	"proteus/internal/trace"
 	"proteus/internal/tsdb"
@@ -148,19 +150,23 @@ func TestSLOBurnProducesBundle(t *testing.T) {
 		t.Errorf("implausible exec histogram: %+v", *exec)
 	}
 
-	// Every retained bundle also landed on disk.
+	// Every retained bundle also landed in the incident log.
+	l, err := flightrec.ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range bundles {
-		if _, err := os.Stat(filepath.Join(dir, b.ID+".json")); err != nil {
-			t.Errorf("bundle %s not on disk: %v", b.ID, err)
+		if !slices.Contains(l.IDs(), b.ID) {
+			t.Errorf("bundle %s not in the incident log", b.ID)
 		}
 	}
 }
 
-// TestBundleBytesMatchEncodingJSON holds the recorder's bundle writer, with
-// its per-element encodings reused across bundles, to encoding/json: every
-// bundle file of a seeded run with device faults, the overload guard and SLO
-// burns equals the in-memory bundle through json.Encoder with SetIndent,
-// and so does Bundle.WriteJSON. The load is 200 QPS per family: from 250 up
+// TestBundleBytesMatchEncodingJSON holds the incident log, which holds each
+// ring element once for every bundle that shares it, to encoding/json:
+// every bundle of a seeded run with device faults, the overload guard and
+// SLO burns, rebuilt from the log, equals the in-memory bundle through
+// json.Encoder with SetIndent, and so does Bundle.WriteJSON. The load is 200 QPS per family: from 250 up
 // no degradation opens in this run, so no overload bundle is written (the
 // optimal plans there host fewer variants per family, and the guard only
 // degrades a family that has a lower tier hosted).
@@ -183,6 +189,10 @@ func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 			RedegradeCooldown: 10 * time.Second,
 		}
 	})
+	l, err := flightrec.ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reasons := map[string]int{}
 	for _, b := range flight.Incidents() {
 		reasons[b.Reason]++
@@ -192,12 +202,12 @@ func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 		if err := enc.Encode(b); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
+		got, err := l.BundleJSON(b.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("bundle file %s differs from encoding/json (%d vs %d bytes)", b.ID, len(got), want.Len())
+			t.Fatalf("bundle %s rebuilt from the log differs from encoding/json (%d vs %d bytes)", b.ID, len(got), want.Len())
 		}
 		var written bytes.Buffer
 		if err := b.WriteJSON(&written); err != nil {
@@ -215,7 +225,7 @@ func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 }
 
 // TestSameSeedBundlesByteIdentical runs the same overloaded scenario twice
-// and diffs every bundle file byte for byte.
+// and compares the two incident logs byte for byte.
 func TestSameSeedBundlesByteIdentical(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
 	f1 := burnRun(t, flightrec.Config{Dir: dir1}, 300, nil)
@@ -229,16 +239,50 @@ func TestSameSeedBundlesByteIdentical(t *testing.T) {
 		if b1[i].ID != b2[i].ID {
 			t.Fatalf("bundle %d IDs differ: %s vs %s", i, b1[i].ID, b2[i].ID)
 		}
-		raw1, err := os.ReadFile(filepath.Join(dir1, b1[i].ID+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw2, err := os.ReadFile(filepath.Join(dir2, b2[i].ID+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw1, raw2) {
-			t.Errorf("same-seed bundle %s diverged (%d vs %d bytes)", b1[i].ID, len(raw1), len(raw2))
-		}
 	}
+	raw1, err := os.ReadFile(filepath.Join(dir1, flightrec.LogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw2, err := os.ReadFile(filepath.Join(dir2, flightrec.LogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw1, raw2) {
+		t.Fatalf("same-seed incident logs diverged (%d vs %d bytes)", len(raw1), len(raw2))
+	}
+}
+
+// FuzzReadIncidentLog feeds the incident log reader arbitrary bytes, as
+// proteus-report does with a file from outside the program: it must not
+// panic, a length past the end of the input is a torn tail rather than an
+// allocation, a bundle rebuilt from the input grows it at most by a constant
+// factor, and every bundle it returns renders. testdata/fuzz holds a real
+// log excerpt (the first bundle of configs/incident_smoke.json with small
+// rings), that excerpt with a torn tail, and one whose first record claims
+// a length far past the input's end.
+func FuzzReadIncidentLog(f *testing.F) {
+	f.Add([]byte("proteus incident log 1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := flightrec.ParseLog(data)
+		if err != nil {
+			return
+		}
+		for _, id := range l.IDs() {
+			js, err := l.BundleJSON(id)
+			if err != nil {
+				continue
+			}
+			if len(js) > 32*len(data)+1024 {
+				t.Fatalf("bundle %q: %d bytes rebuilt from a %d-byte log", id, len(js), len(data))
+			}
+			b, err := l.Bundle(id)
+			if err != nil {
+				continue
+			}
+			if len(report.RenderIncident(b)) == 0 {
+				t.Fatalf("bundle %q rendered empty", id)
+			}
+		}
+	})
 }

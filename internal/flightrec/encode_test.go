@@ -3,7 +3,9 @@ package flightrec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -40,6 +42,34 @@ func checkWriteJSON(t *testing.T, name string, b *Bundle) {
 	}
 	if err == nil && !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("%s: WriteJSON differs from encoding/json\n got: %s\nwant: %s", name, got.Bytes(), want)
+	}
+}
+
+// checkLogRoundTrip fails t unless b, logged into a fresh incident log with
+// its ring sections from ordinal first and rebuilt from it, is the oracle's
+// bytes, or fails to log where the oracle fails.
+func checkLogRoundTrip(t *testing.T, name string, b *Bundle, first uint64) {
+	t.Helper()
+	want, wantErr := oracle(b)
+	var st logState
+	firsts := [nSections]uint64{first, first, first, first, first, first, first}
+	data, err := st.appendBundle([]byte(logMagic), b, &firsts)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: logging error %v, encoding/json error %v", name, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	l, err := ParseLog(data)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, err := l.BundleJSON(b.ID)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: bundle rebuilt from the log differs from encoding/json\n got: %s\nwant: %s", name, got, want)
 	}
 }
 
@@ -109,14 +139,16 @@ func TestWriteJSONEdgeCases(t *testing.T) {
 		{"unencodable float", Bundle{Burns: []tsdb.BurnEvent{{ShortBurn: math.NaN()}}}},
 	} {
 		checkWriteJSON(t, tc.name, &tc.b)
+		checkLogRoundTrip(t, tc.name, &tc.b, 1<<40)
 	}
 }
 
-// FuzzBundleEncoding checks the bundle writer against encoding/json on
-// bundles built from the fuzzed values: s fills every string, i/u/x the
-// numbers, and the bits of mask pick which sections are nil, empty or
-// present and which omitempty fields are set. testdata/fuzz holds the seeds
-// that reach escaping, extremes and unencodable floats.
+// FuzzBundleEncoding checks the bundle writer, and the bundle logged and
+// rebuilt from the incident log, against encoding/json on bundles built
+// from the fuzzed values: s fills every string, i/u/x the numbers, and the
+// bits of mask pick which sections are nil, empty or present and which
+// omitempty fields are set. testdata/fuzz holds the seeds that reach
+// escaping, extremes and unencodable floats.
 func FuzzBundleEncoding(f *testing.F) {
 	f.Add("incident-000001-slo_burn", int64(-1), uint64(7), 2.5, uint16(0xffff))
 	f.Fuzz(func(t *testing.T, s string, i int64, u uint64, x float64, mask uint16) {
@@ -192,6 +224,7 @@ func FuzzBundleEncoding(f *testing.F) {
 			})
 		}
 		checkWriteJSON(t, "fuzzed bundle", &b)
+		checkLogRoundTrip(t, "fuzzed bundle", &b, u>>2)
 	})
 }
 
@@ -213,9 +246,10 @@ func TestAppendStringEveryByte(t *testing.T) {
 // TestEncodeTraceWindows drives the trace cache through the windows that
 // concurrent triggers can bring in any order — newer, shorter, older,
 // disjoint, empty, and reads whose skipped head a trigger that joined first
-// has trimmed — and holds every bundle file to the oracle. A read issued
-// with the cache's end at the time joins later; a join refused (the trigger
-// then reads again) must leave the cache as it was.
+// has trimmed — and holds every bundle, rebuilt from the incident log, to
+// the oracle. A read issued with the cache's end at the time joins later; a
+// join refused (the trigger then reads again) must leave the cache as it
+// was and log nothing.
 func TestEncodeTraceWindows(t *testing.T) {
 	dir := t.TempDir()
 	tracer := telemetry.NewTracer(64)
@@ -234,10 +268,10 @@ func TestEncodeTraceWindows(t *testing.T) {
 	issue := func(first, end uint64) read {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if r.traceEnd > end {
-			t.Fatalf("window [%d, %d) issued after the cache reached %d", first, end, r.traceEnd)
+		if r.trace.end() > end {
+			t.Fatalf("window [%d, %d) issued after the cache reached %d", first, end, r.trace.end())
 		}
-		return read{first, end, r.traceEnd}
+		return read{first, end, r.trace.end()}
 	}
 	type joined struct {
 		b    *Bundle
@@ -246,29 +280,31 @@ func TestEncodeTraceWindows(t *testing.T) {
 	var bundles []joined
 	join := func(rd read, wantOK bool) {
 		t.Helper()
+		r.log.mu.Lock()
+		defer r.log.mu.Unlock()
 		r.mu.Lock()
-		before := r.runState
+		before, logged := r.runState, r.log.logState
 		ok := r.joinTrace(tracer, rd.first, rd.from, all[max(rd.first, rd.from):rd.end])
 		if ok != wantOK {
 			r.mu.Unlock()
 			t.Fatalf("window [%d, %d) from %d: joined %v, want %v", rd.first, rd.end, rd.from, ok, wantOK)
 		}
 		if !ok {
-			same := r.traceEnd == before.traceEnd && r.trace.start == before.trace.start &&
+			same := r.trace.base == before.trace.base && r.trace.start == before.trace.start &&
 				len(r.trace.all) == len(before.trace.all) && cap(r.trace.all) == cap(before.trace.all)
 			r.mu.Unlock()
 			if !same {
 				t.Fatalf("window [%d, %d) from %d: a refused join changed the cache", rd.first, rd.end, rd.from)
 			}
+			if r.log.size != logged.size || r.log.next != logged.next || logSize(t, dir) != logged.size {
+				t.Fatalf("window [%d, %d) from %d: a refused join logged something", rd.first, rd.end, rd.from)
+			}
 			return
 		}
 		b := &Bundle{ID: fmt.Sprintf("window-%02d-%02d-%02d", len(bundles), rd.first, rd.end), TraceEvents: r.trace.window()}
-		e, err := r.encode(nil)
+		first := r.windows()
 		r.mu.Unlock()
-		if err == nil {
-			err = r.write(filepath.Join(dir, b.ID+".json"), b, &e)
-		}
-		if err != nil {
+		if err := r.log.append(dir, b, &first); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]TraceEvent, 0, rd.end-rd.first)
@@ -310,10 +346,22 @@ func TestEncodeTraceWindows(t *testing.T) {
 	}
 }
 
-// checkBundleFile fails t unless b's file in dir is the oracle's encoding of b.
+// checkBundleFile fails t unless b, rebuilt from the incident log in dir,
+// is the oracle's encoding of b.
 func checkBundleFile(t *testing.T, dir string, b *Bundle) {
 	t.Helper()
-	got, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
+	l, err := ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLogged(t, l, b)
+}
+
+// checkLogged fails t unless b, rebuilt from l, is the oracle's encoding of
+// b, and decodes to a bundle that encodes the same.
+func checkLogged(t *testing.T, l *Log, b *Bundle) {
+	t.Helper()
+	got, err := l.BundleJSON(b.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +370,36 @@ func checkBundleFile(t *testing.T, dir string, b *Bundle) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("bundle %s differs from encoding/json\n got: %s\nwant: %s", b.ID, got, want)
+		t.Fatalf("bundle %s rebuilt from the log differs from encoding/json\n got: %s\nwant: %s", b.ID, got, want)
+	}
+	back, err := l.Bundle(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := oracle(back); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("bundle %s decoded from the log encodes differently (%v)", b.ID, err)
 	}
 }
 
-// TestBundleFilesMatchOracle drives the recorder's encoding caches through
-// everything that could leave a stale encoding behind — ticks that shift
-// full rings between triggers, two triggers at one instant, a trace ring
-// that has wrapped, plans that come and go, and a second Init whose new
-// tracer and plans reuse the old Seqs with other content — and holds every
-// bundle file to the oracle.
+// logSize returns the size of the incident log in dir, 0 when there is none.
+func logSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, LogFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestBundleFilesMatchOracle drives the incident log's watermarks through
+// everything that could leave a bundle pointing at a wrong or missing
+// record — ticks that shift full rings between triggers, two triggers at
+// one instant, a trace ring that has wrapped, plans that come and go, and a
+// second Init whose new tracer and plans reuse the old Seqs with other
+// content — and holds every bundle rebuilt from the log to the oracle.
 func TestBundleFilesMatchOracle(t *testing.T) {
 	dir := t.TempDir()
 	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 2})

@@ -24,20 +24,18 @@
 // Locking: the recorder's mutex is a leaf. Tick and Trigger read the
 // sources (tracer, registry, tsdb recorder, controller) *before* taking it,
 // which keeps Trigger safe to call from the tsdb burn callback (which runs
-// under the tsdb recorder's lock) without ordering cycles. Bundle files are
-// encoded and written outside it, serialised on the recorder's one output
-// buffer instead.
+// under the tsdb recorder's lock) without ordering cycles. A trigger also
+// holds the incident log's mutex, taken before the recorder's, from its
+// snapshot through its write to the log (log.go); Tick never takes it, so
+// no tick waits for the disk.
 package flightrec
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -68,7 +66,11 @@ type Config struct {
 	// goroutine count). Leave false in the simulator so same-seed runs emit
 	// byte-identical bundles.
 	Live bool
-	// Dir, when non-empty, receives one <bundle-id>.json file per trigger.
+	// Dir, when non-empty, receives the run's incident log, Dir/incidents.log
+	// (LogFile): a run's first trigger starts it afresh, and every trigger
+	// appends the ring elements its bundle holds that the log lacks, then
+	// the bundle's index. ReadBundleFile("Dir/<bundle-id>") reads a bundle
+	// back. The directory must exist.
 	Dir string
 }
 
@@ -116,14 +118,12 @@ type Sources struct {
 type Recorder struct {
 	cfg Config
 
+	// log writes the incident log; its mutex is taken before mu.
+	log incidentLog
+
 	mu  sync.Mutex
 	src Sources
 	runState
-
-	// out is the bundle file buffer every trigger reuses; outMu serialises
-	// the writers on it, so files are encoded and written outside mu.
-	outMu sync.Mutex
-	out   []byte
 }
 
 // runState is what a recorder accumulates over one run; Init zeroes it.
@@ -136,27 +136,21 @@ type runState struct {
 	burns     ring[tsdb.BurnEvent]
 	phases    ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
 	runtime   ring[RuntimeSnap]
-	// trace caches the tracer's newest events, converted, and traceEnd is
-	// the Seq after the newest of them: the tracer never changes an event
-	// once recorded, so a trigger reads and converts only those past it.
-	trace    ring[TraceEvent]
-	traceEnd uint64
-	// planEnc[i] encodes the plan record with Seq planSeqs[i]: the
-	// controller never changes a record it has handed out either. A bundle
-	// file then costs the encoding of what is new since the last one.
-	planSeqs  []int
-	planEnc   [][]byte
+	// trace caches the tracer's newest events, converted, with their Seqs
+	// as ordinals: the tracer never changes an event once recorded, so a
+	// trigger reads and converts only those past the cache's end.
+	trace     ring[TraceEvent]
 	incidents []*Bundle
-	writeErr  error
 }
 
 // ring is one of the recorder's bounded rings, oldest first: all[start:]
-// of an append-only array, with each value's bundle encoding kept beside it
-// once a bundle file has needed it. A value is never rewritten once pushed,
-// so bundles hold windows of all rather than copies.
+// of an append-only array. A value is never rewritten once pushed, so
+// bundles hold windows of all rather than copies. Every value pushed has an
+// ordinal, counted from base, the ordinal of all[0]; the incident log names
+// a bundle's window by the ordinal of its first value.
 type ring[T any] struct {
 	all   []T
-	enc   [][]byte // enc[i] encodes all[i]; nil until first needed
+	base  uint64
 	start int
 }
 
@@ -170,11 +164,10 @@ func (r *ring[T]) extend(bound, k int) []T {
 		keep := min(n-r.start, bound-k)
 		all := make([]T, keep, 2*bound)
 		copy(all, r.all[n-keep:])
-		enc := make([][]byte, keep, 2*bound)
-		copy(enc, r.enc[n-keep:])
-		r.all, r.enc, r.start, n = all, enc, 0, keep
+		r.base += uint64(n - keep)
+		r.all, r.start, n = all, 0, keep
 	}
-	r.all, r.enc = r.all[:n+k], r.enc[:n+k]
+	r.all = r.all[:n+k]
 	r.start = max(r.start, n+k-bound)
 	return r.all[n:]
 }
@@ -199,12 +192,16 @@ func (r *ring[T]) window() []T {
 	return r.all[r.start:len(r.all):len(r.all)]
 }
 
-// encoded returns the encodings of the ring's values, encoding those not
-// yet encoded.
-func (r *ring[T]) encoded(encode func(*T) ([]byte, error)) ([][]byte, error) {
-	enc := r.enc[r.start:len(r.enc):len(r.enc)]
-	return enc, encodeMissing(enc, r.all[r.start:], encode)
+// replace makes vs the ring's values, numbered after the values it held.
+func (r *ring[T]) replace(vs []T) {
+	r.base += uint64(len(r.all))
+	r.all, r.start = vs, 0
 }
+
+// first returns the ordinal of the ring's oldest value, and end the ordinal
+// past its newest.
+func (r *ring[T]) first() uint64 { return r.base + uint64(r.start) }
+func (r *ring[T]) end() uint64   { return r.base + uint64(len(r.all)) }
 
 // New returns a flight recorder with defaults applied. The hosting engine
 // connects it to its observability components via Init at assembly time.
@@ -213,18 +210,22 @@ func New(cfg Config) *Recorder {
 }
 
 // Init installs the snapshot sources and resets all rings, so a recorder
-// serves exactly one run. Called once by the hosting engine.
+// serves exactly one run; the run's first trigger starts the incident log
+// afresh. Called once by the hosting engine.
 func (r *Recorder) Init(src Sources) {
 	if r == nil {
 		return
 	}
+	r.log.mu.Lock()
+	defer r.log.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.src = src
 	r.runState = runState{}
+	r.log.logState, r.log.err = logState{}, nil
 }
 
-// Dir returns the configured bundle output directory ("" when bundles are
+// Dir returns the configured incident log directory ("" when bundles are
 // kept in memory only).
 func (r *Recorder) Dir() string {
 	if r == nil {
@@ -282,7 +283,7 @@ func (r *Recorder) Tick(now time.Duration) {
 	r.samples.push(r.cfg.Samples, samples...)
 	r.burns.push(r.cfg.Burns, burns...)
 	if phases != nil {
-		r.phases = ring[tsdb.PhaseStat]{all: phases, enc: make([][]byte, len(phases))}
+		r.phases.replace(phases)
 	}
 	if metrics != nil {
 		r.counters.push(r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
@@ -295,7 +296,7 @@ func (r *Recorder) Tick(now time.Duration) {
 // Trigger snapshots the rings — plus the tracer's event ring and the
 // controller's newest audit records, gathered at trigger time — into a new
 // incident bundle, appends it to the in-memory incident log, and (when
-// Config.Dir is set) writes it to <Dir>/<bundle-id>.json. Reason is one of
+// Config.Dir is set) logs it to <Dir>/incidents.log. Reason is one of
 // "slo_burn", "overload", "alloc_fallback", "device_failure", "manual";
 // family/device are -1 when not applicable.
 //
@@ -307,7 +308,7 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 		return nil
 	}
 	r.mu.Lock()
-	src, from := r.src, r.traceEnd
+	src, from := r.src, r.trace.end()
 	r.mu.Unlock()
 
 	var plans []controlplane.PlanRecord
@@ -323,18 +324,20 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	// surface shares this helper).
 	plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
 
-	// The tracer is read outside r.mu, for only the events past the cache,
-	// and joined to the cache under it. A concurrent trigger may have moved
-	// the cache in between; when the join cannot make the cache this read's
-	// window, read again from where the cache ends now.
+	// The tracer is read outside the locks, for only the events past the
+	// cache, and joined to the cache under them. A concurrent trigger may
+	// have moved the cache in between; when the join cannot make the cache
+	// this read's window, read again from where the cache ends now.
 	for {
 		first, events := src.Tracer.TailFrom(r.cfg.TraceEvents, from)
+		r.log.mu.Lock()
 		r.mu.Lock()
 		if r.joinTrace(src.Tracer, first, from, events) {
 			break
 		}
-		src, from = r.src, r.traceEnd
+		src, from = r.src, r.trace.end()
 		r.mu.Unlock()
+		r.log.mu.Unlock()
 	}
 	r.seq++
 	b := &Bundle{
@@ -354,29 +357,31 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 		Runtime:     r.runtime.window(),
 		Build:       buildinfo.Get(),
 	}
+	first := r.windows()
 	r.incidents = append(r.incidents, b)
 	if over := len(r.incidents) - r.cfg.MaxIncidents; over > 0 {
 		r.incidents = append(r.incidents[:0], r.incidents[over:]...)
 	}
-	dir := r.cfg.Dir
-	var e sections
-	var err error
-	if dir != "" {
-		e, err = r.encode(plans)
-	}
 	r.mu.Unlock()
 
-	if dir != "" {
-		if err == nil {
-			err = r.write(filepath.Join(dir, b.ID+".json"), b, &e)
-		}
-		if err != nil {
-			r.mu.Lock()
-			r.writeErr = err
-			r.mu.Unlock()
+	// The log is written under its own lock only: the bundle's sections are
+	// windows nothing writes again, and the next trigger logs after this one.
+	if dir := r.cfg.Dir; dir != "" {
+		if err := r.log.append(dir, b, &first); err != nil {
+			r.log.err = fmt.Errorf("incident log: bundle %s: %w", b.ID, err)
 		}
 	}
+	r.log.mu.Unlock()
 	return b
+}
+
+// windows returns the ordinal of the first value of each ring section of a
+// bundle cut now. Called under r.mu.
+func (r *Recorder) windows() [nSections]uint64 {
+	return [nSections]uint64{
+		secTrace: r.trace.first(), secCounters: r.counters.first(), secSamples: r.samples.first(),
+		secBurns: r.burns.first(), secPhases: r.phases.first(), secRuntime: r.runtime.first(),
+	}
 }
 
 // joinTrace makes the trace cache the window of a read of the tracer from
@@ -388,76 +393,23 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 // Called under r.mu.
 func (r *Recorder) joinTrace(tracer *telemetry.Tracer, first, from uint64, events []telemetry.Event) bool {
 	c := &r.trace
-	oldest := r.traceEnd - uint64(len(c.all)-c.start)
 	got := max(first, from)
 	end := got + uint64(len(events))
-	if r.src.Tracer != tracer || r.traceEnd > end || oldest > first || (got > first && r.traceEnd < got) {
+	if r.src.Tracer != tracer || c.end() > end || c.first() > first || (got > first && c.end() < got) {
 		return false
 	}
-	if r.traceEnd < first {
+	if c.end() < first {
 		// Everything cached is older than the window; the read has it all.
-		*c = ring[TraceEvent]{}
-		r.traceEnd = first
+		*c = ring[TraceEvent]{base: first}
 	}
-	fresh := events[r.traceEnd-got:]
-	if len(fresh) > 0 {
+	if fresh := events[c.end()-got:]; len(fresh) > 0 {
 		dst := c.extend(r.cfg.TraceEvents, len(fresh))
 		for k := range fresh {
 			dst[k] = toTraceEvent(fresh[k])
 		}
-		r.traceEnd = end
 	}
 	c.start = len(c.all) - int(end-first)
 	return true
-}
-
-// encode returns the encodings of the sections of the bundle Trigger has
-// just built from the rings and plans. Every ring element, trace event and
-// plan record is encoded once, the first time a bundle holds it, and
-// spliced into every later bundle that holds it too. An encoding is never
-// changed once set, so the sections stay valid after r.mu is released.
-// Called under r.mu.
-func (r *Recorder) encode(plans []controlplane.PlanRecord) (sections, error) {
-	var e sections
-	var errs [7]error
-	e.trace, errs[0] = r.trace.encoded(encodeTraceEvent)
-	e.counters, errs[1] = r.counters.encoded(marshalElem[CounterSnap])
-	e.samples, errs[2] = r.samples.encoded(encodeSample)
-	e.burns, errs[3] = r.burns.encoded(marshalElem[tsdb.BurnEvent])
-	e.phases, errs[4] = r.phases.encoded(encodePhaseStat)
-	e.plans, errs[5] = r.encodePlans(plans)
-	e.runtime, errs[6] = r.runtime.encoded(marshalElem[RuntimeSnap])
-	return e, cmp.Or(errs[:]...)
-}
-
-// write writes bundle b, whose sections e encodes, to path through the
-// recorder's output buffer.
-func (r *Recorder) write(path string, b *Bundle, e *sections) error {
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	r.out = b.appendJSON(r.out[:0], e)
-	return writeFileAtomic(path, r.out)
-}
-
-// encodePlans returns the encodings of plans, reusing those of the last
-// bundle's plans with equal Seq. Seq 0 marks a record no controller
-// numbered, so it is never reused.
-func (r *Recorder) encodePlans(plans []controlplane.PlanRecord) ([][]byte, error) {
-	enc := make([][]byte, len(plans))
-	for i := range plans {
-		if j := slices.Index(r.planSeqs, plans[i].Seq); j >= 0 && plans[i].Seq > 0 {
-			enc[i] = r.planEnc[j]
-		}
-	}
-	if err := encodeMissing(enc, plans, marshalElem[controlplane.PlanRecord]); err != nil {
-		return nil, err
-	}
-	r.planSeqs = r.planSeqs[:0]
-	for i := range plans {
-		r.planSeqs = append(r.planSeqs, plans[i].Seq)
-	}
-	r.planEnc = enc
-	return enc, nil
 }
 
 // Incidents returns the in-memory incident log, oldest first.
@@ -470,16 +422,16 @@ func (r *Recorder) Incidents() []*Bundle {
 	return append([]*Bundle(nil), r.incidents...)
 }
 
-// WriteError returns the most recent bundle-file write failure, if any.
-// Disk trouble must not break the data path, so Trigger records the error
-// here instead of returning it.
+// WriteError returns the run's most recent failure to write the incident
+// log, if any. Disk trouble must not break the data path, so Trigger
+// records the error here instead of returning it.
 func (r *Recorder) WriteError() error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.writeErr
+	r.log.mu.Lock()
+	defer r.log.mu.Unlock()
+	return r.log.err
 }
 
 // readRuntime samples process runtime state. Only called in live mode —
@@ -497,7 +449,7 @@ func readRuntime(now time.Duration) *RuntimeSnap {
 	}
 }
 
-// ReadBundle decodes one incident bundle from r.
+// ReadBundle decodes one incident bundle's JSON from rd.
 func ReadBundle(rd io.Reader) (*Bundle, error) {
 	var b Bundle
 	dec := json.NewDecoder(rd)
@@ -507,12 +459,12 @@ func ReadBundle(rd io.Reader) (*Bundle, error) {
 	return &b, nil
 }
 
-// ReadBundleFile decodes the incident bundle at path.
+// ReadBundleFile reads the incident bundle path names, DIR/ID: the bundle
+// ID from the incident log in DIR.
 func ReadBundleFile(path string) (*Bundle, error) {
-	f, err := os.Open(path)
+	l, err := ReadLog(filepath.Dir(path))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBundle(f)
+	return l.Bundle(filepath.Base(path))
 }

@@ -2,10 +2,12 @@ package flightrec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +177,8 @@ func TestTickBatchOverflowsRing(t *testing.T) {
 
 // TestTriggerStorm races concurrent triggers against ticks and asserts every
 // bundle is complete and non-interleaved: unique sequence numbers, matching
-// IDs, and self-consistent sections. Run with -race.
+// IDs, self-consistent sections, and all 32 in the incident log in Seq
+// order, each rebuilt from it as the oracle encodes it. Run with -race.
 func TestTriggerStorm(t *testing.T) {
 	dir := t.TempDir()
 	r, src := fixture(Config{Dir: dir})
@@ -210,32 +213,25 @@ func TestTriggerStorm(t *testing.T) {
 		if want := fmt.Sprintf("incident-%06d-manual", b.Seq); b.ID != want {
 			t.Fatalf("bundle ID %q does not match seq %d", b.ID, b.Seq)
 		}
-		// Each bundle must parse back from its file identically — the atomic
-		// rename means no reader ever sees a torn write.
-		onDisk, err := ReadBundleFile(filepath.Join(dir, b.ID+".json"))
-		if err != nil {
-			t.Fatalf("bundle %s not readable: %v", b.ID, err)
-		}
-		var a, c bytes.Buffer
-		if err := b.WriteJSON(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := onDisk.WriteJSON(&c); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), c.Bytes()) {
-			t.Fatalf("bundle %s differs on disk", b.ID)
-		}
 	}
 	if err := r.WriteError(); err != nil {
 		t.Fatalf("write error: %v", err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "incident-*.json"))
+	l, err := ReadLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != n {
-		t.Fatalf("%d bundle files, want %d", len(files), n)
+	ids := l.IDs()
+	if len(ids) != n {
+		t.Fatalf("%d bundles in the log, want %d", len(ids), n)
+	}
+	for i, id := range ids {
+		if want := fmt.Sprintf("incident-%06d-manual", i+1); id != want {
+			t.Fatalf("log bundle %d is %s, want %s", i, id, want)
+		}
+	}
+	for _, b := range bundles {
+		checkLogged(t, l, b)
 	}
 }
 
@@ -258,15 +254,184 @@ func TestBundleByteDeterminism(t *testing.T) {
 	}
 }
 
+// TestWriteErrorSurfaced removes the incident directory, log and all, for
+// one trigger and recreates it: the failure is reported, the in-memory log
+// keeps the bundle, and every later bundle — whose elements the lost log
+// held — is rebuilt from the new log as the oracle encodes it.
 func TestWriteErrorSurfaced(t *testing.T) {
-	r, _ := fixture(Config{Dir: filepath.Join(string(os.PathSeparator), "nonexistent", "proteus-test")})
-	r.Trigger(0, "manual", "", -1, -1)
+	dir := filepath.Join(t.TempDir(), "incidents")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r, src := fixture(Config{Dir: dir, MaxIncidents: 1 << 10})
+	step := func(sec int) *Bundle {
+		now := time.Duration(sec) * time.Second
+		src.Tracer.Record(now, telemetry.EvArrival, uint64(sec), 0, -1, -1)
+		src.TSDB.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: sec}})
+		r.Tick(now)
+		return r.Trigger(now, "manual", "", -1, -1)
+	}
+	step(1)
+	if err := r.WriteError(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	step(2)
 	if r.WriteError() == nil {
 		t.Fatal("unwritable bundle dir produced no write error")
 	}
 	// The in-memory log still has the bundle: disk trouble must not lose it.
-	if len(r.Incidents()) != 1 {
+	if len(r.Incidents()) != 2 {
 		t.Fatal("bundle lost on write failure")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	later := []*Bundle{step(3), step(4)}
+	if r.WriteError() == nil {
+		t.Fatal("a later write cleared the reported failure")
+	}
+	l, err := ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := l.IDs(); len(ids) != 2 || ids[0] != later[0].ID || ids[1] != later[1].ID {
+		t.Fatalf("log holds %v, want the two bundles after the failure", ids)
+	}
+	for _, b := range later {
+		checkLogged(t, l, b)
+	}
+}
+
+// TestFailedAppendIsTruncated makes one append fail part-way through its
+// write: the log is cut back to where it was, and the next trigger writes
+// the records the failed one had written again, so no bundle in the log
+// names a record that is not there.
+func TestFailedAppendIsTruncated(t *testing.T) {
+	dir := t.TempDir()
+	r, src := fixture(Config{Dir: dir, MaxIncidents: 1 << 10})
+	step := func(sec int) *Bundle {
+		now := time.Duration(sec) * time.Second
+		for q := 0; q < 3; q++ {
+			src.Tracer.Record(now, telemetry.EvArrival, uint64(3*sec+q), 0, -1, -1)
+		}
+		src.TSDB.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: sec}})
+		r.Tick(now)
+		return r.Trigger(now, "manual", "", -1, -1)
+	}
+	first := step(1)
+	size := logSize(t, dir)
+	failed := errors.New("disk full")
+	writeLog = func(f *os.File, p []byte, off int64) (int, error) {
+		n, _ := f.WriteAt(p[:len(p)/2], off)
+		return n, failed
+	}
+	step(2)
+	writeLog = (*os.File).WriteAt
+	if !errors.Is(r.WriteError(), failed) {
+		t.Fatalf("write error %v, want %v", r.WriteError(), failed)
+	}
+	if got := logSize(t, dir); got != size {
+		t.Fatalf("failed append left the log at %d bytes, want %d", got, size)
+	}
+	third := step(3)
+	l, err := ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := l.IDs(); len(ids) != 2 || ids[0] != first.ID || ids[1] != third.ID {
+		t.Fatalf("log holds %v, want %s and %s", ids, first.ID, third.ID)
+	}
+	checkLogged(t, l, first)
+	checkLogged(t, l, third)
+}
+
+// TestInitStartsFreshLog holds a second run to its own log: Init empties
+// the log's state, and the run's first trigger truncates the first run's
+// log rather than appending to it or leaving its bundles beside its own.
+func TestInitStartsFreshLog(t *testing.T) {
+	dir := t.TempDir()
+	r, src := fixture(Config{Dir: dir})
+	for i := 0; i < 3; i++ {
+		src.Tracer.Record(time.Duration(i), telemetry.EvArrival, uint64(i), 0, -1, -1)
+		r.Trigger(time.Duration(i), "manual", "first run", -1, -1)
+	}
+	r.Init(src)
+	if got := logSize(t, dir); got == 0 {
+		t.Fatal("first run left no log")
+	}
+	var second []*Bundle
+	for i := 0; i < 2; i++ {
+		src.Tracer.Record(time.Duration(10+i), telemetry.EvDone, uint64(i), 1, 0, 1)
+		second = append(second, r.Trigger(time.Duration(10+i), "slo_burn", "second run", 1, -1))
+	}
+	l, err := ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := l.IDs(); len(ids) != 2 || ids[0] != second[0].ID || ids[1] != second[1].ID {
+		t.Fatalf("log after a second Init holds %v, want only the second run's bundles", ids)
+	}
+	for _, b := range second {
+		checkLogged(t, l, b)
+	}
+}
+
+// TestLogCutAnywhereInLastWrite is the crash rule: the log cut at every byte
+// of its last trigger's write still reads without an error, every earlier
+// bundle rebuilds byte for byte, and the cut bundle is simply absent.
+func TestLogCutAnywhereInLastWrite(t *testing.T) {
+	dir := t.TempDir()
+	r, src := fixture(Config{Dir: dir, TraceEvents: 16, Samples: 8, MaxIncidents: 1 << 10})
+	var want [][]byte
+	var ids []string
+	var before int64
+	for sec := 0; sec < 4; sec++ {
+		now := time.Duration(sec) * time.Second
+		for q := 0; q < 5; q++ {
+			src.Tracer.RecordCtx(now, telemetry.EvEnqueue, uint64(5*sec+q), q%2, sec, -1, telemetry.Ctx{Plan: int32(sec)})
+		}
+		src.TSDB.Sample(now, []tsdb.DeviceState{{Up: true, QueueDepth: sec}, {Up: true, Variant: "resnet50"}})
+		src.TSDB.RecordPhases(0, 1, tsdb.PhaseDurations{Queue: now, Exec: time.Millisecond})
+		r.Tick(now)
+		before = logSize(t, dir)
+		b := r.Trigger(now, "manual", fmt.Sprintf("tick %d", sec), -1, -1)
+		data, err := oracle(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ids = append(want, data), append(ids, b.ID)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, LogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(before) >= len(data)-1 {
+		t.Fatalf("last write spans %d..%d bytes", before, len(data))
+	}
+	for cut := int(before); cut < len(data); cut++ {
+		l, err := ParseLog(data[:cut])
+		if err != nil {
+			t.Fatalf("log cut at byte %d of %d: %v", cut, len(data), err)
+		}
+		if got := l.IDs(); !slices.Equal(got, ids[:len(ids)-1]) {
+			t.Fatalf("log cut at byte %d of %d holds %v, want %v", cut, len(data), got, ids[:len(ids)-1])
+		}
+		for i, id := range ids[:len(ids)-1] {
+			got, err := l.BundleJSON(id)
+			if err != nil || !bytes.Equal(got, want[i]) {
+				t.Fatalf("log cut at byte %d: bundle %s not rebuilt (%v)", cut, id, err)
+			}
+		}
+	}
+	l, err := ParseLog(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.IDs(); !slices.Equal(got, ids) {
+		t.Fatalf("whole log holds %v, want %v", got, ids)
 	}
 }
 
@@ -352,7 +517,7 @@ func TestBundlesNeverChange(t *testing.T) {
 			t.Fatalf("bundle %s changed after it was returned\n now: %s\nthen: %s", b.ID, data, snaps[b])
 		}
 	}
-	for _, b := range got { // the second run's files replaced the first's
+	for _, b := range got { // the second run's log replaced the first's
 		checkBundleFile(t, dir, b)
 	}
 	if err := r.WriteError(); err != nil {
@@ -414,8 +579,8 @@ func TestBundlesNeverChangeConcurrent(t *testing.T) {
 
 // TestTriggerCopiesNothingHeld pins the copy-free trigger: with the trace
 // cache and every ring full and nothing new since the last trigger, a
-// trigger allocates its bundle's header, plans and file write, not copies of
-// its 1 024 trace events and 2 048 samples or a fresh buffer for its file.
+// trigger allocates its bundle's header, plans and log append, not copies
+// of its 1 024 trace events and 2 048 samples or a fresh write buffer.
 func TestTriggerCopiesNothingHeld(t *testing.T) {
 	r, src := fixture(Config{Dir: t.TempDir()})
 	for i := 0; i < 8000; i++ {

@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -94,7 +94,8 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 }
 
 // TestIncidentEndpoints covers the manual-trigger POST and the incident log
-// GET, including the bundle file landing in the configured directory.
+// GET, including the bundle landing in the incident log of the configured
+// directory and reading back as the endpoint served it.
 func TestIncidentEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t)
@@ -150,8 +151,12 @@ func TestIncidentEndpoints(t *testing.T) {
 	if len(b.TraceEvents) == 0 {
 		t.Fatal("manual bundle captured no trace events")
 	}
-	if _, err := os.Stat(filepath.Join(dir, b.ID+".json")); err != nil {
-		t.Fatalf("bundle file missing: %v", err)
+	logged, err := flightrec.ReadBundleFile(filepath.Join(dir, b.ID))
+	if err != nil {
+		t.Fatalf("bundle not in the incident log: %v", err)
+	}
+	if !reflect.DeepEqual(logged, &b) {
+		t.Fatalf("bundle read from the incident log differs from the one served:\n%+v\n%+v", logged, &b)
 	}
 
 	// The log now returns the bundle.

@@ -765,8 +765,8 @@ func wantsPrometheus(r *http.Request) bool {
 	return strings.Contains(accept, "version=0.0.4") || strings.Contains(accept, "openmetrics")
 }
 
-// captureProfiles writes pprof captures next to the incident bundle —
-// <id>-cpu.pprof (a 500ms sample) and/or <id>-heap.pprof. This lives in the
+// captureProfiles writes pprof captures next to the incident log, named
+// after the bundle — <id>-cpu.pprof (a 500ms sample) and/or <id>-heap.pprof. This lives in the
 // serving layer, not flightrec: CPU profiling needs a wall-clock sampling
 // window, and the bundle core stays byte-deterministic without it.
 func (s *Server) captureProfiles(id, kinds string) error {

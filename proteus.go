@@ -265,8 +265,8 @@ func RenderRunReport(d *RunDump) []byte { return report.RenderHTML(d) }
 // 16 retained incidents). A nil *FlightRecorder is a valid no-op.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder { return flightrec.New(cfg) }
 
-// ReadIncidentBundle parses an incident bundle JSON file written by the
-// flight recorder.
+// ReadIncidentBundle reads the incident bundle path names, DIR/ID: the
+// bundle ID from the incident log the flight recorder wrote into DIR.
 func ReadIncidentBundle(path string) (*IncidentBundle, error) {
 	return flightrec.ReadBundleFile(path)
 }
