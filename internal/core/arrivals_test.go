@@ -199,8 +199,9 @@ func planTriggers(res *Result) []string {
 // TestRunAllocationCeiling keeps the run loop's allocations per query under
 // a ceiling that any per-event or per-batch allocation breaks: closures or
 // heap nodes for arrivals, batch completions or wake-ups cost one to three
-// per query, a fresh slice per batch about 0.2. The loop itself takes about
-// 0.06, half of it routing-table rebuilds at load ends.
+// per query, a fresh slice per batch about 0.2. The run takes about 0.06
+// (0.063 under -race), most of it the latency histograms, queue growth and
+// the plans; routing-table rebuilds refill one table in place.
 func TestRunAllocationCeiling(t *testing.T) {
 	names := make([]string, 0, 9)
 	for _, f := range models.Zoo() {
@@ -230,11 +231,11 @@ func TestRunAllocationCeiling(t *testing.T) {
 	if res.Summary.Queries < 10000 {
 		t.Fatalf("only %d queries", res.Summary.Queries)
 	}
-	// The arrival slice and its sort are part of Run, and cost the same
-	// handful of allocations at any length.
+	// Expanding the arrivals is part of Run: one slice for all of them, and
+	// a second's scratch that grows to the densest second.
 	perQuery := float64(after.Mallocs-before.Mallocs) / float64(res.Summary.Queries)
 	t.Logf("%.3f mallocs per query over %d queries", perQuery, res.Summary.Queries)
-	if perQuery > 0.15 {
-		t.Errorf("%.2f mallocs per query, ceiling 0.15", perQuery)
+	if perQuery > 0.08 {
+		t.Errorf("%.3f mallocs per query, ceiling 0.08", perQuery)
 	}
 }

@@ -18,6 +18,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -122,6 +123,10 @@ type Plane struct {
 	down   []bool
 	table  *router.Table
 	nextID uint64
+	// masked and admit are Rebuild's scratch: the plan's routing rows over
+	// the ready devices, and each family's full-plan admission.
+	masked allocator.Allocation
+	admit  []float64
 	// planSeq is the audit-log sequence number of the plan in force (0 until
 	// the initial plan applies), stamped onto trace events so latency
 	// attribution can join queries to control decisions. Atomic because the
@@ -338,35 +343,34 @@ func (p *Plane) Down() []bool { return append([]bool(nil), p.down...) }
 // Devices[d].View(now); drivers call it after every hosting change: plan
 // application, load completion, failure, recovery.
 func (p *Plane) Rebuild(now time.Duration, ready []bool, profs []overload.DeviceProfile) {
-	masked := allocator.Allocation{
-		Hosted:  p.plan.Hosted,
-		Routing: make([][]float64, len(p.plan.Routing)),
-	}
-	admit := make([]float64, len(p.plan.Routing))
+	families := len(p.plan.Routing)
+	p.masked.Hosted = p.plan.Hosted
+	p.masked.Routing = slices.Grow(p.masked.Routing[:0], families)[:families]
+	p.admit = p.admit[:0]
 	for q, row := range p.plan.Routing {
-		masked.Routing[q] = make([]float64, len(row))
+		masked := slices.Grow(p.masked.Routing[q][:0], len(row))[:len(row)]
+		clear(masked)
+		admit := 0.0
 		for d, y := range row {
 			if y <= 0 {
 				continue
 			}
-			admit[q] += y
+			admit += y
 			if ready[d] {
-				masked.Routing[q][d] = y
+				masked[d] = y
 			}
 		}
+		p.masked.Routing[q] = masked
+		if p.cfg.DisableAdmission && admit > 0 {
+			admit = 1
+		}
+		p.admit = append(p.admit, admit)
 	}
-	p.table = router.BuildTable(&masked, len(p.cfg.Families))
+	p.table.Refill(&p.masked, len(p.cfg.Families))
 	p.table.SetCounters(p.rc)
-	if p.cfg.DisableAdmission {
-		for q := range admit {
-			if admit[q] > 0 {
-				admit[q] = 1
-			}
-		}
-	}
 	// Admission follows the full plan, not the load-masked subset: during a
 	// model load the remaining devices absorb the full admitted load.
-	p.table.SetAdmission(admit)
+	p.table.SetAdmission(p.admit)
 	p.Guard.SetPlan(now, profs)
 }
 

@@ -7,6 +7,7 @@ package router
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"proteus/internal/allocator"
@@ -33,43 +34,45 @@ type Table struct {
 	counters telemetry.RouterCounters
 }
 
-// SetCounters attaches telemetry counters to the pick path. Tables are
-// rebuilt on every plan change, so the owner re-attaches after each
-// BuildTable.
+// SetCounters attaches telemetry counters to the pick path; Refill keeps
+// them.
 func (t *Table) SetCounters(c telemetry.RouterCounters) { t.counters = c }
 
-// BuildTable derives a routing table from an allocation. Weights are
-// normalized per family; the admission fraction defaults to the plan row's
-// sum (capped at 1).
+// BuildTable derives a routing table from an allocation: a fresh Table
+// filled by Refill.
 func BuildTable(alloc *allocator.Allocation, families int) *Table {
-	t := &Table{
-		devices: make([][]int, families),
-		weights: make([][]float64, families),
-		admit:   make([]float64, families),
-	}
+	t := &Table{}
+	t.Refill(alloc, families)
+	return t
+}
+
+// Refill rebuilds t from an allocation in place, reusing its per-family
+// slices. Weights are normalized per family; the admission fraction
+// defaults to the plan row's sum (capped at 1).
+func (t *Table) Refill(alloc *allocator.Allocation, families int) {
+	t.devices = slices.Grow(t.devices[:0], families)[:families]
+	t.weights = slices.Grow(t.weights[:0], families)[:families]
+	t.admit = slices.Grow(t.admit[:0], families)
 	for q := 0; q < families; q++ {
 		row := alloc.Routing[q]
-		sum := 0.0
+		sum, serving := 0.0, 0
 		for _, y := range row {
 			if y > 0 {
 				sum += y
+				serving++
 			}
 		}
-		if sum <= 0 {
-			continue
-		}
-		t.admit[q] = sum
-		if t.admit[q] > 1 {
-			t.admit[q] = 1
-		}
+		devices := slices.Grow(t.devices[q][:0], serving)
+		weights := slices.Grow(t.weights[q][:0], serving)
 		for d, y := range row {
 			if y > 0 {
-				t.devices[q] = append(t.devices[q], d)
-				t.weights[q] = append(t.weights[q], y/sum)
+				devices = append(devices, d)
+				weights = append(weights, y/sum)
 			}
 		}
+		t.devices[q], t.weights[q] = devices, weights
+		t.admit = append(t.admit, min(sum, 1))
 	}
-	return t
 }
 
 // SetAdmission overrides the per-family admission fractions (used when the

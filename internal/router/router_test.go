@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,6 +148,65 @@ func TestPickNoRoute(t *testing.T) {
 	}
 	if d := tab.Pick(9, rng); d != -1 {
 		t.Fatalf("out-of-range family must return -1, got %d", d)
+	}
+}
+
+// TestRefillMatchesBuildTable refills one table in place over random
+// sequences of allocations — rows that empty out and fill again, families
+// and devices that come and go — and holds it after every refill to a fresh
+// BuildTable of the same allocation.
+func TestRefillMatchesBuildTable(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := numeric.NewRNG(seed)
+		tab := BuildTable(&allocator.Allocation{}, 0)
+		for step := 0; step < 40; step++ {
+			families, devices := 1+rng.Intn(6), 1+rng.Intn(8)
+			a := &allocator.Allocation{Routing: make([][]float64, families)}
+			for q := range a.Routing {
+				a.Routing[q] = make([]float64, devices)
+				if rng.Intn(3) == 0 {
+					continue // no device serves q in this plan
+				}
+				for d := range a.Routing[q] {
+					switch rng.Intn(4) {
+					case 0:
+						a.Routing[q][d] = rng.Float64()
+					case 1:
+						a.Routing[q][d] = -rng.Float64() // never routed to
+					}
+				}
+			}
+			tab.Refill(a, families)
+			fresh := BuildTable(a, families)
+			for q := 0; q < families; q++ {
+				if !slices.Equal(tab.Devices(q), fresh.Devices(q)) ||
+					!slices.Equal(tab.weights[q], fresh.weights[q]) ||
+					tab.Admission(q) != fresh.Admission(q) {
+					t.Fatalf("seed %d step %d family %d: refilled %v %v %v, fresh %v %v %v", seed, step, q,
+						tab.Devices(q), tab.weights[q], tab.Admission(q),
+						fresh.Devices(q), fresh.weights[q], fresh.Admission(q))
+				}
+			}
+			if len(tab.devices) != families || len(tab.weights) != families || len(tab.admit) != families ||
+				tab.Entries() != fresh.Entries() {
+				t.Fatalf("seed %d step %d: refilled table has %d/%d/%d rows and %d entries, fresh %d rows and %d",
+					seed, step, len(tab.devices), len(tab.weights), len(tab.admit), tab.Entries(), families, fresh.Entries())
+			}
+		}
+	}
+}
+
+// TestRefillAllocatesNothingOnceSized refills a table with plans it has
+// already held: the per-family slices are reused.
+func TestRefillAllocatesNothingOnceSized(t *testing.T) {
+	a, b := alloc2x3(), alloc2x3()
+	b.Routing[0] = []float64{0, 0, 0}
+	tab := BuildTable(a, 2)
+	if n := testing.AllocsPerRun(100, func() {
+		tab.Refill(b, 2)
+		tab.Refill(a, 2)
+	}); n != 0 {
+		t.Fatalf("%v allocations per pair of refills", n)
 	}
 }
 

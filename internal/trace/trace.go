@@ -332,7 +332,10 @@ type Arrival struct {
 // Arrivals expands the trace into individual queries. Within each second
 // the number of arrivals per family is Poisson with the bin's rate and the
 // times are uniform in the bin — i.e. a piecewise-homogeneous Poisson
-// process, the paper's §6.1.3 construction. The result is sorted by time.
+// process, the paper's §6.1.3 construction. The result is sorted by time,
+// equal times in generation order: family, then draw. That is the stable
+// sort of the generation order, the order core.RunArrivals gives an unsorted
+// slice.
 func (tr *Trace) Arrivals(rng *numeric.RNG) []Arrival {
 	// Sized once for the expected count plus four standard deviations of the
 	// Poisson total: regrowing a list of ~10^6 arrivals by appends allocates
@@ -344,17 +347,71 @@ func (tr *Trace) Arrivals(rng *numeric.RNG) []Arrival {
 		}
 	}
 	out := make([]Arrival, 0, int(expected+4*math.Sqrt(expected))+1)
+	// A second's arrivals lie in [t, t+1) s, so sorting each second on its
+	// own sorts the whole trace; bin and counts are that second's scratch.
+	var bin []Arrival
+	var counts []int
 	for t, row := range tr.Demand {
+		bin = bin[:0]
 		for f, rate := range row {
 			n := rng.Poisson(rate)
 			for i := 0; i < n; i++ {
 				at := time.Duration((float64(t) + rng.Float64()) * float64(time.Second))
-				out = append(out, Arrival{Time: at, Family: f})
+				bin = append(bin, Arrival{Time: at, Family: f})
 			}
 		}
+		out, counts = appendSecond(out, bin, time.Duration(t)*time.Second, counts)
 	}
-	slices.SortFunc(out, ByTime)
 	return out
+}
+
+// appendSecond appends bin — the arrivals of the second starting at start,
+// each at an offset in [0, 1 s] from it — to out in the order
+// slices.SortStableFunc(bin, ByTime) would give, in time linear in len(bin)
+// for uniform offsets. A counting pass places the arrivals into len(bin)
+// equal-width buckets, in input order within each; an insertion pass then
+// orders each bucket, and moves nothing across one. An offset of exactly
+// 1 s — (t+u)·1e9 rounds up to it for large t — goes to the last bucket,
+// which keeps it last. counts is scratch, returned for reuse.
+func appendSecond(out, bin []Arrival, start time.Duration, counts []int) ([]Arrival, []int) {
+	n := len(bin)
+	if n == 0 {
+		return out, counts
+	}
+	bucket := func(a Arrival) int {
+		return min(int(uint64(a.Time-start)*uint64(n)/uint64(time.Second)), n-1)
+	}
+	// counts[k+1] counts bucket k; the prefix sum turns counts[k] into
+	// bucket k's first slot, and placing an arrival advances it.
+	if cap(counts) < n+1 {
+		counts = make([]int, n+1)
+	} else {
+		counts = counts[:n+1]
+		clear(counts)
+	}
+	for _, a := range bin {
+		counts[bucket(a)+1]++
+	}
+	for k := 1; k < n; k++ {
+		counts[k] += counts[k-1]
+	}
+	base := len(out)
+	out = slices.Grow(out, n)[:base+n]
+	dst := out[base:]
+	for _, a := range bin {
+		k := bucket(a)
+		dst[counts[k]] = a
+		counts[k]++
+	}
+	for i := 1; i < n; i++ {
+		a := dst[i]
+		j := i
+		for ; j > 0 && a.Time < dst[j-1].Time; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = a
+	}
+	return out, counts
 }
 
 // ByTime compares two arrivals by time alone — the order Arrivals sorts
