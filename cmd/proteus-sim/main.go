@@ -136,9 +136,6 @@ type sloConfig struct {
 	ShortWindowS    float64 `json:"short_window_s"`
 	LongWindowS     float64 `json:"long_window_s"`
 	SampleIntervalS float64 `json:"sample_interval_s"`
-	// Realloc lets a burn start trigger an early re-allocation (off by
-	// default).
-	Realloc bool `json:"realloc"`
 }
 
 type deviceConfig struct {
@@ -296,7 +293,6 @@ func main() {
 		registry = proteus.NewTelemetryRegistry()
 	}
 	var recorder *proteus.TSDBRecorder
-	burnRealloc := false
 	// The guard's degradation path is triggered by the burn monitor, so an
 	// enabled overload block forces a recorder even without -tsdb/-report.
 	// The flight recorder samples all three surfaces, so -incidents forces
@@ -313,7 +309,6 @@ func main() {
 				ShortWindow: sec(s.ShortWindowS),
 				LongWindow:  sec(s.LongWindowS),
 			}
-			burnRealloc = s.Realloc
 		}
 		recorder = proteus.NewTSDBRecorder(tc)
 	}
@@ -331,20 +326,19 @@ func main() {
 		flight = proteus.NewFlightRecorder(proteus.FlightConfig{Dir: *incDir})
 	}
 	sys, err := proteus.NewSystem(proteus.SystemConfig{
-		Cluster:        cl,
-		Families:       fams,
-		SLOMultiplier:  cfg.SLOMultiplier,
-		Allocator:      alloc,
-		Batching:       batch,
-		Faults:         faults,
-		Seed:           cfg.Seed,
-		Tracer:         tracer,
-		Telemetry:      registry,
-		TSDB:           recorder,
-		Flight:         flight,
-		SLOBurnRealloc: burnRealloc,
-		Overload:       buildOverload(cfg.Overload),
-		MaxRetries:     maxRetries,
+		Cluster:       cl,
+		Families:      fams,
+		SLOMultiplier: cfg.SLOMultiplier,
+		Allocator:     alloc,
+		Batching:      batch,
+		Faults:        faults,
+		Seed:          cfg.Seed,
+		Tracer:        tracer,
+		Telemetry:     registry,
+		TSDB:          recorder,
+		Flight:        flight,
+		Overload:      buildOverload(cfg.Overload),
+		MaxRetries:    maxRetries,
 	})
 	if err != nil {
 		fatal(err)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,19 +26,23 @@ import (
 // (`simulation.Engine.Reschedule`). The first word of a code span is the one
 // checked, so `cmd/proteus-bench -experiment x` checks cmd/proteus-bench, and
 // a trailing call (`lp.Solve(p)`) is ignored. Fenced code blocks are skipped.
-// bench/README.md is not read.
+// bench/README.md is not read. A ROADMAP citation (`ROADMAP item N`,
+// `ROADMAP N(x)`) in these documents or in any non-test .go file must name
+// an item of ROADMAP.md's numbered list, and the item must have step (x).
 func TestDocReferences(t *testing.T) {
 	prefixes := []string{"internal/", "cmd/", "configs/", "examples/", "bench/", ".github/"}
 	span := regexp.MustCompile("`([^`]+)`")
 	lineRef := regexp.MustCompile(`^(.+\.go):(\d+)$`)
 	identRef := regexp.MustCompile(`^([a-z][a-z0-9]*)((?:\.[A-Za-z_][A-Za-z0-9_]*)+)(?:\(.*\))?$`)
 	rows := benchmarkRows(t)
+	items := roadmapItems(t)
 	pkgs := map[string]*pkgDecls{}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "configs/README.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkRoadmapCitations(t, doc, string(data), items)
 		text := blankFences(string(data))
 		for _, m := range span.FindAllStringSubmatchIndex(text, -1) {
 			words := strings.Fields(text[m[2]:m[3]])
@@ -82,6 +87,66 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s: `%s`: %s has %d lines", at, tok, path, n)
 				}
 			}
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err == nil {
+			checkRoadmapCitations(t, path, string(src), items)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// roadmapCitation matches `ROADMAP item 12`, `ROADMAP 8(c)` and the like,
+// across a line break in prose or in a // comment.
+var roadmapCitation = regexp.MustCompile(`ROADMAP(?:\s|//)+(?:items?(?:\s|//)+)?(\d+)(?:\(([a-z])\))?`)
+
+// roadmapItems returns the text of each item of ROADMAP.md's numbered list,
+// by number: from its "N. " line to the next item's.
+func roadmapItems(t *testing.T) map[int]string {
+	t.Helper()
+	data, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := regexp.MustCompile(`(?m)^(\d+)\. `)
+	marks := start.FindAllStringSubmatchIndex(string(data), -1)
+	items := map[int]string{}
+	for i, m := range marks {
+		end := len(data)
+		if i+1 < len(marks) {
+			end = marks[i+1][0]
+		}
+		items[atoi(string(data[m[2]:m[3]]))] = string(data[m[0]:end])
+	}
+	return items
+}
+
+// checkRoadmapCitations reports every ROADMAP citation in text that names
+// no item, or a step the item does not have.
+func checkRoadmapCitations(t *testing.T, name, text string, items map[int]string) {
+	t.Helper()
+	for _, m := range roadmapCitation.FindAllStringSubmatchIndex(text, -1) {
+		at := name + ":" + strconv.Itoa(1+strings.Count(text[:m[0]], "\n"))
+		item, ok := items[atoi(text[m[2]:m[3]])]
+		switch {
+		case !ok:
+			t.Errorf("%s: ROADMAP.md has no item %s", at, text[m[2]:m[3]])
+		case m[4] >= 0 && !strings.Contains(item, "("+text[m[4]:m[5]]+")"):
+			t.Errorf("%s: ROADMAP.md item %s has no step (%s)", at, text[m[2]:m[3]], text[m[4]:m[5]])
 		}
 	}
 }

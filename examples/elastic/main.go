@@ -30,9 +30,7 @@ func main() {
 	})
 
 	run := func(elastic *proteus.ElasticConfig) *proteus.Result {
-		alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-			MaxNodes: 640, RelGap: 0.01,
-		})
+		alloc, err := proteus.NewAllocator("ilp", nil)
 		if err != nil {
 			log.Fatal(err)
 		}

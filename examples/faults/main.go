@@ -31,9 +31,7 @@ func main() {
 	// Kill 25% of the fleet at t=80s; the victims rejoin at t=160s.
 	faults := proteus.KillFraction(cl, 0.25, 80*time.Second, 160*time.Second)
 
-	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		MaxNodes: 640, RelGap: 0.01,
-	})
+	alloc, err := proteus.NewAllocator("ilp", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

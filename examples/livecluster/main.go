@@ -23,9 +23,7 @@ func main() {
 			fams = append(fams, f)
 		}
 	}
-	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		TimeLimit: 300 * time.Millisecond, RelGap: 0.01,
-	})
+	alloc, err := proteus.NewAllocator("ilp", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

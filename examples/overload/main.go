@@ -24,9 +24,7 @@ func main() {
 		PeriodSeconds: 30, // matches the simulator's control period
 	})
 
-	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		MaxNodes: 640, RelGap: 0.01,
-	})
+	alloc, err := proteus.NewAllocator("ilp", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

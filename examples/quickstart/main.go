@@ -13,11 +13,8 @@ import (
 )
 
 func main() {
-	// The Proteus resource manager: exact MILP with a 500ms solve budget.
-	alloc, err := proteus.NewAllocator("ilp", &proteus.MILPOptions{
-		MaxNodes: 800,
-		RelGap:   0.005,
-	})
+	// The Proteus resource manager: the paper's MILP, solved exactly.
+	alloc, err := proteus.NewAllocator("ilp", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,8 +35,6 @@ type (
 	FaultReport = experiments.FaultReport
 	// OverloadReport compares overload-guard configurations on one trace.
 	OverloadReport = experiments.OverloadReport
-	// OverloadRun is one (trace, guard) cell of the overload experiment.
-	OverloadRun = experiments.OverloadRun
 )
 
 // Fig1a reproduces Figure 1a (EfficientNet accuracy-throughput trade-off).

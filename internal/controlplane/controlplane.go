@@ -139,7 +139,7 @@ type PlanRecord struct {
 	PredictedAccuracy float64       `json:"predicted_accuracy"`
 	DemandScale       float64       `json:"demand_scale"`
 	SolveTime         time.Duration `json:"solve_time_ns"`
-	Trigger           string        `json:"trigger"` // "initial", "periodic", "burst", "failure", "recovery", "slo_burn"
+	Trigger           string        `json:"trigger"` // "initial", "periodic", "burst", "provision", "failure", "recovery"
 	// Solver names the allocator that produced the plan: the primary's name,
 	// "<name> (fallback)" when the fallback stepped in, or "carry-forward"
 	// when the last feasible plan was projected onto the surviving devices.
@@ -314,10 +314,9 @@ const (
 
 // Decide is the re-plan policy (§3) both engines schedule: what a trigger
 // at now leads to. Static allocators never re-plan. "periodic" (see
-// DemandChanged) and "provision" re-plan now. "burst" and "slo_burn"
-// re-plan outside the cooldown — BurstCooldown from the last solve attempt,
-// its end outside — and are dropped inside it. "failure" and "recovery"
-// inside it arm the one pending retry at its end, and while that is pending
+// DemandChanged) and "provision" re-plan now. "burst" re-plans outside the
+// cooldown — BurstCooldown from the last solve attempt, its end outside —
+// and is dropped inside it. "failure" and "recovery" inside it arm the one pending retry at its end, and while that is pending
 // only relabel it. Decide and Retry belong to Reallocate's goroutine.
 func (c *Controller) Decide(now time.Duration, trigger string) (Action, time.Duration) {
 	if !c.Dynamic() {
@@ -328,7 +327,7 @@ func (c *Controller) Decide(now time.Duration, trigger string) (Action, time.Dur
 		wait = c.last + c.BurstCooldown - now
 	}
 	switch trigger {
-	case "burst", "slo_burn":
+	case "burst":
 		if wait > 0 {
 			return Hold, 0
 		}

@@ -23,6 +23,15 @@ import (
 	"proteus/internal/tsdb"
 )
 
+// modelLoadDelay is the time a device is unavailable while switching hosted
+// variants (container start + weight load).
+const modelLoadDelay = 2 * time.Second
+
+// planApplyDelay models the control-path latency between invoking the
+// resource manager and the new plan taking effect (solver + propagation
+// time, off the critical path per §4).
+const planApplyDelay = time.Second
+
 // Config describes one simulated serving system.
 type Config struct {
 	// Cluster is the device fleet. Required.
@@ -37,28 +46,15 @@ type Config struct {
 	Allocator allocator.Allocator
 	// Batching creates each worker's batching policy. Default AccScale.
 	Batching batching.Factory
-	// ControlPeriod is the periodic re-allocation interval. Default 30s.
+	// ControlPeriod is the periodic re-allocation interval and the demand
+	// estimation window. Default 30s.
 	ControlPeriod time.Duration
-	// DemandWindow is the statistics collector's estimation window.
-	// Default: ControlPeriod.
-	DemandWindow time.Duration
-	// BurstFactor triggers an early re-allocation when a family's
-	// instantaneous demand exceeds its planned capacity by this factor.
-	// Default 1.5.
-	BurstFactor float64
 	// BurstCooldown is the minimum spacing of burst re-allocations.
 	// Default 10s.
 	BurstCooldown time.Duration
 	// Headroom over-provisions demand estimates when re-allocating
 	// (the artifact's β = 1.05 hyper-parameter). Default 1.05.
 	Headroom float64
-	// ModelLoadDelay is the time a device is unavailable while switching
-	// hosted variants (container start + weight load). Default 2s.
-	ModelLoadDelay time.Duration
-	// PlanApplyDelay models the control-path latency between invoking the
-	// resource manager and the new plan taking effect (solver + propagation
-	// time, off the critical path per §4). Default 1s.
-	PlanApplyDelay time.Duration
 	// MetricsInterval is the time-series bin width. Default 10s.
 	MetricsInterval time.Duration
 	// Elastic enables the §7 hardware-scaling-in-tandem extension: when a
@@ -93,13 +89,6 @@ type Config struct {
 	// and snapshots the Tracer, Telemetry and TSDB components above, so it
 	// is most useful with those set too.
 	Flight *flightrec.Recorder
-	// PlanHistory bounds the controller's in-memory decision audit ring
-	// (records beyond the bound are dropped oldest-first). Default 256.
-	PlanHistory int
-	// SLOBurnRealloc lets an SLO burn start trigger an early re-allocation
-	// (subject to the burst cooldown). Off by default: the monitor then only
-	// observes and reports.
-	SLOBurnRealloc bool
 	// Overload, when non-nil and enabled, activates the fast-path overload
 	// guard: deadline admission control, high/low-water mailbox
 	// backpressure, and burn-triggered emergency accuracy degradation
@@ -127,27 +116,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ControlPeriod <= 0 {
 		c.ControlPeriod = 30 * time.Second
 	}
-	if c.DemandWindow <= 0 {
-		c.DemandWindow = c.ControlPeriod
-	}
-	if c.BurstFactor <= 0 {
-		c.BurstFactor = 1.5
-	}
 	if c.BurstCooldown <= 0 {
 		c.BurstCooldown = 10 * time.Second
 	}
 	if c.Headroom <= 0 {
 		c.Headroom = 1.05
-	}
-	if c.ModelLoadDelay < 0 {
-		c.ModelLoadDelay = 0
-	} else if c.ModelLoadDelay == 0 {
-		c.ModelLoadDelay = 2 * time.Second
-	}
-	if c.PlanApplyDelay < 0 {
-		c.PlanApplyDelay = 0
-	} else if c.PlanApplyDelay == 0 {
-		c.PlanApplyDelay = time.Second
 	}
 	if c.MetricsInterval <= 0 {
 		c.MetricsInterval = 10 * time.Second

@@ -180,9 +180,8 @@ func TestDynamicAllocatorReallocatesOnDemandChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	fams := models.FamilyNames(cfg.Families)
-	tr := trace.NewBursty(trace.BurstyConfig{
-		Seconds: 180, LowQPS: 30, HighQPS: 400,
-		LowSeconds: 60, HighSeconds: 60, Families: fams, StartWithLow: true,
+	tr := trace.NewMacroBurst(trace.MacroBurstConfig{
+		Seconds: 180, LowQPS: 30, HighQPS: 400, PeriodSeconds: 60, Families: fams,
 	})
 	res, err := sys.Run(tr)
 	if err != nil {
@@ -226,9 +225,8 @@ func TestModelLoadDelayCausesLoadEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	fams := models.FamilyNames(cfg.Families)
-	tr := trace.NewBursty(trace.BurstyConfig{
-		Seconds: 120, LowQPS: 30, HighQPS: 500,
-		LowSeconds: 60, HighSeconds: 60, Families: fams, StartWithLow: true,
+	tr := trace.NewMacroBurst(trace.MacroBurstConfig{
+		Seconds: 120, LowQPS: 30, HighQPS: 500, PeriodSeconds: 60, Families: fams,
 	})
 	res, err := sys.Run(tr)
 	if err != nil {
@@ -312,9 +310,8 @@ func TestProteusBeatsStaticOnBursts(t *testing.T) {
 	// scaling) must beat Clipper-HA (static most-accurate) on violations.
 	fams := smallFamilies(t)
 	names := models.FamilyNames(fams)
-	tr := trace.NewBursty(trace.BurstyConfig{
-		Seconds: 240, LowQPS: 50, HighQPS: 600,
-		LowSeconds: 60, HighSeconds: 60, Families: names, StartWithLow: true,
+	tr := trace.NewMacroBurst(trace.MacroBurstConfig{
+		Seconds: 240, LowQPS: 50, HighQPS: 600, PeriodSeconds: 60, Families: names,
 	})
 	run := func(a allocator.Allocator) *Result {
 		cfg := Config{Cluster: cluster.ScaledTestbed(8), Families: fams, Allocator: a, Seed: 7}

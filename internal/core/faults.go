@@ -37,7 +37,7 @@ func (s *System) recoverDevice(d int) {
 		return
 	}
 	w := s.workers[d]
-	w.dev.Recover(s.plane.Hosted(d), now+s.cfg.ModelLoadDelay)
+	w.dev.Recover(s.plane.Hosted(d), now+modelLoadDelay)
 	s.step(w)
 	s.afterLoad(w, now)
 	s.rebuildTable()

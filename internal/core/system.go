@@ -84,22 +84,17 @@ func NewSystem(cfg Config) (*System, error) {
 		Batching:         cfg.Batching,
 		ControlPeriod:    cfg.ControlPeriod,
 		Cooldown:         cfg.BurstCooldown,
-		DemandWindow:     cfg.DemandWindow,
-		BurstFactor:      cfg.BurstFactor,
+		DemandWindow:     cfg.ControlPeriod,
 		Headroom:         cfg.Headroom,
 		MetricsInterval:  cfg.MetricsInterval,
 		DisableAdmission: cfg.DisableAdmission,
 		MaxRetries:       cfg.MaxRetries,
-		PlanHistory:      cfg.PlanHistory,
 		Seed:             cfg.Seed,
 		Tracer:           cfg.Tracer,
 		Telemetry:        cfg.Telemetry,
 		TSDB:             cfg.TSDB,
 		Flight:           cfg.Flight,
 		Overload:         cfg.Overload,
-	}
-	if cfg.SLOBurnRealloc {
-		pc.OnBurnStart = func(time.Duration) { s.trigger("slo_burn") }
 	}
 	s.plane = dataplane.New(pc)
 	for _, dev := range s.plane.Devices {
@@ -365,7 +360,7 @@ func (s *System) replan(trigger string, failure bool) {
 	// The plan and its audit sequence number (queries enqueued meanwhile
 	// blame the plan they ran under) take effect after the control-path
 	// delay (§4: the solver is off the critical path).
-	s.engine.After(s.cfg.PlanApplyDelay, func() { s.applyPlan(r, false) })
+	s.engine.After(planApplyDelay, func() { s.applyPlan(r, false) })
 
 	// Hardware scaling in tandem (§7): a plan that sheds demand means even
 	// the lowest-accuracy hosting cannot cover the load — start a server;
@@ -401,7 +396,7 @@ func (s *System) applyPlan(r dataplane.Replan, initial bool) {
 		s.reallocErr = err
 		return
 	}
-	readyAt := now + s.cfg.ModelLoadDelay
+	readyAt := now + modelLoadDelay
 	if initial {
 		// Initial plan: models are loaded before the experiment starts.
 		readyAt = 0

@@ -44,7 +44,6 @@ func harness(t *testing.T, policy batching.Policy, mut func(*Config)) (*Plane, *
 		ControlPeriod:   30 * time.Second,
 		Cooldown:        10 * time.Second,
 		DemandWindow:    30 * time.Second,
-		BurstFactor:     1.5,
 		Headroom:        1,
 		MetricsInterval: time.Second,
 		MaxRetries:      1,

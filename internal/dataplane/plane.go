@@ -48,18 +48,16 @@ type Config struct {
 	Allocator     allocator.Allocator
 	Batching      batching.Factory
 	// ControlPeriod and Cooldown parameterize the controller; DemandWindow
-	// and BurstFactor the per-family demand monitors; Headroom multiplies
-	// every demand a plan is solved for.
+	// the per-family demand monitors; Headroom multiplies every demand a
+	// plan is solved for.
 	ControlPeriod time.Duration
 	Cooldown      time.Duration
 	DemandWindow  time.Duration
-	BurstFactor   float64
 	Headroom      float64
 
 	MetricsInterval  time.Duration
 	DisableAdmission bool
 	MaxRetries       int
-	PlanHistory      int
 	Seed             uint64
 	// DecisionLead runs the batching policy's clock that far ahead of the
 	// true one: Device.Step decides as of now+DecisionLead and names its
@@ -74,11 +72,11 @@ type Config struct {
 	TSDB      *tsdb.Recorder
 	Flight    *flightrec.Recorder
 	Overload  *overload.Config
-	// OnBurnStart, when non-nil, runs at the end of every SLO burn start
-	// (under the tsdb recorder's lock): the driver's hook for a
-	// burn-triggered re-allocation.
-	OnBurnStart func(at time.Duration)
 }
+
+// burstFactor flags a burst when a family's last-second demand exceeds its
+// planned capacity by this factor (§3).
+const burstFactor = 1.5
 
 // Status is a finished query's fate; the values are the live API's outcome
 // strings.
@@ -176,11 +174,10 @@ func New(cfg Config) *Plane {
 	// traces are visible to attribution (both arguments are nil-safe).
 	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
 	p.Collector = metrics.NewCollector(cfg.MetricsInterval, models.FamilyNames(cfg.Families))
-	p.Stats = controlplane.NewStats(families, int(cfg.DemandWindow/time.Second), cfg.BurstFactor)
+	p.Stats = controlplane.NewStats(families, int(cfg.DemandWindow/time.Second), burstFactor)
 	p.Controller = controlplane.NewController(
 		cfg.Allocator, cfg.Cluster, cfg.Families, p.slos, cfg.ControlPeriod, cfg.Cooldown)
 	p.Controller.Instrument(cfg.Telemetry)
-	p.Controller.SetHistoryLimit(cfg.PlanHistory)
 	cfg.TSDB.Init(families, p.onBurn)
 	cfg.Flight.Init(flightrec.Sources{
 		Tracer:   cfg.Tracer,
@@ -547,8 +544,8 @@ func (p *Plane) Sample(now time.Duration, states []tsdb.DeviceState) {
 }
 
 // onBurn receives SLO burn-state transitions from the tsdb recorder: they
-// enter the lifecycle trace and the controller's audit log, and the driver's
-// OnBurnStart hook may re-allocate early. Runs under the recorder's lock —
+// enter the lifecycle trace and the controller's audit log, and the overload
+// guard may degrade accuracy at once. Runs under the recorder's lock —
 // inside Recorder.Sample, or on the data path inside Arrival or Violation,
 // where the live server also holds its mutex — so it must not call back
 // into the recorder and touches no Plane state of its own.
@@ -572,9 +569,6 @@ func (p *Plane) onBurn(ev tsdb.BurnEvent) {
 	// A burn's leading edge also snapshots an incident bundle, but not from
 	// here: Trigger must not run under the recorder's lock with a stale ring,
 	// so the next Sample picks the event up from the recorder's burn log.
-	if ev.Start && p.cfg.OnBurnStart != nil {
-		p.cfg.OnBurnStart(ev.At)
-	}
 }
 
 // GuardTick advances the overload guard's time-based edges (escalation,

@@ -45,8 +45,6 @@ func TestReplanPolicy(t *testing.T) {
 			steps: []step{{12 * s, "burst", "plan:burst"}}, demand: 400 * 1.05},
 		{name: "a periodic tick solves for the windowed estimate", load: []int{10: 100, 11: 400},
 			steps: []step{{12 * s, "periodic", "plan:periodic"}}, demand: 250 * 1.05},
-		{name: "slo_burn inside the cooldown is dropped", steps: []step{
-			{5 * s, "slo_burn", "hold"}, {10 * s, "slo_burn", "plan:slo_burn"}}},
 		{name: "failure outside the cooldown re-plans now", steps: []step{
 			{12 * s, "failure", "plan:failure/handled"}}},
 		{name: "failure at the cooldown boundary re-plans now", steps: []step{
@@ -82,7 +80,7 @@ func TestReplanPolicy(t *testing.T) {
 			{s, "provision", "plan:provision"}}},
 		{name: "a static allocator never re-plans", static: true, steps: []step{
 			{2 * s, "failure", "hold"}, {12 * s, "periodic", "hold"}, {12 * s, "burst", "hold"},
-			{13 * s, "recovery", "hold"}, {14 * s, "slo_burn", "hold"}, {15 * s, "provision", "hold"}}},
+			{13 * s, "recovery", "hold"}, {15 * s, "provision", "hold"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -89,41 +89,19 @@ var SystemNames = []string{"clipper-ha", "clipper-ht", "sommelier", "infaas_v2",
 // batching policy).
 var AblationNames = []string{"ilp", "proteus-wo-ms", "proteus-wo-mp", "proteus-wo-qa", "ilp+static"}
 
-// twitterTrace synthesizes the Twitter-like diurnal workload of §6.1.3:
-// diurnal pattern with spikes and noise, Zipf split across the nine
-// families, family peaks staggered across the day (multi-tenant phase
-// spread), sped up to overload the cluster.
+// twitterTrace synthesizes the Twitter-like diurnal workload of §6.1.3 over
+// the zoo's nine families, sped up to overload the cluster.
 func (o Options) twitterTrace() *trace.Trace {
-	fams := models.FamilyNames(models.Zoo())
-	return trace.NewDiurnal(trace.DiurnalConfig{
-		Seconds:           o.TraceSeconds,
-		BaseQPS:           o.BaseQPS,
-		DiurnalAmplitude:  o.PeakQPS - o.BaseQPS,
-		PeriodSeconds:     o.TraceSeconds * 3, // one rising diurnal flank per run
-		Spikes:            3,
-		SpikeMagnitude:    o.PeakQPS / 8,
-		SpikeWidthSeconds: o.TraceSeconds / 20,
-		NoiseFrac:         0.03,
-		ZipfAlpha:         1.001,
-		FamilyPhaseSpread: 0.4,
-		Families:          fams,
-		Seed:              o.Seed,
+	return trace.NewTwitter(trace.TwitterConfig{
+		Seconds: o.TraceSeconds, BaseQPS: o.BaseQPS, PeakQPS: o.PeakQPS, Seed: o.Seed,
 	})
 }
 
 // burstyTrace synthesizes the §6.3 macro-burst workload: interleaved flat
 // low and flat high demand periods.
 func (o Options) burstyTrace() *trace.Trace {
-	fams := models.FamilyNames(models.Zoo())
-	return trace.NewBursty(trace.BurstyConfig{
-		Seconds:      o.TraceSeconds,
-		LowQPS:       o.BaseQPS,
-		HighQPS:      o.PeakQPS,
-		LowSeconds:   o.TraceSeconds / 4,
-		HighSeconds:  o.TraceSeconds / 4,
-		ZipfAlpha:    1.001,
-		Families:     fams,
-		StartWithLow: true,
+	return trace.NewMacroBurst(trace.MacroBurstConfig{
+		Seconds: o.TraceSeconds, LowQPS: o.BaseQPS, HighQPS: o.PeakQPS,
 	})
 }
 

@@ -28,7 +28,6 @@ type Fig10Options struct {
 	// here is 10 s to keep the bench suite fast — growth shape is what
 	// matters).
 	TimeLimit time.Duration
-	Seed      uint64
 }
 
 func (o Fig10Options) withDefaults() Fig10Options {

@@ -45,15 +45,17 @@ import (
 	"proteus/internal/tsdb"
 )
 
+// runtimeSnaps bounds the live-mode runtime snapshot ring.
+const runtimeSnaps = 64
+
 // Config bounds the recorder's rings and selects live-mode extras.
 type Config struct {
 	// TraceEvents is the maximum number of tracer events a bundle holds
 	// (the newest are kept). Default 4096.
 	TraceEvents int
-	// CounterSnaps / RuntimeSnaps / Samples / Burns bound the respective
-	// rings. Defaults 64, 64, 2048, 256.
+	// CounterSnaps / Samples / Burns bound the respective rings. Defaults
+	// 64, 2048, 256.
 	CounterSnaps int
-	RuntimeSnaps int
 	Samples      int
 	Burns        int
 	// Plans is the maximum number of controller audit records copied into a
@@ -63,8 +65,8 @@ type Config struct {
 	// /debug/incidents. Default 16.
 	MaxIncidents int
 	// Live enables nondeterministic runtime sampling (heap, GC pauses,
-	// goroutine count). Leave false in the simulator so same-seed runs emit
-	// byte-identical bundles.
+	// goroutine count), the newest runtimeSnaps of them. Leave false in the
+	// simulator so same-seed runs emit byte-identical bundles.
 	Live bool
 	// Dir, when non-empty, receives the run's incident log, Dir/incidents.log
 	// (LogFile): a run's first trigger starts it afresh, and every trigger
@@ -80,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CounterSnaps <= 0 {
 		c.CounterSnaps = 64
-	}
-	if c.RuntimeSnaps <= 0 {
-		c.RuntimeSnaps = 64
 	}
 	if c.Samples <= 0 {
 		c.Samples = 2048
@@ -289,7 +288,7 @@ func (r *Recorder) Tick(now time.Duration) {
 		r.counters.push(r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
 	}
 	if rt != nil {
-		r.runtime.push(r.cfg.RuntimeSnaps, *rt)
+		r.runtime.push(runtimeSnaps, *rt)
 	}
 }
 

@@ -46,15 +46,12 @@ type Config struct {
 	Allocator     allocator.Allocator
 	Batching      batching.Factory
 	ControlPeriod time.Duration
-	Headroom      float64
 	// ModelLoadDelay is how long a worker is unavailable when switching
 	// variants. Default 500ms (kept short for live experiments).
 	ModelLoadDelay time.Duration
 	// ExecNoiseFrac adds multiplicative Gaussian noise to executed batch
 	// latencies, mimicking real hardware variance. Default 0.02.
 	ExecNoiseFrac float64
-	// MetricsInterval is the collector bin width. Default 1s.
-	MetricsInterval time.Duration
 	// InitialDemand pre-provisions the cluster for the expected per-family
 	// QPS before any statistics exist (all zeros by default: the system
 	// starts minimal and scales on the first control period).
@@ -80,12 +77,6 @@ type Config struct {
 	// fallbacks, device failures and POST /debug/incident. Build it with
 	// Live set so bundles include heap/GC/goroutine snapshots.
 	Flight *flightrec.Recorder
-	// PlanHistory bounds the controller's in-memory decision audit ring
-	// (records beyond the bound are dropped oldest-first). Default 256.
-	PlanHistory int
-	// SLOBurnRealloc lets an SLO burn start trigger an early re-allocation
-	// (subject to the controller cooldown). Off by default.
-	SLOBurnRealloc bool
 	// Overload, when non-nil and enabled, activates the fast-path overload
 	// guard: deadline admission control, high/low-water mailbox
 	// backpressure, and burn-triggered emergency accuracy degradation.
@@ -111,9 +102,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ControlPeriod <= 0 {
 		c.ControlPeriod = 10 * time.Second
 	}
-	if c.Headroom <= 0 {
-		c.Headroom = 1.05
-	}
 	if c.ModelLoadDelay <= 0 {
 		c.ModelLoadDelay = 500 * time.Millisecond
 	}
@@ -121,9 +109,6 @@ func (c Config) withDefaults() (Config, error) {
 		c.ExecNoiseFrac = 0
 	} else if c.ExecNoiseFrac == 0 {
 		c.ExecNoiseFrac = 0.02
-	}
-	if c.MetricsInterval <= 0 {
-		c.MetricsInterval = time.Second
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
@@ -133,6 +118,10 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// headroom over-provisions every demand a plan is solved for (the
+// artifact's β = 1.05, as in the simulator).
+const headroom = 1.05
 
 // Outcome is a query's fate in a response.
 type Outcome string
@@ -210,11 +199,9 @@ func NewServer(cfg Config) (*Server, error) {
 		ControlPeriod:   cfg.ControlPeriod,
 		Cooldown:        cfg.ControlPeriod / 3,
 		DemandWindow:    cfg.ControlPeriod,
-		BurstFactor:     1.5,
-		Headroom:        cfg.Headroom,
-		MetricsInterval: cfg.MetricsInterval,
+		Headroom:        headroom,
+		MetricsInterval: time.Second,
 		MaxRetries:      cfg.MaxRetries,
-		PlanHistory:     cfg.PlanHistory,
 		Seed:            cfg.Seed,
 		DecisionLead:    decisionLead,
 		Tracer:          cfg.Tracer,
@@ -222,10 +209,6 @@ func NewServer(cfg Config) (*Server, error) {
 		TSDB:            cfg.TSDB,
 		Flight:          cfg.Flight,
 		Overload:        cfg.Overload,
-	}
-	if cfg.SLOBurnRealloc {
-		// Runs under the tsdb recorder's lock: a non-blocking channel send.
-		pc.OnBurnStart = func(time.Duration) { s.requestRealloc("slo_burn") }
 	}
 	s.plane = dataplane.New(pc)
 	for d, dev := range s.plane.Devices {

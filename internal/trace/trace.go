@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"proteus/internal/models"
 	"proteus/internal/numeric"
 )
 
@@ -214,56 +215,102 @@ func NewDiurnal(cfg DiurnalConfig) *Trace {
 	return tr
 }
 
-// BurstyConfig parameterizes the macro-burst trace of §6.3: flat low demand
-// interleaved with flat high-demand periods.
-type BurstyConfig struct {
-	Seconds      int
-	LowQPS       float64
-	HighQPS      float64
-	LowSeconds   int
-	HighSeconds  int
-	ZipfAlpha    float64
-	Families     []string
-	StartWithLow bool
+// TwitterConfig parameterizes the Twitter-like workload of the evaluation
+// (§6.1.3): a diurnal curve with spikes and noise, Zipf-split across the
+// families, sped up so that the run sees one rising flank of the day.
+type TwitterConfig struct {
+	// Seconds is the trace length (default 300).
+	Seconds int
+	// BaseQPS is the demand floor (default 180).
+	BaseQPS float64
+	// PeakQPS is the diurnal peak (default BaseQPS + 380, so 560).
+	PeakQPS float64
+	// Seed drives the synthesis (default 1).
+	Seed uint64
+	// Families defaults to the full zoo's family names.
+	Families []string
 }
 
-// NewBursty synthesizes the interleaved low/high trace.
-func NewBursty(cfg BurstyConfig) *Trace {
-	if cfg.Seconds <= 0 || len(cfg.Families) == 0 {
-		panic("trace: bursty config needs Seconds and Families")
+// NewTwitter synthesizes the Twitter-like workload: three spikes of about an
+// eighth of the peak, 3 % noise, Zipf 1.001 and family peaks staggered over
+// 0.4 of a period three times the trace's length.
+func NewTwitter(cfg TwitterConfig) *Trace {
+	if cfg.Seconds <= 0 {
+		cfg.Seconds = 300
 	}
-	if cfg.LowSeconds <= 0 || cfg.HighSeconds <= 0 {
-		panic("trace: bursty config needs positive period lengths")
+	if cfg.BaseQPS <= 0 {
+		cfg.BaseQPS = 180
 	}
-	if cfg.ZipfAlpha <= 0 {
-		cfg.ZipfAlpha = 1.001
+	if cfg.PeakQPS <= cfg.BaseQPS {
+		cfg.PeakQPS = cfg.BaseQPS + 380
 	}
-	zipf := numeric.NewZipf(len(cfg.Families), cfg.ZipfAlpha)
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	if len(cfg.Families) == 0 {
+		cfg.Families = models.FamilyNames(models.Zoo())
+	}
+	return NewDiurnal(DiurnalConfig{
+		Seconds:           cfg.Seconds,
+		BaseQPS:           cfg.BaseQPS,
+		DiurnalAmplitude:  cfg.PeakQPS - cfg.BaseQPS,
+		PeriodSeconds:     cfg.Seconds * 3,
+		Spikes:            3,
+		SpikeMagnitude:    cfg.PeakQPS / 8,
+		SpikeWidthSeconds: cfg.Seconds / 20,
+		NoiseFrac:         0.03,
+		ZipfAlpha:         1.001,
+		FamilyPhaseSpread: 0.4,
+		Families:          cfg.Families,
+		Seed:              cfg.Seed,
+	})
+}
+
+// MacroBurstConfig parameterizes the macro-burst workload of §6.3.
+type MacroBurstConfig struct {
+	// Seconds is the trace length (default 300).
+	Seconds int
+	// LowQPS and HighQPS are the two demand levels (defaults 150 and three
+	// times LowQPS).
+	LowQPS  float64
+	HighQPS float64
+	// PeriodSeconds is the length of each low and each high phase (default
+	// Seconds/4).
+	PeriodSeconds int
+	// Families defaults to the full zoo's family names.
+	Families []string
+}
+
+// NewMacroBurst synthesizes the macro-burst workload: equal low and high
+// phases, low first, split across the families by Zipf 1.001.
+func NewMacroBurst(cfg MacroBurstConfig) *Trace {
+	if cfg.Seconds <= 0 {
+		cfg.Seconds = 300
+	}
+	if cfg.LowQPS <= 0 {
+		cfg.LowQPS = 150
+	}
+	if cfg.HighQPS <= cfg.LowQPS {
+		cfg.HighQPS = cfg.LowQPS * 3
+	}
+	if cfg.PeriodSeconds <= 0 {
+		cfg.PeriodSeconds = max(1, cfg.Seconds/4)
+	}
+	if len(cfg.Families) == 0 {
+		cfg.Families = models.FamilyNames(models.Zoo())
+	}
+	zipf := numeric.NewZipf(len(cfg.Families), 1.001)
 	tr := &Trace{Families: append([]string(nil), cfg.Families...)}
-	low := cfg.StartWithLow
-	remaining := cfg.LowSeconds
-	if !low {
-		remaining = cfg.HighSeconds
-	}
 	for t := 0; t < cfg.Seconds; t++ {
-		level := cfg.HighQPS
-		if low {
-			level = cfg.LowQPS
+		level := cfg.LowQPS
+		if (t/cfg.PeriodSeconds)%2 == 1 {
+			level = cfg.HighQPS
 		}
 		row := make([]float64, len(cfg.Families))
 		for f := range row {
 			row[f] = level * zipf.P(f)
 		}
 		tr.Demand = append(tr.Demand, row)
-		remaining--
-		if remaining == 0 {
-			low = !low
-			if low {
-				remaining = cfg.LowSeconds
-			} else {
-				remaining = cfg.HighSeconds
-			}
-		}
 	}
 	return tr
 }

@@ -163,19 +163,18 @@ func TestDiurnalDeterministic(t *testing.T) {
 }
 
 func TestBursty(t *testing.T) {
-	tr := NewBursty(BurstyConfig{
-		Seconds: 100, LowQPS: 50, HighQPS: 500,
-		LowSeconds: 20, HighSeconds: 10, Families: fams, StartWithLow: true,
+	tr := NewMacroBurst(MacroBurstConfig{
+		Seconds: 100, LowQPS: 50, HighQPS: 500, PeriodSeconds: 20, Families: fams,
 	})
 	eq := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 	if !eq(tr.TotalQPS(0), 50) || !eq(tr.TotalQPS(19), 50) {
 		t.Fatalf("low period wrong: %v", tr.TotalQPS(0))
 	}
-	if !eq(tr.TotalQPS(20), 500) || !eq(tr.TotalQPS(29), 500) {
+	if !eq(tr.TotalQPS(20), 500) || !eq(tr.TotalQPS(39), 500) {
 		t.Fatalf("high period wrong: %v", tr.TotalQPS(20))
 	}
-	if !eq(tr.TotalQPS(30), 50) {
-		t.Fatalf("second low period wrong: %v", tr.TotalQPS(30))
+	if !eq(tr.TotalQPS(40), 50) {
+		t.Fatalf("second low period wrong: %v", tr.TotalQPS(40))
 	}
 }
 

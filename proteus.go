@@ -36,10 +36,8 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/attrib"
 	"proteus/internal/batching"
 	"proteus/internal/cluster"
-	"proteus/internal/controlplane"
 	"proteus/internal/core"
 	"proteus/internal/experiments"
 	"proteus/internal/flightrec"
@@ -66,6 +64,12 @@ type (
 	Variant = models.Variant
 	// Trace is a per-second demand curve per family.
 	Trace = trace.Trace
+	// TwitterTraceConfig parameterizes the Twitter-like workload
+	// (NewTwitterTrace).
+	TwitterTraceConfig = trace.TwitterConfig
+	// BurstyTraceConfig parameterizes the macro-burst workload
+	// (NewBurstyTrace).
+	BurstyTraceConfig = trace.MacroBurstConfig
 	// Allocator is a resource-management policy (Proteus MILP or baseline).
 	Allocator = allocator.Allocator
 	// Allocation is a model selection + placement + query assignment plan.
@@ -89,8 +93,6 @@ type (
 	Result = core.Result
 	// Summary aggregates the §6.1.4 evaluation metrics.
 	Summary = metrics.Summary
-	// SeriesPoint is one bin of a metric time series.
-	SeriesPoint = metrics.Point
 	// LiveConfig configures the wall-clock cluster mode.
 	LiveConfig = serving.Config
 	// LiveServer is the wall-clock cluster with an HTTP API.
@@ -110,13 +112,9 @@ type (
 	// Tracer records per-query lifecycle events into a bounded ring buffer
 	// (SystemConfig.Tracer / LiveConfig.Tracer).
 	Tracer = telemetry.Tracer
-	// TraceEvent is one recorded lifecycle event.
-	TraceEvent = telemetry.Event
 	// TelemetryRegistry is a named counter/gauge registry
 	// (SystemConfig.Telemetry / LiveConfig.Telemetry).
 	TelemetryRegistry = telemetry.Registry
-	// PlanRecord is one control-period entry of the decision audit log.
-	PlanRecord = controlplane.PlanRecord
 	// TSDBRecorder collects per-device sampled time-series and the SLO
 	// burn-rate monitor state (SystemConfig.TSDB / LiveConfig.TSDB). A nil
 	// recorder is a valid no-op, like the tracer.
@@ -125,13 +123,6 @@ type (
 	TSDBConfig = tsdb.Config
 	// SLOConfig tunes the multi-window burn-rate monitor.
 	SLOConfig = tsdb.SLOConfig
-	// BurnEvent is one SLO burn-episode transition.
-	BurnEvent = tsdb.BurnEvent
-	// DeviceSample is one point of a device's sampled time-series.
-	DeviceSample = tsdb.Sample
-	// LatencyHistogram is the log-linear bucketed histogram behind every
-	// latency percentile in Summary and the windowed series.
-	LatencyHistogram = tsdb.Histogram
 	// RunDump is the full serializable observability state of one run.
 	RunDump = report.Dump
 	// RunDumpInput names the sources a RunDump is assembled from.
@@ -140,11 +131,6 @@ type (
 	// admission control, mailbox backpressure, and burn-triggered emergency
 	// accuracy degradation (SystemConfig.Overload / LiveConfig.Overload).
 	OverloadConfig = overload.Config
-	// OverloadState is the guard's introspection snapshot, exposed by the
-	// live server's /healthz endpoint.
-	OverloadState = overload.State
-	// OverloadEpisode is one active emergency-degradation episode.
-	OverloadEpisode = overload.Episode
 	// FlightRecorder is the black-box flight recorder: bounded rings of
 	// recent observability state snapshotted into incident bundles on SLO
 	// burn, overload, allocator fallback, device failure, or manual trigger
@@ -153,31 +139,10 @@ type (
 	FlightRecorder = flightrec.Recorder
 	// FlightConfig sizes the flight recorder's rings and selects live mode.
 	FlightConfig = flightrec.Config
-	// FlightSources are the observability surfaces the recorder samples.
-	FlightSources = flightrec.Sources
-	// IncidentBundle is one incident's atomic diagnostic snapshot.
-	IncidentBundle = flightrec.Bundle
-	// PhaseStat is one row of the per-family / per-device latency phase
-	// decomposition (admission, queue, batch_form, exec, response).
-	PhaseStat = tsdb.PhaseStat
-	// PhaseDurations is one query's per-phase latency split.
-	PhaseDurations = tsdb.PhaseDurations
-	// AttributionInput configures one latency-attribution pass over a
-	// lifecycle trace.
-	AttributionInput = attrib.Input
-	// AttributionReport is the full attribution output: per-query latency
-	// waterfalls with blame labels, plus family/window blame tables.
-	AttributionReport = attrib.Report
-	// Explanation is one query's attributed latency waterfall.
-	Explanation = attrib.Explanation
 )
 
-// Device types of the paper's testbed.
-const (
-	CPU       = cluster.CPU
-	GTX1080Ti = cluster.GTX1080Ti
-	V100      = cluster.V100
-)
+// V100 is the paper's fastest device type (DeviceType).
+const V100 = cluster.V100
 
 // Zoo returns the paper's Table 3 model zoo: nine families, 51 variants.
 func Zoo() []Family { return models.Zoo() }
@@ -248,14 +213,6 @@ func NewTSDBRecorder(cfg TSDBConfig) *TSDBRecorder { return tsdb.NewRecorder(cfg
 // BuildRunDump assembles a run's observability outputs into a RunDump.
 func BuildRunDump(in RunDumpInput) *RunDump { return report.Build(in) }
 
-// AnalyzeAttribution runs the deterministic latency-attribution engine over
-// a lifecycle trace: per-query component waterfalls that sum exactly to the
-// end-to-end latency, with a blame label on every SLO-violated query.
-func AnalyzeAttribution(in AttributionInput) *AttributionReport { return attrib.Analyze(in) }
-
-// ReadRunDump parses a RunDump JSON file.
-func ReadRunDump(path string) (*RunDump, error) { return report.ReadDumpFile(path) }
-
 // RenderRunReport renders a RunDump as a self-contained HTML report
 // (inline SVG, no scripts). Byte-deterministic for a given dump.
 func RenderRunReport(d *RunDump) []byte { return report.RenderHTML(d) }
@@ -265,119 +222,29 @@ func RenderRunReport(d *RunDump) []byte { return report.RenderHTML(d) }
 // 16 retained incidents). A nil *FlightRecorder is a valid no-op.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder { return flightrec.New(cfg) }
 
-// ReadIncidentBundle reads the incident bundle path names, DIR/ID: the
-// bundle ID from the incident log the flight recorder wrote into DIR.
-func ReadIncidentBundle(path string) (*IncidentBundle, error) {
-	return flightrec.ReadBundleFile(path)
-}
-
-// RenderIncidentReport renders an incident bundle as a self-contained HTML
-// page. Byte-deterministic for a given bundle.
-func RenderIncidentReport(b *IncidentBundle) []byte { return report.RenderIncident(b) }
-
 // NewSystem assembles a simulated serving system.
 func NewSystem(cfg SystemConfig) (*System, error) { return core.NewSystem(cfg) }
 
 // NewLiveServer assembles and starts the wall-clock cluster mode.
 func NewLiveServer(cfg LiveConfig) (*LiveServer, error) { return serving.NewServer(cfg) }
 
-// TwitterTraceConfig parameterizes the Twitter-like synthetic workload
-// (§6.1.3): a diurnal curve with spikes and noise, Zipf-split across the
-// zoo's nine families.
-type TwitterTraceConfig struct {
-	// Seconds is the trace length (default 300).
-	Seconds int
-	// BaseQPS is the demand floor (default 180).
-	BaseQPS float64
-	// PeakQPS is the diurnal peak (default 560).
-	PeakQPS float64
-	// Seed drives the synthesis (default 1).
-	Seed uint64
-	// Families defaults to the full zoo's family names.
-	Families []string
-}
+// NewTwitterTrace synthesizes the Twitter-like workload of §6.1.3.
+func NewTwitterTrace(cfg TwitterTraceConfig) *Trace { return trace.NewTwitter(cfg) }
 
-// NewTwitterTrace synthesizes the Twitter-like workload.
-func NewTwitterTrace(cfg TwitterTraceConfig) *Trace {
-	if cfg.Seconds <= 0 {
-		cfg.Seconds = 300
-	}
-	if cfg.BaseQPS <= 0 {
-		cfg.BaseQPS = 180
-	}
-	if cfg.PeakQPS <= cfg.BaseQPS {
-		cfg.PeakQPS = cfg.BaseQPS + 380
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if len(cfg.Families) == 0 {
-		cfg.Families = models.FamilyNames(models.Zoo())
-	}
-	return trace.NewDiurnal(trace.DiurnalConfig{
-		Seconds:           cfg.Seconds,
-		BaseQPS:           cfg.BaseQPS,
-		DiurnalAmplitude:  cfg.PeakQPS - cfg.BaseQPS,
-		PeriodSeconds:     cfg.Seconds * 3,
-		Spikes:            3,
-		SpikeMagnitude:    cfg.PeakQPS / 8,
-		SpikeWidthSeconds: cfg.Seconds / 20,
-		NoiseFrac:         0.03,
-		ZipfAlpha:         1.001,
-		FamilyPhaseSpread: 0.4,
-		Families:          cfg.Families,
-		Seed:              cfg.Seed,
-	})
-}
-
-// BurstyTraceConfig parameterizes the §6.3 macro-burst workload.
-type BurstyTraceConfig struct {
-	Seconds       int
-	LowQPS        float64
-	HighQPS       float64
-	PeriodSeconds int // length of each low/high phase
-	Families      []string
-}
-
-// NewBurstyTrace synthesizes the interleaved low/high demand workload.
-func NewBurstyTrace(cfg BurstyTraceConfig) *Trace {
-	if cfg.Seconds <= 0 {
-		cfg.Seconds = 300
-	}
-	if cfg.LowQPS <= 0 {
-		cfg.LowQPS = 150
-	}
-	if cfg.HighQPS <= cfg.LowQPS {
-		cfg.HighQPS = cfg.LowQPS * 3
-	}
-	if cfg.PeriodSeconds <= 0 {
-		cfg.PeriodSeconds = cfg.Seconds / 4
-	}
-	if len(cfg.Families) == 0 {
-		cfg.Families = models.FamilyNames(models.Zoo())
-	}
-	return trace.NewBursty(trace.BurstyConfig{
-		Seconds:      cfg.Seconds,
-		LowQPS:       cfg.LowQPS,
-		HighQPS:      cfg.HighQPS,
-		LowSeconds:   cfg.PeriodSeconds,
-		HighSeconds:  cfg.PeriodSeconds,
-		ZipfAlpha:    1.001,
-		Families:     cfg.Families,
-		StartWithLow: true,
-	})
-}
+// NewBurstyTrace synthesizes the §6.3 macro-burst workload: interleaved
+// low and high demand.
+func NewBurstyTrace(cfg BurstyTraceConfig) *Trace { return trace.NewMacroBurst(cfg) }
 
 // AdversarialTraceConfig parameterizes the stale-plan spike workload used
-// by the overload experiments: flat base demand plus square-wave spikes on
-// the heaviest family, each starting just after a control-period boundary.
+// by the overload experiments: flat base demand across the zoo's families
+// plus square-wave spikes on the heaviest one, each starting just after a
+// control-period boundary.
 type AdversarialTraceConfig struct {
 	Seconds       int
 	BaseQPS       float64
 	SpikeQPS      float64 // added to family 0 during each spike
 	SpikeSeconds  int
 	PeriodSeconds int // spike spacing; align with the control period
-	Families      []string
 }
 
 // NewAdversarialTrace synthesizes the stale-plan spike workload.
@@ -397,9 +264,6 @@ func NewAdversarialTrace(cfg AdversarialTraceConfig) *Trace {
 	if cfg.PeriodSeconds <= 0 {
 		cfg.PeriodSeconds = 30
 	}
-	if len(cfg.Families) == 0 {
-		cfg.Families = models.FamilyNames(models.Zoo())
-	}
 	return trace.NewAdversarial(trace.AdversarialConfig{
 		Seconds:       cfg.Seconds,
 		BaseQPS:       cfg.BaseQPS,
@@ -407,6 +271,6 @@ func NewAdversarialTrace(cfg AdversarialTraceConfig) *Trace {
 		SpikeSeconds:  cfg.SpikeSeconds,
 		PeriodSeconds: cfg.PeriodSeconds,
 		ZipfAlpha:     1.001,
-		Families:      cfg.Families,
+		Families:      models.FamilyNames(models.Zoo()),
 	})
 }
