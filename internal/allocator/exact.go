@@ -117,6 +117,17 @@ type familyTable struct {
 // completion of B is a completion of A (the same later counts, the same
 // devices free), serves B's extra demand at no more than a' per QPS, and
 // adds the same capacity to both.
+//
+// A layer's frontier is the scan of each usage vector t's children, in
+// ascending t, sorted by rem ascending, score descending, capacity
+// descending and generation order (parent, n): a child is kept unless an
+// entry kept before it dominates it. The children of t are gathered from
+// the previous layer's entries of usage t − n·stride_g, n = 0…u_g(t). Most
+// have served the demand (rem 0) and head the order; of those the scan
+// keeps the first and then only children that beat it under the tie rule
+// (a near-tie in objective with more capacity), so a running best finds the
+// first, a second pass the rare near-ties, and only those and the children
+// with demand left are sorted.
 func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, demand float64) *familyTable {
 	ft := &familyTable{pairs: pairs}
 	root := frontierEntry{rem: demand, parent: -1}
@@ -125,8 +136,15 @@ func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, dema
 	}
 	ft.arena = append(ft.arena, root)
 	lo, hi := 0, 1
-	var children []frontierEntry
-	var buf frontierBuf
+	// at[u]…at[u+1] are the previous layer's entries of usage vector u: a
+	// layer sits in the arena by ascending usage vector.
+	at := make([]int32, us.n+1)
+	// Column b holds the usage vectors b + m·stride_g, m = 0…|g|, that
+	// differ from b in group g only: a target's parents are in its column,
+	// at m ≤ its own. lowM[b] is the fewest m of a previous-layer entry in
+	// column b, so a target below it has no parents and is skipped.
+	lowM := make([]int, us.n)
+	var rest, ties []frontierEntry
 	for j, i := range pairs {
 		pr := s.pairs[i]
 		acc := s.refs[pr.r].Variant.Accuracy
@@ -139,33 +157,101 @@ func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, dema
 		if s.prev != nil && s.switchCost != nil {
 			sc, prev = s.switchCost[i], s.prev[i]
 		}
-		children = children[:0]
-		for e := lo; e < hi; e++ {
-			ent := ft.arena[e]
-			free := us.size[pr.g] - us.of(int(ent.state), pr.g)
-			for n := 0; n <= free; n++ {
-				take := math.Min(ent.rem, pr.peak*float64(n))
-				c := frontierEntry{
-					rem:    ent.rem - take,
-					val:    value{ent.val.obj + acc*take, ent.val.cap + pr.peak*float64(n)},
-					state:  ent.state + int32(n*us.stride[pr.g]),
-					parent: int32(e),
-					n:      int32(n),
+		stride := us.stride[pr.g]
+		// child is entry e's child with n devices on the pair.
+		child := func(e, n int) frontierEntry {
+			ent := &ft.arena[e]
+			take := pr.peak * float64(n)
+			if ent.rem < take {
+				take = ent.rem
+			}
+			c := frontierEntry{
+				rem:    ent.rem - take,
+				val:    value{ent.val.obj + acc*take, ent.val.cap + pr.peak*float64(n)},
+				state:  ent.state + int32(n*stride),
+				parent: int32(e),
+				n:      int32(n),
+			}
+			if c.rem <= 1e-9 {
+				c.rem = 0
+			}
+			if n > prev {
+				c.val.obj -= float64(n-prev) * sc
+			}
+			return c
+		}
+		for b := range lowM {
+			lowM[b] = math.MaxInt
+		}
+		e := lo
+		for u := range us.n {
+			at[u] = int32(e)
+			if e < hi && int(ft.arena[e].state) == u {
+				m := us.of(u, pr.g)
+				b := u - m*stride
+				lowM[b] = min(lowM[b], m)
+				for e < hi && int(ft.arena[e].state) == u {
+					e++
 				}
-				if c.rem <= 1e-9 {
-					c.rem = 0
-				}
-				if n > prev {
-					c.val.obj -= float64(n-prev) * sc
-				}
-				if last && c.rem > 0 {
-					continue // the family's demand is left unserved
-				}
-				children = append(children, c)
 			}
 		}
+		at[us.n] = int32(e)
 		lo = len(ft.arena)
-		ft.arena = buf.appendFrontier(ft.arena, children, us.n, tie, next)
+		for t := 0; t < us.n; t++ {
+			k := us.of(t, pr.g)
+			b := t - k*stride
+			if k < lowM[b] {
+				continue
+			}
+			// Pass one: the served children's first in scan order by a
+			// running best, and the children with demand left. A served
+			// child that beats first has an objective within tieTol of
+			// first's, so of every earlier best's too (objectives only rise
+			// along the running best), and more capacity than first:
+			// tieCap, the most capacity of a served child within tieTol of
+			// the best when met, tells whether pass two can find one.
+			// Visiting the fewest devices on the pair first meets the best
+			// early, as a switch cost only lowers the objective of more.
+			var first frontierEntry
+			served := false
+			tieCap := math.Inf(-1)
+			rest = rest[:0]
+			for m := k; m >= lowM[b]; m-- {
+				u, n := b+m*stride, k-m
+				for e := int(at[u]); e < int(at[u+1]); e++ {
+					c := child(e, n)
+					switch {
+					case c.rem == 0:
+						if !served || frontierCompare(&c, &first, next) < 0 {
+							first, served = c, true
+						}
+						if c.val.obj-first.val.obj >= -tie.obj && c.val.cap > tieCap {
+							tieCap = c.val.cap
+						}
+					case !last: // else the family's demand is left unserved
+						rest = append(rest, c)
+					}
+				}
+			}
+			start := len(ft.arena)
+			if served {
+				ft.arena = append(ft.arena, first)
+				// Pass two: the served children that beat first.
+				if tieCap > first.val.cap+tie.cap {
+					ties = ties[:0]
+					for m := k; m >= lowM[b]; m-- {
+						u, n := b+m*stride, k-m
+						for e := int(at[u]); e < int(at[u+1]); e++ {
+							if c := child(e, n); c.rem == 0 && tie.beats(c.val, first.val) {
+								ties = append(ties, c)
+							}
+						}
+					}
+					ft.arena = appendScanned(ft.arena, start, ties, tie, next)
+				}
+			}
+			ft.arena = appendScanned(ft.arena, start, rest, tie, next)
+		}
 		hi = len(ft.arena)
 	}
 	ft.best = make([]int32, us.n)
@@ -185,85 +271,62 @@ func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, dema
 	return ft
 }
 
-// appendFrontier appends to arena the children that no other child of the
-// same usage vector dominates, with next the accuracy of the following pair.
-// A counting sort groups the children by usage vector; each group is sorted
-// by rem ascending, score descending, capacity descending and generation
-// order (parent, n), so the result depends only on the children. One
-// comparison sort of all children in that order, usage vector first, gives
-// the same frontier; it halved alloc_replay's solves per second (three
-// alternating pairs on 2 vCPUs: 276–305 with the groups, 145–169 without).
-func (fb *frontierBuf) appendFrontier(arena, children []frontierEntry, states int, tie tieRule, next float64) []frontierEntry {
-	score := func(e *frontierEntry) value { return value{e.val.obj + next*e.rem, e.val.cap} }
-	fb.offset = append(fb.offset[:0], make([]int, states+1)...)
-	for k := range children {
-		fb.offset[children[k].state+1]++
+// score is e's value plus what its remaining demand earns at most, at the
+// next pair's accuracy.
+func (e *frontierEntry) score(next float64) value {
+	return value{e.val.obj + next*e.rem, e.val.cap}
+}
+
+// frontierCompare orders a layer's children for the scan: rem ascending,
+// score descending, capacity descending, then generation order (parent,
+// n). Two children of one layer never agree on (parent, n).
+func frontierCompare(a, b *frontierEntry, next float64) int {
+	if a.rem != b.rem {
+		return cmp.Compare(a.rem, b.rem)
 	}
-	for st := 0; st < states; st++ {
-		fb.offset[st+1] += fb.offset[st]
+	sa, sb := a.score(next), b.score(next)
+	if sa.obj != sb.obj {
+		return cmp.Compare(sb.obj, sa.obj)
 	}
-	fb.sorted = append(fb.sorted[:0], children...)
-	fill := append(fb.fill[:0], fb.offset[:states]...)
-	for k := range children {
-		st := children[k].state
-		fb.sorted[fill[st]] = children[k]
-		fill[st]++
+	if sa.cap != sb.cap {
+		return cmp.Compare(sb.cap, sa.cap)
 	}
-	fb.fill = fill
-	for st := 0; st < states; st++ {
-		bucket := fb.sorted[fb.offset[st]:fb.offset[st+1]]
-		if len(bucket) == 0 {
-			continue
+	if a.parent != b.parent {
+		return cmp.Compare(a.parent, b.parent)
+	}
+	return cmp.Compare(a.n, b.n)
+}
+
+// appendScanned sorts cands into scan order and appends to arena each one
+// no entry of arena[start:] — the usage vector's entries kept so far, all
+// earlier in the order — or kept before it dominates.
+func appendScanned(arena []frontierEntry, start int, cands []frontierEntry, tie tieRule, next float64) []frontierEntry {
+	slices.SortFunc(cands, func(a, b frontierEntry) int { return frontierCompare(&a, &b, next) })
+	for k := range cands {
+		c := &cands[k]
+		sc := c.score(next)
+		dominated := false
+		for a := len(arena) - 1; a >= start; a-- {
+			// Every kept entry has rem ≤ c.rem; it dominates c unless c's
+			// score beats it.
+			if !tie.beats(sc, arena[a].score(next)) {
+				dominated = true
+				break
+			}
 		}
-		slices.SortFunc(bucket, func(a, b frontierEntry) int {
-			if a.rem != b.rem {
-				return cmp.Compare(a.rem, b.rem)
-			}
-			sa, sb := score(&a), score(&b)
-			if sa.obj != sb.obj {
-				return cmp.Compare(sb.obj, sa.obj)
-			}
-			if sa.cap != sb.cap {
-				return cmp.Compare(sb.cap, sa.cap)
-			}
-			if a.parent != b.parent {
-				return cmp.Compare(a.parent, b.parent)
-			}
-			return cmp.Compare(a.n, b.n)
-		})
-		start := len(arena)
-		for k := range bucket {
-			c := &bucket[k]
-			sc := score(c)
-			dominated := false
-			for a := len(arena) - 1; a >= start; a-- {
-				// Every kept entry has rem ≤ c.rem; it dominates c unless c's
-				// score beats it.
-				if !tie.beats(sc, score(&arena[a])) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				arena = append(arena, *c)
-			}
+		if !dominated {
+			arena = append(arena, *c)
 		}
 	}
 	return arena
 }
 
-// frontierBuf holds appendFrontier's scratch slices across layers.
-type frontierBuf struct {
-	offset, fill []int
-	sorted       []frontierEntry
-}
-
 // exactWorkLimit bounds the DP's combination work (exactFits): past it the
 // aggregated model is searched by branch-and-bound, under the solver's
 // budgets (TimeLimit among them). On a 2-vCPU host the nine-family zoo
-// needs 0.26 M on the 20-device testbed (groups 10/5/5, 5–9 ms), 9.1 M at
-// 40 devices (0.09–0.12 s), 24 M at 50 (0.21–0.29 s, where the tree takes
-// 0.9–2.4 s) and 83 M at 60 (0.63–0.71 s, the tree 0.49–0.66 s).
+// needs 0.26 M on the 20-device testbed (groups 10/5/5, 3.0–3.4 ms), 9.1 M
+// at 40 devices (0.05–0.06 s), 24 M at 50 (0.12–0.14 s, where the tree
+// takes 0.9–2.4 s) and 83 M at 60 (0.35–0.45 s, the tree 0.39–0.56 s).
 const exactWorkLimit = 40_000_000
 
 // exactFits reports whether the DP's work, families × Π_g (|g|+1)(|g|+2)/2
@@ -281,16 +344,22 @@ func (s *searchSpace) exactFits() bool {
 	return true
 }
 
-// exact returns the per-pair device counts of an optimal plan for the
-// space's demand under the tie rule, or false when no plan serves it: the
-// proof of infeasibility the β back-off waits for.
-func (s *searchSpace) exact() ([]int, bool) {
-	us := newUsageSpace(s.groupSize)
+// familyPairs returns each family's pair indices in fill order.
+func (s *searchSpace) familyPairs() [][]int {
 	famPairs := make([][]int, len(s.demand))
 	for _, i := range s.order {
 		q := s.refs[s.pairs[i].r].Family
 		famPairs[q] = append(famPairs[q], i)
 	}
+	return famPairs
+}
+
+// exact returns the per-pair device counts of an optimal plan for the
+// space's demand under the tie rule, or false when no plan serves it: the
+// proof of infeasibility the β back-off waits for.
+func (s *searchSpace) exact() ([]int, bool) {
+	us := newUsageSpace(s.groupSize)
+	famPairs := s.familyPairs()
 	tie := s.tieRule()
 	cur := make([]value, us.n)
 	curOK := make([]bool, us.n)

@@ -1,7 +1,10 @@
 package allocator
 
 import (
+	"cmp"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -321,4 +324,335 @@ func exactFuzzInput(seed uint64, shape uint8) (*Input, *MILPOptions, []float64) 
 		opts.Filter = func(ref VariantRef, _ *Input) bool { return keep[ref.Variant.ID()] }
 	}
 	return in, opts, prevDemand
+}
+
+// referenceFamilyTable is familyTable's oracle: each layer generates every
+// child of every entry into one slice, groups the children by usage vector
+// with a counting sort, sorts each group into scan order and scans it
+// (referenceAppendFrontier). familyTable must build the same arena, entry
+// for entry, and the same best and val.
+func (s *searchSpace) referenceFamilyTable(us *usageSpace, tie tieRule, pairs []int, demand float64) *familyTable {
+	ft := &familyTable{}
+	root := frontierEntry{rem: demand, parent: -1}
+	if root.rem <= 1e-9 {
+		root.rem = 0
+	}
+	ft.arena = append(ft.arena, root)
+	lo, hi := 0, 1
+	var children []frontierEntry
+	for j, i := range pairs {
+		pr := s.pairs[i]
+		acc := s.refs[pr.r].Variant.Accuracy
+		next, last := 0.0, j == len(pairs)-1
+		if !last {
+			next = s.refs[s.pairs[pairs[j+1]].r].Variant.Accuracy
+		}
+		var sc float64
+		prev := 0
+		if s.prev != nil && s.switchCost != nil {
+			sc, prev = s.switchCost[i], s.prev[i]
+		}
+		children = children[:0]
+		for e := lo; e < hi; e++ {
+			ent := ft.arena[e]
+			free := us.size[pr.g] - us.of(int(ent.state), pr.g)
+			for n := 0; n <= free; n++ {
+				take := math.Min(ent.rem, pr.peak*float64(n))
+				c := frontierEntry{
+					rem:    ent.rem - take,
+					val:    value{ent.val.obj + acc*take, ent.val.cap + pr.peak*float64(n)},
+					state:  ent.state + int32(n*us.stride[pr.g]),
+					parent: int32(e),
+					n:      int32(n),
+				}
+				if c.rem <= 1e-9 {
+					c.rem = 0
+				}
+				if n > prev {
+					c.val.obj -= float64(n-prev) * sc
+				}
+				if last && c.rem > 0 {
+					continue // the family's demand is left unserved
+				}
+				children = append(children, c)
+			}
+		}
+		lo = len(ft.arena)
+		ft.arena = referenceAppendFrontier(ft.arena, children, us.n, tie, next)
+		hi = len(ft.arena)
+	}
+	ft.best = make([]int32, us.n)
+	ft.val = make([]value, us.n)
+	for u := range ft.best {
+		ft.best[u] = -1
+	}
+	for e := lo; e < hi; e++ {
+		ent := ft.arena[e]
+		if ent.rem > 0 {
+			continue
+		}
+		if b := ft.best[ent.state]; b < 0 || tie.beats(ent.val, ft.val[ent.state]) {
+			ft.best[ent.state], ft.val[ent.state] = int32(e), ent.val
+		}
+	}
+	return ft
+}
+
+// referenceAppendFrontier appends to arena the children that no other child
+// of the same usage vector dominates, with next the accuracy of the
+// following pair. A counting sort groups the children by usage vector; each
+// group is sorted by rem ascending, score descending, capacity descending
+// and generation order (parent, n) and scanned once.
+func referenceAppendFrontier(arena, children []frontierEntry, states int, tie tieRule, next float64) []frontierEntry {
+	score := func(e *frontierEntry) value { return value{e.val.obj + next*e.rem, e.val.cap} }
+	offset := make([]int, states+1)
+	for k := range children {
+		offset[children[k].state+1]++
+	}
+	for st := 0; st < states; st++ {
+		offset[st+1] += offset[st]
+	}
+	sorted := make([]frontierEntry, len(children))
+	fill := slices.Clone(offset[:states])
+	for k := range children {
+		st := children[k].state
+		sorted[fill[st]] = children[k]
+		fill[st]++
+	}
+	for st := 0; st < states; st++ {
+		bucket := sorted[offset[st]:offset[st+1]]
+		slices.SortFunc(bucket, func(a, b frontierEntry) int {
+			if a.rem != b.rem {
+				return cmp.Compare(a.rem, b.rem)
+			}
+			sa, sb := score(&a), score(&b)
+			if sa.obj != sb.obj {
+				return cmp.Compare(sb.obj, sa.obj)
+			}
+			if sa.cap != sb.cap {
+				return cmp.Compare(sb.cap, sa.cap)
+			}
+			if a.parent != b.parent {
+				return cmp.Compare(a.parent, b.parent)
+			}
+			return cmp.Compare(a.n, b.n)
+		})
+		start := len(arena)
+		for k := range bucket {
+			c := &bucket[k]
+			sc := score(c)
+			dominated := false
+			for a := len(arena) - 1; a >= start; a-- {
+				if !tie.beats(sc, score(&arena[a])) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				arena = append(arena, *c)
+			}
+		}
+	}
+	return arena
+}
+
+// matchFamilyTables builds every family's table of s both ways — for the
+// family's demand, or for none with zeroDemand — and fails t at the first
+// difference: arena length or entry (floats to the bit), best or val. It
+// returns how many served entries the tables keep after the first of their
+// layer and usage vector: the near-ties familyTable's second pass adds.
+func matchFamilyTables(t *testing.T, s *searchSpace, zeroDemand bool) (nearTies int) {
+	t.Helper()
+	us := newUsageSpace(s.groupSize)
+	tie := s.tieRule()
+	bits := math.Float64bits
+	for q, pairs := range s.familyPairs() {
+		demand := s.demand[q]
+		if zeroDemand {
+			demand = 0
+		}
+		got := s.familyTable(us, tie, pairs, demand)
+		want := s.referenceFamilyTable(us, tie, pairs, demand)
+		if len(got.arena) != len(want.arena) {
+			t.Fatalf("family %d: arena of %d entries, reference %d", q, len(got.arena), len(want.arena))
+		}
+		layer := make([]int, len(got.arena))
+		for e, g := range got.arena {
+			w := want.arena[e]
+			if bits(g.rem) != bits(w.rem) || bits(g.val.obj) != bits(w.val.obj) || bits(g.val.cap) != bits(w.val.cap) ||
+				g.state != w.state || g.parent != w.parent || g.n != w.n {
+				t.Fatalf("family %d: arena entry %d is %+v, reference %+v", q, e, g, w)
+			}
+			if e == 0 {
+				continue
+			}
+			layer[e] = layer[g.parent] + 1
+			if p := got.arena[e-1]; g.rem == 0 && p.rem == 0 && p.state == g.state && layer[e-1] == layer[e] {
+				nearTies++
+			}
+		}
+		for u := range got.best {
+			if got.best[u] != want.best[u] || bits(got.val[u].obj) != bits(want.val[u].obj) || bits(got.val[u].cap) != bits(want.val[u].cap) {
+				t.Fatalf("family %d, usage %d: best %d %+v, reference %d %+v", q, u, got.best[u], got.val[u], want.best[u], want.val[u])
+			}
+		}
+	}
+	return nearTies
+}
+
+// dpMILP is the MILP behind the DP-backed allocator name, so a test can
+// chain its plans period after period (Clipper's own Allocate plans once).
+func dpMILP(t *testing.T, name string, opts *MILPOptions) *MILP {
+	t.Helper()
+	alloc, err := ByName(name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch a := alloc.(type) {
+	case *MILP:
+		return a
+	case *Clipper:
+		return a.inner
+	case *WithoutSelection:
+		return a.inner
+	case *WithoutAssignment:
+		return a.inner
+	}
+	t.Fatalf("%s is not backed by the DP", name)
+	return nil
+}
+
+// TestFamilyTableMatchesReference holds familyTable to the layer-wide sort
+// it replaced on the benchmark's shape: every family's table of every
+// period of a chained replay (each period planned from the previous plan),
+// for `ilp`, `proteus-wo-qa` and the allocators whose variant filters pin
+// each family to one variant, with switch costs on and off. Without switch
+// costs, plans that serve the demand at the same accuracy on different
+// pairs tie to rounding, which is what the near-tie pass keeps; with them,
+// the chained replay reaches no near-tie. Clipper-HA and w/o-MS back off
+// ≈ 260 times a period on this trace, so they chain three periods.
+func TestFamilyTableMatchesReference(t *testing.T) {
+	nearTies := 0
+	noSwitch := &MILPOptions{SwitchCost: -1}
+	for _, tc := range []struct {
+		name    string
+		opts    *MILPOptions
+		periods int
+	}{
+		{"ilp", nil, 8}, {"ilp", noSwitch, 8},
+		{"clipper-ht", nil, 8}, {"clipper-ht", noSwitch, 8},
+		{"proteus-wo-qa", noSwitch, 8},
+		{"clipper-ha", nil, 3}, {"proteus-wo-ms", noSwitch, 3},
+	} {
+		m := dpMILP(t, tc.name, tc.opts)
+		for p, in := range replayInputs(7)[:tc.periods] {
+			a, _ := m.aggregate(in, flooredDemand(in))
+			nearTies += matchFamilyTables(t, a.space, false)
+			if _, err := m.Allocate(in); err != nil {
+				t.Fatalf("%s period %d: %v", tc.name, p, err)
+			}
+		}
+	}
+	t.Logf("%d served near-ties kept after their usage vector's first", nearTies)
+	if nearTies == 0 {
+		t.Error("no table keeps a served near-tie; the second pass is never reached")
+	}
+}
+
+// FuzzFamilyTableAgainstReference holds familyTable to the reference on
+// generated clusters of up to 10/5/5 devices and up to the whole zoo, with
+// random demand. shape's bits choose a previous plan (bit 0), switch costs
+// off (bit 1), a variant filter (bits 2–3: none, random, least or most
+// accurate) and zero demand for every family (bit 4). `go test` replays
+// testdata/fuzz/FuzzFamilyTableAgainstReference; -fuzz explores.
+func FuzzFamilyTableAgainstReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint8) {
+		rng := numeric.NewRNG(seed)
+		types := []cluster.DeviceType{cluster.CPU, cluster.GTX1080Ti, cluster.V100}
+		rng.Shuffle(len(types), func(i, j int) { types[i], types[j] = types[j], types[i] })
+		var counts []cluster.TypeCount
+		for g, groups := 0, 1+rng.Intn(3); g < groups; g++ {
+			most := 5
+			if g == 0 {
+				most = 10
+			}
+			counts = append(counts, cluster.TypeCount{Type: types[g], Count: 1 + rng.Intn(most)})
+		}
+		zoo := models.Zoo()
+		rng.Shuffle(len(zoo), func(i, j int) { zoo[i], zoo[j] = zoo[j], zoo[i] })
+		fams := zoo[:1+rng.Intn(len(zoo))]
+		slos := make([]time.Duration, len(fams))
+		demand := make([]float64, len(fams))
+		for q, fam := range fams {
+			slos[q] = profiles.FamilySLO(fam, 1.5+2*rng.Float64())
+			if rng.Intn(5) > 0 {
+				demand[q] = 400 * rng.Float64() / float64(len(fams))
+			}
+		}
+		in := &Input{Cluster: cluster.New(counts), Families: fams, SLOs: slos, Demand: demand}
+		opts := &MILPOptions{}
+		if shape&2 != 0 {
+			opts.SwitchCost = -1
+		}
+		switch shape >> 2 & 3 {
+		case 1:
+			keep := map[string]bool{}
+			for _, ref := range in.Variants() {
+				keep[ref.Variant.ID()] = rng.Intn(3) > 0
+			}
+			opts.Filter = func(ref VariantRef, _ *Input) bool { return keep[ref.Variant.ID()] }
+		case 2:
+			opts.Filter = extremeVariantFilter(false)
+		case 3:
+			opts.Filter = extremeVariantFilter(true)
+		}
+		m := NewMILP(opts)
+		a, short := m.aggregate(in, flooredDemand(in))
+		for ; a == nil && short != nil && len(in.Families) > 1; a, short = m.aggregate(in, flooredDemand(in)) {
+			// Drop a family no admissible pair serves.
+			q := slices.Index(short, true)
+			in.Families = slices.Delete(in.Families, q, q+1)
+			in.SLOs = slices.Delete(in.SLOs, q, q+1)
+			in.Demand = slices.Delete(in.Demand, q, q+1)
+		}
+		if a == nil {
+			return // no pair at all
+		}
+		if shape&1 != 0 {
+			prevIn := *in
+			prevIn.Demand = make([]float64, len(in.Families))
+			for q := range prevIn.Demand {
+				prevIn.Demand[q] = 400 * rng.Float64() / float64(len(in.Families))
+			}
+			if _, err := m.Allocate(&prevIn); err != nil {
+				t.Fatalf("previous plan: %v", err)
+			}
+			a, _ = m.aggregate(in, flooredDemand(in))
+		}
+		matchFamilyTables(t, a.space, shape&16 != 0)
+	})
+}
+
+// TestExactBytesCeiling keeps what one exact solve allocates on a replay
+// period under a ceiling that a layer-wide children slice, sorted through a
+// second copy (5.47 MB), breaks. The solve allocates about 2.2 MB, the same
+// under -race.
+func TestExactBytesCeiling(t *testing.T) {
+	in := replayInputs(7)[3]
+	a, _ := NewMILP(nil).aggregate(in, flooredDemand(in))
+	if _, ok := a.space.exact(); !ok {
+		t.Fatal("DP found no plan")
+	}
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		a.space.exact()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1e6
+	t.Logf("%.3f MB per exact solve", perCall)
+	if perCall > 2.5 {
+		t.Errorf("%.3f MB per exact solve, ceiling 2.5 MB", perCall)
+	}
 }
