@@ -21,7 +21,8 @@ type searchSpace struct {
 	// throughput cost the pure §4 objective ignores.
 	prev       []int
 	switchCost []float64
-	// groupOf[i] and groupSize[g] describe the slot constraint Σ n <= N_g.
+	// groupSize[g] is N_g in the slot constraint Σ n <= N_g over the pairs
+	// of group g (pairs[i].g).
 	groupSize []int
 	// order sorts pair indices by descending variant accuracy.
 	order []int
@@ -94,8 +95,18 @@ func (s *searchSpace) objective(counts []int) (float64, bool) {
 // spare slot, and move a device between variants within its group — until
 // no single move improves the objective or maxRounds passes elapse. It
 // mutates and returns counts.
+//
+// The objective splits by family (exact.go), so improve keeps one term per
+// family and prices a move by re-filling only the families whose counts it
+// changes: one for an addition, one or two for a reassignment. A move is
+// taken when the summed change exceeds 1e-9; of the additions into a group,
+// the first strictly best.
 func (s *searchSpace) improve(counts []int, maxRounds int) []int {
-	obj, _ := s.objective(counts)
+	famPairs := s.familyPairs()
+	term := make([]float64, len(famPairs))
+	for q, pairs := range famPairs {
+		term[q] = s.familyTerm(q, pairs, counts)
+	}
 	used := make([]int, len(s.groupSize))
 	for i, c := range counts {
 		used[s.pairs[i].g] += c
@@ -105,20 +116,22 @@ func (s *searchSpace) improve(counts []int, maxRounds int) []int {
 		// Additions into spare slots.
 		for g, slots := range s.groupSize {
 			for used[g] < slots {
-				bestJ, bestObj := -1, obj
+				bestJ, bestGain, bestTerm := -1, 0.0, 0.0
 				for _, j := range s.pairsByGroup[g] {
+					q := s.familyOf(j)
 					counts[j]++
-					if o, _ := s.objective(counts); o > bestObj+1e-9 {
-						bestJ, bestObj = j, o
-					}
+					t := s.familyTerm(q, famPairs[q], counts)
 					counts[j]--
+					if gain := t - term[q]; gain > bestGain+1e-9 {
+						bestJ, bestGain, bestTerm = j, gain, t
+					}
 				}
 				if bestJ < 0 {
 					break
 				}
 				counts[bestJ]++
 				used[g]++
-				obj = bestObj
+				term[s.familyOf(bestJ)] = bestTerm
 				improved = true
 			}
 		}
@@ -127,15 +140,22 @@ func (s *searchSpace) improve(counts []int, maxRounds int) []int {
 			if counts[i] == 0 {
 				continue
 			}
-			g := s.pairs[i].g
+			g, qi := s.pairs[i].g, s.familyOf(i)
 			for _, j := range s.pairsByGroup[g] {
 				if j == i || counts[i] == 0 {
 					continue
 				}
+				qj := s.familyOf(j)
 				counts[i]--
 				counts[j]++
-				if o, _ := s.objective(counts); o > obj+1e-9 {
-					obj = o
+				ti := s.familyTerm(qi, famPairs[qi], counts)
+				gain, tj := ti-term[qi], ti
+				if qj != qi {
+					tj = s.familyTerm(qj, famPairs[qj], counts)
+					gain += tj - term[qj]
+				}
+				if gain > 1e-9 {
+					term[qi], term[qj] = ti, tj
 					improved = true
 				} else {
 					counts[i]++
@@ -148,6 +168,35 @@ func (s *searchSpace) improve(counts []int, maxRounds int) []int {
 		}
 	}
 	return counts
+}
+
+// familyOf returns pair i's family.
+func (s *searchSpace) familyOf(i int) int { return s.refs[s.pairs[i].r].Family }
+
+// familyTerm is family q's share of objective: its demand filled over its
+// pairs (in fill order) by counts, less its pairs' switch costs and its
+// shortfall penalty.
+func (s *searchSpace) familyTerm(q int, pairs, counts []int) float64 {
+	remaining := s.demand[q]
+	obj := 0.0
+	for _, i := range pairs {
+		c := counts[i]
+		if c == 0 {
+			continue
+		}
+		take := math.Min(remaining, s.pairs[i].peak*float64(c))
+		obj += take * s.refs[s.pairs[i].r].Variant.Accuracy
+		remaining -= take
+		if s.prev != nil && s.switchCost != nil {
+			if loads := c - s.prev[i]; loads > 0 {
+				obj -= float64(loads) * s.switchCost[i]
+			}
+		}
+	}
+	if remaining > 1e-9 {
+		obj -= shortfallPenalty * remaining
+	}
+	return obj
 }
 
 // fill returns the QPS each pair serves under the accuracy-first fill of

@@ -135,6 +135,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 	}
 	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
 	demand := flooredDemand(in)
+	admit := m.admitted(in)
 	// β back-off (§4): when no plan serves the demand, shrink it by β and
 	// re-solve. The back-off is per-family: only the families the local
 	// search reports as short get scaled, so one expensive bottleneck
@@ -160,9 +161,9 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 			err   error
 		)
 		if m.opts.PerDevice {
-			alloc, short, err = m.solvePerDevice(in, scaled)
+			alloc, short, err = m.solvePerDevice(in, scaled, admit)
 		} else {
-			alloc, short, err = m.solveAggregated(in, scaled, start)
+			alloc, short, err = m.solveAggregated(in, scaled, admit, start)
 		}
 		if err != nil {
 			return nil, err
@@ -232,8 +233,8 @@ func stopwatch(t0 time.Time) time.Duration {
 // (solveByTree) takes the fairness extension, whose t row couples the
 // families, and shapes past the DP's work limit, where the solver's budgets
 // bound the solve.
-func (m *MILP) solveAggregated(in *Input, demand []float64, start time.Time) (*Allocation, []bool, error) {
-	a, short := m.aggregate(in, demand)
+func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start time.Time) (*Allocation, []bool, error) {
+	a, short := m.model(in, demand, admit)
 	if a == nil {
 		return nil, short, nil
 	}
@@ -283,10 +284,11 @@ type aggModel struct {
 	devices int
 }
 
-// aggregate builds the step's model. It returns nil and the families to
-// back off when the demand cannot be served at any count: nil when no pair
-// can serve anything, one family when a family with demand has no pair.
-func (m *MILP) aggregate(in *Input, demand []float64) (*aggModel, []bool) {
+// model builds the step's model over the variants admit admits (see
+// admitted). It returns nil and the families to back off when the demand
+// cannot be served at any count: nil when no pair can serve anything, one
+// family when a family with demand has no pair.
+func (m *MILP) model(in *Input, demand []float64, admit []bool) (*aggModel, []bool) {
 	a := &aggModel{
 		groups:  in.Cluster.GroupByType(),
 		refs:    in.Variants(),
@@ -295,7 +297,7 @@ func (m *MILP) aggregate(in *Input, demand []float64) (*aggModel, []bool) {
 	}
 	for gi, g := range a.groups {
 		for ri, ref := range a.refs {
-			if m.excluded(ref, in) {
+			if admit != nil && !admit[ri] {
 				continue
 			}
 			if peak := peakFor(g.Spec, ref, in); peak > 0 {
@@ -582,7 +584,7 @@ func (m *MILP) prevCounts(in *Input, groups []cluster.TypeGroup, refs []VariantR
 // solvePerDevice solves the paper's literal formulation with one binary per
 // (device, variant) pair — used by the Fig. 10 scalability experiments and
 // by clusters whose devices are all distinct.
-func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool, error) {
+func (m *MILP) solvePerDevice(in *Input, demand []float64, admit []bool) (*Allocation, []bool, error) {
 	refs := in.Variants()
 	devices := in.Cluster.Devices()
 
@@ -595,7 +597,7 @@ func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool,
 	var pairs []pair
 	for _, dev := range devices {
 		for ri, ref := range refs {
-			if m.excluded(ref, in) {
+			if admit != nil && !admit[ri] {
 				continue
 			}
 			peak := in.Peak(dev, ref)
@@ -674,8 +676,19 @@ func (m *MILP) solvePerDevice(in *Input, demand []float64) (*Allocation, []bool,
 	return alloc, nil, nil
 }
 
-func (m *MILP) excluded(ref VariantRef, in *Input) bool {
-	return m.opts.Filter != nil && !m.opts.Filter(ref, in)
+// admitted evaluates the variant filter once per Allocate: entry ri says
+// whether in.Variants()[ri] may be hosted. The filter reads only in, which
+// the β back-off does not change. Nil admits every variant.
+func (m *MILP) admitted(in *Input) []bool {
+	if m.opts.Filter == nil {
+		return nil
+	}
+	refs := in.Variants()
+	admit := make([]bool, len(refs))
+	for ri, ref := range refs {
+		admit[ri] = m.opts.Filter(ref, in)
+	}
+	return admit
 }
 
 // pickDevices chooses count device IDs from the group, preferring devices
