@@ -11,16 +11,132 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"proteus"
+	"proteus/internal/experiments"
 )
+
+// run runs one experiment and writes its table to w. It returns the
+// end-to-end system runs whose time series and lifecycle traces -out and
+// -trace-dir save, if the experiment has any.
+type run func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error)
+
+// experimentList is every experiment in the order -experiment all runs them.
+// The -experiment help text and the unknown-name error read it too.
+var experimentList = []struct {
+	name, title string
+	run         run
+}{
+	{"fig1a", "Figure 1a: EfficientNet accuracy-throughput trade-off per device (batch 1)",
+		func(w io.Writer, _ experiments.Options) ([]experiments.SystemResult, error) {
+			return nil, experiments.RenderFig1a(w, experiments.Fig1a())
+		}},
+	{"fig1b", "Figure 1b: 5 variants x 5 devices, all 3125 placements",
+		func(w io.Writer, _ experiments.Options) ([]experiments.SystemResult, error) {
+			return nil, experiments.RenderFig1b(w, experiments.Fig1b())
+		}},
+	{"table2", "Table 2: feature comparison",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			rows, err := experiments.Table2(o)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderTable2(w, rows)
+		}},
+	{"fig4", "Figure 4: end-to-end comparison on the Twitter-like trace", systems(experiments.Fig4)},
+	{"fig5", "Figure 5: responsiveness to macro-bursts", systems(experiments.Fig5)},
+	{"fig6", "Figure 6: adaptive batching under uniform / Poisson / Gamma arrivals",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			points, err := experiments.Fig6(o)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderFig6(w, points)
+		}},
+	{"fig7", "Figure 7: ablation study", systems(experiments.Fig7)},
+	{"fig8", "Figure 8: SLO sensitivity (1x-3.5x)",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			points, err := experiments.Fig8(o)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderFig8(w, points)
+		}},
+	{"fig9", "Figure 9: Proteus per-model-family breakdown",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			r, families, err := experiments.Fig9(o)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderFig9(w, r, families)
+		}},
+	{"fig10", "Figure 10: MILP scalability (per-device formulation)",
+		func(w io.Writer, _ experiments.Options) ([]experiments.SystemResult, error) {
+			points, err := experiments.Fig10(experiments.Fig10Options{})
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderFig10(w, points)
+		}},
+	{"design", "Design ablations: switch-cost churn control, admission control, fairness extension",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			rows, err := experiments.DesignAblations(o)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderDesignAblations(w, rows)
+		}},
+	{"overload", "Overload robustness: no-guard vs shed-only vs degrade+shed (bursty + adversarial)",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			reports, err := experiments.OverloadRobustness(o)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderOverload(w, reports)
+		}},
+	{"formulations", "MILP formulations: exact aggregated vs per-device (same optimum, different cost)",
+		func(w io.Writer, _ experiments.Options) ([]experiments.SystemResult, error) {
+			rows, err := experiments.CompareFormulations(nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			return nil, experiments.RenderFormulations(w, rows)
+		}},
+	{"faults", "Fault tolerance: a quarter of the fleet fails for the middle third of the trace",
+		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+			rep, err := experiments.FaultTolerance(o)
+			if err != nil {
+				return nil, err
+			}
+			return []experiments.SystemResult{rep.Result}, experiments.RenderFaults(w, rep)
+		}},
+}
+
+// systems is the run of an end-to-end comparison: one table row per system.
+func systems(fn func(experiments.Options) ([]experiments.SystemResult, error)) run {
+	return func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
+		results, err := fn(o)
+		if err != nil {
+			return nil, err
+		}
+		return results, experiments.RenderSystems(w, results)
+	}
+}
+
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range experimentList {
+		names = append(names, e.name)
+	}
+	return names
+}
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: all, fig1a, fig1b, table2, fig4, fig5, fig6, fig7, fig8, fig9, fig10, design, formulations, overload")
+		experiment = flag.String("experiment", "all", "which experiment to run: "+strings.Join(experimentNames(), ", "))
 		seconds    = flag.Int("seconds", 300, "end-to-end trace length in seconds")
 		clusterSz  = flag.Int("cluster", 20, "cluster size (2:1:1 CPU:1080Ti:V100)")
 		seed       = flag.Uint64("seed", 0, "random seed (0 = default)")
@@ -30,7 +146,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := proteus.ExperimentOptions{
+	opts := experiments.Options{
 		ClusterSize:  *clusterSz,
 		TraceSeconds: *seconds,
 		Seed:         *seed,
@@ -38,156 +154,24 @@ func main() {
 		Trace:        *traceDir != "",
 	}
 
-	want := func(name string) bool { return *experiment == "all" || *experiment == name }
 	ran := false
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "proteus-bench: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-
-	if want("fig1a") {
-		ran = true
-		section("Figure 1a: EfficientNet accuracy-throughput trade-off per device (batch 1)")
-		if err := proteus.RenderFig1a(os.Stdout, proteus.Fig1a()); err != nil {
-			fail("fig1a", err)
+	for _, e := range experimentList {
+		if *experiment != "all" && *experiment != e.name {
+			continue
 		}
-	}
-	if want("fig1b") {
 		ran = true
-		section("Figure 1b: 5 variants x 5 devices, all 3125 placements")
-		if err := proteus.RenderFig1b(os.Stdout, proteus.Fig1b()); err != nil {
-			fail("fig1b", err)
-		}
-	}
-	if want("table2") {
-		ran = true
-		section("Table 2: feature comparison")
-		rows, err := proteus.Table2(opts)
+		section(e.title)
+		results, err := e.run(os.Stdout, opts)
 		if err != nil {
-			fail("table2", err)
+			fmt.Fprintf(os.Stderr, "proteus-bench: %s: %v\n", e.name, err)
+			os.Exit(1)
 		}
-		if err := proteus.RenderTable2(os.Stdout, rows); err != nil {
-			fail("table2", err)
-		}
-	}
-	if want("fig4") {
-		ran = true
-		section("Figure 4: end-to-end comparison on the Twitter-like trace")
-		results, err := proteus.Fig4(opts)
-		if err != nil {
-			fail("fig4", err)
-		}
-		if err := proteus.RenderSystems(os.Stdout, results); err != nil {
-			fail("fig4", err)
-		}
-		writeSeries(*outDir, "fig4", results)
-		writeTraces(*traceDir, "fig4", results)
-	}
-	if want("fig5") {
-		ran = true
-		section("Figure 5: responsiveness to macro-bursts")
-		results, err := proteus.Fig5(opts)
-		if err != nil {
-			fail("fig5", err)
-		}
-		if err := proteus.RenderSystems(os.Stdout, results); err != nil {
-			fail("fig5", err)
-		}
-		writeSeries(*outDir, "fig5", results)
-		writeTraces(*traceDir, "fig5", results)
-	}
-	if want("fig6") {
-		ran = true
-		section("Figure 6: adaptive batching under uniform / Poisson / Gamma arrivals")
-		points, err := proteus.Fig6(opts)
-		if err != nil {
-			fail("fig6", err)
-		}
-		if err := proteus.RenderFig6(os.Stdout, points); err != nil {
-			fail("fig6", err)
-		}
-	}
-	if want("fig7") {
-		ran = true
-		section("Figure 7: ablation study")
-		results, err := proteus.Fig7(opts)
-		if err != nil {
-			fail("fig7", err)
-		}
-		if err := proteus.RenderSystems(os.Stdout, results); err != nil {
-			fail("fig7", err)
-		}
-		writeSeries(*outDir, "fig7", results)
-		writeTraces(*traceDir, "fig7", results)
-	}
-	if want("fig8") {
-		ran = true
-		section("Figure 8: SLO sensitivity (1x-3.5x)")
-		points, err := proteus.Fig8(opts)
-		if err != nil {
-			fail("fig8", err)
-		}
-		if err := proteus.RenderFig8(os.Stdout, points); err != nil {
-			fail("fig8", err)
-		}
-	}
-	if want("fig9") {
-		ran = true
-		section("Figure 9: Proteus per-model-family breakdown")
-		r, families, err := proteus.Fig9(opts)
-		if err != nil {
-			fail("fig9", err)
-		}
-		if err := proteus.RenderFig9(os.Stdout, r, families); err != nil {
-			fail("fig9", err)
-		}
-	}
-	if want("fig10") {
-		ran = true
-		section("Figure 10: MILP scalability (per-device formulation)")
-		points, err := proteus.Fig10(proteus.Fig10Options{})
-		if err != nil {
-			fail("fig10", err)
-		}
-		if err := proteus.RenderFig10(os.Stdout, points); err != nil {
-			fail("fig10", err)
-		}
-	}
-	if want("design") {
-		ran = true
-		section("Design ablations: switch-cost churn control, admission control, fairness extension")
-		rows, err := proteus.DesignAblations(opts)
-		if err != nil {
-			fail("design", err)
-		}
-		if err := proteus.RenderDesignAblations(os.Stdout, rows); err != nil {
-			fail("design", err)
-		}
-	}
-	if want("overload") {
-		ran = true
-		section("Overload robustness: no-guard vs shed-only vs degrade+shed (bursty + adversarial)")
-		reports, err := proteus.OverloadRobustness(opts)
-		if err != nil {
-			fail("overload", err)
-		}
-		if err := proteus.RenderOverload(os.Stdout, reports); err != nil {
-			fail("overload", err)
-		}
-	}
-	if want("formulations") {
-		ran = true
-		section("MILP formulations: exact aggregated vs per-device (same optimum, different cost)")
-		rows, err := proteus.CompareFormulations(nil, 0)
-		if err != nil {
-			fail("formulations", err)
-		}
-		if err := proteus.RenderFormulations(os.Stdout, rows); err != nil {
-			fail("formulations", err)
-		}
+		writeSeries(*outDir, e.name, results)
+		writeTraces(*traceDir, e.name, results)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "proteus-bench: unknown experiment %q\n", *experiment)
+		fmt.Fprintf(os.Stderr, "proteus-bench: unknown experiment %q (want one of %s)\n",
+			*experiment, strings.Join(experimentNames(), ", "))
 		os.Exit(2)
 	}
 }
@@ -198,7 +182,7 @@ func section(title string) {
 
 // writeTraces dumps each system's lifecycle trace in both export formats:
 // Chrome trace_event JSON (chrome://tracing, Perfetto) and JSON lines.
-func writeTraces(dir, prefix string, results []proteus.SystemResult) {
+func writeTraces(dir, prefix string, results []experiments.SystemResult) {
 	if dir == "" {
 		return
 	}
@@ -232,7 +216,7 @@ func writeTraces(dir, prefix string, results []proteus.SystemResult) {
 	}
 }
 
-func writeSeries(dir, prefix string, results []proteus.SystemResult) {
+func writeSeries(dir, prefix string, results []experiments.SystemResult) {
 	if dir == "" {
 		return
 	}
@@ -248,7 +232,7 @@ func writeSeries(dir, prefix string, results []proteus.SystemResult) {
 			fmt.Fprintf(os.Stderr, "proteus-bench: %v\n", err)
 			continue
 		}
-		if err := proteus.RenderSeriesCSV(f, r.Name, r.Series); err != nil {
+		if err := experiments.RenderSeriesCSV(f, r.Name, r.Series); err != nil {
 			fmt.Fprintf(os.Stderr, "proteus-bench: %v\n", err)
 		}
 		f.Close()

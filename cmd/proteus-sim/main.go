@@ -63,8 +63,18 @@ import (
 	"strings"
 	"time"
 
-	"proteus"
+	"proteus/internal/allocator"
+	"proteus/internal/batching"
+	"proteus/internal/cluster"
+	"proteus/internal/core"
+	"proteus/internal/experiments"
+	"proteus/internal/flightrec"
+	"proteus/internal/models"
+	"proteus/internal/overload"
+	"proteus/internal/report"
+	"proteus/internal/telemetry"
 	"proteus/internal/trace"
+	"proteus/internal/tsdb"
 )
 
 type config struct {
@@ -112,12 +122,12 @@ type overloadConfig struct {
 }
 
 // buildOverload maps the JSON block onto the guard configuration.
-func buildOverload(oc *overloadConfig) *proteus.OverloadConfig {
+func buildOverload(oc *overloadConfig) *overload.Config {
 	if oc == nil {
 		return nil
 	}
 	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
-	return &proteus.OverloadConfig{
+	return &overload.Config{
 		Enabled:             oc.Enabled,
 		DisableAdmission:    oc.DisableAdmission,
 		DisableBackpressure: oc.DisableBackpressure,
@@ -177,28 +187,28 @@ type traceConfig struct {
 
 // buildCluster resolves the fleet: an explicit device list (validated) when
 // given, the 2:1:1 scaled testbed otherwise.
-func buildCluster(cfg *config) (*proteus.Cluster, error) {
+func buildCluster(cfg *config) (*cluster.Cluster, error) {
 	if len(cfg.Devices) == 0 {
-		return proteus.ScaledTestbed(cfg.ClusterSize), nil
+		return cluster.ScaledTestbed(cfg.ClusterSize), nil
 	}
-	var counts []proteus.TypeCount
+	var counts []cluster.TypeCount
 	for _, d := range cfg.Devices {
-		counts = append(counts, proteus.TypeCount{Type: proteus.DeviceType(d.Type), Count: d.Count})
+		counts = append(counts, cluster.TypeCount{Type: cluster.DeviceType(d.Type), Count: d.Count})
 	}
-	return proteus.NewClusterFromSpec(counts)
+	return cluster.NewFromSpec(counts)
 }
 
 // buildFaults turns the fault config into a schedule for the cluster.
-func buildFaults(fc *faultConfig, cl *proteus.Cluster, traceSeconds int) (*proteus.FailureSchedule, error) {
+func buildFaults(fc *faultConfig, cl *cluster.Cluster, traceSeconds int) (*cluster.FailureSchedule, error) {
 	if fc == nil {
 		return nil, nil
 	}
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 	switch {
 	case len(fc.Events) > 0:
-		s := &proteus.FailureSchedule{}
+		s := &cluster.FailureSchedule{}
 		for _, ev := range fc.Events {
-			s.Events = append(s.Events, proteus.FailureEvent{
+			s.Events = append(s.Events, cluster.FailureEvent{
 				Device:    ev.Device,
 				FailAt:    sec(ev.FailAtSeconds),
 				RecoverAt: sec(ev.RecoverAtSeconds),
@@ -206,9 +216,9 @@ func buildFaults(fc *faultConfig, cl *proteus.Cluster, traceSeconds int) (*prote
 		}
 		return s, nil
 	case fc.KillFraction > 0:
-		return proteus.KillFraction(cl, fc.KillFraction, sec(fc.FailAtSeconds), sec(fc.RecoverAtSeconds)), nil
+		return cluster.KillFraction(cl, fc.KillFraction, sec(fc.FailAtSeconds), sec(fc.RecoverAtSeconds)), nil
 	case fc.MTBFSeconds > 0 || fc.MTTRSeconds > 0:
-		return proteus.RandomFailureSchedule(cl, proteus.RandomScheduleConfig{
+		return cluster.RandomSchedule(cl, cluster.RandomScheduleConfig{
 			MTBF:    sec(fc.MTBFSeconds),
 			MTTR:    sec(fc.MTTRSeconds),
 			Horizon: time.Duration(traceSeconds) * time.Second,
@@ -255,23 +265,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	alloc, err := proteus.NewAllocator(cfg.ModelAllocation, &proteus.MILPOptions{
+	alloc, err := allocator.ByName(cfg.ModelAllocation, &allocator.MILPOptions{
 		MaxNodes: cfg.SolverBudgetNodes,
 		RelGap:   0.005,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	batch, err := proteus.NewBatching(cfg.Batching)
+	batch, err := batching.ByName(cfg.Batching)
 	if err != nil {
 		fatal(err)
 	}
 	// The system's family set follows the trace's columns (a CSV trace may
 	// cover a subset of the zoo).
-	var fams []proteus.Family
+	var fams []models.Family
 	for _, name := range tr.Families {
 		found := false
-		for _, f := range proteus.Zoo() {
+		for _, f := range models.Zoo() {
 			if f.Name == name {
 				fams = append(fams, f)
 				found = true
@@ -284,33 +294,33 @@ func main() {
 	}
 	// Run dumps embed an SLO-attribution section derived from the lifecycle
 	// trace, so -tsdb/-report force the tracer on alongside -trace/-incidents.
-	var tracer *proteus.Tracer
+	var tracer *telemetry.Tracer
 	if *traceOut != "" || *incDir != "" || *tsdbOut != "" || *reportOut != "" {
-		tracer = proteus.NewTracer(0)
+		tracer = telemetry.NewTracer(0)
 	}
-	var registry *proteus.TelemetryRegistry
+	var registry *telemetry.Registry
 	if *metricsOut != "" || *incDir != "" {
-		registry = proteus.NewTelemetryRegistry()
+		registry = telemetry.NewRegistry()
 	}
-	var recorder *proteus.TSDBRecorder
+	var recorder *tsdb.Recorder
 	// The guard's degradation path is triggered by the burn monitor, so an
 	// enabled overload block forces a recorder even without -tsdb/-report.
 	// The flight recorder samples all three surfaces, so -incidents forces
 	// the tracer, registry, and recorder on too.
 	needRecorder := cfg.Overload != nil && cfg.Overload.Enabled && !cfg.Overload.DisableDegradation
 	if *tsdbOut != "" || *reportOut != "" || *incDir != "" || needRecorder {
-		var tc proteus.TSDBConfig
+		var tc tsdb.Config
 		if s := cfg.SLO; s != nil {
 			sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
 			tc.SampleInterval = sec(s.SampleIntervalS)
-			tc.SLO = proteus.SLOConfig{
+			tc.SLO = tsdb.SLOConfig{
 				Target:      s.Target,
 				BurnRate:    s.BurnRate,
 				ShortWindow: sec(s.ShortWindowS),
 				LongWindow:  sec(s.LongWindowS),
 			}
 		}
-		recorder = proteus.NewTSDBRecorder(tc)
+		recorder = tsdb.NewRecorder(tc)
 	}
 	maxRetries := 0 // zero takes the system default (1)
 	if cfg.MaxRetries != nil {
@@ -318,14 +328,14 @@ func main() {
 			maxRetries = -1 // explicit zero budget
 		}
 	}
-	var flight *proteus.FlightRecorder
+	var flight *flightrec.Recorder
 	if *incDir != "" {
 		if err := os.MkdirAll(*incDir, 0o755); err != nil {
 			fatal(err)
 		}
-		flight = proteus.NewFlightRecorder(proteus.FlightConfig{Dir: *incDir})
+		flight = flightrec.New(flightrec.Config{Dir: *incDir})
 	}
-	sys, err := proteus.NewSystem(proteus.SystemConfig{
+	sys, err := core.NewSystem(core.Config{
 		Cluster:       cl,
 		Families:      fams,
 		SLOMultiplier: cfg.SLOMultiplier,
@@ -367,7 +377,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := proteus.RenderSeriesCSV(f, cfg.ModelAllocation, res.Collector.Series(-1)); err != nil {
+		if err := experiments.RenderSeriesCSV(f, cfg.ModelAllocation, res.Collector.Series(-1)); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *tsOut)
@@ -394,7 +404,7 @@ func main() {
 		for _, d := range cl.Devices() {
 			names = append(names, d.Name)
 		}
-		din := proteus.RunDumpInput{
+		din := report.BuildInput{
 			Label:       fmt.Sprintf("%s/%s %s", cfg.ModelAllocation, cfg.Batching, cfg.Trace.Kind),
 			Seed:        cfg.Seed,
 			Collector:   res.Collector,
@@ -406,7 +416,7 @@ func main() {
 			din.Events = tracer.Events()
 			din.TraceDropped = tracer.Dropped()
 		}
-		dump := proteus.BuildRunDump(din)
+		dump := report.Build(din)
 		if *tsdbOut != "" {
 			if err := dump.WriteFile(*tsdbOut); err != nil {
 				fatal(err)
@@ -414,7 +424,7 @@ func main() {
 			fmt.Printf("wrote %s (%d samples, %d burn transitions)\n", *tsdbOut, len(dump.Samples), len(dump.Burns))
 		}
 		if *reportOut != "" {
-			if err := os.WriteFile(*reportOut, proteus.RenderRunReport(dump), 0o644); err != nil {
+			if err := os.WriteFile(*reportOut, report.RenderHTML(dump), 0o644); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("wrote %s\n", *reportOut)
@@ -431,7 +441,7 @@ func main() {
 // writeTrace dumps the recorded lifecycle events: JSON lines when the path
 // ends in .jsonl, Chrome trace_event JSON (load into chrome://tracing or
 // Perfetto) otherwise. Output is byte-stable for a fixed seed and config.
-func writeTrace(path string, tr *proteus.Tracer) error {
+func writeTrace(path string, tr *telemetry.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -481,18 +491,18 @@ func applyDefaults(cfg *config) {
 	}
 }
 
-func buildTrace(tc traceConfig) (*proteus.Trace, error) {
+func buildTrace(tc traceConfig) (*trace.Trace, error) {
 	switch tc.Kind {
 	case "twitter":
-		return proteus.NewTwitterTrace(proteus.TwitterTraceConfig{
+		return trace.NewTwitter(trace.TwitterConfig{
 			Seconds: tc.Seconds, BaseQPS: tc.BaseQPS, PeakQPS: tc.PeakQPS, Seed: tc.Seed,
 		}), nil
 	case "bursty":
-		return proteus.NewBurstyTrace(proteus.BurstyTraceConfig{
+		return trace.NewMacroBurst(trace.MacroBurstConfig{
 			Seconds: tc.Seconds, LowQPS: tc.BaseQPS, HighQPS: tc.PeakQPS,
 		}), nil
 	case "adversarial":
-		return proteus.NewAdversarialTrace(proteus.AdversarialTraceConfig{
+		return trace.NewAdversarial(trace.AdversarialConfig{
 			Seconds: tc.Seconds, BaseQPS: tc.BaseQPS, SpikeQPS: tc.PeakQPS,
 			SpikeSeconds: tc.SpikeSeconds, PeriodSeconds: tc.PeriodSeconds,
 		}), nil

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"proteus"
+	"proteus/internal/trace"
 )
 
 func TestApplyDefaults(t *testing.T) {
@@ -40,7 +40,7 @@ func TestBuildTraceKinds(t *testing.T) {
 func TestBuildTraceCSVRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
-	src := proteus.NewTwitterTrace(proteus.TwitterTraceConfig{Seconds: 10})
+	src := trace.NewTwitter(trace.TwitterConfig{Seconds: 10})
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)

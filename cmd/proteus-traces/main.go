@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"proteus"
 	"proteus/internal/trace"
 )
 
@@ -43,14 +42,14 @@ func main() {
 		return
 	}
 
-	var tr *proteus.Trace
+	var tr *trace.Trace
 	switch *kind {
 	case "twitter":
-		tr = proteus.NewTwitterTrace(proteus.TwitterTraceConfig{
+		tr = trace.NewTwitter(trace.TwitterConfig{
 			Seconds: *seconds, BaseQPS: *base, PeakQPS: *peak, Seed: *seed,
 		})
 	case "bursty":
-		tr = proteus.NewBurstyTrace(proteus.BurstyTraceConfig{
+		tr = trace.NewMacroBurst(trace.MacroBurstConfig{
 			Seconds: *seconds, LowQPS: *base, HighQPS: *peak,
 		})
 	default:
@@ -73,7 +72,7 @@ func main() {
 	summarize(tr)
 }
 
-func summarize(tr *proteus.Trace) {
+func summarize(tr *trace.Trace) {
 	fmt.Printf("seconds=%d families=%d mean=%.1fqps peak=%.1fqps\n",
 		tr.Seconds(), len(tr.Families), tr.MeanQPS(), tr.PeakQPS())
 	for f, name := range tr.Families {

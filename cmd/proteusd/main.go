@@ -48,8 +48,17 @@ import (
 	"syscall"
 	"time"
 
-	"proteus"
+	"proteus/internal/allocator"
+	"proteus/internal/batching"
+	"proteus/internal/cluster"
+	"proteus/internal/flightrec"
+	"proteus/internal/models"
 	"proteus/internal/numeric"
+	"proteus/internal/overload"
+	"proteus/internal/report"
+	"proteus/internal/serving"
+	"proteus/internal/telemetry"
+	"proteus/internal/tsdb"
 )
 
 func main() {
@@ -72,7 +81,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cl := proteus.ScaledTestbed(*clusterSz)
+	cl := cluster.ScaledTestbed(*clusterSz)
 	if *devices != "" {
 		var err error
 		cl, err = parseDevices(*devices)
@@ -80,7 +89,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	alloc, err := proteus.NewAllocator(*allocName, &proteus.MILPOptions{
+	alloc, err := allocator.ByName(*allocName, &allocator.MILPOptions{
 		// Safety net for a live control loop: a solve it cuts short is marked
 		// time_limited in the audit log.
 		TimeLimit: 20 * time.Second,
@@ -88,47 +97,47 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	batch, err := proteus.NewBatching(*batchName)
+	batch, err := batching.ByName(*batchName)
 	if err != nil {
 		fatal(err)
 	}
-	fams := proteus.Zoo()
-	names := proteus.FamilyNames(fams)
+	fams := models.Zoo()
+	names := models.FamilyNames(fams)
 	z := numeric.NewZipf(len(fams), 1.001)
 	initial := make([]float64, len(fams))
 	for q := range initial {
 		initial[q] = *driveQPS * z.P(q)
 	}
-	registry := proteus.NewTelemetryRegistry()
-	var recorder *proteus.TSDBRecorder
+	registry := telemetry.NewRegistry()
+	var recorder *tsdb.Recorder
 	if *tsdbOut != "" || *overloadOn || *incDir != "" {
 		// The guard's degradation path is triggered by the burn monitor, so
 		// -overload needs a recorder even when no dump was requested; the
 		// flight recorder samples it too.
-		recorder = proteus.NewTSDBRecorder(proteus.TSDBConfig{})
+		recorder = tsdb.NewRecorder(tsdb.Config{})
 	}
 	// A bounded tracer is always on: it feeds GET /debug/query live SLO
 	// attribution, the run dump's attribution section, and — when an
 	// incident dir is configured — the bundle's trace tail.
-	tracer := proteus.NewTracer(1 << 16)
-	var flight *proteus.FlightRecorder
+	tracer := telemetry.NewTracer(1 << 16)
+	var flight *flightrec.Recorder
 	if *incDir != "" {
 		if err := os.MkdirAll(*incDir, 0o755); err != nil {
 			fatal(err)
 		}
 		// Live mode adds process runtime snapshots and allows pprof capture
 		// via POST /debug/incident?profile=cpu,heap.
-		flight = proteus.NewFlightRecorder(proteus.FlightConfig{Dir: *incDir, Live: true})
+		flight = flightrec.New(flightrec.Config{Dir: *incDir, Live: true})
 	}
-	var guard *proteus.OverloadConfig
+	var guard *overload.Config
 	if *overloadOn {
-		guard = &proteus.OverloadConfig{Enabled: true}
+		guard = &overload.Config{Enabled: true}
 	}
 	mr := *maxRetries
 	if mr <= 0 {
 		mr = -1 // explicit zero budget (0 means "default" inside the config)
 	}
-	srv, err := proteus.NewLiveServer(proteus.LiveConfig{
+	srv, err := serving.NewServer(serving.Config{
 		Cluster:       cl,
 		Families:      fams,
 		Allocator:     alloc,
@@ -191,7 +200,7 @@ func main() {
 // writeFinal dumps the run's observability outputs at shutdown: the counter
 // snapshot and the full run dump (windowed metrics, device time-series, SLO
 // burn log, decision audit).
-func writeFinal(srv *proteus.LiveServer, registry *proteus.TelemetryRegistry, recorder *proteus.TSDBRecorder, tracer *proteus.Tracer, cl *proteus.Cluster, metricsOut, tsdbOut string, seed uint64) {
+func writeFinal(srv *serving.Server, registry *telemetry.Registry, recorder *tsdb.Recorder, tracer *telemetry.Tracer, cl *cluster.Cluster, metricsOut, tsdbOut string, seed uint64) {
 	if metricsOut != "" {
 		f, err := os.Create(metricsOut)
 		if err != nil {
@@ -210,7 +219,7 @@ func writeFinal(srv *proteus.LiveServer, registry *proteus.TelemetryRegistry, re
 		for _, d := range cl.Devices() {
 			devNames = append(devNames, d.Name)
 		}
-		dump := proteus.BuildRunDump(proteus.RunDumpInput{
+		dump := report.Build(report.BuildInput{
 			Label:        "proteusd",
 			Seed:         seed,
 			Collector:    srv.Collector(),
@@ -228,7 +237,7 @@ func writeFinal(srv *proteus.LiveServer, registry *proteus.TelemetryRegistry, re
 }
 
 // driveLoad fires Poisson traffic at the server's internal API.
-func driveLoad(srv *proteus.LiveServer, families []string, qps float64, d time.Duration, seed uint64) {
+func driveLoad(srv *serving.Server, families []string, qps float64, d time.Duration, seed uint64) {
 	rng := numeric.NewRNG(seed + 99)
 	z := numeric.NewZipf(len(families), 1.001)
 	var wg sync.WaitGroup
@@ -246,7 +255,7 @@ func driveLoad(srv *proteus.LiveServer, families []string, qps float64, d time.D
 	wg.Wait()
 }
 
-func printAllocation(srv *proteus.LiveServer) {
+func printAllocation(srv *serving.Server) {
 	alloc := srv.Allocation()
 	devices := make([]string, 0, len(alloc))
 	for d := range alloc {
@@ -264,8 +273,8 @@ func printAllocation(srv *proteus.LiveServer) {
 
 // parseDevices turns "cpu:4,v100:2" into a validated cluster. Unknown device
 // types come back as errors, not panics.
-func parseDevices(spec string) (*proteus.Cluster, error) {
-	var counts []proteus.TypeCount
+func parseDevices(spec string) (*cluster.Cluster, error) {
+	var counts []cluster.TypeCount
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -279,12 +288,12 @@ func parseDevices(spec string) (*proteus.Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-devices entry %q: bad count: %v", part, err)
 		}
-		counts = append(counts, proteus.TypeCount{
-			Type:  proteus.DeviceType(strings.TrimSpace(typ)),
+		counts = append(counts, cluster.TypeCount{
+			Type:  cluster.DeviceType(strings.TrimSpace(typ)),
 			Count: n,
 		})
 	}
-	return proteus.NewClusterFromSpec(counts)
+	return cluster.NewFromSpec(counts)
 }
 
 func fatal(err error) {

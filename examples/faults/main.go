@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"proteus"
@@ -56,19 +55,5 @@ func main() {
 		if p.Trigger == "failure" || p.Trigger == "recovery" {
 			fmt.Printf("  t=%-6v %-8s plan by %s\n", p.At, p.Trigger, p.Solver)
 		}
-	}
-
-	// The experiment harness wraps the same scenario with phase-split
-	// accuracy reporting.
-	rep, err := proteus.FaultTolerance(proteus.ExperimentOptions{
-		ClusterSize:  8,
-		TraceSeconds: 240,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\n== experiment harness report ==")
-	if err := proteus.RenderFaults(os.Stdout, rep); err != nil {
-		log.Fatal(err)
 	}
 }

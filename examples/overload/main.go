@@ -64,17 +64,4 @@ func main() {
 				ov.At.Round(time.Second), ov.Family, ov.Kind, ov.Level, ov.Reason)
 		}
 	}
-
-	// The experiment harness runs the full three-way comparison.
-	reports, err := proteus.OverloadRobustness(proteus.ExperimentOptions{
-		ClusterSize:  20,
-		TraceSeconds: 120,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\n== experiment harness report ==")
-	if err := proteus.RenderOverload(os.Stdout, reports); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"text/tabwriter"
 	"time"
 
 	"proteus"
@@ -44,7 +45,8 @@ func main() {
 	})
 
 	cl := proteus.ScaledTestbed(20)
-	var results []proteus.SystemResult
+	table := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(table, "system\ttput(QPS)\tdemand(QPS)\teff.acc%\tmax.drop%\tviolations\tserved\tlate\tdropped\tloads\tplans")
 	var ilp *proteus.Result
 	for _, name := range []string{"clipper-ha", "infaas_v2", "ilp"} {
 		alloc, err := proteus.NewAllocator(name, nil)
@@ -68,13 +70,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		results = append(results, proteus.SystemResult{
-			Name:       name,
-			Summary:    res.Summary,
-			Series:     res.Collector.Series(-1),
-			ModelLoads: res.ModelLoads,
-			Plans:      len(res.Plans),
-		})
+		s := res.Summary
+		fmt.Fprintf(table, "%s\t%.1f\t%.1f\t%.2f\t%.2f\t%.4f\t%d\t%d\t%d\t%d\t%d\n",
+			name, s.AvgThroughput, s.AvgDemand, s.EffectiveAccuracy, s.MaxAccuracyDrop,
+			s.ViolationRatio, s.Served, s.Late, s.Dropped, res.ModelLoads, len(res.Plans))
 		// Per-burst responsiveness: when did re-allocations fire?
 		fmt.Printf("%s re-allocations:", name)
 		for _, p := range res.Plans {
@@ -87,7 +86,7 @@ func main() {
 	}
 
 	fmt.Println()
-	if err := proteus.RenderSystems(os.Stdout, results); err != nil {
+	if err := table.Flush(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nProteus responds to each burst with a burst-triggered re-allocation,")

@@ -62,17 +62,10 @@ const shortfallPenalty = 1e7
 // the previous plan. It returns the penalized objective and whether all
 // demand is served.
 func (s *searchSpace) objective(counts []int) (float64, bool) {
-	remaining := append([]float64(nil), s.demand...)
+	served, remaining := s.fill(counts)
 	obj := 0.0
 	for _, i := range s.order {
-		pr := s.pairs[i]
-		if counts[i] == 0 {
-			continue
-		}
-		q := s.refs[pr.r].Family
-		take := math.Min(remaining[q], pr.peak*float64(counts[i]))
-		obj += take * s.refs[pr.r].Variant.Accuracy
-		remaining[q] -= take
+		obj += served[i] * s.refs[s.pairs[i].r].Variant.Accuracy
 	}
 	if s.prev != nil && s.switchCost != nil {
 		for i, c := range counts {
@@ -199,32 +192,30 @@ func (s *searchSpace) familyTerm(q int, pairs, counts []int) float64 {
 	return obj
 }
 
-// fill returns the QPS each pair serves under the accuracy-first fill of
-// counts, and whether the counts serve all demand.
-func (s *searchSpace) fill(counts []int) ([]float64, bool) {
-	served := make([]float64, len(s.pairs))
-	remaining := append([]float64(nil), s.demand...)
+// fill is the accuracy-first fill of counts over s.order: the QPS each pair
+// serves and the demand each family has left. A pair with no devices serves
+// min(remaining, 0) = 0.
+func (s *searchSpace) fill(counts []int) (served, remaining []float64) {
+	served = make([]float64, len(s.pairs))
+	remaining = append([]float64(nil), s.demand...)
 	for _, i := range s.order {
 		pr := s.pairs[i]
 		q := s.refs[pr.r].Family
 		served[i] = math.Min(remaining[q], pr.peak*float64(counts[i]))
 		remaining[q] -= served[i]
 	}
-	for _, r := range remaining {
-		if r > 1e-9 {
-			return served, false
-		}
-	}
-	return served, true
+	return served, remaining
 }
 
 // vector expands counts into a full MILP variable assignment (n, w and
 // load-count entries) matching the accuracy-first fill. It returns nil when
 // the counts cannot serve the demand.
 func (s *searchSpace) vector(counts []int, nVars int) []float64 {
-	served, feasible := s.fill(counts)
-	if !feasible {
-		return nil
+	served, remaining := s.fill(counts)
+	for _, r := range remaining {
+		if r > 1e-9 {
+			return nil
+		}
 	}
 	x := make([]float64, nVars)
 	for i, pr := range s.pairs {
@@ -250,16 +241,7 @@ func (s *searchSpace) countsFromVector(x []float64) []int {
 
 // shortfall reports, per family, whether the counts leave demand unserved.
 func (s *searchSpace) shortfall(counts []int) []bool {
-	remaining := append([]float64(nil), s.demand...)
-	for _, i := range s.order {
-		pr := s.pairs[i]
-		if counts[i] == 0 {
-			continue
-		}
-		q := s.refs[pr.r].Family
-		take := math.Min(remaining[q], pr.peak*float64(counts[i]))
-		remaining[q] -= take
-	}
+	_, remaining := s.fill(counts)
 	out := make([]bool, len(remaining))
 	for q, r := range remaining {
 		out[q] = r > 1e-9

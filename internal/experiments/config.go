@@ -3,9 +3,10 @@
 // end-to-end system comparison (Fig. 4), burst responsiveness (Fig. 5),
 // adaptive-batching isolation (Fig. 6), the ablation study (Fig. 7), SLO
 // sensitivity (Fig. 8), the per-family breakdown (Fig. 9), and MILP
-// scalability (Fig. 10). cmd/proteus-bench and the top-level benchmarks are
-// thin wrappers over this package; EXPERIMENTS.md records paper-vs-measured
-// values.
+// scalability (Fig. 10), plus this repository's design ablations, fault
+// tolerance and overload robustness. cmd/proteus-bench runs each experiment
+// and renders its table; the tests of this package guard each figure's
+// shape; EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (

@@ -213,9 +213,6 @@ func MustRegistry(families []Family) *Registry {
 // Families returns the registered families in registration order.
 func (r *Registry) Families() []Family { return r.families }
 
-// NumFamilies returns the number of registered families.
-func (r *Registry) NumFamilies() int { return len(r.families) }
-
 // Family returns a family by name.
 func (r *Registry) Family(name string) (Family, bool) {
 	i, ok := r.byName[name]
@@ -223,15 +220,6 @@ func (r *Registry) Family(name string) (Family, bool) {
 		return Family{}, false
 	}
 	return r.families[i], true
-}
-
-// FamilyIndex returns the registration index of a family name, or -1.
-func (r *Registry) FamilyIndex(name string) int {
-	i, ok := r.byName[name]
-	if !ok {
-		return -1
-	}
-	return i
 }
 
 // Variant resolves a "family/name" identifier.

@@ -121,8 +121,8 @@ func TestFamilyAccessors(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := MustRegistry(Zoo())
-	if r.NumFamilies() != 9 {
-		t.Fatalf("families %d", r.NumFamilies())
+	if len(r.Families()) != 9 {
+		t.Fatalf("families %d", len(r.Families()))
 	}
 	f, ok := r.Family("yolov5")
 	if !ok || f.Task != ObjectDetection {
@@ -134,12 +134,6 @@ func TestRegistry(t *testing.T) {
 	v, ok := r.Variant("gpt2/xl")
 	if !ok || v.ParamsM != 1558 {
 		t.Fatalf("gpt2/xl lookup: %v %+v", ok, v)
-	}
-	if idx := r.FamilyIndex("resnet"); idx != 0 {
-		t.Fatalf("resnet index %d", idx)
-	}
-	if idx := r.FamilyIndex("nope"); idx != -1 {
-		t.Fatalf("missing family index %d", idx)
 	}
 	if len(r.AllVariants()) != 51 {
 		t.Fatalf("AllVariants %d", len(r.AllVariants()))

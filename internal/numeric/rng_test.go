@@ -3,7 +3,6 @@ package numeric
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -94,25 +93,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(9)
-	if err := quick.Check(func(seed uint64) bool {
-		n := 1 + int(seed%20)
-		p := NewRNG(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200, Rand: nil}); err != nil {
-		t.Fatal(err)
-	}
-	_ = r
 }
 
 func TestNormFloat64Moments(t *testing.T) {

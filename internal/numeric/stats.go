@@ -60,9 +60,6 @@ func (e *EWMA) Observe(x float64) {
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether any observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns NaN for an empty slice.
 // The input is not modified.

@@ -69,9 +69,6 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 
 func TestEWMA(t *testing.T) {
 	e := EWMA{Alpha: 0.5}
-	if e.Initialized() {
-		t.Fatal("zero EWMA must not be initialized")
-	}
 	e.Observe(10)
 	if e.Value() != 10 {
 		t.Fatalf("first observation must initialize: %v", e.Value())

@@ -29,49 +29,6 @@ func randomTrace(seed uint64) *Trace {
 	return tr
 }
 
-// TestPropertyCompressPreservesVolume checks that trace speed-up keeps the
-// total query volume of the covered window.
-func TestPropertyCompressPreservesVolume(t *testing.T) {
-	f := func(seed uint64, factor8 uint8) bool {
-		tr := randomTrace(seed)
-		factor := 1 + int(factor8%5)
-		c := tr.Compress(factor)
-		covered := c.Seconds() * factor
-		want := 0.0
-		for ti := 0; ti < covered; ti++ {
-			want += tr.TotalQPS(ti)
-		}
-		got := 0.0
-		for ti := 0; ti < c.Seconds(); ti++ {
-			got += c.TotalQPS(ti)
-		}
-		return math.Abs(got-want) < 1e-6*(1+want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyScaleIsLinear checks Scale's multiplicativity.
-func TestPropertyScaleIsLinear(t *testing.T) {
-	f := func(seed uint64, k16 uint16) bool {
-		tr := randomTrace(seed)
-		k := float64(k16%100) / 10
-		s := tr.Scale(k)
-		for ti := range tr.Demand {
-			for fi := range tr.Demand[ti] {
-				if math.Abs(s.Demand[ti][fi]-k*tr.Demand[ti][fi]) > 1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropertyCSVRoundTrip checks serialization fidelity on random traces.
 func TestPropertyCSVRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {

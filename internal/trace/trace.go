@@ -74,41 +74,6 @@ func (tr *Trace) MeanQPS() float64 {
 	return sum / float64(len(tr.Demand))
 }
 
-// Scale multiplies every demand entry by factor, returning a new trace.
-func (tr *Trace) Scale(factor float64) *Trace {
-	out := &Trace{Families: append([]string(nil), tr.Families...)}
-	for _, row := range tr.Demand {
-		nr := make([]float64, len(row))
-		for i, v := range row {
-			nr[i] = v * factor
-		}
-		out.Demand = append(out.Demand, nr)
-	}
-	return out
-}
-
-// Compress speeds the trace up by an integer factor without changing its
-// shape, the paper's mechanism for overloading the system with a month-long
-// trace (§6.1.3): each output second aggregates `factor` input seconds, so
-// rates multiply by the factor and the duration divides by it.
-func (tr *Trace) Compress(factor int) *Trace {
-	if factor < 1 {
-		panic("trace: compression factor must be >= 1")
-	}
-	out := &Trace{Families: append([]string(nil), tr.Families...)}
-	nf := len(tr.Families)
-	for start := 0; start+factor <= len(tr.Demand); start += factor {
-		row := make([]float64, nf)
-		for k := 0; k < factor; k++ {
-			for f := 0; f < nf; f++ {
-				row[f] += tr.Demand[start+k][f]
-			}
-		}
-		out.Demand = append(out.Demand, row)
-	}
-	return out
-}
-
 // Slice returns the sub-trace covering seconds [from, to).
 func (tr *Trace) Slice(from, to int) *Trace {
 	if from < 0 || to > len(tr.Demand) || from > to {
@@ -321,32 +286,46 @@ func NewMacroBurst(cfg MacroBurstConfig) *Trace {
 // plan is maximally stale — and land entirely on the heaviest Zipf family.
 // Between solves the plan cannot react; only the fast-path overload guard
 // can.
+// Zero fields take defaults.
 type AdversarialConfig struct {
-	Seconds int
+	Seconds int // default 300
 	// BaseQPS is the aggregate demand outside spikes, split across families
-	// by a Zipf law.
+	// by a Zipf law (default 150).
 	BaseQPS float64
-	// SpikeQPS is ADDED to family 0's demand during a spike.
+	// SpikeQPS is ADDED to family 0's demand during a spike (default
+	// 3×BaseQPS).
 	SpikeQPS float64
-	// SpikeSeconds is each spike's duration; PeriodSeconds the spacing of
-	// spike starts (align it with the system's control period to hit the
-	// stale-plan window).
+	// SpikeSeconds is each spike's duration (default 10); PeriodSeconds the
+	// spacing of spike starts (default 30; align it with the system's
+	// control period to hit the stale-plan window).
 	SpikeSeconds  int
 	PeriodSeconds int
 	// SpikeOffset delays each spike past the period boundary (default 1s —
 	// right after the periodic solve is applied).
 	SpikeOffset int
-	ZipfAlpha   float64
-	Families    []string
+	ZipfAlpha   float64  // default 1.001
+	Families    []string // default: the zoo's families
 }
 
 // NewAdversarial synthesizes the stale-plan spike trace.
 func NewAdversarial(cfg AdversarialConfig) *Trace {
-	if cfg.Seconds <= 0 || len(cfg.Families) == 0 {
-		panic("trace: adversarial config needs Seconds and Families")
+	if cfg.Seconds <= 0 {
+		cfg.Seconds = 300
 	}
-	if cfg.SpikeSeconds <= 0 || cfg.PeriodSeconds <= 0 {
-		panic("trace: adversarial config needs positive spike and period lengths")
+	if cfg.BaseQPS <= 0 {
+		cfg.BaseQPS = 150
+	}
+	if cfg.SpikeQPS <= 0 {
+		cfg.SpikeQPS = cfg.BaseQPS * 3
+	}
+	if cfg.SpikeSeconds <= 0 {
+		cfg.SpikeSeconds = 10
+	}
+	if cfg.PeriodSeconds <= 0 {
+		cfg.PeriodSeconds = 30
+	}
+	if len(cfg.Families) == 0 {
+		cfg.Families = models.FamilyNames(models.Zoo())
 	}
 	if cfg.SpikeOffset <= 0 {
 		cfg.SpikeOffset = 1

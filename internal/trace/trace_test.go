@@ -37,48 +37,6 @@ func TestFlatPanicsOnMismatch(t *testing.T) {
 	NewFlat(fams, []float64{1}, 10)
 }
 
-func TestScale(t *testing.T) {
-	tr := NewFlat(fams, []float64{10, 5, 1}, 5)
-	s := tr.Scale(3)
-	if s.TotalQPS(0) != 48 {
-		t.Fatalf("scaled total %v", s.TotalQPS(0))
-	}
-	if tr.TotalQPS(0) != 16 {
-		t.Fatal("Scale mutated the original")
-	}
-}
-
-func TestCompressPreservesVolume(t *testing.T) {
-	tr := NewFlat(fams, []float64{10, 5, 1}, 60)
-	c := tr.Compress(4)
-	if c.Seconds() != 15 {
-		t.Fatalf("compressed seconds %d, want 15", c.Seconds())
-	}
-	// Total query volume (QPS * seconds) is preserved.
-	if got, want := c.TotalQPS(0)*float64(c.Seconds()), tr.TotalQPS(0)*float64(tr.Seconds()); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("volume %v, want %v", got, want)
-	}
-	// Rates multiply by the factor.
-	if c.TotalQPS(0) != 64 {
-		t.Fatalf("compressed rate %v, want 64", c.TotalQPS(0))
-	}
-}
-
-func TestCompressKeepsShape(t *testing.T) {
-	cfg := DiurnalConfig{
-		Seconds: 400, BaseQPS: 100, DiurnalAmplitude: 200, PeriodSeconds: 200,
-		Families: fams, Seed: 1,
-	}
-	tr := NewDiurnal(cfg)
-	c := tr.Compress(2)
-	// Peak-to-mean ratio should be roughly unchanged.
-	r0 := tr.PeakQPS() / tr.MeanQPS()
-	r1 := c.PeakQPS() / c.MeanQPS()
-	if math.Abs(r0-r1) > 0.2*r0 {
-		t.Fatalf("shape changed: ratios %v vs %v", r0, r1)
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tr := NewFlat(fams, []float64{1, 1, 1}, 10)
 	s := tr.Slice(2, 5)
@@ -175,6 +133,27 @@ func TestBursty(t *testing.T) {
 	}
 	if !eq(tr.TotalQPS(40), 50) {
 		t.Fatalf("second low period wrong: %v", tr.TotalQPS(40))
+	}
+}
+
+// TestAdversarialDefaults pins the zero config: 300 s over the zoo's nine
+// families, 150 QPS base, and spikes of 3×150 QPS on family 0 for seconds
+// [1, 11) of every 30.
+func TestAdversarialDefaults(t *testing.T) {
+	tr := NewAdversarial(AdversarialConfig{})
+	if tr.Seconds() != 300 || len(tr.Families) != 9 {
+		t.Fatalf("%d s, %d families", tr.Seconds(), len(tr.Families))
+	}
+	eq := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+	for _, sec := range []int{0, 11, 29, 30, 299} {
+		if !eq(tr.TotalQPS(sec), 150) {
+			t.Fatalf("second %d: %v QPS outside a spike", sec, tr.TotalQPS(sec))
+		}
+	}
+	for _, sec := range []int{1, 10, 31, 271} {
+		if !eq(tr.TotalQPS(sec), 600) {
+			t.Fatalf("second %d: %v QPS inside a spike", sec, tr.TotalQPS(sec))
+		}
 	}
 }
 

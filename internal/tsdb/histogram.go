@@ -166,11 +166,6 @@ func (h *Histogram) Quantiles(ps []float64, dst []int64) []int64 {
 	return dst
 }
 
-// QuantileDuration returns Quantile as a time.Duration.
-func (h *Histogram) QuantileDuration(p float64) time.Duration {
-	return time.Duration(h.Quantile(p))
-}
-
 // Merge folds o into h bucket-by-bucket. Merging is associative and
 // commutative, and because bucket boundaries are value-determined, a merge
 // of per-window histograms is byte-identical to a histogram recorded over

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -20,6 +21,12 @@ import (
 // exported fields of every exported *Config / *Options struct, all read from
 // the source with go/parser. Growing the surface is a reviewed edit of
 // surface.txt; so is shrinking it.
+//
+// The root package is the module's outside view, and the programs under
+// examples/ are its outside callers: a facade name stays only if a file
+// under examples/ names it, or if it is a parameter or result type of a
+// facade function that one names. The commands import the packages that
+// own the code.
 //
 // Every field line carries one reason, which must resolve. A reason ending
 // in .go is a non-test file outside the field's package that sets the field
@@ -51,7 +58,61 @@ func TestSurface(t *testing.T) {
 			}
 		}
 	}
+	for _, name := range m.unusedFacade() {
+		t.Errorf("surface.txt: facade %s: no file under examples/ names it, and no facade function one names takes or returns it", name)
+	}
 	t.Logf("surface: %d entries", len(got))
+}
+
+// unusedFacade returns the root package's exported names that break the
+// facade rule, sorted.
+func (m *module) unusedFacade() []string {
+	named := map[string]bool{}
+	for p, f := range m.files {
+		local, ok := importNames(f)["proteus"]
+		if !ok || !strings.HasPrefix(p, "examples/") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+					named[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	kept := maps.Clone(named)
+	var names []string
+	for _, p := range m.pkgFiles(".") {
+		f := m.files[p]
+		names = append(names, topLevelNames(f)...)
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok || d.Recv != nil || !named[d.Name.Name] {
+				continue
+			}
+			// A facade type in a facade signature is a bare identifier;
+			// a selector names another package's type.
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.SelectorExpr:
+					return false
+				case *ast.Ident:
+					kept[x.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	for _, name := range names {
+		if ast.IsExported(name) && !kept[name] {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // module is every parsed .go file of the repository, bench/ included, keyed
