@@ -59,6 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -228,53 +229,78 @@ func buildFaults(fc *faultConfig, cl *cluster.Cluster, traceSeconds int) (*clust
 	return nil, fmt.Errorf("faults config needs events, kill_fraction, or mtbf/mttr_seconds")
 }
 
+// errUsage is run's answer to bad arguments; main exits 2 on it.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		configPath = flag.String("config", "", "path to the JSON experiment config (required)")
-		tsOut      = flag.String("timeseries", "", "optional CSV path for the run's per-bin time series")
-		traceOut   = flag.String("trace", "", "optional path for the telemetry trace (.jsonl = JSON lines, anything else = Chrome trace_event JSON)")
-		metricsOut = flag.String("metrics", "", "optional path for the final counter snapshot (text key-value)")
-		tsdbOut    = flag.String("tsdb", "", "optional path for the run dump JSON (windowed metrics, device time-series, SLO burn log, decision audit)")
-		reportOut  = flag.String("report", "", "optional path for the self-contained HTML run report")
-		incDir     = flag.String("incidents", "", "optional directory for the flight recorder's incident log, DIR/incidents.log (enables the flight recorder)")
-	)
-	flag.Parse()
-	if *configPath == "" {
-		fmt.Fprintln(os.Stderr, "proteus-sim: -config is required")
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout, os.Stdout, func(path string) (io.WriteCloser, error) { return os.Create(path) })
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
 	}
-	raw, err := os.ReadFile(*configPath)
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// run is the whole command on its arguments: the report goes to stdout, the
+// "simulated in … (wall)" line to wall (nil leaves it out, the only line of
+// the output that differs between same-seed runs), and every output file a
+// flag names through create — except the incident log, which the flight
+// recorder writes into its directory itself. A usage error is
+// errUsage, after the usage text went to stderr.
+func run(args []string, stdout, wall io.Writer, create func(path string) (io.WriteCloser, error)) error {
+	fs := flag.NewFlagSet("proteus-sim", flag.ContinueOnError)
+	var (
+		configPath = fs.String("config", "", "path to the JSON experiment config (required)")
+		tsOut      = fs.String("timeseries", "", "optional CSV path for the run's per-bin time series")
+		traceOut   = fs.String("trace", "", "optional path for the telemetry trace (.jsonl = JSON lines, anything else = Chrome trace_event JSON)")
+		metricsOut = fs.String("metrics", "", "optional path for the final counter snapshot (text key-value)")
+		tsdbOut    = fs.String("tsdb", "", "optional path for the run dump JSON (windowed metrics, device time-series, SLO burn log, decision audit)")
+		reportOut  = fs.String("report", "", "optional path for the self-contained HTML run report")
+		incDir     = fs.String("incidents", "", "optional directory for the flight recorder's incident log, DIR/incidents.log (enables the flight recorder)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if *configPath == "" {
+		fmt.Fprintln(fs.Output(), "proteus-sim: -config is required")
+		fs.Usage()
+		return errUsage
+	}
+	raw, err := os.ReadFile(*configPath)
+	if err != nil {
+		return err
+	}
 	cfg, err := loadConfig(raw)
 	if err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", *configPath, err))
+		return fmt.Errorf("parsing %s: %w", *configPath, err)
 	}
 
 	tr, err := buildTrace(cfg.Trace)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cl, err := buildCluster(&cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	faults, err := buildFaults(cfg.Faults, cl, tr.Seconds())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	alloc, err := allocator.ByName(cfg.ModelAllocation, &allocator.MILPOptions{
 		MaxNodes: cfg.SolverBudgetNodes,
 		RelGap:   0.005,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	batch, err := batching.ByName(cfg.Batching)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The system's family set follows the trace's columns (a CSV trace may
 	// cover a subset of the zoo).
@@ -289,7 +315,7 @@ func main() {
 			}
 		}
 		if !found {
-			fatal(fmt.Errorf("trace family %q is not in the model zoo", name))
+			return fmt.Errorf("trace family %q is not in the model zoo", name)
 		}
 	}
 	// Run dumps embed an SLO-attribution section derived from the lifecycle
@@ -331,7 +357,7 @@ func main() {
 	var flight *flightrec.Recorder
 	if *incDir != "" {
 		if err := os.MkdirAll(*incDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		flight = flightrec.New(flightrec.Config{Dir: *incDir})
 	}
@@ -351,53 +377,66 @@ func main() {
 		MaxRetries:    maxRetries,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	start := time.Now()
 	res, err := sys.Run(tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("allocation=%s batching=%s cluster=%d trace=%s (%ds, peak %.0f QPS)\n",
+	fmt.Fprintf(stdout, "allocation=%s batching=%s cluster=%d trace=%s (%ds, peak %.0f QPS)\n",
 		cfg.ModelAllocation, cfg.Batching, cl.Size(), cfg.Trace.Kind, tr.Seconds(), tr.PeakQPS())
 	if faults != nil {
-		fmt.Printf("faults: %d scheduled events\n", len(faults.Events))
+		fmt.Fprintf(stdout, "faults: %d scheduled events\n", len(faults.Events))
 	}
-	fmt.Printf("simulated in %v (wall)\n", time.Since(start).Round(time.Millisecond))
-	fmt.Println(res.Summary)
-	fmt.Printf("re-allocations=%d model-loads=%d\n", len(res.Plans), res.ModelLoads)
+	if wall != nil {
+		fmt.Fprintf(wall, "simulated in %v (wall)\n", time.Since(start).Round(time.Millisecond))
+	}
+	fmt.Fprintln(stdout, res.Summary)
+	fmt.Fprintf(stdout, "re-allocations=%d model-loads=%d\n", len(res.Plans), res.ModelLoads)
 	for q, s := range res.PerFamily {
-		fmt.Printf("  %-14s tput=%.1fqps acc=%.2f%% violations=%.4f\n",
+		fmt.Fprintf(stdout, "  %-14s tput=%.1fqps acc=%.2f%% violations=%.4f\n",
 			tr.Families[q], s.AvgThroughput, s.EffectiveAccuracy, s.ViolationRatio)
 	}
 
-	if *tsOut != "" {
-		f, err := os.Create(*tsOut)
+	// output writes one output file through create.
+	output := func(path string, write func(io.Writer) error) error {
+		f, err := create(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := experiments.RenderSeriesCSV(f, cfg.ModelAllocation, res.Collector.Series(-1)); err != nil {
-			fatal(err)
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("wrote %s\n", *tsOut)
+		return err
+	}
+	if *tsOut != "" {
+		err := output(*tsOut, func(w io.Writer) error {
+			return experiments.RenderSeriesCSV(w, cfg.ModelAllocation, res.Collector.Series(-1))
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *tsOut)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
-			fatal(err)
+		// JSON lines when the path ends in .jsonl, Chrome trace_event JSON
+		// (load into chrome://tracing or Perfetto) otherwise.
+		write := tracer.WriteChromeTrace
+		if strings.HasSuffix(*traceOut, ".jsonl") {
+			write = tracer.WriteJSONL
 		}
-		fmt.Printf("wrote %s (%d events, %d dropped)\n", *traceOut, tracer.Len(), tracer.Dropped())
+		if err := output(*traceOut, write); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d events, %d dropped)\n", *traceOut, tracer.Len(), tracer.Dropped())
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal(err)
+		if err := output(*metricsOut, registry.WriteText); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := registry.WriteText(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *metricsOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *metricsOut)
 	}
 	if recorder != nil {
 		var names []string
@@ -418,39 +457,29 @@ func main() {
 		}
 		dump := report.Build(din)
 		if *tsdbOut != "" {
-			if err := dump.WriteFile(*tsdbOut); err != nil {
-				fatal(err)
+			if err := output(*tsdbOut, dump.WriteJSON); err != nil {
+				return err
 			}
-			fmt.Printf("wrote %s (%d samples, %d burn transitions)\n", *tsdbOut, len(dump.Samples), len(dump.Burns))
+			fmt.Fprintf(stdout, "wrote %s (%d samples, %d burn transitions)\n", *tsdbOut, len(dump.Samples), len(dump.Burns))
 		}
 		if *reportOut != "" {
-			if err := os.WriteFile(*reportOut, report.RenderHTML(dump), 0o644); err != nil {
-				fatal(err)
+			err := output(*reportOut, func(w io.Writer) error {
+				_, err := w.Write(report.RenderHTML(dump))
+				return err
+			})
+			if err != nil {
+				return err
 			}
-			fmt.Printf("wrote %s\n", *reportOut)
+			fmt.Fprintf(stdout, "wrote %s\n", *reportOut)
 		}
 	}
 	if flight != nil {
 		if err := flight.WriteError(); err != nil {
-			fatal(fmt.Errorf("writing incident bundles: %w", err))
+			return fmt.Errorf("writing incident bundles: %w", err)
 		}
-		fmt.Printf("incidents: %d bundles in %s\n", len(flight.Incidents()), *incDir)
+		fmt.Fprintf(stdout, "incidents: %d bundles in %s\n", len(flight.Incidents()), *incDir)
 	}
-}
-
-// writeTrace dumps the recorded lifecycle events: JSON lines when the path
-// ends in .jsonl, Chrome trace_event JSON (load into chrome://tracing or
-// Perfetto) otherwise. Output is byte-stable for a fixed seed and config.
-func writeTrace(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return tr.WriteJSONL(f)
-	}
-	return tr.WriteChromeTrace(f)
+	return nil
 }
 
 // loadConfig decodes a config file strictly — an unknown key (a typo, or a
