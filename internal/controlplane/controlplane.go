@@ -253,15 +253,9 @@ type Controller struct {
 	counters telemetry.ControlCounters
 }
 
-// NewController builds a controller. Period defaults to 30 s, cooldown to
-// 10 s.
+// NewController builds a controller that re-plans every period and spaces
+// burst re-plans cooldown apart (dataplane.New resolves both).
 func NewController(a allocator.Allocator, c *cluster.Cluster, families []models.Family, slos []time.Duration, period, cooldown time.Duration) *Controller {
-	if period <= 0 {
-		period = 30 * time.Second
-	}
-	if cooldown <= 0 {
-		cooldown = 10 * time.Second
-	}
 	ctl := &Controller{
 		Period:        period,
 		BurstCooldown: cooldown,
@@ -279,10 +273,6 @@ func NewController(a allocator.Allocator, c *cluster.Cluster, families []models.
 
 // Allocator returns the wrapped allocator.
 func (c *Controller) Allocator() allocator.Allocator { return c.alloc }
-
-// SetFallback replaces the fallback allocator used when the primary errors.
-// Passing nil disables the fallback stage (the carry-forward stage remains).
-func (c *Controller) SetFallback(a allocator.Allocator) { c.fallback = a }
 
 // Instrument resolves the controller's counters from a telemetry registry
 // (a nil registry leaves them inert). Call before the first Reallocate.
@@ -482,31 +472,10 @@ func diffPlans(rec *PlanRecord, prev, next *allocator.Allocation) {
 	}
 }
 
-// DefaultHistoryLimit is the audit-log ring size when SetHistoryLimit is
-// never called: generous enough that a simulated run or a day of 30 s
-// control periods is fully retained, small enough to bound live memory.
+// DefaultHistoryLimit is the audit-log ring size: generous enough that a
+// simulated run or a day of 30 s control periods is fully retained, small
+// enough to bound live memory.
 const DefaultHistoryLimit = 256
-
-// SetHistoryLimit resizes the audit-log ring (n <= 0 restores the
-// default). Existing records beyond the new bound are dropped oldest-first.
-func (c *Controller) SetHistoryLimit(n int) {
-	if n <= 0 {
-		n = DefaultHistoryLimit
-	}
-	c.mu.Lock()
-	c.historyLimit = n
-	if over := len(c.history) - n; over > 0 {
-		c.history = append(c.history[:0], c.history[over:]...)
-	}
-	c.mu.Unlock()
-}
-
-// HistoryLimit returns the audit-log ring's current bound.
-func (c *Controller) HistoryLimit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.historyLimit
-}
 
 // SetRecordHook installs fn to observe every appended audit record. The
 // hook runs on the control-loop goroutine after the history lock is

@@ -175,20 +175,29 @@ func TestDemandChanged(t *testing.T) {
 	}
 }
 
+// TestControllerDefaults: the controller keeps the period and cooldown it is
+// given (dataplane.New resolves them), the audit ring starts at its default
+// bound, and infaas_v2 alone has no greedy fallback, being greedy itself.
 func TestControllerDefaults(t *testing.T) {
 	a := allocator.NewInfaasAccuracy()
-	c := NewController(a, cluster.ScaledTestbed(4), nil, nil, 0, 0)
-	if c.Period != 30*time.Second || c.BurstCooldown != 10*time.Second {
-		t.Fatalf("defaults %v %v", c.Period, c.BurstCooldown)
+	c := NewController(a, cluster.ScaledTestbed(4), nil, nil, 12*time.Second, 4*time.Second)
+	if c.Period != 12*time.Second || c.BurstCooldown != 4*time.Second {
+		t.Fatalf("period %v, cooldown %v: want the 12s and 4s passed in", c.Period, c.BurstCooldown)
 	}
 	if c.Allocator() != a {
 		t.Fatal("allocator accessor broken")
+	}
+	if c.historyLimit != DefaultHistoryLimit || c.fallback != nil {
+		t.Fatalf("history limit %d, fallback %v", c.historyLimit, c.fallback)
+	}
+	if c := NewController(allocator.NewMILP(nil), nil, nil, nil, time.Second, time.Second); c.fallback == nil {
+		t.Fatal("the MILP allocator has no greedy fallback")
 	}
 }
 
 func TestHistoryRingBounded(t *testing.T) {
 	c, _ := fixture(t)
-	c.SetHistoryLimit(2)
+	c.historyLimit = 2
 	for i := 0; i < 4; i++ {
 		if _, err := c.Reallocate(time.Duration(i)*time.Second, []float64{20 + float64(i), 10}, "periodic"); err != nil {
 			t.Fatal(err)
@@ -201,25 +210,6 @@ func TestHistoryRingBounded(t *testing.T) {
 	// The newest records survive, oldest first.
 	if h[0].At != 2*time.Second || h[1].At != 3*time.Second {
 		t.Fatalf("wrong records retained: at=%v,%v", h[0].At, h[1].At)
-	}
-}
-
-func TestSetHistoryLimitTrimsExisting(t *testing.T) {
-	c, _ := fixture(t)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Reallocate(time.Duration(i)*time.Second, []float64{20, 10}, "periodic"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.SetHistoryLimit(1)
-	h := c.History()
-	if len(h) != 1 || h[0].At != 2*time.Second {
-		t.Fatalf("trim kept %d records (at=%v), want newest only", len(h), h[0].At)
-	}
-	// Zero or negative restores the default.
-	c.SetHistoryLimit(0)
-	if got := c.HistoryLimit(); got != DefaultHistoryLimit {
-		t.Fatalf("limit after reset = %d, want %d", got, DefaultHistoryLimit)
 	}
 }
 

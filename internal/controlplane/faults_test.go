@@ -81,7 +81,7 @@ func TestFallbackChainCarryForward(t *testing.T) {
 	// Replace the primary with one that succeeds once then errors, and
 	// disable the fallback so the carry-forward stage is reached.
 	c.alloc = &flakyAlloc{inner: c.alloc, okCalls: 1}
-	c.SetFallback(nil)
+	c.fallback = nil
 
 	if _, err := c.Reallocate(0, []float64{20, 10}, "initial"); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestReallocateErrorRecordsAttemptTime(t *testing.T) {
 	_, fams := fixture(t)
 	slos := []time.Duration{time.Second, time.Second}
 	c := NewController(failingAlloc{}, cluster.ScaledTestbed(8), fams, slos, 30*time.Second, 10*time.Second)
-	c.SetFallback(failingAlloc{}) // both stages error; no lastPlan to carry
+	c.fallback = failingAlloc{} // both stages error; no lastPlan to carry
 
 	_, err := c.Reallocate(100*time.Second, []float64{20, 10}, "periodic")
 	if err == nil {
@@ -144,7 +144,7 @@ func TestReallocateErrorRecordsAttemptTime(t *testing.T) {
 func TestReallocateReturnsRecordSeq(t *testing.T) {
 	good, fams := fixture(t)
 	c := NewController(failingAlloc{}, cluster.ScaledTestbed(8), fams, good.slos, 30*time.Second, 10*time.Second)
-	c.SetFallback(nil)
+	c.fallback = nil
 	if _, err := c.Reallocate(0, []float64{20, 10}, "initial"); err == nil {
 		t.Fatal("the failing allocator produced a plan")
 	}

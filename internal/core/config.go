@@ -9,7 +9,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"proteus/internal/allocator"
@@ -18,7 +17,6 @@ import (
 	"proteus/internal/flightrec"
 	"proteus/internal/models"
 	"proteus/internal/overload"
-	"proteus/internal/profiles"
 	"proteus/internal/telemetry"
 	"proteus/internal/tsdb"
 )
@@ -32,30 +30,32 @@ const modelLoadDelay = 2 * time.Second
 // time, off the critical path per §4).
 const planApplyDelay = time.Second
 
-// Config describes one simulated serving system.
+// Config describes one simulated serving system. A zero engine parameter
+// (SLOMultiplier, Batching, ControlPeriod, BurstCooldown, Headroom,
+// MetricsInterval, MaxRetries) takes the engine's default, which
+// dataplane.Config documents.
 type Config struct {
 	// Cluster is the device fleet. Required.
 	Cluster *cluster.Cluster
 	// Families are the registered applications (query types). Required.
 	Families []models.Family
 	// SLOMultiplier scales each family's SLO relative to the batch-1 CPU
-	// latency of its fastest variant (§6.1.2). Default 2.
+	// latency of its fastest variant (§6.1.2).
 	SLOMultiplier float64
 	// Allocator is the resource-management policy. Required
 	// (allocator.ByName builds one from artifact config names).
 	Allocator allocator.Allocator
-	// Batching creates each worker's batching policy. Default AccScale.
+	// Batching creates each worker's batching policy.
 	Batching batching.Factory
 	// ControlPeriod is the periodic re-allocation interval and the demand
-	// estimation window. Default 30s.
+	// estimation window.
 	ControlPeriod time.Duration
 	// BurstCooldown is the minimum spacing of burst re-allocations.
-	// Default 10s.
 	BurstCooldown time.Duration
 	// Headroom over-provisions demand estimates when re-allocating
-	// (the artifact's β = 1.05 hyper-parameter). Default 1.05.
+	// (the artifact's β hyper-parameter).
 	Headroom float64
-	// MetricsInterval is the time-series bin width. Default 10s.
+	// MetricsInterval is the time-series bin width.
 	MetricsInterval time.Duration
 	// Elastic enables the §7 hardware-scaling-in-tandem extension: when a
 	// plan sheds demand (capacity exhausted even at the lowest accuracy),
@@ -96,42 +96,21 @@ type Config struct {
 	// burn monitor is its trigger).
 	Overload *overload.Config
 	// MaxRetries is the per-query re-route budget after a device failure
-	// strands it (0 drops stranded queries immediately, negative values are
-	// treated as 0). Default 1, the paper artifact's single re-dispatch.
+	// strands it (negative values drop stranded queries immediately), the
+	// paper artifact's single re-dispatch by default.
 	MaxRetries int
 	// Seed drives all simulator randomness (routing, arrival expansion).
 	Seed uint64
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Cluster == nil || c.Cluster.Size() == 0 {
-		return c, fmt.Errorf("core: config needs a cluster")
-	}
-	if len(c.Families) == 0 {
-		return c, fmt.Errorf("core: config needs families")
-	}
-	if c.Allocator == nil {
-		return c, fmt.Errorf("core: config needs an allocator")
-	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = 30 * time.Second
-	}
-	if c.BurstCooldown <= 0 {
-		c.BurstCooldown = 10 * time.Second
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 1.05
-	}
-	if c.MetricsInterval <= 0 {
-		c.MetricsInterval = 10 * time.Second
-	}
+// withDefaults fills in what only the simulator has: the elastic fleet's
+// defaults. dataplane.New checks the rest of the config and fills in the
+// engine's defaults (zero fields above take them; see dataplane.Config).
+func (c Config) withDefaults() Config {
 	if c.Elastic != nil {
 		c.Elastic = c.Elastic.withDefaults()
 	}
-	if err := c.Faults.Validate(c.Cluster.Size()); err != nil {
-		return c, err
-	}
-	return c, nil
+	return c
 }
 
 // ElasticConfig parameterizes hardware scaling in tandem with accuracy
@@ -159,18 +138,4 @@ func (e *ElasticConfig) withDefaults() *ElasticConfig {
 		out.MaxExtra = 0
 	}
 	return &out
-}
-
-// SLOs computes the per-family SLOs for the config.
-func (c Config) SLOs() []time.Duration {
-	out := make([]time.Duration, len(c.Families))
-	for q, f := range c.Families {
-		out[q] = profiles.FamilySLO(f, c.SLOMultiplier)
-	}
-	return out
-}
-
-// FamilyNames returns the family names in index order.
-func (c Config) FamilyNames() []string {
-	return models.FamilyNames(c.Families)
 }

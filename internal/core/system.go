@@ -68,15 +68,8 @@ func (s *System) cancelWake(w *worker) {
 
 // NewSystem builds a system from the config.
 func NewSystem(cfg Config) (*System, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	s := &System{
-		cfg:    cfg,
-		engine: simulation.NewEngine(),
-	}
-	pc := dataplane.Config{
+	cfg = cfg.withDefaults()
+	plane, err := dataplane.New(dataplane.Config{
 		Cluster:          cfg.Cluster,
 		Families:         cfg.Families,
 		SLOMultiplier:    cfg.SLOMultiplier,
@@ -84,7 +77,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Batching:         cfg.Batching,
 		ControlPeriod:    cfg.ControlPeriod,
 		Cooldown:         cfg.BurstCooldown,
-		DemandWindow:     cfg.ControlPeriod,
 		Headroom:         cfg.Headroom,
 		MetricsInterval:  cfg.MetricsInterval,
 		DisableAdmission: cfg.DisableAdmission,
@@ -95,9 +87,19 @@ func NewSystem(cfg Config) (*System, error) {
 		TSDB:             cfg.TSDB,
 		Flight:           cfg.Flight,
 		Overload:         cfg.Overload,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.plane = dataplane.New(pc)
-	for _, dev := range s.plane.Devices {
+	if err := cfg.Faults.Validate(cfg.Cluster.Size()); err != nil {
+		return nil, err
+	}
+	s := &System{
+		cfg:    cfg,
+		engine: simulation.NewEngine(),
+		plane:  plane,
+	}
+	for _, dev := range plane.Devices {
 		s.addWorker(dev)
 	}
 	return s, nil
@@ -130,7 +132,7 @@ func (s *System) Run(tr *trace.Trace) (*Result, error) {
 		return nil, fmt.Errorf("core: trace has %d families, system has %d", len(tr.Families), len(s.cfg.Families))
 	}
 	// Initial plan from the first control period's average demand.
-	warm := int(s.cfg.ControlPeriod / time.Second)
+	warm := int(s.plane.Controller.Period / time.Second)
 	if warm > tr.Seconds() {
 		warm = tr.Seconds()
 	}
@@ -182,7 +184,7 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	// Periodic controller invocations for dynamic allocators.
 	if ctl.Dynamic() {
 		periodic := func() { s.trigger("periodic") }
-		for at := s.cfg.ControlPeriod; at < duration; at += s.cfg.ControlPeriod {
+		for at := ctl.Period; at < duration; at += ctl.Period {
 			s.engine.Schedule(at, periodic)
 		}
 	}

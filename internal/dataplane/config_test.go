@@ -1,0 +1,74 @@
+package dataplane
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"proteus/internal/allocator"
+	"proteus/internal/cluster"
+	"proteus/internal/models"
+	"proteus/internal/profiles"
+)
+
+// TestNewChecksAndDefaults pins the engine's one set of checks and defaults:
+// New refuses a config without a cluster, families or an allocator and names
+// the field, and resolves what a minimal config leaves zero — the values
+// both drivers run with unless their callers set them.
+func TestNewChecksAndDefaults(t *testing.T) {
+	fams := models.Zoo()[:2]
+	minimal := func() Config {
+		return Config{
+			Cluster:   cluster.ScaledTestbed(4),
+			Families:  fams,
+			Allocator: allocator.NewInfaasAccuracy(),
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Cluster", func(c *Config) { c.Cluster = nil }},
+		{"Cluster", func(c *Config) { c.Cluster = cluster.New(nil) }},
+		{"Families", func(c *Config) { c.Families = nil }},
+		{"Allocator", func(c *Config) { c.Allocator = nil }},
+	} {
+		cfg := minimal()
+		tc.mut(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("no %s: New returned error %v, want one naming Config.%s", tc.field, err, tc.field)
+		}
+	}
+
+	for _, tc := range []struct {
+		name             string
+		period           time.Duration
+		wantPeriod, cool time.Duration
+	}{
+		{"minimal", 0, 30 * time.Second, 10 * time.Second},
+		{"12 s period", 12 * time.Second, 12 * time.Second, 4 * time.Second},
+	} {
+		cfg := minimal()
+		cfg.ControlPeriod = tc.period
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ctl := p.Controller
+		if ctl.Period != tc.wantPeriod || ctl.BurstCooldown != tc.cool {
+			t.Errorf("%s: period %v, cooldown %v; want %v, %v", tc.name, ctl.Period, ctl.BurstCooldown, tc.wantPeriod, tc.cool)
+		}
+		if w := p.Stats.Monitors[0].WindowSeconds; time.Duration(w)*time.Second != tc.wantPeriod {
+			t.Errorf("%s: demand window %d s, want the period", tc.name, w)
+		}
+		if p.cfg.Headroom != 1.05 || p.Collector.Interval() != 10*time.Second || p.cfg.MaxRetries != 1 {
+			t.Errorf("%s: headroom %v, bins %v, retries %d; want 1.05, 10s, 1",
+				tc.name, p.cfg.Headroom, p.Collector.Interval(), p.cfg.MaxRetries)
+		}
+		for q, f := range fams {
+			if want := profiles.FamilySLO(f, 2); p.slos[q] != want {
+				t.Errorf("%s: %s SLO %v, want %v (×2)", tc.name, f.Name, p.slos[q], want)
+			}
+		}
+	}
+}

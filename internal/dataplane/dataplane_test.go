@@ -43,7 +43,6 @@ func harness(t *testing.T, policy batching.Policy, mut func(*Config)) (*Plane, *
 		Batching:        func() batching.Policy { return policy },
 		ControlPeriod:   30 * time.Second,
 		Cooldown:        10 * time.Second,
-		DemandWindow:    30 * time.Second,
 		Headroom:        1,
 		MetricsInterval: time.Second,
 		MaxRetries:      1,
@@ -52,7 +51,10 @@ func harness(t *testing.T, policy batching.Policy, mut func(*Config)) (*Plane, *
 	if mut != nil {
 		mut(&cfg)
 	}
-	p := New(cfg)
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := p.Devices[0]
 	d.setHosted(&allocator.VariantRef{Family: 0, Variant: fams[0].Variants[0]}, 0)
 	return p, d

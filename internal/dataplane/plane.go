@@ -17,6 +17,7 @@
 package dataplane
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -38,21 +39,22 @@ import (
 )
 
 // Config is what both drivers hand the shared engine, each from its own
-// public Config. New applies the defaults of the fields documented there as
-// engine behaviour: SLOMultiplier 2, AccScale batching, and MaxRetries 1
-// (0 means the default, negative values no retry at all).
+// public Config. New is the one place that checks it — a cluster with at
+// least one device, at least one family, an allocator — and fills in the
+// engine's defaults: SLOMultiplier 2, AccScale batching, ControlPeriod 30 s,
+// Cooldown ControlPeriod/3, Headroom 1.05, MetricsInterval 10 s and
+// MaxRetries 1 (0 means the default, negative values no retry at all).
 type Config struct {
 	Cluster       *cluster.Cluster
 	Families      []models.Family
 	SLOMultiplier float64
 	Allocator     allocator.Allocator
 	Batching      batching.Factory
-	// ControlPeriod and Cooldown parameterize the controller; DemandWindow
-	// the per-family demand monitors; Headroom multiplies every demand a
-	// plan is solved for.
+	// ControlPeriod is the periodic re-plan interval and the window of the
+	// per-family demand monitors; Cooldown is the minimum spacing of burst
+	// re-plans; Headroom multiplies every demand a plan is solved for.
 	ControlPeriod time.Duration
 	Cooldown      time.Duration
-	DemandWindow  time.Duration
 	Headroom      float64
 
 	MetricsInterval  time.Duration
@@ -148,17 +150,47 @@ type Plane struct {
 	burnCursor int
 }
 
+// withDefaults checks c and fills in the defaults Config documents.
+func (c Config) withDefaults() (Config, error) {
+	switch {
+	case c.Cluster == nil || c.Cluster.Size() == 0:
+		return c, errors.New("dataplane: Config.Cluster needs at least one device")
+	case len(c.Families) == 0:
+		return c, errors.New("dataplane: Config.Families is empty")
+	case c.Allocator == nil:
+		return c, errors.New("dataplane: Config.Allocator is nil")
+	}
+	if c.SLOMultiplier <= 0 {
+		c.SLOMultiplier = 2
+	}
+	if c.Batching == nil {
+		c.Batching = func() batching.Policy { return batching.NewAccScale() }
+	}
+	if c.ControlPeriod <= 0 {
+		c.ControlPeriod = 30 * time.Second
+	}
+	if c.Cooldown <= 0 {
+		c.Cooldown = c.ControlPeriod / 3
+	}
+	if c.Headroom <= 0 {
+		c.Headroom = 1.05
+	}
+	if c.MetricsInterval <= 0 {
+		c.MetricsInterval = 10 * time.Second
+	}
+	if c.MaxRetries == 0 {
+		c.MaxRetries = 1
+	}
+	return c, nil
+}
+
 // New assembles the engine for cfg with every device idle and an empty
-// plan; the driver solves and applies the initial plan.
-func New(cfg Config) *Plane {
-	if cfg.SLOMultiplier <= 0 {
-		cfg.SLOMultiplier = 2
-	}
-	if cfg.Batching == nil {
-		cfg.Batching = func() batching.Policy { return batching.NewAccScale() }
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 1
+// plan; the driver solves and applies the initial plan. The resolved
+// control period is Controller.Period.
+func New(cfg Config) (*Plane, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	p := &Plane{
 		cfg: cfg,
@@ -174,7 +206,7 @@ func New(cfg Config) *Plane {
 	// traces are visible to attribution (both arguments are nil-safe).
 	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
 	p.Collector = metrics.NewCollector(cfg.MetricsInterval, models.FamilyNames(cfg.Families))
-	p.Stats = controlplane.NewStats(families, int(cfg.DemandWindow/time.Second), burstFactor)
+	p.Stats = controlplane.NewStats(families, int(cfg.ControlPeriod/time.Second), burstFactor)
 	p.Controller = controlplane.NewController(
 		cfg.Allocator, cfg.Cluster, cfg.Families, p.slos, cfg.ControlPeriod, cfg.Cooldown)
 	p.Controller.Instrument(cfg.Telemetry)
@@ -214,7 +246,7 @@ func New(cfg Config) *Plane {
 		Demand:   make([]float64, families),
 	})
 	p.table = router.BuildTable(p.plan, families)
-	return p
+	return p, nil
 }
 
 // AddDevice appends a healthy, idle device to the fleet.

@@ -15,7 +15,7 @@ import (
 // TestReplanPolicy runs the re-plan policy both engines schedule —
 // Controller.Decide and Retry for when, Plane.Replan, Solve and SetPlan for
 // what — through trigger sequences on a plane with a 10 s cooldown, a 2 s
-// demand window and a 1.05 headroom, whose initial plan is for 200 QPS of
+// control period (so a 2 s demand window) and a 1.05 headroom, whose initial plan is for 200 QPS of
 // family 0. Each step names what the policy made of it: "hold", "retry@T"
 // (the one pending retry armed for T), "keep" (a periodic tick kept the
 // plan), or "plan:L" for a plan labelled L, "/handled" when installing it
@@ -86,7 +86,7 @@ func TestReplanPolicy(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _ := harness(t, batching.NewAccScale(), func(c *Config) {
 				c.Headroom = 1.05
-				c.DemandWindow = 2 * s
+				c.ControlPeriod = 2 * s
 				if tc.static {
 					c.Allocator = allocator.NewClipperHA(&allocator.MILPOptions{MaxNodes: 200})
 				}

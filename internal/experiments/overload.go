@@ -57,7 +57,7 @@ func (o Options) adversarialTrace() *trace.Trace {
 		BaseQPS:       o.BaseQPS,
 		SpikeQPS:      o.PeakQPS,
 		SpikeSeconds:  10,
-		PeriodSeconds: 30, // core.Config default ControlPeriod
+		PeriodSeconds: 30, // the engine's default control period (dataplane.Config)
 		SpikeOffset:   1,
 		ZipfAlpha:     1.001,
 		Families:      fams,

@@ -38,7 +38,10 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// Config describes a live serving cluster.
+// Config describes a live serving cluster. A zero engine parameter
+// (SLOMultiplier, Batching, ControlPeriod, MaxRetries) takes the engine's
+// default, which dataplane.Config documents, and so do the burst cooldown
+// and the demand headroom, which have no field here.
 type Config struct {
 	Cluster       *cluster.Cluster
 	Families      []models.Family
@@ -83,25 +86,16 @@ type Config struct {
 	// Requires TSDB for the degradation path (the burn monitor triggers it).
 	Overload *overload.Config
 	// MaxRetries is the per-query re-route budget after a device failure
-	// strands it (0 drops stranded queries immediately, negative values are
-	// treated as 0). Default 1, preserving the single re-dispatch.
+	// strands it (negative values drop stranded queries immediately), the
+	// simulator's single re-dispatch by default.
 	MaxRetries int
 	Seed       uint64
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Cluster == nil || c.Cluster.Size() == 0 {
-		return c, fmt.Errorf("serving: config needs a cluster")
-	}
-	if len(c.Families) == 0 {
-		return c, fmt.Errorf("serving: config needs families")
-	}
-	if c.Allocator == nil {
-		return c, fmt.Errorf("serving: config needs an allocator")
-	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = 10 * time.Second
-	}
+// withDefaults fills in what only the live server has: its model-load
+// delay, execution noise and metrics registry. dataplane.New checks the
+// rest of the config and fills in the engine's defaults.
+func (c Config) withDefaults() Config {
 	if c.ModelLoadDelay <= 0 {
 		c.ModelLoadDelay = 500 * time.Millisecond
 	}
@@ -113,15 +107,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
 	}
-	if err := c.Faults.Validate(c.Cluster.Size()); err != nil {
-		return c, err
-	}
-	return c, nil
+	return c
 }
-
-// headroom over-provisions every demand a plan is solved for (the
-// artifact's β = 1.05, as in the simulator).
-const headroom = 1.05
 
 // Outcome is a query's fate in a response.
 type Outcome string
@@ -175,31 +162,16 @@ type Server struct {
 // solved synchronously (for idle demand), workers spin up, and the
 // controller loop begins.
 func NewServer(cfg Config) (*Server, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{
-		cfg:    cfg,
-		start:  time.Now(),
-		byName: make(map[string]int),
-		// Triggers coalesce: eight pending ones already cover every kind.
-		reallocc: make(chan string, 8),
-		stop:     make(chan struct{}),
-	}
-	for q, f := range cfg.Families {
-		s.byName[f.Name] = q
-	}
-	pc := dataplane.Config{
+	cfg = cfg.withDefaults()
+	// The live collector bins by the second, and the batching policy decides
+	// decisionLead ahead of the wall clock's late timers.
+	plane, err := dataplane.New(dataplane.Config{
 		Cluster:         cfg.Cluster,
 		Families:        cfg.Families,
 		SLOMultiplier:   cfg.SLOMultiplier,
 		Allocator:       cfg.Allocator,
 		Batching:        cfg.Batching,
 		ControlPeriod:   cfg.ControlPeriod,
-		Cooldown:        cfg.ControlPeriod / 3,
-		DemandWindow:    cfg.ControlPeriod,
-		Headroom:        headroom,
 		MetricsInterval: time.Second,
 		MaxRetries:      cfg.MaxRetries,
 		Seed:            cfg.Seed,
@@ -209,8 +181,25 @@ func NewServer(cfg Config) (*Server, error) {
 		TSDB:            cfg.TSDB,
 		Flight:          cfg.Flight,
 		Overload:        cfg.Overload,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.plane = dataplane.New(pc)
+	if err := cfg.Faults.Validate(cfg.Cluster.Size()); err != nil {
+		return nil, err
+	}
+	s := &Server{
+		cfg:    cfg,
+		start:  time.Now(),
+		byName: make(map[string]int),
+		plane:  plane,
+		// Triggers coalesce: eight pending ones already cover every kind.
+		reallocc: make(chan string, 8),
+		stop:     make(chan struct{}),
+	}
+	for q, f := range cfg.Families {
+		s.byName[f.Name] = q
+	}
 	for d, dev := range s.plane.Devices {
 		s.workers = append(s.workers, newLiveWorker(s, d, dev))
 	}
@@ -294,7 +283,7 @@ func (s *Server) now() time.Duration { return time.Since(s.start) }
 // trigger channel, and a timer for the policy's one pending retry.
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.ControlPeriod)
+	ticker := time.NewTicker(s.plane.Controller.Period)
 	defer ticker.Stop()
 	// The pending retry's timer, or nil. One pending at Close needs no Stop:
 	// it fires, unread, within a cooldown.
