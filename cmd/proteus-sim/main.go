@@ -356,9 +356,6 @@ func run(args []string, stdout, wall io.Writer, create func(path string) (io.Wri
 	}
 	var flight *flightrec.Recorder
 	if *incDir != "" {
-		if err := os.MkdirAll(*incDir, 0o755); err != nil {
-			return err
-		}
 		flight = flightrec.New(flightrec.Config{Dir: *incDir})
 	}
 	sys, err := core.NewSystem(core.Config{

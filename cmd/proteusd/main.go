@@ -122,9 +122,6 @@ func main() {
 	tracer := telemetry.NewTracer(1 << 16)
 	var flight *flightrec.Recorder
 	if *incDir != "" {
-		if err := os.MkdirAll(*incDir, 0o755); err != nil {
-			fatal(err)
-		}
 		// Live mode adds process runtime snapshots and allows pprof capture
 		// via POST /debug/incident?profile=cpu,heap.
 		flight = flightrec.New(flightrec.Config{Dir: *incDir, Live: true})

@@ -487,15 +487,15 @@ func TestAllocationCheckCatchesBadRouting(t *testing.T) {
 	}
 }
 
-func TestHostedIDAndDevicesServing(t *testing.T) {
+func TestHostedIDOnRoutedDevices(t *testing.T) {
 	in := testInput(t, []float64{10, 10})
 	alloc, err := NewMILP(nil).Allocate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for q := range in.Families {
-		for _, d := range alloc.DevicesServing(q) {
-			if alloc.HostedID(d) == "" {
+		for d, y := range alloc.Routing[q] {
+			if y > 1e-12 && alloc.HostedID(d) == "" {
 				t.Fatal("serving device reports empty hosting")
 			}
 		}

@@ -3,7 +3,6 @@ package allocator
 import (
 	"slices"
 	"sort"
-	"time"
 
 	"proteus/internal/cluster"
 	"proteus/internal/profiles"
@@ -43,7 +42,7 @@ func (g *InfaasAccuracy) Allocate(in *Input) (*Allocation, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
+	start := wallNow()
 	alloc := NewAllocation(in)
 	refs := in.Variants()
 	peaks := newPeakTable(in, refs)
@@ -114,7 +113,7 @@ func (g *InfaasAccuracy) Allocate(in *Input) (*Allocation, error) {
 
 	fillRoutingByAccuracy(in, alloc)
 	alloc.PredictedAccuracy = alloc.EffectiveAccuracy(in)
-	alloc.SolveTime = time.Since(start) //lint:allow determinism reporting-only wall-clock measurement
+	alloc.SolveTime = stopwatch(start)
 	return alloc, nil
 }
 

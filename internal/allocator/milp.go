@@ -133,7 +133,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
+	start := wallNow()
 	demand := flooredDemand(in)
 	admit := m.admitted(in)
 	// β back-off (§4): when no plan serves the demand, shrink it by β and
@@ -220,8 +220,13 @@ func flooredDemand(in *Input) []float64 {
 	return demand
 }
 
-// stopwatch returns the wall time since t0, for Allocation.SolveTime and
-// SolverStats.SolverTime; nothing it returns feeds a plan.
+// wallNow and stopwatch are the package's only wall-clock reads: a solve's
+// start and the wall time since it, for Allocation.SolveTime and
+// SolverStats.SolverTime. Nothing they return feeds a plan.
+func wallNow() time.Time {
+	return time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
+}
+
 func stopwatch(t0 time.Time) time.Duration {
 	return time.Since(t0) //lint:allow determinism reporting-only wall-clock measurement
 }

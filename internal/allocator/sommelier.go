@@ -2,7 +2,6 @@ package allocator
 
 import (
 	"fmt"
-	"time"
 )
 
 // Sommelier is the partially dynamic baseline (§6.1.1): its initial
@@ -66,7 +65,7 @@ func (s *Sommelier) Allocate(in *Input) (*Allocation, error) {
 		return nil, fmt.Errorf("allocator: sommelier initialized with a different cluster size")
 	}
 
-	start := time.Now() //lint:allow determinism wall-clock SolveTime measurement only; never feeds the plan
+	start := wallNow()
 	alloc := NewAllocation(in)
 	// Per family: start every assigned device at the most accurate feasible
 	// variant, then greedily downgrade the device offering the best
@@ -138,6 +137,6 @@ func (s *Sommelier) Allocate(in *Input) (*Allocation, error) {
 	}
 	fillRoutingByAccuracy(in, alloc)
 	alloc.PredictedAccuracy = alloc.EffectiveAccuracy(in)
-	alloc.SolveTime = time.Since(start) //lint:allow determinism reporting-only wall-clock measurement
+	alloc.SolveTime = stopwatch(start)
 	return alloc, nil
 }

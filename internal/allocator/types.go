@@ -165,18 +165,6 @@ func (a *Allocation) HostedID(d int) string {
 	return a.Hosted[d].Variant.ID()
 }
 
-// DevicesServing returns the device IDs with positive routing weight for
-// family q.
-func (a *Allocation) DevicesServing(q int) []int {
-	var out []int
-	for d, y := range a.Routing[q] {
-		if y > 1e-12 {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Check verifies structural invariants of the plan against its input:
 // routing only to devices hosting a serving variant, routing rows summing
 // to <= 1, and per-device load within peak capacity (with tolerance).

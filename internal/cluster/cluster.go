@@ -295,12 +295,3 @@ func (c *Cluster) GroupByType() []TypeGroup {
 	}
 	return groups
 }
-
-// CountByType returns the number of devices of each built-in type.
-func (c *Cluster) CountByType() map[DeviceType]int {
-	out := map[DeviceType]int{}
-	for _, d := range c.devices {
-		out[d.Spec.Type]++
-	}
-	return out
-}

@@ -2,12 +2,21 @@ package cluster
 
 import "testing"
 
+// countByType returns the number of devices of each built-in type.
+func countByType(c *Cluster) map[DeviceType]int {
+	out := map[DeviceType]int{}
+	for _, d := range c.Devices() {
+		out[d.Spec.Type]++
+	}
+	return out
+}
+
 func TestPaperTestbed(t *testing.T) {
 	c := PaperTestbed()
 	if c.Size() != 40 {
 		t.Fatalf("size %d, want 40", c.Size())
 	}
-	counts := c.CountByType()
+	counts := countByType(c)
 	if counts[CPU] != 20 || counts[GTX1080Ti] != 10 || counts[V100] != 10 {
 		t.Fatalf("counts %v", counts)
 	}
@@ -50,7 +59,7 @@ func TestSpecPanicsOnUnknownType(t *testing.T) {
 
 func TestScaledTestbedRatio(t *testing.T) {
 	c := ScaledTestbed(16)
-	counts := c.CountByType()
+	counts := countByType(c)
 	if counts[CPU] != 8 || counts[GTX1080Ti] != 4 || counts[V100] != 4 {
 		t.Fatalf("counts %v", counts)
 	}

@@ -72,7 +72,7 @@ type Config struct {
 	// (LogFile): a run's first trigger starts it afresh, and every trigger
 	// appends the ring elements its bundle holds that the log lacks, then
 	// the bundle's index. ReadBundleFile("Dir/<bundle-id>") reads a bundle
-	// back. The directory must exist.
+	// back. The first trigger creates the directory if it does not exist.
 	Dir string
 }
 

@@ -254,15 +254,14 @@ func TestBundleByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestWriteErrorSurfaced removes the incident directory, log and all, for
-// one trigger and recreates it: the failure is reported, the in-memory log
+// TestWriteErrorSurfaced starts with no incident directory, which the first
+// trigger creates, then puts a plain file in its place, log and all, for one
+// trigger and removes it again: the failure is reported, the in-memory log
 // keeps the bundle, and every later bundle — whose elements the lost log
-// held — is rebuilt from the new log as the oracle encodes it.
+// held — is rebuilt from the log the next trigger starts in a directory of
+// its own making, as the oracle encodes it.
 func TestWriteErrorSurfaced(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "incidents")
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	r, src := fixture(Config{Dir: dir, MaxIncidents: 1 << 10})
 	step := func(sec int) *Bundle {
 		now := time.Duration(sec) * time.Second
@@ -278,6 +277,9 @@ func TestWriteErrorSurfaced(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	step(2)
 	if r.WriteError() == nil {
 		t.Fatal("unwritable bundle dir produced no write error")
@@ -286,7 +288,7 @@ func TestWriteErrorSurfaced(t *testing.T) {
 	if len(r.Incidents()) != 2 {
 		t.Fatal("bundle lost on write failure")
 	}
-	if err := os.Mkdir(dir, 0o755); err != nil {
+	if err := os.Remove(dir); err != nil {
 		t.Fatal(err)
 	}
 	later := []*Bundle{step(3), step(4)}

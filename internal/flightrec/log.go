@@ -102,9 +102,12 @@ type planOrd struct {
 // a test can make a write fail part-way.
 var writeLog = (*os.File).WriteAt
 
-// append logs bundle b, whose ring sections start at the ordinals first.
-// Called under l.mu.
+// append logs bundle b, whose ring sections start at the ordinals first,
+// creating dir if it does not exist. Called under l.mu.
 func (l *incidentLog) append(dir string, b *Bundle, first *[nSections]uint64) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	f, err := os.OpenFile(filepath.Join(dir, LogFile), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err

@@ -185,9 +185,6 @@ func (c *Collector) FailureHandled(t time.Duration) {
 	c.pendingFail = c.pendingFail[:0]
 }
 
-// Bins returns the number of time bins recorded so far.
-func (c *Collector) Bins() int { return len(c.bins) }
-
 // Point is one bin of the exported time series.
 type Point struct {
 	Start time.Duration

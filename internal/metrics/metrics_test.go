@@ -145,8 +145,8 @@ func TestIntervalScaling(t *testing.T) {
 func TestNegativeTimesClampToFirstBin(t *testing.T) {
 	c := NewCollector(time.Second, fams)
 	c.Arrival(-time.Second, 0)
-	if c.Bins() != 1 {
-		t.Fatalf("bins %d", c.Bins())
+	if pts := c.Series(-1); len(pts) != 1 || pts[0].Start != 0 {
+		t.Fatalf("bins %+v, want the first alone", pts)
 	}
 }
 

@@ -260,16 +260,3 @@ func (r *Recorder) Burns() []BurnEvent {
 	defer r.mu.Unlock()
 	return append([]BurnEvent(nil), r.burns...)
 }
-
-// Burning reports whether family f is currently in a burn episode.
-func (r *Recorder) Burning(f int) bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.slo == nil || f < 0 || f >= len(r.slo.fams) {
-		return false
-	}
-	return r.slo.fams[f].burning
-}

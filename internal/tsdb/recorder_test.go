@@ -15,7 +15,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Samples() != nil || r.Burns() != nil {
 		t.Fatal("nil recorder must return nil slices")
 	}
-	if r.SampleInterval() != 0 || r.Burning(0) {
+	if r.SampleInterval() != 0 {
 		t.Fatal("nil recorder accessors must return zero values")
 	}
 }
@@ -107,13 +107,13 @@ func TestRecorderBurnCallbackAndLog(t *testing.T) {
 			r.Violation(at, 0)
 		}
 	}
-	if !r.Burning(0) {
-		t.Fatal("family 0 should be burning after sustained violations")
+	if len(fired) != 1 || !fired[0].Start || fired[0].Family != 0 {
+		t.Fatalf("family 0 should be burning after sustained violations: %+v", fired)
 	}
 	// Sampling with quiet data path ends the episode once windows drain.
 	r.Sample(20*time.Second, nil)
-	if r.Burning(0) {
-		t.Fatal("burn episode should end after windows drain")
+	if len(fired) != 2 || fired[1].Start {
+		t.Fatalf("burn episode should end after windows drain: %+v", fired)
 	}
 	burns := r.Burns()
 	if len(burns) != 2 || !burns[0].Start || burns[1].Start {
