@@ -96,16 +96,15 @@ type Config struct {
 	// burn monitor is its trigger).
 	Overload *overload.Config
 	// MaxRetries is the per-query re-route budget after a device failure
-	// strands it (negative values drop stranded queries immediately), the
-	// paper artifact's single re-dispatch by default.
+	// strands it: zero takes the engine's default (the paper artifact's
+	// single re-dispatch), a negative value drops stranded queries at once.
 	MaxRetries int
 	// Seed drives all simulator randomness (routing, arrival expansion).
 	Seed uint64
 }
 
-// withDefaults fills in what only the simulator has: the elastic fleet's
-// defaults. dataplane.New checks the rest of the config and fills in the
-// engine's defaults (zero fields above take them; see dataplane.Config).
+// withDefaults fills in the elastic fleet's defaults, the only ones the
+// simulator owns; dataplane.New checks the rest and fills in the engine's.
 func (c Config) withDefaults() Config {
 	if c.Elastic != nil {
 		c.Elastic = c.Elastic.withDefaults()

@@ -86,15 +86,15 @@ type Config struct {
 	// Requires TSDB for the degradation path (the burn monitor triggers it).
 	Overload *overload.Config
 	// MaxRetries is the per-query re-route budget after a device failure
-	// strands it (negative values drop stranded queries immediately), the
-	// simulator's single re-dispatch by default.
+	// strands it: zero takes the engine's default (the simulator's single
+	// re-dispatch), a negative value drops stranded queries at once.
 	MaxRetries int
 	Seed       uint64
 }
 
-// withDefaults fills in what only the live server has: its model-load
-// delay, execution noise and metrics registry. dataplane.New checks the
-// rest of the config and fills in the engine's defaults.
+// withDefaults fills in the live server's own defaults: model-load delay,
+// execution noise and metrics registry. dataplane.New checks the rest and
+// fills in the engine's.
 func (c Config) withDefaults() Config {
 	if c.ModelLoadDelay <= 0 {
 		c.ModelLoadDelay = 500 * time.Millisecond
