@@ -242,12 +242,12 @@ func main() {
 	}
 }
 
-// run is the whole command on its arguments: the report goes to stdout, the
-// "simulated in … (wall)" line to wall (nil leaves it out, the only line of
-// the output that differs between same-seed runs), and every output file a
-// flag names through create — except the incident log, which the flight
-// recorder writes into its directory itself. A usage error is
-// errUsage, after the usage text went to stderr.
+// run is the whole command on its arguments. The report goes to stdout and
+// the "simulated in … (wall)" line, the only one that differs between
+// same-seed runs, to wall (nil leaves it out). Every output file a flag
+// names is opened through create, except the incident log, which the flight
+// recorder writes into its directory itself. Bad arguments return errUsage
+// after the usage text went to stderr.
 func run(args []string, stdout, wall io.Writer, create func(path string) (io.WriteCloser, error)) error {
 	fs := flag.NewFlagSet("proteus-sim", flag.ContinueOnError)
 	var (
