@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"proteus/internal/flightrec"
 	"proteus/internal/report"
@@ -75,7 +76,11 @@ func runIncident(incPath, outPath string) error {
 		}
 		return nil
 	}
-	b, err := flightrec.ReadBundleFile(incPath)
+	l, err := flightrec.ReadLog(filepath.Dir(incPath))
+	if err != nil {
+		return err
+	}
+	b, err := l.Bundle(filepath.Base(incPath))
 	if err != nil {
 		return err
 	}

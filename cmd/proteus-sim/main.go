@@ -474,7 +474,17 @@ func run(args []string, stdout, wall io.Writer, create func(path string) (io.Wri
 		if err := flight.WriteError(); err != nil {
 			return fmt.Errorf("writing incident bundles: %w", err)
 		}
-		fmt.Fprintf(stdout, "incidents: %d bundles in %s\n", len(flight.Incidents()), *incDir)
+		// Incidents keeps only the newest bundles; the log holds the run's,
+		// from its first trigger on.
+		n := 0
+		if len(flight.Incidents()) > 0 {
+			l, err := flightrec.ReadLog(*incDir)
+			if err != nil {
+				return err
+			}
+			n = len(l.IDs())
+		}
+		fmt.Fprintf(stdout, "incidents: %d bundles in %s\n", n, *incDir)
 	}
 	return nil
 }

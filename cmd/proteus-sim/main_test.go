@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"proteus/internal/flightrec"
 	"proteus/internal/trace"
 )
 
@@ -90,5 +93,26 @@ func TestLoadConfig(t *testing.T) {
 	}
 	if _, err := loadConfig([]byte(`{"cluster_size": 8} {"cluster_size": 9}`)); err == nil {
 		t.Error("trailing data after the config object accepted")
+	}
+}
+
+// TestIncidentCountIsTheLogs: the count proteus-sim prints is the number of
+// bundles in the incident log, not of those the recorder keeps in memory
+// (the newest 16); overload_adversarial triggers many more than 16.
+func TestIncidentCountIsTheLogs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "incidents")
+	var stdout bytes.Buffer
+	if err := run([]string{"-config", "../../configs/overload_adversarial.json", "-incidents", dir}, &stdout, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	l, err := flightrec.ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(l.IDs()); n <= 16 {
+		t.Fatalf("%d bundles in the log, want more than the recorder keeps in memory", n)
+	}
+	if want := fmt.Sprintf("incidents: %d bundles in %s\n", len(l.IDs()), dir); !strings.Contains(stdout.String(), want) {
+		t.Fatalf("stdout does not report the log's count %q:\n%s", want, stdout.String())
 	}
 }

@@ -162,7 +162,7 @@ func main() {
 		fmt.Println("per-device allocation:")
 		printAllocation(srv)
 		srv.Drain(*drainTO)
-		writeFinal(srv, registry, recorder, tracer, cl, *metricsOut, *tsdbOut, *seed)
+		writeFinal(srv, registry, recorder, tracer, flight, cl, *metricsOut, *tsdbOut, *seed)
 		return
 	}
 
@@ -190,14 +190,15 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		_ = httpSrv.Shutdown(ctx)
-		writeFinal(srv, registry, recorder, tracer, cl, *metricsOut, *tsdbOut, *seed)
+		writeFinal(srv, registry, recorder, tracer, flight, cl, *metricsOut, *tsdbOut, *seed)
 	}
 }
 
 // writeFinal dumps the run's observability outputs at shutdown: the counter
 // snapshot and the full run dump (windowed metrics, device time-series, SLO
-// burn log, decision audit).
-func writeFinal(srv *serving.Server, registry *telemetry.Registry, recorder *tsdb.Recorder, tracer *telemetry.Tracer, cl *cluster.Cluster, metricsOut, tsdbOut string, seed uint64) {
+// burn log, decision audit), and reports the incident log: a failure to
+// write it, or how many bundles it holds.
+func writeFinal(srv *serving.Server, registry *telemetry.Registry, recorder *tsdb.Recorder, tracer *telemetry.Tracer, flight *flightrec.Recorder, cl *cluster.Cluster, metricsOut, tsdbOut string, seed uint64) {
 	if metricsOut != "" {
 		f, err := os.Create(metricsOut)
 		if err != nil {
@@ -230,6 +231,22 @@ func writeFinal(srv *serving.Server, registry *telemetry.Registry, recorder *tsd
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%d samples, %d burn transitions)\n", tsdbOut, len(dump.Samples), len(dump.Burns))
+	}
+	if flight != nil {
+		if err := flight.WriteError(); err != nil {
+			fatal(fmt.Errorf("writing incident bundles: %w", err))
+		}
+		// Incidents keeps only the newest bundles; the log holds the run's,
+		// from its first trigger on.
+		n := 0
+		if len(flight.Incidents()) > 0 {
+			l, err := flightrec.ReadLog(flight.Dir())
+			if err != nil {
+				fatal(err)
+			}
+			n = len(l.IDs())
+		}
+		fmt.Printf("incidents: %d bundles in %s\n", n, flight.Dir())
 	}
 }
 

@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,34 +19,24 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// oracle is what the bundle writer must reproduce byte for byte: the bundle
-// through encoding/json's indenting encoder.
-func oracle(b *Bundle) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(b)
-	return buf.Bytes(), err
-}
-
-// checkWriteJSON fails t unless WriteJSON writes the oracle's bytes, or
-// fails where the oracle fails.
-func checkWriteJSON(t *testing.T, name string, b *Bundle) {
-	t.Helper()
-	want, wantErr := oracle(b)
-	var got bytes.Buffer
-	err := b.WriteJSON(&got)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%s: WriteJSON error %v, encoding/json error %v", name, err, wantErr)
+// oracle is what reading b back from the incident log must return: b
+// through one encoding/json round trip, which is how the nested records are
+// logged and read, and how strings lose their invalid UTF-8.
+func oracle(b *Bundle) (*Bundle, error) {
+	data, err := json.Marshal(b)
+	if err != nil {
+		return nil, err
 	}
-	if err == nil && !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("%s: WriteJSON differs from encoding/json\n got: %s\nwant: %s", name, got.Bytes(), want)
+	var back Bundle
+	if err := json.Unmarshal(data, &back); err != nil {
+		return nil, err
 	}
+	return &back, nil
 }
 
 // checkLogRoundTrip fails t unless b, logged into a fresh incident log with
-// its ring sections from ordinal first and rebuilt from it, is the oracle's
-// bytes, or fails to log where the oracle fails.
+// its ring sections from ordinal first and read back from it, is the
+// oracle's, or fails to log where the oracle fails.
 func checkLogRoundTrip(t *testing.T, name string, b *Bundle, first uint64) {
 	t.Helper()
 	want, wantErr := oracle(b)
@@ -64,12 +53,19 @@ func checkLogRoundTrip(t *testing.T, name string, b *Bundle, first uint64) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	got, err := l.BundleJSON(b.ID)
+	checkRead(t, l, want)
+}
+
+// checkRead fails t unless the bundle with want's ID, read back from l, is
+// want.
+func checkRead(t *testing.T, l *Log, want *Bundle) {
+	t.Helper()
+	got, err := l.Bundle(want.ID)
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatalf("bundle %q: %v", want.ID, err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: bundle rebuilt from the log differs from encoding/json\n got: %s\nwant: %s", name, got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("bundle %q read from the log differs from encoding/json's round trip\n got: %+v\nwant: %+v", want.ID, got, want)
 	}
 }
 
@@ -78,7 +74,16 @@ func checkLogRoundTrip(t *testing.T, name string, b *Bundle, first uint64) {
 // one non-ASCII rune that needs none.
 const nasty = "<a href=\"x\">&amp;</a> \\ \t\n\x00\x1f\x7f \u2028\u2029 \xff\xfe\xc3 é"
 
-func TestWriteJSONEdgeCases(t *testing.T) {
+// TestLogRoundTripEdgeCases logs and reads back bundles at the edges of
+// every field's encoding: nil and empty sections, strings that need
+// escaping or hold invalid UTF-8 (every byte value, in the header and the
+// flat records), extreme numbers, omitted fields and a float encoding/json
+// cannot encode.
+func TestLogRoundTripEdgeCases(t *testing.T) {
+	every := []byte("é\u2028\u2029\ufffd日本")
+	for c := range 256 {
+		every = append(every, 'a', byte(c))
+	}
 	plan := controlplane.PlanRecord{
 		Seq: 4, At: 30 * time.Second, Demand: []float64{12.5, 0, 1e-9},
 		PredictedAccuracy: 0.9271, DemandScale: 1, Trigger: "periodic", Solver: "milp (fallback)",
@@ -107,6 +112,12 @@ func TestWriteJSONEdgeCases(t *testing.T) {
 			Samples:     []tsdb.Sample{{At: -5, Device: -2, Variant: nasty}},
 			Phases:      []tsdb.PhaseStat{{Scope: nasty, Index: -1, Phase: nasty}},
 			Build:       buildinfo.Info{GoVersion: nasty, Path: "proteus", Revision: "abc", Modified: true},
+		}},
+		{"every byte", Bundle{
+			ID: string(every), Detail: string(every),
+			TraceEvents: []TraceEvent{{Kind: string(every), Cause: string(every)}},
+			Samples:     []tsdb.Sample{{Variant: string(every)}},
+			Phases:      []tsdb.PhaseStat{{Scope: string(every), Phase: string(every)}},
 		}},
 		{"causal stamps", Bundle{Family: 2, Device: 0, TraceEvents: []TraceEvent{
 			{},
@@ -138,14 +149,13 @@ func TestWriteJSONEdgeCases(t *testing.T) {
 		}}},
 		{"unencodable float", Bundle{Burns: []tsdb.BurnEvent{{ShortBurn: math.NaN()}}}},
 	} {
-		checkWriteJSON(t, tc.name, &tc.b)
 		checkLogRoundTrip(t, tc.name, &tc.b, 1<<40)
 	}
 }
 
-// FuzzBundleEncoding checks the bundle writer, and the bundle logged and
-// rebuilt from the incident log, against encoding/json on bundles built
-// from the fuzzed values: s fills every string, i/u/x the numbers, and the
+// FuzzBundleEncoding checks the bundle logged and read back from the
+// incident log against encoding/json's round trip, on bundles built from
+// the fuzzed values: s fills every string, i/u/x the numbers, and the
 // bits of mask pick which sections are nil, empty or present and which
 // omitempty fields are set. testdata/fuzz holds the seeds that reach
 // escaping, extremes and unencodable floats.
@@ -223,30 +233,14 @@ func FuzzBundleEncoding(f *testing.F) {
 				b.Runtime = append(b.Runtime, RuntimeSnap{AtNS: i, HeapAllocBytes: u, NumGC: uint32(u), Goroutines: j})
 			})
 		}
-		checkWriteJSON(t, "fuzzed bundle", &b)
 		checkLogRoundTrip(t, "fuzzed bundle", &b, u>>2)
 	})
-}
-
-// TestAppendStringEveryByte holds the string fast path to encoding/json
-// around every byte value and the runes that need care.
-func TestAppendStringEveryByte(t *testing.T) {
-	strs := []string{"", "é", "\u2028", "\u2029", "\ufffd", "日本"}
-	for c := 0; c < 256; c++ {
-		strs = append(strs, "a"+string([]byte{byte(c)})+"z")
-	}
-	for _, s := range strs {
-		want, _ := json.Marshal(s)
-		if got := appendString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendString(%q) = %s, want %s", s, got, want)
-		}
-	}
 }
 
 // TestEncodeTraceWindows drives the trace cache through the windows that
 // concurrent triggers can bring in any order — newer, shorter, older,
 // disjoint, empty, and reads whose skipped head a trigger that joined first
-// has trimmed — and holds every bundle, rebuilt from the incident log, to
+// has trimmed — and holds every bundle, read back from the incident log, to
 // the oracle. A read issued with the cache's end at the time joins later; a
 // join refused (the trigger then reads again) must leave the cache as it
 // was and log nothing.
@@ -346,8 +340,8 @@ func TestEncodeTraceWindows(t *testing.T) {
 	}
 }
 
-// checkBundleFile fails t unless b, rebuilt from the incident log in dir,
-// is the oracle's encoding of b.
+// checkBundleFile fails t unless b, read back from the incident log in dir,
+// is the oracle's.
 func checkBundleFile(t *testing.T, dir string, b *Bundle) {
 	t.Helper()
 	l, err := ReadLog(dir)
@@ -357,28 +351,14 @@ func checkBundleFile(t *testing.T, dir string, b *Bundle) {
 	checkLogged(t, l, b)
 }
 
-// checkLogged fails t unless b, rebuilt from l, is the oracle's encoding of
-// b, and decodes to a bundle that encodes the same.
+// checkLogged fails t unless b, read back from l, is the oracle's.
 func checkLogged(t *testing.T, l *Log, b *Bundle) {
 	t.Helper()
-	got, err := l.BundleJSON(b.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := oracle(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("bundle %s rebuilt from the log differs from encoding/json\n got: %s\nwant: %s", b.ID, got, want)
-	}
-	back, err := l.Bundle(b.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := oracle(back); err != nil || !bytes.Equal(again, want) {
-		t.Fatalf("bundle %s decoded from the log encodes differently (%v)", b.ID, err)
-	}
+	checkRead(t, l, want)
 }
 
 // logSize returns the size of the incident log in dir, 0 when there is none.
@@ -399,7 +379,7 @@ func logSize(t *testing.T, dir string) int64 {
 // record — ticks that shift full rings between triggers, two triggers at
 // one instant, a trace ring that has wrapped, plans that come and go, and a
 // second Init whose new tracer and plans reuse the old Seqs with other
-// content — and holds every bundle rebuilt from the log to the oracle.
+// content — and holds every bundle read back from the log to the oracle.
 func TestBundleFilesMatchOracle(t *testing.T) {
 	dir := t.TempDir()
 	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 2})

@@ -11,7 +11,7 @@
 // Like the rest of the observability stack, a nil *Recorder turns every
 // method into a ~1ns no-op, timestamps are supplied by the hosting engine
 // (virtual clock in the simulator, wall-clock offsets in live serving), and
-// bundle JSON is byte-deterministic for same-seed simulator runs: solver
+// bundles are byte-deterministic for same-seed simulator runs: solver
 // wall times are zeroed on capture and nondeterministic runtime stats are
 // collected only when Config.Live is set. pprof captures (which need a real
 // clock) live in the serving layer, outside this package.
@@ -31,10 +31,7 @@
 package flightrec
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -71,8 +68,8 @@ type Config struct {
 	// Dir, when non-empty, receives the run's incident log, Dir/incidents.log
 	// (LogFile): a run's first trigger starts it afresh, and every trigger
 	// appends the ring elements its bundle holds that the log lacks, then
-	// the bundle's index. ReadBundleFile("Dir/<bundle-id>") reads a bundle
-	// back. The first trigger creates the directory if it does not exist.
+	// the bundle's index. ReadLog(Dir) and Log.Bundle read a bundle back.
+	// The first trigger creates the directory if it does not exist.
 	Dir string
 }
 
@@ -231,14 +228,6 @@ func (r *Recorder) Dir() string {
 		return ""
 	}
 	return r.cfg.Dir
-}
-
-// Live reports whether nondeterministic runtime sampling is enabled.
-func (r *Recorder) Live() bool {
-	if r == nil {
-		return false
-	}
-	return r.cfg.Live
 }
 
 // Tick refreshes the rings from the sources: new tsdb samples and burn
@@ -446,24 +435,4 @@ func readRuntime(now time.Duration) *RuntimeSnap {
 		NumGC:          ms.NumGC,
 		Goroutines:     runtime.NumGoroutine(),
 	}
-}
-
-// ReadBundle decodes one incident bundle's JSON from rd.
-func ReadBundle(rd io.Reader) (*Bundle, error) {
-	var b Bundle
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("decode incident bundle: %w", err)
-	}
-	return &b, nil
-}
-
-// ReadBundleFile reads the incident bundle path names, DIR/ID: the bundle
-// ID from the incident log in DIR.
-func ReadBundleFile(path string) (*Bundle, error) {
-	l, err := ReadLog(filepath.Dir(path))
-	if err != nil {
-		return nil, err
-	}
-	return l.Bundle(filepath.Base(path))
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"proteus/internal/controlplane"
 	"proteus/internal/tsdb"
@@ -21,8 +22,8 @@ import (
 // append-only file, <Dir>/incidents.log, and each ring element goes into it
 // once: a trigger appends, in one write, the elements of its bundle's
 // sections that the log does not hold yet and then the bundle's index, which
-// names its sections by ordinal. The reader rebuilds a bundle's JSON from the
-// index, byte for byte what Bundle.WriteJSON writes.
+// names its sections by ordinal. The reader fills a Bundle from the index and
+// the records it names.
 //
 // The file is logMagic followed by records, each a uvarint length and that
 // many bytes of body. A body is a tag byte and its payload:
@@ -30,9 +31,7 @@ import (
 //   - an element of section tag (secTrace … secRuntime): the element's
 //     ordinal (uvarint), then the element. TraceEvent, tsdb.Sample and
 //     tsdb.PhaseStat are fixed field sequences of varints and
-//     length-prefixed strings; the nested types are compact encoding/json,
-//     which the reader indents at element depth — what json.MarshalIndent
-//     does after json.Marshal.
+//     length-prefixed strings; the nested types are compact encoding/json.
 //   - a bundle index (tagIndex): the bundle's header and build info, the
 //     first ordinal and length of each ring section, and the ordinals of
 //     its plan records, ascending.
@@ -330,78 +329,29 @@ func appendPhaseRecord(dst []byte, p *tsdb.PhaseStat) ([]byte, error) {
 	return dst, nil
 }
 
-func traceElem(rec []byte) ([]byte, error) {
+func traceElem(rec []byte, te *TraceEvent) error {
 	rd := recReader{b: rec}
-	te := TraceEvent{AtUS: rd.varint(), Seq: rd.uvarint(), Kind: rd.str(), Query: rd.uvarint(),
+	*te = TraceEvent{AtUS: rd.varint(), Seq: rd.uvarint(), Kind: rd.str(), Query: rd.uvarint(),
 		Family: rd.int32(), Device: rd.int32(), Batch: rd.int32(), Plan: rd.int32(), Episode: rd.int32(), Cause: rd.str()}
-	if err := rd.end(); err != nil {
-		return nil, err
-	}
-	return encodeTraceEvent(&te)
+	return rd.end()
 }
 
-func sampleElem(rec []byte) ([]byte, error) {
+func sampleElem(rec []byte, s *tsdb.Sample) error {
 	rd := recReader{b: rec}
-	s := tsdb.Sample{At: time.Duration(rd.varint()), Device: rd.int(), Up: rd.bool(), QueueDepth: rd.int(), BatchSize: rd.int(),
+	*s = tsdb.Sample{At: time.Duration(rd.varint()), Device: rd.int(), Up: rd.bool(), QueueDepth: rd.int(), BatchSize: rd.int(),
 		UtilMilli: rd.int(), Variant: rd.str(), SatMilli: rd.int(), Pressured: rd.bool()}
-	if err := rd.end(); err != nil {
-		return nil, err
-	}
-	return encodeSample(&s)
+	return rd.end()
 }
 
-func phaseElem(rec []byte) ([]byte, error) {
+func phaseElem(rec []byte, p *tsdb.PhaseStat) error {
 	rd := recReader{b: rec}
-	p := tsdb.PhaseStat{Scope: rd.str(), Index: rd.int(), Phase: rd.str(), Count: rd.uvarint(),
+	*p = tsdb.PhaseStat{Scope: rd.str(), Index: rd.int(), Phase: rd.str(), Count: rd.uvarint(),
 		MeanUS: rd.varint(), P50US: rd.varint(), P95US: rd.varint(), P99US: rd.varint(), MaxUS: rd.varint()}
-	if err := rd.end(); err != nil {
-		return nil, err
-	}
-	return encodePhaseStat(&p)
+	return rd.end()
 }
 
-// maxElemDepth bounds the nesting of a nested type's record, which bounds
-// how much indenting can grow it; the deepest element type nests 3 deep.
-const maxElemDepth = 8
-
-// indentElem is the element encoding of a nested type's record.
-func indentElem(rec []byte) ([]byte, error) {
-	if jsonDepth(rec) > maxElemDepth {
-		return nil, errBadRecord
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, rec, elemPrefix, "  "); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// jsonDepth returns the deepest nesting of arrays and objects in JSON text.
-func jsonDepth(b []byte) int {
-	depth, deepest, inStr := 0, 0, false
-	for i := 0; i < len(b); i++ {
-		switch c := b[i]; {
-		case inStr && c == '\\':
-			i++
-		case inStr:
-			inStr = c != '"'
-		case c == '"':
-			inStr = true
-		case c == '[' || c == '{':
-			depth++
-			deepest = max(deepest, depth)
-		case c == ']' || c == '}':
-			depth--
-		}
-	}
-	return deepest
-}
-
-// elemDecoders turn each section's records back into element encodings.
-var elemDecoders = [nSections]func([]byte) ([]byte, error){
-	secTrace: traceElem, secCounters: indentElem, secSamples: sampleElem, secBurns: indentElem,
-	secPhases: phaseElem, secPlans: indentElem, secRuntime: indentElem,
-}
+// unmarshalElem reads back the record of a nested type.
+func unmarshalElem[T any](rec []byte, v *T) error { return json.Unmarshal(rec, v) }
 
 var errBadRecord = errors.New("malformed record")
 
@@ -459,7 +409,8 @@ func (r *recReader) bool() bool {
 }
 
 // str reads a length-prefixed string; a length past the record's end marks
-// it bad and allocates nothing.
+// it bad and allocates nothing. Each byte of invalid UTF-8 reads as U+FFFD,
+// as encoding/json reads the nested records' strings.
 func (r *recReader) str() string {
 	n := r.uvarint()
 	if n > uint64(len(r.b)) {
@@ -468,6 +419,9 @@ func (r *recReader) str() string {
 	}
 	s := string(r.b[:n])
 	r.b = r.b[n:]
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
 	return s
 }
 
@@ -587,72 +541,67 @@ func (l *Log) IDs() []string {
 	return ids
 }
 
-// BundleJSON rebuilds the JSON of the bundle with ID id: byte for byte what
-// Bundle.WriteJSON writes for the bundle Trigger returned.
-func (l *Log) BundleJSON(id string) ([]byte, error) {
+// Bundle reads back the bundle with ID id: its header from its index, and
+// each section from the records the index names.
+func (l *Log) Bundle(id string) (*Bundle, error) {
 	i := slices.IndexFunc(l.bundles, func(x logIndex) bool { return x.hdr.ID == id })
 	if i < 0 {
 		return nil, fmt.Errorf("no bundle %q in the incident log", id)
 	}
 	x := &l.bundles[i]
-	var e sections
-	for s := range e {
-		var err error
-		if e[s], err = l.section(s, x); err != nil {
-			return nil, fmt.Errorf("bundle %q: %w", id, err)
-		}
+	b := x.hdr
+	if err := cmp.Or(
+		section(l, x, secTrace, &b.TraceEvents, traceElem),
+		section(l, x, secCounters, &b.Counters, unmarshalElem[CounterSnap]),
+		section(l, x, secSamples, &b.Samples, sampleElem),
+		section(l, x, secBurns, &b.Burns, unmarshalElem[tsdb.BurnEvent]),
+		section(l, x, secPhases, &b.Phases, phaseElem),
+		section(l, x, secPlans, &b.Plans, unmarshalElem[controlplane.PlanRecord]),
+		section(l, x, secRuntime, &b.Runtime, unmarshalElem[RuntimeSnap]),
+	); err != nil {
+		return nil, fmt.Errorf("bundle %q: %w", id, err)
 	}
-	return x.hdr.appendJSON(nil, &e), nil
+	return &b, nil
 }
 
-// section returns the element encodings of bundle x's section s: the
+// section appends to vs the elements of bundle x's section s, decoded: the
 // records of a ring section's ordinal range, or of the plan ordinals, which
 // must ascend.
-func (l *Log) section(s int, x *logIndex) ([][]byte, error) {
+func section[T any](l *Log, x *logIndex, s int, vs *[]T, decode func([]byte, *T) error) error {
 	es := l.elems[s]
 	find := func(o uint64) int {
 		i, _ := slices.BinarySearchFunc(es, o, func(e logElem, o uint64) int { return cmp.Compare(e.ord, o) })
 		return i
 	}
-	var enc [][]byte
 	add := func(i int, o uint64) error {
 		if i >= len(es) || es[i].ord != o {
 			return fmt.Errorf("section %d: no record %d", s, o)
 		}
-		b, err := elemDecoders[s](es[i].rec)
-		if err != nil {
+		var v T
+		if err := decode(es[i].rec, &v); err != nil {
 			return fmt.Errorf("section %d record %d: %w", s, o, err)
 		}
-		enc = append(enc, b)
+		*vs = append(*vs, v)
 		return nil
 	}
 	if s == secPlans {
 		for k, o := range x.plans {
 			if k > 0 && o <= x.plans[k-1] {
-				return nil, errors.New("plan ordinals out of order")
+				return errors.New("plan ordinals out of order")
 			}
 			if err := add(find(o), o); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return enc, nil
+		return nil
 	}
 	// Each record added is one more of es, so a count past them fails
 	// before k can outgrow the slice.
 	i := find(x.first[s])
 	for k := uint64(0); k < x.count[s]; k++ {
 		if err := add(i+int(k), x.first[s]+k); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return enc, nil
-}
-
-// Bundle rebuilds and decodes the bundle with ID id.
-func (l *Log) Bundle(id string) (*Bundle, error) {
-	data, err := l.BundleJSON(id)
-	if err != nil {
-		return nil, err
-	}
-	return ReadBundle(bytes.NewReader(data))
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -151,7 +150,11 @@ func TestIncidentEndpoints(t *testing.T) {
 	if len(b.TraceEvents) == 0 {
 		t.Fatal("manual bundle captured no trace events")
 	}
-	logged, err := flightrec.ReadBundleFile(filepath.Join(dir, b.ID))
+	l, err := flightrec.ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := l.Bundle(b.ID)
 	if err != nil {
 		t.Fatalf("bundle not in the incident log: %v", err)
 	}
