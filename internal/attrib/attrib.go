@@ -31,6 +31,7 @@ package attrib
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -277,7 +278,8 @@ func rerouteComponent(cause telemetry.Cause) Component {
 
 // Analyze runs the attribution pass: group the trace per query, decompose
 // each finished query's latency, blame the violated ones, and aggregate.
-// Grouping is one counting pass and one scatter over the trace; it sorts a
+// Grouping is one counting pass and one scatter over the trace, indexed by
+// query id when the ids are dense, as an engine numbers them; it sorts a
 // copy by Seq first only when the trace is out of Seq order, which the
 // tracer's Events and ReadJSONL of a written trace never are.
 func Analyze(in Input) *Report {
@@ -286,36 +288,59 @@ func Analyze(in Input) *Report {
 }
 
 // groupByQuery returns the per-query events of evs with each query's events
-// contiguous and in Seq order, queries in order of first appearance, and the
-// number of queries. Burn/degrade events (query 0, per family) are dropped
-// so they can't interleave with a real query 0. Each query gets a group the
-// first time it appears; a counting pass sizes the groups and a scatter
-// fills them in trace order, so each keeps the trace's Seq order.
+// contiguous and in Seq order, and the number of queries. Burn/degrade
+// events (query 0, per family) are dropped so they can't interleave with a
+// real query 0. A counting pass sizes each query's group and a scatter fills
+// them in trace order, so each keeps the trace's Seq order. When the query
+// ids span fewer values than evs has events, as an engine numbers them, a
+// query's group is its id's offset from the lowest, and ids with no events
+// leave empty groups; otherwise (a foreign trace, fuzz input) each query
+// gets a group in order of first appearance through a map. Group order is
+// free: explainRuns sorts the explanations by (Start, Query).
 func groupByQuery(evs []telemetry.Event) ([]telemetry.Event, int) {
 	bySeq := func(a, b telemetry.Event) int { return cmp.Compare(a.Seq, b.Seq) }
 	if !slices.IsSortedFunc(evs, bySeq) {
 		evs = slices.Clone(evs)
 		slices.SortFunc(evs, bySeq)
 	}
-	group := make(map[uint64]int32)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range evs {
+		if perQuery(evs[i].Kind) {
+			lo, hi = min(lo, evs[i].Query), max(hi, evs[i].Query)
+		}
+	}
+	dense := lo <= hi && hi-lo < uint64(len(evs)-1)
+	var group map[uint64]int32
 	gid := make([]int32, len(evs))
 	var next []int32 // per group: its size, then where its next event goes
+	if dense {
+		next = make([]int32, hi-lo+1)
+	} else {
+		group = make(map[uint64]int32)
+	}
 	for i := range evs {
 		if !perQuery(evs[i].Kind) {
 			gid[i] = -1
 			continue
 		}
-		g, ok := group[evs[i].Query]
-		if !ok {
-			g = int32(len(next))
-			group[evs[i].Query] = g
-			next = append(next, 0)
+		g := int32(evs[i].Query - lo)
+		if !dense {
+			var ok bool
+			if g, ok = group[evs[i].Query]; !ok {
+				g = int32(len(next))
+				group[evs[i].Query] = g
+				next = append(next, 0)
+			}
 		}
 		next[g]++
 		gid[i] = g
 	}
 	var n int32
+	queries := 0
 	for g, size := range next {
+		if size > 0 {
+			queries++
+		}
 		next[g] = n
 		n += size
 	}
@@ -326,7 +351,7 @@ func groupByQuery(evs []telemetry.Event) ([]telemetry.Event, int) {
 			next[g]++
 		}
 	}
-	return out, len(next)
+	return out, queries
 }
 
 // explainRuns explains the queries of events, which holds each of them as

@@ -1,9 +1,11 @@
 package attrib
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -112,12 +114,75 @@ func randomTrace(rng *rand.Rand, ids []uint64) []telemetry.Event {
 	return tr.Events()
 }
 
+// spreadIDs renumbers the per-query events of evs, whose ids are 0..k-1, so
+// that they span exactly span values from lo, the first and last id at the
+// two ends and the order of ids kept.
+func spreadIDs(evs []telemetry.Event, k int, lo, span uint64) {
+	for i := range evs {
+		if perQuery(evs[i].Kind) {
+			evs[i].Query = lo + evs[i].Query*(span-1)/uint64(k-1)
+		}
+	}
+}
+
 // TestGroupingMatchesSortOracle holds the one-pass grouping to the sort it
 // replaced: on seeded traces in and out of Seq order, with query 0, query
 // ids sparse and far apart, heads the ring has evicted, and requeues,
-// Analyze's report equals the oracle's.
+// Analyze's report equals the oracle's. The last traces sit on both sides of
+// the switch between grouping by id offset and by map: ids spanning one
+// value fewer than the trace has events, and exactly as many; and a dense
+// trace that lost the head of its lowest id to the ring.
 func TestGroupingMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	check := func(name string, in Input) {
+		t.Helper()
+		want := oracleAnalyze(in)
+		if got := Analyze(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (%d events): Analyze differs from the (query, seq) sort\n got: %+v\nwant: %+v", name, len(in.Events), got, want)
+		}
+	}
+	for _, short := range []uint64{1, 0} {
+		for trial := 0; trial < 20; trial++ {
+			k := 2 + rng.Intn(30)
+			ids := make([]uint64, k)
+			for i := range ids {
+				ids[i] = uint64(i)
+			}
+			events := randomTrace(rng, ids)
+			span := uint64(len(events)) - short
+			spreadIDs(events, k, uint64(rng.Intn(3))<<(rng.Intn(4)*20), span)
+			check(fmt.Sprintf("ids spanning %d values of %d events", span, len(events)), Input{Events: events})
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		ids := make([]uint64, 2+rng.Intn(30))
+		for i := range ids {
+			ids[i] = uint64(1000 + i)
+		}
+		events := randomTrace(rng, ids)
+		// The ring evicts the first arrival; its query trades ids with the
+		// lowest, which keeps everything but its head.
+		first := slices.IndexFunc(events, func(ev telemetry.Event) bool { return perQuery(ev.Kind) })
+		headless := events[first].Query
+		events = events[first+1:]
+		lo, hi := uint64(math.MaxUint64), uint64(0)
+		for i := range events {
+			if !perQuery(events[i].Kind) {
+				continue
+			}
+			switch events[i].Query {
+			case headless:
+				events[i].Query = ids[0]
+			case ids[0]:
+				events[i].Query = headless
+			}
+			lo, hi = min(lo, events[i].Query), max(hi, events[i].Query)
+		}
+		if lo != ids[0] || hi-lo >= uint64(len(events)-1) {
+			t.Fatalf("trial %d: ids [%d, %d] over %d events is not a dense trace missing the head of %d", trial, lo, hi, len(events), ids[0])
+		}
+		check(fmt.Sprintf("dense trial %d", trial), Input{Events: events, TraceDropped: uint64(first + 1)})
+	}
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		ids := make([]uint64, n)
@@ -140,10 +205,6 @@ func TestGroupingMatchesSortOracle(t *testing.T) {
 		if trial%2 == 1 {
 			rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
 		}
-		in := Input{Events: events, TraceDropped: uint64(rng.Intn(2)), Window: time.Duration(1+rng.Intn(3)) * 100 * time.Millisecond}
-		want := oracleAnalyze(in)
-		if got := Analyze(in); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%d events): Analyze differs from the (query, seq) sort\n got: %+v\nwant: %+v", trial, len(events), got, want)
-		}
+		check(fmt.Sprintf("trial %d", trial), Input{Events: events, TraceDropped: uint64(rng.Intn(2)), Window: time.Duration(1+rng.Intn(3)) * 100 * time.Millisecond})
 	}
 }

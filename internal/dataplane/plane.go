@@ -148,6 +148,11 @@ type Plane struct {
 	// them out of the recorder under its lock; only the goroutine (or event)
 	// that calls Sample touches the cursor.
 	burnCursor int
+
+	// ban is Route's scratch, indexed by device: whether the guard bans the
+	// device for the family being routed. Route fills it for the family's
+	// candidates under one guard hold and the router's two passes read it.
+	ban []bool
 }
 
 // withDefaults checks c and fills in the defaults Config documents.
@@ -428,9 +433,11 @@ func (p *Plane) Arrive(now time.Duration, family int) Query {
 func (p *Plane) Route(now time.Duration, q Query) (int, telemetry.Cause) {
 	var d int
 	if p.Guard != nil {
-		d = p.table.PickExcluding(q.Family, p.RNG, func(dev int) bool {
-			return p.Guard.Banned(q.Family, dev)
-		})
+		if len(p.ban) < len(p.Devices) {
+			p.ban = make([]bool, len(p.Devices))
+		}
+		p.Guard.FillBanned(q.Family, p.table.Devices(q.Family), p.ban)
+		d = p.table.PickExcluding(q.Family, p.RNG, func(dev int) bool { return p.ban[dev] })
 		if d >= 0 && !p.Guard.Admit(now, d, q.Deadline) {
 			return -1, telemetry.CauseShedAdmission
 		}

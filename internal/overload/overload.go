@@ -378,6 +378,28 @@ func (g *Guard) Banned(f, d int) bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	return g.banned(f, d)
+}
+
+// FillBanned sets ban[d] to Banned(f, d) for each d in devs, all under one
+// hold of the guard's lock, so one routing decision reads one snapshot of
+// the pressure and degradation state. Each d must index ban.
+func (g *Guard) FillBanned(f int, devs []int, ban []bool) {
+	if g == nil {
+		for _, d := range devs {
+			ban[d] = false
+		}
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, d := range devs {
+		ban[d] = g.banned(f, d)
+	}
+}
+
+// banned is the predicate of Banned and FillBanned. Caller holds g.mu.
+func (g *Guard) banned(f, d int) bool {
 	if d < 0 || d >= len(g.devs) {
 		return false
 	}

@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -51,6 +52,10 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	}
 	if g.Banned(0, 0) {
 		t.Error("nil guard must ban nothing")
+	}
+	ban := []bool{true, true}
+	if g.FillBanned(0, []int{1}, ban); !ban[0] || ban[1] {
+		t.Errorf("nil guard FillBanned left %v, want [true false]", ban)
 	}
 	if ch := g.OnBurn(0, 0, true); ch != nil {
 		t.Errorf("nil guard OnBurn returned %v", ch)
@@ -282,6 +287,52 @@ func TestEscalation(t *testing.T) {
 	// Never masks the last tier.
 	if ch := g.Tick(60 * sec); len(ch) != 0 {
 		t.Fatalf("masked the last tier: %+v", ch)
+	}
+}
+
+// TestFillBannedMatchesBanned drives a guard through seeded sequences of
+// plans, queue depths, burns and ticks, and after every step requires
+// FillBanned to agree with Banned on every (family, device) pair, families
+// and devices out of the guard's range among them.
+func TestFillBannedMatchesBanned(t *testing.T) {
+	const fams, devs = 3, 6
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 40; trial++ {
+		g := New(Config{Enabled: true, HighWater: 8, LowWater: 4, RestoreHold: 2 * sec,
+			EscalateAfter: 3 * sec, RedegradeCooldown: 2 * sec}, fams, devs)
+		now := time.Duration(0)
+		for step := 0; step < 200; step++ {
+			now += time.Duration(rng.Intn(1500)) * ms
+			switch rng.Intn(4) {
+			case 0:
+				profs := make([]DeviceProfile, 1+rng.Intn(devs+2)) // may grow the fleet
+				for d := range profs {
+					profs[d] = DeviceProfile{Family: rng.Intn(fams+1) - 1, Accuracy: float64(60 + 10*rng.Intn(4)),
+						MaxBatch: rng.Intn(9), Lat1: 5 * ms, LatMax: 40 * ms, SLO: 100 * ms}
+				}
+				g.SetPlan(now, profs)
+			case 1:
+				g.NoteDepth(rng.Intn(devs+3)-1, rng.Intn(16))
+			case 2:
+				g.OnBurn(now, rng.Intn(fams+2)-1, rng.Intn(2) == 0)
+			default:
+				g.Tick(now)
+			}
+			cands := rng.Perm(devs + 4) // the guard's devices and some beyond
+			ban := make([]bool, len(cands))
+			for f := -1; f <= fams; f++ {
+				for i := range ban {
+					ban[i] = rng.Intn(2) == 0 // stale scratch must be overwritten
+				}
+				g.FillBanned(f, cands, ban)
+				for d := range ban {
+					if want := g.Banned(f, d); ban[d] != want {
+						t.Fatalf("trial %d step %d: FillBanned(%d) set device %d to %v, Banned says %v",
+							trial, step, f, d, ban[d], want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -140,13 +140,12 @@ func (h *Histogram) Quantile(p float64) int64 {
 	return h.Quantiles([]float64{p}, q[:0])[0]
 }
 
-// Quantiles appends the Quantile of each p in ps to dst and returns it. For
-// ascending ps (p50, p95, p99, ...) it walks the buckets once; a p below
-// the one before it walks them again.
+// Quantiles appends the Quantile of each p in ps to dst and returns it. Each
+// p walks the buckets from its near end: a rank in the lower half walks up
+// from min's bucket, one in the upper half walks down from max's, so the
+// tail quantiles of a wide histogram cost a few buckets, not all of them.
+// Both walks stop at the bucket a full walk up from bucket 0 would.
 func (h *Histogram) Quantiles(ps []float64, dst []int64) []int64 {
-	// j is the bucket of the last answer and cum the samples up to and
-	// including it: a higher rank resumes the walk there.
-	j, cum := -1, uint64(0)
 	for _, p := range ps {
 		if h.count == 0 {
 			dst = append(dst, 0)
@@ -154,12 +153,22 @@ func (h *Histogram) Quantiles(ps []float64, dst []int64) []int64 {
 		}
 		rank := uint64(math.Ceil(p * float64(h.count)))
 		rank = min(max(rank, 1), h.count)
-		if j >= 0 && rank <= cum-h.counts[j] {
-			j, cum = -1, 0
-		}
-		for cum < rank && j+1 < len(h.counts) {
-			j++
-			cum += h.counts[j]
+		var j int
+		if rank <= h.count/2 {
+			// The first bucket whose samples up to and including it reach
+			// rank; every bucket below min's is empty.
+			j = bucketIndex(h.min)
+			for cum := h.counts[j]; cum < rank; cum += h.counts[j] {
+				j++
+			}
+		} else {
+			// The same bucket, as the last one from the top down whose
+			// samples above it number at most count-rank; every bucket
+			// above max's is empty.
+			j = bucketIndex(h.max)
+			for above := h.counts[j]; above <= h.count-rank; above += h.counts[j] {
+				j--
+			}
 		}
 		dst = append(dst, max(min(bucketHigh(j), h.max), h.min))
 	}

@@ -1,12 +1,40 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
+
+// linearQuantiles is Quantiles as one walk up from bucket 0, resumed at the
+// previous answer while ps ascend: the implementation the near-end walks
+// replaced, kept as their oracle.
+func linearQuantiles(h *Histogram, ps []float64, dst []int64) []int64 {
+	// j is the bucket of the last answer and cum the samples up to and
+	// including it: a higher rank resumes the walk there.
+	j, cum := -1, uint64(0)
+	for _, p := range ps {
+		if h.count == 0 {
+			dst = append(dst, 0)
+			continue
+		}
+		rank := uint64(math.Ceil(p * float64(h.count)))
+		rank = min(max(rank, 1), h.count)
+		if j >= 0 && rank <= cum-h.counts[j] {
+			j, cum = -1, 0
+		}
+		for cum < rank && j+1 < len(h.counts) {
+			j++
+			cum += h.counts[j]
+		}
+		dst = append(dst, max(min(bucketHigh(j), h.max), h.min))
+	}
+	return dst
+}
 
 // exactQuantile is the nearest-rank quantile over raw sorted samples — the
 // reference the histogram must stay within one bucket width of.
@@ -64,6 +92,9 @@ func checkQuantiles(t *testing.T, name string, values []int64) {
 	// must find what Quantile finds for each p alone.
 	mixed := []float64{0.99, 0.5, 0.5, 1, 0, 0.999, 0.25}
 	for _, order := range [][]float64{ps, mixed} {
+		if got, want := h.Quantiles(order, nil), linearQuantiles(h, order, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: Quantiles(%v) = %v, the linear walk finds %v", name, order, got, want)
+		}
 		got := h.Quantiles(order, []int64{-1})
 		if len(got) != len(order)+1 || got[0] != -1 {
 			t.Fatalf("%s: Quantiles(%v) = %v, want dst's -1 then one value per p", name, order, got)
@@ -136,6 +167,33 @@ func TestQuantileAdversarialInputs(t *testing.T) {
 	for name, values := range cases {
 		checkQuantiles(t, name, values)
 	}
+}
+
+// FuzzQuantilesAgainstLinearWalk holds Quantiles to linearQuantiles. values
+// is a run of uvarints, each recorded as an int64, so small values are cheap
+// to reach and math.MaxInt64 and the negatives that clamp to 0 are
+// reachable; ps is a run of little-endian uint16s scaled onto [0, 1], in any
+// order.
+func FuzzQuantilesAgainstLinearWalk(f *testing.F) {
+	f.Fuzz(func(t *testing.T, values, ps []byte) {
+		var h Histogram
+		for len(values) > 0 {
+			u, n := binary.Uvarint(values)
+			if n <= 0 {
+				break
+			}
+			values = values[n:]
+			h.Record(int64(u))
+		}
+		var qs []float64
+		for ; len(ps) >= 2; ps = ps[2:] {
+			qs = append(qs, float64(binary.LittleEndian.Uint16(ps))/math.MaxUint16)
+		}
+		if got, want := h.Quantiles(qs, nil), linearQuantiles(&h, qs, nil); !slices.Equal(got, want) {
+			t.Fatalf("%d values in [%d, %d]: Quantiles(%v) = %v, the linear walk finds %v",
+				h.Count(), h.Min(), h.Max(), qs, got, want)
+		}
+	})
 }
 
 func TestMergeAssociativeAndEquivalent(t *testing.T) {

@@ -136,6 +136,9 @@ func (r *Recorder) PhaseStats() []PhaseStat {
 				if h.Count() == 0 {
 					continue
 				}
+				if out == nil {
+					out = make([]PhaseStat, 0, (len(r.phaseFam)+len(r.phaseDev))*NumPhases)
+				}
 				q := h.Quantiles(phaseQuantiles, buf[:0])
 				out = append(out, PhaseStat{
 					Scope:  scope,
