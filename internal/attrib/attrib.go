@@ -130,10 +130,6 @@ const (
 	OutcomeServed  Outcome = "served"
 	OutcomeLate    Outcome = "late"
 	OutcomeDropped Outcome = "dropped"
-	// OutcomeUnfinished marks queries whose trace has no terminal event
-	// (still in flight when the trace was captured). They are excluded from
-	// violation summaries.
-	OutcomeUnfinished Outcome = "unfinished"
 )
 
 // Explanation is one query's attributed latency waterfall.

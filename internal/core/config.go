@@ -86,8 +86,9 @@ type Config struct {
 	// bounded rings of recent observability state into deterministic
 	// incident bundles on SLO-burn starts, overload degradations, allocator
 	// fallbacks and device failures. It ticks on the TSDB sampling cadence
-	// and snapshots the Tracer, Telemetry and TSDB components above, so it
-	// is most useful with those set too.
+	// and reads its samples and burns from TSDB's logs, so it needs TSDB
+	// set (NewSystem refuses it alone); it also snapshots the Tracer and
+	// Telemetry components above.
 	Flight *flightrec.Recorder
 	// Overload, when non-nil and enabled, activates the fast-path overload
 	// guard: deadline admission control, high/low-water mailbox

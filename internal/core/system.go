@@ -190,16 +190,11 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	}
 
 	// The observability tick: device samples at the tsdb recorder's cadence,
-	// the flight recorder's ring refresh riding the same events; on its own
-	// the flight recorder still needs a 1s cadence for counter snapshots.
+	// the flight recorder's ring refresh riding the same events (a flight
+	// recorder comes only with a tsdb recorder).
 	if si := s.cfg.TSDB.SampleInterval(); si > 0 {
 		for at := si; at <= duration; at += si {
 			s.engine.Schedule(at, s.sample)
-		}
-	} else if s.cfg.Flight != nil {
-		for at := time.Second; at <= duration; at += time.Second {
-			at := at
-			s.engine.Schedule(at, func() { s.plane.Sample(at, nil) })
 		}
 	}
 
@@ -253,9 +248,6 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	res.ExtraDevices = s.extraProvisioned
 	return res, nil
 }
-
-// Collector exposes the metrics collector (for live inspection in tests).
-func (s *System) Collector() *metrics.Collector { return s.plane.Collector }
 
 // sample snapshots every device into the observability tick.
 func (s *System) sample() {

@@ -7,13 +7,15 @@ import (
 
 	"proteus/internal/allocator"
 	"proteus/internal/cluster"
+	"proteus/internal/flightrec"
 	"proteus/internal/models"
 	"proteus/internal/profiles"
+	"proteus/internal/tsdb"
 )
 
 // TestNewChecksAndDefaults pins the engine's one set of checks and defaults:
-// New refuses a config without a cluster, families or an allocator and names
-// the field, and resolves what a minimal config leaves zero — the values
+// New refuses a config without a cluster, families or an allocator, or with
+// a flight recorder but no tsdb recorder, and names the fields, and resolves what a minimal config leaves zero — the values
 // both drivers run with unless their callers set them.
 func TestNewChecksAndDefaults(t *testing.T) {
 	fams := models.Zoo()[:2]
@@ -25,19 +27,28 @@ func TestNewChecksAndDefaults(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		field string
-		mut   func(*Config)
+		fields []string
+		mut    func(*Config)
 	}{
-		{"Cluster", func(c *Config) { c.Cluster = nil }},
-		{"Cluster", func(c *Config) { c.Cluster = cluster.New(nil) }},
-		{"Families", func(c *Config) { c.Families = nil }},
-		{"Allocator", func(c *Config) { c.Allocator = nil }},
+		{[]string{"Cluster"}, func(c *Config) { c.Cluster = nil }},
+		{[]string{"Cluster"}, func(c *Config) { c.Cluster = cluster.New(nil) }},
+		{[]string{"Families"}, func(c *Config) { c.Families = nil }},
+		{[]string{"Allocator"}, func(c *Config) { c.Allocator = nil }},
+		{[]string{"Flight", "TSDB"}, func(c *Config) { c.Flight = flightrec.New(flightrec.Config{}) }},
 	} {
 		cfg := minimal()
 		tc.mut(&cfg)
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
-			t.Errorf("no %s: New returned error %v, want one naming Config.%s", tc.field, err, tc.field)
+		_, err := New(cfg)
+		for _, f := range tc.fields {
+			if err == nil || !strings.Contains(err.Error(), "Config."+f) {
+				t.Errorf("%v: New returned error %v, want one naming Config.%s", tc.fields, err, f)
+			}
 		}
+	}
+	cfg := minimal()
+	cfg.Flight, cfg.TSDB = flightrec.New(flightrec.Config{}), tsdb.NewRecorder(tsdb.Config{})
+	if _, err := New(cfg); err != nil {
+		t.Errorf("flight and tsdb recorders: %v", err)
 	}
 
 	for _, tc := range []struct {

@@ -40,10 +40,11 @@ import (
 
 // Config is what both drivers hand the shared engine, each from its own
 // public Config. New is the one place that checks it — a cluster with at
-// least one device, at least one family, an allocator — and fills in the
-// engine's defaults: SLOMultiplier 2, AccScale batching, ControlPeriod 30 s,
-// Cooldown ControlPeriod/3, Headroom 1.05, MetricsInterval 10 s and
-// MaxRetries 1 (0 means the default, negative values no retry at all).
+// least one device, at least one family, an allocator, a tsdb recorder
+// beside a flight recorder — and fills in the engine's defaults:
+// SLOMultiplier 2, AccScale batching, ControlPeriod 30 s, Cooldown
+// ControlPeriod/3, Headroom 1.05, MetricsInterval 10 s and MaxRetries 1 (0
+// means the default, negative values no retry at all).
 type Config struct {
 	Cluster       *cluster.Cluster
 	Families      []models.Family
@@ -164,6 +165,8 @@ func (c Config) withDefaults() (Config, error) {
 		return c, errors.New("dataplane: Config.Families is empty")
 	case c.Allocator == nil:
 		return c, errors.New("dataplane: Config.Allocator is nil")
+	case c.Flight != nil && c.TSDB == nil:
+		return c, errors.New("dataplane: Config.Flight needs a Config.TSDB recorder to read samples and burns from")
 	}
 	if c.SLOMultiplier <= 0 {
 		c.SLOMultiplier = 2
@@ -557,10 +560,9 @@ func (p *Plane) FailureIncident(now time.Duration, d int) {
 }
 
 // Sample is the periodic observability tick: it records states (one
-// Device.State per device; nil without a tsdb recorder) with the overload
-// guard's signal, refreshes the flight recorder's rings, then snapshots an
-// incident bundle for every burn that started since the previous tick, so
-// each captures its own second.
+// Device.State per device) with the overload guard's signal, refreshes the
+// flight recorder's rings, then snapshots an incident bundle for every burn
+// that started since the previous tick, so each captures its own second.
 func (p *Plane) Sample(now time.Duration, states []tsdb.DeviceState) {
 	for d := range states {
 		states[d].SatMilli, states[d].Pressured = p.Guard.DeviceSignal(d)

@@ -7,8 +7,10 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// TraceEvent mirrors telemetry.Event with JSON tags matching the tracer's
-// JSONL export, so bundles and trace files read the same way.
+// TraceEvent mirrors telemetry.Event in a bundle. Its JSON differs from the
+// tracer's JSONL export in two ways: the time is at_us, in microseconds,
+// where the export writes at_ns, and plan, episode and cause are omitted
+// when zero, where the export always writes them.
 type TraceEvent struct {
 	AtUS   int64  `json:"at_us"`
 	Seq    uint64 `json:"seq"`
@@ -19,7 +21,7 @@ type TraceEvent struct {
 	Batch  int32  `json:"batch"`
 	// Causal attribution stamps: the control-plan sequence number and
 	// overload episode id in force when the event was recorded, and the
-	// drop/requeue cause (omitted when zero, like the JSONL export).
+	// drop/requeue cause (omitted when zero).
 	Plan    int32  `json:"plan,omitempty"`
 	Episode int32  `json:"episode,omitempty"`
 	Cause   string `json:"cause,omitempty"`

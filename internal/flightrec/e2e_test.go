@@ -164,17 +164,18 @@ func TestSLOBurnProducesBundle(t *testing.T) {
 }
 
 // TestBundleBytesMatchEncodingJSON holds the incident log, which holds each
-// ring element once for every bundle that shares it, to encoding/json:
-// every bundle of a seeded run with device faults, the overload guard and
-// SLO burns, read back from the log, equals the in-memory bundle through one
-// encoding/json round trip, and renders the same incident page. The load is
+// ring element once for every bundle that shares it, to encoding/json on a
+// seeded run with device faults, the overload guard and SLO burns: every
+// bundle of the log reads back and renders, and each one the recorder still
+// holds in memory (the newest) equals the in-memory bundle through one
+// encoding/json round trip and renders the same incident page. The load is
 // 200 QPS per family: from 250 up no degradation opens in this run, so no
 // overload bundle is written (the optimal plans there host fewer variants
 // per family, and the guard only degrades a family that has a lower tier
 // hosted).
 func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 	dir := t.TempDir()
-	flight := burnRun(t, flightrec.Config{Dir: dir, MaxIncidents: 1 << 10, TraceEvents: 512}, 200, func(cfg *core.Config) {
+	flight := burnRun(t, flightrec.Config{Dir: dir}, 200, func(cfg *core.Config) {
 		faults, err := cluster.RandomSchedule(cfg.Cluster, cluster.RandomScheduleConfig{
 			MTBF: 60 * time.Second, MTTR: 10 * time.Second, Horizon: 90 * time.Second, Seed: 3,
 		})
@@ -195,9 +196,25 @@ func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reasons := map[string]int{}
+	held := map[string]*flightrec.Bundle{}
 	for _, b := range flight.Incidents() {
-		reasons[b.Reason]++
+		held[b.ID] = b
+	}
+	reasons := map[string]int{}
+	for _, id := range l.IDs() {
+		got, err := l.Bundle(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reasons[got.Reason]++
+		b := held[id]
+		if b == nil {
+			if len(report.RenderIncident(got)) == 0 {
+				t.Fatalf("bundle %s rendered empty", id)
+			}
+			continue
+		}
+		delete(held, id)
 		data, err := json.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
@@ -206,16 +223,15 @@ func TestBundleBytesMatchEncodingJSON(t *testing.T) {
 		if err := json.Unmarshal(data, &want); err != nil {
 			t.Fatal(err)
 		}
-		got, err := l.Bundle(b.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !reflect.DeepEqual(got, &want) {
 			t.Fatalf("bundle %s read from the log differs from encoding/json's round trip", b.ID)
 		}
 		if !bytes.Equal(report.RenderIncident(got), report.RenderIncident(b)) {
 			t.Fatalf("bundle %s read from the log renders differently", b.ID)
 		}
+	}
+	for id := range held {
+		t.Errorf("bundle %s is not in the incident log", id)
 	}
 	for _, r := range []string{"slo_burn", "overload", "device_failure"} {
 		if reasons[r] == 0 {

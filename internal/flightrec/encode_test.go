@@ -252,7 +252,8 @@ func TestEncodeTraceWindows(t *testing.T) {
 			telemetry.Ctx{Plan: int32(q / 10), Cause: telemetry.Cause(q % 3)})
 	}
 	all := tracer.Events()
-	r := New(Config{Dir: dir, TraceEvents: 20})
+	r := New(Config{Dir: dir})
+	r.lim.trace = 20
 	r.Init(Sources{Tracer: tracer})
 
 	// read is one trigger's read of the tracer: the window [first, end) of
@@ -382,7 +383,8 @@ func logSize(t *testing.T, dir string) int64 {
 // content — and holds every bundle read back from the log to the oracle.
 func TestBundleFilesMatchOracle(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 2})
+	r := New(Config{Dir: dir})
+	r.lim = limits{trace: 5, counters: 2, samples: 3, burns: 2, plans: 2, incidents: maxIncidents}
 	check := func(b *Bundle) {
 		t.Helper()
 		checkBundleFile(t, dir, b)
@@ -431,8 +433,8 @@ func TestBundleFilesMatchOracle(t *testing.T) {
 		if tracer.Dropped() == 0 {
 			t.Fatal("trace ring never wrapped")
 		}
-		if len(rec.Burns()) < 2 {
-			t.Fatalf("%d burn transitions, want a start and an end", len(rec.Burns()))
+		if _, n := rec.BurnsSince(0); n < 2 {
+			t.Fatalf("%d burn transitions, want a start and an end", n)
 		}
 		check(r.Trigger(time.Minute, "manual", "after the last tick", -1, -1))
 	}

@@ -16,10 +16,15 @@
 // collected only when Config.Live is set. pprof captures (which need a real
 // clock) live in the serving layer, outside this package.
 //
-// Sharing: the rings are append-only. An element is never rewritten once
-// pushed — trimming advances a start index, and a full ring moves its newest
-// elements to a fresh array — so a bundle's sections are windows of the ring
-// arrays, not copies, and no bundle changes after Trigger returns it.
+// Sharing: no element a bundle holds is ever rewritten, so a bundle's
+// sections are windows, not copies, and no bundle changes after Trigger
+// returns it. The samples and burn transitions are windows of the tsdb
+// recorder's own append-only logs, which the recorder reads in place: a
+// flight recorder needs a tsdb recorder beside it (dataplane.New checks),
+// and a tick copies none of them. The other sections but the plan records
+// (sanitized copies) are windows of the recorder's rings, which are
+// append-only too: trimming advances a start index, and a full ring moves
+// its newest elements to a fresh array.
 //
 // Locking: the recorder's mutex is a leaf. Tick and Trigger read the
 // sources (tracer, registry, tsdb recorder, controller) *before* taking it,
@@ -42,28 +47,30 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// runtimeSnaps bounds the live-mode runtime snapshot ring.
-const runtimeSnaps = 64
+// The newest values a bundle holds of each section, and the number of
+// bundles the in-memory incident list keeps for /debug/incidents.
+const (
+	maxTraceEvents  = 4096
+	maxCounterSnaps = 64
+	maxSamples      = 2048
+	maxBurns        = 256
+	maxPlans        = 32
+	maxRuntimeSnaps = 64
+	maxIncidents    = 16
+)
 
-// Config bounds the recorder's rings and selects live-mode extras.
+// limits is a recorder's copy of those bounds. New sets it to the constants;
+// a test in this package lowers it on a recorder of its own, before using
+// the recorder, to wrap the rings in a few steps.
+type limits struct {
+	trace, counters, samples, burns, plans, incidents int
+}
+
+// Config selects where the incident log goes and the live-mode extras.
 type Config struct {
-	// TraceEvents is the maximum number of tracer events a bundle holds
-	// (the newest are kept). Default 4096.
-	TraceEvents int
-	// CounterSnaps / Samples / Burns bound the respective rings. Defaults
-	// 64, 2048, 256.
-	CounterSnaps int
-	Samples      int
-	Burns        int
-	// Plans is the maximum number of controller audit records copied into a
-	// bundle (the newest are kept). Default 32.
-	Plans int
-	// MaxIncidents bounds the in-memory bundle log served by
-	// /debug/incidents. Default 16.
-	MaxIncidents int
 	// Live enables nondeterministic runtime sampling (heap, GC pauses,
-	// goroutine count), the newest runtimeSnaps of them. Leave false in the
-	// simulator so same-seed runs emit byte-identical bundles.
+	// goroutine count), the newest maxRuntimeSnaps of them. Leave false in
+	// the simulator so same-seed runs emit byte-identical bundles.
 	Live bool
 	// Dir, when non-empty, receives the run's incident log, Dir/incidents.log
 	// (LogFile): a run's first trigger starts it afresh, and every trigger
@@ -71,28 +78,6 @@ type Config struct {
 	// the bundle's index. ReadLog(Dir) and Log.Bundle read a bundle back.
 	// The first trigger creates the directory if it does not exist.
 	Dir string
-}
-
-func (c Config) withDefaults() Config {
-	if c.TraceEvents <= 0 {
-		c.TraceEvents = 4096
-	}
-	if c.CounterSnaps <= 0 {
-		c.CounterSnaps = 64
-	}
-	if c.Samples <= 0 {
-		c.Samples = 2048
-	}
-	if c.Burns <= 0 {
-		c.Burns = 256
-	}
-	if c.Plans <= 0 {
-		c.Plans = 32
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 16
-	}
-	return c
 }
 
 // Sources are the observability components the recorder snapshots. Any of
@@ -113,6 +98,7 @@ type Sources struct {
 // non-interleaved bundles.
 type Recorder struct {
 	cfg Config
+	lim limits
 
 	// log writes the incident log; its mutex is taken before mu.
 	log incidentLog
@@ -124,14 +110,14 @@ type Recorder struct {
 
 // runState is what a recorder accumulates over one run; Init zeroes it.
 type runState struct {
-	seq       int
-	sampleCur int
-	burnCur   int
-	counters  ring[CounterSnap]
-	samples   ring[tsdb.Sample]
-	burns     ring[tsdb.BurnEvent]
-	phases    ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
-	runtime   ring[RuntimeSnap]
+	seq      int
+	counters ring[CounterSnap]
+	// samples and burns are windows of the tsdb recorder's logs, with the
+	// logs' indices as ordinals.
+	samples ring[tsdb.Sample]
+	burns   ring[tsdb.BurnEvent]
+	phases  ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
+	runtime ring[RuntimeSnap]
 	// trace caches the tracer's newest events, converted, with their Seqs
 	// as ordinals: the tracer never changes an event once recorded, so a
 	// trigger reads and converts only those past the cache's end.
@@ -194,15 +180,29 @@ func (r *ring[T]) replace(vs []T) {
 	r.all, r.start = vs, 0
 }
 
+// track makes the ring the newest bound values of w, the window of a source
+// log that ends at ordinal n, unless the ring already reaches past n (a
+// later read got there first).
+func (r *ring[T]) track(bound int, w []T, n int) {
+	if uint64(n) < r.end() {
+		return
+	}
+	w = w[max(0, len(w)-bound):]
+	*r = ring[T]{all: w, base: uint64(n - len(w))}
+}
+
 // first returns the ordinal of the ring's oldest value, and end the ordinal
 // past its newest.
 func (r *ring[T]) first() uint64 { return r.base + uint64(r.start) }
 func (r *ring[T]) end() uint64   { return r.base + uint64(len(r.all)) }
 
-// New returns a flight recorder with defaults applied. The hosting engine
-// connects it to its observability components via Init at assembly time.
+// New returns a flight recorder. The hosting engine connects it to its
+// observability components via Init at assembly time.
 func New(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg.withDefaults()}
+	return &Recorder{cfg: cfg, lim: limits{
+		trace: maxTraceEvents, counters: maxCounterSnaps, samples: maxSamples,
+		burns: maxBurns, plans: maxPlans, incidents: maxIncidents,
+	}}
 }
 
 // Init installs the snapshot sources and resets all rings, so a recorder
@@ -230,9 +230,9 @@ func (r *Recorder) Dir() string {
 	return r.cfg.Dir
 }
 
-// Tick refreshes the rings from the sources: new tsdb samples and burn
-// transitions since the last tick (via cursors, so each tick pays only for
-// what is new), one counter snapshot, the current phase-decomposition
+// Tick refreshes the rings from the sources: the newest tsdb samples and
+// burn transitions, as windows of the tsdb recorder's logs (so a tick copies
+// none of them), one counter snapshot, the current phase-decomposition
 // summary, and — live mode only — one runtime snapshot. Rides the engine's
 // existing tsdb sampling cadence; call it after Recorder.Sample so the tick
 // sees the fresh point.
@@ -242,14 +242,14 @@ func (r *Recorder) Tick(now time.Duration) {
 	}
 	r.mu.Lock()
 	src := r.src
-	sampleCur, burnCur := r.sampleCur, r.burnCur
+	sampleEnd, burnEnd := int(r.samples.end()), int(r.burns.end())
 	r.mu.Unlock()
 
 	// Source reads happen outside r.mu: each source takes its own lock and
 	// r.mu must stay a leaf (Trigger is reachable from the tsdb burn
 	// callback, which already holds the tsdb recorder's lock).
-	samples, sampleCur := src.TSDB.SamplesSince(sampleCur)
-	burns, burnCur := src.TSDB.BurnsSince(burnCur)
+	samples, nSamples := src.TSDB.SamplesSince(max(0, sampleEnd-r.lim.samples))
+	burns, nBurns := src.TSDB.BurnsSince(max(0, burnEnd-r.lim.burns))
 	phases := src.TSDB.PhaseStats()
 	var metrics []telemetry.Metric
 	if src.Registry != nil {
@@ -262,22 +262,16 @@ func (r *Recorder) Tick(now time.Duration) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sampleCur > r.sampleCur {
-		r.sampleCur = sampleCur
-	}
-	if burnCur > r.burnCur {
-		r.burnCur = burnCur
-	}
-	r.samples.push(r.cfg.Samples, samples...)
-	r.burns.push(r.cfg.Burns, burns...)
+	r.samples.track(r.lim.samples, samples, nSamples)
+	r.burns.track(r.lim.burns, burns, nBurns)
 	if phases != nil {
 		r.phases.replace(phases)
 	}
 	if metrics != nil {
-		r.counters.push(r.cfg.CounterSnaps, CounterSnap{AtNS: int64(now), Metrics: metrics})
+		r.counters.push(r.lim.counters, CounterSnap{AtNS: int64(now), Metrics: metrics})
 	}
 	if rt != nil {
-		r.runtime.push(runtimeSnaps, *rt)
+		r.runtime.push(maxRuntimeSnaps, *rt)
 	}
 }
 
@@ -303,7 +297,7 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	if src.Plans != nil {
 		plans = src.Plans()
 	}
-	if n := r.cfg.Plans; len(plans) > n {
+	if n := r.lim.plans; len(plans) > n {
 		plans = plans[len(plans)-n:]
 	}
 	// Solver wall times are real elapsed time even in the simulator, and a
@@ -317,7 +311,7 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	// have moved the cache in between; when the join cannot make the cache
 	// this read's window, read again from where the cache ends now.
 	for {
-		first, events := src.Tracer.TailFrom(r.cfg.TraceEvents, from)
+		first, events := src.Tracer.TailFrom(r.lim.trace, from)
 		r.log.mu.Lock()
 		r.mu.Lock()
 		if r.joinTrace(src.Tracer, first, from, events) {
@@ -347,7 +341,7 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 	}
 	first := r.windows()
 	r.incidents = append(r.incidents, b)
-	if over := len(r.incidents) - r.cfg.MaxIncidents; over > 0 {
+	if over := len(r.incidents) - r.lim.incidents; over > 0 {
 		r.incidents = append(r.incidents[:0], r.incidents[over:]...)
 	}
 	r.mu.Unlock()
@@ -391,7 +385,7 @@ func (r *Recorder) joinTrace(tracer *telemetry.Tracer, first, from uint64, event
 		*c = ring[TraceEvent]{base: first}
 	}
 	if fresh := events[c.end()-got:]; len(fresh) > 0 {
-		dst := c.extend(r.cfg.TraceEvents, len(fresh))
+		dst := c.extend(r.lim.trace, len(fresh))
 		for k := range fresh {
 			dst[k] = toTraceEvent(fresh[k])
 		}

@@ -124,7 +124,8 @@ func TestTriggerCapturesState(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	r, src := fixture(Config{TraceEvents: 3, CounterSnaps: 2, Samples: 3, Plans: 1, MaxIncidents: 2})
+	r, src := fixture(Config{})
+	r.lim = limits{trace: 3, counters: 2, samples: 3, burns: maxBurns, plans: 1, incidents: 2}
 	for i := 0; i < 10; i++ {
 		src.Tracer.Record(time.Duration(i)*time.Millisecond, telemetry.EvArrival, uint64(i), 0, -1, -1)
 		src.TSDB.Sample(time.Duration(i)*time.Second, []tsdb.DeviceState{{Up: true, QueueDepth: i}})
@@ -143,7 +144,7 @@ func TestRingWrap(t *testing.T) {
 	if len(b.Plans) != 1 || b.Plans[0].Trigger != "periodic" {
 		t.Fatalf("plan ring not bounded to newest 1: %+v", b.Plans)
 	}
-	// Incident log keeps only the newest MaxIncidents bundles.
+	// The in-memory incident list keeps only the newest bundles.
 	r.Trigger(time.Minute, "manual", "", -1, -1)
 	r.Trigger(time.Minute, "manual", "", -1, -1)
 	got := r.Incidents()
@@ -152,11 +153,12 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-// TestTickBatchOverflowsRing pins the one-trim-per-tick append: a tick that
-// brings more samples than the ring holds (five devices, ring of three), on
-// an empty and then on a full ring, keeps exactly the newest in order.
+// TestTickBatchOverflowsRing pins the window a tick keeps: a tick that
+// brings more samples than a bundle holds (five devices, a bound of three),
+// on an empty and then on a full window, keeps exactly the newest in order.
 func TestTickBatchOverflowsRing(t *testing.T) {
-	r, src := fixture(Config{Samples: 3})
+	r, src := fixture(Config{})
+	r.lim.samples = 3
 	for tick := 0; tick < 2; tick++ {
 		devs := make([]tsdb.DeviceState, 5)
 		for d := range devs {
@@ -264,7 +266,7 @@ func TestBundleByteDeterminism(t *testing.T) {
 // starts in a directory of its own making.
 func TestWriteErrorSurfaced(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "incidents")
-	r, src := fixture(Config{Dir: dir, MaxIncidents: 1 << 10})
+	r, src := fixture(Config{Dir: dir})
 	step := func(sec int) *Bundle {
 		now := time.Duration(sec) * time.Second
 		src.Tracer.Record(now, telemetry.EvArrival, uint64(sec), 0, -1, -1)
@@ -315,7 +317,7 @@ func TestWriteErrorSurfaced(t *testing.T) {
 // names a record that is not there.
 func TestFailedAppendIsTruncated(t *testing.T) {
 	dir := t.TempDir()
-	r, src := fixture(Config{Dir: dir, MaxIncidents: 1 << 10})
+	r, src := fixture(Config{Dir: dir})
 	step := func(sec int) *Bundle {
 		now := time.Duration(sec) * time.Second
 		for q := 0; q < 3; q++ {
@@ -388,7 +390,8 @@ func TestInitStartsFreshLog(t *testing.T) {
 // bundle reads back equal to the oracle, and the cut bundle is simply absent.
 func TestLogCutAnywhereInLastWrite(t *testing.T) {
 	dir := t.TempDir()
-	r, src := fixture(Config{Dir: dir, TraceEvents: 16, Samples: 8, MaxIncidents: 1 << 10})
+	r, src := fixture(Config{Dir: dir})
+	r.lim.trace, r.lim.samples = 16, 8
 	var want []*Bundle
 	var ids []string
 	var before int64
@@ -452,15 +455,19 @@ func TestLiveModeRuntimeSnaps(t *testing.T) {
 }
 
 // TestBundlesNeverChange holds the sharing contract: a bundle's sections are
-// windows of the recorder's rings, so nothing the recorder does later — more
-// ticks and triggers, rings compacting into fresh arrays, the trace cache
-// trimming and starting afresh, a second Init — may change a bundle it has
-// returned. Every bundle's encoding at trigger time must still be its
-// encoding at the end.
+// windows of the recorder's rings and of the tsdb recorder's logs, so
+// nothing either recorder does later — more samples, ticks and triggers,
+// rings compacting into fresh arrays, logs growing into fresh arrays, the
+// trace cache trimming and starting afresh, a second Init of both — may
+// change a bundle it has returned. Every bundle's encoding at trigger time
+// must still be its encoding at the end, and its samples and burns must be
+// the tsdb logs' own elements, not copies.
 func TestBundlesNeverChange(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Config{Dir: dir, TraceEvents: 5, CounterSnaps: 2, Samples: 3, Burns: 2, Plans: 1, MaxIncidents: 1 << 10})
+	r := New(Config{Dir: dir})
+	r.lim = limits{trace: 5, counters: 2, samples: 3, burns: 2, plans: 1, incidents: 1 << 10}
 	snaps := map[*Bundle][]byte{}
+	rec := tsdb.NewRecorder(tsdb.Config{SampleInterval: time.Second})
 	snap := func(b *Bundle) {
 		t.Helper()
 		data, err := json.Marshal(b)
@@ -468,12 +475,17 @@ func TestBundlesNeverChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		snaps[b] = data
+		samples, _ := rec.SamplesSince(0)
+		burns, _ := rec.BurnsSince(0)
+		if !isTail(b.Samples, samples) || !isTail(b.Burns, burns) {
+			t.Fatalf("bundle %s: its %d samples and %d burns are not the tsdb logs' newest, in place", b.ID, len(b.Samples), len(b.Burns))
+		}
 	}
 	sampleArrays := map[*tsdb.Sample]bool{}
+	sawBurns := false
 	for run := 0; run < 2; run++ {
 		tracer := telemetry.NewTracer(16)
 		registry := telemetry.NewRegistry()
-		rec := tsdb.NewRecorder(tsdb.Config{SampleInterval: time.Second})
 		rec.Init(2, nil)
 		var plans []controlplane.PlanRecord
 		r.Init(Sources{
@@ -497,15 +509,25 @@ func TestBundlesNeverChange(t *testing.T) {
 			r.mu.Lock()
 			sampleArrays[&r.samples.all[:1][0]] = true
 			r.mu.Unlock()
-			snap(r.Trigger(now, "manual", "", -1, -1))
+			b := r.Trigger(now, "manual", "", -1, -1)
+			snap(b)
+			sawBurns = sawBurns || len(b.Burns) > 0
 			if sec%3 == 0 {
 				snap(r.Trigger(now, "slo_burn", "same instant", 0, -1))
 			}
 		}
 	}
 	if len(sampleArrays) < 4 {
-		t.Fatalf("sample ring used %d arrays, want several compactions", len(sampleArrays))
+		t.Fatalf("bundles' samples came from %d arrays, want the log's regrowths", len(sampleArrays))
 	}
+	if !sawBurns {
+		t.Fatal("no bundle held a burn transition")
+	}
+	// More samples and a third Init of the tsdb recorder: the second run's
+	// bundles hold windows of the log it replaces.
+	rec.Sample(time.Minute, []tsdb.DeviceState{{Up: true, QueueDepth: 99}})
+	rec.Init(2, nil)
+	rec.Sample(time.Minute, []tsdb.DeviceState{{Up: true, QueueDepth: 98}})
 	// Init empties the incident log; the first run's bundles are still held
 	// here, and still share the arrays of the rings they were cut from.
 	got := r.Incidents()
@@ -529,13 +551,20 @@ func TestBundlesNeverChange(t *testing.T) {
 	}
 }
 
+// isTail reports whether window is the newest values of log, in place: the
+// same elements, not copies.
+func isTail[T any](window, log []T) bool {
+	return len(window) == 0 || len(window) <= len(log) && &window[0] == &log[len(log)-len(window)]
+}
+
 // TestBundlesNeverChangeConcurrent races triggers against ticks and the
 // tracer, as TestTriggerStorm does, and holds every bundle to its encoding
 // at trigger time and its trace events to one run of consecutive Seqs. Run
 // with -race: a recorder write into an array a bundle shares shows there.
 func TestBundlesNeverChangeConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	r, src := fixture(Config{Dir: dir, TraceEvents: 8, CounterSnaps: 2, Samples: 3, MaxIncidents: 1 << 10})
+	r, src := fixture(Config{Dir: dir})
+	r.lim.trace, r.lim.counters, r.lim.samples = 8, 2, 3
 	const n = 32
 	var wg sync.WaitGroup
 	bundles := make([]*Bundle, n)

@@ -37,8 +37,9 @@ import (
 //     its plan records, ascending.
 //
 // A ring section's ordinals are its ring's push count (the tracer's Seq for
-// the trace), so a window of the ring is a range of them; plan records are
-// numbered by the log. A section's records are in ascending ordinal order.
+// the trace, the tsdb log's index for samples and burns), so a window of the
+// ring is a range of them; plan records are numbered by the log. A
+// section's records are in ascending ordinal order.
 //
 // Crash safety: a record whose length runs past the end of the file is the
 // torn tail of the last write, and the log ends before it. A trigger writes

@@ -8,7 +8,7 @@ import (
 func TestExpMean(t *testing.T) {
 	r := NewRNG(21)
 	for _, rate := range []float64{0.5, 1, 5, 100} {
-		var w Welford
+		var w welford
 		for i := 0; i < 100000; i++ {
 			w.Add(r.Exp(rate))
 		}
@@ -40,7 +40,7 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 func TestPoissonMeanAndVariance(t *testing.T) {
 	r := NewRNG(23)
 	for _, mean := range []float64{0.5, 3, 12, 80, 400} {
-		var w Welford
+		var w welford
 		for i := 0; i < 50000; i++ {
 			w.Add(float64(r.Poisson(mean)))
 		}
@@ -74,7 +74,7 @@ func TestGammaMoments(t *testing.T) {
 		{4, 0.25},
 	}
 	for _, c := range cases {
-		var w Welford
+		var w welford
 		for i := 0; i < 200000; i++ {
 			w.Add(r.Gamma(c.shape, c.scale))
 		}
@@ -102,7 +102,7 @@ func TestGammaSmallShapeIsBursty(t *testing.T) {
 	// Gamma with shape << 1 must have coefficient of variation >> 1,
 	// i.e. much burstier than exponential (CV = 1).
 	r := NewRNG(27)
-	var w Welford
+	var w welford
 	for i := 0; i < 100000; i++ {
 		w.Add(r.Gamma(0.05, 1))
 	}

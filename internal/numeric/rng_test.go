@@ -62,7 +62,7 @@ func TestFloat64Range(t *testing.T) {
 
 func TestFloat64Mean(t *testing.T) {
 	r := NewRNG(11)
-	var w Welford
+	var w welford
 	for i := 0; i < 100000; i++ {
 		w.Add(r.Float64())
 	}
@@ -97,7 +97,7 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 
 func TestNormFloat64Moments(t *testing.T) {
 	r := NewRNG(13)
-	var w Welford
+	var w welford
 	for i := 0; i < 200000; i++ {
 		w.Add(r.NormFloat64())
 	}

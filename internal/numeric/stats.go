@@ -5,61 +5,6 @@ import (
 	"sort"
 )
 
-// Welford accumulates a running mean and variance in a single pass.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 with fewer than two samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// EWMA is an exponentially weighted moving average. The zero value with a
-// positive Alpha is ready to use; the first observation initializes the
-// average.
-type EWMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// Observe folds x into the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns NaN for an empty slice.
 // The input is not modified.
@@ -105,37 +50,4 @@ func Sum(xs []float64) float64 {
 		sum += x
 	}
 	return sum
-}
-
-// Max returns the maximum of xs (negative infinity for an empty slice).
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs (positive infinity for an empty slice).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -6,9 +6,42 @@ import (
 	"testing/quick"
 )
 
+// welford accumulates a running mean and variance in one pass: the
+// distribution tests' moment estimator. The zero value is ready to use.
+type welford struct {
+	n    int
+	mean float64
+	m2   float64
+}
+
+// Add folds x into the accumulator.
+func (w *welford) Add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// N returns the number of samples seen.
+func (w *welford) N() int { return w.n }
+
+// Mean returns the running mean (0 with no samples).
+func (w *welford) Mean() float64 { return w.mean }
+
+// Variance returns the sample variance (0 with fewer than two samples).
+func (w *welford) Variance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
+// StdDev returns the sample standard deviation.
+func (w *welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
+
 func TestWelfordAgainstDirect(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var w Welford
+	var w welford
 	for _, x := range xs {
 		w.Add(x)
 	}
@@ -25,9 +58,9 @@ func TestWelfordAgainstDirect(t *testing.T) {
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
+	var w welford
 	if w.Mean() != 0 || w.Variance() != 0 {
-		t.Fatal("zero-value Welford must report 0")
+		t.Fatal("zero-value welford must report 0")
 	}
 	w.Add(3)
 	if w.Mean() != 3 || w.Variance() != 0 {
@@ -41,7 +74,7 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 			return true
 		}
 		xs := make([]float64, len(raw))
-		var w Welford
+		var w welford
 		sum := 0.0
 		for i, v := range raw {
 			xs[i] = float64(v)
@@ -64,32 +97,6 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation must initialize: %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("value %v, want 15", e.Value())
-	}
-	e.Observe(15)
-	if e.Value() != 15 {
-		t.Fatalf("value %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAConverges(t *testing.T) {
-	e := EWMA{Alpha: 0.3}
-	for i := 0; i < 100; i++ {
-		e.Observe(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-9 {
-		t.Fatalf("EWMA did not converge: %v", e.Value())
 	}
 }
 
@@ -134,22 +141,7 @@ func TestAggregates(t *testing.T) {
 	if Sum(xs) != 6 {
 		t.Fatalf("Sum = %v", Sum(xs))
 	}
-	if Max(xs) != 4 {
-		t.Fatalf("Max = %v", Max(xs))
-	}
-	if Min(xs) != -1 {
-		t.Fatalf("Min = %v", Min(xs))
-	}
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) must be 0")
-	}
-	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
-		t.Fatal("empty Max/Min must be infinities")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp misbehaves")
 	}
 }

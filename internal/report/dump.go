@@ -182,8 +182,8 @@ func Build(in BuildInput) *Dump {
 		d.Meta.SLOBurnRate = slo.BurnRate
 		d.Meta.SLOShortS = slo.ShortWindow.Seconds()
 		d.Meta.SLOLongS = slo.LongWindow.Seconds()
-		d.Samples = in.Recorder.Samples()
-		d.Burns = in.Recorder.Burns()
+		d.Samples, _ = in.Recorder.SamplesSince(0)
+		d.Burns, _ = in.Recorder.BurnsSince(0)
 		d.Phases = in.Recorder.PhaseStats()
 	}
 	if len(in.Events) > 0 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"proteus/internal/controlplane"
 	"proteus/internal/tsdb"
 )
 
@@ -48,10 +49,22 @@ svg{display:block;margin-top:8px}
 	renderLatencyChart(&sb, d)
 	renderUtilizationHeatmap(&sb, d)
 	renderFamilyTable(&sb, d)
-	renderPhaseSection(&sb, d)
+	famName := func(i int) string {
+		if i >= 0 && i < len(d.Families) {
+			return d.Families[i].Name
+		}
+		return fmt.Sprintf("family %d", i)
+	}
+	devName := func(i int) string {
+		if i >= 0 && i < len(d.Meta.Devices) {
+			return d.Meta.Devices[i]
+		}
+		return fmt.Sprintf("device %d", i)
+	}
+	renderPhaseTable(&sb, d.Phases, famName, devName)
 	renderAttributionSection(&sb, d)
-	renderBurnTable(&sb, d)
-	renderPlanTable(&sb, d)
+	renderBurnTable(&sb, d.Burns, famName)
+	renderPlanTable(&sb, d.Plans)
 
 	sb.WriteString("</body>\n</html>\n")
 	return []byte(sb.String())
@@ -274,26 +287,10 @@ func renderFamilyTable(sb *strings.Builder, d *Dump) {
 	sb.WriteString("</table>\n")
 }
 
-// renderPhaseSection tabulates the per-family and per-device latency
-// decomposition: where a query's time goes between arrival and completion.
-func renderPhaseSection(sb *strings.Builder, d *Dump) {
-	famName := func(i int) string {
-		if i >= 0 && i < len(d.Families) {
-			return d.Families[i].Name
-		}
-		return fmt.Sprintf("family %d", i)
-	}
-	devName := func(i int) string {
-		if i >= 0 && i < len(d.Meta.Devices) {
-			return d.Meta.Devices[i]
-		}
-		return fmt.Sprintf("device %d", i)
-	}
-	renderPhaseTable(sb, d.Phases, famName, devName)
-}
-
 // renderPhaseTable writes the "Phase decomposition" section shared by run
-// reports and incident pages. A no-op when there are no phase stats.
+// reports and incident pages: where a query's time goes between arrival and
+// completion, per family and per device. A no-op when there are no phase
+// stats.
 func renderPhaseTable(sb *strings.Builder, phases []tsdb.PhaseStat, famName, devName func(int) string) {
 	if len(phases) == 0 {
 		return
@@ -362,32 +359,32 @@ func renderAttributionSection(sb *strings.Builder, d *Dump) {
 	}
 }
 
-func renderBurnTable(sb *strings.Builder, d *Dump) {
-	if len(d.Burns) == 0 {
+// renderBurnTable writes the "SLO burn transitions" section shared by run
+// reports and incident pages. A no-op when there are no transitions.
+func renderBurnTable(sb *strings.Builder, burns []tsdb.BurnEvent, famName func(int) string) {
+	if len(burns) == 0 {
 		return
 	}
 	sb.WriteString("<h2>SLO burn transitions</h2>\n<table>\n<tr><th>at</th><th>family</th><th>event</th><th>short burn</th><th>long burn</th></tr>\n")
-	for _, b := range d.Burns {
+	for _, b := range burns {
 		kind := "end"
 		if b.Start {
 			kind = "start"
 		}
-		name := fmt.Sprintf("%d", b.Family)
-		if b.Family >= 0 && b.Family < len(d.Families) {
-			name = d.Families[b.Family].Name
-		}
 		fmt.Fprintf(sb, "<tr><td>%ss</td><td>%s</td><td>%s</td><td>%.2f</td><td>%.2f</td></tr>\n",
-			trimF(b.At.Seconds()), escape(name), kind, b.ShortBurn, b.LongBurn)
+			trimF(b.At.Seconds()), escape(famName(b.Family)), kind, b.ShortBurn, b.LongBurn)
 	}
 	sb.WriteString("</table>\n")
 }
 
-func renderPlanTable(sb *strings.Builder, d *Dump) {
-	if len(d.Plans) == 0 {
+// renderPlanTable writes the "Control decisions" section shared by run
+// reports and incident pages. A no-op when there are no plan records.
+func renderPlanTable(sb *strings.Builder, plans []controlplane.PlanRecord) {
+	if len(plans) == 0 {
 		return
 	}
 	sb.WriteString("<h2>Control decisions</h2>\n<table>\n<tr><th>at</th><th>trigger</th><th>stage</th><th>solver</th><th>pred acc</th><th>scale</th><th>loads</th><th>unloads</th><th>burns</th></tr>\n")
-	for _, p := range d.Plans {
+	for _, p := range plans {
 		fmt.Fprintf(sb, "<tr><td>%ss</td><td>%s</td><td>%s</td><td>%s</td><td>%.2f</td><td>%.3f</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
 			trimF(p.At.Seconds()), escape(p.Trigger), escape(p.Stage), escape(p.Solver),
 			p.PredictedAccuracy, p.DemandScale, p.Loads, p.Unloads, len(p.SLOBurns))

@@ -53,8 +53,8 @@ th{background:#f0f0f0}td:first-child,th:first-child{text-align:left}
 	famName := func(i int) string { return fmt.Sprintf("family %d", i) }
 	devName := func(i int) string { return fmt.Sprintf("device %d", i) }
 	renderPhaseTable(&sb, b.Phases, famName, devName)
-	renderIncidentBurns(&sb, b)
-	renderIncidentPlans(&sb, b)
+	renderBurnTable(&sb, b.Burns, famName)
+	renderPlanTable(&sb, b.Plans)
 	renderTraceTail(&sb, b)
 
 	sb.WriteString("</body>\n</html>\n")
@@ -88,35 +88,6 @@ func renderCounterTable(sb *strings.Builder, b *flightrec.Bundle) {
 		trimF(time.Duration(last.AtNS).Seconds()), len(b.Counters))
 	for _, m := range last.Metrics {
 		fmt.Fprintf(sb, "<tr><td>%s</td><td>%s</td><td>%d</td></tr>\n", escape(m.Name), escape(m.Kind), m.Value)
-	}
-	sb.WriteString("</table>\n")
-}
-
-func renderIncidentBurns(sb *strings.Builder, b *flightrec.Bundle) {
-	if len(b.Burns) == 0 {
-		return
-	}
-	sb.WriteString("<h2>SLO burn transitions</h2>\n<table>\n<tr><th>at</th><th>family</th><th>edge</th><th>short burn</th><th>long burn</th></tr>\n")
-	for _, ev := range b.Burns {
-		edge := "end"
-		if ev.Start {
-			edge = "start"
-		}
-		fmt.Fprintf(sb, "<tr><td>%ss</td><td>%d</td><td>%s</td><td>%.2f</td><td>%.2f</td></tr>\n",
-			trimF(ev.At.Seconds()), ev.Family, edge, ev.ShortBurn, ev.LongBurn)
-	}
-	sb.WriteString("</table>\n")
-}
-
-func renderIncidentPlans(sb *strings.Builder, b *flightrec.Bundle) {
-	if len(b.Plans) == 0 {
-		return
-	}
-	sb.WriteString("<h2>Control decisions</h2>\n<table>\n<tr><th>at</th><th>trigger</th><th>stage</th><th>solver</th><th>pred acc</th><th>scale</th><th>loads</th><th>unloads</th></tr>\n")
-	for _, p := range b.Plans {
-		fmt.Fprintf(sb, "<tr><td>%ss</td><td>%s</td><td>%s</td><td>%s</td><td>%.2f</td><td>%.3f</td><td>%d</td><td>%d</td></tr>\n",
-			trimF(p.At.Seconds()), escape(p.Trigger), escape(p.Stage), escape(p.Solver),
-			p.PredictedAccuracy, p.DemandScale, p.Loads, p.Unloads)
 	}
 	sb.WriteString("</table>\n")
 }

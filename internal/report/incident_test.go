@@ -59,9 +59,11 @@ func TestRenderIncident(t *testing.T) {
 		"<td>family 1</td><td>exec</td><td>50</td><td>9</td>",
 		"<td>device 2</td><td>queue</td>",
 		"<h2>SLO burn transitions</h2>",
-		"<td>start</td><td>3.10</td><td>2.40</td>",
+		"<th>family</th><th>event</th>",
+		"<td>family 1</td><td>start</td><td>3.10</td><td>2.40</td>",
 		"<h2>Control decisions</h2>",
-		"<td>periodic</td><td>primary</td><td>milp</td>",
+		"<th>unloads</th><th>burns</th>",
+		"<td>periodic</td><td>primary</td><td>milp</td><td>0.81</td><td>1.000</td><td>2</td><td>0</td><td>0</td>",
 		"<h2>Trace tail (2 of 2 events)</h2>",
 		"<td>done</td>",
 	} {

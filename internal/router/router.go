@@ -93,14 +93,6 @@ func (t *Table) SetAdmission(admit []float64) {
 	}
 }
 
-// Admission returns the admission fraction for family q.
-func (t *Table) Admission(q int) float64 {
-	if q < 0 || q >= len(t.admit) {
-		return 0
-	}
-	return t.admit[q]
-}
-
 // Pick selects a device for a query of family q, or -1 when the family has
 // no serving devices or the query is shed by admission control.
 func (t *Table) Pick(q int, rng *numeric.RNG) int {

@@ -100,6 +100,7 @@ func TestIncidentEndpoints(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.Tracer = telemetry.NewTracer(1 << 10)
+	cfg.TSDB = tsdb.NewRecorder(tsdb.Config{})
 	cfg.Flight = flightrec.New(flightrec.Config{Dir: dir})
 	s, err := NewServer(cfg)
 	if err != nil {
@@ -279,6 +280,7 @@ func TestBurnOnDataPathDuringSampling(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if !burnBundle() {
-		t.Fatalf("no slo_burn bundle after 10s of overload; burns=%+v summary=%+v", cfg.TSDB.Burns(), s.Summary())
+		burns, _ := cfg.TSDB.BurnsSince(0)
+		t.Fatalf("no slo_burn bundle after 10s of overload; burns=%+v summary=%+v", burns, s.Summary())
 	}
 }

@@ -77,8 +77,10 @@ type Config struct {
 	// Flight, when non-nil, is the black-box flight recorder: bounded rings
 	// of recent state refreshed on the sampling tick, snapshotted into
 	// incident bundles on SLO burns, overload degradations, allocator
-	// fallbacks, device failures and POST /debug/incident. Build it with
-	// Live set so bundles include heap/GC/goroutine snapshots.
+	// fallbacks, device failures and POST /debug/incident. It reads its
+	// samples and burns from TSDB's logs, so it needs TSDB set (NewServer
+	// refuses it alone). Build it with Live set so bundles include
+	// heap/GC/goroutine snapshots.
 	Flight *flightrec.Recorder
 	// Overload, when non-nil and enabled, activates the fast-path overload
 	// guard: deadline admission control, high/low-water mailbox
@@ -218,14 +220,10 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.controlLoop()
-	if cfg.TSDB != nil || cfg.Flight != nil {
-		// The tsdb recorder's cadence; 1s for a flight recorder alone.
-		interval := cfg.TSDB.SampleInterval()
-		if interval <= 0 {
-			interval = time.Second
-		}
+	if cfg.TSDB != nil {
+		// The tsdb recorder's cadence; a flight recorder rides it.
 		s.wg.Add(1)
-		go s.every(interval, s.sample)
+		go s.every(cfg.TSDB.SampleInterval(), s.sample)
 	}
 	if s.plane.Guard != nil {
 		// The overload guard's time-based edges (escalation, deferred
@@ -266,9 +264,6 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	s.Close()
 	return drained
 }
-
-// Draining reports whether the server is refusing new queries.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Inflight returns the number of queries currently inside Infer.
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
@@ -329,14 +324,11 @@ func (s *Server) every(interval time.Duration, fn func()) {
 // sample is the engine's observability tick on the wall clock.
 func (s *Server) sample() {
 	now := s.now()
-	var states []tsdb.DeviceState
-	if s.cfg.TSDB != nil {
-		states = make([]tsdb.DeviceState, len(s.workers))
-		for d, w := range s.workers {
-			w.mu.Lock()
-			states[d] = w.dev.State(now)
-			w.mu.Unlock()
-		}
+	states := make([]tsdb.DeviceState, len(s.workers))
+	for d, w := range s.workers {
+		w.mu.Lock()
+		states[d] = w.dev.State(now)
+		w.mu.Unlock()
 	}
 	s.plane.Sample(now, states)
 }

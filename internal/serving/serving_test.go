@@ -379,7 +379,7 @@ func TestLiveRecorderSamplesDevices(t *testing.T) {
 	devices := cfg.Cluster.Size()
 	var samples []tsdb.Sample
 	for time.Now().Before(deadline) {
-		samples = rec.Samples()
+		samples, _ = rec.SamplesSince(0)
 		if len(samples) >= 2*devices {
 			break
 		}

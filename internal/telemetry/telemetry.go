@@ -64,14 +64,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -88,8 +80,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	// help holds per-registry Prometheus help-text overrides (SetHelp).
-	help map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -188,7 +178,6 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // standardHelp documents the canonical metric names registered by the
 // counter bundles below; WritePrometheus emits them as # HELP lines.
-// Registry.SetHelp overrides or extends this set per registry.
 var standardHelp = map[string]string{
 	"queries_arrived_total":       "Queries that arrived at the load balancer.",
 	"queries_served_total":        "Queries completed within their SLO.",
@@ -220,29 +209,6 @@ var standardHelp = map[string]string{
 	"trace_dropped_total":         "Trace events evicted by ring-buffer wrap (explanations may be incomplete).",
 }
 
-// SetHelp registers Prometheus help text for a metric name (overriding the
-// standard set). No-op on a nil registry.
-func (r *Registry) SetHelp(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.help == nil {
-		r.help = make(map[string]string)
-	}
-	r.help[name] = help
-}
-
-func (r *Registry) helpFor(name string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.help[name]; ok {
-		return h
-	}
-	return standardHelp[name]
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4): a # HELP line where help text is known, a # TYPE
 // line, then the sample. Metric names are already exposition-safe
@@ -253,7 +219,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	for _, m := range r.Snapshot() {
-		if h := r.helpFor(m.Name); h != "" {
+		if h := standardHelp[m.Name]; h != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.Name, h); err != nil {
 				return err
 			}

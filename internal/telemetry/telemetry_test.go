@@ -31,7 +31,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(7)
-	g.Add(-2)
 	if g.Value() != 0 {
 		t.Fatalf("nil gauge should read 0")
 	}
@@ -66,7 +65,6 @@ func TestNilReceiversAllocateNothing(t *testing.T) {
 		{"Counter.Add", func() { c.Add(5) }},
 		{"Counter.Value", func() { _ = c.Value() }},
 		{"Gauge.Set", func() { g.Set(7) }},
-		{"Gauge.Add", func() { g.Add(-2) }},
 		{"Gauge.Value", func() { _ = g.Value() }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.call); n != 0 {
@@ -419,7 +417,7 @@ func TestRegistry(t *testing.T) {
 	c.Add(-3) // ignored
 	g := r.Gauge("up")
 	g.Set(10)
-	g.Add(-4)
+	g.Set(6)
 
 	snap := r.Snapshot()
 	if len(snap) != 2 {
@@ -506,20 +504,20 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("queries_arrived_total").Add(7)
 	r.Gauge("devices_up").Set(4)
 	r.Counter("zz_custom_total").Inc()
-	r.SetHelp("zz_custom_total", "A custom metric.")
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// Canonical metrics get # HELP from the standard table; every metric
-	// gets # TYPE with its kind; values follow on their own line.
+	// Canonical metrics get # HELP from the standard table, others none;
+	// every metric gets # TYPE with its kind; values follow on their own
+	// line.
 	for _, w := range []string{
 		"# HELP queries_arrived_total ",
 		"# TYPE queries_arrived_total counter\nqueries_arrived_total 7\n",
 		"# TYPE devices_up gauge\ndevices_up 4\n",
-		"# HELP zz_custom_total A custom metric.\n# TYPE zz_custom_total counter\nzz_custom_total 1\n",
+		"queries_arrived_total 7\n# TYPE zz_custom_total counter\nzz_custom_total 1\n",
 	} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("prometheus output missing %q:\n%s", w, out)

@@ -226,11 +226,15 @@ func TestGammaIsBurstier(t *testing.T) {
 	rng := numeric.NewRNG(23)
 	cv := func(p ArrivalProcess) float64 {
 		times := InterArrivalTimes(p, 100, 100*time.Second, rng)
-		var w numeric.Welford
-		for i := 1; i < len(times); i++ {
-			w.Add((times[i] - times[i-1]).Seconds())
+		gaps := make([]float64, len(times)-1)
+		for i := range gaps {
+			gaps[i] = (times[i+1] - times[i]).Seconds()
 		}
-		return w.StdDev() / w.Mean()
+		mean, ss := numeric.Mean(gaps), 0.0
+		for _, g := range gaps {
+			ss += (g - mean) * (g - mean)
+		}
+		return math.Sqrt(ss/float64(len(gaps)-1)) / mean
 	}
 	u, po, g := cv(Uniform), cv(PoissonProcess), cv(GammaProcess)
 	if !(u < 0.01 && po > 0.8 && po < 1.2 && g > 2) {

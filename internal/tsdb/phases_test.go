@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -157,5 +158,44 @@ func TestSamplesSinceAndBurnsSince(t *testing.T) {
 	none, cur3 := r.SamplesSince(99)
 	if len(none) != 0 || cur3 != 4 {
 		t.Fatalf("clamped SamplesSince = %d/%d", len(none), cur3)
+	}
+
+	// A window ends at its capacity, so appending to it copies: neither the
+	// caller's longer slice nor the log sees the other's later appends. Six
+	// samples leave the log's array room for two more.
+	r.Sample(2*time.Second, devs)
+	before, _ := r.SamplesSince(0)
+	if cap(tail) != len(tail) || cap(before) != len(before) {
+		t.Fatalf("window caps %d/%d, lens %d/%d", cap(tail), cap(before), len(tail), len(before))
+	}
+	mine := append(before, Sample{Device: 99})
+	r.Sample(3*time.Second, devs)
+	logged, _ := r.SamplesSince(0)
+	if mine[len(before)].Device != 99 || logged[len(before)].Device != 0 {
+		t.Fatalf("an append to a window shares the log's array: mine %+v, log %+v", mine[len(before)], logged[len(before)])
+	}
+	if !reflect.DeepEqual(logged[:len(before)], before) {
+		t.Fatal("a later sample changed a window")
+	}
+
+	// The same for burns: a second whose one arrival was violated starts a
+	// burn once the second is complete, and a quiet short window ends it.
+	// Three transitions leave the log's array room for one more.
+	burn := func(at time.Duration) {
+		r.Arrival(at, 0)
+		r.Violation(at, 0)
+		r.Sample(at+time.Second, devs)
+	}
+	burn(4 * time.Second)
+	r.Sample(20*time.Second, devs)
+	burn(21 * time.Second)
+	burns, n := r.BurnsSince(0)
+	if len(burns) != 3 || n != 3 || cap(burns) != 3 || !burns[2].Start {
+		t.Fatalf("BurnsSince(0) = %+v cursor %d cap %d, want start, end, start capped at 3", burns, n, cap(burns))
+	}
+	mineBurns := append(burns, BurnEvent{Family: 99})
+	r.Sample(40*time.Second, devs) // the burn ends
+	if got, _ := r.BurnsSince(0); len(got) != 4 || got[3].Start || got[3].Family != 0 || mineBurns[3].Family != 99 {
+		t.Fatalf("an append to a burn window shares the log's array: log %+v, mine %+v", got, mineBurns)
 	}
 }

@@ -89,7 +89,8 @@ func NewRecorder(cfg Config) *Recorder {
 // Init sizes the recorder for a run of the given family count and installs
 // the burn-transition callback (which may be nil). The hosting engine calls
 // it once at assembly time; re-initializing resets all recorded state, so a
-// recorder serves exactly one run.
+// recorder serves exactly one run. The new run's logs are new arrays: a
+// window read before stays as it was.
 func (r *Recorder) Init(families int, onBurn func(BurnEvent)) {
 	if r == nil {
 		return
@@ -205,34 +206,21 @@ func (r *Recorder) transition(f int, now time.Duration) {
 	}
 }
 
-// Samples returns a copy of the recorded device time-series in record
-// order (time-major, device-minor — the sampling order).
-func (r *Recorder) Samples() []Sample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Sample(nil), r.samples...)
-}
-
-// SamplesSince returns a copy of the samples recorded at or after cursor —
-// an index into the append-only sample log — together with the new cursor.
-// Incremental consumers (the flight recorder's ring) start at cursor 0 and
-// feed each returned cursor back in, paying only for new samples per call.
+// SamplesSince returns the samples recorded at or after cursor — an index
+// into the append-only sample log, in record order (time-major,
+// device-minor) — together with the log's length, the next cursor. The
+// result is a window of the log, not a copy: the recorder never rewrites a
+// sample once appended (Init starts a new log rather than truncating), and
+// the window's capacity ends at its length, so it never changes and
+// appending to it cannot reach the log. Callers must not write to it.
+// SamplesSince(0) is the whole log.
 func (r *Recorder) SamplesSince(cursor int) ([]Sample, int) {
 	if r == nil {
 		return nil, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > len(r.samples) {
-		cursor = len(r.samples)
-	}
-	return append([]Sample(nil), r.samples[cursor:]...), len(r.samples)
+	return window(r.samples, cursor), len(r.samples)
 }
 
 // BurnsSince is SamplesSince for the burn-transition log.
@@ -242,21 +230,13 @@ func (r *Recorder) BurnsSince(cursor int) ([]BurnEvent, int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > len(r.burns) {
-		cursor = len(r.burns)
-	}
-	return append([]BurnEvent(nil), r.burns[cursor:]...), len(r.burns)
+	return window(r.burns, cursor), len(r.burns)
 }
 
-// Burns returns a copy of the burn-transition log in record order.
-func (r *Recorder) Burns() []BurnEvent {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]BurnEvent(nil), r.burns...)
+// window returns log[cursor:] capped at its end, with cursor clamped to
+// the log.
+func window[T any](log []T, cursor int) []T {
+	n := len(log)
+	cursor = min(max(cursor, 0), n)
+	return log[cursor:n:n]
 }

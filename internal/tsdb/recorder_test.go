@@ -12,7 +12,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Arrival(time.Second, 0)
 	r.Violation(time.Second, 0)
 	r.Sample(time.Second, []DeviceState{{Up: true}})
-	if r.Samples() != nil || r.Burns() != nil {
+	if s, _ := r.SamplesSince(0); s != nil {
+		t.Fatal("nil recorder must return nil slices")
+	}
+	if b, _ := r.BurnsSince(0); b != nil {
 		t.Fatal("nil recorder must return nil slices")
 	}
 	if r.SampleInterval() != 0 {
@@ -54,7 +57,7 @@ func TestRecorderUtilizationFromBusyDeltas(t *testing.T) {
 		{Up: true, QueueDepth: 1, LastBatch: 8, Variant: "resnet-34", BusyTime: 1500 * time.Millisecond},
 		{Up: false, BusyTime: 0},
 	})
-	got := r.Samples()
+	got, _ := r.SamplesSince(0)
 	want := []Sample{
 		{At: time.Second, Device: 0, Up: true, QueueDepth: 3, BatchSize: 4, UtilMilli: 500, Variant: "resnet-18"},
 		{At: time.Second, Device: 1, Up: true},
@@ -72,8 +75,8 @@ func TestRecorderUtilClampsToInterval(t *testing.T) {
 	// Busy time jumps by 3s within a 1s interval (batch completion folds a
 	// long batch's full latency at once): clamp to 1000 milli.
 	r.Sample(time.Second, []DeviceState{{Up: true, BusyTime: 3 * time.Second}})
-	if got := r.Samples()[0].UtilMilli; got != 1000 {
-		t.Fatalf("util = %d, want clamped 1000", got)
+	if got, _ := r.SamplesSince(0); got[0].UtilMilli != 1000 {
+		t.Fatalf("util = %d, want clamped 1000", got[0].UtilMilli)
 	}
 }
 
@@ -86,7 +89,7 @@ func TestRecorderGrowsForElasticDevices(t *testing.T) {
 		{Up: true, BusyTime: 2 * time.Second},
 		{Up: true, BusyTime: 400 * time.Millisecond},
 	})
-	got := r.Samples()
+	got, _ := r.SamplesSince(0)
 	if len(got) != 3 {
 		t.Fatalf("want 3 samples, got %d", len(got))
 	}
@@ -115,7 +118,7 @@ func TestRecorderBurnCallbackAndLog(t *testing.T) {
 	if len(fired) != 2 || fired[1].Start {
 		t.Fatalf("burn episode should end after windows drain: %+v", fired)
 	}
-	burns := r.Burns()
+	burns, _ := r.BurnsSince(0)
 	if len(burns) != 2 || !burns[0].Start || burns[1].Start {
 		t.Fatalf("want [start end], got %+v", burns)
 	}
@@ -130,7 +133,7 @@ func TestRecorderIgnoresOutOfRangeFamily(t *testing.T) {
 	r.Arrival(time.Second, -1)
 	r.Arrival(time.Second, 5)
 	r.Violation(time.Second, 5)
-	if len(r.Burns()) != 0 {
+	if _, n := r.BurnsSince(0); n != 0 {
 		t.Fatal("out-of-range families must be ignored")
 	}
 }
@@ -151,7 +154,9 @@ func TestRecorderDeterministicReplay(t *testing.T) {
 				{Up: true, QueueDepth: s, LastBatch: i2b(s), BusyTime: time.Duration(s) * 300 * time.Millisecond},
 			})
 		}
-		return r.Samples(), r.Burns()
+		samples, _ := r.SamplesSince(0)
+		burns, _ := r.BurnsSince(0)
+		return samples, burns
 	}
 	s1, b1 := run()
 	s2, b2 := run()
@@ -232,7 +237,8 @@ func TestBurnLogUnchangedByPerSecondEvaluation(t *testing.T) {
 			forget()
 			r.Sample(tick, nil)
 		}
-		return r.Burns()
+		burns, _ := r.BurnsSince(0)
+		return burns
 	}
 	for _, violationFirst := range []bool{false, true} {
 		got, want := replay(violationFirst, false), replay(violationFirst, true)
