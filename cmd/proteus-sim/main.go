@@ -34,7 +34,7 @@
 // the burn monitor, e.g.
 //
 //	"slo": {"target": 0.01, "burn_rate": 2, "short_window_s": 5,
-//	        "long_window_s": 60, "sample_interval_s": 1, "realloc": false}
+//	        "long_window_s": 60, "sample_interval_s": 1}
 //
 // The optional "overload" block enables the fast-path overload guard
 // (deadline admission control, mailbox backpressure, burn-triggered

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,5 +118,50 @@ func TestIncidentCountIsTheLogs(t *testing.T) {
 	}
 	if want := fmt.Sprintf("incidents: %d bundles in %s\n", len(l.IDs()), dir); !strings.Contains(stdout.String(), want) {
 		t.Fatalf("stdout does not report the log's count %q:\n%s", want, stdout.String())
+	}
+}
+
+// TestDocExamplesLoad holds the package comment to the loader: its first
+// indented block is a whole config, and every later block is a fragment of
+// top-level keys that, merged into that config, must load.
+func TestDocExamplesLoad(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []string
+	inBlock := false
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		code, ok := strings.CutPrefix(line, "\t")
+		switch {
+		case ok && inBlock:
+			blocks[len(blocks)-1] += "\n" + code
+		case ok:
+			blocks = append(blocks, code)
+		}
+		inBlock = ok
+	}
+	if len(blocks) < 2 {
+		t.Fatalf("package comment has %d example blocks, want a config and fragments", len(blocks))
+	}
+	var full map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(blocks[0]), &full); err != nil {
+		t.Fatalf("full example: %v\n%s", err, blocks[0])
+	}
+	for _, frag := range blocks {
+		if !strings.HasPrefix(frag, "{") {
+			frag = "{" + frag + "}"
+		}
+		merged := maps.Clone(full)
+		if err := json.Unmarshal([]byte(frag), &merged); err != nil {
+			t.Fatalf("fragment: %v\n%s", err, frag)
+		}
+		raw, err := json.Marshal(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadConfig(raw); err != nil {
+			t.Errorf("fragment does not load: %v\n%s", err, frag)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // aggregate builds one step's model outside Allocate, with the allocator's
 // variant filter evaluated as Allocate evaluates it.
 func (m *MILP) aggregate(in *Input, demand []float64) (*aggModel, []bool) {
-	return m.model(in, demand, m.admitted(in))
+	return m.model(in, in.Cluster.GroupByType(), demand, m.admitted(in))
 }
 
 // referenceImprove is improve's oracle: the same moves in the same order,

@@ -15,9 +15,12 @@ import (
 // MILPOptions tune the Proteus allocator.
 type MILPOptions struct {
 	// PerDevice forces the paper's literal per-device formulation with one
-	// binary x_{d,m} per (device, variant) pair. By default the allocator
-	// aggregates identical devices into integer counts, which is exact for
-	// homogeneous device groups and much faster (see DESIGN.md).
+	// binary x_{d,m} per (device, variant) pair; the Fig. 10 experiments and
+	// the formulations table set it. By default the allocator aggregates
+	// identical devices into integer counts, which is exact for homogeneous
+	// device groups and much faster (see DESIGN.md). The literal model is
+	// the aggregated one with one device per group, so an allocator reused
+	// across calls pays switch costs against its previous plan.
 	PerDevice bool
 	// TimeLimit, MaxNodes, RelGap and StallNodes bound the branch-and-bound
 	// search of the fairness extension, of PerDevice and of aggregated
@@ -239,7 +242,7 @@ func stopwatch(t0 time.Time) time.Duration {
 // families, and shapes past the DP's work limit, where the solver's budgets
 // bound the solve.
 func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start time.Time) (*Allocation, []bool, error) {
-	a, short := m.model(in, demand, admit)
+	a, short := m.model(in, in.Cluster.GroupByType(), demand, admit)
 	if a == nil {
 		return nil, short, nil
 	}
@@ -289,13 +292,14 @@ type aggModel struct {
 	devices int
 }
 
-// model builds the step's model over the variants admit admits (see
-// admitted). It returns nil and the families to back off when the demand
-// cannot be served at any count: nil when no pair can serve anything, one
-// family when a family with demand has no pair.
-func (m *MILP) model(in *Input, demand []float64, admit []bool) (*aggModel, []bool) {
+// model builds the step's model over groups (type groups, or one group per
+// device for PerDevice) and the variants admit admits (see admitted). It
+// returns nil and the families to back off when the demand cannot be served
+// at any count: nil when no pair can serve anything, one family when a
+// family with demand has no pair.
+func (m *MILP) model(in *Input, groups []cluster.TypeGroup, demand []float64, admit []bool) (*aggModel, []bool) {
 	a := &aggModel{
-		groups:  in.Cluster.GroupByType(),
+		groups:  groups,
 		refs:    in.Variants(),
 		demand:  demand,
 		devices: in.Cluster.Size(),
@@ -586,99 +590,29 @@ func (m *MILP) prevCounts(in *Input, groups []cluster.TypeGroup, refs []VariantR
 	return counts
 }
 
-// solvePerDevice solves the paper's literal formulation with one binary per
-// (device, variant) pair — used by the Fig. 10 scalability experiments and
-// by clusters whose devices are all distinct.
+// solvePerDevice solves the paper's literal formulation (Table 1, Eqs. 1–7):
+// the aggregated model over one group per healthy device, where each count
+// n_{g,m} ∈ [0, 1] is the binary x_{d,m}. The search starts cold, with no
+// warm start and no fairness term, so Fig. 10 times the literal model's own
+// search.
 func (m *MILP) solvePerDevice(in *Input, demand []float64, admit []bool) (*Allocation, []bool, error) {
-	refs := in.Variants()
-	devices := in.Cluster.Devices()
+	a, short := m.model(in, deviceGroups(in.Cluster), demand, admit)
+	if a == nil {
+		return nil, short, nil
+	}
+	sol := m.search(a.problem(0), nil)
+	alloc, err := m.treePlan(in, a, &sol)
+	return alloc, nil, err
+}
 
-	p := milp.NewProblem()
-	type pair struct {
-		d, r int
-		x, w int
-		peak float64
+// deviceGroups returns one group per healthy device, in device order.
+func deviceGroups(c *cluster.Cluster) []cluster.TypeGroup {
+	devices := c.HealthyDevices()
+	groups := make([]cluster.TypeGroup, len(devices))
+	for i, d := range devices {
+		groups[i] = cluster.TypeGroup{Spec: d.Spec, Devices: []int{d.ID}}
 	}
-	var pairs []pair
-	for _, dev := range devices {
-		for ri, ref := range refs {
-			if admit != nil && !admit[ri] {
-				continue
-			}
-			peak := in.Peak(dev, ref)
-			if peak <= 0 {
-				continue
-			}
-			x := p.AddBinary(fmt.Sprintf("x[%d,%s]", dev.ID, ref.Variant.ID()))
-			w := p.AddVariable(fmt.Sprintf("w[%d,%s]", dev.ID, ref.Variant.ID()), 0, peak)
-			p.SetObjective(w, ref.Variant.Accuracy)
-			p.AddConstraint([]lp.Term{{Var: w, Coef: 1}, {Var: x, Coef: -peak}}, lp.LE, 0)
-			pairs = append(pairs, pair{d: dev.ID, r: ri, x: x, w: w, peak: peak})
-		}
-	}
-	if len(pairs) == 0 {
-		return nil, nil, nil
-	}
-	// Eq. 1: at most one variant per device.
-	for _, dev := range devices {
-		var terms []lp.Term
-		for _, pr := range pairs {
-			if pr.d == dev.ID {
-				terms = append(terms, lp.Term{Var: pr.x, Coef: 1})
-			}
-		}
-		if len(terms) > 0 {
-			p.AddConstraint(terms, lp.LE, 1)
-		}
-	}
-	// Eq. 6: demand satisfied per family.
-	for q := range in.Families {
-		var terms []lp.Term
-		for _, pr := range pairs {
-			if refs[pr.r].Family == q {
-				terms = append(terms, lp.Term{Var: pr.w, Coef: 1})
-			}
-		}
-		if len(terms) == 0 {
-			if demand[q] > 0 {
-				short := make([]bool, len(in.Families))
-				short[q] = true
-				return nil, short, nil
-			}
-			continue
-		}
-		p.AddConstraint(terms, lp.EQ, demand[q])
-	}
-
-	sol := milp.Solve(p, &milp.Options{
-		TimeLimit:  m.opts.TimeLimit,
-		MaxNodes:   m.opts.MaxNodes,
-		RelGap:     m.opts.RelGap,
-		StallNodes: m.opts.StallNodes,
-	})
-	switch sol.Status {
-	case milp.Optimal, milp.Feasible:
-	case milp.Infeasible, milp.Limit:
-		return nil, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("allocator: MILP solve ended with status %v", sol.Status)
-	}
-
-	alloc := NewAllocation(in)
-	alloc.Optimal = sol.Status == milp.Optimal
-	alloc.Stats = solverStats(&sol)
-	for _, pr := range pairs {
-		if sol.X[pr.x] < 0.5 {
-			continue
-		}
-		ref := refs[pr.r]
-		alloc.Hosted[pr.d] = &VariantRef{Family: ref.Family, Variant: ref.Variant}
-		if demand[ref.Family] > 0 {
-			alloc.Routing[ref.Family][pr.d] = sol.X[pr.w] / demand[ref.Family]
-		}
-	}
-	alloc.PredictedAccuracy = predictedAccuracy(sol.Objective, demand)
-	return alloc, nil, nil
+	return groups
 }
 
 // admitted evaluates the variant filter once per Allocate: entry ri says
@@ -744,17 +678,6 @@ func solverStats(sol *milp.Solution) SolverStats {
 		st.Bound = sol.Bound
 	}
 	return st
-}
-
-func predictedAccuracy(objective float64, demand []float64) float64 {
-	total := 0.0
-	for _, s := range demand {
-		total += s
-	}
-	if total <= 0 {
-		return 0
-	}
-	return objective / total
 }
 
 // peakFor evaluates P_{d,m,q} for a device-type spec rather than a concrete

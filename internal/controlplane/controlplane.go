@@ -15,8 +15,10 @@ import (
 	"proteus/internal/allocator"
 	"proteus/internal/cluster"
 	"proteus/internal/models"
+	"proteus/internal/overload"
 	"proteus/internal/router"
 	"proteus/internal/telemetry"
+	"proteus/internal/tsdb"
 )
 
 // Stats is the statistics collector: one monitoring daemon per family.
@@ -96,34 +98,6 @@ type DeviceChange struct {
 	To     string `json:"to"`
 }
 
-// SLOBurnRecord is one SLO burn-state transition observed between control
-// periods: family's windowed violation ratio crossed (Start) or fell back
-// under (end) the burn-rate alerting threshold. ShortBurn/LongBurn are the
-// burn rates (window violation ratio over the target budget) at the
-// transition.
-type SLOBurnRecord struct {
-	At        time.Duration `json:"at_ns"`
-	Family    int           `json:"family"`
-	Start     bool          `json:"start"`
-	ShortBurn float64       `json:"short_burn"`
-	LongBurn  float64       `json:"long_burn"`
-}
-
-// OverloadRecord is one overload-guard transition (emergency accuracy
-// degradation opened, escalated, or restored) observed between control
-// periods. Kind is "degrade", "escalate" or "restore"; Level is the
-// degradation level after the transition (0 = planned routing restored).
-type OverloadRecord struct {
-	At     time.Duration `json:"at_ns"`
-	Family int           `json:"family"`
-	Kind   string        `json:"kind"`
-	Level  int           `json:"level"`
-	// Episode is the guard-global id of the degradation episode the
-	// transition belongs to (0 on records from before episode tracking).
-	Episode int    `json:"episode,omitempty"`
-	Reason  string `json:"reason"`
-}
-
 // PlanRecord is one entry of the controller's decision audit log: what was
 // decided, why (trigger), by which stage of the solver chain, at what
 // solver cost, and how the fleet changed relative to the previous plan.
@@ -168,10 +142,11 @@ type PlanRecord struct {
 	// SLOBurns lists the burn-state transitions the SLO monitor reported
 	// since the previous audit record, so each control decision carries the
 	// burn context it was made under.
-	SLOBurns []SLOBurnRecord `json:"slo_burns,omitempty"`
+	SLOBurns []tsdb.BurnEvent `json:"slo_burns,omitempty"`
 	// Overloads lists the overload-guard transitions (emergency accuracy
-	// degradations and restores) since the previous audit record.
-	Overloads []OverloadRecord `json:"overloads,omitempty"`
+	// degradations, escalations and restores) since the previous audit
+	// record.
+	Overloads []overload.Change `json:"overloads,omitempty"`
 }
 
 // SanitizePlanRecord zeroes, in place, the wall-clock measurements of a
@@ -247,8 +222,8 @@ type Controller struct {
 	// pendingBurns buffers burn transitions until the next audit record
 	// drains them into its SLOBurns field; pendingOverloads does the same
 	// for overload-guard transitions.
-	pendingBurns     []SLOBurnRecord
-	pendingOverloads []OverloadRecord
+	pendingBurns     []tsdb.BurnEvent
+	pendingOverloads []overload.Change
 
 	counters telemetry.ControlCounters
 }
@@ -516,17 +491,17 @@ func (c *Controller) append(rec PlanRecord) int {
 
 // NoteBurn records an SLO burn-state transition for the next audit record.
 // Safe to call concurrently with Reallocate and History.
-func (c *Controller) NoteBurn(rec SLOBurnRecord) {
+func (c *Controller) NoteBurn(ev tsdb.BurnEvent) {
 	c.mu.Lock()
-	c.pendingBurns = append(c.pendingBurns, rec)
+	c.pendingBurns = append(c.pendingBurns, ev)
 	c.mu.Unlock()
 }
 
 // NoteOverload records an overload-guard transition for the next audit
 // record. Safe to call concurrently with Reallocate and History.
-func (c *Controller) NoteOverload(rec OverloadRecord) {
+func (c *Controller) NoteOverload(ch overload.Change) {
 	c.mu.Lock()
-	c.pendingOverloads = append(c.pendingOverloads, rec)
+	c.pendingOverloads = append(c.pendingOverloads, ch)
 	c.mu.Unlock()
 }
 

@@ -202,7 +202,6 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	// degrades and restores advance at a fixed 1s cadence.
 	if s.plane.Guard != nil {
 		for at := time.Second; at <= duration; at += time.Second {
-			at := at
 			s.engine.Schedule(at, func() { s.plane.GuardTick(at) })
 		}
 	}
@@ -210,7 +209,6 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	// Fault injection: the schedule's events become simulation events.
 	if s.cfg.Faults != nil {
 		for _, ev := range s.cfg.Faults.Events {
-			ev := ev
 			s.engine.Schedule(ev.FailAt, func() { s.failDevice(ev.Device) })
 			if ev.RecoverAt > 0 {
 				s.engine.Schedule(ev.RecoverAt, func() { s.recoverDevice(ev.Device) })

@@ -596,13 +596,7 @@ func (p *Plane) onBurn(ev tsdb.BurnEvent) {
 		kind = telemetry.EvSLOBurnEnd
 	}
 	p.cfg.Tracer.Record(ev.At, kind, 0, ev.Family, -1, -1)
-	p.Controller.NoteBurn(controlplane.SLOBurnRecord{
-		At:        ev.At,
-		Family:    ev.Family,
-		Start:     ev.Start,
-		ShortBurn: ev.ShortBurn,
-		LongBurn:  ev.LongBurn,
-	})
+	p.Controller.NoteBurn(ev)
 	// Emergency accuracy degradation reacts to the burn edge immediately —
 	// never waiting for the next control period. The guard's lock is a leaf,
 	// so calling it under the recorder's lock is safe.
@@ -629,14 +623,7 @@ func (p *Plane) publishOverload(changes []overload.Change) {
 		}
 		p.cfg.Tracer.RecordCtx(ch.At, kind, 0, ch.Family, -1, ch.Level,
 			telemetry.Ctx{Plan: p.planSeq.Load(), Episode: int32(ch.Episode)})
-		p.Controller.NoteOverload(controlplane.OverloadRecord{
-			At:      ch.At,
-			Family:  ch.Family,
-			Kind:    string(ch.Kind),
-			Level:   ch.Level,
-			Episode: ch.Episode,
-			Reason:  ch.Reason,
-		})
+		p.Controller.NoteOverload(ch)
 		// A degradation opening is the overload incident's leading edge;
 		// escalations and restores are just episode progress.
 		if ch.Kind == overload.Degrade {

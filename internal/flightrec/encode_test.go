@@ -15,6 +15,7 @@ import (
 	"proteus/internal/allocator"
 	"proteus/internal/buildinfo"
 	"proteus/internal/controlplane"
+	"proteus/internal/overload"
 	"proteus/internal/telemetry"
 	"proteus/internal/tsdb"
 )
@@ -92,8 +93,8 @@ func TestLogRoundTripEdgeCases(t *testing.T) {
 		HostedVariants: map[string]int{"resnet50": 2, "b": 1, nasty: 3},
 		Changes:        []controlplane.DeviceChange{{Device: 3, From: "", To: "resnet50"}},
 		Loads:          1, RoutingDelta: 0.25,
-		SLOBurns:  []controlplane.SLOBurnRecord{{At: time.Second, Family: 1, Start: true, ShortBurn: 3, LongBurn: 2.5}},
-		Overloads: []controlplane.OverloadRecord{{At: 2 * time.Second, Family: 0, Kind: "degrade", Level: 1, Episode: 7, Reason: nasty}},
+		SLOBurns:  []tsdb.BurnEvent{{At: time.Second, Family: 1, Start: true, ShortBurn: 3, LongBurn: 2.5}},
+		Overloads: []overload.Change{{At: 2 * time.Second, Family: 0, Kind: overload.Degrade, Level: 1, Episode: 7, Reason: nasty}},
 	}
 	for _, tc := range []struct {
 		name string

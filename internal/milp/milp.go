@@ -81,11 +81,6 @@ func (p *Problem) AddInteger(name string, lo, hi float64) int {
 	return v
 }
 
-// AddBinary adds a {0,1} variable.
-func (p *Problem) AddBinary(name string) int {
-	return p.AddInteger(name, 0, 1)
-}
-
 // SetObjective sets the (maximization) objective coefficient of v.
 func (p *Problem) SetObjective(v int, c float64) { p.lp.SetObjective(v, c) }
 

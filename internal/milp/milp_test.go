@@ -17,7 +17,7 @@ func TestKnapsack(t *testing.T) {
 	vars := make([]int, 3)
 	terms := make([]lp.Term, 3)
 	for i := range vars {
-		vars[i] = p.AddBinary("item")
+		vars[i] = p.AddInteger("item", 0, 1)
 		p.SetObjective(vars[i], vals[i])
 		terms[i] = lp.Term{Var: vars[i], Coef: wts[i]}
 	}
@@ -45,7 +45,7 @@ func TestKnapsackFractionalRelaxationDiffers(t *testing.T) {
 	wts := []float64{5, 5, 8}
 	var terms []lp.Term
 	for i := range vals {
-		v := p.AddBinary("item")
+		v := p.AddInteger("item", 0, 1)
 		p.SetObjective(v, vals[i])
 		terms = append(terms, lp.Term{Var: v, Coef: wts[i]})
 	}
@@ -66,7 +66,7 @@ func TestAssignmentProblem(t *testing.T) {
 	for i := range x {
 		x[i] = make([]int, 3)
 		for j := range x[i] {
-			x[i][j] = p.AddBinary("x")
+			x[i][j] = p.AddInteger("x", 0, 1)
 			p.SetObjective(x[i][j], scores[i][j])
 		}
 	}
@@ -121,7 +121,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	// max 2x - 3y with x <= 4.5 → open, x=4.5, obj 6.
 	p := NewProblem()
 	x := p.AddVariable("x", 0, 4.5)
-	y := p.AddBinary("open")
+	y := p.AddInteger("open", 0, 1)
 	p.SetObjective(x, 2)
 	p.SetObjective(y, -3)
 	p.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -10}}, lp.LE, 0)
@@ -138,7 +138,7 @@ func TestFixedChargeStaysClosed(t *testing.T) {
 	// Same but opening cost exceeds profit → stay closed, obj 0.
 	p := NewProblem()
 	x := p.AddVariable("x", 0, 1)
-	y := p.AddBinary("open")
+	y := p.AddInteger("open", 0, 1)
 	p.SetObjective(x, 2)
 	p.SetObjective(y, -3)
 	p.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -10}}, lp.LE, 0)
@@ -152,7 +152,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	// x + y = 1 with x, y binary and x + y >= 2 impossible... make it
 	// integer-infeasible but LP-feasible: 2x = 1, x binary.
 	p := NewProblem()
-	x := p.AddBinary("x")
+	x := p.AddInteger("x", 0, 1)
 	p.SetObjective(x, 1)
 	p.AddConstraint([]lp.Term{{Var: x, Coef: 2}}, lp.EQ, 1)
 	sol := Solve(p, nil)
@@ -163,7 +163,7 @@ func TestInfeasibleMILP(t *testing.T) {
 
 func TestLPInfeasibleRoot(t *testing.T) {
 	p := NewProblem()
-	x := p.AddBinary("x")
+	x := p.AddInteger("x", 0, 1)
 	p.AddConstraint([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 2)
 	sol := Solve(p, nil)
 	if sol.Status != Infeasible {
@@ -174,7 +174,7 @@ func TestLPInfeasibleRoot(t *testing.T) {
 func TestUnboundedMILP(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable("x", 0, math.Inf(1))
-	y := p.AddBinary("y")
+	y := p.AddInteger("y", 0, 1)
 	p.SetObjective(x, 1)
 	p.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.LE, 1)
 	sol := Solve(p, nil)
@@ -190,7 +190,7 @@ func TestWarmStartAcceleratesAndIsUsed(t *testing.T) {
 	var terms []lp.Term
 	vars := make([]int, 3)
 	for i := range vals {
-		vars[i] = p.AddBinary("item")
+		vars[i] = p.AddInteger("item", 0, 1)
 		p.SetObjective(vars[i], vals[i])
 		terms = append(terms, lp.Term{Var: vars[i], Coef: wts[i]})
 	}
@@ -204,7 +204,7 @@ func TestWarmStartAcceleratesAndIsUsed(t *testing.T) {
 
 func TestWarmStartWithBadIntegralityIgnored(t *testing.T) {
 	p := NewProblem()
-	x := p.AddBinary("x")
+	x := p.AddInteger("x", 0, 1)
 	p.SetObjective(x, 1)
 	p.AddConstraint([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 1)
 	sol := Solve(p, &Options{WarmStart: []float64{0.5}})
@@ -278,7 +278,7 @@ func TestRelGapZeroProvesExactOptimality(t *testing.T) {
 	vals := []float64{9, 7, 6, 5, 3}
 	wts := []float64{4, 3, 3, 2, 2}
 	for i := range vals {
-		v := p.AddBinary("x")
+		v := p.AddInteger("x", 0, 1)
 		p.SetObjective(v, vals[i])
 		terms = append(terms, lp.Term{Var: v, Coef: wts[i]})
 	}
@@ -301,7 +301,7 @@ func TestTimeLimit(t *testing.T) {
 	p := NewProblem()
 	var terms []lp.Term
 	for i := 0; i < 40; i++ {
-		v := p.AddBinary("x")
+		v := p.AddInteger("x", 0, 1)
 		p.SetObjective(v, float64(100+i*7%13))
 		terms = append(terms, lp.Term{Var: v, Coef: float64(7 + (i*31)%17)})
 	}
@@ -334,7 +334,7 @@ func TestSolutionIsIntegral(t *testing.T) {
 	p := NewProblem()
 	var terms []lp.Term
 	for i := 0; i < 10; i++ {
-		v := p.AddBinary("x")
+		v := p.AddInteger("x", 0, 1)
 		p.SetObjective(v, float64(i%4)+0.5)
 		terms = append(terms, lp.Term{Var: v, Coef: float64(1 + i%3)})
 	}
@@ -353,7 +353,7 @@ func TestSolutionIsIntegral(t *testing.T) {
 func TestCounts(t *testing.T) {
 	p := NewProblem()
 	p.AddVariable("c", 0, 1)
-	p.AddBinary("b")
+	p.AddInteger("b", 0, 1)
 	p.AddInteger("i", 0, 5)
 	if p.NumVariables() != 3 || p.NumIntegers() != 2 {
 		t.Fatalf("counts: vars %d ints %d", p.NumVariables(), p.NumIntegers())

@@ -63,7 +63,7 @@ func TestStallNodesTerminatesEarly(t *testing.T) {
 		p := NewProblem()
 		var terms []lp.Term
 		for j := 0; j < 34; j++ {
-			v := p.AddBinary("x")
+			v := p.AddInteger("x", 0, 1)
 			p.SetObjective(v, float64(50+(j*17)%23))
 			terms = append(terms, lp.Term{Var: v, Coef: float64(5 + (j*13)%11)})
 		}
@@ -103,7 +103,7 @@ func TestPropertyKnapsackMatchesBruteForce(t *testing.T) {
 		var terms []lp.Term
 		vars := make([]int, n)
 		for i := range vars {
-			vars[i] = p.AddBinary("x")
+			vars[i] = p.AddInteger("x", 0, 1)
 			p.SetObjective(vars[i], vals[i])
 			terms = append(terms, lp.Term{Var: vars[i], Coef: wts[i]})
 		}
@@ -146,7 +146,7 @@ func TestPropertyWarmStartNeverHurts(t *testing.T) {
 			remaining := float64(10 + rng.Intn(40))
 			r2 := numeric.NewRNG(seed ^ 1)
 			for i := 0; i < n; i++ {
-				v := p.AddBinary("x")
+				v := p.AddInteger("x", 0, 1)
 				val := float64(1 + r2.Intn(30))
 				wt := float64(1 + r2.Intn(15))
 				p.SetObjective(v, val)

@@ -112,18 +112,18 @@ const (
 // Change is one degradation-state transition, returned to the hosting engine
 // so it can trace, count and audit the episode.
 type Change struct {
-	At     time.Duration
-	Family int
-	Kind   ChangeKind
+	At     time.Duration `json:"at_ns"`
+	Family int           `json:"family"`
+	Kind   ChangeKind    `json:"kind"`
 	// Level is the number of masked accuracy tiers after the transition
 	// (0 after a restore).
-	Level int
+	Level int `json:"level"`
 	// Episode is the id of the episode this transition belongs to: opened
 	// by the Degrade, carried by Escalates, and closed by the Restore.
 	// Episode ids are guard-global, monotone from 1.
-	Episode int
+	Episode int `json:"episode,omitempty"`
 	// Reason explains the transition for the decision audit.
-	Reason string
+	Reason string `json:"reason"`
 }
 
 // famState is one family's degradation ladder.

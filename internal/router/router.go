@@ -95,23 +95,7 @@ func (t *Table) SetAdmission(admit []float64) {
 
 // Pick selects a device for a query of family q, or -1 when the family has
 // no serving devices or the query is shed by admission control.
-func (t *Table) Pick(q int, rng *numeric.RNG) int {
-	if q < 0 || q >= len(t.devices) || len(t.devices[q]) == 0 {
-		t.counters.Shed.Inc()
-		return -1
-	}
-	if t.admit[q] < 1 && rng.Float64() >= t.admit[q] {
-		t.counters.Shed.Inc()
-		return -1
-	}
-	i := numeric.WeightedChoice(rng, t.weights[q])
-	if i < 0 {
-		t.counters.Shed.Inc()
-		return -1
-	}
-	t.counters.Picks.Inc()
-	return t.devices[q][i]
-}
+func (t *Table) Pick(q int, rng *numeric.RNG) int { return t.PickExcluding(q, rng, nil) }
 
 // PickExcluding selects a device for a query of family q like Pick, but
 // renormalizes the plan's weights over the devices NOT excluded by the

@@ -25,7 +25,6 @@ func TestLiveFailureRedispatch(t *testing.T) {
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, n)
 	for i := 0; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

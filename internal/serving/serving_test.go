@@ -126,7 +126,6 @@ func concurrentLoad(t *testing.T, n int) int {
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, n)
 	for i := 0; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -169,7 +168,6 @@ func TestBatchingUnderBurst(t *testing.T) {
 	start := time.Now()
 	served := make([]bool, n)
 	for i := 0; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
