@@ -330,7 +330,8 @@ func run(args []string, stdout, wall io.Writer, create func(path string) (io.Wri
 	}
 	var recorder *tsdb.Recorder
 	// The guard's degradation path is triggered by the burn monitor, so an
-	// enabled overload block forces a recorder even without -tsdb/-report.
+	// enabled overload block forces a recorder even without -tsdb/-report
+	// (dataplane.New refuses a degrading guard without one).
 	// The flight recorder samples all three surfaces, so -incidents forces
 	// the tracer, registry, and recorder on too.
 	needRecorder := cfg.Overload != nil && cfg.Overload.Enabled && !cfg.Overload.DisableDegradation

@@ -112,8 +112,9 @@ func main() {
 	var recorder *tsdb.Recorder
 	if *tsdbOut != "" || *overloadOn || *incDir != "" {
 		// The guard's degradation path is triggered by the burn monitor, so
-		// -overload needs a recorder even when no dump was requested; the
-		// flight recorder samples it too.
+		// -overload needs a recorder even when no dump was requested
+		// (dataplane.New refuses a degrading guard without one); the flight
+		// recorder samples it too.
 		recorder = tsdb.NewRecorder(tsdb.Config{})
 	}
 	// A bounded tracer is always on: it feeds GET /debug/query live SLO

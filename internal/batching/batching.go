@@ -308,9 +308,6 @@ func (*AIMD) Name() string { return "aimd" }
 // Reset implements Policy.
 func (p *AIMD) Reset() { p.target = 1 }
 
-// Target exposes the current batch-size target (for tests and logs).
-func (p *AIMD) Target() float64 { return p.target }
-
 // Observe implements Policy: additive increase on clean batches,
 // multiplicative decrease on violations.
 func (p *AIMD) Observe(completed, violations int) {

@@ -233,8 +233,8 @@ func TestAIMDAdditiveIncrease(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Observe(4, 0)
 	}
-	if p.Target() != 6 {
-		t.Fatalf("target %v, want 6", p.Target())
+	if p.target != 6 {
+		t.Fatalf("target %v, want 6", p.target)
 	}
 }
 
@@ -243,12 +243,12 @@ func TestAIMDMultiplicativeDecrease(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		p.Observe(4, 0)
 	}
-	if p.Target() != 10 {
-		t.Fatalf("target %v", p.Target())
+	if p.target != 10 {
+		t.Fatalf("target %v", p.target)
 	}
 	p.Observe(4, 1)
-	if p.Target() != 9 {
-		t.Fatalf("target after decrease %v, want 9", p.Target())
+	if p.target != 9 {
+		t.Fatalf("target after decrease %v, want 9", p.target)
 	}
 }
 
@@ -257,16 +257,16 @@ func TestAIMDFloorAtOne(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Observe(1, 1)
 	}
-	if p.Target() != 1 {
-		t.Fatalf("target %v, want floored at 1", p.Target())
+	if p.target != 1 {
+		t.Fatalf("target %v, want floored at 1", p.target)
 	}
 }
 
 func TestAIMDNoIncreaseOnEmptyBatch(t *testing.T) {
 	p := NewAIMD()
 	p.Observe(0, 0)
-	if p.Target() != 1 {
-		t.Fatalf("target %v", p.Target())
+	if p.target != 1 {
+		t.Fatalf("target %v", p.target)
 	}
 }
 
@@ -275,8 +275,8 @@ func TestAIMDReset(t *testing.T) {
 	p.Observe(1, 0)
 	p.Observe(1, 0)
 	p.Reset()
-	if p.Target() != 1 {
-		t.Fatalf("target %v after reset", p.Target())
+	if p.target != 1 {
+		t.Fatalf("target %v after reset", p.target)
 	}
 }
 
@@ -343,7 +343,7 @@ func TestByName(t *testing.T) {
 	a := f().(*AIMD)
 	b := f().(*AIMD)
 	a.Observe(1, 0)
-	if b.Target() != 1 {
+	if b.target != 1 {
 		t.Fatal("aimd factory shares state between instances")
 	}
 	if _, err := ByName("bogus"); err == nil {

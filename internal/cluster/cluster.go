@@ -120,12 +120,6 @@ type TypeCount struct {
 	Spec  TypeSpec
 }
 
-// PaperTestbed returns the paper's 40-device cluster:
-// 20 CPUs, 10 GTX 1080 Tis, 10 V100s.
-func PaperTestbed() *Cluster {
-	return New([]TypeCount{{Type: CPU, Count: 20}, {Type: GTX1080Ti, Count: 10}, {Type: V100, Count: 10}})
-}
-
 // ScaledTestbed returns a cluster with the paper's 2:1:1 type ratio scaled
 // to the given total size (rounded to multiples of four). Used as the
 // default end-to-end experiment cluster so that exact MILP solves fit the
@@ -198,20 +192,6 @@ func (c *Cluster) Healthy(id int) bool {
 		return false
 	}
 	return c.down == nil || !c.down[id]
-}
-
-// HealthyCount returns the number of available devices.
-func (c *Cluster) HealthyCount() int {
-	if c.down == nil {
-		return len(c.devices)
-	}
-	n := 0
-	for id := range c.devices {
-		if !c.down[id] {
-			n++
-		}
-	}
-	return n
 }
 
 // HealthyDevices returns the available devices in ID order.

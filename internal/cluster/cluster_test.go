@@ -12,7 +12,7 @@ func countByType(c *Cluster) map[DeviceType]int {
 }
 
 func TestPaperTestbed(t *testing.T) {
-	c := PaperTestbed()
+	c := ScaledTestbed(40)
 	if c.Size() != 40 {
 		t.Fatalf("size %d, want 40", c.Size())
 	}
@@ -23,7 +23,7 @@ func TestPaperTestbed(t *testing.T) {
 }
 
 func TestDeviceIDsAreDense(t *testing.T) {
-	c := PaperTestbed()
+	c := ScaledTestbed(40)
 	for i, d := range c.Devices() {
 		if d.ID != i {
 			t.Fatalf("device %d has ID %d", i, d.ID)
@@ -69,7 +69,7 @@ func TestScaledTestbedRatio(t *testing.T) {
 }
 
 func TestGroupByType(t *testing.T) {
-	c := PaperTestbed()
+	c := ScaledTestbed(40)
 	groups := c.GroupByType()
 	if len(groups) != 3 {
 		t.Fatalf("groups %d, want 3", len(groups))
@@ -94,8 +94,8 @@ func TestGroupByType(t *testing.T) {
 }
 
 func TestGroupByTypeDeterministic(t *testing.T) {
-	a := PaperTestbed().GroupByType()
-	b := PaperTestbed().GroupByType()
+	a := ScaledTestbed(40).GroupByType()
+	b := ScaledTestbed(40).GroupByType()
 	for i := range a {
 		if a[i].Spec.Type != b[i].Spec.Type {
 			t.Fatal("group order not deterministic")

@@ -34,20 +34,17 @@ func TestNewFromSpec(t *testing.T) {
 
 func TestWithHealth(t *testing.T) {
 	c := ScaledTestbed(8)
-	if c.HealthyCount() != c.Size() {
+	if len(c.HealthyDevices()) != c.Size() {
 		t.Fatal("fresh cluster must be fully healthy")
 	}
 	down := make([]bool, c.Size())
 	down[0], down[3] = true, true
 	h := c.WithHealth(down)
-	if c.HealthyCount() != c.Size() {
+	if len(c.HealthyDevices()) != c.Size() {
 		t.Fatal("WithHealth must not mutate the original")
 	}
 	if h.Healthy(0) || h.Healthy(3) || !h.Healthy(1) {
 		t.Fatal("health mask not applied")
-	}
-	if h.HealthyCount() != c.Size()-2 {
-		t.Fatalf("healthy count %d, want %d", h.HealthyCount(), c.Size()-2)
 	}
 	if got := len(h.HealthyDevices()); got != c.Size()-2 {
 		t.Fatalf("HealthyDevices returned %d", got)
@@ -60,7 +57,7 @@ func TestWithHealth(t *testing.T) {
 	if h2 := c.WithHealth([]bool{true}); h2.Healthy(0) || !h2.Healthy(c.Size()-1) {
 		t.Fatal("short mask semantics")
 	}
-	if h3 := h.WithHealth(nil); h3.HealthyCount() != c.Size() {
+	if h3 := h.WithHealth(nil); len(h3.HealthyDevices()) != c.Size() {
 		t.Fatal("nil mask must clear failures")
 	}
 	// Out-of-range IDs are never healthy.

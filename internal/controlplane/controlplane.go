@@ -246,9 +246,6 @@ func NewController(a allocator.Allocator, c *cluster.Cluster, families []models.
 	return ctl
 }
 
-// Allocator returns the wrapped allocator.
-func (c *Controller) Allocator() allocator.Allocator { return c.alloc }
-
 // Instrument resolves the controller's counters from a telemetry registry
 // (a nil registry leaves them inert). Call before the first Reallocate.
 func (c *Controller) Instrument(r *telemetry.Registry) {

@@ -184,8 +184,8 @@ func TestControllerDefaults(t *testing.T) {
 	if c.Period != 12*time.Second || c.BurstCooldown != 4*time.Second {
 		t.Fatalf("period %v, cooldown %v: want the 12s and 4s passed in", c.Period, c.BurstCooldown)
 	}
-	if c.Allocator() != a {
-		t.Fatal("allocator accessor broken")
+	if c.alloc != a {
+		t.Fatal("controller does not wrap the allocator passed in")
 	}
 	if c.historyLimit != DefaultHistoryLimit || c.fallback != nil {
 		t.Fatalf("history limit %d, fallback %v", c.historyLimit, c.fallback)

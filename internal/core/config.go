@@ -93,8 +93,9 @@ type Config struct {
 	// Overload, when non-nil and enabled, activates the fast-path overload
 	// guard: deadline admission control, high/low-water mailbox
 	// backpressure, and burn-triggered emergency accuracy degradation
-	// between control periods. Requires TSDB for the degradation path (the
-	// burn monitor is its trigger).
+	// between control periods. Requires TSDB unless DisableDegradation is
+	// set: the burn monitor triggers degradation (NewSystem refuses it
+	// alone).
 	Overload *overload.Config
 	// MaxRetries is the per-query re-route budget after a device failure
 	// strands it: zero takes the engine's default (the paper artifact's

@@ -9,13 +9,15 @@ import (
 	"proteus/internal/cluster"
 	"proteus/internal/flightrec"
 	"proteus/internal/models"
+	"proteus/internal/overload"
 	"proteus/internal/profiles"
 	"proteus/internal/tsdb"
 )
 
 // TestNewChecksAndDefaults pins the engine's one set of checks and defaults:
 // New refuses a config without a cluster, families or an allocator, or with
-// a flight recorder but no tsdb recorder, and names the fields, and resolves what a minimal config leaves zero — the values
+// a flight recorder or an overload guard that degrades but no tsdb
+// recorder, and names the fields, and resolves what a minimal config leaves zero — the values
 // both drivers run with unless their callers set them.
 func TestNewChecksAndDefaults(t *testing.T) {
 	fams := models.Zoo()[:2]
@@ -35,6 +37,7 @@ func TestNewChecksAndDefaults(t *testing.T) {
 		{[]string{"Families"}, func(c *Config) { c.Families = nil }},
 		{[]string{"Allocator"}, func(c *Config) { c.Allocator = nil }},
 		{[]string{"Flight", "TSDB"}, func(c *Config) { c.Flight = flightrec.New(flightrec.Config{}) }},
+		{[]string{"Overload", "TSDB"}, func(c *Config) { c.Overload = &overload.Config{Enabled: true} }},
 	} {
 		cfg := minimal()
 		tc.mut(&cfg)
@@ -49,6 +52,11 @@ func TestNewChecksAndDefaults(t *testing.T) {
 	cfg.Flight, cfg.TSDB = flightrec.New(flightrec.Config{}), tsdb.NewRecorder(tsdb.Config{})
 	if _, err := New(cfg); err != nil {
 		t.Errorf("flight and tsdb recorders: %v", err)
+	}
+	cfg = minimal()
+	cfg.Overload = &overload.Config{Enabled: true, DisableDegradation: true}
+	if _, err := New(cfg); err != nil {
+		t.Errorf("overload guard that never degrades, no tsdb recorder: %v", err)
 	}
 
 	for _, tc := range []struct {

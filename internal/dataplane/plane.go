@@ -167,6 +167,8 @@ func (c Config) withDefaults() (Config, error) {
 		return c, errors.New("dataplane: Config.Allocator is nil")
 	case c.Flight != nil && c.TSDB == nil:
 		return c, errors.New("dataplane: Config.Flight needs a Config.TSDB recorder to read samples and burns from")
+	case c.Overload != nil && c.Overload.Enabled && !c.Overload.DisableDegradation && c.TSDB == nil:
+		return c, errors.New("dataplane: Config.Overload degrades on SLO burns, which need a Config.TSDB recorder to detect them")
 	}
 	if c.SLOMultiplier <= 0 {
 		c.SLOMultiplier = 2

@@ -188,9 +188,9 @@ func TestSolveTakesDownMaskOnGrownFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := ctl.Cluster()
-	if cl.Size() != 5 || cl.Healthy(1) || !cl.Healthy(4) || cl.HealthyCount() != 4 {
+	if cl.Size() != 5 || cl.Healthy(1) || !cl.Healthy(4) || len(cl.HealthyDevices()) != 4 {
 		t.Fatalf("solved over %d devices, healthy %d, device 1 %v, device 4 %v",
-			cl.Size(), cl.HealthyCount(), cl.Healthy(1), cl.Healthy(4))
+			cl.Size(), len(cl.HealthyDevices()), cl.Healthy(1), cl.Healthy(4))
 	}
 	if len(r.Plan.Hosted) != 5 || r.Plan.Hosted[1] != nil {
 		t.Fatalf("plan hosts %d devices, %v on the failed one", len(r.Plan.Hosted), r.Plan.Hosted[1])

@@ -7,44 +7,6 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// TraceEvent mirrors telemetry.Event in a bundle. Its JSON differs from the
-// tracer's JSONL export in two ways: the time is at_us, in microseconds,
-// where the export writes at_ns, and plan, episode and cause are omitted
-// when zero, where the export always writes them.
-type TraceEvent struct {
-	AtUS   int64  `json:"at_us"`
-	Seq    uint64 `json:"seq"`
-	Kind   string `json:"kind"`
-	Query  uint64 `json:"query"`
-	Family int32  `json:"family"`
-	Device int32  `json:"device"`
-	Batch  int32  `json:"batch"`
-	// Causal attribution stamps: the control-plan sequence number and
-	// overload episode id in force when the event was recorded, and the
-	// drop/requeue cause (omitted when zero).
-	Plan    int32  `json:"plan,omitempty"`
-	Episode int32  `json:"episode,omitempty"`
-	Cause   string `json:"cause,omitempty"`
-}
-
-func toTraceEvent(ev telemetry.Event) TraceEvent {
-	te := TraceEvent{
-		AtUS:    ev.At.Microseconds(),
-		Seq:     ev.Seq,
-		Kind:    ev.Kind.String(),
-		Query:   ev.Query,
-		Family:  ev.Family,
-		Device:  ev.Device,
-		Batch:   ev.Batch,
-		Plan:    ev.Plan,
-		Episode: ev.Episode,
-	}
-	if ev.Cause != telemetry.CauseNone {
-		te.Cause = ev.Cause.String()
-	}
-	return te
-}
-
 // CounterSnap is one sampling tick's counter-registry snapshot.
 type CounterSnap struct {
 	AtNS    int64              `json:"at_ns"`
@@ -87,8 +49,9 @@ type Bundle struct {
 	Family int `json:"family"`
 	Device int `json:"device"`
 
-	// TraceEvents is the tail of the tracer's ring at trigger time.
-	TraceEvents []TraceEvent `json:"trace_events,omitempty"`
+	// TraceEvents is the tail of the tracer's ring at trigger time, in the
+	// JSON form of telemetry.Event.MarshalJSON.
+	TraceEvents []telemetry.Event `json:"trace_events,omitempty"`
 	// Counters are the per-tick registry snapshots leading up to the
 	// trigger, oldest first.
 	Counters []CounterSnap `json:"counters,omitempty"`

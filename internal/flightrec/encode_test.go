@@ -1,6 +1,8 @@
 package flightrec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -102,13 +104,13 @@ func TestLogRoundTripEdgeCases(t *testing.T) {
 	}{
 		{"zero", Bundle{}},
 		{"empty sections", Bundle{
-			ID: "incident-000001-manual", TraceEvents: []TraceEvent{}, Counters: []CounterSnap{},
+			ID: "incident-000001-manual", TraceEvents: []telemetry.Event{}, Counters: []CounterSnap{},
 			Samples: []tsdb.Sample{}, Burns: []tsdb.BurnEvent{}, Phases: []tsdb.PhaseStat{},
 			Plans: []controlplane.PlanRecord{}, Runtime: []RuntimeSnap{},
 		}},
 		{"escaping", Bundle{
 			ID: nasty, Reason: nasty, Detail: nasty, Family: -1, Device: -7,
-			TraceEvents: []TraceEvent{{Kind: nasty, Cause: nasty, Family: -1, Device: -1, Batch: -1}},
+			TraceEvents: []telemetry.Event{{Kind: telemetry.EvDropped, Cause: telemetry.CauseDraining, Family: -1, Device: -1, Batch: -1}},
 			Counters:    []CounterSnap{{Metrics: []telemetry.Metric{{Name: nasty, Value: -3, Kind: nasty}}}},
 			Samples:     []tsdb.Sample{{At: -5, Device: -2, Variant: nasty}},
 			Phases:      []tsdb.PhaseStat{{Scope: nasty, Index: -1, Phase: nasty}},
@@ -116,18 +118,21 @@ func TestLogRoundTripEdgeCases(t *testing.T) {
 		}},
 		{"every byte", Bundle{
 			ID: string(every), Detail: string(every),
-			TraceEvents: []TraceEvent{{Kind: string(every), Cause: string(every)}},
-			Samples:     []tsdb.Sample{{Variant: string(every)}},
-			Phases:      []tsdb.PhaseStat{{Scope: string(every), Phase: string(every)}},
+			Samples: []tsdb.Sample{{Variant: string(every)}},
+			Phases:  []tsdb.PhaseStat{{Scope: string(every), Phase: string(every)}},
 		}},
-		{"causal stamps", Bundle{Family: 2, Device: 0, TraceEvents: []TraceEvent{
+		{"causal stamps", Bundle{Family: 2, Device: 0, TraceEvents: []telemetry.Event{
 			{},
-			{Kind: "dropped", Plan: 3},
-			{Kind: "requeued", Episode: -2},
-			{Kind: "dropped", Cause: "stale_route"},
-			{AtUS: math.MaxInt64, Seq: math.MaxUint64, Kind: "done", Query: math.MaxUint64,
-				Family: math.MinInt32, Device: math.MaxInt32, Batch: 32, Plan: math.MaxInt32, Episode: 1, Cause: "expired"},
+			{Kind: telemetry.EvDropped, Plan: 3},
+			{Kind: telemetry.EvRequeued, Episode: -2},
+			{Kind: telemetry.EvDropped, Cause: telemetry.CauseStaleRoute},
+			{At: 1999 * time.Nanosecond, Kind: telemetry.EvDegradeEnd},
+			{At: math.MinInt64, Kind: telemetry.EvSLOBurnStart, Batch: -1},
+			{At: math.MaxInt64, Seq: math.MaxUint64, Kind: telemetry.EvDone, Query: math.MaxUint64,
+				Family: math.MinInt32, Device: math.MaxInt32, Batch: 32, Plan: math.MaxInt32, Episode: 1, Cause: telemetry.CauseExpired},
 		}}},
+		{"kind outside its enum", Bundle{TraceEvents: []telemetry.Event{{Kind: telemetry.EvDegradeEnd + 1}}}},
+		{"cause outside its enum", Bundle{TraceEvents: []telemetry.Event{{Kind: telemetry.EvDropped, Cause: telemetry.CauseDraining + 1}}}},
 		{"samples", Bundle{Samples: []tsdb.Sample{
 			{},
 			{At: time.Second, Device: 3, Up: true, QueueDepth: 7, BatchSize: 8, UtilMilli: 1000, Variant: "resnet50"},
@@ -151,6 +156,7 @@ func TestLogRoundTripEdgeCases(t *testing.T) {
 		{"unencodable float", Bundle{Burns: []tsdb.BurnEvent{{ShortBurn: math.NaN()}}}},
 	} {
 		checkLogRoundTrip(t, tc.name, &tc.b, 1<<40)
+		checkTraceJSON(t, tc.name, &tc.b)
 	}
 }
 
@@ -186,11 +192,16 @@ func FuzzBundleEncoding(f *testing.F) {
 			}
 		}
 		if sect(3) > 0 {
-			b.TraceEvents = []TraceEvent{}
+			b.TraceEvents = []telemetry.Event{}
 			fill(3, func(j int) {
-				b.TraceEvents = append(b.TraceEvents, TraceEvent{AtUS: i, Seq: u, Kind: s, Query: u + uint64(j),
-					Family: int32(i), Device: int32(u), Batch: int32(i >> 32), Plan: int32(i) * int32(j),
-					Episode: int32(u>>32) * int32(j), Cause: str(bit(0) && j > 0)})
+				// One kind in 15 and one cause in 11 are outside their enums.
+				var cause telemetry.Cause
+				if bit(0) && j > 0 {
+					cause = telemetry.Cause(uint64(i) % 11)
+				}
+				b.TraceEvents = append(b.TraceEvents, telemetry.Event{At: time.Duration(i), Seq: u, Kind: telemetry.EventKind(u % 15),
+					Query: u + uint64(j), Family: int32(i), Device: int32(u), Batch: int32(i >> 32), Plan: int32(i) * int32(j),
+					Episode: int32(u>>32) * int32(j), Cause: cause})
 			})
 		}
 		if sect(5) > 0 {
@@ -235,110 +246,187 @@ func FuzzBundleEncoding(f *testing.F) {
 			})
 		}
 		checkLogRoundTrip(t, "fuzzed bundle", &b, u>>2)
+		checkTraceJSON(t, "fuzzed bundle", &b)
 	})
 }
 
-// TestEncodeTraceWindows drives the trace cache through the windows that
-// concurrent triggers can bring in any order — newer, shorter, older,
-// disjoint, empty, and reads whose skipped head a trigger that joined first
-// has trimmed — and holds every bundle, read back from the incident log, to
-// the oracle. A read issued with the cache's end at the time joins later; a
-// join refused (the trigger then reads again) must leave the cache as it
-// was and log nothing.
-func TestEncodeTraceWindows(t *testing.T) {
-	dir := t.TempDir()
-	tracer := telemetry.NewTracer(64)
-	for q := 0; q < 40; q++ {
-		tracer.RecordCtx(time.Duration(q)*time.Microsecond, telemetry.EvArrival, uint64(1000+q), q%3, -1, -1,
-			telemetry.Ctx{Plan: int32(q / 10), Cause: telemetry.Cause(q % 3)})
+// TestTraceRecordRejectsWhatNoEventEncodes holds the trace record's reader
+// to the encoder's enums: a kind or cause name outside them, or a time in
+// microseconds no Duration holds, is a malformed record.
+func TestTraceRecordRejectsWhatNoEventEncodes(t *testing.T) {
+	record := func(us int64, kind, cause string) []byte {
+		rec := binary.AppendUvarint(binary.AppendVarint(nil, us), 7)
+		rec = binary.AppendUvarint(appendStr(rec, kind), 9)
+		for range 5 {
+			rec = binary.AppendVarint(rec, -1)
+		}
+		return appendStr(rec, cause)
 	}
-	all := tracer.Events()
+	var ev telemetry.Event
+	if err := traceElem(record(-3, "dropped", "expired"), &ev); err != nil ||
+		ev.At != -3*time.Microsecond || ev.Kind != telemetry.EvDropped || ev.Cause != telemetry.CauseExpired || ev.Query != 9 {
+		t.Fatalf("well-formed record read as %+v, %v", ev, err)
+	}
+	for _, rec := range [][]byte{
+		record(0, "dispatched", ""),
+		record(0, "dropped", "lost"),
+		record(0, "event(14)", ""),
+		record(math.MaxInt64/1000+1, "done", ""),
+		record(math.MinInt64, "done", ""),
+	} {
+		if err := traceElem(rec, &ev); !errors.Is(err, errBadRecord) {
+			t.Errorf("record %q read as %+v, %v; want a malformed record", rec, ev, err)
+		}
+	}
+}
+
+// TraceEvent is the type a bundle's trace events had before bundles held
+// telemetry.Event, kept as the reference for the bundle JSON of an event.
+type TraceEvent struct {
+	AtUS    int64  `json:"at_us"`
+	Seq     uint64 `json:"seq"`
+	Kind    string `json:"kind"`
+	Query   uint64 `json:"query"`
+	Family  int32  `json:"family"`
+	Device  int32  `json:"device"`
+	Batch   int32  `json:"batch"`
+	Plan    int32  `json:"plan,omitempty"`
+	Episode int32  `json:"episode,omitempty"`
+	Cause   string `json:"cause,omitempty"`
+}
+
+func toTraceEvent(ev telemetry.Event) TraceEvent {
+	te := TraceEvent{
+		AtUS:    ev.At.Microseconds(),
+		Seq:     ev.Seq,
+		Kind:    ev.Kind.String(),
+		Query:   ev.Query,
+		Family:  ev.Family,
+		Device:  ev.Device,
+		Batch:   ev.Batch,
+		Plan:    ev.Plan,
+		Episode: ev.Episode,
+	}
+	if ev.Cause != telemetry.CauseNone {
+		te.Cause = ev.Cause.String()
+	}
+	return te
+}
+
+// checkTraceJSON fails t unless b's trace events encode as the reference
+// TraceEvent encodes them, byte for byte, in b's bundle JSON too, or fail to
+// encode exactly when one has a kind or cause outside its enum.
+func checkTraceJSON(t *testing.T, name string, b *Bundle) {
+	t.Helper()
+	got, err := json.Marshal(b.TraceEvents)
+	valid := true
+	ref := make([]TraceEvent, len(b.TraceEvents))
+	for k, ev := range b.TraceEvents {
+		valid = valid && ev.Kind.Valid() && ev.Cause.Valid()
+		ref[k] = toTraceEvent(ev)
+	}
+	if (err == nil) != valid {
+		t.Fatalf("%s: trace events' JSON error %v, but their kinds and causes valid: %v", name, err, valid)
+	}
+	if err != nil || len(ref) == 0 {
+		return
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: trace events' JSON\n%s\nwant the reference's\n%s", name, got, want)
+	}
+	if data, err := json.Marshal(b); err == nil && !bytes.Contains(data, append([]byte(`,"trace_events":`), want...)) {
+		t.Fatalf("%s: bundle JSON\n%s\ndoes not hold the reference trace events", name, data)
+	}
+}
+
+// TestTraceReadsLandOutOfOrder lands triggers' reads of the tracer in an
+// order other than the one they were read in, as concurrent triggers can:
+// newer, older, the same, empty, disjoint from the log's newest event, and
+// from a tracer that has wrapped and moved its events to a fresh array.
+// Each bundle's trace must be the newest events of the latest read landed so
+// far, held in the recorder's own array rather than the tracer's, every
+// bundle read back from the incident log must be the oracle's, and no bundle
+// may change after later landings. A read of a tracer that Init has since
+// replaced lands nothing. The recorder's limit is below the tracer's
+// capacity of 32, and above it, where the ring must drop what it holds that
+// the tracer has dropped.
+func TestTraceReadsLandOutOfOrder(t *testing.T) {
+	for _, limit := range []int{20, 40} {
+		t.Run(fmt.Sprint("limit", limit), func(t *testing.T) { landOutOfOrder(t, limit) })
+	}
+}
+
+func landOutOfOrder(t *testing.T, limit int) {
+	dir := t.TempDir()
+	tracer := telemetry.NewTracer(32)
 	r := New(Config{Dir: dir})
-	r.lim.trace = 20
+	r.lim.trace = limit
 	r.Init(Sources{Tracer: tracer})
 
-	// read is one trigger's read of the tracer: the window [first, end) of
-	// the tracer's newest events, asked for from the cache's end at the
-	// time, from.
-	type read struct{ first, end, from uint64 }
-	issue := func(first, end uint64) read {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.trace.end() > end {
-			t.Fatalf("window [%d, %d) issued after the cache reached %d", first, end, r.trace.end())
-		}
-		return read{first, end, r.trace.end()}
+	type read struct {
+		events []telemetry.Event
+		end    uint64
 	}
-	type joined struct {
+	reads := map[uint64]read{}
+	var all []telemetry.Event
+	newest := func(end uint64) []telemetry.Event { return all[end-min(end, 32, uint64(limit)) : end] }
+	for _, end := range []uint64{0, 10, 12, 14, 16, 40, 90} {
+		for q := uint64(len(all)); q < end; q++ {
+			tracer.RecordCtx(time.Duration(q)*time.Microsecond+time.Duration(q), telemetry.EvArrival, 1000+q, int(q%3), -1, -1,
+				telemetry.Ctx{Plan: int32(q / 10), Cause: telemetry.Cause(q % 3)})
+			events, _ := tracer.Window()
+			all = append(all, events[len(events)-1])
+		}
+		events, got := tracer.Window()
+		reads[end] = read{events, got}
+	}
+
+	type landed struct {
 		b    *Bundle
-		want []TraceEvent
+		json []byte
 	}
-	var bundles []joined
-	join := func(rd read, wantOK bool) {
-		t.Helper()
-		r.log.mu.Lock()
-		defer r.log.mu.Unlock()
-		r.mu.Lock()
-		before, logged := r.runState, r.log.logState
-		ok := r.joinTrace(tracer, rd.first, rd.from, all[max(rd.first, rd.from):rd.end])
-		if ok != wantOK {
-			r.mu.Unlock()
-			t.Fatalf("window [%d, %d) from %d: joined %v, want %v", rd.first, rd.end, rd.from, ok, wantOK)
-		}
-		if !ok {
-			same := r.trace.base == before.trace.base && r.trace.start == before.trace.start &&
-				len(r.trace.all) == len(before.trace.all) && cap(r.trace.all) == cap(before.trace.all)
-			r.mu.Unlock()
-			if !same {
-				t.Fatalf("window [%d, %d) from %d: a refused join changed the cache", rd.first, rd.end, rd.from)
-			}
-			if r.log.size != logged.size || r.log.next != logged.next || logSize(t, dir) != logged.size {
-				t.Fatalf("window [%d, %d) from %d: a refused join logged something", rd.first, rd.end, rd.from)
-			}
-			return
-		}
-		b := &Bundle{ID: fmt.Sprintf("window-%02d-%02d-%02d", len(bundles), rd.first, rd.end), TraceEvents: r.trace.window()}
-		first := r.windows()
-		r.mu.Unlock()
-		if err := r.log.append(dir, b, &first); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]TraceEvent, 0, rd.end-rd.first)
-		for _, ev := range all[rd.first:rd.end] {
-			want = append(want, toTraceEvent(ev))
-		}
+	var bundles []landed
+	latest := uint64(0)
+	for _, end := range []uint64{0, 12, 10, 12, 16, 14, 40, 16, 0, 90, 40, 90} {
+		rd := reads[end]
+		latest = max(latest, end)
+		b := r.cut(&Bundle{Reason: "manual", Detail: fmt.Sprintf("read to %d", end), Family: -1, Device: -1}, tracer, rd.events, rd.end)
+		want := newest(latest)
 		if len(b.TraceEvents) != len(want) || (len(want) > 0 && !reflect.DeepEqual(b.TraceEvents, want)) {
-			t.Fatalf("window [%d, %d): trace events %+v, want %+v", rd.first, rd.end, b.TraceEvents, want)
+			t.Fatalf("read to %d landed after one to %d: trace %+v, want %+v", end, latest, b.TraceEvents, want)
+		}
+		if n, m := len(b.TraceEvents), len(rd.events); n > 0 && m > 0 && &b.TraceEvents[n-1] == &rd.events[m-1] {
+			t.Fatalf("read to %d: the bundle's trace is a window of the tracer's array", end)
 		}
 		checkBundleFile(t, dir, b)
-		bundles = append(bundles, joined{b, want})
+		data, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles = append(bundles, landed{b, data})
+	}
+	for _, l := range bundles {
+		if data, err := json.Marshal(l.b); err != nil || !bytes.Equal(data, l.json) {
+			t.Fatalf("bundle %s changed after later landings (%v)", l.b.ID, err)
+		}
 	}
 
-	join(issue(0, 0), true)   // empty
-	join(issue(5, 10), true)  // into the empty cache
-	join(issue(7, 12), true)  // newer, overlapping
-	join(issue(8, 12), true)  // shorter, nothing new
-	join(issue(6, 12), false) // older: its head is trimmed
-	older, newer := issue(9, 13), issue(10, 14)
-	join(newer, true)
-	join(older, false) // its head is cached, but the cache has moved past it
-	older, newer = issue(11, 15), issue(12, 16)
-	join(newer, true)
-	join(older, false) // a concurrent trigger trimmed what this read skipped
-	join(issue(12, 16), true)
-	stale := issue(0, 20)
-	join(issue(25, 30), true) // disjoint: the cache starts afresh
-	join(stale, false)        // older than the whole cache
-	join(issue(25, 40), true)
-	wide, narrow := issue(30, 40), issue(35, 40)
-	join(narrow, true)
-	join(wide, false) // nothing new to read, but its head is trimmed
-	join(issue(39, 40), true)
-
-	for _, jb := range bundles {
-		if len(jb.b.TraceEvents) != len(jb.want) || (len(jb.want) > 0 && !reflect.DeepEqual(jb.b.TraceEvents, jb.want)) {
-			t.Fatalf("bundle %s changed after later joins", jb.b.ID)
-		}
+	old := telemetry.NewTracer(200)
+	for q := range 100 {
+		old.Record(time.Duration(q), telemetry.EvDone, uint64(q), 0, -1, -1)
+	}
+	events, end := old.Window()
+	b := r.cut(&Bundle{Reason: "manual", Family: -1, Device: -1}, old, events, end)
+	if !reflect.DeepEqual(b.TraceEvents, newest(90)) {
+		t.Fatalf("a read of another tracer landed: trace %+v", b.TraceEvents)
+	}
+	checkBundleFile(t, dir, b)
+	if err := r.WriteError(); err != nil {
+		t.Fatal(err)
 	}
 }
 

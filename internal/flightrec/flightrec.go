@@ -21,10 +21,10 @@
 // returns it. The samples and burn transitions are windows of the tsdb
 // recorder's own append-only logs, which the recorder reads in place: a
 // flight recorder needs a tsdb recorder beside it (dataplane.New checks),
-// and a tick copies none of them. The other sections but the plan records
-// (sanitized copies) are windows of the recorder's rings, which are
-// append-only too: trimming advances a start index, and a full ring moves
-// its newest elements to a fresh array.
+// and neither a tick nor a trigger copies any of them. The other sections
+// but the plan records (sanitized copies) are windows of the recorder's own
+// telemetry.Rings. The trace ring copies in only the tracer events it
+// lacks, so a bundle keeps no array of the tracer's alive.
 //
 // Locking: the recorder's mutex is a leaf. Tick and Trigger read the
 // sources (tracer, registry, tsdb recorder, controller) *before* taking it,
@@ -109,92 +109,19 @@ type Recorder struct {
 }
 
 // runState is what a recorder accumulates over one run; Init zeroes it.
+// Every ring's ordinals are its source's: the tracer's Seqs for the trace,
+// the tsdb logs' indices for samples and burns.
 type runState struct {
-	seq      int
-	counters ring[CounterSnap]
-	// samples and burns are windows of the tsdb recorder's logs, with the
-	// logs' indices as ordinals.
-	samples ring[tsdb.Sample]
-	burns   ring[tsdb.BurnEvent]
-	phases  ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
-	runtime ring[RuntimeSnap]
-	// trace caches the tracer's newest events, converted, with their Seqs
-	// as ordinals: the tracer never changes an event once recorded, so a
-	// trigger reads and converts only those past the cache's end.
-	trace     ring[TraceEvent]
+	seq   int
+	trace telemetry.Ring[telemetry.Event]
+	// samples and burns are windows of the tsdb recorder's logs.
+	samples   telemetry.Ring[tsdb.Sample]
+	burns     telemetry.Ring[tsdb.BurnEvent]
+	counters  telemetry.Ring[CounterSnap]
+	phases    telemetry.Ring[tsdb.PhaseStat] // replaced whole each tick, never trimmed
+	runtime   telemetry.Ring[RuntimeSnap]
 	incidents []*Bundle
 }
-
-// ring is one of the recorder's bounded rings, oldest first: all[start:]
-// of an append-only array. A value is never rewritten once pushed, so
-// bundles hold windows of all rather than copies. Every value pushed has an
-// ordinal, counted from base, the ordinal of all[0]; the incident log names
-// a bundle's window by the ordinal of its first value.
-type ring[T any] struct {
-	all   []T
-	base  uint64
-	start int
-}
-
-// extend makes room for k (at most bound) more values and returns them to be
-// filled in, keeping the newest bound. It writes only past the end of all:
-// when the array is full, the values kept move to a fresh one twice the
-// bound, so each value is moved at most once per bound values pushed.
-func (r *ring[T]) extend(bound, k int) []T {
-	n := len(r.all)
-	if n+k > cap(r.all) {
-		keep := min(n-r.start, bound-k)
-		all := make([]T, keep, 2*bound)
-		copy(all, r.all[n-keep:])
-		r.base += uint64(n - keep)
-		r.all, r.start, n = all, 0, keep
-	}
-	r.all = r.all[:n+k]
-	r.start = max(r.start, n+k-bound)
-	return r.all[n:]
-}
-
-// push appends vs, keeping the newest bound.
-func (r *ring[T]) push(bound int, vs ...T) {
-	if len(vs) > bound {
-		vs = vs[len(vs)-bound:]
-	}
-	if len(vs) > 0 {
-		copy(r.extend(bound, len(vs)), vs)
-	}
-}
-
-// window returns the ring's values as a bundle section: capped at their
-// end, so appending to it cannot reach the ring, and nil when empty, as a
-// section with nothing in it always was.
-func (r *ring[T]) window() []T {
-	if r.start == len(r.all) {
-		return nil
-	}
-	return r.all[r.start:len(r.all):len(r.all)]
-}
-
-// replace makes vs the ring's values, numbered after the values it held.
-func (r *ring[T]) replace(vs []T) {
-	r.base += uint64(len(r.all))
-	r.all, r.start = vs, 0
-}
-
-// track makes the ring the newest bound values of w, the window of a source
-// log that ends at ordinal n, unless the ring already reaches past n (a
-// later read got there first).
-func (r *ring[T]) track(bound int, w []T, n int) {
-	if uint64(n) < r.end() {
-		return
-	}
-	w = w[max(0, len(w)-bound):]
-	*r = ring[T]{all: w, base: uint64(n - len(w))}
-}
-
-// first returns the ordinal of the ring's oldest value, and end the ordinal
-// past its newest.
-func (r *ring[T]) first() uint64 { return r.base + uint64(r.start) }
-func (r *ring[T]) end() uint64   { return r.base + uint64(len(r.all)) }
 
 // New returns a flight recorder. The hosting engine connects it to its
 // observability components via Init at assembly time.
@@ -242,7 +169,7 @@ func (r *Recorder) Tick(now time.Duration) {
 	}
 	r.mu.Lock()
 	src := r.src
-	sampleEnd, burnEnd := int(r.samples.end()), int(r.burns.end())
+	sampleEnd, burnEnd := int(r.samples.End()), int(r.burns.End())
 	r.mu.Unlock()
 
 	// Source reads happen outside r.mu: each source takes its own lock and
@@ -262,20 +189,20 @@ func (r *Recorder) Tick(now time.Duration) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.samples.track(r.lim.samples, samples, nSamples)
-	r.burns.track(r.lim.burns, burns, nBurns)
+	r.samples.Track(r.lim.samples, samples, uint64(nSamples))
+	r.burns.Track(r.lim.burns, burns, uint64(nBurns))
 	if phases != nil {
-		r.phases.replace(phases)
+		r.phases.Replace(phases)
 	}
 	if metrics != nil {
-		r.counters.push(r.lim.counters, CounterSnap{AtNS: int64(now), Metrics: metrics})
+		r.counters.Push(r.lim.counters, CounterSnap{AtNS: int64(now), Metrics: metrics})
 	}
 	if rt != nil {
-		r.runtime.push(maxRuntimeSnaps, *rt)
+		r.runtime.Push(maxRuntimeSnaps, *rt)
 	}
 }
 
-// Trigger snapshots the rings — plus the tracer's event ring and the
+// Trigger snapshots the rings — plus the tracer's newest events and the
 // controller's newest audit records, gathered at trigger time — into a new
 // incident bundle, appends it to the in-memory incident log, and (when
 // Config.Dir is set) logs it to <Dir>/incidents.log. Reason is one of
@@ -284,61 +211,48 @@ func (r *Recorder) Tick(now time.Duration) {
 //
 // Safe from any goroutine, including the tsdb burn callback: Trigger never
 // calls back into the tsdb recorder, so ring contents reflect the last
-// tick while the trace ring is current to the trigger instant.
+// tick while the trace is current to the trigger instant.
 func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, device int) *Bundle {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	src, from := r.src, r.trace.end()
+	src := r.src
 	r.mu.Unlock()
 
+	// The sources are read outside the locks, as Tick reads them: the
+	// tracer's window is the tracer's own ring, so reading it copies nothing.
+	events, traceEnd := src.Tracer.Window()
 	var plans []controlplane.PlanRecord
 	if src.Plans != nil {
 		plans = src.Plans()
 	}
-	if n := r.lim.plans; len(plans) > n {
-		plans = plans[len(plans)-n:]
-	}
+	plans = plans[max(0, len(plans)-r.lim.plans):]
 	// Solver wall times are real elapsed time even in the simulator, and a
 	// budgeted solve's proof progress is timing-dependent; sanitize the
 	// copy so same-seed bundles stay byte-identical (every serialization
 	// surface shares this helper).
 	plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
+	return r.cut(&Bundle{AtNS: int64(now), Reason: reason, Detail: detail, Family: family, Device: device, Plans: plans},
+		src.Tracer, events, traceEnd)
+}
 
-	// The tracer is read outside the locks, for only the events past the
-	// cache, and joined to the cache under them. A concurrent trigger may
-	// have moved the cache in between; when the join cannot make the cache
-	// this read's window, read again from where the cache ends now.
-	for {
-		first, events := src.Tracer.TailFrom(r.lim.trace, from)
-		r.log.mu.Lock()
-		r.mu.Lock()
-		if r.joinTrace(src.Tracer, first, from, events) {
-			break
-		}
-		src, from = r.src, r.trace.end()
-		r.mu.Unlock()
-		r.log.mu.Unlock()
+// cut completes and logs bundle b, whose header and plans its trigger has
+// filled in: the trace ring copies in what it lacks of the trigger's read
+// of tracer, events ending at Seq traceEnd, unless a concurrent trigger has
+// landed a later read or Init has replaced the tracer, and every ring
+// section is a window of its ring.
+func (r *Recorder) cut(b *Bundle, tracer *telemetry.Tracer, events []telemetry.Event, traceEnd uint64) *Bundle {
+	r.log.mu.Lock()
+	r.mu.Lock()
+	if r.src.Tracer == tracer {
+		r.trace.Extend(r.lim.trace, events, traceEnd)
 	}
 	r.seq++
-	b := &Bundle{
-		ID:          fmt.Sprintf("incident-%06d-%s", r.seq, reason),
-		Seq:         r.seq,
-		AtNS:        int64(now),
-		Reason:      reason,
-		Detail:      detail,
-		Family:      family,
-		Device:      device,
-		TraceEvents: r.trace.window(),
-		Counters:    r.counters.window(),
-		Samples:     r.samples.window(),
-		Burns:       r.burns.window(),
-		Phases:      r.phases.window(),
-		Plans:       plans,
-		Runtime:     r.runtime.window(),
-		Build:       buildinfo.Get(),
-	}
+	b.ID, b.Seq = fmt.Sprintf("incident-%06d-%s", r.seq, b.Reason), r.seq
+	b.TraceEvents, b.Counters, b.Samples = r.trace.Window(), r.counters.Window(), r.samples.Window()
+	b.Burns, b.Phases, b.Runtime = r.burns.Window(), r.phases.Window(), r.runtime.Window()
+	b.Build = buildinfo.Get()
 	first := r.windows()
 	r.incidents = append(r.incidents, b)
 	if over := len(r.incidents) - r.lim.incidents; over > 0 {
@@ -361,37 +275,9 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 // bundle cut now. Called under r.mu.
 func (r *Recorder) windows() [nSections]uint64 {
 	return [nSections]uint64{
-		secTrace: r.trace.first(), secCounters: r.counters.first(), secSamples: r.samples.first(),
-		secBurns: r.burns.first(), secPhases: r.phases.first(), secRuntime: r.runtime.first(),
+		secTrace: r.trace.First(), secCounters: r.counters.First(), secSamples: r.samples.First(),
+		secBurns: r.burns.First(), secPhases: r.phases.First(), secRuntime: r.runtime.First(),
 	}
-}
-
-// joinTrace makes the trace cache the window of a read of the tracer from
-// Seq from: the events from Seq first to the newest, of which the read
-// returned those from max(first, from) on. It converts only what the cache
-// lacks and trims the cache to the window. It reports false, leaving the
-// cache as it is, when a concurrent trigger has moved the cache past the
-// read or trimmed what the read skipped, or Init has replaced the tracer.
-// Called under r.mu.
-func (r *Recorder) joinTrace(tracer *telemetry.Tracer, first, from uint64, events []telemetry.Event) bool {
-	c := &r.trace
-	got := max(first, from)
-	end := got + uint64(len(events))
-	if r.src.Tracer != tracer || c.end() > end || c.first() > first || (got > first && c.end() < got) {
-		return false
-	}
-	if c.end() < first {
-		// Everything cached is older than the window; the read has it all.
-		*c = ring[TraceEvent]{base: first}
-	}
-	if fresh := events[c.end()-got:]; len(fresh) > 0 {
-		dst := c.extend(r.lim.trace, len(fresh))
-		for k := range fresh {
-			dst[k] = toTraceEvent(fresh[k])
-		}
-	}
-	c.start = len(c.all) - int(end-first)
-	return true
 }
 
 // Incidents returns the in-memory incident log, oldest first.

@@ -95,7 +95,7 @@ func TestTriggerCapturesState(t *testing.T) {
 	if b.AtNS != int64(2*time.Second) || b.Reason != "slo_burn" || b.Family != 0 || b.Device != -1 {
 		t.Fatalf("bundle header %+v", b)
 	}
-	if len(b.TraceEvents) != 2 || b.TraceEvents[0].Kind != "arrival" || b.TraceEvents[1].Batch != 4 {
+	if len(b.TraceEvents) != 2 || b.TraceEvents[0].Kind != telemetry.EvArrival || b.TraceEvents[1].Batch != 4 {
 		t.Fatalf("trace events %+v", b.TraceEvents)
 	}
 	if len(b.Samples) != 2 || b.Samples[1].QueueDepth != 7 {
@@ -455,10 +455,10 @@ func TestLiveModeRuntimeSnaps(t *testing.T) {
 }
 
 // TestBundlesNeverChange holds the sharing contract: a bundle's sections are
-// windows of the recorder's rings and of the tsdb recorder's logs, so
-// nothing either recorder does later — more samples, ticks and triggers,
-// rings compacting into fresh arrays, logs growing into fresh arrays, the
-// trace cache trimming and starting afresh, a second Init of both — may
+// windows of the recorder's rings and the tsdb recorder's logs, so nothing
+// they or the tracer do later — more events, samples, ticks and triggers,
+// rings compacting, logs growing into fresh arrays, a new tracer, a second
+// Init of both recorders — may
 // change a bundle it has returned. Every bundle's encoding at trigger time
 // must still be its encoding at the end, and its samples and burns must be
 // the tsdb logs' own elements, not copies.
@@ -507,7 +507,7 @@ func TestBundlesNeverChange(t *testing.T) {
 			plans = append(plans, controlplane.PlanRecord{Seq: len(plans) + 1, At: now, Trigger: "periodic"})
 			r.Tick(now)
 			r.mu.Lock()
-			sampleArrays[&r.samples.all[:1][0]] = true
+			sampleArrays[&r.samples.Window()[0]] = true
 			r.mu.Unlock()
 			b := r.Trigger(now, "manual", "", -1, -1)
 			snap(b)

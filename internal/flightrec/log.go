@@ -15,6 +15,7 @@ import (
 	"unicode/utf8"
 
 	"proteus/internal/controlplane"
+	"proteus/internal/telemetry"
 	"proteus/internal/tsdb"
 )
 
@@ -29,9 +30,11 @@ import (
 // many bytes of body. A body is a tag byte and its payload:
 //
 //   - an element of section tag (secTrace … secRuntime): the element's
-//     ordinal (uvarint), then the element. TraceEvent, tsdb.Sample and
+//     ordinal (uvarint), then the element. telemetry.Event, tsdb.Sample and
 //     tsdb.PhaseStat are fixed field sequences of varints and
-//     length-prefixed strings; the nested types are compact encoding/json.
+//     length-prefixed strings (an event's time in microseconds, its kind
+//     and cause by name, as its JSON has them); the nested types are
+//     compact encoding/json.
 //   - a bundle index (tagIndex): the bundle's header and build info, the
 //     first ordinal and length of each ring section, and the ordinals of
 //     its plan records, ascending.
@@ -296,15 +299,18 @@ func appendCompact[T any](dst []byte, v *T) ([]byte, error) {
 // appendTraceRecord, appendSampleRecord and appendPhaseRecord are the
 // records of the flat types that fill most of a log; traceElem, sampleElem
 // and phaseElem read them back.
-func appendTraceRecord(dst []byte, te *TraceEvent) ([]byte, error) {
-	dst = binary.AppendVarint(dst, te.AtUS)
-	dst = binary.AppendUvarint(dst, te.Seq)
-	dst = appendStr(dst, te.Kind)
-	dst = binary.AppendUvarint(dst, te.Query)
-	for _, v := range [...]int32{te.Family, te.Device, te.Batch, te.Plan, te.Episode} {
+func appendTraceRecord(dst []byte, ev *telemetry.Event) ([]byte, error) {
+	if !ev.Kind.Valid() || !ev.Cause.Valid() {
+		return dst, fmt.Errorf("trace event %d: kind %d or cause %d outside its enum", ev.Seq, ev.Kind, ev.Cause)
+	}
+	dst = binary.AppendVarint(dst, ev.At.Microseconds())
+	dst = binary.AppendUvarint(dst, ev.Seq)
+	dst = appendStr(dst, ev.Kind.String())
+	dst = binary.AppendUvarint(dst, ev.Query)
+	for _, v := range [...]int32{ev.Family, ev.Device, ev.Batch, ev.Plan, ev.Episode} {
 		dst = binary.AppendVarint(dst, int64(v))
 	}
-	return appendStr(dst, te.Cause), nil
+	return appendStr(dst, ev.Cause.String()), nil
 }
 
 func appendSampleRecord(dst []byte, s *tsdb.Sample) ([]byte, error) {
@@ -330,10 +336,16 @@ func appendPhaseRecord(dst []byte, p *tsdb.PhaseStat) ([]byte, error) {
 	return dst, nil
 }
 
-func traceElem(rec []byte, te *TraceEvent) error {
+func traceElem(rec []byte, ev *telemetry.Event) error {
 	rd := recReader{b: rec}
-	*te = TraceEvent{AtUS: rd.varint(), Seq: rd.uvarint(), Kind: rd.str(), Query: rd.uvarint(),
-		Family: rd.int32(), Device: rd.int32(), Batch: rd.int32(), Plan: rd.int32(), Episode: rd.int32(), Cause: rd.str()}
+	at, atOK := telemetry.DurationFromMicros(rd.varint())
+	seq := rd.uvarint()
+	kind, kindOK := telemetry.KindByName(rd.str())
+	*ev = telemetry.Event{At: at, Seq: seq, Kind: kind, Query: rd.uvarint(),
+		Family: rd.int32(), Device: rd.int32(), Batch: rd.int32(), Plan: rd.int32(), Episode: rd.int32()}
+	var causeOK bool
+	ev.Cause, causeOK = telemetry.CauseByName(rd.str())
+	rd.bad = rd.bad || !atOK || !kindOK || !causeOK
 	return rd.end()
 }
 

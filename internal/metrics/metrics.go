@@ -25,7 +25,7 @@ type Collector struct {
 	// hists[f] aggregates every completed query's end-to-end latency for
 	// family f (served and late alike) into a log-linear histogram, for mean
 	// and percentile reporting. Bucket boundaries are value-determined, so
-	// per-bin histograms merge into exactly these whole-run ones.
+	// histograms merge exactly (LatencyHistogram(-1) merges these).
 	hists []*tsdb.Histogram
 
 	// Failure accounting. Device-level events (failures, recoveries) are
@@ -50,9 +50,8 @@ type bin struct {
 	late     []int // completed after the deadline
 	dropped  []int // never completed
 	accSum   []float64
-	// lat[f] is the bin-local latency histogram of family f, allocated
-	// lazily on the first completion landing in the bin.
-	lat []*tsdb.Histogram
+	// lat is the bin's latency histogram over every family's completions.
+	lat tsdb.Histogram
 }
 
 // NewCollector returns a collector with the given bin width and family
@@ -93,7 +92,6 @@ func (c *Collector) binAt(t time.Duration) *bin {
 			late:     make([]int, n),
 			dropped:  make([]int, n),
 			accSum:   make([]float64, n),
-			lat:      make([]*tsdb.Histogram, n),
 		})
 	}
 	return c.bins[idx]
@@ -130,14 +128,11 @@ func (c *Collector) Late(t time.Duration, f int, latency time.Duration) {
 	c.recordLatency(b, f, latency)
 }
 
-// recordLatency feeds one completion latency into both the whole-run and
-// the bin-local histogram of family f.
+// recordLatency feeds one completion latency into both the whole-run
+// histogram of family f and the bin's.
 func (c *Collector) recordLatency(b *bin, f int, latency time.Duration) {
 	c.hists[f].RecordDuration(latency)
-	if b.lat[f] == nil {
-		b.lat[f] = &tsdb.Histogram{}
-	}
-	b.lat[f].RecordDuration(latency)
+	b.lat.RecordDuration(latency)
 }
 
 // Dropped records a query of family f dropped (never executed) at time t.
@@ -369,22 +364,13 @@ type LatencyPoint struct {
 	P999 time.Duration
 }
 
-// WindowPercentiles exports the per-bin latency quantile series. A negative
-// family merges all families per bin.
-func (c *Collector) WindowPercentiles(family int) []LatencyPoint {
-	if family >= 0 {
-		c.checkFamily(family)
-	}
+// WindowPercentiles exports the per-bin latency quantile series over all
+// families.
+func (c *Collector) WindowPercentiles() []LatencyPoint {
 	out := make([]LatencyPoint, len(c.bins))
 	var buf [4]int64
 	for i, b := range c.bins {
-		h := &tsdb.Histogram{}
-		for f := range c.families {
-			if family >= 0 && f != family {
-				continue
-			}
-			h.Merge(b.lat[f])
-		}
+		h := &b.lat
 		p := LatencyPoint{Start: time.Duration(i) * c.interval, Count: h.Count()}
 		if h.Count() > 0 {
 			q := h.Quantiles(latencyQuantiles, buf[:0])

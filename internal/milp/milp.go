@@ -92,9 +92,6 @@ func (p *Problem) AddConstraint(terms []lp.Term, rel lp.Relation, rhs float64) i
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return p.lp.NumVariables() }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return p.lp.NumConstraints() }
-
 // NumIntegers returns the number of integral variables.
 func (p *Problem) NumIntegers() int {
 	n := 0

@@ -359,8 +359,8 @@ func TestCounts(t *testing.T) {
 		t.Fatalf("counts: vars %d ints %d", p.NumVariables(), p.NumIntegers())
 	}
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.LE, 1)
-	if p.NumConstraints() != 1 {
-		t.Fatalf("constraints %d", p.NumConstraints())
+	if n := p.lp.NumConstraints(); n != 1 {
+		t.Fatalf("constraints %d", n)
 	}
 }
 

@@ -62,9 +62,6 @@ type Family struct {
 // MostAccurate returns the highest-accuracy variant.
 func (f Family) MostAccurate() Variant { return f.Variants[len(f.Variants)-1] }
 
-// LeastAccurate returns the lowest-accuracy variant.
-func (f Family) LeastAccurate() Variant { return f.Variants[0] }
-
 // Variant returns the named variant and whether it exists.
 func (f Family) Variant(name string) (Variant, bool) {
 	for _, v := range f.Variants {

@@ -108,8 +108,8 @@ func TestFamilyAccessors(t *testing.T) {
 	if f.Name != "efficientnet" {
 		t.Fatalf("zoo order changed: %q", f.Name)
 	}
-	if f.LeastAccurate().Name != "b0" || f.MostAccurate().Name != "b7" {
-		t.Fatalf("extremes: %s..%s", f.LeastAccurate().Name, f.MostAccurate().Name)
+	if f.Variants[0].Name != "b0" || f.MostAccurate().Name != "b7" {
+		t.Fatalf("extremes: %s..%s", f.Variants[0].Name, f.MostAccurate().Name)
 	}
 	if _, ok := f.Variant("b3"); !ok {
 		t.Fatal("b3 missing")

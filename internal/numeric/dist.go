@@ -104,9 +104,6 @@ func NewZipf(n int, alpha float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // P returns the probability of rank i.
 func (z *Zipf) P(i int) float64 {
 	if i == 0 {

@@ -208,14 +208,6 @@ func (g *Guard) Instrument(r *telemetry.Registry) {
 	g.mu.Unlock()
 }
 
-// Config returns the resolved configuration (zero value on a nil guard).
-func (g *Guard) Config() Config {
-	if g == nil {
-		return Config{}
-	}
-	return g.cfg
-}
-
 // SetPlan installs the per-device profiles of a newly applied plan and
 // rebuilds each family's degradation tiers. Active episodes survive a plan
 // change (the burn that caused them usually persists across plans); levels
@@ -602,20 +594,6 @@ func (g *Guard) State() State {
 		}
 	}
 	return st
-}
-
-// Level returns family f's current degradation level (0 = routing follows
-// the plan).
-func (g *Guard) Level(f int) int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f < 0 || f >= len(g.fams) {
-		return 0
-	}
-	return g.fams[f].level
 }
 
 // EpisodeID returns the id of family f's active degradation episode (0 when

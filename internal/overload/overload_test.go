@@ -69,12 +69,20 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	if st := g.State(); st.Enabled {
 		t.Error("nil guard State reports Enabled")
 	}
-	if g.Level(0) != 0 {
-		t.Error("nil guard Level non-zero")
+	if level(g, 0) != 0 {
+		t.Error("nil guard level non-zero")
 	}
-	if g.Config() != (Config{}) {
-		t.Error("nil guard Config non-zero")
+}
+
+// level returns family f's degradation level as Guard.State reports it (0
+// when routing follows the plan).
+func level(g *Guard, f int) int {
+	for _, ep := range g.State().Episodes {
+		if ep.Family == f {
+			return ep.Level
+		}
 	}
+	return 0
 }
 
 // TestNilGuardAllocatesNothing holds "nil is off, and off is free" as a
@@ -108,7 +116,7 @@ func TestNilGuardAllocatesNothing(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	g := New(Config{Enabled: true}, 1, 1)
-	cfg := g.Config()
+	cfg := g.cfg
 	if cfg.HighWater != 64 || cfg.LowWater != 32 {
 		t.Errorf("water marks = %d/%d, want 64/32", cfg.HighWater, cfg.LowWater)
 	}
@@ -117,7 +125,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	// LowWater >= HighWater is invalid and snaps back to half.
 	g = New(Config{Enabled: true, HighWater: 10, LowWater: 12}, 1, 1)
-	if cfg := g.Config(); cfg.LowWater != 5 {
+	if cfg := g.cfg; cfg.LowWater != 5 {
 		t.Errorf("invalid LowWater resolved to %d, want 5", cfg.LowWater)
 	}
 }
@@ -219,8 +227,8 @@ func TestDegradationLadder(t *testing.T) {
 	if g.Banned(0, 2) {
 		t.Fatal("low tier masked at level 1")
 	}
-	if g.Level(0) != 1 {
-		t.Fatalf("Level = %d, want 1", g.Level(0))
+	if level(g, 0) != 1 {
+		t.Fatalf("level = %d, want 1", level(g, 0))
 	}
 
 	// The two-tier ladder cannot escalate past the last tier.
@@ -237,7 +245,7 @@ func TestDegradationLadder(t *testing.T) {
 	if len(ch) != 1 || ch[0].Kind != Restore || ch[0].Level != 0 {
 		t.Fatalf("restore changes = %+v", ch)
 	}
-	if g.Banned(0, 0) || g.Level(0) != 0 {
+	if g.Banned(0, 0) || level(g, 0) != 0 {
 		t.Fatal("mask not lifted after restore")
 	}
 
@@ -271,8 +279,8 @@ func TestEscalation(t *testing.T) {
 		{Family: 0, Accuracy: 70, MaxBatch: 16, Lat1: 4 * ms, LatMax: 24 * ms, SLO: 100 * ms},
 	})
 	g.OnBurn(0, 0, true)
-	if g.Level(0) != 1 {
-		t.Fatalf("Level = %d after burn, want 1", g.Level(0))
+	if level(g, 0) != 1 {
+		t.Fatalf("level = %d after burn, want 1", level(g, 0))
 	}
 	if ch := g.Tick(9 * sec); len(ch) != 0 {
 		t.Fatalf("escalated before EscalateAfter: %+v", ch)
@@ -359,20 +367,20 @@ func TestDegradationDisabled(t *testing.T) {
 func TestSetPlanPreservesEpisode(t *testing.T) {
 	g := newTestGuard(t, Config{})
 	g.OnBurn(0, 0, true)
-	if g.Level(0) != 1 {
+	if level(g, 0) != 1 {
 		t.Fatal("setup: no episode")
 	}
 	// Re-applying a plan keeps the episode (the burn usually persists).
 	g.SetPlan(10*sec, twoTierPlan())
-	if g.Level(0) != 1 {
+	if level(g, 0) != 1 {
 		t.Fatal("plan change dropped the episode")
 	}
 	// A plan that collapses the family to one tier clamps the level to 0.
 	one := twoTierPlan()
 	one[2].Family = -1
 	g.SetPlan(20*sec, one)
-	if g.Level(0) != 0 {
-		t.Fatalf("level not clamped to the new ladder: %d", g.Level(0))
+	if level(g, 0) != 0 {
+		t.Fatalf("level not clamped to the new ladder: %d", level(g, 0))
 	}
 }
 

@@ -200,7 +200,7 @@ func TestAccuracyThroughputTradeoffExists(t *testing.T) {
 	spec := cluster.Spec(cluster.V100)
 	for _, f := range models.Zoo() {
 		s := slo(f)
-		low := PeakThroughput(spec, f.LeastAccurate(), s)
+		low := PeakThroughput(spec, f.Variants[0], s)
 		high := PeakThroughput(spec, f.MostAccurate(), s)
 		if low == 0 {
 			t.Errorf("family %s: least accurate variant infeasible on V100", f.Name)

@@ -153,7 +153,7 @@ func Build(in BuildInput) *Dump {
 		d.Families = append(d.Families, FamilySummary{Name: name, Summary: c.Summarize(f)})
 	}
 	series := c.Series(-1)
-	lats := c.WindowPercentiles(-1)
+	lats := c.WindowPercentiles()
 	binS := c.Interval().Seconds()
 	for i, p := range series {
 		w := WindowPoint{

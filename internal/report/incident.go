@@ -105,7 +105,7 @@ func renderTraceTail(sb *strings.Builder, b *flightrec.Bundle) {
 		len(evs), total)
 	for _, ev := range evs {
 		fmt.Fprintf(sb, "<tr><td>%ss</td><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
-			trimF(float64(ev.AtUS)/1e6), ev.Seq, escape(ev.Kind), ev.Query, ev.Family, ev.Device, ev.Batch)
+			trimF(float64(ev.At.Microseconds())/1e6), ev.Seq, escape(ev.Kind.String()), ev.Query, ev.Family, ev.Device, ev.Batch)
 	}
 	sb.WriteString("</table>\n")
 }

@@ -21,9 +21,9 @@ func testBundle() *flightrec.Bundle {
 		Detail: "family=1 short=3.10 long=2.40 <script>",
 		Family: 1,
 		Device: -1,
-		TraceEvents: []flightrec.TraceEvent{
-			{AtUS: 41_900_000, Seq: 7, Kind: "arrival", Query: 9, Family: 1, Device: -1, Batch: -1},
-			{AtUS: 41_950_000, Seq: 8, Kind: "done", Query: 9, Family: 1, Device: 2, Batch: 4},
+		TraceEvents: []telemetry.Event{
+			{At: 41_900 * time.Millisecond, Seq: 7, Kind: telemetry.EvArrival, Query: 9, Family: 1, Device: -1, Batch: -1},
+			{At: 41_950 * time.Millisecond, Seq: 8, Kind: telemetry.EvDone, Query: 9, Family: 1, Device: 2, Batch: 4},
 		},
 		Counters: []flightrec.CounterSnap{
 			{AtNS: int64(41 * time.Second), Metrics: []telemetry.Metric{{Name: "queries_arrived_total", Value: 100, Kind: "counter"}}},

@@ -211,9 +211,6 @@ func NewMonitor(windowSeconds int, burstFactor float64) *Monitor {
 // this family, used by burst detection.
 func (m *Monitor) SetPlanned(qps float64) { m.planned = qps }
 
-// Planned returns the last planned capacity.
-func (m *Monitor) Planned() float64 { return m.planned }
-
 // Observe records one arrival at time t.
 func (m *Monitor) Observe(t time.Duration) {
 	sec := int64(t / time.Second)

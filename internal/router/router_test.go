@@ -256,7 +256,7 @@ func TestMonitorBucketRecycling(t *testing.T) {
 func TestMonitorBurst(t *testing.T) {
 	m := NewMonitor(30, 1.5)
 	m.SetPlanned(10)
-	if m.Planned() != 10 {
+	if m.planned != 10 {
 		t.Fatal("planned not stored")
 	}
 	for i := 0; i < 12; i++ {

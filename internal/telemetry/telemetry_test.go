@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -115,42 +114,90 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
-// TestTracerTail pins TailFrom(n, from) to Events(): the first Seq is that
-// of the newest n events (the next Seq when there are none), and the events
-// are those of them at or after from. It runs before the ring fills, across
-// the fill and after it wraps, for n outside [0, Len], and for from before,
-// inside and after the window and past the newest event.
-func TestTracerTail(t *testing.T) {
-	tr := NewTracer(5)
-	for i := 0; i < 13; i++ {
-		all := tr.Events()
-		next := uint64(i)
-		for _, n := range []int{-1, 0, 1, 3, len(all), len(all) + 1, 100} {
-			window := all[len(all)-max(0, min(n, len(all))):]
-			wantFirst := next
-			if len(window) > 0 {
-				wantFirst = window[0].Seq
-			}
-			for _, from := range []uint64{0, wantFirst - min(wantFirst, 1), wantFirst, wantFirst + 1, next - min(next, 1), next, next + 1, math.MaxUint64} {
-				want := window
-				for len(want) > 0 && want[0].Seq < from {
-					want = want[1:]
-				}
-				first, got := tr.TailFrom(n, from)
-				if first != wantFirst || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Fatalf("after %d records: TailFrom(%d, %d) = %d, %+v; want %d, %+v", i, n, from, first, got, wantFirst, want)
-				}
+// TestTracerWindowsNeverChange holds the tracer's ring to its contract:
+// recording several times past the capacity, with stretches in which no
+// window is read (the ring compacts its array in place) between stretches
+// in which one is read after every record (the ring moves to fresh arrays),
+// every window read keeps its events, is capped at its length, and holds
+// ascending Seqs that end just before the Seq Window returned with it, at
+// most capacity of them; the ring's array never outgrows twice the
+// capacity. A wrapped tracer no one reads allocates nothing per Record,
+// Events and Window allocate nothing, and concurrent Record and Window
+// calls race cleanly under -race.
+func TestTracerWindowsNeverChange(t *testing.T) {
+	const capacity = 5
+	tr := NewTracer(capacity)
+	type read struct {
+		events, copied []Event
+		end            uint64
+	}
+	var reads []read
+	for i := 0; i < 11*capacity; i++ {
+		if i/(2*capacity)%2 == 1 {
+			tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
+			continue
+		}
+		events, end := tr.Window()
+		reads = append(reads, read{events, append([]Event(nil), events...), end})
+		if cap(events) != len(events) {
+			t.Fatalf("after %d records: window of %d events has capacity %d", i, len(events), cap(events))
+		}
+		if end != uint64(i) || len(events) != min(i, capacity) {
+			t.Fatalf("after %d records: %d events ending at Seq %d", i, len(events), end)
+		}
+		for k, ev := range events {
+			if want := end - uint64(len(events)-k); ev.Seq != want || ev.Query != want {
+				t.Fatalf("after %d records: event %d has Seq %d, query %d; want %d", i, k, ev.Seq, ev.Query, want)
 			}
 		}
 		tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
 	}
-	if tr.Len() != 5 || tr.Dropped() != 8 || cap(tr.buf) != 5 {
-		t.Fatalf("Len %d Dropped %d ring cap %d, want 5, 8 and 5", tr.Len(), tr.Dropped(), cap(tr.buf))
+	for _, rd := range reads {
+		if !reflect.DeepEqual(rd.events, rd.copied) {
+			t.Fatalf("window ending at Seq %d changed: %+v, was %+v", rd.end, rd.events, rd.copied)
+		}
+	}
+	if c := cap(tr.ring.all); c > 2*capacity {
+		t.Fatalf("ring array capacity %d, want at most %d", c, 2*capacity)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i := range 2 * capacity {
+			tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
+		}
+	}); n != 0 {
+		t.Fatalf("a wrapped tracer no one reads allocates %v per %d records, want 0", n, 2*capacity)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tr.Events() }); n != 0 {
+		t.Fatalf("Events allocates %v per call, want 0", n)
 	}
 	var nilTracer *Tracer
-	if first, events := nilTracer.TailFrom(3, 0); first != 0 || events != nil {
-		t.Fatalf("nil tracer TailFrom = %d, %v; want 0, nil", first, events)
+	if events, end := nilTracer.Window(); events != nil || end != 0 {
+		t.Fatalf("nil tracer Window = %v, %d; want nil, 0", events, end)
 	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				tr.Record(time.Duration(i), EvDone, uint64(i), g, 0, 1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				events, end := tr.Window()
+				for k, ev := range events {
+					if ev.Seq != end-uint64(len(events)-k) {
+						t.Errorf("concurrent window ending at Seq %d holds Seq %d at %d", end, ev.Seq, k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestNewTracerAllocatesOnDemand holds the ring to what it holds: a tracer
@@ -171,7 +218,7 @@ func TestNewTracerAllocatesOnDemand(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Record(time.Duration(i), EvArrival, uint64(i), 0, -1, -1)
 	}
-	if c := cap(tr.buf); c < 1000 || c > 2048 {
+	if c := cap(tr.ring.all); c < 1000 || c > 2048 {
 		t.Fatalf("ring capacity %d after 1000 events, want within 2x", c)
 	}
 }
@@ -343,6 +390,36 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if evs, err := ReadJSONL(strings.NewReader("\n\n")); err != nil || len(evs) != 0 {
 		t.Fatalf("blank trace: %v %v", evs, err)
+	}
+}
+
+// TestEventJSONRejectsWhatNoEventEncodes pins an event's bundle JSON: the
+// time in whole microseconds, names for kind and cause, and a refusal of
+// what no event encodes to, both ways.
+func TestEventJSONRejectsWhatNoEventEncodes(t *testing.T) {
+	ev := Event{At: 1500 * time.Nanosecond, Seq: 3, Query: 4, Kind: EvDropped, Family: 1, Device: -1, Batch: -1, Cause: CauseExpired}
+	data, err := json.Marshal(ev)
+	want := `{"at_us":1,"seq":3,"kind":"dropped","query":4,"family":1,"device":-1,"batch":-1,"cause":"expired"}`
+	if err != nil || string(data) != want {
+		t.Fatalf("Marshal = %s, %v; want %s", data, err, want)
+	}
+	var back Event
+	if err := json.Unmarshal(data, &back); err != nil || back.At != time.Microsecond || back.Kind != EvDropped || back.Cause != CauseExpired {
+		t.Fatalf("Unmarshal = %+v, %v", back, err)
+	}
+	for _, bad := range []Event{{Kind: numEventKinds}, {Cause: numCauses}} {
+		if _, err := json.Marshal(bad); err == nil {
+			t.Errorf("Marshal(%+v) succeeded, want an error", bad)
+		}
+	}
+	for _, bad := range []string{
+		`{"at_us":0,"kind":"dispatched"}`,
+		`{"at_us":0,"kind":"done","cause":"lost"}`,
+		`{"at_us":9223372036854776,"kind":"done"}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("Unmarshal(%s) = %+v, want an error", bad, back)
+		}
 	}
 }
 

@@ -79,6 +79,9 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
 
+// Valid reports whether k is one of the kinds above, which have wire names.
+func (k EventKind) Valid() bool { return k < numEventKinds }
+
 // KindByName maps a wire name back to its EventKind. ok is false for
 // unknown names.
 func KindByName(name string) (EventKind, bool) {
@@ -147,6 +150,9 @@ func (c Cause) String() string {
 	return fmt.Sprintf("cause(%d)", uint8(c))
 }
 
+// Valid reports whether c is one of the causes above.
+func (c Cause) Valid() bool { return c < numCauses }
+
 // CauseByName maps a wire name back to its Cause; "" maps to CauseNone.
 func CauseByName(name string) (Cause, bool) {
 	for c, n := range causeNames {
@@ -190,31 +196,88 @@ type Event struct {
 	Cause   Cause
 }
 
-// Tracer records lifecycle events into a bounded ring buffer: when more
-// than its capacity arrive, the oldest are overwritten (Dropped counts
-// them). The ring grows on demand up to its capacity, so a tracer costs
-// what it holds. Every event's Seq is its record index, so a reader that
-// keeps the events it has read (the flight recorder's trace cache) asks
-// TailFrom for only those past its newest. A nil *Tracer discards all
-// events, so call sites never need a guard. Record is safe for concurrent
-// use.
+// eventJSON is an Event as an incident bundle's JSON holds it.
+type eventJSON struct {
+	AtUS    int64  `json:"at_us"`
+	Seq     uint64 `json:"seq"`
+	Kind    string `json:"kind"`
+	Query   uint64 `json:"query"`
+	Family  int32  `json:"family"`
+	Device  int32  `json:"device"`
+	Batch   int32  `json:"batch"`
+	Plan    int32  `json:"plan,omitempty"`
+	Episode int32  `json:"episode,omitempty"`
+	Cause   string `json:"cause,omitempty"`
+}
+
+// MarshalJSON encodes the event as an incident bundle holds it. That form
+// differs from the JSONL export in two ways: the time is at_us, in whole
+// microseconds, where the export writes at_ns, and plan, episode and cause
+// are omitted when zero, where the export always writes them. A kind or
+// cause outside its enum is an error.
+func (ev Event) MarshalJSON() ([]byte, error) {
+	if !ev.Kind.Valid() || !ev.Cause.Valid() {
+		return nil, fmt.Errorf("telemetry: event %d: kind %d or cause %d outside its enum", ev.Seq, ev.Kind, ev.Cause)
+	}
+	return json.Marshal(eventJSON{
+		AtUS: ev.At.Microseconds(), Seq: ev.Seq, Kind: ev.Kind.String(), Query: ev.Query,
+		Family: ev.Family, Device: ev.Device, Batch: ev.Batch,
+		Plan: ev.Plan, Episode: ev.Episode, Cause: ev.Cause.String(),
+	})
+}
+
+// UnmarshalJSON decodes MarshalJSON's form. An unknown kind or cause name,
+// or an at_us no Duration holds, is an error.
+func (ev *Event) UnmarshalJSON(data []byte) error {
+	var w eventJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	at, ok := DurationFromMicros(w.AtUS)
+	kind, kindOK := KindByName(w.Kind)
+	cause, causeOK := CauseByName(w.Cause)
+	if !ok || !kindOK || !causeOK {
+		return fmt.Errorf("telemetry: event %d: at_us %d, kind %q or cause %q out of range", w.Seq, w.AtUS, w.Kind, w.Cause)
+	}
+	*ev = Event{At: at, Seq: w.Seq, Query: w.Query, Kind: kind, Family: w.Family, Device: w.Device, Batch: w.Batch,
+		Plan: w.Plan, Episode: w.Episode, Cause: cause}
+	return nil
+}
+
+// DurationFromMicros returns us microseconds as a Duration; ok is false
+// when a Duration cannot hold it.
+func DurationFromMicros(us int64) (d time.Duration, ok bool) {
+	const lim = math.MaxInt64 / int64(time.Microsecond)
+	return time.Duration(us) * time.Microsecond, -lim <= us && us <= lim
+}
+
+// Tracer records lifecycle events into a bounded Ring: when more than its
+// capacity arrive, the oldest leave the window (Dropped counts them), but no
+// event a window holds is ever rewritten, so every reader — the flight
+// recorder included — takes a window of the ring instead of a copy. Every
+// event's Seq is its record index, the ring's ordinal. A nil *Tracer
+// discards all events, so call sites never need a guard. Record is safe for
+// concurrent use.
 type Tracer struct {
 	mu       sync.Mutex
-	buf      []Event
+	ring     Ring[Event]
 	capacity int
-	next     uint64 // total events ever recorded; event seq s sits at buf[s % capacity]
-	// dropCounter, when set, is incremented once per ring-wrap eviction so
-	// overflow is visible on /metrics (trace_dropped_total). Counter.Inc is
-	// nil-safe, so an unset counter costs nothing extra.
+	// dropCounter, when set, is incremented once per eviction so overflow is
+	// visible on /metrics (trace_dropped_total). Counter.Inc is nil-safe, so
+	// an unset counter costs nothing extra.
 	dropCounter *Counter
 }
 
-// DefaultTraceCapacity bounds tracer memory when callers don't choose:
-// 1M events × 56 B = 56 MiB at most, reached only once that many are held.
+// DefaultTraceCapacity bounds tracer memory when callers don't choose: 1M
+// events × 56 B = 56 MiB held, and an array of up to 112 MiB once it wraps.
 const DefaultTraceCapacity = 1 << 20
 
 // NewTracer returns a tracer holding the most recent capacity events
-// (DefaultTraceCapacity if capacity <= 0).
+// (DefaultTraceCapacity if capacity <= 0). It allocates nothing up front,
+// and its array grows by doubling as events arrive, so it costs what it
+// holds. Once it has wrapped, its array holds up to 2 × capacity events
+// (56 B each), the price of windows that never change; a window read keeps
+// that whole array alive.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -240,9 +303,12 @@ func (t *Tracer) RecordCtx(at time.Duration, kind EventKind, query uint64, famil
 
 func (t *Tracer) recordCtx(at time.Duration, kind EventKind, query uint64, family, device, batch int, ctx Ctx) {
 	t.mu.Lock()
+	if t.ring.End() >= uint64(t.capacity) {
+		t.dropCounter.Inc() // the push below evicts the oldest event
+	}
 	ev := Event{
 		At:      at,
-		Seq:     t.next,
+		Seq:     t.ring.End(),
 		Query:   query,
 		Kind:    kind,
 		Family:  int32(family),
@@ -252,26 +318,12 @@ func (t *Tracer) recordCtx(at time.Duration, kind EventKind, query uint64, famil
 		Episode: ctx.Episode,
 		Cause:   ctx.Cause,
 	}
-	if n := len(t.buf); n < t.capacity {
-		if n == cap(t.buf) {
-			// Grow by doubling, but never past the capacity: append's own
-			// growth would overshoot the bound by up to a quarter.
-			buf := make([]Event, n, min(max(2*n, 256), t.capacity))
-			copy(buf, t.buf)
-			t.buf = buf
-		}
-		t.buf = append(t.buf, ev)
-	} else {
-		t.buf[t.next%uint64(t.capacity)] = ev
-		t.dropCounter.Inc()
-	}
-	t.next++
+	t.ring.Push(t.capacity, ev)
 	t.mu.Unlock()
 }
 
-// SetDropCounter registers the counter incremented on every ring-wrap
-// eviction (typically trace_dropped_total from a Registry). No-op on a nil
-// tracer.
+// SetDropCounter registers the counter incremented on every eviction
+// (typically trace_dropped_total from a Registry). No-op on a nil tracer.
 func (t *Tracer) SetDropCounter(c *Counter) {
 	if t == nil {
 		return
@@ -281,57 +333,35 @@ func (t *Tracer) SetDropCounter(c *Counter) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of buffered events.
-func (t *Tracer) Len() int {
+// Window returns the buffered events in record order (oldest first) and the
+// Seq the next event will take. The events are a window of the ring, not a
+// copy: no event a window holds is ever rewritten, and the window's
+// capacity ends at its length, so it never changes and appending to it
+// cannot reach the ring. Callers must not write to it. Nil tracer: nil and
+// 0.
+func (t *Tracer) Window() (events []Event, end uint64) {
 	if t == nil {
-		return 0
+		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.ring.Window(), t.ring.End()
 }
 
-// Dropped returns how many events were overwritten because the ring
-// filled.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next - uint64(len(t.buf))
-}
-
-// Events returns the buffered events in record order (oldest first).
+// Events returns the buffered events in record order (oldest first): the
+// window of Window, which callers must not write to.
 func (t *Tracer) Events() []Event {
-	_, events := t.TailFrom(math.MaxInt, 0)
+	events, _ := t.Window()
 	return events
 }
 
-// TailFrom returns the Seq of the first of the newest n buffered events (all
-// of them when n exceeds Len; the next Seq to be recorded when the window is
-// empty), and a copy of those of them whose Seq is at least from, in record
-// order. A reader that keeps what it read before asks only for what is new:
-// the events from first on that it lacks start at max(first, from), and
-// they are the ones returned. Nil tracer: 0 and nil.
-func (t *Tracer) TailFrom(n int, from uint64) (first uint64, events []Event) {
-	if t == nil {
-		return 0, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	first = t.next - uint64(max(0, min(n, len(t.buf))))
-	start := max(first, min(from, t.next))
-	out := make([]Event, t.next-start)
-	if len(out) == 0 {
-		return first, out
-	}
-	// Event seq s sits at buf[s % len(buf)]: until the ring fills, len(buf)
-	// == next; after, the ring may wrap between start and the newest event.
-	i := int(start % uint64(len(t.buf)))
-	k := copy(out, t.buf[i:])
-	copy(out[k:], t.buf)
-	return first, out
+// Len returns the number of buffered events.
+func (t *Tracer) Len() int { return len(t.Events()) }
+
+// Dropped returns how many events left the ring because it filled.
+func (t *Tracer) Dropped() uint64 {
+	events, end := t.Window()
+	return end - uint64(len(events))
 }
 
 // WriteJSONL writes one JSON object per line per event, in record order.

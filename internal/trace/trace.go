@@ -11,7 +11,6 @@ package trace
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -72,18 +71,6 @@ func (tr *Trace) MeanQPS() float64 {
 		sum += tr.TotalQPS(t)
 	}
 	return sum / float64(len(tr.Demand))
-}
-
-// Slice returns the sub-trace covering seconds [from, to).
-func (tr *Trace) Slice(from, to int) *Trace {
-	if from < 0 || to > len(tr.Demand) || from > to {
-		panic(fmt.Sprintf("trace: bad slice [%d,%d) of %d", from, to, len(tr.Demand)))
-	}
-	out := &Trace{Families: append([]string(nil), tr.Families...)}
-	for t := from; t < to; t++ {
-		out.Demand = append(out.Demand, append([]float64(nil), tr.Demand[t]...))
-	}
-	return out
 }
 
 // DiurnalConfig parameterizes the Twitter-like synthetic trace. The shape

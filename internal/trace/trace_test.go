@@ -37,20 +37,6 @@ func TestFlatPanicsOnMismatch(t *testing.T) {
 	NewFlat(fams, []float64{1}, 10)
 }
 
-func TestSlice(t *testing.T) {
-	tr := NewFlat(fams, []float64{1, 1, 1}, 10)
-	s := tr.Slice(2, 5)
-	if s.Seconds() != 3 {
-		t.Fatalf("slice seconds %d", s.Seconds())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad slice")
-		}
-	}()
-	tr.Slice(5, 2)
-}
-
 func TestDiurnalShape(t *testing.T) {
 	cfg := DiurnalConfig{
 		Seconds: 600, BaseQPS: 100, DiurnalAmplitude: 300, PeriodSeconds: 600,

@@ -105,14 +105,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the exact sum of recorded values.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Min returns the smallest recorded value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded value (0 when empty).
 func (h *Histogram) Max() int64 {
 	if h.count == 0 {
@@ -130,21 +122,16 @@ func (h *Histogram) Mean() int64 {
 	return h.sum / int64(h.count)
 }
 
-// Quantile returns the exact-rank p-quantile: the upper edge of the bucket
-// holding the ceil(p*count)-th smallest sample, clamped to the observed
-// [min, max]. The true nearest-rank value lies in the same bucket, so the
-// error is bounded by one bucket width (relative error <= 2^-subBucketBits).
-// Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(p float64) int64 {
-	var q [1]int64
-	return h.Quantiles([]float64{p}, q[:0])[0]
-}
-
-// Quantiles appends the Quantile of each p in ps to dst and returns it. Each
-// p walks the buckets from its near end: a rank in the lower half walks up
-// from min's bucket, one in the upper half walks down from max's, so the
-// tail quantiles of a wide histogram cost a few buckets, not all of them.
-// Both walks stop at the bucket a full walk up from bucket 0 would.
+// Quantiles appends the exact-rank p-quantile of each p in ps to dst and
+// returns it: the upper edge of the bucket holding the ceil(p*count)-th
+// smallest sample, clamped to the observed [min, max]. The true
+// nearest-rank value lies in the same bucket, so the error is bounded by
+// one bucket width (relative error <= 2^-subBucketBits); an empty
+// histogram's quantiles are 0. Each p walks the buckets from its near end:
+// a rank in the lower half walks up from min's bucket, one in the upper half
+// walks down from max's, so the tail quantiles of a wide histogram cost a
+// few buckets, not all of them. Both walks stop at the bucket a full walk up
+// from bucket 0 would.
 func (h *Histogram) Quantiles(ps []float64, dst []int64) []int64 {
 	for _, p := range ps {
 		if h.count == 0 {

