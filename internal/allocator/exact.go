@@ -3,7 +3,10 @@ package allocator
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Exact solution of the aggregated model (DESIGN.md "Exact allocation by
@@ -19,6 +22,10 @@ import (
 //     family's pairs in fill order;
 //   - exact combines the tables family by family over the Π(|g|+1) usage
 //     vectors and walks the choices back to per-pair counts.
+//
+// exact builds the tables concurrently (dpScratch.buildTables) and combines
+// them serially; a table depends on its family's inputs alone, so every
+// table and every plan is the same at any worker count.
 //
 // Tie rule, everywhere: of two plans whose objectives agree to tieTol, the
 // one that provisions more capacity (Σ peak·n over all pairs) wins; of two
@@ -128,23 +135,28 @@ type familyTable struct {
 // (a near-tie in objective with more capacity), so a running best finds the
 // first, a second pass the rare near-ties, and only those and the children
 // with demand left are sorted.
-func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, demand float64) *familyTable {
-	ft := &familyTable{pairs: pairs}
+//
+// ft's and ls's buffers are reused: every entry the build reads it writes
+// first, so the table does not depend on what they held.
+func (s *searchSpace) familyTable(ft *familyTable, ls *layerScratch, us *usageSpace, tie tieRule, pairs []int, demand float64) {
+	ft.pairs = pairs
 	root := frontierEntry{rem: demand, parent: -1}
 	if root.rem <= 1e-9 {
 		root.rem = 0
 	}
-	ft.arena = append(ft.arena, root)
+	ft.arena = append(ft.arena[:0], root)
 	lo, hi := 0, 1
 	// at[u]…at[u+1] are the previous layer's entries of usage vector u: a
 	// layer sits in the arena by ascending usage vector.
-	at := make([]int32, us.n+1)
+	ls.at = sized(ls.at, us.n+1)
+	at := ls.at
 	// Column b holds the usage vectors b + m·stride_g, m = 0…|g|, that
 	// differ from b in group g only: a target's parents are in its column,
 	// at m ≤ its own. lowM[b] is the fewest m of a previous-layer entry in
 	// column b, so a target below it has no parents and is skipped.
-	lowM := make([]int, us.n)
-	var rest, ties []frontierEntry
+	ls.lowM = sized(ls.lowM, us.n)
+	lowM := ls.lowM
+	rest, ties := ls.rest, ls.ties
 	for j, i := range pairs {
 		pr := s.pairs[i]
 		acc := s.refs[pr.r].Variant.Accuracy
@@ -254,11 +266,13 @@ func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, dema
 		}
 		hi = len(ft.arena)
 	}
-	ft.best = make([]int32, us.n)
-	ft.val = make([]value, us.n)
+	ls.rest, ls.ties = rest, ties // keep what they grew to
+	ft.best = sized(ft.best, us.n)
+	ft.val = sized(ft.val, us.n)
 	for u := range ft.best {
 		ft.best[u] = -1
 	}
+	clear(ft.val)
 	for e := lo; e < hi; e++ {
 		ent := ft.arena[e]
 		if ent.rem > 0 {
@@ -268,7 +282,6 @@ func (s *searchSpace) familyTable(us *usageSpace, tie tieRule, pairs []int, dema
 			ft.best[ent.state], ft.val[ent.state] = int32(e), ent.val
 		}
 	}
-	return ft
 }
 
 // score is e's value plus what its remaining demand earns at most, at the
@@ -323,10 +336,14 @@ func appendScanned(arena []frontierEntry, start int, cands []frontierEntry, tie 
 
 // exactWorkLimit bounds the DP's combination work (exactFits): past it the
 // aggregated model is searched by branch-and-bound, under the solver's
-// budgets (TimeLimit among them). On a 2-vCPU host the nine-family zoo
-// needs 0.26 M on the 20-device testbed (groups 10/5/5, 3.0–3.4 ms), 9.1 M
-// at 40 devices (0.05–0.06 s), 24 M at 50 (0.12–0.14 s, where the tree
-// takes 0.9–2.4 s) and 83 M at 60 (0.35–0.45 s, the tree 0.39–0.56 s).
+// budgets (TimeLimit among them). The nine-family zoo needs 0.26 M on the
+// 20-device testbed (groups 10/5/5), 9.1 M at 40 devices, 24 M at 50 and
+// 83 M at 60. One solve on a 2-vCPU host at GOMAXPROCS 2 (1) takes
+// 2.2–2.8 (3.2–3.6) ms at 20 devices, 34–58 (50–76) ms at 40, 68–123
+// (78–111) ms at 50, where the tree takes 0.9–2.4 s, and 0.21–0.34
+// (0.26–0.60) s at 60, where it takes 0.39–0.56 s. The concurrent tables
+// speed up only the tables' share of a solve, which falls as the cluster
+// grows, so the limit stays where the serial build put it.
 const exactWorkLimit = 40_000_000
 
 // exactFits reports whether the DP's work, families × Π_g (|g|+1)(|g|+2)/2
@@ -354,26 +371,128 @@ func (s *searchSpace) familyPairs() [][]int {
 	return famPairs
 }
 
+// dpScratch holds the DP's buffers between solves. A MILP owns one, and
+// every exact solve of its Allocate calls — β back-off steps and control
+// periods alike — reuses it, grown to the largest shape solved so far.
+// Each buffer a solve reads it writes first, so a solve on a used scratch
+// equals one on a fresh scratch bit for bit.
+type dpScratch struct {
+	// workers is the number of goroutines that build the family tables; 0
+	// means GOMAXPROCS. Only tests set it.
+	workers int
+	// entries counts the frontier entries of the last solve's tables
+	// (concurrentTablesMin); 0 before the first.
+	entries      int
+	us           *usageSpace    // rebuilt when the group sizes change
+	tables       []familyTable  // one per family
+	layers       []layerScratch // one per worker
+	cur, nxt     []value
+	curOK, nxtOK []bool
+	choice       [][]int32 // choice[q][u]: family q's usage vector in the best way to u
+	free, digit  []int
+}
+
+// layerScratch is one worker's layer buffers (familyTable).
+type layerScratch struct {
+	at         []int32
+	lowM       []int
+	rest, ties []frontierEntry
+}
+
+// sized returns s resliced to length n, growing its capacity when needed.
+// Elements already in s's capacity are kept, so a slice of buffers keeps
+// its buffers.
+func sized[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// usage returns the usage space of the group sizes, rebuilt only when they
+// differ from the last solve's.
+func (dp *dpScratch) usage(size []int) *usageSpace {
+	if dp.us == nil || !slices.Equal(dp.us.size, size) {
+		dp.us = newUsageSpace(slices.Clone(size))
+	}
+	return dp.us
+}
+
+// concurrentTablesMin is the fewest frontier entries, over all the tables
+// of a scratch's last solve, at which its next solve builds them on several
+// workers; a scratch's first solve always does. Below it a worker costs more
+// than it saves. One exact solve on 2 vCPUs at GOMAXPROCS 2, one worker
+// against two, three runs each: proteus-wo-ms on a 20-device replay period
+// (162 entries) 78–98 against 102–107 µs, and an 8-device period with its
+// group sizes set to 12 usage vectors (694 entries) 60–70 against
+// 62–71 µs, 24 (1 225 entries) 113–124 against 114–121 µs, 27 (1 547)
+// 153–177 against 144–151 µs and 36 (1 810) 203–210 against 167–176 µs.
+// The default cluster's `ilp` periods hold ≈ 15 k.
+const concurrentTablesMin = 1500
+
+// buildTables builds every family's table into dp.tables on
+// min(workers, families) goroutines — the caller's one of them — that take
+// the next family index from a shared counter; on one when the last solve's
+// tables held fewer than concurrentTablesMin entries. Each worker has its
+// own layer buffers and each family its own table, so which worker builds
+// a table does not change it. With one worker nothing is started.
+func (dp *dpScratch) buildTables(s *searchSpace, us *usageSpace, tie tieRule, famPairs [][]int) []familyTable {
+	workers := dp.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if dp.entries > 0 && dp.entries < concurrentTablesMin {
+		workers = 1
+	}
+	workers = max(1, min(workers, len(famPairs)))
+	dp.tables = sized(dp.tables, len(famPairs))
+	dp.layers = sized(dp.layers, workers)
+	var next atomic.Int32
+	build := func(w int) {
+		for q := int(next.Add(1)) - 1; q < len(famPairs); q = int(next.Add(1)) - 1 {
+			s.familyTable(&dp.tables[q], &dp.layers[w], us, tie, famPairs[q], s.demand[q])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build(w)
+		}()
+	}
+	build(0)
+	wg.Wait()
+	dp.entries = 0
+	for q := range dp.tables {
+		dp.entries += len(dp.tables[q].arena)
+	}
+	return dp.tables
+}
+
 // exact returns the per-pair device counts of an optimal plan for the
 // space's demand under the tie rule, or false when no plan serves it: the
-// proof of infeasibility the β back-off waits for.
-func (s *searchSpace) exact() ([]int, bool) {
-	us := newUsageSpace(s.groupSize)
+// proof of infeasibility the β back-off waits for. It solves on dp's
+// buffers.
+func (s *searchSpace) exact(dp *dpScratch) ([]int, bool) {
+	us := dp.usage(s.groupSize)
 	famPairs := s.familyPairs()
 	tie := s.tieRule()
-	cur := make([]value, us.n)
-	curOK := make([]bool, us.n)
-	curOK[0] = true
-	nxt := make([]value, us.n)
-	nxtOK := make([]bool, us.n)
-	tables := make([]*familyTable, len(famPairs))
-	choice := make([][]int32, len(famPairs))
-	free := make([]int, len(us.size))
-	digit := make([]int, len(us.size))
-	for q, pairs := range famPairs {
-		ft := s.familyTable(us, tie, pairs, s.demand[q])
-		tables[q] = ft
-		choice[q] = make([]int32, us.n)
+	tables := dp.buildTables(s, us, tie, famPairs)
+	dp.cur, dp.nxt = sized(dp.cur, us.n), sized(dp.nxt, us.n)
+	dp.curOK, dp.nxtOK = sized(dp.curOK, us.n), sized(dp.nxtOK, us.n)
+	cur, nxt, curOK, nxtOK := dp.cur, dp.nxt, dp.curOK, dp.nxtOK
+	clear(curOK)
+	cur[0], curOK[0] = value{}, true
+	dp.choice = sized(dp.choice, len(famPairs))
+	choice := dp.choice
+	dp.free, dp.digit = sized(dp.free, len(us.size)), sized(dp.digit, len(us.size))
+	free, digit := dp.free, dp.digit
+	for q := range tables {
+		ft := &tables[q]
+		// choice[q] is not cleared: the walk-back reads it only at usage
+		// vectors this solve reached, and reaching one writes it.
+		choice[q] = sized(choice[q], us.n)
 		clear(nxtOK)
 		reached := false
 		for st := 0; st < us.n; st++ {
@@ -424,7 +543,7 @@ func (s *searchSpace) exact() ([]int, bool) {
 	counts := make([]int, len(s.pairs))
 	for q := len(tables) - 1; q >= 0; q-- {
 		t := int(choice[q][best])
-		ft := tables[q]
+		ft := &tables[q]
 		e := ft.best[t]
 		for j := len(ft.pairs) - 1; j >= 0; j-- {
 			counts[ft.pairs[j]] = int(ft.arena[e].n)

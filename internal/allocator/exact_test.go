@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -161,7 +162,7 @@ func TestExactTieRule(t *testing.T) {
 		m := NewMILP(&MILPOptions{Filter: tc.filter})
 		a, _ := m.aggregate(in, flooredDemand(in))
 		s := a.space
-		counts, ok := s.exact()
+		counts, ok := s.exact(new(dpScratch))
 		if !ok {
 			t.Fatalf("%s: DP found no plan", tc.name)
 		}
@@ -250,7 +251,7 @@ func FuzzExactAgainstMILP(f *testing.F) {
 			}
 		}
 		a, _ := m.aggregate(in, demand)
-		counts, feasible := a.space.exact()
+		counts, feasible := a.space.exact(&m.dp)
 		sol := milp.Solve(a.problem(0), &milp.Options{RelGap: 0})
 		switch {
 		case sol.Status == milp.Infeasible:
@@ -458,31 +459,32 @@ func referenceAppendFrontier(arena, children []frontierEntry, states int, tie ti
 
 // matchFamilyTables builds every family's table of s both ways — for the
 // family's demand, or for none with zeroDemand — and fails t at the first
-// difference: arena length or entry (floats to the bit), best or val. It
-// returns how many served entries the tables keep after the first of their
-// layer and usage vector: the near-ties familyTable's second pass adds.
-func matchFamilyTables(t *testing.T, s *searchSpace, zeroDemand bool) (nearTies int) {
+// difference: arena length or entry (floats to the bit), best or val.
+// familyTable builds each table twice, on fresh buffers and on dirty's,
+// which hold another shape's tables. It returns how many served entries the
+// tables keep after the first of their layer and usage vector: the
+// near-ties familyTable's second pass adds.
+func matchFamilyTables(t *testing.T, s *searchSpace, zeroDemand bool, dirty *dpScratch) (nearTies int) {
 	t.Helper()
 	us := newUsageSpace(s.groupSize)
 	tie := s.tieRule()
-	bits := math.Float64bits
 	for q, pairs := range s.familyPairs() {
 		demand := s.demand[q]
 		if zeroDemand {
 			demand = 0
 		}
-		got := s.familyTable(us, tie, pairs, demand)
 		want := s.referenceFamilyTable(us, tie, pairs, demand)
-		if len(got.arena) != len(want.arena) {
-			t.Fatalf("family %d: arena of %d entries, reference %d", q, len(got.arena), len(want.arena))
+		var got familyTable
+		s.familyTable(&got, new(layerScratch), us, tie, pairs, demand)
+		if diff := tableDiff(&got, want); diff != "" {
+			t.Fatalf("family %d: %s", q, diff)
+		}
+		s.familyTable(&dirty.tables[q], &dirty.layers[0], us, tie, pairs, demand)
+		if diff := tableDiff(&dirty.tables[q], want); diff != "" {
+			t.Fatalf("family %d, on dirty buffers: %s", q, diff)
 		}
 		layer := make([]int, len(got.arena))
 		for e, g := range got.arena {
-			w := want.arena[e]
-			if bits(g.rem) != bits(w.rem) || bits(g.val.obj) != bits(w.val.obj) || bits(g.val.cap) != bits(w.val.cap) ||
-				g.state != w.state || g.parent != w.parent || g.n != w.n {
-				t.Fatalf("family %d: arena entry %d is %+v, reference %+v", q, e, g, w)
-			}
 			if e == 0 {
 				continue
 			}
@@ -491,13 +493,47 @@ func matchFamilyTables(t *testing.T, s *searchSpace, zeroDemand bool) (nearTies 
 				nearTies++
 			}
 		}
-		for u := range got.best {
-			if got.best[u] != want.best[u] || bits(got.val[u].obj) != bits(want.val[u].obj) || bits(got.val[u].cap) != bits(want.val[u].cap) {
-				t.Fatalf("family %d, usage %d: best %d %+v, reference %d %+v", q, u, got.best[u], got.val[u], want.best[u], want.val[u])
-			}
-		}
 	}
 	return nearTies
+}
+
+// tableDiff describes the first difference between two family tables —
+// arena length or entry (floats to the bit), best or val — or returns "".
+func tableDiff(got, want *familyTable) string {
+	bits := math.Float64bits
+	if len(got.arena) != len(want.arena) {
+		return fmt.Sprintf("arena of %d entries, want %d", len(got.arena), len(want.arena))
+	}
+	for e, g := range got.arena {
+		w := want.arena[e]
+		if bits(g.rem) != bits(w.rem) || bits(g.val.obj) != bits(w.val.obj) || bits(g.val.cap) != bits(w.val.cap) ||
+			g.state != w.state || g.parent != w.parent || g.n != w.n {
+			return fmt.Sprintf("arena entry %d is %+v, want %+v", e, g, w)
+		}
+	}
+	if len(got.best) != len(want.best) || len(got.val) != len(want.val) {
+		return fmt.Sprintf("best and val of %d and %d usage vectors, want %d and %d", len(got.best), len(got.val), len(want.best), len(want.val))
+	}
+	for u := range got.best {
+		if got.best[u] != want.best[u] || bits(got.val[u].obj) != bits(want.val[u].obj) || bits(got.val[u].cap) != bits(want.val[u].cap) {
+			return fmt.Sprintf("usage %d: best %d %+v, want %d %+v", u, got.best[u], got.val[u], want.best[u], want.val[u])
+		}
+	}
+	return ""
+}
+
+// dirtied returns a one-worker scratch that has built s's family tables at
+// twice its group sizes: its buffers are larger than s needs and hold
+// another shape's entries.
+func dirtied(s *searchSpace) *dpScratch {
+	big := *s
+	big.groupSize = make([]int, len(s.groupSize))
+	for g, sz := range s.groupSize {
+		big.groupSize[g] = 2 * sz
+	}
+	dp := &dpScratch{workers: 1}
+	dp.buildTables(&big, newUsageSpace(big.groupSize), big.tieRule(), big.familyPairs())
+	return dp
 }
 
 // dpMILP is the MILP behind the DP-backed allocator name, so a test can
@@ -530,7 +566,9 @@ func dpMILP(t *testing.T, name string, opts *MILPOptions) *MILP {
 // costs, plans that serve the demand at the same accuracy on different
 // pairs tie to rounding, which is what the near-tie pass keeps; with them,
 // the chained replay reaches no near-tie. Clipper-HA and w/o-MS back off
-// ≈ 260 times a period on this trace, so they chain three periods.
+// ≈ 260 times a period on this trace, so they chain three periods. Each
+// table is built on fresh buffers and on buffers first used at twice the
+// cluster's group sizes, then by every table before it.
 func TestFamilyTableMatchesReference(t *testing.T) {
 	nearTies := 0
 	noSwitch := &MILPOptions{SwitchCost: -1}
@@ -545,9 +583,13 @@ func TestFamilyTableMatchesReference(t *testing.T) {
 		{"clipper-ha", nil, 3}, {"proteus-wo-ms", noSwitch, 3},
 	} {
 		m := dpMILP(t, tc.name, tc.opts)
+		var dirty *dpScratch
 		for p, in := range replayInputs(7)[:tc.periods] {
 			a, _ := m.aggregate(in, flooredDemand(in))
-			nearTies += matchFamilyTables(t, a.space, false)
+			if dirty == nil {
+				dirty = dirtied(a.space)
+			}
+			nearTies += matchFamilyTables(t, a.space, false, dirty)
 			if _, err := m.Allocate(in); err != nil {
 				t.Fatalf("%s period %d: %v", tc.name, p, err)
 			}
@@ -563,8 +605,9 @@ func TestFamilyTableMatchesReference(t *testing.T) {
 // generated clusters of up to 10/5/5 devices and up to the whole zoo, with
 // random demand. shape's bits choose a previous plan (bit 0), switch costs
 // off (bit 1), a variant filter (bits 2–3: none, random, least or most
-// accurate) and zero demand for every family (bit 4). `go test` replays
-// testdata/fuzz/FuzzFamilyTableAgainstReference; -fuzz explores.
+// accurate) and zero demand for every family (bit 4). Each table is also
+// built on buffers first used at twice the generated group sizes. `go test`
+// replays testdata/fuzz/FuzzFamilyTableAgainstReference; -fuzz explores.
 func FuzzFamilyTableAgainstReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint8) {
 		rng := numeric.NewRNG(seed)
@@ -629,30 +672,97 @@ func FuzzFamilyTableAgainstReference(f *testing.F) {
 			}
 			a, _ = m.aggregate(in, flooredDemand(in))
 		}
-		matchFamilyTables(t, a.space, shape&16 != 0)
+		matchFamilyTables(t, a.space, shape&16 != 0, dirtied(a.space))
 	})
 }
 
-// TestExactBytesCeiling keeps what one exact solve allocates on a replay
-// period under a ceiling that a layer-wide children slice, sorted through a
-// second copy (5.47 MB), breaks. The solve allocates about 2.2 MB, the same
-// under -race.
+// TestExactBytesCeiling keeps what an exact solve allocates on a replay
+// period under two ceilings. On a scratch warm from a solve of the same
+// shape — a MILP's from its second solve on — a solve allocates its counts,
+// the families' pair lists and the workers' start: ≈ 4 KB, under a 0.1 MB
+// ceiling that allocating the tables and the combination's buffers per
+// solve (≈ 2.2 MB) breaks. A cold solve, which grows every buffer,
+// allocates ≈ 2.2 MB, under a 2.5 MB ceiling that a layer-wide children
+// slice sorted through a second copy (5.47 MB) breaks. Both hold under
+// -race.
 func TestExactBytesCeiling(t *testing.T) {
 	in := replayInputs(7)[3]
-	a, _ := NewMILP(nil).aggregate(in, flooredDemand(in))
-	if _, ok := a.space.exact(); !ok {
+	m := NewMILP(nil)
+	a, _ := m.aggregate(in, flooredDemand(in))
+	if _, ok := a.space.exact(&m.dp); !ok {
 		t.Fatal("DP found no plan")
 	}
 	const calls = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range calls {
-		a.space.exact()
+	perCall := func(dp func() *dpScratch) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			a.space.exact(dp())
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls / 1e6
 	}
-	runtime.ReadMemStats(&after)
-	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1e6
-	t.Logf("%.3f MB per exact solve", perCall)
-	if perCall > 2.5 {
-		t.Errorf("%.3f MB per exact solve, ceiling 2.5 MB", perCall)
+	warm := perCall(func() *dpScratch { return &m.dp })
+	cold := perCall(func() *dpScratch { return new(dpScratch) })
+	t.Logf("%.3f MB per warm exact solve, %.3f MB per cold one", warm, cold)
+	if warm > 0.1 {
+		t.Errorf("%.3f MB per warm exact solve, ceiling 0.1 MB", warm)
+	}
+	if cold > 2.5 {
+		t.Errorf("%.3f MB per cold exact solve, ceiling 2.5 MB", cold)
+	}
+}
+
+// TestExactSameAtEveryWorkerCount holds the concurrent table build to the
+// serial one. On chained replays, each period planned from the previous
+// plan — seeds 1–15 at 20 devices and the first three periods of seed 7 at
+// 40 — exact at 1, 2 and 9 workers must return the counts of a fresh
+// one-worker solve and build every table entry for entry, to the bit. Each
+// worker count solves on a fresh scratch and on one kept across the chains
+// that first solved a 40- and then a 4-device shape.
+func TestExactSameAtEveryWorkerCount(t *testing.T) {
+	workers := []int{1, 2, 9}
+	dirty := make([]*dpScratch, len(workers))
+	for k, w := range workers {
+		dirty[k] = &dpScratch{workers: w}
+		for _, devices := range []int{40, 4} {
+			in := replayInputsAt(3, devices)[0]
+			a, _ := NewMILP(nil).aggregate(in, flooredDemand(in))
+			a.space.exact(dirty[k])
+		}
+	}
+	type chain struct {
+		seed             uint64
+		devices, periods int
+	}
+	chains := []chain{{7, 40, 3}}
+	for seed := uint64(1); seed <= 15; seed++ {
+		chains = append(chains, chain{seed, 20, 8})
+	}
+	for _, c := range chains {
+		m := NewMILP(nil)
+		for p, in := range replayInputsAt(c.seed, c.devices)[:c.periods] {
+			a, _ := m.aggregate(in, flooredDemand(in))
+			ref := &dpScratch{workers: 1}
+			want, wantOK := a.space.exact(ref)
+			families := len(in.Families)
+			for k, w := range workers {
+				for _, dp := range []*dpScratch{{workers: w}, dirty[k]} {
+					leg := fmt.Sprintf("seed %d, %d devices, period %d, %d workers (dirty %v)", c.seed, c.devices, p, w, dp == dirty[k])
+					got, ok := a.space.exact(dp)
+					if ok != wantOK || !slices.Equal(got, want) {
+						t.Fatalf("%s: counts %v (%v), one worker %v (%v)", leg, got, ok, want, wantOK)
+					}
+					for q := range families {
+						if diff := tableDiff(&dp.tables[q], &ref.tables[q]); diff != "" {
+							t.Fatalf("%s: family %d: %s", leg, q, diff)
+						}
+					}
+				}
+			}
+			if _, err := m.Allocate(in); err != nil {
+				t.Fatalf("seed %d, %d devices, period %d: %v", c.seed, c.devices, p, err)
+			}
+		}
 	}
 }

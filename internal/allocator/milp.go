@@ -108,11 +108,17 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 // selection, placement and query assignment (§4, Eq. 7). When the demand is
 // proven infeasible it divides the short families' demand by β = 1.05 and
 // re-solves.
+//
+// A MILP is not safe for concurrent use: Allocate reads and replaces the
+// previous plan, and every exact solve reuses the DP buffers the MILP keeps.
 type MILP struct {
 	opts MILPOptions
 	// prev biases device expansion toward the previous hosting to minimize
 	// model-loading churn.
 	prev *Allocation
+	// dp holds the exact DP's buffers between solves (dpScratch), grown on
+	// the first solve.
+	dp dpScratch
 }
 
 // NewMILP returns the Proteus allocator ("ilp" in the artifact configs).
@@ -251,7 +257,7 @@ func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start 
 		return m.solveByTree(in, a)
 	}
 	t0 := stopwatch(start)
-	best, feasible := space.exact()
+	best, feasible := space.exact(&m.dp)
 	dpTime := stopwatch(start) - t0
 	if !feasible {
 		// Proven infeasible: back off. The local search's shortfall marks the

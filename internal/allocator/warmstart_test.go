@@ -55,7 +55,7 @@ func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool)
 	p := a.problem(m.opts.FairnessWeight)
 	warm, _ := a.warmStart(p)
 	if warm == nil {
-		counts, ok := a.space.exact()
+		counts, ok := a.space.exact(new(dpScratch))
 		if !ok {
 			return nil, true
 		}
@@ -72,7 +72,11 @@ func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool)
 // replayInputs is the benchmark's alloc_replay shape: eight 30 s control
 // periods of the diurnal trace drawn from seed on the default cluster
 // (20 devices, the whole zoo, 2× SLOs), with the controller's 5 % headroom.
-func replayInputs(seed uint64) []*Input {
+func replayInputs(seed uint64) []*Input { return replayInputsAt(seed, 20) }
+
+// replayInputsAt is replayInputs on the testbed scaled to devices, with the
+// demand scaled alike.
+func replayInputsAt(seed uint64, devices int) []*Input {
 	fams := models.Zoo()
 	slos := make([]time.Duration, len(fams))
 	for q, f := range fams {
@@ -93,15 +97,16 @@ func replayInputs(seed uint64) []*Input {
 		Families:          models.FamilyNames(fams),
 		Seed:              seed,
 	})
+	scale := float64(devices) / 20 // exactly 1 on the default cluster
 	inputs := make([]*Input, periods)
 	for p := range inputs {
 		demand := make([]float64, len(fams))
 		for s := p * periodSeconds; s < (p+1)*periodSeconds; s++ {
 			for q := range demand {
-				demand[q] += tr.Demand[s][q] * 1.05 / periodSeconds
+				demand[q] += tr.Demand[s][q] * 1.05 / periodSeconds * scale
 			}
 		}
-		inputs[p] = &Input{Cluster: cluster.ScaledTestbed(20), Families: fams, SLOs: slos, Demand: demand}
+		inputs[p] = &Input{Cluster: cluster.ScaledTestbed(devices), Families: fams, SLOs: slos, Demand: demand}
 	}
 	return inputs
 }
