@@ -107,8 +107,9 @@ type SolverStats struct {
 	Backoffs int `json:"backoffs"`
 	// SolverTime is the time spent inside the final branch-and-bound solve;
 	// Allocation.SolveTime additionally covers warm-start heuristics,
-	// polishing and every back-off iteration.
-	SolverTime time.Duration `json:"solver_time_ns"`
+	// polishing and every back-off iteration. A wall time, so it is not
+	// serialized.
+	SolverTime time.Duration `json:"-"`
 	// TimeLimited reports that MILPOptions.TimeLimit fired during the final
 	// solve: Bound, Nodes and RelGap — and possibly the plan — then depend
 	// on the speed of the host, so a record carrying it is not

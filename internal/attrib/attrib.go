@@ -15,7 +15,6 @@
 //
 //	arrival/route  → admission      (pre-queue routing and admission)
 //	enqueue        → queue_wait     (waiting in a device queue)
-//	batch_formed   → batch_form     (committed to a batch, not yet running)
 //	exec_start     → exec           (executing)
 //	…→ requeued    → reroute_<cause> (time wasted leading into a requeue —
 //	                                 queued or executing on a device whose
@@ -47,7 +46,6 @@ type Component uint8
 const (
 	CompAdmission Component = iota
 	CompQueueWait
-	CompBatchForm
 	CompExec
 	CompRerouteFailure
 	CompRerouteStale
@@ -59,7 +57,6 @@ const (
 var componentNames = [NumComponents]string{
 	CompAdmission:        "admission",
 	CompQueueWait:        "queue_wait",
-	CompBatchForm:        "batch_form",
 	CompExec:             "exec",
 	CompRerouteFailure:   "reroute_device_failure",
 	CompRerouteStale:     "reroute_stale_route",
@@ -105,8 +102,6 @@ const (
 	BlameSlowExec Blame = "slow_exec"
 	// BlameAdmissionStall: pre-queue admission/routing dominated.
 	BlameAdmissionStall Blame = "admission_stall"
-	// BlameBatchFormation: the batch-formation gap dominated.
-	BlameBatchFormation Blame = "batch_formation"
 	// BlameAdmissionShed: dropped by deadline admission control.
 	BlameAdmissionShed Blame = "admission_shed"
 	// BlameBackpressureBan: dropped with no route while an overload episode
@@ -499,8 +494,6 @@ func componentAfter(ev telemetry.Event, rerouting bool, rerouteComp Component) C
 		return CompAdmission
 	case telemetry.EvEnqueue:
 		return CompQueueWait
-	case telemetry.EvBatchFormed:
-		return CompBatchForm
 	case telemetry.EvExecStart:
 		return CompExec
 	default:
@@ -567,8 +560,6 @@ func blame(exp *Explanation, plans []controlplane.PlanRecord) (Blame, string) {
 				fmt.Sprintf("%s during overload episode %d", where, exp.Episode)
 		}
 		return BlameBurstQueueing, where
-	case CompBatchForm:
-		return BlameBatchFormation, where
 	default:
 		return BlameAdmissionStall, where
 	}
@@ -676,7 +667,7 @@ func (r *Report) summarize(maxFamily int32, window time.Duration, names []string
 var allBlames = []Blame{
 	BlameBurstQueueing, BlameStalePlan, BlameOverloadQueueing,
 	BlameFailureReroute, BlameDegradedExec, BlameSlowExec,
-	BlameAdmissionStall, BlameBatchFormation, BlameAdmissionShed,
+	BlameAdmissionStall, BlameAdmissionShed,
 	BlameBackpressureBan, BlameNoRoute, BlamePolicyDrop, BlameDraining,
 	BlameUnknown,
 }

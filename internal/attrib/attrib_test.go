@@ -28,7 +28,6 @@ func TestHappyPathDecomposition(t *testing.T) {
 		tr.RecordCtx(0, telemetry.EvArrival, 7, 0, -1, -1, ctx)
 		tr.RecordCtx(1*ms, telemetry.EvRoute, 7, 0, 2, -1, ctx)
 		tr.RecordCtx(2*ms, telemetry.EvEnqueue, 7, 0, 2, -1, ctx)
-		tr.RecordCtx(12*ms, telemetry.EvBatchFormed, 7, 0, 2, 0, ctx)
 		tr.RecordCtx(13*ms, telemetry.EvExecStart, 7, 0, 2, 0, ctx)
 		tr.RecordCtx(33*ms, telemetry.EvDone, 7, 0, 2, 0, ctx)
 	})
@@ -41,8 +40,7 @@ func TestHappyPathDecomposition(t *testing.T) {
 		t.Fatalf("outcome %q blame %q, want served with no blame", q.Outcome, q.Blame)
 	}
 	want := [NumComponents]int64{
-		CompAdmission: ns(2 * ms), CompQueueWait: ns(10 * ms),
-		CompBatchForm: ns(1 * ms), CompExec: ns(20 * ms),
+		CompAdmission: ns(2 * ms), CompQueueWait: ns(11 * ms), CompExec: ns(20 * ms),
 	}
 	if q.Components != want {
 		t.Fatalf("components %v, want %v", q.Components, want)
@@ -76,7 +74,6 @@ func TestRerouteDecompositionAndBlame(t *testing.T) {
 		tr.RecordCtx(5*ms, telemetry.EvRequeued, 9, 1, -1, -1, fail)
 		tr.RecordCtx(45*ms, telemetry.EvRetried, 9, 1, -1, -1, fail)
 		tr.RecordCtx(45*ms, telemetry.EvEnqueue, 9, 1, 3, -1, ctx)
-		tr.RecordCtx(50*ms, telemetry.EvBatchFormed, 9, 1, 3, 4, ctx)
 		tr.RecordCtx(50*ms, telemetry.EvExecStart, 9, 1, 3, 4, ctx)
 		tr.RecordCtx(60*ms, telemetry.EvLate, 9, 1, 3, 4, ctx)
 	})
@@ -115,14 +112,12 @@ func TestBlameJoins(t *testing.T) {
 		{"stale_plan", func(tr *telemetry.Tracer) {
 			tr.RecordCtx(0, telemetry.EvArrival, 1, 0, -1, -1, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(0, telemetry.EvEnqueue, 1, 0, 0, -1, telemetry.Ctx{Plan: 3})
-			tr.RecordCtx(90*ms, telemetry.EvBatchFormed, 1, 0, 0, 0, telemetry.Ctx{Plan: 4})
 			tr.RecordCtx(90*ms, telemetry.EvExecStart, 1, 0, 0, 0, telemetry.Ctx{Plan: 4})
 			tr.RecordCtx(100*ms, telemetry.EvLate, 1, 0, 0, 0, telemetry.Ctx{Plan: 4})
 		}, BlameStalePlan},
 		{"burst_queueing", func(tr *telemetry.Tracer) {
 			tr.RecordCtx(0, telemetry.EvArrival, 1, 0, -1, -1, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(0, telemetry.EvEnqueue, 1, 0, 0, -1, telemetry.Ctx{Plan: 3})
-			tr.RecordCtx(90*ms, telemetry.EvBatchFormed, 1, 0, 0, 0, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(90*ms, telemetry.EvExecStart, 1, 0, 0, 0, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(100*ms, telemetry.EvLate, 1, 0, 0, 0, telemetry.Ctx{Plan: 3})
 		}, BlameBurstQueueing},
@@ -130,7 +125,6 @@ func TestBlameJoins(t *testing.T) {
 			ep := telemetry.Ctx{Plan: 3, Episode: 2}
 			tr.RecordCtx(0, telemetry.EvArrival, 1, 0, -1, -1, ep)
 			tr.RecordCtx(0, telemetry.EvEnqueue, 1, 0, 0, -1, ep)
-			tr.RecordCtx(90*ms, telemetry.EvBatchFormed, 1, 0, 0, 0, ep)
 			tr.RecordCtx(90*ms, telemetry.EvExecStart, 1, 0, 0, 0, ep)
 			tr.RecordCtx(100*ms, telemetry.EvLate, 1, 0, 0, 0, ep)
 		}, BlameOverloadQueueing},
@@ -138,14 +132,12 @@ func TestBlameJoins(t *testing.T) {
 			ep := telemetry.Ctx{Plan: 3, Episode: 5}
 			tr.RecordCtx(0, telemetry.EvArrival, 1, 0, -1, -1, ep)
 			tr.RecordCtx(0, telemetry.EvEnqueue, 1, 0, 0, -1, ep)
-			tr.RecordCtx(1*ms, telemetry.EvBatchFormed, 1, 0, 0, 0, ep)
 			tr.RecordCtx(1*ms, telemetry.EvExecStart, 1, 0, 0, 0, ep)
 			tr.RecordCtx(100*ms, telemetry.EvLate, 1, 0, 0, 0, ep)
 		}, BlameDegradedExec},
 		{"slow_exec", func(tr *telemetry.Tracer) {
 			tr.RecordCtx(0, telemetry.EvArrival, 1, 0, -1, -1, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(0, telemetry.EvEnqueue, 1, 0, 0, -1, telemetry.Ctx{Plan: 3})
-			tr.RecordCtx(1*ms, telemetry.EvBatchFormed, 1, 0, 0, 0, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(1*ms, telemetry.EvExecStart, 1, 0, 0, 0, telemetry.Ctx{Plan: 3})
 			tr.RecordCtx(100*ms, telemetry.EvLate, 1, 0, 0, 0, telemetry.Ctx{Plan: 3})
 		}, BlameSlowExec},
@@ -235,7 +227,6 @@ func TestTruncatedTraceMarksIncomplete(t *testing.T) {
 	ms := time.Millisecond
 	events := mkEvents(func(tr *telemetry.Tracer) {
 		tr.RecordCtx(5*ms, telemetry.EvEnqueue, 3, 0, 1, -1, telemetry.Ctx{Plan: 1})
-		tr.RecordCtx(8*ms, telemetry.EvBatchFormed, 3, 0, 1, 0, telemetry.Ctx{Plan: 1})
 		tr.RecordCtx(8*ms, telemetry.EvExecStart, 3, 0, 1, 0, telemetry.Ctx{Plan: 1})
 		tr.RecordCtx(9*ms, telemetry.EvDone, 3, 0, 1, 0, telemetry.Ctx{Plan: 1})
 	})

@@ -29,6 +29,9 @@ func FuzzReadJSONLAnalyze(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if _, err := telemetry.ReadJSONL(bytes.NewReader(excerpt)); err != nil {
+		f.Fatalf("the excerpt seed must decode: %v", err)
+	}
 	f.Add(excerpt)
 	f.Add([]byte(`{"at_ns":-15000000000,"seq":0,"kind":"arrival","query":1,"family":0,"device":-1,"batch":-1}
 {"at_ns":-14000000000,"seq":1,"kind":"dropped","query":1,"family":0,"device":-1,"batch":-1,"cause":"no_route"}

@@ -96,7 +96,6 @@ func randomTrace(rng *rand.Rand, ids []uint64) []telemetry.Event {
 		case 1:
 			add(telemetry.EvDropped, telemetry.Cause(1+rng.Intn(9)))
 		default:
-			add(telemetry.EvBatchFormed, telemetry.CauseNone)
 			add(telemetry.EvExecStart, telemetry.CauseNone)
 			add([]telemetry.EventKind{telemetry.EvDone, telemetry.EvLate}[rng.Intn(2)], telemetry.CauseNone)
 		}

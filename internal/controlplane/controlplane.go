@@ -112,8 +112,11 @@ type PlanRecord struct {
 	Demand            []float64     `json:"demand"`
 	PredictedAccuracy float64       `json:"predicted_accuracy"`
 	DemandScale       float64       `json:"demand_scale"`
-	SolveTime         time.Duration `json:"solve_time_ns"`
-	Trigger           string        `json:"trigger"` // "initial", "periodic", "burst", "provision", "failure", "recovery"
+	// SolveTime is the solve's wall time. It and Stats.SolverTime are what
+	// two runs of one seed disagree on, so neither is serialized: audit
+	// logs, incident bundles and reports stay byte-identical.
+	SolveTime time.Duration `json:"-"`
+	Trigger   string        `json:"trigger"` // "initial", "periodic", "burst", "provision", "failure", "recovery"
 	// Solver names the allocator that produced the plan: the primary's name,
 	// "<name> (fallback)" when the fallback stepped in, or "carry-forward"
 	// when the last feasible plan was projected onto the surviving devices.
@@ -147,31 +150,6 @@ type PlanRecord struct {
 	// degradations, escalations and restores) since the previous audit
 	// record.
 	Overloads []overload.Change `json:"overloads,omitempty"`
-}
-
-// SanitizePlanRecord zeroes, in place, the wall-clock measurements of a
-// plan record (SolveTime, Stats.SolverTime) — the only fields that differ
-// between two same-seed runs — so that serialization surfaces (metrics
-// dumps, incident bundles, debug endpoints, reports) stay byte-identical.
-// The solver's work (Bound, Nodes, RelGap) is deterministic and stays; a
-// record with Stats.TimeLimited set came from a solve the wall clock cut
-// short and is by definition not reproducible.
-//
-// Every surface that serializes plan records must route them through this
-// helper (or SanitizePlans) instead of zeroing fields ad hoc.
-func SanitizePlanRecord(r *PlanRecord) {
-	r.SolveTime = 0
-	r.Stats.SolverTime = 0
-}
-
-// SanitizePlans applies SanitizePlanRecord to every record in place and
-// returns the slice for call-site chaining. Callers pass a copy (e.g. the
-// result of History()) when the original must stay untouched.
-func SanitizePlans(recs []PlanRecord) []PlanRecord {
-	for i := range recs {
-		SanitizePlanRecord(&recs[i])
-	}
-	return recs
 }
 
 // Controller owns the allocator and the re-allocation schedule.

@@ -22,12 +22,10 @@ type Query struct {
 	// Retries counts failure re-dispatches; a query is retried at most
 	// Config.MaxRetries times before being dropped.
 	Retries int
-	// Phase-decomposition timestamps: stamped at device enqueue and batch
-	// formation, differenced into per-phase durations at completion. A
-	// requeue restamps EnqueueAt, so admission absorbs the re-route wait.
+	// EnqueueAt is stamped at device enqueue and differenced, with Arrival
+	// and the batch's Start, into per-phase durations at completion. A
+	// requeue restamps it, so admission absorbs the re-route wait.
 	EnqueueAt time.Duration
-	FormAt    time.Duration
-	ExecAt    time.Duration
 	// Reply is where the live server's caller waits for the query's fate;
 	// nil in the simulator, and never touched by this package.
 	Reply chan Reply
@@ -424,14 +422,7 @@ func (d *Device) start(now time.Duration, b int) Batch {
 	if b < 1 {
 		return Batch{}
 	}
-	qs := append(d.batch[:0], d.queue[:b]...)
-	for i := range qs {
-		// Formation and execution start coincide (the executor starts
-		// immediately), so batch_form is ~0 by design.
-		qs[i].FormAt = now
-		qs[i].ExecAt = now
-	}
-	d.batch = qs
+	d.batch = append(d.batch[:0], d.queue[:b]...)
 	d.queue = append(d.queue[:0], d.queue[b:]...)
 	d.ctx.Queue = append(d.ctx.Queue[:0], d.ctx.Queue[b:]...)
 	d.syncDepth()
@@ -443,7 +434,7 @@ func (d *Device) start(now time.Duration, b int) Batch {
 	d.inflight = Batch{
 		ID:      int(d.p.nextBatch.Add(1) - 1),
 		Device:  d.dev.ID,
-		Queries: qs,
+		Queries: d.batch,
 		Hosted:  d.hosted,
 		Start:   now,
 		Done:    now + d.procTime(b),

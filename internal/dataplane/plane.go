@@ -516,9 +516,9 @@ func (p *Plane) Drop(now time.Duration, q Query, cause telemetry.Cause) Reply {
 }
 
 // Complete accounts one query of batch b, which Finish completed at now:
-// served if now is within its deadline, late otherwise. The lifecycle
-// timestamps are differenced into the tsdb phase histograms (no response
-// phase: completion and response delivery coincide).
+// served if now is within its deadline, late otherwise. The query's arrival,
+// its enqueue and the batch's start are differenced into the tsdb phase
+// histograms: admission, queue and exec, which sum to its latency.
 func (p *Plane) Complete(now time.Duration, q Query, b Batch) Reply {
 	r := Reply{Status: Served, Latency: now - q.Arrival, Hosted: b.Hosted}
 	kind := telemetry.EvDone
@@ -534,9 +534,8 @@ func (p *Plane) Complete(now time.Duration, q Query, b Batch) Reply {
 	p.trace(now, kind, &q, b.Device, b.ID, telemetry.CauseNone)
 	p.cfg.TSDB.RecordPhases(q.Family, b.Device, tsdb.PhaseDurations{
 		Admission: q.EnqueueAt - q.Arrival,
-		Queue:     q.FormAt - q.EnqueueAt,
-		BatchForm: q.ExecAt - q.FormAt,
-		Exec:      now - q.ExecAt,
+		Queue:     b.Start - q.EnqueueAt,
+		Exec:      now - b.Start,
 	})
 	return r
 }
@@ -551,7 +550,6 @@ func (p *Plane) TraceBatch(b Batch) {
 		return
 	}
 	for _, q := range b.Queries {
-		p.cfg.Tracer.Record(b.Start, telemetry.EvBatchFormed, q.ID, q.Family, b.Device, b.ID)
 		p.cfg.Tracer.Record(b.Start, telemetry.EvExecStart, q.ID, q.Family, b.Device, b.ID)
 	}
 }

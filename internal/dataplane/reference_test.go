@@ -139,10 +139,6 @@ func (r refDevice) start(now time.Duration, b int) Batch {
 	}
 	qs := make([]Query, b)
 	copy(qs, r.queue[:b])
-	for i := range qs {
-		qs[i].FormAt = now
-		qs[i].ExecAt = now
-	}
 	r.queue = append(r.queue[:0], r.queue[b:]...)
 	r.busy = true
 	r.lastBatch = b

@@ -112,10 +112,8 @@ func TestSLOBurnProducesBundle(t *testing.T) {
 	if len(burn.Plans) == 0 {
 		t.Error("burn bundle captured no plan records")
 	}
-	for _, p := range burn.Plans {
-		if p.SolveTime != 0 || p.Stats.SolverTime != 0 {
-			t.Fatalf("solver wall time leaked into bundle: %+v", p)
-		}
+	if js, err := json.Marshal(burn.Plans); err != nil || bytes.Contains(js, []byte("_time_ns")) {
+		t.Fatalf("solver wall time leaked into the bundle's plans: %s, %v", js, err)
 	}
 
 	// A burn starting mid-run happens after at least one sampling tick, so
@@ -139,7 +137,7 @@ func TestSLOBurnProducesBundle(t *testing.T) {
 			exec = &burn.Phases[i]
 		}
 	}
-	for _, want := range []string{"admission", "queue", "batch_form", "exec"} {
+	for _, want := range []string{"admission", "queue", "exec"} {
 		if !phases[want] {
 			t.Errorf("phase %q missing from bundle decomposition", want)
 		}

@@ -251,8 +251,9 @@ func FuzzBundleEncoding(f *testing.F) {
 }
 
 // TestTraceRecordRejectsWhatNoEventEncodes holds the trace record's reader
-// to the encoder's enums: a kind or cause name outside them, or a time in
-// microseconds no Duration holds, is a malformed record.
+// to the encoder's enums: a kind or cause name outside them — batch_formed,
+// a stage older engines traced, included — or a time in microseconds no
+// Duration holds, is a malformed record, so Log.Bundle refuses the bundle.
 func TestTraceRecordRejectsWhatNoEventEncodes(t *testing.T) {
 	record := func(us int64, kind, cause string) []byte {
 		rec := binary.AppendUvarint(binary.AppendVarint(nil, us), 7)
@@ -269,6 +270,7 @@ func TestTraceRecordRejectsWhatNoEventEncodes(t *testing.T) {
 	}
 	for _, rec := range [][]byte{
 		record(0, "dispatched", ""),
+		record(0, "batch_formed", ""),
 		record(0, "dropped", "lost"),
 		record(0, "event(14)", ""),
 		record(math.MaxInt64/1000+1, "done", ""),

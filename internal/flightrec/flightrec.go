@@ -11,8 +11,8 @@
 // Like the rest of the observability stack, a nil *Recorder turns every
 // method into a ~1ns no-op, timestamps are supplied by the hosting engine
 // (virtual clock in the simulator, wall-clock offsets in live serving), and
-// bundles are byte-deterministic for same-seed simulator runs: solver
-// wall times are zeroed on capture and nondeterministic runtime stats are
+// bundles are byte-deterministic for same-seed simulator runs: plan records
+// do not serialize solver wall times, and nondeterministic runtime stats are
 // collected only when Config.Live is set. pprof captures (which need a real
 // clock) live in the serving layer, outside this package.
 //
@@ -21,10 +21,10 @@
 // returns it. The samples and burn transitions are windows of the tsdb
 // recorder's own append-only logs, which the recorder reads in place: a
 // flight recorder needs a tsdb recorder beside it (dataplane.New checks),
-// and neither a tick nor a trigger copies any of them. The other sections
-// but the plan records (sanitized copies) are windows of the recorder's own
-// telemetry.Rings. The trace ring copies in only the tracer events it
-// lacks, so a bundle keeps no array of the tracer's alive.
+// and neither a tick nor a trigger copies any of them. The plan records are
+// the tail of the controller's History copy; the other sections are windows
+// of the recorder's own telemetry.Rings. The trace ring copies in only the
+// tracer events it lacks, so a bundle keeps no array of the tracer's alive.
 //
 // Locking: the recorder's mutex is a leaf. Tick and Trigger read the
 // sources (tracer, registry, tsdb recorder, controller) *before* taking it,
@@ -87,7 +87,8 @@ type Sources struct {
 	Registry *telemetry.Registry
 	TSDB     *tsdb.Recorder
 	// Plans returns the controller's audit log (controlplane.Controller's
-	// History method). Must be safe to call from any goroutine.
+	// History method): a slice no one changes later, since a bundle keeps
+	// its tail. Must be safe to call from any goroutine.
 	Plans func() []controlplane.PlanRecord
 }
 
@@ -228,11 +229,6 @@ func (r *Recorder) Trigger(now time.Duration, reason, detail string, family, dev
 		plans = src.Plans()
 	}
 	plans = plans[max(0, len(plans)-r.lim.plans):]
-	// Solver wall times are real elapsed time even in the simulator, and a
-	// budgeted solve's proof progress is timing-dependent; sanitize the
-	// copy so same-seed bundles stay byte-identical (every serialization
-	// surface shares this helper).
-	plans = controlplane.SanitizePlans(append([]controlplane.PlanRecord(nil), plans...))
 	return r.cut(&Bundle{AtNS: int64(now), Reason: reason, Detail: detail, Family: family, Device: device, Plans: plans},
 		src.Tracer, events, traceEnd)
 }

@@ -11,8 +11,8 @@ func wallNow() time.Time {
 }
 
 // sinceStart measures elapsed wall time for Solution.Elapsed, which is
-// reporting-only and zeroed at every byte-deterministic serialization
-// surface (see controlplane.SanitizePlanRecord).
+// reporting-only: the allocator's SolverStats.SolverTime, which carries it,
+// is never serialized.
 func sinceStart(start time.Time) time.Duration {
 	return time.Since(start) //lint:allow determinism reporting-only wall-clock measurement
 }

@@ -143,12 +143,8 @@ func Build(in BuildInput) *Dump {
 			Devices: in.DeviceNames,
 		},
 		Summary: c.Summarize(-1),
-		Plans:   append([]controlplane.PlanRecord(nil), in.Plans...),
+		Plans:   in.Plans,
 	}
-	// Plan records carry wall-clock measurements and (under a solver
-	// budget) timing-dependent proof progress; sanitize the copy so
-	// same-seed dumps stay byte-identical.
-	controlplane.SanitizePlans(d.Plans)
 	for f, name := range c.Families() {
 		d.Families = append(d.Families, FamilySummary{Name: name, Summary: c.Summarize(f)})
 	}

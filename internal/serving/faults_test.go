@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"proteus/internal/cluster"
+	"proteus/internal/tsdb"
 )
 
 // TestLiveFailureRedispatch kills a quarter of the live fleet while load is
@@ -71,6 +72,79 @@ func TestLiveFailureRedispatch(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("the surviving devices must keep serving")
+	}
+}
+
+// TestLivePhaseConservation is the live leg of core's TestPhaseConservation:
+// the worker stamps the enqueue and the batch start on the server clock, and
+// the server's mutex accounts each completion, so the recorder's phase rows
+// must agree with the collector as they do in the simulator. A device fails
+// while queries are in flight, so some of them may be re-dispatched.
+func TestLivePhaseConservation(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Faults = cluster.KillFraction(cfg.Cluster, 0.25, 200*time.Millisecond, 0)
+	cfg.TSDB = tsdb.NewRecorder(tsdb.Config{})
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	for i := range 120 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(time.Duration(i) * 4 * time.Millisecond)
+			s.Infer([]string{"efficientnet", "mobilenet"}[i%2])
+		}()
+	}
+	wg.Wait()
+	s.Close() // the collector is read after the server stops
+
+	type key struct {
+		scope string
+		index int
+	}
+	count := map[key]map[string]uint64{}
+	meanSum := map[int]int64{}
+	devices := map[string]uint64{}
+	for _, r := range cfg.TSDB.PhaseStats() {
+		k := key{r.Scope, r.Index}
+		if count[k] == nil {
+			count[k] = map[string]uint64{}
+		}
+		count[k][r.Phase] = r.Count
+		if r.Scope == "family" {
+			meanSum[r.Index] += r.MeanUS
+		} else {
+			devices[r.Phase] += r.Count
+		}
+		if r.Phase == "exec" && r.MeanUS <= 0 {
+			t.Errorf("%s %d: executed for %d µs on average", r.Scope, r.Index, r.MeanUS)
+		}
+	}
+	var total uint64
+	for f := range cfg.Families {
+		sum := s.Collector().Summarize(f)
+		done := uint64(sum.Served + sum.Late)
+		total += done
+		for p := range tsdb.NumPhases {
+			phase := tsdb.Phase(p).String()
+			if got := count[key{"family", f}][phase]; got != done {
+				t.Errorf("family %d %s: %d queries, want served+late = %d", f, phase, got, done)
+			}
+		}
+		if d := meanSum[f] - sum.MeanLatency.Microseconds(); d < -3 || d > 3 {
+			t.Errorf("family %d: phase means sum to %d µs, mean latency is %v", f, meanSum[f], sum.MeanLatency)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no query completed")
+	}
+	for p := range tsdb.NumPhases {
+		if phase := tsdb.Phase(p).String(); devices[phase] != total {
+			t.Errorf("device rows count %d %s phases, want %d", devices[phase], phase, total)
+		}
 	}
 }
 

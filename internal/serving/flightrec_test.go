@@ -198,34 +198,6 @@ func TestIncidentEndpointDisabled(t *testing.T) {
 	}
 }
 
-// TestLivePhaseDecomposition asserts completed queries feed the per-phase
-// histograms in live serving.
-func TestLivePhaseDecomposition(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.TSDB = tsdb.NewRecorder(tsdb.Config{})
-	s, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 8; i++ {
-		s.Infer("efficientnet")
-	}
-	stats := cfg.TSDB.PhaseStats()
-	if len(stats) == 0 {
-		t.Fatal("no phase stats after live completions")
-	}
-	famExec := false
-	for _, ps := range stats {
-		if ps.Scope == "family" && ps.Phase == "exec" && ps.Count > 0 && ps.MeanUS > 0 {
-			famExec = true
-		}
-	}
-	if !famExec {
-		t.Fatalf("no populated family exec histogram: %+v", stats)
-	}
-}
-
 // TestBurnOnDataPathDuringSampling overloads the server from many concurrent
 // Infer callers while the sampling loop ticks, with the tsdb and the flight
 // recorder both on and an SLO budget so small that the first violated second

@@ -657,9 +657,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, h)
 	})
 	mux.HandleFunc("/debug/allocations", func(w http.ResponseWriter, r *http.Request) {
-		// History returns a copy; sanitize it so the endpoint's output is a
-		// deterministic function of the decision sequence.
-		writeJSON(w, controlplane.SanitizePlans(s.History()))
+		writeJSON(w, s.History())
 	})
 	mux.HandleFunc("/debug/incidents", func(w http.ResponseWriter, r *http.Request) {
 		list := s.cfg.Flight.Incidents()

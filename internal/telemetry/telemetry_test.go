@@ -253,7 +253,7 @@ func TestExportByteStable(t *testing.T) {
 		tr := NewTracer(64)
 		tr.Record(1*time.Millisecond, EvArrival, 1, 0, -1, -1)
 		tr.Record(2*time.Millisecond, EvRoute, 1, 0, 2, -1)
-		tr.Record(5*time.Millisecond, EvBatchFormed, 1, 0, 2, 3)
+		tr.Record(5*time.Millisecond, EvExecStart, 1, 0, 2, 3)
 		tr.Record(9*time.Millisecond, EvLate, 1, 0, 2, 3)
 		return tr
 	}
@@ -376,16 +376,18 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(`{"kind":"done","cause":"nonsense"}`)); err == nil {
 		t.Fatal("unknown cause should fail the parse")
 	}
-	// Values no tracer writes are refused with the line they stand on.
+	// Values no tracer writes are refused with the line they stand on. A
+	// batch_formed record, a stage older engines traced, is an unknown kind.
 	first := `{"at_ns":0,"kind":"arrival","query":1}` + "\n"
-	for _, bad := range []string{
-		`{"at_ns":-1,"kind":"done","query":1}`,
-		`{"at_ns":1,"kind":"done","query":1,"family":-1}`,
-		`{"at_ns":1,"kind":"done","query":1,"family":2000000000}`,
+	for _, bad := range []struct{ line, want string }{
+		{`{"at_ns":1,"kind":"batch_formed","query":1}`, `line 2: unknown event kind "batch_formed"`},
+		{`{"at_ns":-1,"kind":"done","query":1}`, "line 2"},
+		{`{"at_ns":1,"kind":"done","query":1,"family":-1}`, "line 2"},
+		{`{"at_ns":1,"kind":"done","query":1,"family":2000000000}`, "line 2"},
 	} {
-		_, err := ReadJSONL(strings.NewReader(first + bad))
-		if err == nil || !strings.Contains(err.Error(), "line 2") {
-			t.Fatalf("%s: err = %v, want a refusal naming line 2", bad, err)
+		_, err := ReadJSONL(strings.NewReader(first + bad.line))
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("%s: err = %v, want a refusal naming %s", bad.line, err, bad.want)
 		}
 	}
 	if evs, err := ReadJSONL(strings.NewReader("\n\n")); err != nil || len(evs) != 0 {
@@ -460,9 +462,9 @@ func TestCauseNames(t *testing.T) {
 	if _, ok := CauseByName("bogus"); ok {
 		t.Fatal("bogus cause should not resolve")
 	}
-	k, ok := KindByName("batch_formed")
-	if !ok || k != EvBatchFormed {
-		t.Fatalf("KindByName(batch_formed) = %v %v", k, ok)
+	k, ok := KindByName("exec_start")
+	if !ok || k != EvExecStart {
+		t.Fatalf("KindByName(exec_start) = %v %v", k, ok)
 	}
 	if _, ok := KindByName("bogus"); ok {
 		t.Fatal("bogus kind should not resolve")
@@ -475,8 +477,8 @@ func TestEventKindNames(t *testing.T) {
 			t.Fatalf("event kind %d has no name", k)
 		}
 	}
-	if EvDone.String() != "done" || EvBatchFormed.String() != "batch_formed" {
-		t.Fatalf("stable wire names changed: %q %q", EvDone.String(), EvBatchFormed.String())
+	if EvDone.String() != "done" || EvExecStart.String() != "exec_start" {
+		t.Fatalf("stable wire names changed: %q %q", EvDone.String(), EvExecStart.String())
 	}
 	if got := EventKind(200).String(); got != "event(200)" {
 		t.Fatalf("out-of-range kind name: %q", got)

@@ -21,9 +21,8 @@ const (
 	EvRoute
 	// EvEnqueue: query joined a device queue.
 	EvEnqueue
-	// EvBatchFormed: batching policy committed the query to a batch.
-	EvBatchFormed
-	// EvExecStart: the batch containing the query began executing.
+	// EvExecStart: the batching policy started a batch containing the
+	// query (the executor runs a batch as soon as the policy forms it).
 	EvExecStart
 	// EvDone: query completed within its SLO.
 	EvDone
@@ -58,7 +57,6 @@ var eventKindNames = [numEventKinds]string{
 	EvArrival:      "arrival",
 	EvRoute:        "route",
 	EvEnqueue:      "enqueue",
-	EvBatchFormed:  "batch_formed",
 	EvExecStart:    "exec_start",
 	EvDone:         "done",
 	EvLate:         "late",

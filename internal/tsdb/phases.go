@@ -4,35 +4,29 @@ import "time"
 
 // Phase identifies one segment of a query's end-to-end latency. The hosting
 // engine timestamps the query's lifecycle transitions (arrival, device
-// enqueue, batch formation, execution start, completion) and differences
-// them into one duration per phase at completion time, so attribution costs
-// a handful of subtractions per query instead of a trace-log scan.
+// enqueue, execution start, completion) and differences them into one
+// duration per phase at completion time, so attribution costs a handful of
+// subtractions per query instead of a trace-log scan. The phases partition
+// the latency: their sum is the completion time minus the arrival.
 type Phase uint8
 
 const (
 	// PhaseAdmission is arrival → device enqueue: routing, admission
 	// control, and any requeue wait after a device failure or model change.
 	PhaseAdmission Phase = iota
-	// PhaseQueue is device enqueue → batch formation: time spent waiting in
-	// the device queue for the batching policy to act.
+	// PhaseQueue is device enqueue → execution start: time spent waiting in
+	// the device queue for the batching policy to start a batch.
 	PhaseQueue
-	// PhaseBatchForm is batch formation → execution start.
-	PhaseBatchForm
 	// PhaseExec is execution start → completion: the batch's model latency.
 	PhaseExec
-	// PhaseResponse is completion → response delivery (zero on the
-	// simulator's virtual clock, where the two coincide).
-	PhaseResponse
 
 	// NumPhases is the number of decomposition phases.
-	NumPhases = int(PhaseResponse) + 1
+	NumPhases = int(PhaseExec) + 1
 )
 
-var phaseNames = [NumPhases]string{
-	"admission", "queue", "batch_form", "exec", "response",
-}
+var phaseNames = [NumPhases]string{"admission", "queue", "exec"}
 
-// String returns the phase's wire name ("admission", "queue", ...).
+// String returns the phase's wire name ("admission", "queue", "exec").
 func (p Phase) String() string {
 	if int(p) < NumPhases {
 		return phaseNames[p]
@@ -40,43 +34,21 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// PhaseDurations is one completed query's latency decomposition. Phases the
-// engine cannot attribute stay zero and still count one observation, so
-// per-phase counts agree across phases.
+// PhaseDurations is one completed query's latency decomposition.
 type PhaseDurations struct {
 	Admission time.Duration
 	Queue     time.Duration
-	BatchForm time.Duration
 	Exec      time.Duration
-	Response  time.Duration
-}
-
-func (pd PhaseDurations) get(p Phase) time.Duration {
-	switch p {
-	case PhaseAdmission:
-		return pd.Admission
-	case PhaseQueue:
-		return pd.Queue
-	case PhaseBatchForm:
-		return pd.BatchForm
-	case PhaseExec:
-		return pd.Exec
-	default:
-		return pd.Response
-	}
 }
 
 // phaseSet is one scope's (family's or device's) per-phase histograms.
 type phaseSet [NumPhases]Histogram
 
+// record adds one query's phases; Histogram.Record clamps negative ones.
 func (ps *phaseSet) record(pd PhaseDurations) {
-	for p := 0; p < NumPhases; p++ {
-		d := pd.get(Phase(p))
-		if d < 0 {
-			d = 0
-		}
-		ps[p].RecordDuration(d)
-	}
+	ps[PhaseAdmission].RecordDuration(pd.Admission)
+	ps[PhaseQueue].RecordDuration(pd.Queue)
+	ps[PhaseExec].RecordDuration(pd.Exec)
 }
 
 // RecordPhases folds one completed query's decomposition into the

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPhaseNames(t *testing.T) {
-	want := []string{"admission", "queue", "batch_form", "exec", "response"}
+	want := []string{"admission", "queue", "exec"}
 	if NumPhases != len(want) {
 		t.Fatalf("NumPhases = %d, want %d", NumPhases, len(want))
 	}
@@ -32,7 +32,6 @@ func TestRecordPhasesAndStats(t *testing.T) {
 	pd := PhaseDurations{
 		Admission: 1 * time.Millisecond,
 		Queue:     2 * time.Millisecond,
-		BatchForm: 0,
 		Exec:      10 * time.Millisecond,
 	}
 	r.RecordPhases(0, 1, pd)
