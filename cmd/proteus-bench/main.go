@@ -81,7 +81,7 @@ var experimentList = []struct {
 			}
 			return nil, experiments.RenderFig10(w, points)
 		}},
-	{"design", "Design ablations: switch-cost churn control, admission control, fairness extension",
+	{"design", "Design ablations: switch-cost churn control, admission control",
 		func(w io.Writer, o experiments.Options) ([]experiments.SystemResult, error) {
 			rows, err := experiments.DesignAblations(o)
 			if err != nil {
@@ -142,7 +142,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "random seed (0 = default)")
 		outDir     = flag.String("out", "", "directory for CSV time series (omit to skip)")
 		traceDir   = flag.String("trace-dir", "", "directory for per-system lifecycle traces (Chrome trace_event .json + .jsonl; omit to skip)")
-		budget     = flag.Int("solver", 800, "branch-and-bound budget per re-allocation, in nodes (fairness extension, per-device formulation and clusters past the DP's work limit; ilp is otherwise solved exactly)")
+		budget     = flag.Int("solver", 800, "branch-and-bound budget per re-allocation, in nodes (per-device formulation and clusters past the DP's work limit; ilp is otherwise solved exactly)")
 	)
 	flag.Parse()
 

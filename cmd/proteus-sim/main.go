@@ -47,9 +47,9 @@
 // and "max_retries" sets the per-query re-route budget after a device
 // failure (default 1; an explicit 0 drops stranded queries immediately).
 // "solver_budget_nodes" bounds each branch-and-bound solve in nodes
-// (default 800); only the fairness extension, the per-device formulation and
-// clusters past the DP's work limit search a tree, "ilp" and the baselines
-// built on it are otherwise solved exactly by a DP. Unknown keys are
+// (default 800); only the per-device formulation and clusters past the DP's
+// work limit search a tree, "ilp" and the baselines built on it are
+// otherwise solved exactly by a DP. Unknown keys are
 // rejected.
 package main
 
@@ -84,9 +84,9 @@ type config struct {
 	ClusterSize     int     `json:"cluster_size"`
 	SLOMultiplier   float64 `json:"slo_multiplier"`
 	Seed            uint64  `json:"seed"`
-	// SolverBudgetNodes bounds each branch-and-bound solve (the fairness
-	// extension, the per-device formulation) in nodes (default 800): work,
-	// not wall time, so the plans — and the solver's bound, node count and
+	// SolverBudgetNodes bounds each branch-and-bound solve (the per-device
+	// formulation, clusters past the DP's work limit) in nodes (default
+	// 800): work, not wall time, so the plans — and the solver's bound, node count and
 	// gap in the run dump — are the same on every host.
 	SolverBudgetNodes int         `json:"solver_budget_nodes"`
 	Trace             traceConfig `json:"trace"`

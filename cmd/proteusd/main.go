@@ -66,7 +66,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		clusterSz  = flag.Int("cluster", 8, "cluster size (2:1:1 CPU:1080Ti:V100)")
 		devices    = flag.String("devices", "", `explicit fleet as "type:count" pairs, e.g. "cpu:4,v100:2" (overrides -cluster)`)
-		allocName  = flag.String("allocation", "ilp", "resource allocator (ilp, ilp-fair, infaas_v2, sommelier, clipper-ht, clipper-ha, or an ablation: proteus-wo-ms, proteus-wo-mp, proteus-wo-qa)")
+		allocName  = flag.String("allocation", "ilp", "resource allocator (ilp, infaas_v2, sommelier, clipper-ht, clipper-ha, or an ablation: proteus-wo-ms, proteus-wo-mp, proteus-wo-qa)")
 		batchName  = flag.String("batching", "accscale", "batching policy (accscale, nexus, aimd, static-N)")
 		period     = flag.Duration("period", 10*time.Second, "re-allocation period")
 		drive      = flag.Duration("drive", 0, "self-drive duration (0 = serve forever)")

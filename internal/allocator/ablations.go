@@ -13,9 +13,7 @@ type WithoutSelection struct {
 
 // NewWithoutSelection returns the w/o-MS ablation allocator.
 func NewWithoutSelection(opts *MILPOptions) *WithoutSelection {
-	o := opts.withDefaults()
-	o.Filter = extremeVariantFilter(true)
-	return &WithoutSelection{inner: NewMILP(&o)}
+	return &WithoutSelection{inner: NewMILP(withFilter(opts, extremeVariantFilter(true)))}
 }
 
 // Name implements Allocator.
@@ -85,21 +83,13 @@ func (a *WithoutAssignment) Allocate(in *Input) (*Allocation, error) {
 }
 
 // ByName constructs an allocator from the artifact's model_allocation
-// config names: "ilp" (Proteus), "ilp-fair" (the §7 fairness extension),
-// "infaas_v2", "sommelier", "clipper-ht", "clipper-ha", and the ablation
-// names "proteus-wo-ms", "proteus-wo-mp", "proteus-wo-qa".
+// config names: "ilp" (Proteus), "infaas_v2", "sommelier", "clipper-ht",
+// "clipper-ha", and the ablation names "proteus-wo-ms", "proteus-wo-mp",
+// "proteus-wo-qa".
 func ByName(name string, opts *MILPOptions) (Allocator, error) {
 	switch name {
 	case "ilp":
 		return NewMILP(opts), nil
-	case "ilp-fair":
-		// The §7 fairness extension: max-min per-family accuracy weighted
-		// into the objective.
-		o := opts.withDefaults()
-		if o.FairnessWeight == 0 {
-			o.FairnessWeight = 5
-		}
-		return NewMILP(&o), nil
 	case "infaas_v2":
 		return NewInfaasAccuracy(), nil
 	case "sommelier":

@@ -432,8 +432,35 @@ func TestByNameAllocators(t *testing.T) {
 			t.Fatalf("name %q, want %q", a.Name(), n)
 		}
 	}
-	if _, err := ByName("bogus", nil); err == nil {
-		t.Fatal("expected error")
+	for _, n := range []string{"bogus", "ilp-fair"} {
+		if _, err := ByName(n, nil); err == nil {
+			t.Fatalf("%s: expected error", n)
+		}
+	}
+}
+
+// TestFilteredWrappersDefaultOnce holds the allocators that wrap a filtered
+// MILP to the caller's "disabled" and "exact" settings: a negative
+// SwitchCost, RelGap or StallNodes reaches the inner MILP as 0, not as the
+// default a second defaulting pass would restore.
+func TestFilteredWrappersDefaultOnce(t *testing.T) {
+	opts := &MILPOptions{SwitchCost: -1, RelGap: -1, StallNodes: -1}
+	for name, inner := range map[string]*MILP{
+		"clipper-ht":    NewClipperHT(opts).inner,
+		"clipper-ha":    NewClipperHA(opts).inner,
+		"proteus-wo-ms": NewWithoutSelection(opts).inner,
+	} {
+		o := inner.opts
+		if o.SwitchCost != 0 || o.RelGap != 0 || o.StallNodes != 0 {
+			t.Errorf("%s: SwitchCost %v, RelGap %v, StallNodes %d; want all 0",
+				name, o.SwitchCost, o.RelGap, o.StallNodes)
+		}
+		if o.Filter == nil {
+			t.Errorf("%s: filter lost", name)
+		}
+	}
+	if opts.Filter != nil {
+		t.Error("the wrappers wrote their filter into the caller's options")
 	}
 }
 

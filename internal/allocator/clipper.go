@@ -52,16 +52,12 @@ type Clipper struct {
 
 // NewClipperHT returns the high-throughput static baseline ("clipper-ht").
 func NewClipperHT(opts *MILPOptions) *Clipper {
-	o := opts.withDefaults()
-	o.Filter = extremeVariantFilter(false)
-	return &Clipper{name: "clipper-ht", inner: NewMILP(&o)}
+	return &Clipper{name: "clipper-ht", inner: NewMILP(withFilter(opts, extremeVariantFilter(false)))}
 }
 
 // NewClipperHA returns the high-accuracy static baseline ("clipper-ha").
 func NewClipperHA(opts *MILPOptions) *Clipper {
-	o := opts.withDefaults()
-	o.Filter = extremeVariantFilter(true)
-	return &Clipper{name: "clipper-ha", inner: NewMILP(&o)}
+	return &Clipper{name: "clipper-ha", inner: NewMILP(withFilter(opts, extremeVariantFilter(true)))}
 }
 
 // Name implements Allocator.

@@ -252,7 +252,7 @@ func FuzzExactAgainstMILP(f *testing.F) {
 		}
 		a, _ := m.aggregate(in, demand)
 		counts, feasible := a.space.exact(&m.dp)
-		sol := milp.Solve(a.problem(0), &milp.Options{RelGap: 0})
+		sol := milp.Solve(a.problem(), &milp.Options{RelGap: 0})
 		switch {
 		case sol.Status == milp.Infeasible:
 			if feasible {

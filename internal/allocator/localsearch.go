@@ -8,8 +8,8 @@ import (
 // searchSpace is the aggregated model over device counts per (group,
 // variant) pair with accuracy-first demand filling. The DP (exact.go)
 // solves it; the local search explores it for the churn-control plan, the
-// back-off's short families and the tree's warm starts (the fairness path,
-// and shapes past the DP's work limit).
+// back-off's short families and the tree's warm starts (shapes past the
+// DP's work limit).
 type searchSpace struct {
 	pairs  []aggPair
 	refs   []VariantRef

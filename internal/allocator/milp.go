@@ -23,9 +23,9 @@ type MILPOptions struct {
 	// across calls pays switch costs against its previous plan.
 	PerDevice bool
 	// TimeLimit, MaxNodes, RelGap and StallNodes bound the branch-and-bound
-	// search of the fairness extension, of PerDevice and of aggregated
-	// clusters past the DP's work limit (exactWorkLimit); the DP, which
-	// solves the aggregated model otherwise, does not read them.
+	// search of PerDevice and of aggregated clusters past the DP's work
+	// limit (exactWorkLimit); the DP, which solves the aggregated model
+	// otherwise, does not read them.
 	//
 	// TimeLimit bounds each MILP solve on the wall clock (default: none).
 	// A solve it cuts short is marked SolverStats.TimeLimited and is not
@@ -54,12 +54,6 @@ type MILPOptions struct {
 	// device-variant pair's capacity lost to the load (load delay over the
 	// control period). Default 0.05; negative disables.
 	SwitchCost float64
-	// FairnessWeight > 0 enables the fairness extension the paper sketches
-	// in §7: the objective gains FairnessWeight · Σs_q · t where t lower-
-	// bounds every family's average served accuracy, trading system-level
-	// effective accuracy for max-min fairness across applications. 0 (the
-	// default) reproduces the paper's system-level objective.
-	FairnessWeight float64
 	// Filter restricts the candidate variants (used by the Clipper-HT/HA
 	// and w/o-MS configurations). Nil admits every variant.
 	Filter func(ref VariantRef, in *Input) bool
@@ -85,9 +79,6 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 		} else if o.SwitchCost < 0 {
 			out.SwitchCost = 0
 		}
-		if o.FairnessWeight > 0 {
-			out.FairnessWeight = o.FairnessWeight
-		}
 		if o.StallNodes > 0 {
 			out.StallNodes = o.StallNodes
 		} else if o.StallNodes < 0 {
@@ -101,6 +92,18 @@ func (o *MILPOptions) withDefaults() MILPOptions {
 		}
 	}
 	return out
+}
+
+// withFilter copies the caller's options with Filter set, leaving the
+// defaults to NewMILP: withDefaults reads a negative field as "disabled" and
+// returns 0, which a second pass would read as unset.
+func withFilter(opts *MILPOptions, filter func(ref VariantRef, in *Input) bool) *MILPOptions {
+	var o MILPOptions
+	if opts != nil {
+		o = *opts
+	}
+	o.Filter = filter
+	return &o
 }
 
 // MILP is the Proteus resource manager: it maximizes effective accuracy
@@ -244,16 +247,15 @@ func stopwatch(t0 time.Time) time.Duration {
 // n_{g,m} of devices in group g hosting variant m, and served rates w_{g,m}
 // for the variant's family. The paper's objective is solved exactly by the
 // DP over group-usage vectors (exact.go). Branch-and-bound on the MILP
-// (solveByTree) takes the fairness extension, whose t row couples the
-// families, and shapes past the DP's work limit, where the solver's budgets
-// bound the solve.
+// (solveByTree) takes the shapes past the DP's work limit, where the
+// solver's budgets bound the solve.
 func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start time.Time) (*Allocation, []bool, error) {
 	a, short := m.model(in, in.Cluster.GroupByType(), demand, admit)
 	if a == nil {
 		return nil, short, nil
 	}
 	space := a.space
-	if m.opts.FairnessWeight > 0 || !space.exactFits() {
+	if !space.exactFits() {
 		return m.solveByTree(in, a)
 	}
 	t0 := stopwatch(start)
@@ -359,9 +361,8 @@ func (m *MILP) model(in *Input, groups []cluster.TypeGroup, demand []float64, ad
 	return a, nil
 }
 
-// problem builds the model's MILP, with the §7 fairness term when fairness
-// (its objective weight) is positive, and records each pair's variable ids.
-func (a *aggModel) problem(fairness float64) *milp.Problem {
+// problem builds the model's MILP and records each pair's variable ids.
+func (a *aggModel) problem() *milp.Problem {
 	p := milp.NewProblem()
 	for i := range a.pairs {
 		pr := &a.pairs[i]
@@ -396,29 +397,6 @@ func (a *aggModel) problem(fairness float64) *milp.Problem {
 		if len(terms) > 0 {
 			p.AddConstraint(terms, lp.EQ, a.demand[q])
 		}
-	}
-
-	// Fairness extension (§7): t lower-bounds each family's mean served
-	// accuracy; its objective weight trades total accuracy for max-min
-	// fairness. Families with zero demand are unconstrained.
-	if fairness > 0 {
-		tVar := p.AddVariable("t-fair", 0, 100)
-		totalDemand := 0.0
-		for q, s := range a.demand {
-			if s <= 0 {
-				continue
-			}
-			totalDemand += s
-			// Σ A_m w_{g,m,q} >= t * s_q
-			terms := []lp.Term{{Var: tVar, Coef: -s}}
-			for _, pr := range a.pairs {
-				if a.refs[pr.r].Family == q {
-					terms = append(terms, lp.Term{Var: pr.w, Coef: a.refs[pr.r].Variant.Accuracy})
-				}
-			}
-			p.AddConstraint(terms, lp.GE, 0)
-		}
-		p.SetObjective(tVar, fairness*totalDemand)
 	}
 
 	// The load-count variables l >= n - prev carry the switch costs.
@@ -473,11 +451,10 @@ func (m *MILP) search(p *milp.Problem, warm []float64) milp.Solution {
 }
 
 // solveByTree plans by branch-and-bound on the model's MILP, from the warm
-// start of warmStart: the fairness extension, and the plain model on shapes
-// past the DP's work limit. Without a warm start it returns the short
-// families to back off.
+// start of warmStart, on shapes past the DP's work limit. Without a warm
+// start it returns the short families to back off.
 func (m *MILP) solveByTree(in *Input, a *aggModel) (*Allocation, []bool, error) {
-	p := a.problem(m.opts.FairnessWeight)
+	p := a.problem()
 	warm, short := a.warmStart(p)
 	if warm == nil {
 		return nil, short, nil
@@ -599,14 +576,13 @@ func (m *MILP) prevCounts(in *Input, groups []cluster.TypeGroup, refs []VariantR
 // solvePerDevice solves the paper's literal formulation (Table 1, Eqs. 1–7):
 // the aggregated model over one group per healthy device, where each count
 // n_{g,m} ∈ [0, 1] is the binary x_{d,m}. The search starts cold, with no
-// warm start and no fairness term, so Fig. 10 times the literal model's own
-// search.
+// warm start, so Fig. 10 times the literal model's own search.
 func (m *MILP) solvePerDevice(in *Input, demand []float64, admit []bool) (*Allocation, []bool, error) {
 	a, short := m.model(in, deviceGroups(in.Cluster), demand, admit)
 	if a == nil {
 		return nil, short, nil
 	}
-	sol := m.search(a.problem(0), nil)
+	sol := m.search(a.problem(), nil)
 	alloc, err := m.treePlan(in, a, &sol)
 	return alloc, nil, err
 }

@@ -4,8 +4,8 @@
 // model-placement / query-assignment plan. The Proteus allocator solves the
 // paper's MILP exactly: aggregated over identical devices, by a dynamic
 // program over per-type device counts (exact.go) on clusters within its
-// work limit; the fairness extension, larger clusters and the literal
-// per-device formulation by branch-and-bound (internal/milp).
+// work limit; larger clusters and the literal per-device formulation by
+// branch-and-bound (internal/milp).
 // The package also implements the baselines of §6.1.1 — INFaaS-Accuracy's greedy heuristic, Sommelier's
 // static-placement variant switching, Clipper-HT/HA static plans — and the
 // §6.5 ablations (w/o model selection, w/o model placement, w/o query
@@ -230,24 +230,6 @@ func (a *Allocation) EffectiveAccuracy(in *Input) float64 {
 			num += w * ref.Variant.Accuracy
 			den += w
 		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// FamilyAccuracy computes the mean accuracy the plan provisions for family
-// q's routed queries (0 when nothing is routed).
-func (a *Allocation) FamilyAccuracy(in *Input, q int) float64 {
-	num, den := 0.0, 0.0
-	for d, y := range a.Routing[q] {
-		if y <= 0 || a.Hosted[d] == nil {
-			continue
-		}
-		w := y * in.Demand[q]
-		num += w * a.Hosted[d].Variant.Accuracy
-		den += w
 	}
 	if den == 0 {
 		return 0

@@ -39,20 +39,20 @@ func requireSamePlan(t *testing.T, i int, a, b *Allocation) {
 }
 
 // treeSolve plans in's step by branch-and-bound on the aggregated MILP —
-// the path the fairness extension and shapes past the DP's work limit take
-// — under m's options and previous plan, without recording the plan as m's
-// previous one. With FairnessWeight 0 that is the plain model Allocate
-// solves by the DP instead. Where neither heuristic warm start packs the
-// demand, the tree starts from the DP's optimum and fromDP is true: the
-// search then has the optimum from the root and branches to prove it. plan
-// is nil when the DP proves the demand infeasible.
+// the path shapes past the DP's work limit take — under m's options and
+// previous plan, without recording the plan as m's previous one. That is
+// the model Allocate solves by the DP within the work limit. Where neither
+// heuristic warm start packs the demand, the tree starts from the DP's
+// optimum and fromDP is true: the search then has the optimum from the root
+// and branches to prove it. plan is nil when the DP proves the demand
+// infeasible.
 func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool) {
 	t.Helper()
 	a, _ := m.aggregate(in, flooredDemand(in))
 	if a == nil {
 		t.Fatal("no (group, variant) pair can serve the input")
 	}
-	p := a.problem(m.opts.FairnessWeight)
+	p := a.problem()
 	warm, _ := a.warmStart(p)
 	if warm == nil {
 		counts, ok := a.space.exact(new(dpScratch))

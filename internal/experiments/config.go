@@ -38,9 +38,9 @@ type Options struct {
 	SLOMultiplier float64
 	// Seed drives all randomness.
 	Seed uint64
-	// SolverBudget bounds each branch-and-bound solve (the fairness
-	// extension, the per-device formulation) inside the control loop, in
-	// nodes — work, not wall time, so a figure is the same on every host.
+	// SolverBudget bounds each branch-and-bound solve (the per-device
+	// formulation, clusters past the DP's work limit) inside the control
+	// loop, in nodes — work, not wall time, so a figure is the same on every host.
 	// Default 800.
 	SolverBudget int
 	// Trace attaches a lifecycle tracer to each end-to-end system run; the

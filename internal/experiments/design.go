@@ -25,7 +25,7 @@ type DesignAblationRow struct {
 // DesignAblations measures the repository's own engineering choices
 // (distinct from the paper's §6.5 algorithm ablations): the switch-cost
 // term that damps plan churn, and load-balancer admission control under
-// overload. It also runs the §7 fairness extension for comparison.
+// overload.
 func DesignAblations(o Options) ([]DesignAblationRow, error) {
 	o = o.withDefaults()
 	tr := o.twitterTrace()
@@ -37,13 +37,10 @@ func DesignAblations(o Options) ([]DesignAblationRow, error) {
 	base := *o.milpOptions()
 	noSwitch := base
 	noSwitch.SwitchCost = -1
-	fair := base
-	fair.FairnessWeight = 5
 	variants := []variant{
 		{name: "default", milp: base},
 		{name: "no-switch-cost", milp: noSwitch},
 		{name: "no-admission", milp: base, disableAdmission: true},
-		{name: "fairness (§7 ext)", milp: fair},
 	}
 	var out []DesignAblationRow
 	for _, v := range variants {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -274,10 +275,10 @@ func TestSameSeedBundlesByteIdentical(t *testing.T) {
 // constant factor, measured as the bundle's encoding/json encoding (the
 // worst known input is a log of empty plan records, 6 bytes each, that read
 // back as zero PlanRecords of 286 bytes each), and every bundle it returns
-// renders. testdata/fuzz holds a real log excerpt (the first bundle of
-// configs/incident_smoke.json with small rings), that excerpt with a torn
-// tail, and one whose first record claims a length far past the input's
-// end.
+// renders. testdata/fuzz holds a real log excerpt (the records and index of
+// the first bundle proteus-sim logs on configs/incident_smoke.json), the
+// log's first 1000 bytes (a torn tail and no index), and one whose first
+// record claims a length far past the input's end.
 func FuzzReadIncidentLog(f *testing.F) {
 	f.Add([]byte("proteus incident log 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -302,4 +303,40 @@ func FuzzReadIncidentLog(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIncidentExcerptReadsBack holds the reader to a log the simulator
+// writes: every bundle of the FuzzReadIncidentLog excerpt reads back, with
+// its trace and phase rows.
+func TestIncidentExcerptReadsBack(t *testing.T) {
+	data, err := os.ReadFile("testdata/fuzz/FuzzReadIncidentLog/incident_smoke_excerpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(string(data), "go test fuzz v1\n[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")\n")
+	if !ok || !ok2 {
+		t.Fatal("excerpt is not a one-value []byte fuzz corpus file")
+	}
+	raw, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := flightrec.ParseLog([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.IDs()) == 0 {
+		t.Fatal("excerpt holds no bundle")
+	}
+	for _, id := range l.IDs() {
+		b, err := l.Bundle(id)
+		if err != nil {
+			t.Errorf("bundle %q: %v", id, err)
+			continue
+		}
+		if len(b.TraceEvents) == 0 || len(b.Phases) == 0 {
+			t.Errorf("bundle %q: %d trace events, %d phase rows", id, len(b.TraceEvents), len(b.Phases))
+		}
+	}
 }

@@ -24,8 +24,15 @@ import (
 
 // oracle is what reading b back from the incident log must return: b
 // through one encoding/json round trip, which is how the nested records are
-// logged and read, and how strings lose their invalid UTF-8.
+// logged and read, and how strings lose their invalid UTF-8. A phase row
+// naming a scope or phase no tsdb recorder writes fails to log, as an event
+// kind outside its enum fails to encode.
 func oracle(b *Bundle) (*Bundle, error) {
+	for _, p := range b.Phases {
+		if !p.Valid() {
+			return nil, fmt.Errorf("phase row %q/%q", p.Scope, p.Phase)
+		}
+	}
 	data, err := json.Marshal(b)
 	if err != nil {
 		return nil, err
@@ -113,13 +120,12 @@ func TestLogRoundTripEdgeCases(t *testing.T) {
 			TraceEvents: []telemetry.Event{{Kind: telemetry.EvDropped, Cause: telemetry.CauseDraining, Family: -1, Device: -1, Batch: -1}},
 			Counters:    []CounterSnap{{Metrics: []telemetry.Metric{{Name: nasty, Value: -3, Kind: nasty}}}},
 			Samples:     []tsdb.Sample{{At: -5, Device: -2, Variant: nasty}},
-			Phases:      []tsdb.PhaseStat{{Scope: nasty, Index: -1, Phase: nasty}},
+			Phases:      []tsdb.PhaseStat{{Scope: "family", Index: -1, Phase: "admission"}},
 			Build:       buildinfo.Info{GoVersion: nasty, Path: "proteus", Revision: "abc", Modified: true},
 		}},
 		{"every byte", Bundle{
 			ID: string(every), Detail: string(every),
 			Samples: []tsdb.Sample{{Variant: string(every)}},
-			Phases:  []tsdb.PhaseStat{{Scope: string(every), Phase: string(every)}},
 		}},
 		{"causal stamps", Bundle{Family: 2, Device: 0, TraceEvents: []telemetry.Event{
 			{},
@@ -133,6 +139,8 @@ func TestLogRoundTripEdgeCases(t *testing.T) {
 		}}},
 		{"kind outside its enum", Bundle{TraceEvents: []telemetry.Event{{Kind: telemetry.EvDegradeEnd + 1}}}},
 		{"cause outside its enum", Bundle{TraceEvents: []telemetry.Event{{Kind: telemetry.EvDropped, Cause: telemetry.CauseDraining + 1}}}},
+		{"phase outside tsdb's", Bundle{Phases: []tsdb.PhaseStat{{Scope: "device", Phase: "response"}}}},
+		{"scope outside tsdb's", Bundle{Phases: []tsdb.PhaseStat{{Scope: nasty, Phase: "exec"}}}},
 		{"samples", Bundle{Samples: []tsdb.Sample{
 			{},
 			{At: time.Second, Device: 3, Up: true, QueueDepth: 7, BatchSize: 8, UtilMilli: 1000, Variant: "resnet50"},
@@ -229,7 +237,9 @@ func FuzzBundleEncoding(f *testing.F) {
 			b.Phases = []tsdb.PhaseStat{}
 			fill(10, func(j int) {
 				b.Burns = append(b.Burns, tsdb.BurnEvent{At: time.Duration(u), Family: j, Start: bit(2), ShortBurn: x, LongBurn: -x})
-				b.Phases = append(b.Phases, tsdb.PhaseStat{Scope: s, Index: int(i), Phase: s, Count: u, MeanUS: i})
+				// One phase name in four is s, outside tsdb's unless s is one.
+				phase := [...]string{"admission", "queue", "exec", s}[u%4]
+				b.Phases = append(b.Phases, tsdb.PhaseStat{Scope: [...]string{"family", "device"}[j], Index: int(i), Phase: phase, Count: u, MeanUS: i})
 			})
 		}
 		if sect(12) > 0 {
@@ -278,6 +288,38 @@ func TestTraceRecordRejectsWhatNoEventEncodes(t *testing.T) {
 	} {
 		if err := traceElem(rec, &ev); !errors.Is(err, errBadRecord) {
 			t.Errorf("record %q read as %+v, %v; want a malformed record", rec, ev, err)
+		}
+	}
+}
+
+// TestPhaseRecordRejectsWhatNoRecorderWrites holds the phase record's reader
+// to tsdb's rows: a scope other than family or device, or a phase outside
+// tsdb.Phase's names — response and batch_form, stages older engines
+// recorded, included — is a malformed record, so Log.Bundle refuses the
+// bundle.
+func TestPhaseRecordRejectsWhatNoRecorderWrites(t *testing.T) {
+	record := func(scope, phase string) []byte {
+		rec := binary.AppendVarint(appendStr(nil, scope), 3)
+		rec = binary.AppendUvarint(appendStr(rec, phase), 23)
+		for range 5 {
+			rec = binary.AppendVarint(rec, 7)
+		}
+		return rec
+	}
+	var p tsdb.PhaseStat
+	if err := phaseElem(record("device", "queue"), &p); err != nil ||
+		p != (tsdb.PhaseStat{Scope: "device", Index: 3, Phase: "queue", Count: 23, MeanUS: 7, P50US: 7, P95US: 7, P99US: 7, MaxUS: 7}) {
+		t.Fatalf("well-formed record read as %+v, %v", p, err)
+	}
+	for _, rec := range [][]byte{
+		record("device", "response"),
+		record("family", "batch_form"),
+		record("family", ""),
+		record("model", "exec"),
+		record("", "admission"),
+	} {
+		if err := phaseElem(rec, &p); !errors.Is(err, errBadRecord) {
+			t.Errorf("record %q read as %+v, %v; want a malformed record", rec, p, err)
 		}
 	}
 }

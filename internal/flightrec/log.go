@@ -326,6 +326,9 @@ func appendSampleRecord(dst []byte, s *tsdb.Sample) ([]byte, error) {
 }
 
 func appendPhaseRecord(dst []byte, p *tsdb.PhaseStat) ([]byte, error) {
+	if !p.Valid() {
+		return dst, fmt.Errorf("phase row %q/%q: scope or phase outside tsdb's", p.Scope, p.Phase)
+	}
 	dst = appendStr(dst, p.Scope)
 	dst = binary.AppendVarint(dst, int64(p.Index))
 	dst = appendStr(dst, p.Phase)
@@ -360,6 +363,7 @@ func phaseElem(rec []byte, p *tsdb.PhaseStat) error {
 	rd := recReader{b: rec}
 	*p = tsdb.PhaseStat{Scope: rd.str(), Index: rd.int(), Phase: rd.str(), Count: rd.uvarint(),
 		MeanUS: rd.varint(), P50US: rd.varint(), P95US: rd.varint(), P99US: rd.varint(), MaxUS: rd.varint()}
+	rd.bad = rd.bad || !p.Valid()
 	return rd.end()
 }
 

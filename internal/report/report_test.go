@@ -106,14 +106,14 @@ func TestEndToEndDumpAndHTMLByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDumpCarriesSolverProgress runs the seeded system with the fairness
-// extension, whose plans come from branch-and-bound on the aggregated MILP,
+// TestDumpCarriesSolverProgress runs the seeded system with the paper's
+// literal per-device formulation, whose plans come from branch-and-bound,
 // under a node budget tight enough to cut solves short: every MILP plan in
 // the dump must carry the solver's progress (nodes, bound, gap) and none may
 // be marked time-limited, a node budget being work, not time.
 func TestDumpCarriesSolverProgress(t *testing.T) {
-	const budget = 3
-	d, _, _ := burnRunWith(t, &allocator.MILPOptions{MaxNodes: budget, RelGap: -1, FairnessWeight: 5})
+	const budget = 5
+	d, _, _ := burnRunWith(t, &allocator.MILPOptions{MaxNodes: budget, RelGap: -1, PerDevice: true})
 	fired := false
 	for _, p := range d.Plans {
 		if p.Solver != "ilp" {

@@ -1,6 +1,9 @@
 package tsdb
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Phase identifies one segment of a query's end-to-end latency. The hosting
 // engine timestamps the query's lifecycle transitions (arrival, device
@@ -85,6 +88,12 @@ type PhaseStat struct {
 	P95US  int64  `json:"p95_us"`
 	P99US  int64  `json:"p99_us"`
 	MaxUS  int64  `json:"max_us"`
+}
+
+// Valid reports whether the row names a scope and a phase PhaseStats
+// writes: "family" or "device", and one of Phase's names.
+func (s *PhaseStat) Valid() bool {
+	return (s.Scope == "family" || s.Scope == "device") && slices.Contains(phaseNames[:], s.Phase)
 }
 
 // phaseQuantiles are the quantiles of a PhaseStat, ascending.

@@ -134,9 +134,8 @@ func KillFraction(c *Cluster, frac float64, at, recoverAt time.Duration) *Failur
 }
 
 // NewAllocator builds an allocation policy by its artifact config name:
-// "ilp" (Proteus), "ilp-fair" (the §7 fairness extension), "infaas_v2",
-// "sommelier", "clipper-ht", "clipper-ha", or an ablation
-// ("proteus-wo-ms", "proteus-wo-mp", "proteus-wo-qa").
+// "ilp" (Proteus), "infaas_v2", "sommelier", "clipper-ht", "clipper-ha", or
+// an ablation ("proteus-wo-ms", "proteus-wo-mp", "proteus-wo-qa").
 func NewAllocator(name string, opts *MILPOptions) (Allocator, error) {
 	return allocator.ByName(name, opts)
 }
