@@ -23,8 +23,9 @@ import (
 //   - exact combines the tables family by family over the Π(|g|+1) usage
 //     vectors and walks the choices back to per-pair counts.
 //
-// exact builds the tables concurrently (dpScratch.buildTables) and combines
-// them serially; a table depends on its family's inputs alone, so every
+// exact builds the tables concurrently (dpScratch.startTables) and combines
+// each, in family order, as soon as it is built; a table depends on its
+// family's inputs alone and the combination's order is fixed, so every
 // table and every plan is the same at any worker count.
 //
 // Tie rule, everywhere: of two plans whose objectives agree to tieTol, the
@@ -43,6 +44,10 @@ const tieTol = 1e-9
 type value struct{ obj, cap float64 }
 
 func (a value) plus(b value) value { return value{a.obj + b.obj, a.cap + b.cap} }
+
+// none is the value of no plan: every plan beats it, and neither it nor a
+// plan plus it beats anything.
+var none = value{math.Inf(-1), math.Inf(-1)}
 
 // tieRule holds one step's absolute tie tolerances.
 type tieRule value
@@ -111,7 +116,8 @@ type familyTable struct {
 	pairs []int // the family's pair indices in fill order
 	arena []frontierEntry
 	best  []int32
-	val   []value // val[u] is the value of best[u]
+	val   []value // val[u] is the value of best[u], none at -1
+	reach []int   // reach[g] is the most of group g a usage vector with a best uses
 }
 
 // familyTable computes W_q for the family whose pairs, in fill order, are
@@ -224,29 +230,42 @@ func (s *searchSpace) familyTable(ft *familyTable, ls *layerScratch, us *usageSp
 			// the best when met, tells whether pass two can find one.
 			// Visiting the fewest devices on the pair first meets the best
 			// early, as a switch cost only lowers the objective of more.
-			var first frontierEntry
-			served := false
+			// Served children are compared on scalars in frontierCompare's
+			// order, and only the first is built: a served parent's child
+			// takes nothing, so it costs two scalars.
+			fe, fn := -1, 0 // first's parent and n; fe < 0 until one is met
+			fObj, fCap := math.Inf(-1), math.Inf(-1)
 			tieCap := math.Inf(-1)
 			rest = rest[:0]
 			for m := k; m >= lowM[b]; m-- {
 				u, n := b+m*stride, k-m
+				cost := 0.0
+				if n > prev {
+					cost = float64(n-prev) * sc
+				}
 				for e := int(at[u]); e < int(at[u+1]); e++ {
-					c := child(e, n)
-					switch {
-					case c.rem == 0:
-						if !served || frontierCompare(&c, &first, next) < 0 {
-							first, served = c, true
+					var obj, cp float64
+					if ent := &ft.arena[e]; ent.rem == 0 {
+						obj, cp = ent.val.obj-cost, ent.val.cap+pr.peak*float64(n)
+					} else if c := child(e, n); c.rem == 0 {
+						obj, cp = c.val.obj, c.val.cap
+					} else {
+						if !last { // else the family's demand is left unserved
+							rest = append(rest, c)
 						}
-						if c.val.obj-first.val.obj >= -tie.obj && c.val.cap > tieCap {
-							tieCap = c.val.cap
-						}
-					case !last: // else the family's demand is left unserved
-						rest = append(rest, c)
+						continue
+					}
+					if obj > fObj || obj == fObj && (cp > fCap || cp == fCap && e < fe) {
+						fe, fn, fObj, fCap = e, n, obj, cp
+					}
+					if obj-fObj >= -tie.obj && cp > tieCap {
+						tieCap = cp
 					}
 				}
 			}
 			start := len(ft.arena)
-			if served {
+			if fe >= 0 {
+				first := child(fe, fn)
 				ft.arena = append(ft.arena, first)
 				// Pass two: the served children that beat first.
 				if tieCap > first.val.cap+tie.cap {
@@ -269,17 +288,20 @@ func (s *searchSpace) familyTable(ft *familyTable, ls *layerScratch, us *usageSp
 	ls.rest, ls.ties = rest, ties // keep what they grew to
 	ft.best = sized(ft.best, us.n)
 	ft.val = sized(ft.val, us.n)
-	for u := range ft.best {
-		ft.best[u] = -1
-	}
-	clear(ft.val)
+	fill(ft.best, -1)
+	fill(ft.val, none)
+	ft.reach = sized(ft.reach, len(us.size))
+	clear(ft.reach)
 	for e := lo; e < hi; e++ {
 		ent := ft.arena[e]
 		if ent.rem > 0 {
 			continue // only reachable with no pairs at all
 		}
-		if b := ft.best[ent.state]; b < 0 || tie.beats(ent.val, ft.val[ent.state]) {
+		if tie.beats(ent.val, ft.val[ent.state]) {
 			ft.best[ent.state], ft.val[ent.state] = int32(e), ent.val
+		}
+		for g := range ft.reach {
+			ft.reach[g] = max(ft.reach[g], us.of(int(ent.state), g))
 		}
 	}
 }
@@ -338,12 +360,9 @@ func appendScanned(arena []frontierEntry, start int, cands []frontierEntry, tie 
 // aggregated model is searched by branch-and-bound, under the solver's
 // budgets (TimeLimit among them). The nine-family zoo needs 0.26 M on the
 // 20-device testbed (groups 10/5/5), 9.1 M at 40 devices, 24 M at 50 and
-// 83 M at 60. One solve on a 2-vCPU host at GOMAXPROCS 2 (1) takes
-// 2.2–2.8 (3.2–3.6) ms at 20 devices, 34–58 (50–76) ms at 40, 68–123
-// (78–111) ms at 50, where the tree takes 0.9–2.4 s, and 0.21–0.34
-// (0.26–0.60) s at 60, where it takes 0.39–0.56 s. The concurrent tables
-// speed up only the tables' share of a solve, which falls as the cluster
-// grows, so the limit stays where the serial build put it.
+// 83 M at 60, where one solve takes about as long as the node-limited tree
+// (DESIGN.md "Cost and the work limit" has the times). The combination,
+// not the tables, is most of a solve there, so the limit stays put.
 const exactWorkLimit = 40_000_000
 
 // exactFits reports whether the DP's work, families × Π_g (|g|+1)(|g|+2)/2
@@ -382,14 +401,19 @@ type dpScratch struct {
 	workers int
 	// entries counts the frontier entries of the last solve's tables
 	// (concurrentTablesMin); 0 before the first.
-	entries      int
-	us           *usageSpace    // rebuilt when the group sizes change
-	tables       []familyTable  // one per family
-	layers       []layerScratch // one per worker
-	cur, nxt     []value
-	curOK, nxtOK []bool
-	choice       [][]int32 // choice[q][u]: family q's usage vector in the best way to u
-	free, digit  []int
+	entries     int
+	us          *usageSpace    // rebuilt when the group sizes change
+	tables      []familyTable  // one per family
+	layers      []layerScratch // one per worker
+	cur, nxt    []value
+	choice      [][]int32 // choice[q][u]: family q's usage vector in the best way to u
+	free, digit []int
+	// The table build in progress (startTables).
+	build   func(q, w int) // builds table q on worker w's layer buffers
+	next    atomic.Int32   // the first family no one has claimed
+	done    chan int       // the families the started workers have built
+	built   []bool         // the families the caller knows to be built
+	running sync.WaitGroup // the started workers
 }
 
 // layerScratch is one worker's layer buffers (familyTable).
@@ -407,6 +431,14 @@ func sized[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// fill sets every element of s, which is not empty, to v.
+func fill[T any](s []T, v T) {
+	s[0] = v
+	for i := 1; i < len(s); i *= 2 {
+		copy(s[i:], s[:i])
+	}
 }
 
 // usage returns the usage space of the group sizes, rebuilt only when they
@@ -430,13 +462,14 @@ func (dp *dpScratch) usage(size []int) *usageSpace {
 // The default cluster's `ilp` periods hold ≈ 15 k.
 const concurrentTablesMin = 1500
 
-// buildTables builds every family's table into dp.tables on
+// startTables starts building every family's table into dp.tables on
 // min(workers, families) goroutines — the caller's one of them — that take
 // the next family index from a shared counter; on one when the last solve's
-// tables held fewer than concurrentTablesMin entries. Each worker has its
-// own layer buffers and each family its own table, so which worker builds
-// a table does not change it. With one worker nothing is started.
-func (dp *dpScratch) buildTables(s *searchSpace, us *usageSpace, tie tieRule, famPairs [][]int) []familyTable {
+// tables held fewer than concurrentTablesMin entries. The caller builds
+// tables only while it waits (awaitTable), so with one worker nothing is
+// started. Each worker has its own layer buffers and each family its own
+// table, so which worker builds a table does not change it.
+func (dp *dpScratch) startTables(s *searchSpace, us *usageSpace, tie tieRule, famPairs [][]int) []familyTable {
 	workers := dp.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -447,27 +480,54 @@ func (dp *dpScratch) buildTables(s *searchSpace, us *usageSpace, tie tieRule, fa
 	workers = max(1, min(workers, len(famPairs)))
 	dp.tables = sized(dp.tables, len(famPairs))
 	dp.layers = sized(dp.layers, workers)
-	var next atomic.Int32
-	build := func(w int) {
-		for q := int(next.Add(1)) - 1; q < len(famPairs); q = int(next.Add(1)) - 1 {
-			s.familyTable(&dp.tables[q], &dp.layers[w], us, tie, famPairs[q], s.demand[q])
-		}
+	dp.built = sized(dp.built, len(famPairs))
+	clear(dp.built)
+	if workers > 1 && cap(dp.done) < len(famPairs) {
+		dp.done = make(chan int, len(famPairs))
 	}
-	var wg sync.WaitGroup
+	dp.build = func(q, w int) { s.familyTable(&dp.tables[q], &dp.layers[w], us, tie, famPairs[q], s.demand[q]) }
+	dp.next.Store(0)
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
+		dp.running.Add(1)
 		go func() {
-			defer wg.Done()
-			build(w)
+			defer dp.running.Done()
+			for q := int(dp.next.Add(1)) - 1; q < len(dp.built); q = int(dp.next.Add(1)) - 1 {
+				dp.build(q, w)
+				dp.done <- q
+			}
 		}()
 	}
-	build(0)
-	wg.Wait()
+	return dp.tables
+}
+
+// awaitTable returns once table q is built. Meanwhile the caller takes in
+// the tables the workers have built and builds unclaimed ones itself.
+func (dp *dpScratch) awaitTable(q int) {
+	for !dp.built[q] {
+		select {
+		case c := <-dp.done:
+			dp.built[c] = true
+		default:
+			if c := int(dp.next.Add(1)) - 1; c < len(dp.built) {
+				dp.build(c, 0)
+				dp.built[c] = true
+			} else {
+				dp.built[<-dp.done] = true
+			}
+		}
+	}
+}
+
+// awaitTables returns once every table is built and every worker stopped.
+func (dp *dpScratch) awaitTables() {
+	for q := range dp.built {
+		dp.awaitTable(q)
+	}
+	dp.running.Wait()
 	dp.entries = 0
 	for q := range dp.tables {
 		dp.entries += len(dp.tables[q].arena)
 	}
-	return dp.tables
 }
 
 // exact returns the per-pair device counts of an optimal plan for the
@@ -478,41 +538,39 @@ func (s *searchSpace) exact(dp *dpScratch) ([]int, bool) {
 	us := dp.usage(s.groupSize)
 	famPairs := s.familyPairs()
 	tie := s.tieRule()
-	tables := dp.buildTables(s, us, tie, famPairs)
+	tables := dp.startTables(s, us, tie, famPairs)
+	defer dp.awaitTables()
 	dp.cur, dp.nxt = sized(dp.cur, us.n), sized(dp.nxt, us.n)
-	dp.curOK, dp.nxtOK = sized(dp.curOK, us.n), sized(dp.nxtOK, us.n)
-	cur, nxt, curOK, nxtOK := dp.cur, dp.nxt, dp.curOK, dp.nxtOK
-	clear(curOK)
-	cur[0], curOK[0] = value{}, true
+	cur, nxt := dp.cur, dp.nxt
+	fill(cur, none)
+	cur[0] = value{}
 	dp.choice = sized(dp.choice, len(famPairs))
 	choice := dp.choice
 	dp.free, dp.digit = sized(dp.free, len(us.size)), sized(dp.digit, len(us.size))
 	free, digit := dp.free, dp.digit
 	for q := range tables {
+		dp.awaitTable(q)
 		ft := &tables[q]
 		// choice[q] is not cleared: the walk-back reads it only at usage
 		// vectors this solve reached, and reaching one writes it.
 		choice[q] = sized(choice[q], us.n)
-		clear(nxtOK)
+		fill(nxt, none)
 		reached := false
 		for st := 0; st < us.n; st++ {
-			if !curOK[st] {
+			if cur[st] == none {
 				continue
 			}
-			// Every usage vector t with st + t ≤ (|g|): an odometer over the
-			// outer groups, and the first group's run of vectors t0…t0+free_0,
-			// which are consecutive indices, as the inner loop.
+			// Every usage vector t ≤ the table's reach with st + t ≤ (|g|):
+			// an odometer over the outer groups, and the first group's run
+			// t0…t0+free_0, which are consecutive indices, as the inner loop.
 			for g := range free {
-				free[g], digit[g] = us.size[g]-us.of(st, g), 0
+				free[g], digit[g] = min(us.size[g]-us.of(st, g), ft.reach[g]), 0
 			}
 			for t0 := 0; ; {
 				for t := t0; t <= t0+free[0]; t++ {
-					if ft.best[t] < 0 {
-						continue
-					}
 					cand := cur[st].plus(ft.val[t])
-					if to := st + t; !nxtOK[to] || tie.beats(cand, nxt[to]) {
-						nxt[to], nxtOK[to], choice[q][to] = cand, true, int32(t)
+					if to := st + t; tie.beats(cand, nxt[to]) {
+						nxt[to], choice[q][to] = cand, int32(t)
 						reached = true
 					}
 				}
@@ -532,11 +590,10 @@ func (s *searchSpace) exact(dp *dpScratch) ([]int, bool) {
 			return nil, false
 		}
 		cur, nxt = nxt, cur
-		curOK, nxtOK = nxtOK, curOK
 	}
-	best := -1
-	for st := 0; st < us.n; st++ {
-		if curOK[st] && (best < 0 || tie.beats(cur[st], cur[best])) {
+	best := 0
+	for st := 1; st < us.n; st++ {
+		if tie.beats(cur[st], cur[best]) {
 			best = st
 		}
 	}

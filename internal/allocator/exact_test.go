@@ -385,7 +385,7 @@ func (s *searchSpace) referenceFamilyTable(us *usageSpace, tie tieRule, pairs []
 	ft.best = make([]int32, us.n)
 	ft.val = make([]value, us.n)
 	for u := range ft.best {
-		ft.best[u] = -1
+		ft.best[u], ft.val[u] = -1, none
 	}
 	for e := lo; e < hi; e++ {
 		ent := ft.arena[e]
@@ -532,7 +532,8 @@ func dirtied(s *searchSpace) *dpScratch {
 		big.groupSize[g] = 2 * sz
 	}
 	dp := &dpScratch{workers: 1}
-	dp.buildTables(&big, newUsageSpace(big.groupSize), big.tieRule(), big.familyPairs())
+	dp.startTables(&big, newUsageSpace(big.groupSize), big.tieRule(), big.familyPairs())
+	dp.awaitTables()
 	return dp
 }
 
@@ -719,7 +720,11 @@ func TestExactBytesCeiling(t *testing.T) {
 // 40 — exact at 1, 2 and 9 workers must return the counts of a fresh
 // one-worker solve and build every table entry for entry, to the bit. Each
 // worker count solves on a fresh scratch and on one kept across the chains
-// that first solved a 40- and then a 4-device shape.
+// that first solved a 40- and then a 4-device shape. A last leg triples the
+// demand of seed 7's last period, which the combination proves infeasible at
+// its third family, while later tables may still be in the making: exact
+// must return only once every table is built, and Allocate, whose first four
+// β back-off steps repeat that proof, must leave no worker running.
 func TestExactSameAtEveryWorkerCount(t *testing.T) {
 	workers := []int{1, 2, 9}
 	dirty := make([]*dpScratch, len(workers))
@@ -763,6 +768,42 @@ func TestExactSameAtEveryWorkerCount(t *testing.T) {
 			if _, err := m.Allocate(in); err != nil {
 				t.Fatalf("seed %d, %d devices, period %d: %v", c.seed, c.devices, p, err)
 			}
+		}
+	}
+
+	in := replayInputs(7)[7]
+	for q := range in.Demand {
+		in.Demand[q] *= 3
+	}
+	a, _ := NewMILP(nil).aggregate(in, flooredDemand(in))
+	ref := &dpScratch{workers: 1}
+	if _, ok := a.space.exact(ref); ok {
+		t.Fatal("three times seed 7's last demand is served")
+	}
+	baseline := runtime.NumGoroutine()
+	for k, w := range workers {
+		for _, dp := range []*dpScratch{{workers: w}, dirty[k]} {
+			leg := fmt.Sprintf("tripled demand, %d workers (dirty %v)", w, dp == dirty[k])
+			if got, ok := a.space.exact(dp); ok || got != nil {
+				t.Fatalf("%s: counts %v (%v), want none", leg, got, ok)
+			}
+			for q := range in.Families {
+				if diff := tableDiff(&dp.tables[q], &ref.tables[q]); diff != "" {
+					t.Fatalf("%s: family %d: %s", leg, q, diff)
+				}
+			}
+		}
+		m := NewMILP(&MILPOptions{MaxBackoffs: 4})
+		m.dp.workers = w
+		if _, err := m.Allocate(in); err == nil {
+			t.Fatalf("tripled demand, %d workers: served after 4 back-offs", w)
+		}
+		// A worker that has stopped may take a moment to exit.
+		for try := 0; runtime.NumGoroutine() > baseline; try++ {
+			if try == 100 {
+				t.Fatalf("tripled demand, %d workers: %d goroutines after Allocate, %d before", w, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -465,12 +465,19 @@ func (m *MILP) solveByTree(in *Input, a *aggModel) (*Allocation, []bool, error) 
 }
 
 // treePlan turns a branch-and-bound solution into a plan, or nil when the
-// search ended without an incumbent.
+// search proved the demand infeasible. A search that spent its budget before
+// finding a plan proved nothing, so it is an error, not a reason to back off.
 func (m *MILP) treePlan(in *Input, a *aggModel, sol *milp.Solution) (*Allocation, error) {
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
-	case milp.Infeasible, milp.Limit:
+	case milp.Infeasible:
 		return nil, nil
+	case milp.Limit:
+		budget := fmt.Sprintf("its %d-node budget", m.opts.MaxNodes)
+		if sol.TimeLimited {
+			budget = fmt.Sprintf("its %v time limit", m.opts.TimeLimit)
+		}
+		return nil, fmt.Errorf("allocator: MILP search found no plan within %s (%d nodes)", budget, sol.Nodes)
 	default:
 		return nil, fmt.Errorf("allocator: MILP solve ended with status %v", sol.Status)
 	}

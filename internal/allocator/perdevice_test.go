@@ -87,8 +87,10 @@ func (m *MILP) referenceSolvePerDevice(in *Input, demand []float64, admit []bool
 	})
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
-	case milp.Infeasible, milp.Limit:
+	case milp.Infeasible:
 		return nil, &sol, nil, nil
+	case milp.Limit: // a spent budget proves nothing (treePlan)
+		return nil, &sol, nil, fmt.Errorf("allocator: MILP search found no plan within its %d-node budget", m.opts.MaxNodes)
 	default:
 		return nil, &sol, nil, fmt.Errorf("allocator: MILP solve ended with status %v", sol.Status)
 	}

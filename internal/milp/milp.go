@@ -370,6 +370,10 @@ func (s *solver) finish(st Status) Solution {
 	if s.incumbent != nil {
 		sol.Objective = s.incumbentObj
 		sol.X = s.incumbent
+		// The optimum is at least the incumbent's objective. A popped
+		// node's bound below it (gapClosed) proves the incumbent optimal
+		// and bounds nothing lower.
+		sol.Bound = math.Max(sol.Bound, s.incumbentObj)
 		if st == Limit {
 			sol.Status = Feasible
 		}

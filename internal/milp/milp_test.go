@@ -295,6 +295,32 @@ func TestRelGapZeroProvesExactOptimality(t *testing.T) {
 	}
 }
 
+// TestBoundNotBelowIncumbent solves an integer knapsack whose search ends
+// on popping a node queued with a bound (59.1) below the incumbent found
+// after it was queued (60), with other nodes still open. The incumbent is
+// then proven optimal, so the bound reported is its objective, never the
+// popped node's, and the gap is 0, not negative.
+func TestBoundNotBelowIncumbent(t *testing.T) {
+	p := NewProblem()
+	var terms []lp.Term
+	vals := []float64{20, 6, 13}
+	wts := []float64{11, 16, 17}
+	his := []float64{3, 1, 2}
+	for i := range vals {
+		v := p.AddInteger("x", 0, his[i])
+		p.SetObjective(v, vals[i])
+		terms = append(terms, lp.Term{Var: v, Coef: wts[i]})
+	}
+	p.AddConstraint(terms, lp.LE, 47)
+	sol := Solve(p, &Options{RelGap: 0})
+	if sol.Status != Optimal || sol.Objective != 60 {
+		t.Fatalf("status %v, objective %v, want optimal 60", sol.Status, sol.Objective)
+	}
+	if sol.Bound != sol.Objective || sol.Gap() != 0 {
+		t.Fatalf("bound %v for objective %v (gap %v), want the objective and gap 0", sol.Bound, sol.Objective, sol.Gap())
+	}
+}
+
 func TestTimeLimit(t *testing.T) {
 	// Pseudo-polynomial hard-ish instance; with a tiny time limit the solver
 	// must return promptly with Limit or Feasible rather than hang.
