@@ -142,7 +142,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "random seed (0 = default)")
 		outDir     = flag.String("out", "", "directory for CSV time series (omit to skip)")
 		traceDir   = flag.String("trace-dir", "", "directory for per-system lifecycle traces (Chrome trace_event .json + .jsonl; omit to skip)")
-		budget     = flag.Int("solver", 800, "branch-and-bound budget per re-allocation, in nodes (per-device formulation and clusters past the DP's work limit; ilp is otherwise solved exactly)")
 	)
 	flag.Parse()
 
@@ -150,7 +149,6 @@ func main() {
 		ClusterSize:  *clusterSz,
 		TraceSeconds: *seconds,
 		Seed:         *seed,
-		SolverBudget: *budget,
 		Trace:        *traceDir != "",
 	}
 

@@ -46,11 +46,7 @@
 //
 // and "max_retries" sets the per-query re-route budget after a device
 // failure (default 1; an explicit 0 drops stranded queries immediately).
-// "solver_budget_nodes" bounds each branch-and-bound solve in nodes
-// (default 800); only the per-device formulation and clusters past the DP's
-// work limit search a tree, "ilp" and the baselines built on it are
-// otherwise solved exactly by a DP. Unknown keys are
-// rejected.
+// Unknown keys are rejected.
 package main
 
 import (
@@ -79,17 +75,12 @@ import (
 )
 
 type config struct {
-	ModelAllocation string  `json:"model_allocation"`
-	Batching        string  `json:"batching"`
-	ClusterSize     int     `json:"cluster_size"`
-	SLOMultiplier   float64 `json:"slo_multiplier"`
-	Seed            uint64  `json:"seed"`
-	// SolverBudgetNodes bounds each branch-and-bound solve (the per-device
-	// formulation, clusters past the DP's work limit) in nodes (default
-	// 800): work, not wall time, so the plans — and the solver's bound, node count and
-	// gap in the run dump — are the same on every host.
-	SolverBudgetNodes int         `json:"solver_budget_nodes"`
-	Trace             traceConfig `json:"trace"`
+	ModelAllocation string      `json:"model_allocation"`
+	Batching        string      `json:"batching"`
+	ClusterSize     int         `json:"cluster_size"`
+	SLOMultiplier   float64     `json:"slo_multiplier"`
+	Seed            uint64      `json:"seed"`
+	Trace           traceConfig `json:"trace"`
 	// Devices overrides cluster_size with an explicit fleet, e.g.
 	// [{"type": "cpu", "count": 4}, {"type": "v100", "count": 2}].
 	// Unknown device types are a config error, not a crash.
@@ -291,10 +282,7 @@ func run(args []string, stdout, wall io.Writer, create func(path string) (io.Wri
 	if err != nil {
 		return err
 	}
-	alloc, err := allocator.ByName(cfg.ModelAllocation, &allocator.MILPOptions{
-		MaxNodes: cfg.SolverBudgetNodes,
-		RelGap:   0.005,
-	})
+	alloc, err := allocator.ByName(cfg.ModelAllocation, nil)
 	if err != nil {
 		return err
 	}
@@ -519,9 +507,6 @@ func applyDefaults(cfg *config) {
 	}
 	if cfg.SLOMultiplier <= 0 {
 		cfg.SLOMultiplier = 2
-	}
-	if cfg.SolverBudgetNodes <= 0 {
-		cfg.SolverBudgetNodes = 800
 	}
 	if cfg.Trace.Kind == "" {
 		cfg.Trace.Kind = "twitter"

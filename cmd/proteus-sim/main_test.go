@@ -69,7 +69,7 @@ func TestBuildTraceCSVRoundTrip(t *testing.T) {
 }
 
 // TestLoadConfig: every shipped config decodes, and a key the program does
-// not know — the three solver keys it no longer has, or a typo — is an error
+// not know — the four solver keys it no longer has, or a typo — is an error
 // naming the key rather than a silently applied default.
 func TestLoadConfig(t *testing.T) {
 	paths, err := filepath.Glob("../../configs/*.json")
@@ -85,15 +85,11 @@ func TestLoadConfig(t *testing.T) {
 			t.Errorf("%s: %v", path, err)
 		}
 	}
-	for _, key := range []string{"solver_budget_ms", "solver_parallelism", "solver_cold_start", "cluster_sise"} {
+	for _, key := range []string{"solver_budget_ms", "solver_budget_nodes", "solver_parallelism", "solver_cold_start", "cluster_sise"} {
 		_, err := loadConfig([]byte(`{"cluster_size": 8, "` + key + `": 1}`))
 		if err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("key %q: got error %v, want one naming the key", key, err)
 		}
-	}
-	cfg, err := loadConfig([]byte(`{"solver_budget_nodes": 50}`))
-	if err != nil || cfg.SolverBudgetNodes != 50 || cfg.ClusterSize != 20 {
-		t.Errorf("solver_budget_nodes: %+v, %v", cfg, err)
 	}
 	if _, err := loadConfig([]byte(`{"cluster_size": 8} {"cluster_size": 9}`)); err == nil {
 		t.Error("trailing data after the config object accepted")

@@ -89,11 +89,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	alloc, err := allocator.ByName(*allocName, &allocator.MILPOptions{
-		// Safety net for a live control loop: a solve it cuts short is marked
-		// time_limited in the audit log.
-		TimeLimit: 20 * time.Second,
-	})
+	alloc, err := allocator.ByName(*allocName, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -357,10 +357,9 @@ func appendScanned(arena []frontierEntry, start int, cands []frontierEntry, tie 
 }
 
 // exactWorkLimit bounds the DP's combination work (exactFits): past it the
-// aggregated model is searched by branch-and-bound, under the solver's
-// budgets (TimeLimit among them). The nine-family zoo needs 0.26 M on the
-// 20-device testbed (groups 10/5/5), 9.1 M at 40 devices, 24 M at 50 and
-// 83 M at 60, where one solve takes about as long as the node-limited tree
+// local search plans the aggregated model (searchSpace.search), without a
+// proven bound. The nine-family zoo needs 0.26 M on the 20-device testbed
+// (groups 10/5/5), 9.1 M at 40 devices, 24 M at 50 and 83 M at 60
 // (DESIGN.md "Cost and the work limit" has the times). The combination,
 // not the tables, is most of a solve there, so the limit stays put.
 const exactWorkLimit = 40_000_000
@@ -368,7 +367,8 @@ const exactWorkLimit = 40_000_000
 // exactFits reports whether the DP's work, families × Π_g (|g|+1)(|g|+2)/2
 // — every usage vector paired with every family usage that fits beside
 // it — stays within exactWorkLimit. It depends on the input's shape only,
-// so the choice of solver is as deterministic as the plan.
+// so the choice between the DP and the local search is as deterministic
+// as the plan.
 func (s *searchSpace) exactFits() bool {
 	work := len(s.demand)
 	for _, sz := range s.groupSize {

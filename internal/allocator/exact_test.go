@@ -83,7 +83,7 @@ func TestExactAtLeastMILPOnReplay(t *testing.T) {
 					served++
 				}
 			case st.Backoffs != 0:
-				t.Errorf("seed %d period %d: backed off %d times though the tree's warm start serves the full demand", seed, p, st.Backoffs)
+				t.Errorf("seed %d period %d: backed off %d times though the local search serves the full demand", seed, p, st.Backoffs)
 			case st.Objective < tree.Stats.Objective-tol:
 				t.Errorf("seed %d period %d: DP objective %.6f below the tree's incumbent %.6f", seed, p, st.Objective, tree.Stats.Objective)
 			case st.Objective > tree.Stats.Objective+tol:
@@ -100,44 +100,41 @@ func TestExactAtLeastMILPOnReplay(t *testing.T) {
 	}
 }
 
-// TestLargeClusterHonoursTimeLimit pins the solver choice and the safety
-// net a live control loop sets. On the 20-device testbed the DP answers (no
-// tree). On the 80-device one its work is past exactWorkLimit, so the plan
-// comes from branch-and-bound, which stops at TimeLimit with its incumbent
-// and says so: TimeLimited, not optimal.
-func TestLargeClusterHonoursTimeLimit(t *testing.T) {
-	const limit = 200 * time.Millisecond
-	for _, devices := range []int{20, 80} {
-		in := defaultClusterInput(400 * float64(devices) / 20)
-		in.Cluster = cluster.ScaledTestbed(devices)
-		m := NewMILP(&MILPOptions{TimeLimit: limit})
-		a, _ := m.aggregate(in, flooredDemand(in))
-		dp := a.space.exactFits()
-		if dp != (devices == 20) {
-			t.Fatalf("%d devices: within the DP's work limit = %v", devices, dp)
-		}
-		plan, err := m.Allocate(in)
-		if err != nil {
-			t.Fatalf("%d devices: %v", devices, err)
-		}
-		if err := plan.Check(in); err != nil {
-			t.Errorf("%d devices: %v", devices, err)
-		}
-		st := plan.Stats
-		t.Logf("%d devices: %v, %d nodes, time-limited %v, back-offs %d", devices, plan.SolveTime, st.Nodes, st.TimeLimited, st.Backoffs)
-		if dp {
-			if st.Nodes != 0 || !plan.Optimal {
-				t.Errorf("%d devices: want the DP's certificate, got optimal=%v %+v", devices, plan.Optimal, st)
+// TestLargeClusterPlansByLocalSearch pins the solver choice of the control
+// loop. On the 20-device testbed the DP answers every period of the replay
+// chain with its certificate. On 60 and 80 devices its work is past
+// exactWorkLimit, so the local search plans: no tree (Nodes 0), no proven
+// bound (RelGap -1), not optimal, and the same plan from two fresh
+// allocators, period by period, since no clock feeds it.
+func TestLargeClusterPlansByLocalSearch(t *testing.T) {
+	for _, devices := range []int{20, 60, 80} {
+		allocs := [2]*MILP{NewMILP(nil), NewMILP(nil)}
+		for p, in := range replayInputsAt(7, devices) {
+			a, _ := allocs[0].aggregate(in, flooredDemand(in))
+			if dp := a.space.exactFits(); dp != (devices == 20) {
+				t.Fatalf("%d devices: within the DP's work limit = %v", devices, dp)
 			}
-			continue
-		}
-		if st.Nodes == 0 || !st.TimeLimited || plan.Optimal {
-			t.Errorf("%d devices: want a time-limited tree, got optimal=%v %+v", devices, plan.Optimal, st)
-		}
-		// The limit bounds the search; the heuristics and the root
-		// relaxation in front of it take tens of milliseconds.
-		if plan.SolveTime > limit+time.Second {
-			t.Errorf("%d devices: solve took %v under a %v limit", devices, plan.SolveTime, limit)
+			var plans [2]*Allocation
+			for k, m := range allocs {
+				plan, err := m.Allocate(in)
+				if err != nil {
+					t.Fatalf("%d devices, period %d: %v", devices, p, err)
+				}
+				if err := plan.Check(in); err != nil {
+					t.Errorf("%d devices, period %d: %v", devices, p, err)
+				}
+				plans[k] = plan
+			}
+			requireSamePlan(t, p, plans[0], plans[1])
+			plan, st := plans[0], plans[0].Stats
+			switch {
+			case devices == 20:
+				if !plan.Optimal || st.Nodes != 0 || st.RelGap != 0 || st.Bound != st.Objective {
+					t.Errorf("%d devices, period %d: want the DP's certificate, got optimal=%v %+v", devices, p, plan.Optimal, st)
+				}
+			case plan.Optimal || st.Nodes != 0 || st.RelGap != -1 || st.Bound != 0 || st.Objective <= 0:
+				t.Errorf("%d devices, period %d: want a local-search plan without a bound, got optimal=%v %+v", devices, p, plan.Optimal, st)
+			}
 		}
 	}
 }

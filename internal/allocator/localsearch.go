@@ -7,9 +7,9 @@ import (
 
 // searchSpace is the aggregated model over device counts per (group,
 // variant) pair with accuracy-first demand filling. The DP (exact.go)
-// solves it; the local search explores it for the churn-control plan, the
-// back-off's short families and the tree's warm starts (shapes past the
-// DP's work limit).
+// solves it within its work limit; the local search explores it for the
+// churn-control plan, the back-off's short families and, past the work
+// limit, the plan itself (search).
 type searchSpace struct {
 	pairs  []aggPair
 	refs   []VariantRef
@@ -163,6 +163,38 @@ func (s *searchSpace) improve(counts []int, maxRounds int) []int {
 	return counts
 }
 
+// kept is the previous plan evolved by the local search under the step's
+// demand, with its objective: nil when there is no previous plan or the
+// evolved one leaves demand unserved. It is the churn-control candidate
+// beside the DP's optimum and one of search's two starts.
+func (s *searchSpace) kept() ([]int, float64) {
+	if s.prev == nil {
+		return nil, 0
+	}
+	counts := s.improve(append([]int(nil), s.prev...), 50)
+	obj, feasible := s.objective(counts)
+	if !feasible {
+		return nil, 0
+	}
+	return counts, obj
+}
+
+// search plans shapes past the DP's work limit: the better of kept and of
+// the local search from no devices (kept on a tie), with its objective.
+// When neither serves the demand, counts is nil and short holds the
+// families the search from no devices leaves short, for the back-off.
+func (s *searchSpace) search() (counts []int, obj float64, short []bool) {
+	counts, obj = s.kept()
+	fresh := s.improve(make([]int, len(s.pairs)), 50)
+	if o, feasible := s.objective(fresh); feasible && (counts == nil || o > obj) {
+		return fresh, o, nil
+	}
+	if counts == nil {
+		return nil, 0, s.shortfall(fresh)
+	}
+	return counts, obj, nil
+}
+
 // familyOf returns pair i's family.
 func (s *searchSpace) familyOf(i int) int { return s.refs[s.pairs[i].r].Family }
 
@@ -205,38 +237,6 @@ func (s *searchSpace) fill(counts []int) (served, remaining []float64) {
 		remaining[q] -= served[i]
 	}
 	return served, remaining
-}
-
-// vector expands counts into a full MILP variable assignment (n, w and
-// load-count entries) matching the accuracy-first fill. It returns nil when
-// the counts cannot serve the demand.
-func (s *searchSpace) vector(counts []int, nVars int) []float64 {
-	served, remaining := s.fill(counts)
-	for _, r := range remaining {
-		if r > 1e-9 {
-			return nil
-		}
-	}
-	x := make([]float64, nVars)
-	for i, pr := range s.pairs {
-		x[pr.n] = float64(counts[i])
-		x[pr.w] = served[i]
-		if pr.l >= 0 && s.prev != nil {
-			if loads := counts[i] - s.prev[i]; loads > 0 {
-				x[pr.l] = float64(loads)
-			}
-		}
-	}
-	return x
-}
-
-// countsFromVector recovers per-pair device counts from a MILP solution.
-func (s *searchSpace) countsFromVector(x []float64) []int {
-	counts := make([]int, len(s.pairs))
-	for i, pr := range s.pairs {
-		counts[i] = int(math.Round(x[pr.n]))
-	}
-	return counts
 }
 
 // shortfall reports, per family, whether the counts leave demand unserved.

@@ -98,7 +98,7 @@ func matchImprove(t *testing.T, s *searchSpace, start []int, maxRounds int, what
 // Clipper-HA and w/o-MS, which back off ≈ 260 times a period) for the
 // allocators the DP serves, at 0.5, 1, 2 and 4 times the period's demand,
 // starting from the previous plan (the churn-control search) and from
-// nothing (the back-off's shortfall and the tree's warm start).
+// nothing (the back-off's shortfall and the plan past the work limit).
 func TestImproveMatchesReference(t *testing.T) {
 	searches := 0
 	for _, tc := range []struct {

@@ -23,9 +23,9 @@ type MILPOptions struct {
 	// across calls pays switch costs against its previous plan.
 	PerDevice bool
 	// TimeLimit, MaxNodes, RelGap and StallNodes bound the branch-and-bound
-	// search of PerDevice and of aggregated clusters past the DP's work
-	// limit (exactWorkLimit); the DP, which solves the aggregated model
-	// otherwise, does not read them.
+	// search of PerDevice, the only path that searches a tree. The
+	// aggregated model, solved by the DP within its work limit and by the
+	// local search past it, does not read them.
 	//
 	// TimeLimit bounds each MILP solve on the wall clock (default: none).
 	// A solve it cuts short is marked SolverStats.TimeLimited and is not
@@ -36,10 +36,7 @@ type MILPOptions struct {
 	// the deterministic budget, the same work on every host.
 	MaxNodes int
 	// RelGap is the accepted relative optimality gap (default 1e-6, i.e.
-	// effectively exact; negative demands an exact proof, gap 0). The
-	// control plane relaxes it to trade optimality for solve time on large
-	// instances, as the paper does by falling back to heuristics past its
-	// 60-second horizon (§6.8).
+	// effectively exact; negative demands an exact proof, gap 0).
 	RelGap float64
 	// StallNodes stops a solve early (keeping the incumbent) after that
 	// many branch-and-bound nodes without improvement. Default 3000;
@@ -245,20 +242,28 @@ func stopwatch(t0 time.Time) time.Duration {
 
 // solveAggregated solves the type-aggregated formulation: integer counts
 // n_{g,m} of devices in group g hosting variant m, and served rates w_{g,m}
-// for the variant's family. The paper's objective is solved exactly by the
-// DP over group-usage vectors (exact.go). Branch-and-bound on the MILP
-// (solveByTree) takes the shapes past the DP's work limit, where the
-// solver's budgets bound the solve.
+// for the variant's family. The DP over group-usage vectors (exact.go)
+// solves the paper's objective exactly on shapes within its work limit;
+// past it the local search plans (searchSpace.search), and no bound is
+// proven.
 func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start time.Time) (*Allocation, []bool, error) {
 	a, short := m.model(in, in.Cluster.GroupByType(), demand, admit)
 	if a == nil {
 		return nil, short, nil
 	}
 	space := a.space
-	if !space.exactFits() {
-		return m.solveByTree(in, a)
-	}
 	t0 := stopwatch(start)
+	if !space.exactFits() {
+		counts, obj, short := space.search()
+		if counts == nil {
+			return nil, short, nil
+		}
+		served, _ := space.fill(counts)
+		alloc := m.expand(in, a, counts, served)
+		// A heuristic plan: Bound 0 and RelGap -1 encode "no proven bound".
+		alloc.Stats = SolverStats{Objective: obj, RelGap: -1, SolverTime: stopwatch(start) - t0}
+		return alloc, nil, nil
+	}
 	best, feasible := space.exact(&m.dp)
 	dpTime := stopwatch(start) - t0
 	if !feasible {
@@ -272,11 +277,8 @@ func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start 
 	// gets within 0.2% of the optimum, prefer it — equal-accuracy optima
 	// abound in this model, and gratuitous re-placement costs a model load
 	// (device downtime) per switched device.
-	if space.prev != nil {
-		kept := space.improve(append([]int(nil), space.prev...), 50)
-		if o, ok := space.objective(kept); ok && o >= obj*0.998 {
-			counts = kept
-		}
+	if kept, o := space.kept(); kept != nil && o >= obj*0.998 {
+		counts = kept
 	}
 	served, _ := space.fill(counts)
 	alloc := m.expand(in, a, counts, served)
@@ -411,57 +413,14 @@ func (a *aggModel) problem() *milp.Problem {
 	return p
 }
 
-// warmStart returns the better of the previous plan adapted to the new
-// demand and a local search from scratch, as a solution vector of p. When
-// neither packs the demand it returns the local search's short families
-// instead: proving integer infeasibility near the capacity boundary would
-// burn the node budget.
-func (a *aggModel) warmStart(p *milp.Problem) ([]float64, []bool) {
-	space := a.space
-	var warm []float64
-	warmObj := math.Inf(-1)
-	consider := func(x []float64) {
-		if x == nil {
-			return
-		}
-		if obj, feasible := space.objective(space.countsFromVector(x)); feasible && obj > warmObj {
-			warm, warmObj = x, obj
-		}
-	}
-	if space.prev != nil {
-		consider(space.vector(append([]int(nil), space.prev...), p.NumVariables()))
-	}
-	heurCounts := space.improve(make([]int, len(a.pairs)), 50)
-	consider(space.vector(heurCounts, p.NumVariables()))
-	if warm == nil {
-		return nil, space.shortfall(heurCounts)
-	}
-	return warm, nil
-}
-
-// search runs branch-and-bound on p from warm under the solver's budgets.
-func (m *MILP) search(p *milp.Problem, warm []float64) milp.Solution {
+// search runs branch-and-bound on p, cold, under the solver's budgets.
+func (m *MILP) search(p *milp.Problem) milp.Solution {
 	return milp.Solve(p, &milp.Options{
 		TimeLimit:  m.opts.TimeLimit,
 		MaxNodes:   m.opts.MaxNodes,
 		RelGap:     m.opts.RelGap,
 		StallNodes: m.opts.StallNodes,
-		WarmStart:  warm,
 	})
-}
-
-// solveByTree plans by branch-and-bound on the model's MILP, from the warm
-// start of warmStart, on shapes past the DP's work limit. Without a warm
-// start it returns the short families to back off.
-func (m *MILP) solveByTree(in *Input, a *aggModel) (*Allocation, []bool, error) {
-	p := a.problem()
-	warm, short := a.warmStart(p)
-	if warm == nil {
-		return nil, short, nil
-	}
-	sol := m.search(p, warm)
-	alloc, err := m.treePlan(in, a, &sol)
-	return alloc, nil, err
 }
 
 // treePlan turns a branch-and-bound solution into a plan, or nil when the
@@ -491,11 +450,13 @@ func (m *MILP) treePlan(in *Input, a *aggModel, sol *milp.Solution) (*Allocation
 // fromVector reads per-pair device counts and served rates off a MILP
 // solution.
 func (a *aggModel) fromVector(x []float64) (counts []int, served []float64) {
+	counts = make([]int, len(a.pairs))
 	served = make([]float64, len(a.pairs))
 	for i, pr := range a.pairs {
+		counts[i] = int(math.Round(x[pr.n]))
 		served[i] = x[pr.w]
 	}
-	return a.space.countsFromVector(x), served
+	return counts, served
 }
 
 // expand turns per-pair device counts and served rates into a plan: counts
@@ -580,16 +541,17 @@ func (m *MILP) prevCounts(in *Input, groups []cluster.TypeGroup, refs []VariantR
 	return counts
 }
 
-// solvePerDevice solves the paper's literal formulation (Table 1, Eqs. 1–7):
-// the aggregated model over one group per healthy device, where each count
-// n_{g,m} ∈ [0, 1] is the binary x_{d,m}. The search starts cold, with no
-// warm start, so Fig. 10 times the literal model's own search.
+// solvePerDevice solves the paper's literal formulation (Table 1, Eqs. 1–7)
+// by branch-and-bound: the aggregated model over one group per healthy
+// device, where each count n_{g,m} ∈ [0, 1] is the binary x_{d,m}. The
+// search starts cold, with no warm start, so Fig. 10 times the literal
+// model's own search.
 func (m *MILP) solvePerDevice(in *Input, demand []float64, admit []bool) (*Allocation, []bool, error) {
 	a, short := m.model(in, deviceGroups(in.Cluster), demand, admit)
 	if a == nil {
 		return nil, short, nil
 	}
-	sol := m.search(a.problem(), nil)
+	sol := m.search(a.problem())
 	alloc, err := m.treePlan(in, a, &sol)
 	return alloc, nil, err
 }

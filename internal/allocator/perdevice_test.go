@@ -195,7 +195,7 @@ func TestPerDeviceMatchesReferenceBuilder(t *testing.T) {
 								t.Fatalf("model %v, reference solve %v", a != nil, wantSol != nil)
 							}
 							if a != nil {
-								sol := m.search(a.problem(), nil)
+								sol := m.search(a.problem())
 								requireSolutionBits(t, &sol, wantSol)
 								if sol.Status == milp.Infeasible {
 									infeasible++

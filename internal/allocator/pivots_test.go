@@ -16,9 +16,10 @@ import (
 // relaxation should be re-optimised by dual pivots alone, in about a dozen
 // of them (the primal phase 1 + phase 2 this replaced took 22.7 per node).
 // Three control periods of rising demand go through one allocator, as the
-// controller drives it, and each tree starts from the allocator's previous
-// plan — at 550 QPS, which no heuristic packs, from the DP's optimum; the
-// counts are deterministic, so the thresholds cannot flake.
+// controller drives it, and each tree starts from the local search's plan
+// (treeSolve) — at 550 QPS, which the local search does not pack, from the
+// DP's optimum; the counts are deterministic, so the thresholds cannot
+// flake.
 func TestChildRelaxationsTakeDualPath(t *testing.T) {
 	m := NewMILP(&MILPOptions{StallNodes: 400})
 	for _, totalQPS := range []float64{250, 400, 550} {

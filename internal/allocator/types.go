@@ -2,10 +2,11 @@
 // (§4): given a heterogeneous cluster, registered model families with SLOs,
 // and a target per-family demand, produce a joint model-selection /
 // model-placement / query-assignment plan. The Proteus allocator solves the
-// paper's MILP exactly: aggregated over identical devices, by a dynamic
-// program over per-type device counts (exact.go) on clusters within its
-// work limit; larger clusters and the literal per-device formulation by
-// branch-and-bound (internal/milp).
+// paper's MILP aggregated over identical devices: exactly, by a dynamic
+// program over per-type device counts (exact.go), on clusters within its
+// work limit, and by a local search on larger ones. The literal per-device
+// formulation, which Fig. 10 measures, is solved by branch-and-bound
+// (internal/milp).
 // The package also implements the baselines of §6.1.1 — INFaaS-Accuracy's greedy heuristic, Sommelier's
 // static-placement variant switching, Clipper-HT/HA static plans — and the
 // §6.5 ablations (w/o model selection, w/o model placement, w/o query
@@ -105,9 +106,10 @@ type SolverStats struct {
 	// Backoffs is how many β demand-reduction iterations ran before the
 	// final (feasible) solve.
 	Backoffs int `json:"backoffs"`
-	// SolverTime is the time spent inside the final branch-and-bound solve;
-	// Allocation.SolveTime additionally covers warm-start heuristics,
-	// polishing and every back-off iteration. A wall time, so it is not
+	// SolverTime is the time spent inside the final solve: the DP, the
+	// local search past its work limit, or PerDevice's branch-and-bound.
+	// Allocation.SolveTime additionally covers model building, churn
+	// control and every back-off iteration. A wall time, so it is not
 	// serialized.
 	SolverTime time.Duration `json:"-"`
 	// TimeLimited reports that MILPOptions.TimeLimit fired during the final

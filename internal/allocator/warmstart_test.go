@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"proteus/internal/cluster"
+	"proteus/internal/milp"
 	"proteus/internal/models"
 	"proteus/internal/profiles"
 	"proteus/internal/trace"
@@ -39,34 +40,63 @@ func requireSamePlan(t *testing.T, i int, a, b *Allocation) {
 }
 
 // treeSolve plans in's step by branch-and-bound on the aggregated MILP —
-// the path shapes past the DP's work limit take — under m's options and
-// previous plan, without recording the plan as m's previous one. That is
-// the model Allocate solves by the DP within the work limit. Where neither
-// heuristic warm start packs the demand, the tree starts from the DP's
-// optimum and fromDP is true: the search then has the optimum from the root
-// and branches to prove it. plan is nil when the DP proves the demand
-// infeasible.
+// the search PerDevice runs over one group per device — under m's options
+// and from m's previous plan, without recording the plan as m's previous
+// one. That is the model Allocate solves by the DP within the work limit.
+// The tree starts from the local search's plan (searchSpace.search); where
+// that packs no plan, it starts from the DP's optimum and fromDP is true:
+// the search then has the optimum from the root and branches to prove it.
+// plan is nil when the DP proves the demand infeasible.
 func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool) {
 	t.Helper()
 	a, _ := m.aggregate(in, flooredDemand(in))
 	if a == nil {
 		t.Fatal("no (group, variant) pair can serve the input")
 	}
-	p := a.problem()
-	warm, _ := a.warmStart(p)
-	if warm == nil {
-		counts, ok := a.space.exact(new(dpScratch))
-		if !ok {
+	counts, _, _ := a.space.search()
+	if counts == nil {
+		var ok bool
+		if counts, ok = a.space.exact(new(dpScratch)); !ok {
 			return nil, true
 		}
-		warm, fromDP = a.space.vector(counts, p.NumVariables()), true
+		fromDP = true
 	}
-	sol := m.search(p, warm)
+	p := a.problem()
+	sol := milp.Solve(p, &milp.Options{
+		TimeLimit:  m.opts.TimeLimit,
+		MaxNodes:   m.opts.MaxNodes,
+		RelGap:     m.opts.RelGap,
+		StallNodes: m.opts.StallNodes,
+		WarmStart:  a.space.vector(counts, p.NumVariables()),
+	})
 	plan, err := m.treePlan(in, a, &sol)
 	if err != nil || plan == nil {
 		t.Fatalf("tree ended with status %v: %v", sol.Status, err)
 	}
 	return plan, fromDP
+}
+
+// vector expands counts into a full MILP variable assignment (n, w and
+// load-count entries) matching the accuracy-first fill. It returns nil when
+// the counts cannot serve the demand.
+func (s *searchSpace) vector(counts []int, nVars int) []float64 {
+	served, remaining := s.fill(counts)
+	for _, r := range remaining {
+		if r > 1e-9 {
+			return nil
+		}
+	}
+	x := make([]float64, nVars)
+	for i, pr := range s.pairs {
+		x[pr.n] = float64(counts[i])
+		x[pr.w] = served[i]
+		if pr.l >= 0 && s.prev != nil {
+			if loads := counts[i] - s.prev[i]; loads > 0 {
+				x[pr.l] = float64(loads)
+			}
+		}
+	}
+	return x
 }
 
 // replayInputs is the benchmark's alloc_replay shape: eight 30 s control
@@ -115,7 +145,8 @@ func replayInputsAt(seed uint64, devices int) []*Input {
 // the diurnal trace on the default cluster — the shape of the benchmark's
 // alloc_replay — through two fresh allocators fed the same inputs, and
 // searches each period's aggregated MILP by branch-and-bound from the
-// allocator's previous plan (treeSolve). A solve is a function of its
+// local search's plan, evolved from the allocator's previous one
+// (treeSolve). A solve is a function of its
 // inputs and that plan, so the two must agree period by period on the plan
 // and on the work the tree did (nodes, simplex pivots). And every tree must
 // branch and re-optimise at least 95 % of its non-root relaxations by dual
@@ -155,7 +186,7 @@ func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 	}
 }
 
-// TestSolveBudgetIsWorkNotTime pins what the simulator relies on in
+// TestSolveBudgetIsWorkNotTime pins what PerDevice relies on in
 // branch-and-bound (treeSolve): an allocator built with no options reads no
 // clock (TimeLimited false, the same node count on every run), and MaxNodes
 // stops a solve of the default model after that many nodes — plus at most

@@ -38,11 +38,6 @@ type Options struct {
 	SLOMultiplier float64
 	// Seed drives all randomness.
 	Seed uint64
-	// SolverBudget bounds each branch-and-bound solve (the per-device
-	// formulation, clusters past the DP's work limit) inside the control
-	// loop, in nodes — work, not wall time, so a figure is the same on every host.
-	// Default 800.
-	SolverBudget int
 	// Trace attaches a lifecycle tracer to each end-to-end system run; the
 	// recorded events come back in SystemResult.Trace for the caller to
 	// export. Off by default (tracing a 5-system figure holds five buffers).
@@ -68,18 +63,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 20240427 // ASPLOS'24 opening day
 	}
-	if o.SolverBudget <= 0 {
-		o.SolverBudget = 800
-	}
 	return o
-}
-
-func (o Options) milpOptions() *allocator.MILPOptions {
-	return &allocator.MILPOptions{
-		MaxNodes:   o.SolverBudget,
-		RelGap:     0.005,
-		StallNodes: 600,
-	}
 }
 
 // SystemNames are the artifact's model_allocation values in the order the
@@ -110,7 +94,7 @@ func (o Options) burstyTrace() *trace.Trace {
 // policy and batching factory, returning the attached tracer (nil unless
 // Options.Trace is set).
 func (o Options) newSystem(allocName string, batch batching.Factory, seed uint64) (*core.System, *telemetry.Tracer, error) {
-	alloc, err := allocator.ByName(allocName, o.milpOptions())
+	alloc, err := allocator.ByName(allocName, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,9 +113,4 @@ func (o Options) newSystem(allocName string, batch batching.Factory, seed uint64
 	}
 	sys, err := core.NewSystem(cfg)
 	return sys, tracer, err
-}
-
-// allocByName builds an allocator with the experiment's solver options.
-func allocByName(name string, o Options) (allocator.Allocator, error) {
-	return allocator.ByName(name, o.milpOptions())
 }

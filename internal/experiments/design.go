@@ -34,7 +34,7 @@ func DesignAblations(o Options) ([]DesignAblationRow, error) {
 		milp             allocator.MILPOptions
 		disableAdmission bool
 	}
-	base := *o.milpOptions()
+	var base allocator.MILPOptions
 	noSwitch := base
 	noSwitch.SwitchCost = -1
 	variants := []variant{
@@ -97,7 +97,7 @@ func CompareFormulations(sizes []int, timeLimit time.Duration) ([]AggregationCom
 	var out []AggregationComparison
 	for _, size := range sizes {
 		in := fig10Input(size, 17, 3)
-		agg := allocator.NewMILP(&allocator.MILPOptions{TimeLimit: timeLimit, RelGap: 0.01})
+		agg := allocator.NewMILP(nil)
 		start := time.Now()
 		aggPlan, err := agg.Allocate(in)
 		aggTime := time.Since(start)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"proteus/internal/allocator"
 	"proteus/internal/batching"
 	"proteus/internal/metrics"
 	"proteus/internal/models"
@@ -191,7 +192,7 @@ func Table2(o Options) ([]Table2Row, error) {
 	}
 	var out []Table2Row
 	for _, r := range rows {
-		a, err := allocByName(r.name, o)
+		a, err := allocator.ByName(r.name, nil)
 		if err != nil {
 			return nil, err
 		}

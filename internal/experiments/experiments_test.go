@@ -22,7 +22,6 @@ func quick() Options {
 		BaseQPS:      150,
 		PeakQPS:      420,
 		Seed:         7,
-		SolverBudget: 440,
 	}
 }
 

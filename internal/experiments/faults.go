@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"proteus/internal/allocator"
 	"proteus/internal/cluster"
 	"proteus/internal/core"
 	"proteus/internal/models"
@@ -41,17 +42,13 @@ func FaultTolerance(o Options) (FaultReport, error) {
 	failAt := time.Duration(o.TraceSeconds/3) * time.Second
 	recoverAt := time.Duration(2*o.TraceSeconds/3) * time.Second
 
-	alloc, err := allocByName("ilp", o)
-	if err != nil {
-		return FaultReport{}, err
-	}
 	cl := cluster.ScaledTestbed(o.ClusterSize)
 	faults := cluster.KillFraction(cl, 0.25, failAt, recoverAt)
 	sys, err := core.NewSystem(core.Config{
 		Cluster:       cl,
 		Families:      models.Zoo(),
 		SLOMultiplier: o.SLOMultiplier,
-		Allocator:     alloc,
+		Allocator:     allocator.NewMILP(nil),
 		Faults:        faults,
 		Seed:          o.Seed + 1,
 	})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"proteus/internal/allocator"
 	"proteus/internal/cluster"
 	"proteus/internal/core"
 	"proteus/internal/models"
@@ -84,10 +85,6 @@ func overloadRun(o Options, guard string, tr *trace.Trace) (OverloadRun, error) 
 	if err != nil {
 		return OverloadRun{}, err
 	}
-	alloc, err := allocByName("ilp", o)
-	if err != nil {
-		return OverloadRun{}, err
-	}
 	reg := telemetry.NewRegistry()
 	var tracer *telemetry.Tracer
 	if o.Trace {
@@ -105,7 +102,7 @@ func overloadRun(o Options, guard string, tr *trace.Trace) (OverloadRun, error) 
 		Cluster:       cluster.ScaledTestbed(o.ClusterSize),
 		Families:      models.Zoo(),
 		SLOMultiplier: o.SLOMultiplier,
-		Allocator:     alloc,
+		Allocator:     allocator.NewMILP(nil),
 		Seed:          o.Seed + 7,
 		Telemetry:     reg,
 		Tracer:        tracer,

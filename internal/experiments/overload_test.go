@@ -149,7 +149,6 @@ func TestOverloadRunDeterminism(t *testing.T) {
 		BaseQPS:      150,
 		PeakQPS:      420,
 		Seed:         7,
-		SolverBudget: 440,
 	}.withDefaults()
 	tr := o.adversarialTrace()
 	marshal := func() []byte {

@@ -190,13 +190,6 @@ func (s *Store) Get(variantID string, device cluster.DeviceType, batch int) (tim
 	return d, ok
 }
 
-// Len returns the number of stored records.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // ProfileAll populates the store with the analytical latency for every
 // (variant, device type, batch) combination up to maxBatch, mimicking the
 // controller's profiler pass when models are registered.

@@ -231,8 +231,8 @@ func TestStore(t *testing.T) {
 	if d != 44*time.Millisecond {
 		t.Fatal("Put must overwrite")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len %d", s.Len())
+	if len(s.m) != 1 {
+		t.Fatalf("%d records after overwriting the only one", len(s.m))
 	}
 }
 
@@ -240,7 +240,7 @@ func TestProfileAll(t *testing.T) {
 	reg := models.MustRegistry(models.Zoo())
 	s := NewStore()
 	s.ProfileAll(reg, cluster.KnownTypes(), 8)
-	if s.Len() == 0 {
+	if len(s.m) == 0 {
 		t.Fatal("store empty after ProfileAll")
 	}
 	// A stored value must equal the analytical model.
