@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"proteus/internal/experiments"
+	"proteus/internal/metrics"
 )
 
 // run runs one experiment and writes its table to w. It returns the
@@ -230,7 +231,7 @@ func writeSeries(dir, prefix string, results []experiments.SystemResult) {
 			fmt.Fprintf(os.Stderr, "proteus-bench: %v\n", err)
 			continue
 		}
-		if err := experiments.RenderSeriesCSV(f, r.Name, r.Series); err != nil {
+		if err := metrics.WriteSeriesCSV(f, r.Name, r.Series); err != nil {
 			fmt.Fprintf(os.Stderr, "proteus-bench: %v\n", err)
 		}
 		f.Close()

@@ -64,8 +64,8 @@ import (
 	"proteus/internal/batching"
 	"proteus/internal/cluster"
 	"proteus/internal/core"
-	"proteus/internal/experiments"
 	"proteus/internal/flightrec"
+	"proteus/internal/metrics"
 	"proteus/internal/models"
 	"proteus/internal/overload"
 	"proteus/internal/report"
@@ -399,7 +399,7 @@ func run(args []string, stdout, wall io.Writer, create func(path string) (io.Wri
 	}
 	if *tsOut != "" {
 		err := output(*tsOut, func(w io.Writer) error {
-			return experiments.RenderSeriesCSV(w, cfg.ModelAllocation, res.Collector.Series(-1))
+			return metrics.WriteSeriesCSV(w, cfg.ModelAllocation, res.Collector.Series(-1))
 		})
 		if err != nil {
 			return err

@@ -132,28 +132,6 @@ func TestMILPBacksOffWhenOverloaded(t *testing.T) {
 	}
 }
 
-func TestMILPPerDeviceMatchesAggregated(t *testing.T) {
-	demand := []float64{40, 20}
-	inA := testInput(t, demand)
-	inB := testInput(t, demand)
-	aggAlloc, err := NewMILP(nil).Allocate(inA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdAlloc, err := NewMILP(&MILPOptions{PerDevice: true}).Allocate(inB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pdAlloc.Check(inB); err != nil {
-		t.Fatal(err)
-	}
-	// The two exact formulations must agree on the optimal objective.
-	if math.Abs(aggAlloc.PredictedAccuracy-pdAlloc.PredictedAccuracy) > 0.01 {
-		t.Fatalf("aggregated %.4f vs per-device %.4f predicted accuracy",
-			aggAlloc.PredictedAccuracy, pdAlloc.PredictedAccuracy)
-	}
-}
-
 func TestMILPIdleSystemStillHostsModels(t *testing.T) {
 	in := testInput(t, []float64{0, 0})
 	alloc, err := NewMILP(nil).Allocate(in)
@@ -440,20 +418,19 @@ func TestByNameAllocators(t *testing.T) {
 }
 
 // TestFilteredWrappersDefaultOnce holds the allocators that wrap a filtered
-// MILP to the caller's "disabled" and "exact" settings: a negative
-// SwitchCost, RelGap or StallNodes reaches the inner MILP as 0, not as the
-// default a second defaulting pass would restore.
+// MILP to the caller's "disabled" setting: a negative SwitchCost reaches the
+// inner MILP as 0, not as the default a second defaulting pass would
+// restore.
 func TestFilteredWrappersDefaultOnce(t *testing.T) {
-	opts := &MILPOptions{SwitchCost: -1, RelGap: -1, StallNodes: -1}
+	opts := &MILPOptions{SwitchCost: -1}
 	for name, inner := range map[string]*MILP{
 		"clipper-ht":    NewClipperHT(opts).inner,
 		"clipper-ha":    NewClipperHA(opts).inner,
 		"proteus-wo-ms": NewWithoutSelection(opts).inner,
 	} {
 		o := inner.opts
-		if o.SwitchCost != 0 || o.RelGap != 0 || o.StallNodes != 0 {
-			t.Errorf("%s: SwitchCost %v, RelGap %v, StallNodes %d; want all 0",
-				name, o.SwitchCost, o.RelGap, o.StallNodes)
+		if o.SwitchCost != 0 {
+			t.Errorf("%s: SwitchCost %v, want 0", name, o.SwitchCost)
 		}
 		if o.Filter == nil {
 			t.Errorf("%s: filter lost", name)

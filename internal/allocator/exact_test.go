@@ -62,9 +62,9 @@ func TestBackoffOnlyWhenInfeasible(t *testing.T) {
 func TestExactAtLeastMILPOnReplay(t *testing.T) {
 	higher, equal, unpacked, served := 0, 0, 0, 0
 	for _, seed := range []uint64{7, 1, 2} {
-		m := NewMILP(&MILPOptions{StallNodes: 400})
+		m := NewMILP(nil)
 		for p, in := range replayInputs(seed) {
-			tree, fromDP := treeSolve(t, m, in)
+			tree, fromDP := treeSolve(t, m, in, milp.Options{StallNodes: 400, RelGap: 1e-6})
 			plan, err := m.Allocate(in)
 			if err != nil {
 				t.Fatalf("seed %d period %d: %v", seed, p, err)
@@ -84,9 +84,9 @@ func TestExactAtLeastMILPOnReplay(t *testing.T) {
 				}
 			case st.Backoffs != 0:
 				t.Errorf("seed %d period %d: backed off %d times though the local search serves the full demand", seed, p, st.Backoffs)
-			case st.Objective < tree.Stats.Objective-tol:
-				t.Errorf("seed %d period %d: DP objective %.6f below the tree's incumbent %.6f", seed, p, st.Objective, tree.Stats.Objective)
-			case st.Objective > tree.Stats.Objective+tol:
+			case st.Objective < tree.Objective-tol:
+				t.Errorf("seed %d period %d: DP objective %.6f below the tree's incumbent %.6f", seed, p, st.Objective, tree.Objective)
+			case st.Objective > tree.Objective+tol:
 				higher++
 			default:
 				equal++
@@ -249,7 +249,8 @@ func FuzzExactAgainstMILP(f *testing.F) {
 		}
 		a, _ := m.aggregate(in, demand)
 		counts, feasible := a.space.exact(&m.dp)
-		sol := milp.Solve(a.problem(), &milp.Options{RelGap: 0})
+		p, vars := a.problem(in.Cluster.Size())
+		sol := milp.Solve(p, &milp.Options{RelGap: 0})
 		switch {
 		case sol.Status == milp.Infeasible:
 			if feasible {
@@ -269,7 +270,7 @@ func FuzzExactAgainstMILP(f *testing.F) {
 		if err := m.expand(in, a, counts, served).Check(in); err != nil {
 			t.Fatalf("DP plan: %v", err)
 		}
-		treeCounts, treeServed := a.fromVector(sol.X)
+		treeCounts, treeServed := fromVector(vars, sol.X)
 		if err := m.expand(in, a, treeCounts, treeServed).Check(in); err != nil {
 			t.Fatalf("MILP plan: %v", err)
 		}

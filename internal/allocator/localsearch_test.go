@@ -16,7 +16,7 @@ import (
 // aggregate builds one step's model outside Allocate, with the allocator's
 // variant filter evaluated as Allocate evaluates it.
 func (m *MILP) aggregate(in *Input, demand []float64) (*aggModel, []bool) {
-	return m.model(in, in.Cluster.GroupByType(), demand, m.admitted(in))
+	return m.model(in, demand, m.admitted(in))
 }
 
 // referenceImprove is improve's oracle: the same moves in the same order,
@@ -180,7 +180,7 @@ func FuzzImproveAgainstReference(f *testing.F) {
 		for gi, g := range groups {
 			for ri, ref := range refs {
 				if peak := peakFor(g.Spec, ref, in); peak > 0 {
-					pairs = append(pairs, aggPair{g: gi, r: ri, n: -1, w: -1, l: -1, peak: peak})
+					pairs = append(pairs, aggPair{g: gi, r: ri, peak: peak})
 				}
 			}
 		}

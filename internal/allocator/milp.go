@@ -7,40 +7,15 @@ import (
 	"time"
 
 	"proteus/internal/cluster"
-	"proteus/internal/lp"
-	"proteus/internal/milp"
 	"proteus/internal/profiles"
 )
 
 // MILPOptions tune the Proteus allocator.
 type MILPOptions struct {
-	// PerDevice forces the paper's literal per-device formulation with one
-	// binary x_{d,m} per (device, variant) pair; the Fig. 10 experiments and
-	// the formulations table set it. By default the allocator aggregates
-	// identical devices into integer counts, which is exact for homogeneous
-	// device groups and much faster (see DESIGN.md). The literal model is
-	// the aggregated one with one device per group, so an allocator reused
-	// across calls pays switch costs against its previous plan.
-	PerDevice bool
-	// TimeLimit, MaxNodes, RelGap and StallNodes bound the branch-and-bound
-	// search of PerDevice, the only path that searches a tree. The
-	// aggregated model, solved by the DP within its work limit and by the
-	// local search past it, does not read them.
-	//
-	// TimeLimit bounds each MILP solve on the wall clock (default: none).
-	// A solve it cuts short is marked SolverStats.TimeLimited and is not
-	// reproducible; callers that must not depend on the host budget the
-	// solve with MaxNodes instead.
-	TimeLimit time.Duration
-	// MaxNodes bounds branch-and-bound nodes per solve (default 200 000):
-	// the deterministic budget, the same work on every host.
-	MaxNodes int
-	// RelGap is the accepted relative optimality gap (default 1e-6, i.e.
-	// effectively exact; negative demands an exact proof, gap 0).
-	RelGap float64
-	// StallNodes stops a solve early (keeping the incumbent) after that
-	// many branch-and-bound nodes without improvement. Default 3000;
-	// negative disables.
+	// TimeLimit and StallNodes are read by nothing: they bounded the
+	// branch-and-bound search this package no longer runs. They stay only
+	// because bench/alloc.go still sets them; ROADMAP 8(k) deletes them.
+	TimeLimit  time.Duration
 	StallNodes int
 	// MaxBackoffs bounds the β demand-reduction iterations (default 600,
 	// enough to shrink any family from extreme overload down to the drop
@@ -61,28 +36,13 @@ type MILPOptions struct {
 const demandFloor = 0.01
 
 func (o *MILPOptions) withDefaults() MILPOptions {
-	out := MILPOptions{MaxNodes: 200_000, MaxBackoffs: 600, StallNodes: 3000, SwitchCost: 0.05, RelGap: 1e-6}
+	out := MILPOptions{MaxBackoffs: 600, SwitchCost: 0.05}
 	if o != nil {
-		out.PerDevice = o.PerDevice
-		out.TimeLimit = o.TimeLimit
 		out.Filter = o.Filter
-		if o.RelGap > 0 {
-			out.RelGap = o.RelGap
-		} else if o.RelGap < 0 {
-			out.RelGap = 0
-		}
 		if o.SwitchCost > 0 {
 			out.SwitchCost = o.SwitchCost
 		} else if o.SwitchCost < 0 {
 			out.SwitchCost = 0
-		}
-		if o.StallNodes > 0 {
-			out.StallNodes = o.StallNodes
-		} else if o.StallNodes < 0 {
-			out.StallNodes = 0
-		}
-		if o.MaxNodes > 0 {
-			out.MaxNodes = o.MaxNodes
 		}
 		if o.MaxBackoffs > 0 {
 			out.MaxBackoffs = o.MaxBackoffs
@@ -164,19 +124,7 @@ func (m *MILP) Allocate(in *Input) (*Allocation, error) {
 				scaled[q] = 0
 			}
 		}
-		var (
-			alloc *Allocation
-			short []bool
-			err   error
-		)
-		if m.opts.PerDevice {
-			alloc, short, err = m.solvePerDevice(in, scaled, admit)
-		} else {
-			alloc, short, err = m.solveAggregated(in, scaled, admit, start)
-		}
-		if err != nil {
-			return nil, err
-		}
+		alloc, short := m.solveAggregated(in, scaled, admit, start)
 		if alloc != nil {
 			alloc.Stats.Backoffs = iter
 			total, served := 0.0, 0.0
@@ -246,30 +194,30 @@ func stopwatch(t0 time.Time) time.Duration {
 // solves the paper's objective exactly on shapes within its work limit;
 // past it the local search plans (searchSpace.search), and no bound is
 // proven.
-func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start time.Time) (*Allocation, []bool, error) {
-	a, short := m.model(in, in.Cluster.GroupByType(), demand, admit)
+func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start time.Time) (*Allocation, []bool) {
+	a, short := m.model(in, demand, admit)
 	if a == nil {
-		return nil, short, nil
+		return nil, short
 	}
 	space := a.space
 	t0 := stopwatch(start)
 	if !space.exactFits() {
 		counts, obj, short := space.search()
 		if counts == nil {
-			return nil, short, nil
+			return nil, short
 		}
 		served, _ := space.fill(counts)
 		alloc := m.expand(in, a, counts, served)
 		// A heuristic plan: Bound 0 and RelGap -1 encode "no proven bound".
 		alloc.Stats = SolverStats{Objective: obj, RelGap: -1, SolverTime: stopwatch(start) - t0}
-		return alloc, nil, nil
+		return alloc, nil
 	}
 	best, feasible := space.exact(&m.dp)
 	dpTime := stopwatch(start) - t0
 	if !feasible {
 		// Proven infeasible: back off. The local search's shortfall marks the
 		// bottleneck families, so only they are scaled.
-		return nil, space.shortfall(space.improve(make([]int, len(a.pairs)), 50)), nil
+		return nil, space.shortfall(space.improve(make([]int, len(a.pairs)), 50))
 	}
 	obj, _ := space.objective(best)
 	counts := best
@@ -286,33 +234,29 @@ func (m *MILP) solveAggregated(in *Input, demand []float64, admit []bool, start 
 	// objective and no tree was searched.
 	alloc.Optimal = true
 	alloc.Stats = SolverStats{Objective: obj, Bound: obj, SolverTime: dpTime}
-	return alloc, nil, nil
+	return alloc, nil
 }
 
 // aggModel is one step's type-aggregated model: the (group, variant) pairs
 // that can serve under the step's SLOs and filter, and the search space over
-// their device counts. problem builds the MILP over the same pairs.
+// their device counts.
 type aggModel struct {
 	groups []cluster.TypeGroup
 	refs   []VariantRef
-	pairs  []aggPair // shared with space: problem sets the variable ids
+	pairs  []aggPair // shared with space
 	space  *searchSpace
 	demand []float64
-	// devices is the cluster size, the load-count variables' bound.
-	devices int
 }
 
-// model builds the step's model over groups (type groups, or one group per
-// device for PerDevice) and the variants admit admits (see admitted). It
-// returns nil and the families to back off when the demand cannot be served
-// at any count: nil when no pair can serve anything, one family when a
-// family with demand has no pair.
-func (m *MILP) model(in *Input, groups []cluster.TypeGroup, demand []float64, admit []bool) (*aggModel, []bool) {
+// model builds the step's model over the healthy devices' type groups and
+// the variants admit admits (see admitted). It returns nil and the families
+// to back off when the demand cannot be served at any count: nil when no
+// pair can serve anything, one family when a family with demand has no pair.
+func (m *MILP) model(in *Input, demand []float64, admit []bool) (*aggModel, []bool) {
 	a := &aggModel{
-		groups:  groups,
-		refs:    in.Variants(),
-		demand:  demand,
-		devices: in.Cluster.Size(),
+		groups: in.Cluster.GroupByType(),
+		refs:   in.Variants(),
+		demand: demand,
 	}
 	for gi, g := range a.groups {
 		for ri, ref := range a.refs {
@@ -320,7 +264,7 @@ func (m *MILP) model(in *Input, groups []cluster.TypeGroup, demand []float64, ad
 				continue
 			}
 			if peak := peakFor(g.Spec, ref, in); peak > 0 {
-				a.pairs = append(a.pairs, aggPair{g: gi, r: ri, n: -1, w: -1, l: -1, peak: peak})
+				a.pairs = append(a.pairs, aggPair{g: gi, r: ri, peak: peak})
 			}
 		}
 	}
@@ -363,102 +307,6 @@ func (m *MILP) model(in *Input, groups []cluster.TypeGroup, demand []float64, ad
 	return a, nil
 }
 
-// problem builds the model's MILP and records each pair's variable ids.
-func (a *aggModel) problem() *milp.Problem {
-	p := milp.NewProblem()
-	for i := range a.pairs {
-		pr := &a.pairs[i]
-		ref := a.refs[pr.r]
-		limit := float64(len(a.groups[pr.g].Devices))
-		pr.n = p.AddInteger(fmt.Sprintf("n[%d,%s]", pr.g, ref.Variant.ID()), 0, limit)
-		pr.w = p.AddVariable(fmt.Sprintf("w[%d,%s]", pr.g, ref.Variant.ID()), 0, pr.peak*limit)
-		p.SetObjective(pr.w, ref.Variant.Accuracy)
-		// w <= peak * n
-		p.AddConstraint([]lp.Term{{Var: pr.w, Coef: 1}, {Var: pr.n, Coef: -pr.peak}}, lp.LE, 0)
-	}
-	// Σ_m n_{g,m} <= |g| per group.
-	for gi, g := range a.groups {
-		var terms []lp.Term
-		for _, pr := range a.pairs {
-			if pr.g == gi {
-				terms = append(terms, lp.Term{Var: pr.n, Coef: 1})
-			}
-		}
-		if len(terms) > 0 {
-			p.AddConstraint(terms, lp.LE, float64(len(g.Devices)))
-		}
-	}
-	// Σ w = s_q per family.
-	for q := range a.demand {
-		var terms []lp.Term
-		for _, pr := range a.pairs {
-			if a.refs[pr.r].Family == q {
-				terms = append(terms, lp.Term{Var: pr.w, Coef: 1})
-			}
-		}
-		if len(terms) > 0 {
-			p.AddConstraint(terms, lp.EQ, a.demand[q])
-		}
-	}
-
-	// The load-count variables l >= n - prev carry the switch costs.
-	for i := range a.space.switchCost {
-		pr := &a.pairs[i]
-		pr.l = p.AddVariable(fmt.Sprintf("l[%d]", i), 0, float64(a.devices))
-		p.SetObjective(pr.l, -a.space.switchCost[i])
-		// l >= n - prev  ⟺  n - l <= prev
-		p.AddConstraint([]lp.Term{{Var: pr.n, Coef: 1}, {Var: pr.l, Coef: -1}},
-			lp.LE, float64(a.space.prev[i]))
-	}
-	return p
-}
-
-// search runs branch-and-bound on p, cold, under the solver's budgets.
-func (m *MILP) search(p *milp.Problem) milp.Solution {
-	return milp.Solve(p, &milp.Options{
-		TimeLimit:  m.opts.TimeLimit,
-		MaxNodes:   m.opts.MaxNodes,
-		RelGap:     m.opts.RelGap,
-		StallNodes: m.opts.StallNodes,
-	})
-}
-
-// treePlan turns a branch-and-bound solution into a plan, or nil when the
-// search proved the demand infeasible. A search that spent its budget before
-// finding a plan proved nothing, so it is an error, not a reason to back off.
-func (m *MILP) treePlan(in *Input, a *aggModel, sol *milp.Solution) (*Allocation, error) {
-	switch sol.Status {
-	case milp.Optimal, milp.Feasible:
-	case milp.Infeasible:
-		return nil, nil
-	case milp.Limit:
-		budget := fmt.Sprintf("its %d-node budget", m.opts.MaxNodes)
-		if sol.TimeLimited {
-			budget = fmt.Sprintf("its %v time limit", m.opts.TimeLimit)
-		}
-		return nil, fmt.Errorf("allocator: MILP search found no plan within %s (%d nodes)", budget, sol.Nodes)
-	default:
-		return nil, fmt.Errorf("allocator: MILP solve ended with status %v", sol.Status)
-	}
-	counts, served := a.fromVector(sol.X)
-	alloc := m.expand(in, a, counts, served)
-	alloc.Optimal = sol.Status == milp.Optimal
-	alloc.Stats = solverStats(sol)
-	return alloc, nil
-}
-
-// fromVector reads per-pair device counts and served rates off a MILP
-// solution.
-func (a *aggModel) fromVector(x []float64) (counts []int, served []float64) {
-	counts = make([]int, len(a.pairs))
-	served = make([]float64, len(a.pairs))
-	for i, pr := range a.pairs {
-		counts[i] = int(math.Round(x[pr.n]))
-		served[i] = x[pr.w]
-	}
-	return counts, served
-}
-
 // expand turns per-pair device counts and served rates into a plan: counts
 // become concrete devices, preferring devices that already host the same
 // variant (minimizes loading churn), and each pair's rate is split evenly
@@ -499,12 +347,10 @@ func (m *MILP) expand(in *Input, a *aggModel, counts []int, served []float64) *A
 	return alloc
 }
 
-// aggPair links one (group, variant) choice to its MILP variables in the
-// aggregated formulation.
+// aggPair is one (group, variant) choice of the aggregated formulation and
+// the variant's peak rate on one of the group's devices.
 type aggPair struct {
 	g, r int // group index, variant-ref index
-	n, w int // MILP variable ids
-	l    int // load-count variable id (-1 when no previous plan)
 	peak float64
 }
 
@@ -539,31 +385,6 @@ func (m *MILP) prevCounts(in *Input, groups []cluster.TypeGroup, refs []VariantR
 		counts[i] = hosted[pr.g][refs[pr.r].Variant.ID()]
 	}
 	return counts
-}
-
-// solvePerDevice solves the paper's literal formulation (Table 1, Eqs. 1–7)
-// by branch-and-bound: the aggregated model over one group per healthy
-// device, where each count n_{g,m} ∈ [0, 1] is the binary x_{d,m}. The
-// search starts cold, with no warm start, so Fig. 10 times the literal
-// model's own search.
-func (m *MILP) solvePerDevice(in *Input, demand []float64, admit []bool) (*Allocation, []bool, error) {
-	a, short := m.model(in, deviceGroups(in.Cluster), demand, admit)
-	if a == nil {
-		return nil, short, nil
-	}
-	sol := m.search(a.problem())
-	alloc, err := m.treePlan(in, a, &sol)
-	return alloc, nil, err
-}
-
-// deviceGroups returns one group per healthy device, in device order.
-func deviceGroups(c *cluster.Cluster) []cluster.TypeGroup {
-	devices := c.HealthyDevices()
-	groups := make([]cluster.TypeGroup, len(devices))
-	for i, d := range devices {
-		groups[i] = cluster.TypeGroup{Spec: d.Spec, Devices: []int{d.ID}}
-	}
-	return groups
 }
 
 // admitted evaluates the variant filter once per Allocate: entry ri says
@@ -607,28 +428,6 @@ func (m *MILP) pickDevices(group []int, ref VariantRef, count int, used map[int]
 		used[d] = true
 	}
 	return picked
-}
-
-// solverStats converts a branch-and-bound solution into the audit-log
-// form, sanitizing infinities (a Limit-terminated solve may carry an
-// unproven +Inf bound, which JSON cannot encode).
-func solverStats(sol *milp.Solution) SolverStats {
-	st := SolverStats{
-		Objective:   sol.Objective,
-		Nodes:       sol.Nodes,
-		LPIters:     sol.LPIters,
-		DualNodes:   sol.DualNodes,
-		SolverTime:  sol.Elapsed,
-		RelGap:      -1,
-		TimeLimited: sol.TimeLimited,
-	}
-	if gap := sol.Gap(); !math.IsInf(gap, 0) && !math.IsNaN(gap) {
-		st.RelGap = gap
-	}
-	if !math.IsInf(sol.Bound, 0) && !math.IsNaN(sol.Bound) {
-		st.Bound = sol.Bound
-	}
-	return st
 }
 
 // peakFor evaluates P_{d,m,q} for a device-type spec rather than a concrete

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"proteus/internal/cluster"
+	"proteus/internal/milp"
 	"proteus/internal/models"
 	"proteus/internal/profiles"
 )
@@ -21,17 +22,16 @@ import (
 // DP's optimum; the counts are deterministic, so the thresholds cannot
 // flake.
 func TestChildRelaxationsTakeDualPath(t *testing.T) {
-	m := NewMILP(&MILPOptions{StallNodes: 400})
+	m := NewMILP(nil)
 	for _, totalQPS := range []float64{250, 400, 550} {
 		in := defaultClusterInput(totalQPS)
-		tree, fromDP := treeSolve(t, m, in)
-		if tree == nil {
+		st, fromDP := treeSolve(t, m, in, milp.Options{StallNodes: 400, RelGap: 1e-6})
+		if st == nil {
 			t.Fatalf("%v QPS: no plan serves the demand", totalQPS)
 		}
 		if _, err := m.Allocate(in); err != nil {
 			t.Fatalf("%v QPS: %v", totalQPS, err)
 		}
-		st := tree.Stats
 		if st.Nodes < 100 {
 			t.Fatalf("%v QPS: only %d nodes — the model no longer makes the search branch", totalQPS, st.Nodes)
 		}

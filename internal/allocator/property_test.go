@@ -46,7 +46,7 @@ func randomInput(seed uint64) *Input {
 func TestPropertyMILPPlansAreValid(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := randomInput(seed)
-		a := NewMILP(&MILPOptions{TimeLimit: 200 * time.Millisecond, RelGap: 0.02, StallNodes: 300})
+		a := NewMILP(nil)
 		alloc, err := a.Allocate(in)
 		if err != nil {
 			return false
@@ -96,15 +96,13 @@ func TestPropertyLocalSearchNeverWorsens(t *testing.T) {
 		groups := in.Cluster.GroupByType()
 		refs := in.Variants()
 		var pairs []aggPair
-		varID := 0
 		for gi := range groups {
 			for ri, ref := range refs {
 				peak := peakFor(groups[gi].Spec, ref, in)
 				if peak <= 0 {
 					continue
 				}
-				pairs = append(pairs, aggPair{g: gi, r: ri, n: varID, w: varID + 1, l: -1, peak: peak})
-				varID += 2
+				pairs = append(pairs, aggPair{g: gi, r: ri, peak: peak})
 			}
 		}
 		if len(pairs) == 0 {

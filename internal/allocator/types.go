@@ -5,8 +5,8 @@
 // paper's MILP aggregated over identical devices: exactly, by a dynamic
 // program over per-type device counts (exact.go), on clusters within its
 // work limit, and by a local search on larger ones. The literal per-device
-// formulation, which Fig. 10 measures, is solved by branch-and-bound
-// (internal/milp).
+// formulation, which Fig. 10 measures, lives with that experiment
+// (internal/experiments).
 // The package also implements the baselines of §6.1.1 — INFaaS-Accuracy's greedy heuristic, Sommelier's
 // static-placement variant switching, Clipper-HT/HA static plans — and the
 // §6.5 ablations (w/o model selection, w/o model placement, w/o query
@@ -86,36 +86,29 @@ func (in *Input) Peak(d cluster.Device, ref VariantRef) float64 {
 
 // SolverStats reports how an optimizing allocator computed its plan, for
 // the control plane's decision audit log. Heuristic and static allocators
-// leave it zero. All fields are JSON-safe: infinities from the solver
-// (e.g. no proven bound) are encoded as RelGap = -1 and Bound = 0.
+// leave it zero. All fields are JSON-safe: a plan without a proven bound
+// carries RelGap = -1 and Bound = 0.
 type SolverStats struct {
-	// Objective is the incumbent objective value of the final solve.
+	// Objective is the objective value of the final solve.
 	Objective float64 `json:"objective"`
 	// Bound is the best proven bound on the optimum (0 when unproven).
 	Bound float64 `json:"bound"`
 	// RelGap is the relative optimality gap of the final solve, or -1 when
 	// no bound was proven.
 	RelGap float64 `json:"rel_gap"`
-	// Nodes is the number of branch-and-bound nodes explored.
+	// Nodes and TimeLimited described a branch-and-bound search, which no
+	// allocator runs: Nodes is always 0 and TimeLimited false. They stay
+	// only because bench/alloc.go reads them; ROADMAP 8(k) deletes them.
 	Nodes int `json:"nodes"`
-	// LPIters and DualNodes are milp.Solution's pivot counters for the final
-	// solve: simplex pivots over its Nodes relaxations, and how many of those
-	// were re-optimised by dual pivots alone. Not serialized.
-	LPIters   int `json:"-"`
-	DualNodes int `json:"-"`
 	// Backoffs is how many β demand-reduction iterations ran before the
 	// final (feasible) solve.
 	Backoffs int `json:"backoffs"`
-	// SolverTime is the time spent inside the final solve: the DP, the
-	// local search past its work limit, or PerDevice's branch-and-bound.
-	// Allocation.SolveTime additionally covers model building, churn
-	// control and every back-off iteration. A wall time, so it is not
-	// serialized.
+	// SolverTime is the time spent inside the final solve: the DP, or the
+	// local search past its work limit. Allocation.SolveTime additionally
+	// covers model building, churn control and every back-off iteration.
+	// A wall time, so it is not serialized.
 	SolverTime time.Duration `json:"-"`
-	// TimeLimited reports that MILPOptions.TimeLimit fired during the final
-	// solve: Bound, Nodes and RelGap — and possibly the plan — then depend
-	// on the speed of the host, so a record carrying it is not
-	// reproducible. Never set when no TimeLimit is configured.
+	// TimeLimited: see Nodes.
 	TimeLimited bool `json:"time_limited,omitempty"`
 }
 

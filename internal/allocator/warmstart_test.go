@@ -1,10 +1,13 @@
 package allocator
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"proteus/internal/cluster"
+	"proteus/internal/lp"
 	"proteus/internal/milp"
 	"proteus/internal/models"
 	"proteus/internal/profiles"
@@ -39,15 +42,84 @@ func requireSamePlan(t *testing.T, i int, a, b *Allocation) {
 	}
 }
 
-// treeSolve plans in's step by branch-and-bound on the aggregated MILP —
-// the search PerDevice runs over one group per device — under m's options
-// and from m's previous plan, without recording the plan as m's previous
-// one. That is the model Allocate solves by the DP within the work limit.
-// The tree starts from the local search's plan (searchSpace.search); where
-// that packs no plan, it starts from the DP's optimum and fromDP is true:
-// the search then has the optimum from the root and branches to prove it.
-// plan is nil when the DP proves the demand infeasible.
-func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool) {
+// pairVars are one aggregated pair's MILP variable ids: the device count n,
+// the served rate w and the load count l (-1 without a previous plan).
+type pairVars struct{ n, w, l int }
+
+// problem builds the aggregated model's MILP, the tree the DP's oracle tests
+// search, and returns each pair's variable ids. devices, the cluster size,
+// bounds the load counts.
+func (a *aggModel) problem(devices int) (*milp.Problem, []pairVars) {
+	p := milp.NewProblem()
+	vars := make([]pairVars, len(a.pairs))
+	for i, pr := range a.pairs {
+		ref := a.refs[pr.r]
+		limit := float64(len(a.groups[pr.g].Devices))
+		v := &vars[i]
+		v.n = p.AddInteger(fmt.Sprintf("n[%d,%s]", pr.g, ref.Variant.ID()), 0, limit)
+		v.w = p.AddVariable(fmt.Sprintf("w[%d,%s]", pr.g, ref.Variant.ID()), 0, pr.peak*limit)
+		v.l = -1
+		p.SetObjective(v.w, ref.Variant.Accuracy)
+		// w <= peak * n
+		p.AddConstraint([]lp.Term{{Var: v.w, Coef: 1}, {Var: v.n, Coef: -pr.peak}}, lp.LE, 0)
+	}
+	// Σ_m n_{g,m} <= |g| per group.
+	for gi, g := range a.groups {
+		var terms []lp.Term
+		for i, pr := range a.pairs {
+			if pr.g == gi {
+				terms = append(terms, lp.Term{Var: vars[i].n, Coef: 1})
+			}
+		}
+		if len(terms) > 0 {
+			p.AddConstraint(terms, lp.LE, float64(len(g.Devices)))
+		}
+	}
+	// Σ w = s_q per family.
+	for q := range a.demand {
+		var terms []lp.Term
+		for i, pr := range a.pairs {
+			if a.refs[pr.r].Family == q {
+				terms = append(terms, lp.Term{Var: vars[i].w, Coef: 1})
+			}
+		}
+		if len(terms) > 0 {
+			p.AddConstraint(terms, lp.EQ, a.demand[q])
+		}
+	}
+	// The load-count variables l >= n - prev carry the switch costs.
+	for i := range a.space.switchCost {
+		v := &vars[i]
+		v.l = p.AddVariable(fmt.Sprintf("l[%d]", i), 0, float64(devices))
+		p.SetObjective(v.l, -a.space.switchCost[i])
+		// l >= n - prev  ⟺  n - l <= prev
+		p.AddConstraint([]lp.Term{{Var: v.n, Coef: 1}, {Var: v.l, Coef: -1}},
+			lp.LE, float64(a.space.prev[i]))
+	}
+	return p, vars
+}
+
+// fromVector reads per-pair device counts and served rates off a MILP
+// solution.
+func fromVector(vars []pairVars, x []float64) (counts []int, served []float64) {
+	counts = make([]int, len(vars))
+	served = make([]float64, len(vars))
+	for i, v := range vars {
+		counts[i] = int(math.Round(x[v.n]))
+		served[i] = x[v.w]
+	}
+	return counts, served
+}
+
+// treeSolve searches in's step by branch-and-bound on the aggregated MILP
+// under opts and from m's previous plan, without recording a plan as m's
+// previous one. That is the model Allocate solves by the DP within the work
+// limit. The tree starts from the local search's plan (searchSpace.search);
+// where that packs no plan, it starts from the DP's optimum and fromDP is
+// true: the search then has the optimum from the root and branches to prove
+// it. sol is nil when the DP proves the demand infeasible; a tree that ends
+// without a plan fails the test.
+func treeSolve(t *testing.T, m *MILP, in *Input, opts milp.Options) (sol *milp.Solution, fromDP bool) {
 	t.Helper()
 	a, _ := m.aggregate(in, flooredDemand(in))
 	if a == nil {
@@ -61,25 +133,19 @@ func treeSolve(t *testing.T, m *MILP, in *Input) (plan *Allocation, fromDP bool)
 		}
 		fromDP = true
 	}
-	p := a.problem()
-	sol := milp.Solve(p, &milp.Options{
-		TimeLimit:  m.opts.TimeLimit,
-		MaxNodes:   m.opts.MaxNodes,
-		RelGap:     m.opts.RelGap,
-		StallNodes: m.opts.StallNodes,
-		WarmStart:  a.space.vector(counts, p.NumVariables()),
-	})
-	plan, err := m.treePlan(in, a, &sol)
-	if err != nil || plan == nil {
-		t.Fatalf("tree ended with status %v: %v", sol.Status, err)
+	p, vars := a.problem(in.Cluster.Size())
+	opts.WarmStart = a.space.vector(vars, counts, p.NumVariables())
+	tree := milp.Solve(p, &opts)
+	if tree.Status != milp.Optimal && tree.Status != milp.Feasible {
+		t.Fatalf("tree ended with status %v after %d nodes", tree.Status, tree.Nodes)
 	}
-	return plan, fromDP
+	return &tree, fromDP
 }
 
 // vector expands counts into a full MILP variable assignment (n, w and
 // load-count entries) matching the accuracy-first fill. It returns nil when
 // the counts cannot serve the demand.
-func (s *searchSpace) vector(counts []int, nVars int) []float64 {
+func (s *searchSpace) vector(vars []pairVars, counts []int, nVars int) []float64 {
 	served, remaining := s.fill(counts)
 	for _, r := range remaining {
 		if r > 1e-9 {
@@ -87,12 +153,12 @@ func (s *searchSpace) vector(counts []int, nVars int) []float64 {
 		}
 	}
 	x := make([]float64, nVars)
-	for i, pr := range s.pairs {
-		x[pr.n] = float64(counts[i])
-		x[pr.w] = served[i]
-		if pr.l >= 0 && s.prev != nil {
+	for i, v := range vars {
+		x[v.n] = float64(counts[i])
+		x[v.w] = served[i]
+		if v.l >= 0 && s.prev != nil {
 			if loads := counts[i] - s.prev[i]; loads > 0 {
-				x[pr.l] = float64(loads)
+				x[v.l] = float64(loads)
 			}
 		}
 	}
@@ -156,23 +222,23 @@ func replayInputsAt(seed uint64, devices int) []*Input {
 func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 	// A short stall limit: the root relaxation and the basis it hands down
 	// are under test, not how far the search behind it gets.
-	allocs := [2]*MILP{NewMILP(&MILPOptions{StallNodes: 40}), NewMILP(&MILPOptions{StallNodes: 40})}
+	opts := milp.Options{StallNodes: 40, RelGap: 1e-6}
+	allocs := [2]*MILP{NewMILP(nil), NewMILP(nil)}
 	for p, in := range replayInputs(7) {
 		var plans [2]*Allocation
-		var stats [2]SolverStats
+		var trees [2]*milp.Solution
 		for k, m := range allocs {
-			tree, _ := treeSolve(t, m, in)
-			if tree == nil {
+			st, _ := treeSolve(t, m, in, opts)
+			if st == nil {
 				t.Fatalf("period %d: no plan serves the demand", p)
 			}
-			st := tree.Stats
 			if st.Nodes <= 1 {
 				t.Errorf("period %d: the tree explored %d nodes; nothing branched", p, st.Nodes)
 			}
 			if children := st.Nodes - 1; st.DualNodes*100 < children*95 {
 				t.Errorf("period %d: %d of %d non-root relaxations were solved by dual pivots alone, want ≥ 95 %%", p, st.DualNodes, children)
 			}
-			stats[k] = st
+			trees[k] = st
 			plan, err := m.Allocate(in)
 			if err != nil {
 				t.Fatalf("period %d: %v", p, err)
@@ -180,44 +246,46 @@ func TestDefaultClusterReplayKeepsRootBasis(t *testing.T) {
 			plans[k] = plan
 		}
 		requireSamePlan(t, p, plans[0], plans[1])
-		if a, b := stats[0], stats[1]; a.Nodes != b.Nodes || a.LPIters != b.LPIters {
+		if a, b := trees[0], trees[1]; a.Nodes != b.Nodes || a.LPIters != b.LPIters {
 			t.Errorf("period %d: %d nodes / %d pivots vs %d / %d for the same inputs", p, a.Nodes, a.LPIters, b.Nodes, b.LPIters)
 		}
 	}
 }
 
-// TestSolveBudgetIsWorkNotTime pins what PerDevice relies on in
-// branch-and-bound (treeSolve): an allocator built with no options reads no
-// clock (TimeLimited false, the same node count on every run), and MaxNodes
-// stops a solve of the default model after that many nodes — plus at most
-// the one dive step in flight — with the incumbent it has as the plan.
+// TestSolveBudgetIsWorkNotTime pins what the literal model's search in
+// Fig. 10 relies on in branch-and-bound (treeSolve): a search without a
+// TimeLimit reads no clock (TimeLimited false, the same node count on every
+// run), and MaxNodes stops a search of the default model after that many
+// nodes — plus at most the one dive step in flight — with the incumbent it
+// has.
 func TestSolveBudgetIsWorkNotTime(t *testing.T) {
+	opts := milp.Options{StallNodes: 3000, RelGap: 1e-6}
 	var nodes [2]int
 	for i := range nodes {
-		plan, _ := treeSolve(t, NewMILP(nil), testInput(t, []float64{40, 40}))
-		if plan == nil {
+		sol, _ := treeSolve(t, NewMILP(nil), testInput(t, []float64{40, 40}), opts)
+		if sol == nil {
 			t.Fatal("no plan serves 40 + 40 QPS")
 		}
-		if plan.Stats.TimeLimited {
+		if sol.TimeLimited {
 			t.Fatal("no TimeLimit configured, yet the solve reports TimeLimited")
 		}
-		nodes[i] = plan.Stats.Nodes
+		nodes[i] = sol.Nodes
 	}
 	if nodes[0] <= 0 || nodes[0] != nodes[1] {
 		t.Fatalf("default solve explored %d then %d nodes, want equal and positive", nodes[0], nodes[1])
 	}
 
 	const budget = 50
-	plan, _ := treeSolve(t, NewMILP(&MILPOptions{MaxNodes: budget}), defaultClusterInput(400))
-	if plan == nil {
+	opts.MaxNodes = budget
+	st, _ := treeSolve(t, NewMILP(nil), defaultClusterInput(400), opts)
+	if st == nil {
 		t.Fatal("no plan serves 400 QPS")
 	}
-	st := plan.Stats
 	if st.Nodes < budget || st.Nodes > budget+1 {
 		t.Errorf("MaxNodes %d: stopped after %d nodes", budget, st.Nodes)
 	}
-	if st.TimeLimited || plan.Optimal || st.Objective <= 0 || st.RelGap <= 0 || plan.PredictedAccuracy <= 0 {
-		t.Errorf("MaxNodes %d: want an unproven incumbent with a positive gap, got optimal=%v acc=%.2f stats=%+v",
-			budget, plan.Optimal, plan.PredictedAccuracy, st)
+	if st.TimeLimited || st.Status != milp.Feasible || st.Objective <= 0 || st.Gap() <= 0 {
+		t.Errorf("MaxNodes %d: want an unproven incumbent with a positive gap, got %v, objective %.2f, gap %v",
+			budget, st.Status, st.Objective, st.Gap())
 	}
 }

@@ -26,11 +26,9 @@ func simTrace(t *testing.T, seed uint64, qps float64, faults *cluster.FailureSch
 		}
 	}
 	cfg := core.Config{
-		Cluster:  cluster.ScaledTestbed(4),
-		Families: fams,
-		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			MaxNodes: 320, RelGap: 0.01,
-		}),
+		Cluster:   cluster.ScaledTestbed(4),
+		Families:  fams,
+		Allocator: allocator.NewMILP(nil),
 		Seed:      seed,
 		Tracer:    telemetry.NewTracer(1 << 18),
 		Telemetry: telemetry.NewRegistry(),

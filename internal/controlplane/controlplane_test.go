@@ -23,7 +23,7 @@ func fixture(t *testing.T) (*Controller, []models.Family) {
 	for q, f := range fams {
 		slos[q] = profiles.FamilySLO(f, 2)
 	}
-	a := allocator.NewMILP(&allocator.MILPOptions{MaxNodes: 480, RelGap: 0.01})
+	a := allocator.NewMILP(nil)
 	c := NewController(a, cluster.ScaledTestbed(8), fams, slos, 30*time.Second, 10*time.Second)
 	return c, fams
 }

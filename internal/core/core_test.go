@@ -29,12 +29,10 @@ func smallFamilies(t *testing.T) []models.Family {
 func smallConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Cluster:  cluster.ScaledTestbed(8),
-		Families: smallFamilies(t),
-		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			MaxNodes: 800, RelGap: 0.01,
-		}),
-		Seed: 42,
+		Cluster:   cluster.ScaledTestbed(8),
+		Families:  smallFamilies(t),
+		Allocator: allocator.NewMILP(nil),
+		Seed:      42,
 	}
 }
 
@@ -159,7 +157,7 @@ func TestConservationOfQueries(t *testing.T) {
 
 func TestStaticAllocatorNeverReallocates(t *testing.T) {
 	cfg := smallConfig(t)
-	cfg.Allocator = allocator.NewClipperHT(&allocator.MILPOptions{MaxNodes: 800, RelGap: 0.01})
+	cfg.Allocator = allocator.NewClipperHT(nil)
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -325,9 +323,8 @@ func TestProteusBeatsStaticOnBursts(t *testing.T) {
 		}
 		return res
 	}
-	opts := &allocator.MILPOptions{MaxNodes: 800, RelGap: 0.01}
-	proteus := run(allocator.NewMILP(opts))
-	clipperHA := run(allocator.NewClipperHA(opts))
+	proteus := run(allocator.NewMILP(nil))
+	clipperHA := run(allocator.NewClipperHA(nil))
 	if proteus.Summary.ViolationRatio >= clipperHA.Summary.ViolationRatio {
 		t.Fatalf("Proteus violations %.4f not better than Clipper-HA %.4f",
 			proteus.Summary.ViolationRatio, clipperHA.Summary.ViolationRatio)
@@ -346,13 +343,11 @@ func TestElasticProvisioningAbsorbsOverload(t *testing.T) {
 	tr := flatTrace(t, fams, 900, 240) // far beyond a 4-device cluster
 	run := func(elastic *ElasticConfig) *Result {
 		cfg := Config{
-			Cluster:  cluster.ScaledTestbed(4),
-			Families: fams,
-			Allocator: allocator.NewMILP(&allocator.MILPOptions{
-				MaxNodes: 480, RelGap: 0.01,
-			}),
-			Elastic: elastic,
-			Seed:    5,
+			Cluster:   cluster.ScaledTestbed(4),
+			Families:  fams,
+			Allocator: allocator.NewMILP(nil),
+			Elastic:   elastic,
+			Seed:      5,
 		}
 		sys, err := NewSystem(cfg)
 		if err != nil {
@@ -386,13 +381,11 @@ func TestElasticRespectsMaxExtra(t *testing.T) {
 	fams := smallFamilies(t)
 	tr := flatTrace(t, fams, 2000, 200)
 	cfg := Config{
-		Cluster:  cluster.ScaledTestbed(4),
-		Families: fams,
-		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			MaxNodes: 480, RelGap: 0.01,
-		}),
-		Elastic: &ElasticConfig{MaxExtra: 2, ProvisionDelay: 20 * time.Second},
-		Seed:    5,
+		Cluster:   cluster.ScaledTestbed(4),
+		Families:  fams,
+		Allocator: allocator.NewMILP(nil),
+		Elastic:   &ElasticConfig{MaxExtra: 2, ProvisionDelay: 20 * time.Second},
+		Seed:      5,
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {

@@ -88,7 +88,7 @@ func TestReplanPolicy(t *testing.T) {
 				c.Headroom = 1.05
 				c.ControlPeriod = 2 * s
 				if tc.static {
-					c.Allocator = allocator.NewClipperHA(&allocator.MILPOptions{MaxNodes: 200})
+					c.Allocator = allocator.NewClipperHA(nil)
 				}
 			})
 			ctl := p.Controller

@@ -97,28 +97,25 @@ func CompareFormulations(sizes []int, timeLimit time.Duration) ([]AggregationCom
 	var out []AggregationComparison
 	for _, size := range sizes {
 		in := fig10Input(size, 17, 3)
-		agg := allocator.NewMILP(nil)
 		start := time.Now()
-		aggPlan, err := agg.Allocate(in)
+		aggPlan, err := allocator.NewMILP(nil).Allocate(in)
 		aggTime := time.Since(start)
 		if err != nil {
 			return nil, err
 		}
-		pd := allocator.NewMILP(&allocator.MILPOptions{PerDevice: true, TimeLimit: timeLimit, RelGap: 0.01, MaxBackoffs: 1})
-		in2 := fig10Input(size, 17, 3)
 		start = time.Now()
-		pdPlan, err := pd.Allocate(in2)
+		pdSol, pdAcc := solveLiteral(in, literalOptions(timeLimit))
 		pdTime := time.Since(start)
-		cmp := AggregationComparison{
+		if err := literalErr(&pdSol); err != nil {
+			return nil, err
+		}
+		out = append(out, AggregationComparison{
 			Devices:            size,
 			AggregatedTime:     aggTime,
 			PerDeviceTime:      pdTime,
 			AggregatedAccuracy: aggPlan.PredictedAccuracy,
-		}
-		if err == nil {
-			cmp.PerDeviceAccuracy = pdPlan.PredictedAccuracy
-		}
-		out = append(out, cmp)
+			PerDeviceAccuracy:  pdAcc,
+		})
 	}
 	return out, nil
 }

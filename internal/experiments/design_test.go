@@ -37,6 +37,8 @@ func TestDesignAblations(t *testing.T) {
 	}
 }
 
+// TestCompareFormulations runs the formulations table on one size: both
+// formulations plan. TestLiteralMatchesDP holds their optima equal.
 func TestCompareFormulations(t *testing.T) {
 	cmp, err := CompareFormulations([]int{8}, 3*time.Second)
 	if err != nil {
@@ -45,20 +47,7 @@ func TestCompareFormulations(t *testing.T) {
 	if len(cmp) != 1 {
 		t.Fatalf("%d comparisons", len(cmp))
 	}
-	c := cmp[0]
-	if c.AggregatedAccuracy <= 0 {
-		t.Fatal("aggregated solve produced no plan")
-	}
-	if c.PerDeviceAccuracy > 0 {
-		// Both exact formulations must agree on the optimum within the
-		// combined gap tolerances.
-		diff := c.AggregatedAccuracy - c.PerDeviceAccuracy
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 2.5 {
-			t.Fatalf("formulations disagree: aggregated %.2f vs per-device %.2f",
-				c.AggregatedAccuracy, c.PerDeviceAccuracy)
-		}
+	if c := cmp[0]; c.AggregatedAccuracy <= 0 || c.PerDeviceAccuracy <= 0 {
+		t.Fatalf("aggregated accuracy %.2f, per-device %.2f; want both plans", c.AggregatedAccuracy, c.PerDeviceAccuracy)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -353,21 +352,6 @@ func TestRenderers(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "ilp") || !strings.Contains(buf.String(), "violations") {
 		t.Fatalf("systems render: %s", buf.String())
-	}
-
-	buf.Reset()
-	if err := RenderSeriesCSV(&buf, "ilp", []metrics.Point{
-		{Start: 0, DemandQPS: 10, ThroughputQPS: 9, EffectiveAccuracy: 95, Violations: 1},
-		{Start: 10 * time.Second, EffectiveAccuracy: math.NaN()},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "second,ilp_demand") || !strings.Contains(out, "10.00,9.00,95.00,1") {
-		t.Fatalf("series CSV: %s", out)
-	}
-	if strings.Contains(out, "NaN") {
-		t.Fatal("NaN leaked into the CSV")
 	}
 
 	buf.Reset()

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 	"time"
-
-	"proteus/internal/metrics"
 )
 
 func tw(w io.Writer) *tabwriter.Writer {
@@ -47,24 +44,6 @@ func RenderSystems(w io.Writer, results []SystemResult) error {
 			s.ViolationRatio, s.Served, s.Late, s.Dropped, r.ModelLoads, r.Plans, r.AvgSolveTime*1e3)
 	}
 	return t.Flush()
-}
-
-// RenderSeriesCSV writes a time series as CSV (one row per bin).
-func RenderSeriesCSV(w io.Writer, name string, series []metrics.Point) error {
-	if _, err := fmt.Fprintf(w, "second,%s_demand,%s_tput,%s_acc,%s_violations\n", name, name, name, name); err != nil {
-		return err
-	}
-	for _, p := range series {
-		acc := p.EffectiveAccuracy
-		if math.IsNaN(acc) {
-			acc = 0
-		}
-		if _, err := fmt.Fprintf(w, "%.0f,%.2f,%.2f,%.2f,%d\n",
-			p.Start.Seconds(), p.DemandQPS, p.ThroughputQPS, acc, p.Violations); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RenderFig6 writes the batching comparison grid.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"proteus/internal/allocator"
@@ -15,7 +16,8 @@ type Fig10Point struct {
 	Dimension string // "devices", "variants", "types"
 	Value     int
 	SolveTime time.Duration
-	TimedOut  bool
+	// TimedOut reports that the search ended on its time limit.
+	TimedOut bool
 }
 
 // Fig10Options parameterize the scalability sweep.
@@ -85,7 +87,7 @@ func fig10Input(devices, variants, types int) *allocator.Input {
 	// families, give each device its highest-capacity variant for its
 	// family, and ask for 80% of the resulting per-family capacity — the
 	// round-robin assignment is a feasibility witness, so every sweep point
-	// costs exactly one MILP solve (no β back-off inside the measurement).
+	// is one feasible MILP solve.
 	capacity := make([]float64, len(fams))
 	for i, d := range c.Devices() {
 		q := i % len(fams)
@@ -118,27 +120,12 @@ func Fig10(o Fig10Options) ([]Fig10Point, error) {
 	)
 	var out []Fig10Point
 	run := func(dim string, value, devices, variants, types int) error {
-		in := fig10Input(devices, variants, types)
-		// The figure measures a single solve of the per-device MILP, as the
-		// paper does — MaxBackoffs 1 keeps the β demand loop out of the
-		// measurement; a point the solver cannot finish inside the limit is
-		// reported as timed out (the paper's curves likewise stop at their
-		// 60-second ceiling).
-		a := allocator.NewMILP(&allocator.MILPOptions{
-			PerDevice:   true,
-			TimeLimit:   o.TimeLimit,
-			RelGap:      0.01,
-			MaxBackoffs: 1,
-		})
-		start := time.Now()
-		_, err := a.Allocate(in)
-		elapsed := time.Since(start)
-		out = append(out, Fig10Point{
-			Dimension: dim,
-			Value:     value,
-			SolveTime: elapsed,
-			TimedOut:  err != nil || elapsed >= o.TimeLimit,
-		})
+		pt, err := fig10Point(fig10Input(devices, variants, types), o.TimeLimit)
+		if err != nil {
+			return fmt.Errorf("%s=%d: %w", dim, value, err)
+		}
+		pt.Dimension, pt.Value = dim, value
+		out = append(out, pt)
 		return nil
 	}
 
@@ -158,6 +145,21 @@ func Fig10(o Fig10Options) ([]Fig10Point, error) {
 		}
 	}
 	return out, nil
+}
+
+// fig10Point times one cold solve of in's literal model, as the paper
+// measures a single solve. A point the search cannot finish inside the time
+// limit is timed out (the paper's curves likewise stop at their 60-second
+// ceiling); any other failure is an error, since fig10Input is feasible by
+// construction.
+func fig10Point(in *allocator.Input, timeLimit time.Duration) (Fig10Point, error) {
+	start := time.Now()
+	sol, _ := solveLiteral(in, literalOptions(timeLimit))
+	elapsed := time.Since(start)
+	if err := literalErr(&sol); err != nil {
+		return Fig10Point{}, err
+	}
+	return Fig10Point{SolveTime: elapsed, TimedOut: sol.TimeLimited}, nil
 }
 
 // maxTypesFor picks enough families to absorb the variant budget.

@@ -51,11 +51,9 @@ func burnRun(t *testing.T, fcfg flightrec.Config, qps float64, edit func(*core.C
 	})
 	flight := flightrec.New(fcfg)
 	cfg := core.Config{
-		Cluster:  cluster.ScaledTestbed(4),
-		Families: fams,
-		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			MaxNodes: 320, RelGap: 0.01,
-		}),
+		Cluster:   cluster.ScaledTestbed(4),
+		Families:  fams,
+		Allocator: allocator.NewMILP(nil),
 		Seed:      7,
 		TSDB:      rec,
 		Tracer:    telemetry.NewTracer(0),

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -226,6 +227,25 @@ func (c *Collector) Series(family int) []Point {
 		out[i] = p
 	}
 	return out
+}
+
+// WriteSeriesCSV writes a time series as CSV, one row per bin, its columns
+// named after name.
+func WriteSeriesCSV(w io.Writer, name string, series []Point) error {
+	if _, err := fmt.Fprintf(w, "second,%s_demand,%s_tput,%s_acc,%s_violations\n", name, name, name, name); err != nil {
+		return err
+	}
+	for _, p := range series {
+		acc := p.EffectiveAccuracy
+		if math.IsNaN(acc) {
+			acc = 0
+		}
+		if _, err := fmt.Fprintf(w, "%.0f,%.2f,%.2f,%.2f,%d\n",
+			p.Start.Seconds(), p.DemandQPS, p.ThroughputQPS, acc, p.Violations); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Summary aggregates a whole run, matching §6.1.4.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -299,5 +300,22 @@ func TestWindowPercentiles(t *testing.T) {
 	}
 	if pts[0].P50 >= pts[2].P50 {
 		t.Fatalf("bin 0 p50 %v should be far below bin 2 p50 %v", pts[0].P50, pts[2].P50)
+	}
+}
+
+func TestWriteSeriesCSV(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSeriesCSV(&buf, "ilp", []Point{
+		{Start: 0, DemandQPS: 10, ThroughputQPS: 9, EffectiveAccuracy: 95, Violations: 1},
+		{Start: 10 * time.Second, EffectiveAccuracy: math.NaN()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "second,ilp_demand") || !strings.Contains(out, "10.00,9.00,95.00,1") {
+		t.Fatalf("series CSV: %s", out)
+	}
+	if strings.Contains(out, "NaN") {
+		t.Fatal("NaN leaked into the CSV")
 	}
 }

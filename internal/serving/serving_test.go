@@ -23,11 +23,9 @@ func testConfig(t *testing.T) Config {
 		}
 	}
 	return Config{
-		Cluster:  cluster.ScaledTestbed(4),
-		Families: fams,
-		Allocator: allocator.NewMILP(&allocator.MILPOptions{
-			TimeLimit: 300 * time.Millisecond, RelGap: 0.01,
-		}),
+		Cluster:       cluster.ScaledTestbed(4),
+		Families:      fams,
+		Allocator:     allocator.NewMILP(nil),
 		ControlPeriod: 2 * time.Second,
 		InitialDemand: []float64{120, 250}, // efficientnet, mobilenet
 		Seed:          3,

@@ -3,12 +3,17 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"proteus/internal/numeric"
 )
+
+// pinnedRand seeds quick.Check, whose default generator is clock-seeded, so
+// that every run draws the same inputs and a CI failure can be replayed.
+func pinnedRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 func randomTrace(seed uint64) *Trace {
 	rng := numeric.NewRNG(seed)
@@ -83,7 +88,10 @@ func TestPropertyArrivalsSortedAndInWindow(t *testing.T) {
 }
 
 // TestPropertyInterArrivalMeanRate checks that every arrival process hits
-// the requested mean rate within sampling error.
+// the requested mean rate within sampling error. The Gamma process's count
+// has a relative standard deviation of about 6 % here, so a clock-seeded
+// draw would miss the 25 % band in about 1 of 1 300 Gamma cases with the
+// generator unbiased; the inputs are pinned.
 func TestPropertyInterArrivalMeanRate(t *testing.T) {
 	f := func(seed uint64, proc8 uint8) bool {
 		p := []ArrivalProcess{Uniform, PoissonProcess, GammaProcess}[int(proc8)%3]
@@ -96,7 +104,7 @@ func TestPropertyInterArrivalMeanRate(t *testing.T) {
 		tol := 0.25 * want
 		return math.Abs(float64(len(times))-want) <= tol
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: pinnedRand()}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -71,7 +71,9 @@ type (
 	AdversarialTraceConfig = trace.AdversarialConfig
 	// Allocator is a resource-management policy (Proteus MILP or baseline).
 	Allocator = allocator.Allocator
-	// MILPOptions tune the Proteus MILP allocator.
+	// MILPOptions tune the Proteus allocator: the bound on its β demand
+	// back-offs, the switch cost against its previous plan and a variant
+	// filter.
 	MILPOptions = allocator.MILPOptions
 	// SystemConfig configures a simulated serving system.
 	SystemConfig = core.Config

@@ -5,7 +5,7 @@ import (
 )
 
 func TestPublicAPISimulation(t *testing.T) {
-	alloc, err := NewAllocator("ilp", &MILPOptions{MaxNodes: 480, RelGap: 0.01})
+	alloc, err := NewAllocator("ilp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
