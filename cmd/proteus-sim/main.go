@@ -102,15 +102,13 @@ type config struct {
 }
 
 type overloadConfig struct {
-	Enabled             bool    `json:"enabled"`
-	DisableAdmission    bool    `json:"disable_admission"`
-	DisableBackpressure bool    `json:"disable_backpressure"`
-	DisableDegradation  bool    `json:"disable_degradation"`
-	HighWater           int     `json:"high_water"`
-	LowWater            int     `json:"low_water"`
-	RestoreHoldS        float64 `json:"restore_hold_s"`
-	EscalateAfterS      float64 `json:"escalate_after_s"`
-	RedegradeCooldownS  float64 `json:"redegrade_cooldown_s"`
+	Enabled            bool    `json:"enabled"`
+	DisableDegradation bool    `json:"disable_degradation"`
+	HighWater          int     `json:"high_water"`
+	LowWater           int     `json:"low_water"`
+	RestoreHoldS       float64 `json:"restore_hold_s"`
+	EscalateAfterS     float64 `json:"escalate_after_s"`
+	RedegradeCooldownS float64 `json:"redegrade_cooldown_s"`
 }
 
 // buildOverload maps the JSON block onto the guard configuration.
@@ -120,15 +118,13 @@ func buildOverload(oc *overloadConfig) *overload.Config {
 	}
 	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
 	return &overload.Config{
-		Enabled:             oc.Enabled,
-		DisableAdmission:    oc.DisableAdmission,
-		DisableBackpressure: oc.DisableBackpressure,
-		DisableDegradation:  oc.DisableDegradation,
-		HighWater:           oc.HighWater,
-		LowWater:            oc.LowWater,
-		RestoreHold:         sec(oc.RestoreHoldS),
-		EscalateAfter:       sec(oc.EscalateAfterS),
-		RedegradeCooldown:   sec(oc.RedegradeCooldownS),
+		Enabled:            oc.Enabled,
+		DisableDegradation: oc.DisableDegradation,
+		HighWater:          oc.HighWater,
+		LowWater:           oc.LowWater,
+		RestoreHold:        sec(oc.RestoreHoldS),
+		EscalateAfter:      sec(oc.EscalateAfterS),
+		RedegradeCooldown:  sec(oc.RedegradeCooldownS),
 	}
 }
 

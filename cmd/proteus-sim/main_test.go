@@ -69,8 +69,9 @@ func TestBuildTraceCSVRoundTrip(t *testing.T) {
 }
 
 // TestLoadConfig: every shipped config decodes, and a key the program does
-// not know — the four solver keys it no longer has, or a typo — is an error
-// naming the key rather than a silently applied default.
+// not know — the four solver keys and two overload switches it no longer
+// has, or a typo — is an error naming the key rather than a silently
+// applied default.
 func TestLoadConfig(t *testing.T) {
 	paths, err := filepath.Glob("../../configs/*.json")
 	if err != nil || len(paths) == 0 {
@@ -89,6 +90,12 @@ func TestLoadConfig(t *testing.T) {
 		_, err := loadConfig([]byte(`{"cluster_size": 8, "` + key + `": 1}`))
 		if err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("key %q: got error %v, want one naming the key", key, err)
+		}
+	}
+	for _, key := range []string{"disable_admission", "disable_backpressure"} {
+		_, err := loadConfig([]byte(`{"cluster_size": 8, "overload": {"enabled": true, "` + key + `": true}}`))
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("key overload.%s: got error %v, want one naming the key", key, err)
 		}
 	}
 	if _, err := loadConfig([]byte(`{"cluster_size": 8} {"cluster_size": 9}`)); err == nil {

@@ -68,30 +68,12 @@ func (s *System) cancelWake(w *worker) {
 
 // NewSystem builds a system from the config.
 func NewSystem(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	plane, err := dataplane.New(dataplane.Config{
-		Cluster:          cfg.Cluster,
-		Families:         cfg.Families,
-		SLOMultiplier:    cfg.SLOMultiplier,
-		Allocator:        cfg.Allocator,
-		Batching:         cfg.Batching,
-		ControlPeriod:    cfg.ControlPeriod,
-		Cooldown:         cfg.BurstCooldown,
-		Headroom:         cfg.Headroom,
-		MetricsInterval:  cfg.MetricsInterval,
-		DisableAdmission: cfg.DisableAdmission,
-		MaxRetries:       cfg.MaxRetries,
-		Seed:             cfg.Seed,
-		Tracer:           cfg.Tracer,
-		Telemetry:        cfg.Telemetry,
-		TSDB:             cfg.TSDB,
-		Flight:           cfg.Flight,
-		Overload:         cfg.Overload,
-	})
+	cfg, err := simConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Faults.Validate(cfg.Cluster.Size()); err != nil {
+	plane, err := dataplane.New(cfg)
+	if err != nil {
 		return nil, err
 	}
 	s := &System{

@@ -15,10 +15,12 @@ import (
 )
 
 // TestNewChecksAndDefaults pins the engine's one set of checks and defaults:
-// New refuses a config without a cluster, families or an allocator, or with
-// a flight recorder or an overload guard that degrades but no tsdb
-// recorder, and names the fields, and resolves what a minimal config leaves zero — the values
-// both drivers run with unless their callers set them.
+// New refuses a config without a cluster, families or an allocator, with a
+// fault schedule naming a device outside the cluster, or with a flight
+// recorder or an overload guard that degrades but no tsdb recorder, and
+// names the fields, and resolves what a minimal config leaves zero — the
+// values both drivers run with unless their callers (or the driver's own
+// clock) set them.
 func TestNewChecksAndDefaults(t *testing.T) {
 	fams := models.Zoo()[:2]
 	minimal := func() Config {
@@ -36,6 +38,9 @@ func TestNewChecksAndDefaults(t *testing.T) {
 		{[]string{"Cluster"}, func(c *Config) { c.Cluster = cluster.New(nil) }},
 		{[]string{"Families"}, func(c *Config) { c.Families = nil }},
 		{[]string{"Allocator"}, func(c *Config) { c.Allocator = nil }},
+		{[]string{"Faults"}, func(c *Config) {
+			c.Faults = &cluster.FailureSchedule{Events: []cluster.FailureEvent{{Device: 4, FailAt: time.Second}}}
+		}},
 		{[]string{"Flight", "TSDB"}, func(c *Config) { c.Flight = flightrec.New(flightrec.Config{}) }},
 		{[]string{"Overload", "TSDB"}, func(c *Config) { c.Overload = &overload.Config{Enabled: true} }},
 	} {

@@ -42,7 +42,7 @@ func harness(t *testing.T, policy batching.Policy, mut func(*Config)) (*Plane, *
 		Allocator:       allocator.NewInfaasAccuracy(),
 		Batching:        func() batching.Policy { return policy },
 		ControlPeriod:   30 * time.Second,
-		Cooldown:        10 * time.Second,
+		BurstCooldown:   10 * time.Second,
 		Headroom:        1,
 		MetricsInterval: time.Second,
 		MaxRetries:      1,
@@ -383,7 +383,7 @@ func TestRebuildMasksUnreadyDevices(t *testing.T) {
 	}
 }
 
-// TestStepDecisionLead pins what Config.DecisionLead moves and what it leaves
+// TestStepDecisionLead pins what Plane.SetDecisionLead moves and what it leaves
 // alone. One query waits for a second until T_max_wait(2) = deadline − T(2):
 // with lead L the wait's WakeAt is L earlier and the step taken there starts
 // the batch, stamped with the true time; with no lead the step waits out the
@@ -391,7 +391,8 @@ func TestRebuildMasksUnreadyDevices(t *testing.T) {
 func TestStepDecisionLead(t *testing.T) {
 	const arrival = 10 * time.Millisecond
 	for _, lead := range []time.Duration{0, 5 * time.Millisecond} {
-		p, cpu := harness(t, batching.NewAccScale(), func(c *Config) { c.DecisionLead = lead })
+		p, cpu := harness(t, batching.NewAccScale(), nil)
+		p.SetDecisionLead(lead)
 		d := p.Devices[2] // a GPU: the CPU's SLO-capped batch is 1, which never waits
 		d.setHosted(cpu.hosted, 0)
 		deadline := arrival + p.slos[0]
@@ -432,7 +433,8 @@ func TestStepDecisionLead(t *testing.T) {
 // clock survives the shed.
 func TestStepExpiryShedIgnoresLead(t *testing.T) {
 	lead := 5 * time.Millisecond
-	p, d := harness(t, batching.NewStatic(1), func(c *Config) { c.DecisionLead = lead })
+	p, d := harness(t, batching.NewStatic(1), nil)
+	p.SetDecisionLead(lead)
 	enqueue(t, p, d, 0, d.procTime(1)+lead/2, 1)
 	st := d.Step(0)
 	if len(st.Dropped) != 0 || len(st.Batch.Queries) != 1 {

@@ -323,9 +323,10 @@ func (d *Device) State(now time.Duration) tsdb.DeviceState {
 // can no longer meet their deadline, consult the policy, and start a batch
 // or name the next wake-up. Drivers call it after every enqueue, batch
 // completion, hosting change and wake-up; it is a no-op while a batch runs.
-// The policy decides as of now+Config.DecisionLead and a batching wait's
-// WakeAt is that much before the policy's, so a Step at WakeAt executes; the
-// expiry shed, Batch.Start and the queries' stamps use now itself.
+// The policy decides as of now plus the plane's decision lead
+// (Plane.SetDecisionLead) and a batching wait's WakeAt is that much before
+// the policy's, so a Step at WakeAt executes; the expiry shed, Batch.Start
+// and the queries' stamps use now itself.
 func (d *Device) Step(now time.Duration) Step {
 	var st Step
 	if d.busy || d.down {
@@ -354,7 +355,7 @@ func (d *Device) Step(now time.Duration) Step {
 	}
 
 	// The policy alone sees the clock run ahead by the driver's lead.
-	lead := d.p.cfg.DecisionLead
+	lead := d.p.lead
 	ctx := &d.ctx
 	ctx.Now = now + lead
 	ctx.MaxBatch, ctx.MemBatch = d.maxBatch, d.memBatch

@@ -38,43 +38,119 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// Config is what both drivers hand the shared engine, each from its own
-// public Config. New is the one place that checks it — a cluster with at
-// least one device, at least one family, an allocator, a tsdb recorder
-// beside a flight recorder — and fills in the engine's defaults:
-// SLOMultiplier 2, AccScale batching, ControlPeriod 30 s, Cooldown
-// ControlPeriod/3, Headroom 1.05, MetricsInterval 10 s and MaxRetries 1 (0
-// means the default, negative values no retry at all).
+// Config is the one configuration of the serving engine: the simulator's
+// core.Config and the live server's serving.Config are names for it. New is
+// the one place that checks it — a cluster with at least one device, at
+// least one family, an allocator, a fault schedule that fits the cluster, a
+// tsdb recorder beside a flight recorder — and fills in the engine's
+// defaults: SLOMultiplier 2, AccScale batching, ControlPeriod 30 s,
+// BurstCooldown ControlPeriod/3, Headroom 1.05, MetricsInterval 10 s and
+// MaxRetries 1 (0 means the default, negative values no retry at all).
+//
+// Each driver fills in only its own clock's defaults before New, and refuses,
+// naming it, a field its clock cannot serve: the live server refuses
+// Elastic, the simulator InitialDemand, ModelLoadDelay and ExecNoiseFrac.
+// Every other field is honoured by both.
 type Config struct {
-	Cluster       *cluster.Cluster
-	Families      []models.Family
+	// Cluster is the device fleet. Required.
+	Cluster *cluster.Cluster
+	// Families are the registered applications (query types). Required.
+	Families []models.Family
+	// SLOMultiplier scales each family's SLO relative to the batch-1 CPU
+	// latency of its fastest variant (§6.1.2).
 	SLOMultiplier float64
-	Allocator     allocator.Allocator
-	Batching      batching.Factory
+	// Allocator is the resource-management policy. Required
+	// (allocator.ByName builds one from artifact config names).
+	Allocator allocator.Allocator
+	// Batching creates each device's batching policy.
+	Batching batching.Factory
 	// ControlPeriod is the periodic re-plan interval and the window of the
-	// per-family demand monitors; Cooldown is the minimum spacing of burst
-	// re-plans; Headroom multiplies every demand a plan is solved for.
+	// per-family demand monitors.
 	ControlPeriod time.Duration
-	Cooldown      time.Duration
-	Headroom      float64
-
-	MetricsInterval  time.Duration
+	// BurstCooldown is the minimum spacing of burst re-plans.
+	BurstCooldown time.Duration
+	// Headroom multiplies every demand a plan is solved for (the artifact's
+	// β hyper-parameter).
+	Headroom float64
+	// MetricsInterval is the time-series bin width (the live server's
+	// default is 1 s).
+	MetricsInterval time.Duration
+	// DisableAdmission turns off load-balancer admission control: all
+	// arriving queries are routed even when the plan sheds load, leaving
+	// overload to pile up in device queues. Exists for the design-ablation
+	// experiments; production behaviour is admission on.
 	DisableAdmission bool
-	MaxRetries       int
-	Seed             uint64
-	// DecisionLead runs the batching policy's clock that far ahead of the
-	// true one: Device.Step decides as of now+DecisionLead and names its
-	// wake-ups that much earlier, so a driver whose timers fire late (the
-	// live server's wall clock) starts a batch before T_max_wait rather than
-	// after it. Everything a Step stamps or accounts keeps the true now. The
-	// simulator leaves it zero.
-	DecisionLead time.Duration
+	// MaxRetries is the per-query re-route budget after a device failure
+	// strands it.
+	MaxRetries int
+	// Seed drives the run's randomness: the routing draws, the simulator's
+	// arrival expansion and the live server's execution noise.
+	Seed uint64
+	// Faults injects deterministic device failures and recoveries during the
+	// run (nil for a healthy fleet): the simulator replays them as events,
+	// the live server on wall-clock timers.
+	Faults *cluster.FailureSchedule
+	// Elastic enables the §7 hardware-scaling-in-tandem extension in the
+	// simulator: when a plan sheds demand (capacity exhausted even at the
+	// lowest accuracy), the controller provisions an extra device, which
+	// joins the fleet after ProvisionDelay; accuracy scaling absorbs the
+	// burst meanwhile.
+	Elastic *ElasticConfig
+	// InitialDemand pre-provisions the live server for the expected
+	// per-family QPS before any statistics exist (all zeros by default: the
+	// server starts minimal and scales on the first control period). The
+	// simulator takes its initial demand from the trace.
+	InitialDemand []float64
+	// ModelLoadDelay is how long a live worker is unavailable when
+	// switching variants (default 500 ms, kept short for live experiments;
+	// the simulator's load takes 2 s).
+	ModelLoadDelay time.Duration
+	// ExecNoiseFrac adds multiplicative Gaussian noise to the live server's
+	// executed batch latencies, mimicking real hardware variance (default
+	// 0.02; negative turns it off).
+	ExecNoiseFrac float64
 
-	Tracer    *telemetry.Tracer
+	// Tracer, when non-nil, records every query's lifecycle events
+	// (arrival → route → enqueue → batch → done/late/dropped). Seeded
+	// simulations with identical configs produce identical traces.
+	Tracer *telemetry.Tracer
+	// Telemetry, when non-nil, is the counters/gauges registry the engine
+	// increments (the live server's default is a fresh registry, backing its
+	// /metrics endpoint).
 	Telemetry *telemetry.Registry
-	TSDB      *tsdb.Recorder
-	Flight    *flightrec.Recorder
-	Overload  *overload.Config
+	// TSDB, when non-nil, records per-device time-series samples and runs
+	// the sliding-window SLO burn monitor. Burn transitions are traced
+	// (slo_burn_start/slo_burn_end) and audited in the controller's
+	// PlanRecord history.
+	TSDB *tsdb.Recorder
+	// Flight, when non-nil, is the black-box flight recorder: it snapshots
+	// bounded rings of recent observability state into incident bundles on
+	// SLO-burn starts, overload degradations, allocator fallbacks and device
+	// failures. It ticks on the TSDB sampling cadence and reads its samples
+	// and burns from TSDB's logs, so it needs TSDB set. A live server's is
+	// built with Live set, so its bundles include heap, GC and goroutine
+	// snapshots.
+	Flight *flightrec.Recorder
+	// Overload, when non-nil and enabled, activates the fast-path overload
+	// guard: deadline admission control, high/low-water backpressure, and
+	// burn-triggered emergency accuracy degradation between control
+	// periods. Requires TSDB unless DisableDegradation is set: the burn
+	// monitor triggers degradation.
+	Overload *overload.Config
+}
+
+// ElasticConfig parameterizes hardware scaling in tandem with accuracy
+// scaling (§7 of the paper, described there as future work); the simulator
+// fills in its defaults.
+type ElasticConfig struct {
+	// MaxExtra bounds how many devices may be provisioned on top of the
+	// fixed cluster.
+	MaxExtra int
+	// Type is the device type provisioned (default V100).
+	Type cluster.DeviceType
+	// ProvisionDelay is the server start-up time — the window during which
+	// accuracy scaling alone carries the burst (default 60s).
+	ProvisionDelay time.Duration
 }
 
 // burstFactor flags a burst when a family's last-second demand exceeds its
@@ -119,6 +195,9 @@ type Plane struct {
 
 	cfg  Config
 	slos []time.Duration
+	// lead is SetDecisionLead's: how far ahead of the true clock the
+	// batching policies decide.
+	lead time.Duration
 
 	plan   *allocator.Allocation
 	down   []bool
@@ -170,6 +249,9 @@ func (c Config) withDefaults() (Config, error) {
 	case c.Overload != nil && c.Overload.Enabled && !c.Overload.DisableDegradation && c.TSDB == nil:
 		return c, errors.New("dataplane: Config.Overload degrades on SLO burns, which need a Config.TSDB recorder to detect them")
 	}
+	if err := c.Faults.Validate(c.Cluster.Size()); err != nil {
+		return c, fmt.Errorf("dataplane: Config.Faults: %w", err)
+	}
 	if c.SLOMultiplier <= 0 {
 		c.SLOMultiplier = 2
 	}
@@ -179,8 +261,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ControlPeriod <= 0 {
 		c.ControlPeriod = 30 * time.Second
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.ControlPeriod / 3
+	if c.BurstCooldown <= 0 {
+		c.BurstCooldown = c.ControlPeriod / 3
 	}
 	if c.Headroom <= 0 {
 		c.Headroom = 1.05
@@ -193,6 +275,14 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// SetDecisionLead runs the batching policy's clock lead ahead of the true
+// one: Device.Step decides as of now+lead and names its wake-ups that much
+// earlier, so a driver whose timers fire late (the live server's wall clock)
+// starts a batch before T_max_wait rather than after it. Everything a Step
+// stamps or accounts keeps the true now. The simulator leaves it zero; a
+// driver sets it before the first Step.
+func (p *Plane) SetDecisionLead(lead time.Duration) { p.lead = lead }
 
 // New assembles the engine for cfg with every device idle and an empty
 // plan; the driver solves and applies the initial plan. The resolved
@@ -218,7 +308,7 @@ func New(cfg Config) (*Plane, error) {
 	p.Collector = metrics.NewCollector(cfg.MetricsInterval, models.FamilyNames(cfg.Families))
 	p.Stats = controlplane.NewStats(families, int(cfg.ControlPeriod/time.Second), burstFactor)
 	p.Controller = controlplane.NewController(
-		cfg.Allocator, cfg.Cluster, cfg.Families, p.slos, cfg.ControlPeriod, cfg.Cooldown)
+		cfg.Allocator, cfg.Cluster, cfg.Families, p.slos, cfg.ControlPeriod, cfg.BurstCooldown)
 	p.Controller.Instrument(cfg.Telemetry)
 	cfg.TSDB.Init(families, p.onBurn)
 	cfg.Flight.Init(flightrec.Sources{

@@ -83,7 +83,7 @@ func (r refDevice) Step(now time.Duration) Step {
 	if len(r.queue) == 0 {
 		return st
 	}
-	lead := r.p.cfg.DecisionLead
+	lead := r.p.lead
 	ctx := &batching.Context{
 		Now:         now + lead,
 		MaxBatch:    r.maxBatch,
@@ -173,11 +173,11 @@ func checkDeviceAgainstReference(t *testing.T, prog []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lead := func(c *Config) {
-		c.DecisionLead = time.Duration(int(prog[0])/len(devicePolicies)%2) * 5 * time.Millisecond
-	}
-	p, _ := harness(t, factory(), lead)
-	rp, _ := harness(t, factory(), lead)
+	lead := time.Duration(int(prog[0])/len(devicePolicies)%2) * 5 * time.Millisecond
+	p, _ := harness(t, factory(), nil)
+	rp, _ := harness(t, factory(), nil)
+	p.SetDecisionLead(lead)
+	rp.SetDecisionLead(lead)
 	// A GPU: the CPU's SLO-capped batch for these models is 1, which never
 	// waits or batches.
 	dev, ref := p.Devices[3], refDevice{rp.Devices[3]}

@@ -29,11 +29,6 @@ import (
 type Config struct {
 	// Enabled turns the overload guard on.
 	Enabled bool
-	// DisableAdmission turns off deadline-based admission control (queries
-	// are routed even when they provably cannot meet their SLO).
-	DisableAdmission bool
-	// DisableBackpressure turns off the high/low-water mailbox bounds.
-	DisableBackpressure bool
 	// DisableDegradation turns off burn-triggered emergency accuracy
 	// degradation, leaving admission control and backpressure only
 	// ("shed-only" in the Overload experiment).
@@ -308,9 +303,6 @@ func (g *Guard) NoteDepth(d, depth int) {
 	}
 	dev := &g.devs[d]
 	dev.depth = depth
-	if g.cfg.DisableBackpressure {
-		return
-	}
 	if !dev.pressured && depth >= g.cfg.HighWater {
 		dev.pressured = true
 		g.counters.Backpressured.Inc()
@@ -348,7 +340,7 @@ func (g *Guard) Admit(now time.Duration, d int, deadline time.Duration) bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.cfg.DisableAdmission || d < 0 || d >= len(g.devs) {
+	if d < 0 || d >= len(g.devs) {
 		g.counters.Admitted.Inc()
 		return true
 	}

@@ -161,14 +161,6 @@ func TestBackpressureHysteresis(t *testing.T) {
 	}
 }
 
-func TestBackpressureDisabled(t *testing.T) {
-	g := newTestGuard(t, Config{DisableBackpressure: true, HighWater: 10})
-	g.NoteDepth(0, 1000)
-	if g.Banned(0, 0) {
-		t.Fatal("DisableBackpressure still banned the device")
-	}
-}
-
 func TestAdmissionBound(t *testing.T) {
 	// Device 0: MaxBatch 8, Lat1 10ms, LatMax 45ms → marginal 5ms.
 	g := newTestGuard(t, Config{HighWater: 1 << 20})
@@ -200,14 +192,6 @@ func TestAdmissionBound(t *testing.T) {
 	g.NoteDepth(0, 0)
 	if g.Admit(100*ms, 0, 105*ms) {
 		t.Error("admitted a query whose remaining slack is below Lat1")
-	}
-}
-
-func TestAdmissionDisabled(t *testing.T) {
-	g := newTestGuard(t, Config{DisableAdmission: true})
-	g.NoteDepth(0, 1000)
-	if !g.Admit(0, 0, 1*ms) {
-		t.Fatal("DisableAdmission still rejected a doomed query")
 	}
 }
 

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,5 +173,71 @@ func TestCloseDuringModelLoad(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines before NewServer, %d after Close", before, n)
+	}
+}
+
+// TestEachFieldHonouredOrRefused: both drivers take the engine's one Config,
+// and every field is honoured by both or refused, by name, by the driver
+// whose clock cannot serve it — none is silently ignored. The engine fields
+// the live server once had no spelling for (Headroom, BurstCooldown,
+// MetricsInterval) reach its plane.
+func TestEachFieldHonouredOrRefused(t *testing.T) {
+	for _, tc := range []struct {
+		field                   string
+		set                     func(*Config)
+		liveRefuses, simRefuses bool
+	}{
+		{"Elastic", func(c *Config) { c.Elastic = &core.ElasticConfig{MaxExtra: 1} }, true, false},
+		{"InitialDemand", func(c *Config) { c.InitialDemand = []float64{5, 5} }, false, true},
+		{"ModelLoadDelay", func(c *Config) { c.ModelLoadDelay = time.Second }, false, true},
+		{"ExecNoiseFrac", func(c *Config) { c.ExecNoiseFrac = 0.1 }, false, true},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.InitialDemand = nil
+			tc.set(&cfg)
+			s, err := NewServer(cfg)
+			if err == nil {
+				s.Close()
+			}
+			checkRefusal(t, "NewServer", tc.field, err, tc.liveRefuses)
+			_, err = core.NewSystem(cfg)
+			checkRefusal(t, "core.NewSystem", tc.field, err, tc.simRefuses)
+		})
+	}
+
+	t.Run("LiveHonoursEngineFields", func(t *testing.T) {
+		cfg := testConfig(t)
+		cfg.Headroom = 2
+		cfg.BurstCooldown = 1500 * time.Millisecond
+		cfg.MetricsInterval = 5 * time.Second
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctl := s.plane.Controller
+		first := ctl.History()[0]
+		for q, d := range cfg.InitialDemand {
+			if want := 2 * d; first.Demand[q] != want {
+				t.Errorf("initial plan solved family %d for %v QPS, want InitialDemand × Headroom = %v", q, first.Demand[q], want)
+			}
+		}
+		if ctl.BurstCooldown != cfg.BurstCooldown || s.plane.Collector.Interval() != cfg.MetricsInterval {
+			t.Errorf("cooldown %v, bins %v; want the config's %v, %v",
+				ctl.BurstCooldown, s.plane.Collector.Interval(), cfg.BurstCooldown, cfg.MetricsInterval)
+		}
+	})
+}
+
+// checkRefusal asserts that driver refused field by name when refuse is
+// set, and accepted it otherwise.
+func checkRefusal(t *testing.T, driver, field string, err error, refuse bool) {
+	t.Helper()
+	switch {
+	case refuse && (err == nil || !strings.Contains(err.Error(), "Config."+field)):
+		t.Errorf("%s with %s set: error %v, want one naming Config.%s", driver, field, err, field)
+	case !refuse && err != nil:
+		t.Errorf("%s with %s set: %v", driver, field, err)
 	}
 }

@@ -11,6 +11,7 @@ package serving
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -23,11 +24,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"proteus/internal/allocator"
 	"proteus/internal/attrib"
-	"proteus/internal/batching"
 	"proteus/internal/buildinfo"
-	"proteus/internal/cluster"
 	"proteus/internal/controlplane"
 	"proteus/internal/dataplane"
 	"proteus/internal/flightrec"
@@ -38,67 +36,22 @@ import (
 	"proteus/internal/tsdb"
 )
 
-// Config describes a live serving cluster. A zero engine parameter
-// (SLOMultiplier, Batching, ControlPeriod, MaxRetries) takes the engine's
-// default, which dataplane.Config documents, and so do the burst cooldown
-// and the demand headroom, which have no field here.
-type Config struct {
-	Cluster       *cluster.Cluster
-	Families      []models.Family
-	SLOMultiplier float64
-	Allocator     allocator.Allocator
-	Batching      batching.Factory
-	ControlPeriod time.Duration
-	// ModelLoadDelay is how long a worker is unavailable when switching
-	// variants. Default 500ms (kept short for live experiments).
-	ModelLoadDelay time.Duration
-	// ExecNoiseFrac adds multiplicative Gaussian noise to executed batch
-	// latencies, mimicking real hardware variance. Default 0.02.
-	ExecNoiseFrac float64
-	// InitialDemand pre-provisions the cluster for the expected per-family
-	// QPS before any statistics exist (all zeros by default: the system
-	// starts minimal and scales on the first control period).
-	InitialDemand []float64
-	// Faults injects device failures and recoveries on wall-clock timers —
-	// the same schedule type the simulator replays as events, so failure
-	// experiments run identically in both modes.
-	Faults *cluster.FailureSchedule
-	// Telemetry is the counters/gauges registry backing the /metrics
-	// endpoint. Defaults to a fresh registry, so a live server always
-	// exports metrics.
-	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records per-query lifecycle events with
-	// wall-clock timestamps (durations since server start).
-	Tracer *telemetry.Tracer
-	// TSDB, when non-nil, records per-device time-series samples off a
-	// wall-clock ticker and runs the sliding-window SLO burn monitor —
-	// the same recorder the simulator drives off its virtual clock.
-	TSDB *tsdb.Recorder
-	// Flight, when non-nil, is the black-box flight recorder: bounded rings
-	// of recent state refreshed on the sampling tick, snapshotted into
-	// incident bundles on SLO burns, overload degradations, allocator
-	// fallbacks, device failures and POST /debug/incident. It reads its
-	// samples and burns from TSDB's logs, so it needs TSDB set (NewServer
-	// refuses it alone). Build it with Live set so bundles include
-	// heap/GC/goroutine snapshots.
-	Flight *flightrec.Recorder
-	// Overload, when non-nil and enabled, activates the fast-path overload
-	// guard: deadline admission control, high/low-water mailbox
-	// backpressure, and burn-triggered emergency accuracy degradation.
-	// Requires TSDB unless DisableDegradation is set: the burn monitor
-	// triggers degradation (NewServer refuses it alone).
-	Overload *overload.Config
-	// MaxRetries is the per-query re-route budget after a device failure
-	// strands it: zero takes the engine's default (the simulator's single
-	// re-dispatch), a negative value drops stranded queries at once.
-	MaxRetries int
-	Seed       uint64
-}
+// Config describes a live serving cluster: the engine's one configuration,
+// which dataplane.Config documents. The live server refuses the simulator's
+// Elastic and fills in its own clock's defaults; dataplane.New checks the
+// rest and fills in the engine's.
+type Config = dataplane.Config
 
-// withDefaults fills in the live server's own defaults: model-load delay,
-// execution noise and metrics registry. dataplane.New checks the rest and
-// fills in the engine's.
-func (c Config) withDefaults() Config {
+// liveConfig refuses what the wall clock cannot serve and fills in the live
+// server's own defaults: 1 s metric bins, model-load delay, execution noise
+// and a metrics registry.
+func liveConfig(c Config) (Config, error) {
+	if c.Elastic != nil {
+		return c, errors.New("serving: Config.Elastic is the simulator's: a live server cannot provision a device")
+	}
+	if c.MetricsInterval <= 0 {
+		c.MetricsInterval = time.Second
+	}
 	if c.ModelLoadDelay <= 0 {
 		c.ModelLoadDelay = 500 * time.Millisecond
 	}
@@ -110,7 +63,7 @@ func (c Config) withDefaults() Config {
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
 	}
-	return c
+	return c, nil
 }
 
 // Outcome is a query's fate in a response.
@@ -165,32 +118,17 @@ type Server struct {
 // solved synchronously (for idle demand), workers spin up, and the
 // controller loop begins.
 func NewServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	// The live collector bins by the second, and the batching policy decides
-	// decisionLead ahead of the wall clock's late timers.
-	plane, err := dataplane.New(dataplane.Config{
-		Cluster:         cfg.Cluster,
-		Families:        cfg.Families,
-		SLOMultiplier:   cfg.SLOMultiplier,
-		Allocator:       cfg.Allocator,
-		Batching:        cfg.Batching,
-		ControlPeriod:   cfg.ControlPeriod,
-		MetricsInterval: time.Second,
-		MaxRetries:      cfg.MaxRetries,
-		Seed:            cfg.Seed,
-		DecisionLead:    decisionLead,
-		Tracer:          cfg.Tracer,
-		Telemetry:       cfg.Telemetry,
-		TSDB:            cfg.TSDB,
-		Flight:          cfg.Flight,
-		Overload:        cfg.Overload,
-	})
+	cfg, err := liveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Faults.Validate(cfg.Cluster.Size()); err != nil {
+	plane, err := dataplane.New(cfg)
+	if err != nil {
 		return nil, err
 	}
+	// The batching policies decide decisionLead ahead of the wall clock's
+	// late timers.
+	plane.SetDecisionLead(decisionLead)
 	s := &Server{
 		cfg:    cfg,
 		start:  time.Now(),

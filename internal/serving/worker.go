@@ -12,7 +12,7 @@ import (
 )
 
 // decisionLead is how far ahead of the wall clock the workers' batching
-// policies decide (dataplane.Config.DecisionLead). The simulator cuts a
+// policies decide (dataplane.Plane.SetDecisionLead). The simulator cuts a
 // batching wait on the exact T_max_wait edge; a wall-clock timer fires late by
 // the scheduler's jitter, which on the edge turns into deadline misses, so
 // live waits end — and the batch starts — this much before it.

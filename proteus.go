@@ -75,10 +75,12 @@ type (
 	// back-offs, the switch cost against its previous plan and a variant
 	// filter.
 	MILPOptions = allocator.MILPOptions
-	// SystemConfig configures a simulated serving system.
+	// SystemConfig configures a simulated serving system. It is the
+	// engine's one config, LiveConfig's too; the simulator refuses the
+	// live-only InitialDemand, ModelLoadDelay and ExecNoiseFrac.
 	SystemConfig = core.Config
 	// ElasticConfig enables hardware scaling in tandem with accuracy
-	// scaling (the paper's §7 extension).
+	// scaling (the paper's §7 extension; simulator only).
 	ElasticConfig = core.ElasticConfig
 	// System is a simulated serving system.
 	System = core.System
@@ -86,7 +88,8 @@ type (
 	Result = core.Result
 	// Summary aggregates the §6.1.4 evaluation metrics.
 	Summary = metrics.Summary
-	// LiveConfig configures the wall-clock cluster mode.
+	// LiveConfig configures the wall-clock cluster mode: the same struct
+	// as SystemConfig, of which the live server refuses only Elastic.
 	LiveConfig = serving.Config
 	// LiveServer is the wall-clock cluster with an HTTP API.
 	LiveServer = serving.Server

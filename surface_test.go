@@ -30,8 +30,9 @@ import (
 //
 // Every field line carries one reason, which must resolve. A reason ending
 // in .go is a non-test file outside the field's package that sets the field
-// in a keyed literal of the struct, spelled through its import or a facade
-// alias. Any other reason names a function that varies the field: a test,
+// in a keyed literal of the struct, spelled through its import or an alias
+// (a package's "type Config = dataplane.Config", or a facade alias of
+// that). Any other reason names a function that varies the field: a test,
 // or an experiment of internal/experiments. Its body, or a test helper of
 // its directory that it calls, must set the field by name (a keyed literal
 // element or an assignment); without type information that is as close to
@@ -423,31 +424,57 @@ func (m *module) resolveReason(id, reason string) string {
 }
 
 // spellings returns how file f, in package dir fileDir, writes the struct
-// typ of package pkgPath: through its import ("core.Config"), or through a
-// facade alias of it ("proteus.SystemConfig", bare inside the root package).
+// typ of package pkgPath: through its import ("dataplane.Config"), or
+// through an alias of it ("core.Config", and "proteus.SystemConfig", an
+// alias of that), bare inside the package that declares the name.
 func (m *module) spellings(f *ast.File, fileDir, pkgPath, typ string) map[string]bool {
 	out := map[string]bool{}
 	local := importNames(f)
-	if name, ok := local[pkgPath]; ok {
-		out[name+"."+typ] = true
+	for ref := range m.aliases(typeRef{pkgPath, typ}) {
+		if ref.pkg == importPath(fileDir) {
+			out[ref.name] = true
+		} else if name, ok := local[ref.pkg]; ok {
+			out[name+"."+ref.name] = true
+		}
 	}
-	for _, p := range m.pkgFiles(".") {
-		root := m.files[p]
-		rootImports := importNames(root)
-		for _, decl := range root.Decls {
-			d, ok := decl.(*ast.GenDecl)
-			if !ok || d.Tok != token.TYPE {
+	return out
+}
+
+// typeRef names a type by its package's import path.
+type typeRef struct{ pkg, name string }
+
+// aliases returns t and every type name that a non-test file declares as an
+// alias of it, directly or through another alias.
+func (m *module) aliases(t typeRef) map[typeRef]bool {
+	out := map[typeRef]bool{t: true}
+	for grew := true; grew; {
+		grew = false
+		for p, f := range m.files {
+			if strings.HasSuffix(p, "_test.go") {
 				continue
 			}
-			for _, spec := range d.Specs {
-				s := spec.(*ast.TypeSpec)
-				if s.Assign == 0 || exprString(s.Type) != rootImports[pkgPath]+"."+typ {
+			pkg := importPath(path.Dir(p))
+			byName := map[string]string{}
+			for ip, name := range importNames(f) {
+				byName[name] = ip
+			}
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok || d.Tok != token.TYPE {
 					continue
 				}
-				if fileDir == "." {
-					out[s.Name.Name] = true
-				} else if name, ok := local["proteus"]; ok {
-					out[name+"."+s.Name.Name] = true
+				for _, spec := range d.Specs {
+					s := spec.(*ast.TypeSpec)
+					if s.Assign == 0 {
+						continue
+					}
+					target := typeRef{pkg, exprString(s.Type)}
+					if sel, ok := s.Type.(*ast.SelectorExpr); ok {
+						target = typeRef{byName[exprString(sel.X)], sel.Sel.Name}
+					}
+					if alias := (typeRef{pkg, s.Name.Name}); out[target] && !out[alias] {
+						out[alias], grew = true, true
+					}
 				}
 			}
 		}
